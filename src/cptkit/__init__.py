@@ -14,6 +14,7 @@ from .errors import (
     DocumentError,
     FrameInvalid,
     GramDefect,
+    InvalidArgument,
     InvalidModel,
     IsIdentity,
     KindMismatch,

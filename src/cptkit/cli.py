@@ -15,62 +15,25 @@ import sys
 
 import numpy as np
 
-from .cpt import build_c, hermitize
+from .cpt import EP_GUARD_TOL, build_c, hermitize, normalize_indefinite
 from .errors import (
-    CommutatorViolation,
+    EXIT_AXIOM,
+    EXIT_NUMERIC,
+    EXIT_USAGE,
     CptKitError,
-    DefectiveSpectrum,
     DimensionMismatch,
     DocumentError,
-    FrameInvalid,
-    GramDefect,
+    InvalidArgument,
     InvalidModel,
-    IsIdentity,
-    KindMismatch,
-    NonFiniteEntries,
-    NonRealEntries,
-    NotHermitian,
-    NotInvolution,
-    NotPositiveDefinite,
-    NotPTEigenstate,
-    NotPTSymmetric,
-    NotUnbroken,
-    SelfOrthogonal,
 )
-from .composition import doubling
+from .composition import BlockSpec, direct_sum, doubling, tensor_hamiltonians
 from .frames import CPTFrame, PTFrame, checked_cpt_frame, checked_pt_frame, pair_swap_frame, validate_cpt_frame, validate_pt_frame
 from .io import format_float, frame_document, load_frame_parts, load_matrix, matrix_document, write_frame, write_matrix
 from .linops import DEFAULT_TOL, fnorm, hermitian_power
-from .models import FAMILIES, ModelSpec, build_model, _BLOCK_COUNT
+from .models import FAMILIES, ModelSpec, build_model
 from .symmetry import UNBROKEN, classify_symmetry
-from . import cpt as _cpt
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_AXIOM = 3
-EXIT_NUMERIC = 4
-
-_USAGE_ERRORS = (
-    DocumentError,
-    InvalidModel,
-    NonFiniteEntries,
-    DimensionMismatch,
-    KindMismatch,
-    NotInvolution,
-    IsIdentity,
-    NonRealEntries,
-    ValueError,
-)
-_AXIOM_ERRORS = (FrameInvalid, NotUnbroken, NotPTSymmetric)
-_NUMERIC_ERRORS = (
-    DefectiveSpectrum,
-    SelfOrthogonal,
-    GramDefect,
-    NotPositiveDefinite,
-    NotHermitian,
-    CommutatorViolation,
-    NotPTEigenstate,
-)
 
 _SWEEP_RE = re.compile(r"^(r|s|theta|a)(\d*)$")
 
@@ -128,11 +91,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _blocks_from_args(args) -> tuple[tuple[float, float, float], ...]:
-    r, s, theta = args.r or [], args.s or [], args.theta or []
+def _blocks(r, s, theta) -> tuple[tuple[float, float, float], ...]:
     if not r or not (len(r) == len(s) == len(theta)):
         raise InvalidModel("--r, --s and --theta must each be given once per block, in equal numbers")
     return tuple(zip(r, s, theta))
+
+
+def _blocks_from_args(args) -> tuple[tuple[float, float, float], ...]:
+    return _blocks(args.r or [], args.s or [], args.theta or [])
 
 
 def _model_spec_from_args(args) -> ModelSpec:
@@ -202,11 +168,18 @@ def cmd_validate(args) -> int:
     _print_violations(report.violations)
     passed = report.passed
     if c is not None:
-        creport = validate_cpt_frame(c, PTFrame(p, t, p.dim), args.tol)
+        creport = validate_cpt_frame(c, PTFrame(p, t), args.tol)
         print(f"cpt-frame axioms: {'PASS' if creport.passed else 'FAIL'}")
         _print_violations(creport.violations)
         passed = passed and creport.passed
     return EXIT_OK if passed else EXIT_AXIOM
+
+
+def _print_classification(report) -> None:
+    print(f"classification: {report.classification}")
+    print("eigenvalues:")
+    for value in report.eigenvalues:
+        print(f"  {_cfmt(value)}")
 
 
 def cmd_analyze(args) -> int:
@@ -215,15 +188,12 @@ def cmd_analyze(args) -> int:
     report = classify_symmetry(h, base, args.tol)
     verdict = "yes" if report.pt_symmetric else "no"
     print(f"pt-symmetric: {verdict} (residual {report.pt_residual:.3e})")
-    print(f"classification: {report.classification}")
-    print("eigenvalues:")
-    for value in report.eigenvalues:
-        print(f"  {_cfmt(value)}")
+    _print_classification(report)
     if report.classification == UNBROKEN:
         print("aligned states:")
         for state in report.aligned_states:
             try:
-                _, sign = _cpt.normalize_indefinite(state.state, base, _cpt.EP_GUARD_TOL)
+                _, sign = normalize_indefinite(state.state, base, EP_GUARD_TOL)
                 sign_text = f"{sign:+d}"
             except CptKitError:
                 sign_text = "n/a"
@@ -302,53 +272,47 @@ def _parse_sweep(text: str) -> tuple[str, int | None, float, float, int]:
         lo_text, hi_text, n_text = grid.split(":")
         lo, hi, n = float(lo_text), float(hi_text), int(n_text)
     except ValueError as exc:
-        raise ValueError(f"invalid sweep syntax {text!r}, expected P=LO:HI:N") from exc
+        raise InvalidArgument(f"invalid sweep syntax {text!r}, expected P=LO:HI:N") from exc
     match = _SWEEP_RE.match(name.strip())
     if not match:
-        raise ValueError(f"unknown sweep parameter {name!r}")
+        raise InvalidArgument(f"unknown sweep parameter {name!r}")
     if n < 2:
-        raise ValueError("sweep needs at least 2 grid points")
+        raise InvalidArgument("sweep needs at least 2 grid points")
     index = int(match.group(2)) - 1 if match.group(2) else None
     if index is not None and index < 0:
-        raise ValueError("sweep block indices are 1-based")
+        raise InvalidArgument("sweep block indices are 1-based")
     return match.group(1), index, lo, hi, n
 
 
-def _scan_layout(args, kind: str, index: int | None) -> tuple[dict, int, int]:
-    """Figure out block count, swept position and model dimension."""
+def _scan_spec(args, kind: str, index: int, value: float) -> ModelSpec:
+    """The scanned model with ``value`` at the swept position."""
+    lists = {"r": list(args.r or []), "s": list(args.s or []), "theta": list(args.theta or [])}
+    if kind == "a":
+        return ModelSpec(args.model, _blocks(**lists), a=value)
+    lists[kind].insert(index, value)
+    return ModelSpec(args.model, _blocks(**lists), a=args.a)
+
+
+def _scan_layout(args, kind: str, index: int | None) -> tuple[int, int]:
+    """Check the scanned model once, with a 1.0 placeholder at the swept
+    position, and return the swept block index and the model dimension."""
     if not args.model:
         raise InvalidModel("scan needs --model")
-    if args.a is not None and args.model != "3x3":
-        raise InvalidModel("--a exists only in the 3x3 family")
-    fixed = {"r": list(args.r or []), "s": list(args.s or []), "theta": list(args.theta or [])}
-    if kind == "a":
-        if args.model != "3x3":
-            raise InvalidModel("parameter a exists only in the 3x3 family")
-        if args.a is not None:
-            raise ValueError("the swept parameter must not also be fixed with --a")
-        blocks = 1
-    else:
-        others = [len(fixed[k]) for k in fixed if k != kind]
-        blocks = _BLOCK_COUNT.get(args.model) or max([len(fixed[kind]) + 1, *others])
-    for k in fixed:
-        want = blocks - (1 if k == kind else 0)
-        if len(fixed[k]) != want:
-            raise InvalidModel(
-                f"--{k} must be given {want} time(s) for this sweep of a {blocks}-block {args.model} model"
-            )
-    if index is None:
-        if kind != "a" and blocks != 1:
-            raise ValueError(f"sweeping {kind!r} over a multi-block model needs an index, e.g. {kind}2")
-        index = 0
-    if kind != "a" and not 0 <= index < blocks:
-        raise ValueError(f"sweep index {index + 1} outside the {blocks}-block model")
-    dim = {"2x2": 2, "3x3": 3, "4x4": 4, "tensor": 4}.get(args.model, 2 * blocks)
-    return fixed, index, dim
+    if kind == "a" and args.a is not None:
+        raise InvalidArgument("the swept parameter must not also be fixed with --a")
+    spec = _scan_spec(args, kind, index or 0, 1.0)
+    blocks = len(spec.blocks)
+    if kind != "a":
+        if index is None and blocks != 1:
+            raise InvalidArgument(f"sweeping {kind!r} over a multi-block model needs an index, e.g. {kind}2")
+        if (index or 0) >= blocks:
+            raise InvalidArgument(f"sweep index {index + 1} outside the {blocks}-block model")
+    return index or 0, spec.dim
 
 
 def cmd_scan(args) -> int:
     kind, index, lo, hi, n = _parse_sweep(args.sweep)
-    fixed, index, dim = _scan_layout(args, kind, index)
+    index, dim = _scan_layout(args, kind, index)
     grid = np.linspace(lo, hi, n)
 
     header = [args.sweep.split("=", 1)[0].strip()]
@@ -359,14 +323,7 @@ def cmd_scan(args) -> int:
     for value in grid:
         cells = [format_float(value)]
         try:
-            if kind == "a":
-                spec = ModelSpec(args.model, tuple(zip(fixed["r"], fixed["s"], fixed["theta"])), a=float(value))
-            else:
-                lists = {k: list(v) for k, v in fixed.items()}
-                lists[kind].insert(index, float(value))
-                a = args.a if args.model == "3x3" else None
-                spec = ModelSpec(args.model, tuple(zip(lists["r"], lists["s"], lists["theta"])), a=a)
-            h, frame = build_model(spec)
+            h, frame = build_model(_scan_spec(args, kind, index, float(value)))
             report = classify_symmetry(h, frame, args.tol)
             for eig in report.eigenvalues:
                 cells += [format_float(eig.real), format_float(eig.imag)]
@@ -390,40 +347,28 @@ def cmd_scan(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    from .composition import BlockSpec, direct_sum, tensor_hamiltonians
-
     tol = args.tol
     if args.op == "double":
         if not args.hamiltonian:
             raise InvalidModel("compose --op double needs --hamiltonian FILE")
         op = load_matrix(args.hamiltonian)
-        doubled, frame, symmetric = doubling(op.matrix, tol)
-        print(f"doubled dimension: {doubled.shape[0]}")
+        composed, out_frame, symmetric = doubling(op.matrix, tol)
+        print(f"doubled dimension: {composed.shape[0]}")
         print(f"pt-symmetric: {'yes' if symmetric else 'no'}")
-        composed, out_frame = doubled, frame
     elif args.op == "tensor":
         blocks = _blocks_from_args(args)
         if len(blocks) != 2:
             raise InvalidModel("compose --op tensor needs exactly two (r, s, theta) blocks")
         cells = [build_model(ModelSpec("2x2", (block,))) for block in blocks]
         results = [build_c(h, fr, tol) for h, fr in cells]
-        composed, cpt_frame = tensor_hamiltonians(
+        composed, out_frame = tensor_hamiltonians(
             cells[0][0], cells[1][0], results[0].cpt, results[1].cpt, tol
         )
-        report = classify_symmetry(composed, cpt_frame.frame, tol)
-        print(f"classification: {report.classification}")
-        print("eigenvalues:")
-        for value in report.eigenvalues:
-            print(f"  {_cfmt(value)}")
-        out_frame = cpt_frame
     else:  # dsum
         cells = [build_model(ModelSpec("2x2", (block,))) for block in _blocks_from_args(args)]
         composed, out_frame = direct_sum(BlockSpec(tuple(cells)), tol)
-        report = classify_symmetry(composed, out_frame, tol)
-        print(f"classification: {report.classification}")
-        print("eigenvalues:")
-        for value in report.eigenvalues:
-            print(f"  {_cfmt(value)}")
+    if args.op != "double":
+        _print_classification(classify_symmetry(composed, _base_frame(out_frame), tol))
 
     if args.out:
         write_matrix(args.out, composed)
@@ -446,15 +391,9 @@ def main(argv=None) -> int:
         return int(code) if code else EXIT_OK
     try:
         return args.handler(args)
-    except _AXIOM_ERRORS as exc:
+    except CptKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_AXIOM
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return exc.exit_code
 
 
 def entry() -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CommutatorViolation, NotPTSymmetric
+from .errors import CommutatorViolation, InvalidArgument, NotPTSymmetric
 from .frames import (
     CONSTRUCTION_TOL,
     CPTFrame,
@@ -40,14 +40,14 @@ class BlockSpec:
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
         if not self.blocks:
-            raise ValueError("direct sum needs at least one block")
+            raise InvalidArgument("direct sum needs at least one block")
         kinds = {isinstance(frame, CPTFrame) for _, frame in self.blocks}
         if len(kinds) != 1:
-            raise ValueError("blocks mix plain PT-frames with CPT-frames")
+            raise InvalidArgument("blocks mix plain PT-frames with CPT-frames")
         for i, (matrix, frame) in enumerate(self.blocks):
             m = as_matrix(matrix)
             if m.shape[0] != frame.dim:
-                raise ValueError(
+                raise InvalidArgument(
                     f"block {i}: matrix dimension {m.shape[0]} does not match frame dimension {frame.dim}"
                 )
 

@@ -3,9 +3,11 @@ adjoint, and Hermitization by similarity.
 
 The synthesis takes an unbroken eigensystem, aligns and sign-normalizes its
 eigenstates under the indefinite form (u, v) = <P u, v>, and materializes C
-as the bilinear outer-product sum of the normalized states.  The sign of each
-state is intrinsic, sign((phi, phi)); states are never reordered to force an
-alternating pattern, and the resulting C is invariant under that labelling.
+as the sum of the outer products phi_n (P phi_n)^+ of the normalized states,
+so that C phi_k = sign_k phi_k for any admissible antilinear T.  The sign of
+each state is intrinsic, sign((phi, phi)); states are never reordered to
+force an alternating pattern, and the resulting C is invariant under that
+labelling.
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ class CPTResult:
 def pt_inner(u, v, frame: PTFrame) -> complex:
     """Indefinite inner product (u, v) = <P u, v>, with <x, y> = sum conj(x) y.
 
-    For PT-aligned u this equals the conjugation-free bilinear form
-    sum_i u_i v_i.
+    When T is entrywise conjugation and u is PT-aligned this equals the
+    conjugation-free bilinear form sum_i u_i v_i.
     """
     uu = as_vector(u)
     vv = as_vector(v)
@@ -141,7 +143,7 @@ def build_c(
     every aligned eigenstate under the indefinite form, running indefinite
     Gram-Schmidt inside degenerate eigenspaces; verify pairwise indefinite
     orthogonality (automatic across distinct eigenvalues of a symmetric
-    Hamiltonian); set C to the bilinear outer-product sum of the normalized
+    Hamiltonian); set C to the sum of phi_k (P phi_k)^+ over the normalized
     states, which satisfies C phi_k = sign_k phi_k; validate the resulting
     frame and the commutator [C, H].
 
@@ -180,7 +182,8 @@ def build_c(
 
     phi = np.column_stack([state.state for state in normalized])
     signs = np.array([state.sign for state in normalized], dtype=float)
-    gram = (frame.p.matrix @ phi).conj().T @ phi
+    p_phi_adj = (frame.p.matrix @ phi).conj().T
+    gram = p_phi_adj @ phi
     gram_error = fnorm(gram - np.diag(signs))
     # rounding in the Gram entries is amplified by the Euclidean size of the
     # indefinitely-normalized states, which grows near an exceptional point
@@ -191,7 +194,7 @@ def build_c(
             "the orthonormality hypothesis cannot be met for this eigensystem"
         )
 
-    c_matrix = phi @ phi.T
+    c_matrix = phi @ p_phi_adj
     # equation-residual tolerance scales with |C|^2 (the axiom residuals of
     # an exact frame grow with the squared magnitude of C near an exceptional
     # point); the positive-definiteness margin stays relative to |PC|

@@ -1,21 +1,45 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules.
+
+Every class carries the command-line exit code of its category in
+``exit_code``: 2 for parse or usage errors, 3 for axiom or classification
+failures, 4 for numerical breakdown (defective or exceptional input).
+"""
+
+EXIT_USAGE = 2
+EXIT_AXIOM = 3
+EXIT_NUMERIC = 4
 
 
 class CptKitError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.  Subclasses that
+    keep the default ``exit_code`` signal numerical breakdown."""
+
+    exit_code = EXIT_NUMERIC
+
+
+class InvalidArgument(CptKitError, ValueError):
+    """An argument is out of range or malformed; also a ValueError."""
+
+    exit_code = EXIT_USAGE
 
 
 class DimensionMismatch(CptKitError):
     """Operands have incompatible dimensions."""
+
+    exit_code = EXIT_USAGE
 
 
 class KindMismatch(CptKitError):
     """A linear operator was supplied where an antilinear one was required,
     or vice versa."""
 
+    exit_code = EXIT_USAGE
+
 
 class NonFiniteEntries(CptKitError):
     """A matrix or vector contains NaN or infinite entries."""
+
+    exit_code = EXIT_USAGE
 
 
 class DefectiveSpectrum(CptKitError):
@@ -42,18 +66,26 @@ class NotPositiveDefinite(CptKitError):
 class NotInvolution(CptKitError):
     """The supplied matrix does not square to the identity."""
 
+    exit_code = EXIT_USAGE
+
 
 class IsIdentity(CptKitError):
     """The identity matrix is excluded as a parity operator."""
+
+    exit_code = EXIT_USAGE
 
 
 class NonRealEntries(CptKitError):
     """A real-entried matrix was required (a complex parity need not commute
     with entrywise conjugation)."""
 
+    exit_code = EXIT_USAGE
+
 
 class NotPTSymmetric(CptKitError):
     """The operator does not commute with PT."""
+
+    exit_code = EXIT_AXIOM
 
 
 class NotPTEigenstate(CptKitError):
@@ -62,6 +94,8 @@ class NotPTEigenstate(CptKitError):
 
 class NotUnbroken(CptKitError):
     """C-operator synthesis needs an unbroken symmetry with real spectrum."""
+
+    exit_code = EXIT_AXIOM
 
 
 class SelfOrthogonal(CptKitError):
@@ -79,6 +113,8 @@ class GramDefect(CptKitError):
 class FrameInvalid(CptKitError):
     """A frame failed axiom validation.  The offending report is attached."""
 
+    exit_code = EXIT_AXIOM
+
     def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report
@@ -92,6 +128,10 @@ class InvalidModel(CptKitError):
     """Model parameters violate the family's constraints (e.g. a zero
     parameter)."""
 
+    exit_code = EXIT_USAGE
+
 
 class DocumentError(CptKitError):
     """A JSON matrix or frame document failed to parse or validate."""
+
+    exit_code = EXIT_USAGE

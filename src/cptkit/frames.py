@@ -4,19 +4,21 @@ A PT-frame is a pair {P, T} with P linear and not the identity, T antilinear,
 P^2 = T^2 = I and PT = TP.  A CPT-frame adds a linear C with C^2 = I,
 CPT = TPC and PC Hermitian positive definite.
 
-All built-in constructors fix T to entrywise conjugation; arbitrary
-antilinear T is accepted through the validators.
+All built-in constructors fix T to entrywise conjugation.  Any admissible
+antilinear T is accepted by the validators and by every consumer of a frame
+(classification, C synthesis, Hermitization, composition).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
     FrameInvalid,
+    InvalidArgument,
     IsIdentity,
     KindMismatch,
     NonRealEntries,
@@ -47,18 +49,25 @@ class FrameReport:
 @dataclass(frozen=True)
 class PTFrame:
     """A validated pair {P, T}.  Construct through the module constructors or
-    validate explicitly with :func:`validate_pt_frame`."""
+    validate explicitly with :func:`validate_pt_frame`.
+
+    ``pt``, the combined antilinear operator PT, is composed once here; every
+    consumer applies it through :meth:`apply_pt`.
+    """
 
     p: Operator
     t: Operator
-    dim: int
+    pt: Operator = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pt", compose(self.p, self.t))
 
     @property
-    def pt(self) -> Operator:
-        """The combined antilinear operator PT."""
-        return compose(self.p, self.t)
+    def dim(self) -> int:
+        return self.p.dim
 
     def apply_pt(self, v) -> np.ndarray:
+        """Apply PT to a vector or to each column of an ``(n, k)`` block."""
         return apply(self.pt, v)
 
 
@@ -158,7 +167,7 @@ def checked_pt_frame(p: Operator, t: Operator, tol: float = DEFAULT_TOL) -> PTFr
     report = validate_pt_frame(p, t, tol)
     if not report.passed:
         raise FrameInvalid(f"not a PT-frame: {report.describe()}", report=report)
-    return PTFrame(p, t, p.dim)
+    return PTFrame(p, t)
 
 
 def checked_cpt_frame(
@@ -179,7 +188,7 @@ def pair_swap_frame(n: int) -> PTFrame:
     even-dimensional space, so a PT-frame is always available.
     """
     if n <= 0 or n % 2 != 0:
-        raise ValueError(f"pair-swap parity needs an even positive dimension, got {n}")
+        raise InvalidArgument(f"pair-swap parity needs an even positive dimension, got {n}")
     p = Operator.linear(np.kron(np.eye(n // 2), _SWAP2))
     t = Operator.conjugation(n)
     return checked_pt_frame(p, t, CONSTRUCTION_TOL)

@@ -107,13 +107,17 @@ class Operator:
 
 
 def apply(op: Operator, v) -> np.ndarray:
-    """Apply an operator to a vector."""
-    vec = as_vector(v)
-    if vec.shape[0] != op.dim:
+    """Apply an operator to a vector, or column by column to an ``(n, k)``
+    block of vectors."""
+    x = np.array(v, dtype=complex)
+    x = x if x.ndim == 2 else x.reshape(-1)
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteEntries("input contains NaN or infinite entries")
+    if x.shape[0] != op.dim:
         raise DimensionMismatch(
-            f"operator of dimension {op.dim} applied to vector of length {vec.shape[0]}"
+            f"operator of dimension {op.dim} applied to vectors of length {x.shape[0]}"
         )
-    return op.matrix @ (vec if op.is_linear else np.conj(vec))
+    return op.matrix @ (x if op.is_linear else np.conj(x))
 
 
 def compose(a: Operator, b: Operator) -> Operator:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import BlockSpec, direct_sum, tensor_pt_frames
-from .errors import InvalidModel, SelfOrthogonal
+from .errors import InvalidArgument, InvalidModel, SelfOrthogonal
 from .frames import PTFrame, frame_from_involution, pair_swap_frame
 from .linops import DEFAULT_TOL
 
@@ -74,6 +74,11 @@ class ModelSpec:
                 raise InvalidModel("the 3x3 family needs a nonzero decoupled level a")
         elif self.a is not None:
             raise InvalidModel(f"family {self.family} does not take an a parameter")
+
+    @property
+    def dim(self) -> int:
+        """Dimension of the materialized Hamiltonian."""
+        return {THREE_BY_THREE: 3, TENSOR: 4}.get(self.family, 2 * len(self.blocks))
 
 
 @dataclass(frozen=True)
@@ -160,7 +165,7 @@ def closed_form_c(phi: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     phi = float(phi)
     if not abs(phi) < np.pi / 2:
-        raise ValueError(f"phi must lie in (-pi/2, pi/2), got {phi}")
+        raise InvalidArgument(f"phi must lie in (-pi/2, pi/2), got {phi}")
     c = np.cos(phi)
     if c <= tol:
         raise SelfOrthogonal(f"cos(phi) = {c:.3e} is below tolerance (exceptional point)")

@@ -110,6 +110,23 @@ def is_pt_symmetric(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> PTSymmetryCh
     return PTSymmetryCheck(residual <= tol * fnorm(a), residual)
 
 
+def _align_columns(vectors: np.ndarray, frame: PTFrame, tol: float):
+    """Phase-align every column of an ``(n, k)`` block onto the PT-fixed ray.
+
+    Returns ``(phi, theta, aligned, c, residual)``, each per column: rotated
+    state, phase, whether the column is a PT eigenstate at ``tol``, best PT
+    eigenvalue c = <v, PT v> / <v, v> and residual |PT v - c v|.
+    """
+    w = frame.apply_pt(vectors)
+    norm_sq = np.einsum("ij,ij->j", vectors.conj(), vectors).real
+    c = np.einsum("ij,ij->j", vectors.conj(), w) / norm_sq
+    residual = np.linalg.norm(w - c * vectors, axis=0)
+    aligned = (np.abs(np.abs(c) - 1.0) <= tol) & (residual <= tol * np.sqrt(norm_sq))
+    theta = np.angle(c) % (2.0 * np.pi)
+    theta[2.0 * np.pi - theta <= 1e-8] = 0.0  # rounding noise just below a full turn is phase zero
+    return np.exp(0.5j * theta) * vectors, theta, aligned, c, residual
+
+
 def phase_align(v, frame: PTFrame, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float]:
     """Rotate a PT eigenstate onto the PT-fixed ray.
 
@@ -121,21 +138,14 @@ def phase_align(v, frame: PTFrame, tol: float = DEFAULT_TOL) -> tuple[np.ndarray
     Raises NotPTEigenstate when |PT v - c v| > tol |v|.
     """
     vec = as_vector(v)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
+    if not np.any(vec):
         raise NotPTEigenstate("cannot align the zero vector")
-    w = frame.apply_pt(vec)
-    c = complex(np.vdot(vec, w) / np.vdot(vec, vec))
-    residual = float(np.linalg.norm(w - c * vec))
-    if abs(abs(c) - 1.0) > tol or residual > tol * norm:
+    phi, theta, aligned, c, residual = _align_columns(vec.reshape(-1, 1), frame, tol)
+    if not aligned[0]:
         raise NotPTEigenstate(
-            f"PT v deviates from the ray through v by {residual:.3e} (best |c| = {abs(c):.6f})"
+            f"PT v deviates from the ray through v by {residual[0]:.3e} (best |c| = {abs(c[0]):.6f})"
         )
-    theta = float(np.angle(c)) % (2.0 * np.pi)
-    if 2.0 * np.pi - theta <= 1e-8:  # rounding noise just below a full turn is phase zero
-        theta = 0.0
-    phi = np.exp(0.5j * theta) * vec
-    return phi, theta
+    return phi[:, 0], float(theta[0])
 
 
 def _cluster(values: np.ndarray, width: float) -> list[tuple[int, int]]:
@@ -156,16 +166,14 @@ def _pt_fixed_basis(columns: np.ndarray, frame: PTFrame, dim: int) -> list[np.nd
     these are orthonormalized over the reals (real coefficients keep
     PT-fixedness exact) and `dim` independent ones are kept.
     """
-    candidates = []
-    for j in range(columns.shape[1]):
-        v = columns[:, j]
-        w = frame.apply_pt(v)
-        candidates.append(v + w)
-        candidates.append(1j * (v - w))
-    candidates.sort(key=lambda u: -float(np.linalg.norm(u)))
+    w = frame.apply_pt(columns)
+    # v_0 + PT v_0, i (v_0 - PT v_0), v_1 + PT v_1, ...: the stable sort keeps
+    # this order among candidates of equal norm
+    candidates = np.stack([columns + w, 1j * (columns - w)], axis=2).reshape(len(columns), -1)
+    order = np.argsort(-np.linalg.norm(candidates, axis=0), kind="stable")
     basis: list[np.ndarray] = []
-    for u in candidates:
-        vec = np.array(u)
+    for j in order:
+        vec = candidates[:, j].copy()
         for b in basis:
             vec -= float(np.real(np.vdot(b, vec))) * b
         norm = float(np.linalg.norm(vec))
@@ -228,41 +236,34 @@ def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryRe
     reality_tol = REALITY_FACTOR * scale
     group_width = DEGENERACY_FACTOR * scale
 
-    real_idx = [i for i in range(len(eigen.values)) if abs(eigen.values[i].imag) <= reality_tol]
-    complex_idx = [i for i in range(len(eigen.values)) if i not in real_idx]
+    real = np.abs(eigen.values.imag) <= reality_tol
+    real_idx = np.flatnonzero(real)
+    complex_idx = np.flatnonzero(~real)
 
     aligned: list[AlignedState] = []
     align_failed = False
-    for lo, hi in _cluster(eigen.values[real_idx].real, group_width) if real_idx else []:
+    clusters = _cluster(eigen.values[real_idx].real, group_width)
+    if clusters:
+        phi, theta, phase_ok, _, _ = _align_columns(eigen.vectors[:, real_idx], frame, tol)
+    for lo, hi in clusters:
         members = real_idx[lo:hi]
         energy = float(np.mean(eigen.values[members].real))
-        if len(members) == 1:
-            vec = eigen.vectors[:, members[0]]
-            try:
-                phi, theta = phase_align(vec, frame, tol)
-            except NotPTEigenstate:
-                # numerically sour simple eigenvector; the v + PT v rebase
-                # still lands on the PT-fixed ray
-                try:
-                    (phi,) = _pt_fixed_basis(vec.reshape(-1, 1), frame, 1)
-                    theta = 0.0
-                    warnings.append(
-                        f"eigenvector for E = {energy:.6g} aligned via rebasing, not by phase"
-                    )
-                except NotPTEigenstate:
-                    align_failed = True
-                    continue
-            aligned.append(AlignedState(energy, phi, theta))
-        else:
-            try:
-                basis = _pt_fixed_basis(eigen.vectors[:, members], frame, len(members))
-            except NotPTEigenstate:
-                align_failed = True
-                continue
-            aligned.extend(AlignedState(energy, b, 0.0) for b in basis)
+        if hi - lo == 1 and phase_ok[lo]:
+            aligned.append(AlignedState(energy, phi[:, lo], float(theta[lo])))
+            continue
+        # a degenerate eigenspace, or a numerically sour simple eigenvector:
+        # the v + PT v rebase still lands on the PT-fixed ray
+        try:
+            basis = _pt_fixed_basis(eigen.vectors[:, members], frame, hi - lo)
+        except NotPTEigenstate:
+            align_failed = True
+            continue
+        if hi - lo == 1:
+            warnings.append(f"eigenvector for E = {energy:.6g} aligned via rebasing, not by phase")
+        aligned.extend(AlignedState(energy, b, 0.0) for b in basis)
 
     pairs: list[ConjugatePair] = []
-    if complex_idx:
+    if complex_idx.size:
         upper = [i for i in complex_idx if eigen.values[i].imag > 0]
         lower = [i for i in complex_idx if eigen.values[i].imag < 0]
         unmatched = set(lower)
@@ -284,10 +285,7 @@ def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryRe
         for j in unmatched:
             warnings.append(f"non-real eigenvalue {eigen.values[j]:.6g} has no conjugate partner")
 
-    if complex_idx or align_failed:
-        classification = BROKEN
-    else:
-        classification = UNBROKEN
+    classification = BROKEN if complex_idx.size or align_failed else UNBROKEN
     return SymmetryReport(
         True, classification, eigen.values, tuple(aligned), tuple(pairs), tuple(warnings), check.residual
     )

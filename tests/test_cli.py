@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cptkit import Operator, pair_swap_frame
+from cptkit import Operator, cli, pair_swap_frame
 from cptkit.cli import EXIT_AXIOM, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from cptkit.frames import checked_cpt_frame
 from cptkit.io import load_matrix, write_frame, write_matrix
@@ -324,3 +324,17 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 def test_missing_subcommand_is_usage_error(capsys):
     assert run([]) == EXIT_USAGE
+
+
+def test_scan_fixed_zero_parameter_is_usage_error(capsys):
+    code = run(["scan", "--model", "2x2", "--sweep", "theta=0.1:1.5:5", "--r", "0", "--s", "1"])
+    assert code == EXIT_USAGE
+
+
+def test_programming_error_is_not_a_usage_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug, not a usage error")
+
+    monkeypatch.setattr(cli, "classify_symmetry", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        run(["analyze", "--model", "2x2", "--r", "1", "--s", "2", "--theta", "0.5"])

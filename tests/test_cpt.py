@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cptkit import (
+    UNBROKEN,
+    ModelSpec,
     Operator,
     apply,
     build_c,
+    build_model,
+    checked_pt_frame,
+    classify_symmetry,
     cpt_adjoint,
     cpt_inner,
     hermitize,
@@ -20,6 +27,7 @@ from cptkit.errors import (
     NotUnbroken,
     SelfOrthogonal,
 )
+from cptkit import frames, linops, symmetry
 from cptkit.frames import checked_cpt_frame
 from cptkit.linops import opnorm
 from helpers import (
@@ -353,3 +361,73 @@ def test_norm_sandwich():
         v /= np.linalg.norm(v)
         norm_cpt = np.sqrt(cpt_inner(v, v, result.cpt).real)
         assert lower - 1e-10 <= norm_cpt <= upper + 1e-10
+
+
+# ---------------------------------------------------------------- frame structure and covariance
+
+
+def _chain(n_blocks):
+    # distinct unbroken cells: every eigenvalue is simple
+    blocks = tuple((1.0, 2.0 + 0.05 * k, 0.5) for k in range(n_blocks))
+    return build_model(ModelSpec("chain", blocks))
+
+
+def test_pt_composed_once_per_frame(monkeypatch):
+    calls = []
+    real_compose = linops.compose
+
+    def counting(a, b):
+        calls.append(None)
+        return real_compose(a, b)
+
+    for module in (linops, frames, symmetry):
+        monkeypatch.setattr(module, "compose", counting)
+
+    def compose_calls(n_blocks):
+        h, frame = _chain(n_blocks)
+        calls.clear()
+        classify_symmetry(h, frame)
+        build_c(h, frame)
+        return len(calls)
+
+    assert compose_calls(10) == compose_calls(100)
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    family=st.sampled_from(["2x2", "4x4", "tensor", "chain"]),
+)
+def test_pipeline_is_covariant_under_unitary_basis_change(seed, family):
+    # P -> U P U^H, T -> U T U^T (antilinear matrix part), H -> U H U^H
+    rng = np.random.default_rng(seed)
+    n_blocks = {"2x2": 1, "4x4": 2, "tensor": 2}.get(family, int(rng.integers(1, 4)))
+    blocks = []
+    for _ in range(n_blocks):
+        s = rng.uniform(1.0, 2.0) * rng.choice([-1.0, 1.0])
+        # |r / s| <= 0.9 keeps every cell unbroken and away from its exceptional point
+        blocks.append((rng.uniform(0.2, 0.9) * s, s, rng.uniform(0.1, 1.5)))
+    h, frame = build_model(ModelSpec(family, tuple(blocks)))
+    n = frame.dim
+    u, _ = np.linalg.qr(random_complex(rng, (n, n)))
+    moved = checked_pt_frame(
+        Operator.linear(u @ frame.p.matrix @ u.conj().T),
+        Operator.antilinear(u @ frame.t.matrix @ u.T),
+    )
+    h_moved = u @ h @ u.conj().T
+    scale = max(1.0, np.linalg.norm(h))
+
+    before = classify_symmetry(h, frame)
+    after = classify_symmetry(h_moved, moved)
+    assert before.classification == after.classification == UNBROKEN
+    np.testing.assert_allclose(after.eigenvalues, before.eigenvalues, atol=1e-9 * scale)
+
+    result = build_c(h_moved, moved)
+    assert result.gram_residual <= 1e-8
+    hermitized = hermitize(h_moved, result.cpt)
+    assert np.linalg.norm(hermitized - hermitized.conj().T) <= 1e-8 * scale
+    np.testing.assert_allclose(
+        np.linalg.eigvalsh(hermitized),
+        np.linalg.eigvalsh(hermitize(h, build_c(h, frame).cpt)),
+        atol=1e-8 * scale,
+    )

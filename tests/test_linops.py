@@ -64,6 +64,17 @@ def test_apply_rejects_non_finite():
         apply(Operator.identity(2), np.array([np.nan, 1.0]))
 
 
+@pytest.mark.parametrize("kind", ("linear", "antilinear"))
+def test_apply_block_acts_column_by_column(kind):
+    rng = np.random.default_rng(5)
+    op = Operator(kind, random_complex(rng, (3, 3)))
+    block = random_complex(rng, (3, 4))
+    expected = np.column_stack([apply(op, block[:, j]) for j in range(4)])
+    np.testing.assert_allclose(apply(op, block), expected, atol=1e-14)
+    with pytest.raises(DimensionMismatch):
+        apply(op, random_complex(rng, (2, 4)))
+
+
 # ---------------------------------------------------------------- compose
 
 

@@ -116,6 +116,21 @@ def test_every_model_is_pt_symmetric_with_its_frame(spec):
     assert check and check.residual < 1e-12
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec("2x2", ((1.0, 2.0, 0.5),)),
+        ModelSpec("3x3", ((1.0, 2.0, 0.5),), a=2.0),
+        ModelSpec("4x4", ((1.0, 2.0, 0.5), (0.7, 1.5, -0.3))),
+        ModelSpec("chain", ((1.0, 2.0, 0.5), (0.5, 1.0, 0.2), (2.0, 3.0, 0.9))),
+        ModelSpec("tensor", ((1.0, 2.0, 0.5), (1.0, 3.0, 0.7))),
+    ],
+)
+def test_model_spec_dim_matches_built_model(spec):
+    h, frame = build_model(spec)
+    assert h.shape == (spec.dim, spec.dim) and frame.dim == spec.dim
+
+
 # ---------------------------------------------------------------- closed_form_spectrum
 
 

@@ -10,6 +10,7 @@ from cptkit import (
     is_pt_symmetric,
     pair_swap_frame,
     phase_align,
+    symmetry,
 )
 from cptkit.errors import DimensionMismatch, NotPTEigenstate
 from helpers import H1, H2, H3, any_dim_frame, multiset_gap, random_pt_symmetric
@@ -103,6 +104,23 @@ def test_classify_unbroken_model():
     frame = pair_swap_frame(2)
     for state in report.aligned_states:
         np.testing.assert_allclose(frame.apply_pt(state.state), state.state, atol=1e-10)
+
+
+def test_classify_rebases_simple_eigenvector_that_fails_phase_alignment(monkeypatch):
+    real_align = symmetry._align_columns
+
+    def sour(vectors, frame, tol):
+        phi, theta, aligned, c, residual = real_align(vectors, frame, tol)
+        return phi, theta, np.zeros_like(aligned), c, residual
+
+    monkeypatch.setattr(symmetry, "_align_columns", sour)
+    frame = pair_swap_frame(2)
+    report = classify_symmetry(model_2x2(1, 2, np.pi / 6), frame)
+    assert report.classification == UNBROKEN
+    assert [w.endswith("aligned via rebasing, not by phase") for w in report.warnings] == [True, True]
+    for state in report.aligned_states:
+        assert state.theta == 0.0
+        np.testing.assert_allclose(frame.apply_pt(state.state), state.state, atol=1e-12)
 
 
 def test_classify_broken_model():
