@@ -31,7 +31,7 @@ from .frames import CPTFrame, PTFrame, checked_cpt_frame, checked_pt_frame, pair
 from .io import format_float, frame_document, load_frame_parts, load_matrix, matrix_document, write_frame, write_matrix
 from .linops import DEFAULT_TOL, fnorm, hermitian_power
 from .models import FAMILIES, ModelSpec, build_model
-from .symmetry import UNBROKEN, classify_symmetry
+from .symmetry import BROKEN, UNBROKEN, classify_symmetry
 
 EXIT_OK = 0
 
@@ -191,14 +191,15 @@ def cmd_analyze(args) -> int:
     _print_classification(report)
     if report.classification == UNBROKEN:
         print("aligned states:")
-        for state in report.aligned_states:
+        for members in report.eigenspaces:
             try:
-                _, sign = normalize_indefinite(state.state, base, EP_GUARD_TOL)
-                sign_text = f"{sign:+d}"
+                _, signs = normalize_indefinite(np.column_stack([m.state for m in members]), base, EP_GUARD_TOL)
+                sign_texts = [f"{sign:+d}" for sign in signs]
             except CptKitError:
-                sign_text = "n/a"
-            print(f"  E = {state.energy:.12g}  theta = {state.theta:.12g}  sign = {sign_text}")
-    if report.classification == "broken":
+                sign_texts = ["n/a"] * len(members)
+            for state, sign_text in zip(members, sign_texts):
+                print(f"  E = {state.energy:.12g}  theta = {state.theta:.12g}  sign = {sign_text}")
+    if report.classification == BROKEN:
         print("conjugate pairs:")
         for pair in report.broken_pairs:
             print(f"  {_cfmt(pair.value)}  <->  {_cfmt(pair.partner)}")

@@ -1,13 +1,15 @@
 """Indefinite PT inner product, C-operator synthesis, CPT inner product and
 adjoint, and Hermitization by similarity.
 
-The synthesis takes an unbroken eigensystem, aligns and sign-normalizes its
-eigenstates under the indefinite form (u, v) = <P u, v>, and materializes C
-as the sum of the outer products phi_n (P phi_n)^+ of the normalized states,
-so that C phi_k = sign_k phi_k for any admissible antilinear T.  The sign of
-each state is intrinsic, sign((phi, phi)); states are never reordered to
-force an alternating pattern, and the resulting C is invariant under that
-labelling.
+The synthesis takes an unbroken eigensystem and turns each eigenspace of its
+PT-fixed eigenstates into a basis that is orthonormal under the indefinite
+form (u, v) = <P u, v>, with one symmetric eigendecomposition of the
+eigenspace's Gram block.  C is the sum of the outer products phi_n (P phi_n)^+
+of the normalized states, so that C phi_k = sign_k phi_k for any admissible
+antilinear T.  The sign of each state is intrinsic, sign((phi, phi)); states
+are never reordered to force an alternating pattern.  C depends only on each
+eigenspace, not on the basis the eigensolver returned for it, so it moves
+with the frame under a unitary change of basis.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
 )
 from .frames import CPTFrame, PTFrame, checked_cpt_frame
 from .linops import DEFAULT_TOL, Operator, as_matrix, as_vector, fnorm, hermitian_power
-from .symmetry import DEGENERACY_FACTOR, UNBROKEN, _cluster, classify_symmetry
+from .symmetry import UNBROKEN, classify_symmetry
 
 #: Self-orthogonality guard for C synthesis: a state whose normalized
 #: indefinite self-product |(v, v)| / |v|^2 falls below this threshold is
@@ -46,6 +48,7 @@ class SignedState:
     sign: int
 
     def __post_init__(self):
+        object.__setattr__(self, "energy", float(self.energy))
         self.state.setflags(write=False)
 
 
@@ -77,58 +80,52 @@ def pt_inner(u, v, frame: PTFrame) -> complex:
     return complex(np.vdot(frame.p.matrix @ uu, vv))
 
 
-def normalize_indefinite(v, frame: PTFrame, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
-    """Scale a PT-aligned vector to unit indefinite norm.
+def normalize_indefinite(
+    v, frame: PTFrame, tol: float = DEFAULT_TOL
+) -> tuple[np.ndarray, int | np.ndarray]:
+    """Scale a PT-fixed vector, or a PT-fixed basis of one eigenspace, to unit
+    indefinite norm.
 
-    Returns ``(v / sqrt(|(v, v)|), sign((v, v)))`` so that the output has
-    indefinite self-product exactly +1 or -1.
+    For a vector, returns ``(v / sqrt(|(v, v)|), sign((v, v)))``: the output
+    has indefinite self-product exactly +1 or -1.  For an ``(n, k)`` block V,
+    returns ``(W, signs)`` with W = V Q |L|^(-1/2) and signs = sign(L), from
+    one ``eigh`` of the real Gram block Re((P V)^+ V) = Q L Q^T: a basis of
+    the span of V with (W, W) = diag(signs), whose columns stay PT-fixed.
+    For orthonormal V, the sum of w_j (P w_j)^+ depends only on that span.
 
     Raises
     ------
     NotPTEigenstate
-        If PT v deviates from v by more than ``tol |v|``.
+        If PT v deviates from v by more than ``tol |v|`` for a column v.
     SelfOrthogonal
-        If ``|(v, v)| <= tol |v|^2``: the construction fails at an
-        exceptional point, where the indefinite norm vanishes.
+        If a column is zero, or if an eigenvalue of the Gram block is at most
+        ``tol`` times the largest squared column norm in modulus: the
+        construction fails at an exceptional point.  For several columns
+        this is GramDefect: the eigenspace has a self-orthogonal direction.
     """
-    vec = as_vector(v)
-    norm_sq = float(np.vdot(vec, vec).real)
-    if norm_sq == 0.0:
+    block = np.ndim(v) == 2
+    vectors = as_vector(v).reshape(np.shape(v) if block else (-1, 1))
+    norm_sq = np.einsum("ij,ij->j", vectors.conj(), vectors).real
+    if not norm_sq.all():
         raise SelfOrthogonal("cannot normalize the zero vector")
-    residual = float(np.linalg.norm(frame.apply_pt(vec) - vec))
-    if residual > tol * np.sqrt(norm_sq):
-        raise NotPTEigenstate(f"vector is not PT-fixed (residual {residual:.3e}); align it first")
-    q = pt_inner(vec, vec, frame).real
-    if abs(q) <= tol * norm_sq:
+    residual = np.linalg.norm(frame.apply_pt(vectors) - vectors, axis=0)
+    if (residual > tol * np.sqrt(norm_sq)).any():
+        raise NotPTEigenstate(f"vector is not PT-fixed (residual {residual.max():.3e}); align it first")
+    # (P u)^+ v is real for PT-fixed u, v; the real part drops rounding noise
+    # so that real combinations stay PT-fixed exactly
+    q, rotation = np.linalg.eigh(((frame.p.matrix @ vectors).conj().T @ vectors).real)
+    if np.abs(q).min() <= tol * norm_sq.max():
+        if vectors.shape[1] > 1:
+            raise GramDefect("degenerate eigenspace contains a self-orthogonal direction")
         raise SelfOrthogonal(
-            f"indefinite self-product {q:.3e} vanishes at tolerance {tol:.1e} * |v|^2; "
+            f"indefinite self-product {q[0]:.3e} vanishes at tolerance {tol:.1e} * |v|^2; "
             "the state is self-orthogonal (exceptional point)"
         )
-    sign = 1 if q > 0 else -1
-    return vec / np.sqrt(abs(q)), sign
-
-
-def _indefinite_gram_schmidt(
-    states: list[np.ndarray], frame: PTFrame, ep_tol: float
-) -> list[tuple[np.ndarray, int]]:
-    # Orthogonalize within a degenerate eigenspace against the indefinite
-    # form.  Coefficients are real for PT-fixed vectors, so PT-fixedness is
-    # preserved.  A self-orthogonal direction aborts the construction.
-    done: list[tuple[np.ndarray, int]] = []
-    for v in states:
-        w = np.array(v)
-        for unit, sign in done:
-            # B(unit, w) is real for PT-fixed vectors; drop rounding noise so
-            # the combination stays PT-fixed exactly
-            w = w - sign * pt_inner(unit, w, frame).real * unit
-        try:
-            done.append(normalize_indefinite(w, frame, ep_tol))
-        except SelfOrthogonal as exc:
-            raise GramDefect(
-                "degenerate eigenspace contains a self-orthogonal direction; the "
-                "indefinite orthonormality hypothesis cannot be met"
-            ) from exc
-    return done
+    units = vectors @ rotation / np.sqrt(np.abs(q))
+    signs = np.where(q > 0, 1, -1)
+    if block:
+        return units, signs
+    return units[:, 0], int(signs[0])
 
 
 def build_c(
@@ -137,15 +134,16 @@ def build_c(
     tol: float = DEFAULT_TOL,
     ep_tol: float = EP_GUARD_TOL,
 ) -> CPTResult:
-    """Synthesize the C operator of a CPT-frame for an unbroken Hamiltonian.
+    """Synthesize the C operator of an unbroken Hamiltonian.
 
-    Pipeline: classify the symmetry phase (must be unbroken); sign-normalize
-    every aligned eigenstate under the indefinite form, running indefinite
-    Gram-Schmidt inside degenerate eigenspaces; verify pairwise indefinite
-    orthogonality (automatic across distinct eigenvalues of a symmetric
-    Hamiltonian); set C to the sum of phi_k (P phi_k)^+ over the normalized
-    states, which satisfies C phi_k = sign_k phi_k; validate the resulting
-    frame and the commutator [C, H].
+    Pipeline: classify the symmetry phase (must be unbroken); turn each
+    eigenspace of the report into an indefinite-orthonormal basis with one
+    :func:`normalize_indefinite` call; verify pairwise indefinite
+    orthogonality across eigenspaces (automatic for distinct eigenvalues of
+    a symmetric Hamiltonian); set C to the sum of phi_k (P phi_k)^+ over the
+    normalized states, which satisfies C phi_k = sign_k phi_k; validate the
+    resulting frame and the commutator [C, H].  C depends only on each
+    eigenspace, not on the basis the eigensolver returned for it.
 
     Parameters
     ----------
@@ -166,19 +164,10 @@ def build_c(
             f"(PT residual {report.pt_residual:.3e})"
         )
 
-    scale = max(1.0, fnorm(a))
-    energies = np.array([state.energy for state in report.aligned_states])
     normalized: list[SignedState] = []
-    for lo, hi in _cluster(energies, DEGENERACY_FACTOR * scale):
-        members = report.aligned_states[lo:hi]
-        if len(members) == 1:
-            unit, sign = normalize_indefinite(members[0].state, frame, ep_tol)
-            normalized.append(SignedState(members[0].energy, unit, sign))
-        else:
-            pairs = _indefinite_gram_schmidt([m.state for m in members], frame, ep_tol)
-            normalized.extend(
-                SignedState(m.energy, unit, sign) for m, (unit, sign) in zip(members, pairs)
-            )
+    for members in report.eigenspaces:
+        units, unit_signs = normalize_indefinite(np.column_stack([m.state for m in members]), frame, ep_tol)
+        normalized.extend(SignedState(members[0].energy, unit, int(sign)) for unit, sign in zip(units.T, unit_signs))
 
     phi = np.column_stack([state.state for state in normalized])
     signs = np.array([state.sign for state in normalized], dtype=float)

@@ -8,6 +8,7 @@ real spectrum; otherwise non-real eigenvalues come in conjugate pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -48,7 +49,8 @@ class PTSymmetryCheck:
 @dataclass(frozen=True)
 class AlignedState:
     """A real eigenvalue with a PT-fixed eigenvector and the phase theta of
-    the original PT eigenvalue (PT psi = exp(i theta) psi)."""
+    the original PT eigenvalue (PT psi = exp(i theta) psi).  The members of
+    one eigenspace share one ``energy`` exactly; degenerate ones are orthonormal."""
 
     energy: float
     state: np.ndarray
@@ -77,6 +79,11 @@ class SymmetryReport:
     broken_pairs: tuple[ConjugatePair, ...]
     warnings: tuple[str, ...]
     pt_residual: float
+
+    @property
+    def eigenspaces(self) -> tuple[tuple[AlignedState, ...], ...]:
+        """The aligned states grouped by eigenspace: runs of equal energy."""
+        return tuple(tuple(run) for _, run in groupby(self.aligned_states, key=lambda s: s.energy))
 
 
 @dataclass(frozen=True)
@@ -159,31 +166,25 @@ def _cluster(values: np.ndarray, width: float) -> list[tuple[int, int]]:
     return groups
 
 
-def _pt_fixed_basis(columns: np.ndarray, frame: PTFrame, dim: int) -> list[np.ndarray]:
-    """Build a PT-fixed basis of the space spanned by ``columns``.
+def _pt_fixed_basis(columns: np.ndarray, frame: PTFrame, dim: int) -> np.ndarray:
+    """Build an orthonormal PT-fixed basis of the space spanned by ``columns``.
 
-    Each candidate v yields the PT-fixed vectors v + PT v and i (v - PT v);
-    these are orthonormalized over the reals (real coefficients keep
-    PT-fixedness exact) and `dim` independent ones are kept.
+    Each candidate v yields the PT-fixed vectors v + PT v and i (v - PT v),
+    which span the PT-fixed part over the reals.  The basis is the leading
+    ``dim`` left singular vectors of their real embedding [Re; Im]: real
+    combinations keep PT-fixedness exact, and the basis depends only on the
+    span, up to a real rotation.
     """
     w = frame.apply_pt(columns)
-    # v_0 + PT v_0, i (v_0 - PT v_0), v_1 + PT v_1, ...: the stable sort keeps
-    # this order among candidates of equal norm
-    candidates = np.stack([columns + w, 1j * (columns - w)], axis=2).reshape(len(columns), -1)
-    order = np.argsort(-np.linalg.norm(candidates, axis=0), kind="stable")
-    basis: list[np.ndarray] = []
-    for j in order:
-        vec = candidates[:, j].copy()
-        for b in basis:
-            vec -= float(np.real(np.vdot(b, vec))) * b
-        norm = float(np.linalg.norm(vec))
-        if norm > 1e-8:
-            basis.append(vec / norm)
-        if len(basis) == dim:
-            return basis
-    raise NotPTEigenstate(
-        f"could only extract {len(basis)} PT-fixed directions from a {dim}-dimensional eigenspace"
-    )
+    candidates = np.hstack([columns + w, 1j * (columns - w)])
+    left, singular, _ = np.linalg.svd(np.vstack([candidates.real, candidates.imag]), full_matrices=False)
+    rank = int(np.count_nonzero(singular > 1e-8 * singular[0]))
+    if rank < dim:
+        raise NotPTEigenstate(
+            f"could only extract {rank} PT-fixed directions from a {dim}-dimensional eigenspace"
+        )
+    n = len(columns)
+    return left[:n, :dim] + 1j * left[n:, :dim]
 
 
 def _ep_proximity_warnings(a: np.ndarray) -> tuple[str, ...]:
@@ -260,7 +261,7 @@ def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryRe
             continue
         if hi - lo == 1:
             warnings.append(f"eigenvector for E = {energy:.6g} aligned via rebasing, not by phase")
-        aligned.extend(AlignedState(energy, b, 0.0) for b in basis)
+        aligned.extend(AlignedState(energy, b, 0.0) for b in basis.T)
 
     pairs: list[ConjugatePair] = []
     if complex_idx.size:

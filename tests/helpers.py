@@ -2,7 +2,15 @@
 
 import numpy as np
 
-from cptkit import PTFrame, frame_from_involution, pair_swap_frame
+from cptkit import (
+    ModelSpec,
+    Operator,
+    PTFrame,
+    build_model,
+    checked_pt_frame,
+    frame_from_involution,
+    pair_swap_frame,
+)
 
 # the three classification landmarks: real symmetric, PT-symmetric
 # non-symmetric, and Hermitian non-PT-symmetric
@@ -41,6 +49,29 @@ def random_pt_symmetric(rng, frame: PTFrame, scale=1.0, imag_bias=1.0):
 def random_symmetric_pt_symmetric(rng, frame: PTFrame, imag_bias=0.15):
     b = random_pt_symmetric(rng, frame, imag_bias=imag_bias)
     return (b + b.T) / 2.0
+
+
+def shared_eigenvalue_chain(first, second):
+    """A two-cell chain whose second cell is scaled so that its lower
+    eigenvalue equals the upper eigenvalue of the first cell.  For cells with
+    positive s and a positive lower eigenvalue of the second cell, that
+    eigenvalue has a 2-fold eigenspace of signature (+1, -1)."""
+    upper = np.linalg.eigvals(build_model(ModelSpec("2x2", (first,)))[0]).real.max()
+    lower = np.linalg.eigvals(build_model(ModelSpec("2x2", (second,)))[0]).real.min()
+    r, s, theta = second
+    return build_model(ModelSpec("chain", (first, (upper / lower * r, upper / lower * s, theta))))
+
+
+def unitary_basis_change(h, frame: PTFrame, rng):
+    """Move a problem by a random unitary U: H -> U H U^H, P -> U P U^H and
+    T -> U T U^T (the antilinear matrix part).  Returns ``(u, h, frame)``."""
+    n = frame.dim
+    u, _ = np.linalg.qr(random_complex(rng, (n, n)))
+    moved = checked_pt_frame(
+        Operator.linear(u @ frame.p.matrix @ u.conj().T),
+        Operator.antilinear(u @ frame.t.matrix @ u.T),
+    )
+    return u, u @ h @ u.conj().T, moved
 
 
 def multiset_gap(a, b) -> float:

@@ -7,7 +7,7 @@ from cptkit import Operator, cli, pair_swap_frame
 from cptkit.cli import EXIT_AXIOM, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from cptkit.frames import checked_cpt_frame
 from cptkit.io import load_matrix, write_frame, write_matrix
-from helpers import H1, H3, SWAP
+from helpers import H1, H3, SWAP, shared_eigenvalue_chain, unitary_basis_change
 
 THETA_PI_6 = "0.5235987755982988"
 TAN_PHI = 0.2581988897471611
@@ -94,6 +94,22 @@ def test_analyze_non_pt_symmetric_file(tmp_path, swap_frame_file, capsys):
     out = capsys.readouterr().out
     assert "pt-symmetric: no" in out
     assert "not_applicable" in out
+
+
+def test_analyze_signs_of_a_degenerate_eigenspace_after_basis_change(tmp_path, capsys):
+    # the shared eigenvalue has signature (+1, -1) in every basis; states of
+    # a degenerate eigenspace are not indefinitely orthogonal on their own
+    h, frame = shared_eigenvalue_chain((1.0, 1.5, 0.5), (2.0, 1.3, 0.6))
+    h_path, frame_path = tmp_path / "h.json", tmp_path / "frame.json"
+    for seed in range(30):
+        _, h_moved, moved = unitary_basis_change(h, frame, np.random.default_rng(seed))
+        write_matrix(h_path, h_moved)
+        write_frame(frame_path, moved)
+        assert run(["analyze", "--hamiltonian", str(h_path), "--frame", str(frame_path)]) == EXIT_OK
+        lines = [line for line in capsys.readouterr().out.splitlines() if "sign =" in line]
+        signs = [line.rsplit("sign = ", 1)[1] for line in lines]
+        assert signs[0] == "-1" and signs[3] == "+1"
+        assert sorted(signs[1:3]) == ["+1", "-1"]
 
 
 def test_analyze_without_input_is_usage_error(capsys):

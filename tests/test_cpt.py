@@ -10,7 +10,6 @@ from cptkit import (
     apply,
     build_c,
     build_model,
-    checked_pt_frame,
     classify_symmetry,
     cpt_adjoint,
     cpt_inner,
@@ -36,6 +35,8 @@ from helpers import (
     multiset_gap,
     random_complex,
     random_symmetric_pt_symmetric,
+    shared_eigenvalue_chain,
+    unitary_basis_change,
 )
 
 TAN_PHI = 0.2581988897471611  # tan(arcsin 1/4)
@@ -393,28 +394,50 @@ def test_pt_composed_once_per_frame(monkeypatch):
     assert compose_calls(10) == compose_calls(100)
 
 
-@settings(deadline=None, max_examples=50)
-@given(
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    family=st.sampled_from(["2x2", "4x4", "tensor", "chain"]),
-)
-def test_pipeline_is_covariant_under_unitary_basis_change(seed, family):
-    # P -> U P U^H, T -> U T U^T (antilinear matrix part), H -> U H U^H
-    rng = np.random.default_rng(seed)
-    n_blocks = {"2x2": 1, "4x4": 2, "tensor": 2}.get(family, int(rng.integers(1, 4)))
+def test_repeated_cells_share_one_energy_per_eigenspace():
+    # k repeats of the cell (1, 2, 0.5) below one distinct cell: eigenvalues
+    # lower cell, k x lower, k x upper, upper cell
+    k = 3
+    h, frame = build_model(ModelSpec("chain", ((1.0, 2.0, 0.5),) * k + ((1.0, 2.5, 0.5),)))
+    report = classify_symmetry(h, frame)
+    energies, sizes = np.unique([state.energy for state in report.aligned_states], return_counts=True)
+    assert sizes.tolist() == [1, k, k, 1]
+    assert [len(space) for space in report.eigenspaces] == [1, k, k, 1]
+    result = build_c(h, frame)
+    upper = [state for state in result.aligned_states if state.energy == energies[2]]
+    assert [state.sign for state in upper] == [1] * k
+    assert all(type(state.energy) is float for state in result.aligned_states)
+
+
+def _covariance_problem(rng, family):
+    if family == "identity":
+        return np.eye(4), pair_swap_frame(4)
+    n_blocks = {"2x2": 1, "4x4": 2, "tensor": 2, "shared": 1}.get(family, int(rng.integers(1, 4)))
     blocks = []
     for _ in range(n_blocks):
         s = rng.uniform(1.0, 2.0) * rng.choice([-1.0, 1.0])
         # |r / s| <= 0.9 keeps every cell unbroken and away from its exceptional point
         blocks.append((rng.uniform(0.2, 0.9) * s, s, rng.uniform(0.1, 1.5)))
-    h, frame = build_model(ModelSpec(family, tuple(blocks)))
-    n = frame.dim
-    u, _ = np.linalg.qr(random_complex(rng, (n, n)))
-    moved = checked_pt_frame(
-        Operator.linear(u @ frame.p.matrix @ u.conj().T),
-        Operator.antilinear(u @ frame.t.matrix @ u.T),
-    )
-    h_moved = u @ h @ u.conj().T
+    if family == "shared":
+        r, s, theta = blocks[0]
+        # s < r keeps the second cell's lower eigenvalue positive
+        second = (rng.uniform(1.1, 1.5), rng.uniform(0.9, 1.0), rng.uniform(0.1, 0.6))
+        return shared_eigenvalue_chain((abs(r), abs(s), theta), second)
+    return build_model(ModelSpec(family, tuple(blocks)))
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    family=st.sampled_from(["2x2", "4x4", "tensor", "chain", "identity", "shared"]),
+)
+def test_pipeline_is_covariant_under_unitary_basis_change(seed, family):
+    # "identity" is H = I, where every state shares one eigenspace of
+    # signature (+1, +1, -1, -1) and C must be P; "shared" has a 2-fold
+    # eigenspace of signature (+1, -1)
+    rng = np.random.default_rng(seed)
+    h, frame = _covariance_problem(rng, family)
+    u, h_moved, moved = unitary_basis_change(h, frame, rng)
     scale = max(1.0, np.linalg.norm(h))
 
     before = classify_symmetry(h, frame)
@@ -422,12 +445,19 @@ def test_pipeline_is_covariant_under_unitary_basis_change(seed, family):
     assert before.classification == after.classification == UNBROKEN
     np.testing.assert_allclose(after.eigenvalues, before.eigenvalues, atol=1e-9 * scale)
 
+    original = build_c(h, frame)
     result = build_c(h_moved, moved)
     assert result.gram_residual <= 1e-8
+    c = original.cpt.c.matrix
+    np.testing.assert_allclose(
+        result.cpt.c.matrix, u @ c @ u.conj().T, atol=1e-8 * max(1.0, np.linalg.norm(c))
+    )
+    if family == "identity":
+        np.testing.assert_allclose(result.cpt.c.matrix, moved.p.matrix, atol=1e-10)
     hermitized = hermitize(h_moved, result.cpt)
     assert np.linalg.norm(hermitized - hermitized.conj().T) <= 1e-8 * scale
     np.testing.assert_allclose(
         np.linalg.eigvalsh(hermitized),
-        np.linalg.eigvalsh(hermitize(h, build_c(h, frame).cpt)),
+        np.linalg.eigvalsh(hermitize(h, original.cpt)),
         atol=1e-8 * scale,
     )
