@@ -39,6 +39,7 @@ from .linops import (
     dirac_adjoint,
     eigendecompose,
     hermitian_power,
+    hermitian_powers,
     t_transpose,
 )
 from .frames import (
@@ -59,9 +60,11 @@ from .symmetry import (
     AlignedState,
     ConjugatePair,
     PTSymmetryCheck,
+    StackClassification,
     SymmetryReport,
     TwoByTwoClass,
     classify_2x2,
+    classify_stack,
     classify_symmetry,
     is_pt_symmetric,
     phase_align,
@@ -92,6 +95,8 @@ from .models import (
     build_model,
     closed_form_c,
     closed_form_spectrum,
+    model_frame,
+    model_matrix,
 )
 
 __version__ = "0.1.0"

@@ -29,9 +29,9 @@ from .errors import (
 from .composition import BlockSpec, direct_sum, doubling, tensor_hamiltonians
 from .frames import CPTFrame, PTFrame, checked_cpt_frame, checked_pt_frame, pair_swap_frame, validate_cpt_frame, validate_pt_frame
 from .io import format_float, frame_document, load_frame_parts, load_matrix, matrix_document, write_frame, write_matrix
-from .linops import DEFAULT_TOL, fnorm, hermitian_power
-from .models import FAMILIES, ModelSpec, build_model
-from .symmetry import BROKEN, UNBROKEN, classify_symmetry
+from .linops import DEFAULT_TOL, fnorm, hermitian_powers
+from .models import FAMILIES, ModelSpec, build_model, model_frame, model_matrix
+from .symmetry import BROKEN, UNBROKEN, classify_stack, classify_symmetry
 
 EXIT_OK = 0
 
@@ -159,7 +159,7 @@ def cmd_validate(args) -> int:
     if args.frame:
         p, t, c = load_frame_parts(args.frame)
     elif args.model:
-        _, frame = build_model(_model_spec_from_args(args))
+        frame = model_frame(_model_spec_from_args(args))
         p, t, c = frame.p, frame.t, None
     else:
         raise InvalidModel("give --frame FILE or --model parameters to validate")
@@ -231,8 +231,7 @@ def _collect_outputs(emits, cpt_frame: CPTFrame, h, tol) -> tuple[list[tuple[str
         elif kind == "pc":
             outputs.append(("pc", pc))
         elif kind == "sqrt":
-            outputs.append(("pc_sqrt", hermitian_power(pc, 0.5, tol)))
-            outputs.append(("pc_inv_sqrt", hermitian_power(pc, -0.5, tol)))
+            outputs += zip(("pc_sqrt", "pc_inv_sqrt"), hermitian_powers(pc, (0.5, -0.5), tol))
         elif kind == "h":
             h_matrix = hermitize(h, cpt_frame, tol)
             outputs.append(("h", h_matrix))
@@ -294,9 +293,9 @@ def _scan_spec(args, kind: str, index: int, value: float) -> ModelSpec:
     return ModelSpec(args.model, _blocks(**lists), a=args.a)
 
 
-def _scan_layout(args, kind: str, index: int | None) -> tuple[int, int]:
+def _scan_layout(args, kind: str, index: int | None) -> tuple[int, ModelSpec]:
     """Check the scanned model once, with a 1.0 placeholder at the swept
-    position, and return the swept block index and the model dimension."""
+    position, and return the swept block index and that model."""
     if not args.model:
         raise InvalidModel("scan needs --model")
     if kind == "a" and args.a is not None:
@@ -308,33 +307,39 @@ def _scan_layout(args, kind: str, index: int | None) -> tuple[int, int]:
             raise InvalidArgument(f"sweeping {kind!r} over a multi-block model needs an index, e.g. {kind}2")
         if (index or 0) >= blocks:
             raise InvalidArgument(f"sweep index {index + 1} outside the {blocks}-block model")
-    return index or 0, spec.dim
+    return index or 0, spec
 
 
 def cmd_scan(args) -> int:
     kind, index, lo, hi, n = _parse_sweep(args.sweep)
-    index, dim = _scan_layout(args, kind, index)
-    grid = np.linspace(lo, hi, n)
+    index, layout = _scan_layout(args, kind, index)
+    dim = layout.dim
+    with np.errstate(invalid="ignore"):  # an infinite bound gives non-finite grid points: error rows
+        grid = np.linspace(lo, hi, n)
+
+    # one frame and one stacked classification for the whole grid; a grid
+    # point whose parameters fail validation stays non-finite: an error row
+    stack = np.full((n, dim, dim), np.nan, dtype=complex)
+    for i, value in enumerate(grid):
+        try:
+            stack[i] = model_matrix(_scan_spec(args, kind, index, float(value)))
+        except CptKitError:
+            pass
+    rows = classify_stack(stack, model_frame(layout), args.tol)
 
     header = [args.sweep.split("=", 1)[0].strip()]
     header += [f"E{i + 1}_{part}" for i in range(dim) for part in ("re", "im")]
     header += ["unbroken", "warning", "error"]
     lines = [",".join(header)]
-
-    for value in grid:
+    error_cells = [""] * (2 * dim) + ["", "", "1"]
+    for i, value in enumerate(grid):
         cells = [format_float(value)]
-        try:
-            h, frame = build_model(_scan_spec(args, kind, index, float(value)))
-            report = classify_symmetry(h, frame, args.tol)
-            for eig in report.eigenvalues:
+        if rows.error[i]:
+            cells += error_cells
+        else:
+            for eig in rows.eigenvalues[i]:
                 cells += [format_float(eig.real), format_float(eig.imag)]
-            cells += [
-                "1" if report.classification == UNBROKEN else "0",
-                "1" if report.warnings else "0",
-                "0",
-            ]
-        except CptKitError:
-            cells += [""] * (2 * dim) + ["", "", "1"]
+            cells += ["1" if rows.classification[i] == UNBROKEN else "0", "1" if rows.warning[i] else "0", "0"]
         lines.append(",".join(cells))
 
     text = "\n".join(lines) + "\n"

@@ -28,7 +28,7 @@ from .errors import (
     SelfOrthogonal,
 )
 from .frames import CPTFrame, PTFrame, checked_cpt_frame
-from .linops import DEFAULT_TOL, Operator, as_matrix, as_vector, fnorm, hermitian_power
+from .linops import DEFAULT_TOL, Operator, as_matrix, as_vector, fnorm, hermitian_power, hermitian_powers
 from .symmetry import UNBROKEN, classify_symmetry
 
 #: Self-orthogonality guard for C synthesis: a state whose normalized
@@ -80,6 +80,34 @@ def pt_inner(u, v, frame: PTFrame) -> complex:
     return complex(np.vdot(frame.p.matrix @ uu, vv))
 
 
+def _pt_fixed_columns(v, frame: PTFrame, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of ``v`` (a vector is one column) and their squared norms,
+    after checking that each is nonzero and PT-fixed."""
+    vectors = as_vector(v).reshape(np.shape(v) if np.ndim(v) == 2 else (-1, 1))
+    norm_sq = np.einsum("ij,ij->j", vectors.conj(), vectors).real
+    if not norm_sq.all():
+        raise SelfOrthogonal("cannot normalize the zero vector")
+    residual = np.linalg.norm(frame.apply_pt(vectors) - vectors, axis=0)
+    if (residual > tol * np.sqrt(norm_sq)).any():
+        raise NotPTEigenstate(f"vector is not PT-fixed (residual {residual.max():.3e}); align it first")
+    return vectors, norm_sq
+
+
+def _normalize_columns(v, frame: PTFrame, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize each PT-fixed column of ``v`` on its own, as the basis of a
+    one-dimensional eigenspace: all columns in one vectorized pass."""
+    vectors, norm_sq = _pt_fixed_columns(v, frame, tol)
+    # (P v)^+ v is real for PT-fixed v; the real part drops rounding noise
+    q = np.einsum("ij,ij->j", (frame.p.matrix @ vectors).conj(), vectors).real
+    small = np.abs(q) <= tol * norm_sq
+    if small.any():
+        raise SelfOrthogonal(
+            f"indefinite self-product {q[small][0]:.3e} vanishes at tolerance {tol:.1e} * |v|^2; "
+            "the state is self-orthogonal (exceptional point)"
+        )
+    return vectors / np.sqrt(np.abs(q)), np.where(q > 0, 1, -1)
+
+
 def normalize_indefinite(
     v, frame: PTFrame, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, int | np.ndarray]:
@@ -103,29 +131,16 @@ def normalize_indefinite(
         construction fails at an exceptional point.  For several columns
         this is GramDefect: the eigenspace has a self-orthogonal direction.
     """
-    block = np.ndim(v) == 2
-    vectors = as_vector(v).reshape(np.shape(v) if block else (-1, 1))
-    norm_sq = np.einsum("ij,ij->j", vectors.conj(), vectors).real
-    if not norm_sq.all():
-        raise SelfOrthogonal("cannot normalize the zero vector")
-    residual = np.linalg.norm(frame.apply_pt(vectors) - vectors, axis=0)
-    if (residual > tol * np.sqrt(norm_sq)).any():
-        raise NotPTEigenstate(f"vector is not PT-fixed (residual {residual.max():.3e}); align it first")
+    if np.ndim(v) != 2 or np.shape(v)[1] == 1:
+        units, signs = _normalize_columns(v, frame, tol)
+        return (units, signs) if np.ndim(v) == 2 else (units[:, 0], int(signs[0]))
+    vectors, norm_sq = _pt_fixed_columns(v, frame, tol)
     # (P u)^+ v is real for PT-fixed u, v; the real part drops rounding noise
     # so that real combinations stay PT-fixed exactly
     q, rotation = np.linalg.eigh(((frame.p.matrix @ vectors).conj().T @ vectors).real)
     if np.abs(q).min() <= tol * norm_sq.max():
-        if vectors.shape[1] > 1:
-            raise GramDefect("degenerate eigenspace contains a self-orthogonal direction")
-        raise SelfOrthogonal(
-            f"indefinite self-product {q[0]:.3e} vanishes at tolerance {tol:.1e} * |v|^2; "
-            "the state is self-orthogonal (exceptional point)"
-        )
-    units = vectors @ rotation / np.sqrt(np.abs(q))
-    signs = np.where(q > 0, 1, -1)
-    if block:
-        return units, signs
-    return units[:, 0], int(signs[0])
+        raise GramDefect("degenerate eigenspace contains a self-orthogonal direction")
+    return vectors @ rotation / np.sqrt(np.abs(q)), np.where(q > 0, 1, -1)
 
 
 def build_c(
@@ -164,13 +179,19 @@ def build_c(
             f"(PT residual {report.pt_residual:.3e})"
         )
 
-    normalized: list[SignedState] = []
-    for members in report.eigenspaces:
-        units, unit_signs = normalize_indefinite(np.column_stack([m.state for m in members]), frame, ep_tol)
-        normalized.extend(SignedState(members[0].energy, unit, int(sign)) for unit, sign in zip(units.T, unit_signs))
-
-    phi = np.column_stack([state.state for state in normalized])
-    signs = np.array([state.sign for state in normalized], dtype=float)
+    # the simple eigenspaces in one vectorized pass, one block call per
+    # degenerate eigenspace
+    sizes = np.array([len(members) for members in report.eigenspaces])
+    phi = np.column_stack([state.state for state in report.aligned_states])
+    signs = np.empty(len(report.aligned_states), dtype=int)
+    simple = np.repeat(sizes == 1, sizes)
+    phi[:, simple], signs[simple] = _normalize_columns(phi[:, simple], frame, ep_tol)
+    for at, size in zip(np.cumsum(sizes) - sizes, sizes):
+        if size > 1:
+            phi[:, at:at + size], signs[at:at + size] = normalize_indefinite(phi[:, at:at + size], frame, ep_tol)
+    normalized = [
+        SignedState(state.energy, unit, int(sign)) for state, unit, sign in zip(report.aligned_states, phi.T, signs)
+    ]
     p_phi_adj = (frame.p.matrix @ phi).conj().T
     gram = p_phi_adj @ phi
     gram_error = fnorm(gram - np.diag(signs))
@@ -247,7 +268,5 @@ def hermitize(h, cpt: CPTFrame, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise CommutatorViolation(
             f"[C, H] residual {commutator:.3e} exceeds tolerance; the frame is not a frame for H"
         )
-    pc = cpt.pc_matrix
-    root = hermitian_power(pc, 0.5, tol)
-    inv_root = hermitian_power(pc, -0.5, tol)
+    root, inv_root = hermitian_powers(cpt.pc_matrix, (0.5, -0.5), tol)
     return root @ a @ inv_root

@@ -37,7 +37,8 @@ class KindMismatch(CptKitError):
 
 
 class NonFiniteEntries(CptKitError):
-    """A matrix or vector contains NaN or infinite entries."""
+    """A matrix or vector contains NaN or infinite entries, or a matrix's
+    Frobenius norm, the scale of every relative tolerance, overflows."""
 
     exit_code = EXIT_USAGE
 

@@ -58,6 +58,14 @@ def fnorm(m) -> float:
     return float(np.linalg.norm(m))
 
 
+def frobenius(a) -> np.ndarray:
+    """Frobenius norm of each matrix in a stack, the scale that relative
+    tolerances are measured against; inf or nan where it overflows or an
+    entry is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
+
+
 def opnorm(m) -> float:
     """Operator 2-norm (largest singular value)."""
     return float(np.linalg.norm(m, 2))
@@ -107,15 +115,16 @@ class Operator:
 
 
 def apply(op: Operator, v) -> np.ndarray:
-    """Apply an operator to a vector, or column by column to an ``(n, k)``
-    block of vectors."""
-    x = np.array(v, dtype=complex)
-    x = x if x.ndim == 2 else x.reshape(-1)
+    """Apply an operator to a vector, column by column to an ``(n, k)``
+    block of vectors, or to each block of an ``(N, n, k)`` stack."""
+    x = np.asarray(v, dtype=complex)
+    x = x if x.ndim >= 2 else x.reshape(-1)
     if not np.all(np.isfinite(x)):
         raise NonFiniteEntries("input contains NaN or infinite entries")
-    if x.shape[0] != op.dim:
+    length = x.shape[0] if x.ndim == 1 else x.shape[-2]
+    if length != op.dim:
         raise DimensionMismatch(
-            f"operator of dimension {op.dim} applied to vectors of length {x.shape[0]}"
+            f"operator of dimension {op.dim} applied to vectors of length {length}"
         )
     return op.matrix @ (x if op.is_linear else np.conj(x))
 
@@ -174,11 +183,16 @@ class EigenSystem:
     ``vectors[:, i]`` is the unit Euclidean-norm eigenvector for
     ``values[i]``.  ``condition`` is the condition number of the eigenvector
     matrix, a proximity measure for exceptional points.
+
+    For an ``(N, n, n)`` stack every field gains a leading row axis, and
+    ``defective`` marks the rows that failed a check; a single matrix raises
+    instead, and its ``defective`` is False.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    condition: float
+    condition: float | np.ndarray
+    defective: bool | np.ndarray = False
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -186,56 +200,81 @@ class EigenSystem:
 
 
 def eigendecompose(m, tol: float = DEFAULT_TOL, cond_limit: float = COND_LIMIT) -> EigenSystem:
-    """Eigendecompose a square complex matrix.
+    """Eigendecompose a square complex matrix, or each matrix of an
+    ``(N, n, n)`` stack with one stacked ``np.linalg.eig`` call.
 
     Parameters
     ----------
     m : array_like
-        Square matrix.
+        Square matrix, or a stack of them.
     tol : float
         Relative residual tolerance: every pair must satisfy
         ``|m v - lam v| <= tol |m|``.
     cond_limit : float
         Defectiveness cutoff for the eigenvector matrix condition number.
 
+    A stack never raises for a single row: a row with non-finite entries, a
+    Frobenius norm that overflows, an eigenvector condition above
+    ``cond_limit`` or a failed residual check is marked in the returned
+    ``defective`` mask, and the other rows are unaffected.
+
     Raises
     ------
+    NonFiniteEntries
+        For a single matrix whose Frobenius norm, the scale of the residual
+        check, overflows.
     DefectiveSpectrum
-        If the eigenvector matrix condition number exceeds ``cond_limit`` or
-        the residual check fails.  Exceptional points are physically
-        meaningful here and must surface as errors, not as regularized
-        output.
+        For a single matrix whose eigenvector matrix condition number exceeds
+        ``cond_limit`` or whose residual check fails.  Exceptional points are
+        physically meaningful here and must surface as errors, not as
+        regularized output.
     """
-    a = as_matrix(m)
+    stacked = np.ndim(m) == 3
+    a = np.asarray(m, dtype=complex) if stacked else as_matrix(m)[None]
+    if a.shape[1] != a.shape[2]:
+        raise DimensionMismatch(f"expected a stack of square matrices, got shape {a.shape}")
+    scale = frobenius(a)
+    unscaled = ~np.isfinite(scale)  # non-finite entries, or a norm that overflows
+    if unscaled.any():
+        # a placeholder keeps the stacked LAPACK calls valid for the other rows
+        a = np.where(unscaled[:, None, None], 0.0, a)
     values, vectors = np.linalg.eig(a)
-    order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    vectors = vectors[:, order]
-    vectors = vectors / np.linalg.norm(vectors, axis=0)
+    rows = np.arange(len(a))[:, None]
+    order = np.lexsort((values.imag, values.real), axis=-1)
+    values = values[rows, order]
+    vectors = vectors[rows[:, :, None], np.arange(a.shape[1])[:, None], order[:, None, :]]
+    vectors = vectors / np.sqrt(np.add.reduce((vectors.conj() * vectors).real, axis=-2, keepdims=True))
 
-    with np.errstate(all="ignore"):
-        condition = float(np.linalg.cond(vectors))
-    if not np.isfinite(condition) or condition > cond_limit:
+    singular = np.linalg.svd(vectors, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        condition = singular[:, 0] / singular[:, -1]
+    ill = ~(condition <= cond_limit)
+    residual = np.linalg.norm(a @ vectors - vectors * values[:, None, :], axis=-2).max(-1)
+    defective = unscaled | ill | (residual > tol * scale)
+    if stacked:
+        return EigenSystem(values, vectors, condition, defective)
+
+    if unscaled[0]:
+        raise NonFiniteEntries("the Frobenius norm of the matrix overflows; no tolerance relative to its scale exists")
+    if ill[0]:
         raise DefectiveSpectrum(
-            f"eigenvector matrix condition {condition:.3e} exceeds {cond_limit:.1e}; "
+            f"eigenvector matrix condition {condition[0]:.3e} exceeds {cond_limit:.1e}; "
             "matrix is numerically defective (exceptional point?)",
-            condition=condition,
+            condition=float(condition[0]),
         )
-
-    scale = fnorm(a)
-    residual = float(np.linalg.norm(a @ vectors - vectors * values, axis=0).max())
-    if residual > tol * scale:
+    if defective[0]:
         raise DefectiveSpectrum(
-            f"eigenpair residual {residual:.3e} exceeds {tol:.1e} * |m| = {tol * scale:.3e}",
-            condition=condition,
+            f"eigenpair residual {residual[0]:.3e} exceeds {tol:.1e} * |m| = {tol * scale[0]:.3e}",
+            condition=float(condition[0]),
         )
-    return EigenSystem(values, vectors, condition)
+    return EigenSystem(values[0], vectors[0], float(condition[0]))
 
 
-def hermitian_power(m, p: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Real power of a Hermitian positive definite matrix via its spectrum.
+def hermitian_powers(m, powers, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
+    """Real powers of a Hermitian positive definite matrix via one spectrum.
 
-    Returns ``U diag(w**p) U+`` from the eigendecomposition ``m = U diag(w) U+``.
+    Returns ``U diag(w**p) U+`` for each p in ``powers``, from the one
+    eigendecomposition ``m = U diag(w) U+``.
 
     Raises
     ------
@@ -254,4 +293,11 @@ def hermitian_power(m, p: float, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise NotPositiveDefinite(
             f"minimum eigenvalue {float(w.min()):.3e} is not above {tol:.1e}"
         )
-    return (u * w ** float(p)) @ u.conj().T
+    u_adj = u.conj().T
+    return tuple((u * w ** float(p)) @ u_adj for p in powers)
+
+
+def hermitian_power(m, p: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Real power of a Hermitian positive definite matrix via its spectrum:
+    the one-power case of :func:`hermitian_powers`, with the same errors."""
+    return hermitian_powers(m, (p,), tol)[0]

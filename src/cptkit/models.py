@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import BlockSpec, direct_sum, tensor_pt_frames
+from .composition import _block_diag, tensor_pt_frames
 from .errors import InvalidArgument, InvalidModel, SelfOrthogonal
 from .frames import PTFrame, frame_from_involution, pair_swap_frame
 from .linops import DEFAULT_TOL
@@ -102,32 +102,35 @@ def _cell(r: float, s: float, theta: float) -> np.ndarray:
     )
 
 
+def model_frame(spec: ModelSpec) -> PTFrame:
+    """The PT-frame of a model.  It depends only on the family and the
+    number of blocks, so a scan over one family builds it once."""
+    if spec.family == THREE_BY_THREE:
+        return frame_from_involution(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+    if spec.family == TENSOR:
+        return tensor_pt_frames(pair_swap_frame(2), pair_swap_frame(2))
+    return pair_swap_frame(spec.dim)  # 2x2, 4x4 and chain: one swap per cell
+
+
+def model_matrix(spec: ModelSpec) -> np.ndarray:
+    """The Hamiltonian of a model, PT-symmetric under :func:`model_frame`
+    and non-Hermitian for nonzero theta."""
+    cells = [_cell(*b) for b in spec.blocks]
+    if spec.family == THREE_BY_THREE:
+        return _block_diag([cells[0], np.array([[spec.a]], dtype=complex)])
+    if spec.family == TENSOR:
+        return np.kron(cells[0], cells[1])
+    return _block_diag(cells)  # 2x2, 4x4 and chain
+
+
 def build_model(spec: ModelSpec) -> tuple[np.ndarray, PTFrame]:
-    """Materialize a model and its bundled PT-frame.
+    """Materialize a model and its bundled PT-frame: ``(model_matrix(spec),
+    model_frame(spec))``.
 
     Every output is PT-symmetric by construction and non-Hermitian for
     nonzero theta.
     """
-    if spec.family == TWO_BY_TWO:
-        return _cell(*spec.blocks[0]), pair_swap_frame(2)
-    if spec.family == THREE_BY_THREE:
-        r, s, theta = spec.blocks[0]
-        h = np.zeros((3, 3), dtype=complex)
-        h[:2, :2] = _cell(r, s, theta)
-        h[2, 2] = spec.a
-        p = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        return h, frame_from_involution(p)
-    if spec.family == FOUR_BY_FOUR:
-        h = np.zeros((4, 4), dtype=complex)
-        h[:2, :2] = _cell(*spec.blocks[0])
-        h[2:, 2:] = _cell(*spec.blocks[1])
-        return h, pair_swap_frame(4)
-    if spec.family == CHAIN:
-        blocks = [(_cell(*b), pair_swap_frame(2)) for b in spec.blocks]
-        return direct_sum(BlockSpec(tuple(blocks)))
-    # tensor
-    frame = tensor_pt_frames(pair_swap_frame(2), pair_swap_frame(2))
-    return np.kron(_cell(*spec.blocks[0]), _cell(*spec.blocks[1])), frame
+    return model_matrix(spec), model_frame(spec)
 
 
 def closed_form_spectrum(r: float, s: float, theta: float) -> ClosedFormSpectrum:

@@ -3,18 +3,22 @@
 A Hamiltonian is PT-symmetric when (PT) H (PT) = H.  Its symmetry is
 unbroken when every eigenstate is also an eigenstate of PT, which forces a
 real spectrum; otherwise non-real eigenvalues come in conjugate pairs.
+
+One kernel classifies a whole ``(N, n, n)`` stack over one frame
+(:func:`classify_stack`); :func:`classify_symmetry` is its one-matrix case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotPTEigenstate
 from .frames import PTFrame, pair_swap_frame
-from .linops import DEFAULT_TOL, Operator, as_matrix, as_vector, compose, eigendecompose, fnorm
+from .linops import DEFAULT_TOL, as_matrix, as_vector, eigendecompose, fnorm, frobenius
 
 UNBROKEN = "unbroken"
 BROKEN = "broken"
@@ -102,36 +106,88 @@ class TwoByTwoClass:
     cpt_candidate_forms: frozenset[int]
 
 
+@dataclass(frozen=True)
+class StackClassification:
+    """Per-row verdicts of :func:`classify_stack` over an ``(N, n, n)`` stack.
+
+    ``eigenvalues`` is ``(N, n)``, each row sorted as by ``eigendecompose``.
+    ``classification`` holds UNBROKEN, BROKEN or NOT_APPLICABLE, and ``warning``
+    is true where :func:`classify_symmetry` would report a warning.  ``error``
+    marks the rows for which :func:`classify_symmetry` would raise: non-finite
+    entries, a Frobenius norm that overflows, or a defective spectrum.  On
+    those rows the other fields carry no meaning.
+    """
+
+    eigenvalues: np.ndarray
+    classification: np.ndarray
+    warning: np.ndarray
+    error: np.ndarray
+
+
+class _Rows(NamedTuple):
+    """What the classification kernel measured on each row of a stack; see
+    :func:`_classify_rows`."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+    symmetric: np.ndarray
+    pt_residual: np.ndarray
+    real: np.ndarray
+    start: np.ndarray
+    phi: np.ndarray
+    theta: np.ndarray
+    phase_ok: np.ndarray
+    partner: np.ndarray
+    breaking: np.ndarray
+    near_ep: np.ndarray
+    classification: np.ndarray
+    warning: np.ndarray
+    irregular: np.ndarray
+
+
+def _checked(h, frame: PTFrame) -> np.ndarray:
+    a = as_matrix(h)
+    if a.shape[0] != frame.dim:
+        raise DimensionMismatch(f"matrix dimension {a.shape[0]} does not match frame dimension {frame.dim}")
+    return a
+
+
+def _pt_check(a: np.ndarray, scale: np.ndarray, frame: PTFrame, tol: float):
+    """The residual |(PT) H (PT) - H| of each matrix of a stack, and whether
+    it is within ``tol * scale``.  With M the matrix part of the antilinear
+    PT, (PT) H (PT) = M conj(H) conj(M)."""
+    pt = frame.pt.matrix
+    residual = frobenius(pt @ a.conj() @ pt.conj() - a)
+    return residual <= tol * scale, residual
+
+
 def is_pt_symmetric(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> PTSymmetryCheck:
     """Test (PT) H (PT) = H via the antilinear composition rules.
 
     For entrywise-conjugation T this reduces to |H P - P conj(H)| = 0.  The
     residual is compared against ``tol * |H|``.
     """
-    a = as_matrix(h)
-    if a.shape[0] != frame.dim:
-        raise DimensionMismatch(f"matrix dimension {a.shape[0]} does not match frame dimension {frame.dim}")
-    pt = frame.pt
-    h_pt = compose(compose(pt, Operator.linear(a)), pt).matrix
-    residual = fnorm(h_pt - a)
-    return PTSymmetryCheck(residual <= tol * fnorm(a), residual)
+    a = _checked(h, frame)
+    symmetric, residual = _pt_check(a[None], frobenius(a), frame, tol)
+    return PTSymmetryCheck(bool(symmetric[0]), float(residual[0]))
 
 
 def _align_columns(vectors: np.ndarray, frame: PTFrame, tol: float):
-    """Phase-align every column of an ``(n, k)`` block onto the PT-fixed ray.
+    """Phase-align every column of an ``(n, k)`` block, or of each block of
+    an ``(N, n, k)`` stack, onto the PT-fixed ray.
 
     Returns ``(phi, theta, aligned, c, residual)``, each per column: rotated
     state, phase, whether the column is a PT eigenstate at ``tol``, best PT
     eigenvalue c = <v, PT v> / <v, v> and residual |PT v - c v|.
     """
     w = frame.apply_pt(vectors)
-    norm_sq = np.einsum("ij,ij->j", vectors.conj(), vectors).real
-    c = np.einsum("ij,ij->j", vectors.conj(), w) / norm_sq
-    residual = np.linalg.norm(w - c * vectors, axis=0)
+    norm_sq = np.einsum("...ij,...ij->...j", vectors.conj(), vectors).real
+    c = np.einsum("...ij,...ij->...j", vectors.conj(), w) / norm_sq
+    residual = np.linalg.norm(w - c[..., None, :] * vectors, axis=-2)
     aligned = (np.abs(np.abs(c) - 1.0) <= tol) & (residual <= tol * np.sqrt(norm_sq))
     theta = np.angle(c) % (2.0 * np.pi)
     theta[2.0 * np.pi - theta <= 1e-8] = 0.0  # rounding noise just below a full turn is phase zero
-    return np.exp(0.5j * theta) * vectors, theta, aligned, c, residual
+    return np.exp(0.5j * theta)[..., None, :] * vectors, theta, aligned, c, residual
 
 
 def phase_align(v, frame: PTFrame, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float]:
@@ -155,15 +211,13 @@ def phase_align(v, frame: PTFrame, tol: float = DEFAULT_TOL) -> tuple[np.ndarray
     return phi[:, 0], float(theta[0])
 
 
-def _cluster(values: np.ndarray, width: float) -> list[tuple[int, int]]:
-    """Split sorted values into runs of near-equal neighbours."""
-    groups = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or abs(values[i] - values[i - 1]) > width:
-            groups.append((start, i))
-            start = i
-    return groups
+def _cluster_starts(re: np.ndarray, real: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Split the real eigenvalues of each row, sorted ascending, into runs of
+    neighbours at most ``width`` apart, and mark the first member of each
+    run.  A run of several members is a degenerate eigenspace."""
+    below = np.maximum.accumulate(np.where(real, re, -np.inf), axis=-1)
+    previous = np.concatenate([np.full_like(re[:, :1], -np.inf), below[:, :-1]], axis=-1)
+    return real & (re - previous > width)
 
 
 def _pt_fixed_basis(columns: np.ndarray, frame: PTFrame, dim: int) -> np.ndarray:
@@ -187,27 +241,135 @@ def _pt_fixed_basis(columns: np.ndarray, frame: PTFrame, dim: int) -> np.ndarray
     return left[:n, :dim] + 1j * left[n:, :dim]
 
 
-def _ep_proximity_warnings(a: np.ndarray) -> tuple[str, ...]:
-    # Detects the 2x2 family [[z, s], [s, conj(z)]] with real s and warns when
-    # the breaking parameter |Im z| / |s| sits within EP_WARNING_BAND of 1.
-    if a.shape != (2, 2):
-        return ()
-    scale = max(1.0, fnorm(a))
-    s = a[0, 1]
-    if (
-        abs(a[1, 0] - s) > 1e-12 * scale
-        or abs(s.imag) > 1e-12 * scale
-        or abs(a[1, 1] - np.conj(a[0, 0])) > 1e-12 * scale
-        or abs(s.real) < 1e-12 * scale
-    ):
-        return ()
-    x = abs(a[0, 0].imag) / abs(s.real)
-    if abs(x - 1.0) <= EP_WARNING_BAND:
-        return (
-            f"exceptional-point proximity: breaking parameter {x:.9f} is within "
-            f"{EP_WARNING_BAND:.0e} of 1; eigenvectors nearly coalesce and results are ill-conditioned",
+def _pair(values: np.ndarray, nonreal: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Match conjugate eigenvalues in each row: every non-real eigenvalue with
+    positive imaginary part, in ascending order, takes the nearest unmatched
+    one with negative imaginary part within ``width`` of its conjugate.
+    Returns the partner index of each eigenvalue, -1 where there is none."""
+    partner = np.full(values.shape, -1)
+    if not nonreal.any():
+        return partner
+    upper = nonreal & (values.imag > 0)
+    free = nonreal & (values.imag < 0)
+    rows = np.arange(len(values))
+    for i in np.flatnonzero(upper.any(0)):
+        d = np.where(free & upper[:, i, None], np.abs(values - values[:, i, None].conj()), np.inf)
+        j = d.argmin(-1)
+        hit = d[rows, j] <= width[:, 0]
+        matched, j = rows[hit], j[hit]
+        partner[matched, i] = j
+        partner[matched, j] = i
+        free[matched, j] = False
+    return partner
+
+
+def _breaking_parameter(a: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """|Im z| / |s| for each row of the 2x2 family [[z, s], [s, conj(z)]] with
+    real s, matched to within 1e-12 times ``scale``; nan for other rows."""
+    if a.shape[1:] != (2, 2):
+        return np.full(len(a), np.nan)
+    z, s = a[:, 0, 0], a[:, 0, 1]
+    eps = 1e-12 * scale
+    family = (
+        (np.abs(a[:, 1, 0] - s) <= eps)
+        & (np.abs(s.imag) <= eps)
+        & (np.abs(a[:, 1, 1] - z.conj()) <= eps)
+        & (np.abs(s.real) >= eps)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):  # s = 0 lies outside the family
+        return np.where(family, np.abs(z.imag) / np.abs(s.real), np.nan)
+
+
+def _classify_rows(a: np.ndarray, values: np.ndarray, vectors: np.ndarray, frame: PTFrame, tol: float) -> _Rows:
+    """The classification kernel over an ``(N, n, n)`` stack and its sorted
+    eigensystem: PT residual, reality, degenerate clusters, phase alignment
+    of every eigenvector, conjugate pairs and exceptional-point proximity,
+    each computed for all rows at once.
+
+    ``classification`` and ``warning`` are final for every row except the
+    ``irregular`` ones: a PT-symmetric row with a degenerate real eigenspace
+    or a simple real eigenvector that failed phase alignment.  Those are
+    rebased by :func:`_report`, which may break the symmetry and add warnings.
+    """
+    norm = frobenius(a)
+    symmetric, pt_residual = _pt_check(a, norm, frame, tol)
+    scale = np.maximum(1.0, norm)[:, None]
+    real = np.abs(values.imag) <= REALITY_FACTOR * scale
+    start = _cluster_starts(values.real, real, DEGENERACY_FACTOR * scale)
+    if real.any():
+        phi, theta, phase_ok, _, _ = _align_columns(vectors, frame, tol)
+    else:  # nothing to align, as on a broken 2x2 row
+        phi, theta, phase_ok = vectors, np.zeros(real.shape), real
+    nonreal = symmetric[:, None] & ~real
+    partner = _pair(values, nonreal, DEGENERACY_FACTOR * scale)
+    breaking = _breaking_parameter(a, scale[:, 0])
+    near_ep = np.abs(breaking - 1.0) <= EP_WARNING_BAND
+    classification = np.where(symmetric, np.where(nonreal.any(-1), BROKEN, UNBROKEN), NOT_APPLICABLE)
+    warning = near_ep | (nonreal & (partner < 0)).any(-1)
+    # a real eigenvalue that opens no run sits in a degenerate eigenspace
+    irregular = symmetric & (real & ~(start & phase_ok)).any(-1)
+    return _Rows(
+        values, vectors, symmetric, pt_residual, real, start, phi, theta, phase_ok,
+        partner, breaking, near_ep, classification, warning, irregular,
+    )
+
+
+def _report(rows: _Rows, i: int, frame: PTFrame) -> SymmetryReport:
+    """The SymmetryReport of row ``i``: aligned states, rebasing the
+    irregular eigenspaces through :func:`_pt_fixed_basis`, conjugate pairs
+    and every warning."""
+    values, vectors = rows.values[i], rows.vectors[i]
+    warnings: list[str] = []
+    if rows.near_ep[i]:
+        warnings.append(
+            f"exceptional-point proximity: breaking parameter {rows.breaking[i]:.9f} is within "
+            f"{EP_WARNING_BAND:.0e} of 1; eigenvectors nearly coalesce and results are ill-conditioned"
         )
-    return ()
+    if not rows.symmetric[i]:
+        return SymmetryReport(False, NOT_APPLICABLE, values, (), (), tuple(warnings), float(rows.pt_residual[i]))
+
+    aligned: list[AlignedState] = []
+    align_failed = False
+    clusters: list[list[int]] = []
+    for j, opens in zip(np.flatnonzero(rows.real[i]).tolist(), rows.start[i][rows.real[i]].tolist()):
+        if opens:
+            clusters.append([j])
+        else:
+            clusters[-1].append(j)
+    for members in clusters:
+        energy = float(values.real[members].sum() / len(members))
+        if len(members) == 1 and rows.phase_ok[i, members[0]]:
+            aligned.append(AlignedState(energy, rows.phi[i, :, members[0]], float(rows.theta[i, members[0]])))
+            continue
+        # a degenerate eigenspace, or a numerically sour simple eigenvector:
+        # the v + PT v rebase still lands on the PT-fixed ray
+        try:
+            basis = _pt_fixed_basis(vectors[:, members], frame, len(members))
+        except NotPTEigenstate:
+            align_failed = True
+            continue
+        if len(members) == 1:
+            warnings.append(f"eigenvector for E = {energy:.6g} aligned via rebasing, not by phase")
+        aligned.extend(AlignedState(energy, b, 0.0) for b in basis.T)
+
+    pairs: list[ConjugatePair] = []
+    nonreal = np.flatnonzero(~rows.real[i]).tolist()
+    for j in nonreal:  # upper half-plane first, each with its partner
+        if values[j].imag < 0:
+            continue
+        k = rows.partner[i, j]
+        if k < 0:
+            warnings.append(f"non-real eigenvalue {values[j]:.6g} has no conjugate partner")
+        else:
+            pairs.append(ConjugatePair(complex(values[j]), complex(values[k]), vectors[:, j], vectors[:, k]))
+    for j in nonreal:
+        if values[j].imag < 0 and rows.partner[i, j] < 0:
+            warnings.append(f"non-real eigenvalue {values[j]:.6g} has no conjugate partner")
+
+    classification = BROKEN if align_failed else str(rows.classification[i])
+    return SymmetryReport(
+        True, classification, values, tuple(aligned), tuple(pairs), tuple(warnings), float(rows.pt_residual[i])
+    )
 
 
 def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryReport:
@@ -221,75 +383,40 @@ def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryRe
     are real and every eigenstate aligns; otherwise it is broken and the
     non-real eigenvalues are matched into conjugate pairs.
 
-    DefectiveSpectrum from the eigensolver propagates.
+    This is the one-matrix case of :func:`classify_stack`: the same kernel
+    runs on a stack of one, and where the stack marks a row as an error this
+    raises.  NonFiniteEntries (also for a Frobenius norm that overflows) and
+    DefectiveSpectrum from the eigensolver propagate.
     """
-    a = as_matrix(h)
-    check = is_pt_symmetric(a, frame, tol)
-    warnings = list(_ep_proximity_warnings(a))
+    a = _checked(h, frame)
     eigen = eigendecompose(a, tol)
+    return _report(_classify_rows(a[None], eigen.values[None], eigen.vectors[None], frame, tol), 0, frame)
 
-    if not check.symmetric:
-        return SymmetryReport(
-            False, NOT_APPLICABLE, eigen.values, (), (), tuple(warnings), check.residual
-        )
 
-    scale = max(1.0, fnorm(a))
-    reality_tol = REALITY_FACTOR * scale
-    group_width = DEGENERACY_FACTOR * scale
+def classify_stack(hs, frame: PTFrame, tol: float = DEFAULT_TOL) -> StackClassification:
+    """Classify every matrix of an ``(N, n, n)`` stack over one PT-frame.
 
-    real = np.abs(eigen.values.imag) <= reality_tol
-    real_idx = np.flatnonzero(real)
-    complex_idx = np.flatnonzero(~real)
-
-    aligned: list[AlignedState] = []
-    align_failed = False
-    clusters = _cluster(eigen.values[real_idx].real, group_width)
-    if clusters:
-        phi, theta, phase_ok, _, _ = _align_columns(eigen.vectors[:, real_idx], frame, tol)
-    for lo, hi in clusters:
-        members = real_idx[lo:hi]
-        energy = float(np.mean(eigen.values[members].real))
-        if hi - lo == 1 and phase_ok[lo]:
-            aligned.append(AlignedState(energy, phi[:, lo], float(theta[lo])))
-            continue
-        # a degenerate eigenspace, or a numerically sour simple eigenvector:
-        # the v + PT v rebase still lands on the PT-fixed ray
-        try:
-            basis = _pt_fixed_basis(eigen.vectors[:, members], frame, hi - lo)
-        except NotPTEigenstate:
-            align_failed = True
-            continue
-        if hi - lo == 1:
-            warnings.append(f"eigenvector for E = {energy:.6g} aligned via rebasing, not by phase")
-        aligned.extend(AlignedState(energy, b, 0.0) for b in basis.T)
-
-    pairs: list[ConjugatePair] = []
-    if complex_idx.size:
-        upper = [i for i in complex_idx if eigen.values[i].imag > 0]
-        lower = [i for i in complex_idx if eigen.values[i].imag < 0]
-        unmatched = set(lower)
-        for i in upper:
-            target = np.conj(eigen.values[i])
-            best = min(unmatched, key=lambda j: abs(eigen.values[j] - target), default=None)
-            if best is not None and abs(eigen.values[best] - target) <= group_width:
-                unmatched.discard(best)
-                pairs.append(
-                    ConjugatePair(
-                        complex(eigen.values[i]),
-                        complex(eigen.values[best]),
-                        eigen.vectors[:, i],
-                        eigen.vectors[:, best],
-                    )
-                )
-            else:
-                warnings.append(f"non-real eigenvalue {eigen.values[i]:.6g} has no conjugate partner")
-        for j in unmatched:
-            warnings.append(f"non-real eigenvalue {eigen.values[j]:.6g} has no conjugate partner")
-
-    classification = BROKEN if complex_idx.size or align_failed else UNBROKEN
-    return SymmetryReport(
-        True, classification, eigen.values, tuple(aligned), tuple(pairs), tuple(warnings), check.residual
-    )
+    One stacked eigendecomposition and one pass of the classification kernel
+    cover the whole stack; only rows with a degenerate real eigenspace or a
+    failed phase alignment go through the per-row rebase of
+    :func:`classify_symmetry`.  Each row gets the classification and warning
+    flag that :func:`classify_symmetry` gives its matrix.  A row on which
+    :func:`classify_symmetry` would raise is marked in ``error`` instead, so
+    one bad row never stops the others.
+    """
+    a = np.asarray(hs, dtype=complex)
+    if a.ndim != 3 or a.shape[1:] != (frame.dim, frame.dim):
+        raise DimensionMismatch(f"expected a stack of {frame.dim}x{frame.dim} matrices, got shape {a.shape}")
+    eigen = eigendecompose(a, tol)
+    error = eigen.defective
+    if error.any():
+        a = np.where(error[:, None, None], 0.0, a)
+    rows = _classify_rows(a, eigen.values, eigen.vectors, frame, tol)
+    classification, warning = rows.classification.copy(), rows.warning & ~error
+    for i in np.flatnonzero(rows.irregular & ~error):
+        report = _report(rows, i, frame)
+        classification[i], warning[i] = report.classification, bool(report.warnings)
+    return StackClassification(eigen.values, classification, warning, error)
 
 
 def classify_2x2(h, tol: float = DEFAULT_TOL) -> TwoByTwoClass:

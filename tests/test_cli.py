@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from cptkit import Operator, cli, pair_swap_frame
+from cptkit import UNBROKEN, CptKitError, Operator, build_model, classify_symmetry, cli, frames, pair_swap_frame
 from cptkit.cli import EXIT_AXIOM, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from cptkit.frames import checked_cpt_frame
-from cptkit.io import load_matrix, write_frame, write_matrix
+from cptkit.io import format_float, load_matrix, write_frame, write_matrix
 from helpers import H1, H3, SWAP, shared_eigenvalue_chain, unitary_basis_change
 
 THETA_PI_6 = "0.5235987755982988"
@@ -354,3 +354,96 @@ def test_programming_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(cli, "classify_symmetry", broken)
     with pytest.raises(ValueError, match="a bug"):
         run(["analyze", "--model", "2x2", "--r", "1", "--s", "2", "--theta", "0.5"])
+
+
+# ---------------------------------------------------------------- scan: one stacked kernel
+
+EQUIVALENCE_SWEEPS = {
+    "readme": ["--model", "2x2", "--sweep", "theta=0.01:1.5607:1000", "--r", "2", "--s", "1"],
+    "zero-parameter": ["--model", "2x2", "--sweep", "s=-1:1:3", "--r", "1", "--theta", "0.4"],
+    "exceptional-point": [
+        "--model", "2x2", "--sweep", f"theta={np.pi / 2 - 2e-4!r}:{np.pi / 2!r}:200", "--r", "1", "--s", "1",
+    ],
+    "non-finite": ["--model", "2x2", "--sweep", "s=1:inf:3", "--r", "1", "--theta", "0.4"],
+    "overflow": ["--model", "2x2", "--sweep", "r=1e308:1.7e308:3", "--s", "1", "--theta", "0.3"],
+    "4x4": [
+        "--model", "4x4", "--sweep", "theta2=0.1:1.5:50", "--r", "1", "--r", "2", "--s", "2", "--s", "1",
+        "--theta", "0.5",
+    ],
+    "3x3": ["--model", "3x3", "--sweep", "a=-3:3:61", "--r", "1", "--s", "2", "--theta", "0.4"],
+    "repeated-blocks": [
+        "--model", "chain", "--sweep", "theta2=0.1:1.5:40", "--r", "1", "--r", "1", "--r", "1",
+        "--s", "2", "--s", "2", "--s", "2", "--theta", "0.5", "--theta", "0.5",
+    ],
+    "tensor": [
+        "--model", "tensor", "--sweep", "theta1=0.1:1.5:50", "--r", "1", "--r", "1", "--s", "2", "--s", "3",
+        "--theta", "0.7",
+    ],
+}
+
+
+def _row_by_row_scan(argv) -> str:
+    """Reference scan: build_model and classify_symmetry at every grid point."""
+    args = cli._build_parser().parse_args(["scan", *argv])
+    kind, index, lo, hi, n = cli._parse_sweep(args.sweep)
+    index, layout = cli._scan_layout(args, kind, index)
+    with np.errstate(invalid="ignore"):
+        grid = np.linspace(lo, hi, n)
+    header = [args.sweep.split("=", 1)[0].strip()]
+    header += [f"E{i + 1}_{part}" for i in range(layout.dim) for part in ("re", "im")]
+    lines = [",".join(header + ["unbroken", "warning", "error"])]
+    for value in grid:
+        cells = [format_float(value)]
+        try:
+            report = classify_symmetry(*build_model(cli._scan_spec(args, kind, index, float(value))))
+        except CptKitError:
+            cells += [""] * (2 * layout.dim) + ["", "", "1"]
+        else:
+            for eig in report.eigenvalues:
+                cells += [format_float(eig.real), format_float(eig.imag)]
+            cells += ["1" if report.classification == UNBROKEN else "0", "1" if report.warnings else "0", "0"]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", list(EQUIVALENCE_SWEEPS))
+def test_scan_equals_the_row_by_row_reference(name, tmp_path):
+    out = tmp_path / "scan.csv"
+    argv = EQUIVALENCE_SWEEPS[name]
+    assert run(["scan", *argv, "--out", str(out)]) == EXIT_OK
+    assert out.read_text(encoding="utf-8") == _row_by_row_scan(argv)
+
+
+def test_scan_marks_rows_whose_scale_overflows(tmp_path):
+    # |H| overflows, so a relative tolerance would be infinite and every check
+    # would pass; the closed form says these rows are broken
+    out = tmp_path / "scan.csv"
+    code = run(["scan", *EQUIVALENCE_SWEEPS["overflow"], "--out", str(out)])
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [row[-3:] for row in rows] == [["", "", "1"]] * 3
+
+
+def test_scan_classifies_its_grid_in_one_batch(monkeypatch, tmp_path):
+    eig_calls, validations = [], []
+    real_eig, real_validate = np.linalg.eig, frames.validate_pt_frame
+
+    def counting_eig(a):
+        eig_calls.append(None)
+        return real_eig(a)
+
+    def counting_validate(*args, **kwargs):
+        validations.append(None)
+        return real_validate(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    monkeypatch.setattr(frames, "validate_pt_frame", counting_validate)
+
+    def counts(n):
+        eig_calls.clear()
+        validations.clear()
+        argv = ["scan", "--model", "2x2", "--sweep", f"theta=0.01:1.5607:{n}", "--r", "2", "--s", "1"]
+        assert run(argv + ["--out", str(tmp_path / "scan.csv")]) == EXIT_OK
+        return len(eig_calls), len(validations)
+
+    assert counts(10) == counts(1000)

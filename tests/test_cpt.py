@@ -382,7 +382,8 @@ def test_pt_composed_once_per_frame(monkeypatch):
         return real_compose(a, b)
 
     for module in (linops, frames, symmetry):
-        monkeypatch.setattr(module, "compose", counting)
+        if hasattr(module, "compose"):  # symmetry forms (PT) H (PT) from matrices, without compose
+            monkeypatch.setattr(module, "compose", counting)
 
     def compose_calls(n_blocks):
         h, frame = _chain(n_blocks)
@@ -461,3 +462,46 @@ def test_pipeline_is_covariant_under_unitary_basis_change(seed, family):
         np.linalg.eigvalsh(hermitize(h, original.cpt)),
         atol=1e-8 * scale,
     )
+
+
+def _count_eigh(monkeypatch):
+    calls = []
+    real_eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(None)
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def test_simple_eigenspaces_are_normalized_in_one_pass(monkeypatch):
+    calls = _count_eigh(monkeypatch)
+
+    def eigh_calls(n_blocks):
+        h, frame = _chain(n_blocks)
+        calls.clear()
+        build_c(h, frame)
+        return len(calls)
+
+    assert eigh_calls(10) == eigh_calls(100)
+
+
+def test_hermitize_takes_both_roots_from_one_eigh(monkeypatch):
+    h, frame = build_model(ModelSpec("2x2", ((1.0, 2.0, 0.5),)))
+    cpt = build_c(h, frame).cpt
+    calls = _count_eigh(monkeypatch)
+    hermitize(h, cpt)
+    assert len(calls) == 1
+
+
+def test_vector_and_one_column_block_normalize_alike():
+    frame = pair_swap_frame(2)
+    state = classify_symmetry(model_2x2(1, 2, np.pi / 6), frame).aligned_states[0].state
+    unit, sign = normalize_indefinite(state, frame)
+    block, signs = normalize_indefinite(state[:, None], frame)
+    np.testing.assert_array_equal(block[:, 0], unit)
+    assert signs.tolist() == [sign]
+    with pytest.raises(SelfOrthogonal):
+        normalize_indefinite(np.zeros((2, 1)), frame)

@@ -11,6 +11,7 @@ from cptkit import (
     dirac_adjoint,
     eigendecompose,
     hermitian_power,
+    hermitian_powers,
     pair_swap_frame,
     t_transpose,
 )
@@ -281,3 +282,39 @@ def test_hermitian_power_rejects_non_hermitian():
 def test_hermitian_power_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         hermitian_power(np.diag([1.0, -1.0]), 0.5)
+
+
+def test_stacked_eigendecompose_masks_exactly_the_rows_a_single_call_rejects():
+    exceptional = np.array([[1j, 1.0], [1.0, -1j]])  # r = s = 1, theta = pi/2: one eigenvector
+    mats = np.stack(
+        [
+            np.array([[1.0, 2.0], [2.0, 3.0]]),
+            exceptional,
+            np.array([[0.0, 1.0], [0.0, 0.0]]),
+            np.array([[2j, 1.0], [1.0, -2j]]),  # broken, diagonalizable
+            exceptional * (1.0 + 1e-3j),
+        ]
+    )
+    eigen = eigendecompose(mats)
+    assert eigen.values.shape == (5, 2) and eigen.vectors.shape == (5, 2, 2)
+    for m, defective, values, condition in zip(mats, eigen.defective, eigen.values, eigen.condition):
+        try:
+            single = eigendecompose(m)
+        except DefectiveSpectrum:
+            assert defective
+        else:
+            assert not defective
+            np.testing.assert_array_equal(single.values, values)
+            assert single.condition == condition
+    assert eigen.defective.tolist() == [False, True, True, False, True]
+
+
+def test_hermitian_powers_share_one_spectrum():
+    rng = np.random.default_rng(13)
+    a = random_complex(rng, (4, 4))
+    m = a @ a.conj().T + np.eye(4)
+    root, inv_root = hermitian_powers(m, (0.5, -0.5))
+    np.testing.assert_array_equal(root, hermitian_power(m, 0.5))
+    np.testing.assert_allclose(root @ inv_root, np.eye(4), atol=1e-12)
+    with pytest.raises(NotPositiveDefinite):
+        hermitian_powers(np.diag([1.0, -1.0]), (0.5, -0.5))

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from cptkit import (
+    BlockSpec,
     ModelSpec,
     build_c,
     build_model,
     closed_form_c,
     closed_form_spectrum,
+    direct_sum,
     eigendecompose,
     is_pt_symmetric,
 )
@@ -129,6 +131,15 @@ def test_every_model_is_pt_symmetric_with_its_frame(spec):
 def test_model_spec_dim_matches_built_model(spec):
     h, frame = build_model(spec)
     assert h.shape == (spec.dim, spec.dim) and frame.dim == spec.dim
+
+
+def test_chain_frame_is_the_direct_sum_of_its_cell_frames():
+    blocks = ((1.0, 2.0, 0.5), (0.5, 1.0, 0.2), (2.0, 3.0, 0.9))
+    _, frame = build_model(ModelSpec("chain", blocks))
+    _, summed = direct_sum(BlockSpec(tuple(build_model(ModelSpec("2x2", (b,))) for b in blocks)))
+    np.testing.assert_array_equal(frame.p.matrix, summed.p.matrix)
+    np.testing.assert_array_equal(frame.t.matrix, summed.t.matrix)
+    assert frame.t.kind == summed.t.kind
 
 
 # ---------------------------------------------------------------- closed_form_spectrum

@@ -6,13 +6,14 @@ from cptkit import (
     NOT_APPLICABLE,
     UNBROKEN,
     classify_2x2,
+    classify_stack,
     classify_symmetry,
     is_pt_symmetric,
     pair_swap_frame,
     phase_align,
     symmetry,
 )
-from cptkit.errors import DimensionMismatch, NotPTEigenstate
+from cptkit.errors import CptKitError, DimensionMismatch, NonFiniteEntries, NotPTEigenstate
 from helpers import H1, H2, H3, any_dim_frame, multiset_gap, random_pt_symmetric
 
 E_PLUS = 2.8025170768881473
@@ -236,3 +237,56 @@ def test_classify_2x2_pt_hermitian_not_symmetric():
 def test_classify_2x2_rejects_other_shapes():
     with pytest.raises(DimensionMismatch):
         classify_2x2(np.eye(3))
+
+
+# ---------------------------------------------------------------- classify_stack
+
+
+def _row_by_row(mats, frame):
+    """Reference: classify_symmetry on each matrix, an error where it raises."""
+    rows = []
+    for m in mats:
+        try:
+            report = classify_symmetry(m, frame)
+        except CptKitError:
+            rows.append((True, None, None))
+        else:
+            rows.append((False, report.classification, bool(report.warnings)))
+    return rows
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_classify_stack_agrees_with_classify_symmetry_row_by_row(n):
+    rng = np.random.default_rng(21 + n)
+    frame = pair_swap_frame(n)
+    cells = [model_2x2(1.0, 1.0, np.pi / 2), model_2x2(1.0, 1.0, np.pi / 2 - 1e-4), model_2x2(2.0, 1.0, 1.2)]
+    if n == 4:  # each cell next to itself: degenerate eigenvalues, repeated conjugate pairs
+        cells = [np.kron(np.eye(2), c) for c in cells]
+    mats = [random_pt_symmetric(rng, frame, imag_bias=b) for b in np.linspace(0.02, 2.0, 12)]
+    mats += cells + [
+        np.eye(n),  # one degenerate eigenspace: the per-row rebase
+        H3 if n == 2 else np.kron(np.eye(2), H3),  # not PT-symmetric
+        1e300 * random_pt_symmetric(rng, frame),  # Frobenius norm overflows
+        np.full((n, n), np.nan),
+    ]
+    stack = classify_stack(np.stack(mats), frame)
+    got = [
+        (bool(e), None if e else str(c), None if e else bool(w))
+        for e, c, w in zip(stack.error, stack.classification, stack.warning)
+    ]
+    assert got == _row_by_row(mats, frame)
+    assert {c for _, c, _ in got} == {UNBROKEN, BROKEN, NOT_APPLICABLE, None}
+    for m, error, values in zip(mats, stack.error, stack.eigenvalues):
+        if not error:
+            np.testing.assert_array_equal(values, classify_symmetry(m, frame).eigenvalues)
+
+
+def test_classify_stack_rejects_a_stack_of_the_wrong_dimension():
+    with pytest.raises(DimensionMismatch):
+        classify_stack(np.zeros((3, 4, 4)), pair_swap_frame(2))
+
+
+def test_overflowing_scale_raises_instead_of_passing_every_check():
+    # |H| overflows: every tolerance relative to it would be infinite
+    with pytest.raises(NonFiniteEntries):
+        classify_symmetry(model_2x2(1e308, 1.0, 0.3), pair_swap_frame(2))
