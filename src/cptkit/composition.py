@@ -19,12 +19,14 @@ import numpy as np
 from .errors import CommutatorViolation, InvalidArgument, NotPTSymmetric
 from .frames import (
     CONSTRUCTION_TOL,
+    SWAP,
     CPTFrame,
     PTFrame,
     checked_cpt_frame,
     checked_pt_frame,
+    frame_from_involution,
 )
-from .linops import DEFAULT_TOL, Operator, as_matrix, fnorm
+from .linops import DEFAULT_TOL, Operator, as_matrix, commutator_check
 from .symmetry import is_pt_symmetric
 
 
@@ -111,14 +113,9 @@ def tensor_hamiltonians(
             f"tensor product lost PT-symmetry (residual {check.residual:.3e}); "
             "this indicates inconsistent input frames"
         )
-    scale = max(1.0, fnorm(m1)) * max(1.0, fnorm(m2))
-    if (
-        fnorm(a.c.matrix @ m1 - m1 @ a.c.matrix) <= tol * scale
-        and fnorm(b.c.matrix @ m2 - m2 @ b.c.matrix) <= tol * scale
-    ):
-        c = frame.c.matrix
-        commutator = fnorm(c @ product - product @ c)
-        if commutator > tol * max(1.0, fnorm(product)) * max(1.0, fnorm(c)):
+    if commutator_check(a.c.matrix, m1, tol)[1] and commutator_check(b.c.matrix, m2, tol)[1]:
+        commutator, commutes = commutator_check(frame.c.matrix, product, tol)
+        if not commutes:
             raise CommutatorViolation(
                 f"[C, H1 (x) H2] residual {commutator:.3e} despite commuting factors"
             )
@@ -156,11 +153,6 @@ def doubling(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, PTFrame, bool]:
     doubled = np.zeros((2 * n, 2 * n), dtype=complex)
     doubled[:n, :n] = a
     doubled[n:, n:] = a.conj().T
-    p_matrix = np.zeros((2 * n, 2 * n))
-    p_matrix[:n, n:] = np.eye(n)
-    p_matrix[n:, :n] = np.eye(n)
-    frame = checked_pt_frame(
-        Operator.linear(p_matrix), Operator.conjugation(2 * n), CONSTRUCTION_TOL
-    )
+    frame = frame_from_involution(np.kron(SWAP, np.eye(n)), CONSTRUCTION_TOL)
     verdict = bool(is_pt_symmetric(doubled, frame, tol))
     return doubled, frame, verdict

@@ -28,7 +28,7 @@ from .errors import (
     SelfOrthogonal,
 )
 from .frames import CPTFrame, PTFrame, checked_cpt_frame
-from .linops import DEFAULT_TOL, Operator, as_matrix, as_vector, fnorm, hermitian_power, hermitian_powers
+from .linops import DEFAULT_TOL, Operator, as_matrix, as_vector, commutator_check, frobenius, hermitian_power, hermitian_powers
 from .symmetry import UNBROKEN, classify_symmetry
 
 #: Self-orthogonality guard for C synthesis: a state whose normalized
@@ -143,12 +143,7 @@ def normalize_indefinite(
     return vectors @ rotation / np.sqrt(np.abs(q)), np.where(q > 0, 1, -1)
 
 
-def build_c(
-    h,
-    frame: PTFrame,
-    tol: float = DEFAULT_TOL,
-    ep_tol: float = EP_GUARD_TOL,
-) -> CPTResult:
+def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
     """Synthesize the C operator of an unbroken Hamiltonian.
 
     Pipeline: classify the symmetry phase (must be unbroken); turn each
@@ -160,12 +155,9 @@ def build_c(
     resulting frame and the commutator [C, H].  C depends only on each
     eigenspace, not on the basis the eigensolver returned for it.
 
-    Parameters
-    ----------
-    ep_tol : float
-        Self-orthogonality guard passed to the normalization step.  The
-        default refuses states closer to an exceptional point than the 2x2
-        model family at breaking parameter 1 - 1e-8.
+    The normalization step guards against self-orthogonal states at
+    ``EP_GUARD_TOL``: it refuses states closer to an exceptional point than
+    the 2x2 model family at breaking parameter 1 - 1e-8.
 
     Raises
     ------
@@ -185,16 +177,16 @@ def build_c(
     phi = np.column_stack([state.state for state in report.aligned_states])
     signs = np.empty(len(report.aligned_states), dtype=int)
     simple = np.repeat(sizes == 1, sizes)
-    phi[:, simple], signs[simple] = _normalize_columns(phi[:, simple], frame, ep_tol)
+    phi[:, simple], signs[simple] = _normalize_columns(phi[:, simple], frame, EP_GUARD_TOL)
     for at, size in zip(np.cumsum(sizes) - sizes, sizes):
         if size > 1:
-            phi[:, at:at + size], signs[at:at + size] = normalize_indefinite(phi[:, at:at + size], frame, ep_tol)
+            phi[:, at:at + size], signs[at:at + size] = normalize_indefinite(phi[:, at:at + size], frame, EP_GUARD_TOL)
     normalized = [
         SignedState(state.energy, unit, int(sign)) for state, unit, sign in zip(report.aligned_states, phi.T, signs)
     ]
     p_phi_adj = (frame.p.matrix @ phi).conj().T
     gram = p_phi_adj @ phi
-    gram_error = fnorm(gram - np.diag(signs))
+    gram_error = frobenius(gram - np.diag(signs))
     # rounding in the Gram entries is amplified by the Euclidean size of the
     # indefinitely-normalized states, which grows near an exceptional point
     gram_tol = tol * max(1.0, float(np.linalg.norm(phi, 2)) ** 2)
@@ -208,18 +200,18 @@ def build_c(
     # equation-residual tolerance scales with |C|^2 (the axiom residuals of
     # an exact frame grow with the squared magnitude of C near an exceptional
     # point); the positive-definiteness margin stays relative to |PC|
-    structural_tol = tol * max(1.0, fnorm(c_matrix)) ** 2
+    structural_tol = tol * max(1.0, frobenius(c_matrix)) ** 2
     cpt = checked_cpt_frame(Operator.linear(c_matrix), frame, structural_tol, pd_tol=tol)
 
-    commutator = fnorm(c_matrix @ a - a @ c_matrix)
-    if commutator > tol * max(1.0, fnorm(a)) * max(1.0, fnorm(c_matrix)):
+    commutator, commutes = commutator_check(c_matrix, a, tol)
+    if not commutes:
         raise CommutatorViolation(
             f"[C, H] residual {commutator:.3e} exceeds tolerance; C is not a frame for H"
         )
 
     pc = cpt.pc_matrix
     gram_cpt = (pc @ phi).conj().T @ phi
-    gram_residual = fnorm(gram_cpt - np.eye(len(signs)))
+    gram_residual = float(frobenius(gram_cpt - np.eye(len(signs))))
     return CPTResult(cpt, tuple(normalized), gram_residual)
 
 
@@ -262,9 +254,8 @@ def hermitize(h, cpt: CPTFrame, tol: float = DEFAULT_TOL) -> np.ndarray:
     a = as_matrix(h)
     if a.shape[0] != cpt.dim:
         raise DimensionMismatch(f"matrix dimension {a.shape[0]} does not match frame dimension {cpt.dim}")
-    c = cpt.c.matrix
-    commutator = fnorm(c @ a - a @ c)
-    if commutator > tol * max(1.0, fnorm(a)) * max(1.0, fnorm(c)):
+    commutator, commutes = commutator_check(cpt.c.matrix, a, tol)
+    if not commutes:
         raise CommutatorViolation(
             f"[C, H] residual {commutator:.3e} exceeds tolerance; the frame is not a frame for H"
         )

@@ -2,11 +2,13 @@
 
 A PT-frame is a pair {P, T} with P linear and not the identity, T antilinear,
 P^2 = T^2 = I and PT = TP.  A CPT-frame adds a linear C with C^2 = I,
-CPT = TPC and PC Hermitian positive definite.
+CPT = TPC and PC Hermitian positive definite.  The validators form each
+residual from the matrix parts and report one that overflows as a violation.
 
-All built-in constructors fix T to entrywise conjugation.  Any admissible
-antilinear T is accepted by the validators and by every consumer of a frame
-(classification, C synthesis, Hermitization, composition).
+Every built-in involution frame comes from :func:`frame_from_involution`,
+with T entrywise conjugation.  Any admissible antilinear T is accepted by the
+validators and by every consumer of a frame (classification, C synthesis,
+Hermitization, composition).
 """
 
 from __future__ import annotations
@@ -24,12 +26,14 @@ from .errors import (
     NonRealEntries,
     NotInvolution,
 )
-from .linops import DEFAULT_TOL, Operator, apply, as_matrix, compose, fnorm, opnorm
+from .linops import DEFAULT_TOL, Operator, apply, as_matrix, compose, frobenius, opnorm
 
-#: Constructors self-check against their validators at this tolerance.
+#: Floor of the tolerance at which :func:`frame_from_involution` validates
+#: its frame; the built-in constructors validate at exactly this tolerance.
 CONSTRUCTION_TOL = 1e-12
 
-_SWAP2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+#: The parity of one two-level cell: e1 <-> e2.
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -73,10 +77,17 @@ class PTFrame:
 
 @dataclass(frozen=True)
 class CPTFrame:
-    """A validated triple {C, P, T} over an underlying PT-frame."""
+    """A validated triple {C, P, T} over an underlying PT-frame.  The metric
+    ``pc_matrix`` = P @ C is composed once here and is read-only."""
 
     frame: PTFrame
     c: Operator
+    pc_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        pc = self.frame.p.matrix @ self.c.matrix
+        pc.setflags(write=False)
+        object.__setattr__(self, "pc_matrix", pc)
 
     @property
     def dim(self) -> int:
@@ -89,11 +100,6 @@ class CPTFrame:
     @property
     def t(self) -> Operator:
         return self.frame.t
-
-    @property
-    def pc_matrix(self) -> np.ndarray:
-        """The metric P @ C, Hermitian positive definite for a valid frame."""
-        return self.frame.p.matrix @ self.c.matrix
 
 
 def validate_pt_frame(p: Operator, t: Operator, tol: float = DEFAULT_TOL) -> FrameReport:
@@ -110,16 +116,16 @@ def validate_pt_frame(p: Operator, t: Operator, tol: float = DEFAULT_TOL) -> Fra
     if p.dim != t.dim:
         raise DimensionMismatch(f"P has dimension {p.dim} but T has dimension {t.dim}")
 
+    mp, mt = p.matrix, t.matrix
     eye = np.eye(p.dim)
-    violations = []
-    for name, residual in (
-        ("P^2 = I", fnorm(compose(p, p).matrix - eye)),
-        ("T^2 = I", fnorm(compose(t, t).matrix - eye)),
-        ("PT = TP", fnorm(compose(p, t).matrix - compose(t, p).matrix)),
-    ):
-        if residual > tol:
-            violations.append((name, residual))
-    identity_distance = fnorm(p.matrix - eye)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = (
+            ("P^2 = I", frobenius(mp @ mp - eye)),
+            ("T^2 = I", frobenius(mt @ mt.conj() - eye)),
+            ("PT = TP", frobenius(mp @ mt - mt @ mp.conj())),
+        )
+    violations = [(name, float(residual)) for name, residual in residuals if not residual <= tol]
+    identity_distance = float(frobenius(mp - eye))
     if identity_distance <= tol:
         violations.append(("P != I", identity_distance))
     return FrameReport(not violations, tuple(violations))
@@ -141,32 +147,32 @@ def validate_cpt_frame(
     if c.dim != frame.dim:
         raise DimensionMismatch(f"C has dimension {c.dim} but frame has dimension {frame.dim}")
 
+    mp, mt, mc = frame.p.matrix, frame.t.matrix, c.matrix
     eye = np.eye(frame.dim)
-    cpt_op = compose(compose(c, frame.p), frame.t)
-    tpc_op = compose(compose(frame.t, frame.p), c)
-    pc = frame.p.matrix @ c.matrix
-    hermitian_part = (pc + pc.conj().T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        pc = mp @ mc
+        residuals = (
+            ("C^2 = I", frobenius(mc @ mc - eye)),
+            ("CPT = TPC", frobenius(mc @ mp @ mt - mt @ mp.conj() @ mc.conj())),
+            ("PC hermitian", frobenius(pc - pc.conj().T)),
+        )
+        hermitian_part = (pc + pc.conj().T) / 2.0
+    violations = [(name, float(residual)) for name, residual in residuals if not residual <= tol]
     min_eig = float(np.linalg.eigvalsh(hermitian_part).min())
     pd_threshold = (tol if pd_tol is None else pd_tol) * opnorm(pc)
-
-    violations = []
-    for name, residual in (
-        ("C^2 = I", fnorm(compose(c, c).matrix - eye)),
-        ("CPT = TPC", fnorm(cpt_op.matrix - tpc_op.matrix)),
-        ("PC hermitian", fnorm(pc - pc.conj().T)),
-    ):
-        if residual > tol:
-            violations.append((name, residual))
-    if min_eig <= pd_threshold:
+    if not min_eig > pd_threshold:
         violations.append(("PC positive definite", pd_threshold - min_eig))
     return FrameReport(not violations, tuple(violations))
 
 
+def _require(report: FrameReport, what: str) -> None:
+    if not report.passed:
+        raise FrameInvalid(f"not a {what}: {report.describe()}", report=report)
+
+
 def checked_pt_frame(p: Operator, t: Operator, tol: float = DEFAULT_TOL) -> PTFrame:
     """Validate and assemble a PT-frame, raising FrameInvalid on failure."""
-    report = validate_pt_frame(p, t, tol)
-    if not report.passed:
-        raise FrameInvalid(f"not a PT-frame: {report.describe()}", report=report)
+    _require(validate_pt_frame(p, t, tol), "PT-frame")
     return PTFrame(p, t)
 
 
@@ -174,9 +180,7 @@ def checked_cpt_frame(
     c: Operator, frame: PTFrame, tol: float = DEFAULT_TOL, pd_tol: float | None = None
 ) -> CPTFrame:
     """Validate and assemble a CPT-frame, raising FrameInvalid on failure."""
-    report = validate_cpt_frame(c, frame, tol, pd_tol)
-    if not report.passed:
-        raise FrameInvalid(f"not a CPT-frame: {report.describe()}", report=report)
+    _require(validate_cpt_frame(c, frame, tol, pd_tol), "CPT-frame")
     return CPTFrame(frame, c)
 
 
@@ -189,26 +193,27 @@ def pair_swap_frame(n: int) -> PTFrame:
     """
     if n <= 0 or n % 2 != 0:
         raise InvalidArgument(f"pair-swap parity needs an even positive dimension, got {n}")
-    p = Operator.linear(np.kron(np.eye(n // 2), _SWAP2))
-    t = Operator.conjugation(n)
-    return checked_pt_frame(p, t, CONSTRUCTION_TOL)
+    return frame_from_involution(np.kron(np.eye(n // 2), SWAP), CONSTRUCTION_TOL)
 
 
 def frame_from_involution(p_matrix, tol: float = DEFAULT_TOL) -> PTFrame:
-    """Frame with T = entrywise conjugation built from a real involution P.
+    """The one constructor of a frame with T = entrywise conjugation from a
+    real involution P, validated at ``max(tol, CONSTRUCTION_TOL)``.
 
-    Commutation PT = TP holds automatically because P is real (it is checked
-    anyway).  Complex-entried P is rejected rather than silently accepted: a
-    complex P need not commute with conjugation-T.
+    Raises NonRealEntries for complex-entried P (it need not commute with
+    conjugation-T), then NotInvolution or IsIdentity where the validator
+    reports P^2 = I or P != I violated, and FrameInvalid for any other
+    violation.
     """
     a = as_matrix(p_matrix)
-    n = a.shape[0]
     if float(np.abs(a.imag).max(initial=0.0)) > tol:
         raise NonRealEntries("parity matrix must have real entries")
-    eye = np.eye(n)
-    involution_residual = fnorm(a @ a - eye)
-    if involution_residual > tol:
-        raise NotInvolution(f"P^2 = I fails with residual {involution_residual:.3e}")
-    if fnorm(a - eye) <= tol:
+    p, t = Operator.linear(a), Operator.conjugation(a.shape[0])
+    report = validate_pt_frame(p, t, max(tol, CONSTRUCTION_TOL))
+    violated = dict(report.violations)
+    if "P^2 = I" in violated:
+        raise NotInvolution(f"P^2 = I fails with residual {violated['P^2 = I']:.3e}")
+    if "P != I" in violated:
         raise IsIdentity("the identity matrix is not an admissible parity")
-    return checked_pt_frame(Operator.linear(a), Operator.conjugation(n), max(tol, CONSTRUCTION_TOL))
+    _require(report, "PT-frame")
+    return PTFrame(p, t)

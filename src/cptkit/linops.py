@@ -53,17 +53,27 @@ def as_vector(v) -> np.ndarray:
     return a
 
 
-def fnorm(m) -> float:
-    """Frobenius norm, the default residual measure."""
-    return float(np.linalg.norm(m))
-
-
 def frobenius(a) -> np.ndarray:
-    """Frobenius norm of each matrix in a stack, the scale that relative
-    tolerances are measured against; inf or nan where it overflows or an
-    entry is not finite."""
+    """Frobenius norm of a matrix or of each matrix in a stack: the measure of
+    every residual and the scale that relative tolerances are measured
+    against; inf or nan where it overflows or an entry is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
+
+
+def require_finite_scale(scale) -> None:
+    """Raise NonFiniteEntries when the Frobenius norm ``scale`` of a matrix
+    is not finite: no tolerance relative to it exists."""
+    if not np.isfinite(scale):
+        raise NonFiniteEntries("the Frobenius norm of the matrix overflows; no tolerance relative to its scale exists")
+
+
+def commutator_check(c: np.ndarray, h: np.ndarray, tol: float) -> tuple[float, bool]:
+    """The residual |[C, H]| and whether it is within
+    ``tol * max(1, |H|) * max(1, |C|)``; a nan residual fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = frobenius(c @ h - h @ c)
+    return residual, bool(residual <= tol * max(1.0, frobenius(h)) * max(1.0, frobenius(c)))
 
 
 def opnorm(m) -> float:
@@ -199,7 +209,7 @@ class EigenSystem:
         self.vectors.setflags(write=False)
 
 
-def eigendecompose(m, tol: float = DEFAULT_TOL, cond_limit: float = COND_LIMIT) -> EigenSystem:
+def eigendecompose(m, tol: float = DEFAULT_TOL) -> EigenSystem:
     """Eigendecompose a square complex matrix, or each matrix of an
     ``(N, n, n)`` stack with one stacked ``np.linalg.eig`` call.
 
@@ -210,12 +220,10 @@ def eigendecompose(m, tol: float = DEFAULT_TOL, cond_limit: float = COND_LIMIT) 
     tol : float
         Relative residual tolerance: every pair must satisfy
         ``|m v - lam v| <= tol |m|``.
-    cond_limit : float
-        Defectiveness cutoff for the eigenvector matrix condition number.
 
     A stack never raises for a single row: a row with non-finite entries, a
     Frobenius norm that overflows, an eigenvector condition above
-    ``cond_limit`` or a failed residual check is marked in the returned
+    ``COND_LIMIT`` or a failed residual check is marked in the returned
     ``defective`` mask, and the other rows are unaffected.
 
     Raises
@@ -225,7 +233,7 @@ def eigendecompose(m, tol: float = DEFAULT_TOL, cond_limit: float = COND_LIMIT) 
         check, overflows.
     DefectiveSpectrum
         For a single matrix whose eigenvector matrix condition number exceeds
-        ``cond_limit`` or whose residual check fails.  Exceptional points are
+        ``COND_LIMIT`` or whose residual check fails.  Exceptional points are
         physically meaningful here and must surface as errors, not as
         regularized output.
     """
@@ -234,6 +242,8 @@ def eigendecompose(m, tol: float = DEFAULT_TOL, cond_limit: float = COND_LIMIT) 
     if a.shape[1] != a.shape[2]:
         raise DimensionMismatch(f"expected a stack of square matrices, got shape {a.shape}")
     scale = frobenius(a)
+    if not stacked:
+        require_finite_scale(scale[0])
     unscaled = ~np.isfinite(scale)  # non-finite entries, or a norm that overflows
     if unscaled.any():
         # a placeholder keeps the stacked LAPACK calls valid for the other rows
@@ -248,17 +258,15 @@ def eigendecompose(m, tol: float = DEFAULT_TOL, cond_limit: float = COND_LIMIT) 
     singular = np.linalg.svd(vectors, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         condition = singular[:, 0] / singular[:, -1]
-    ill = ~(condition <= cond_limit)
+    ill = ~(condition <= COND_LIMIT)
     residual = np.linalg.norm(a @ vectors - vectors * values[:, None, :], axis=-2).max(-1)
     defective = unscaled | ill | (residual > tol * scale)
     if stacked:
         return EigenSystem(values, vectors, condition, defective)
 
-    if unscaled[0]:
-        raise NonFiniteEntries("the Frobenius norm of the matrix overflows; no tolerance relative to its scale exists")
     if ill[0]:
         raise DefectiveSpectrum(
-            f"eigenvector matrix condition {condition[0]:.3e} exceeds {cond_limit:.1e}; "
+            f"eigenvector matrix condition {condition[0]:.3e} exceeds {COND_LIMIT:.1e}; "
             "matrix is numerically defective (exceptional point?)",
             condition=float(condition[0]),
         )
@@ -285,7 +293,7 @@ def hermitian_powers(m, powers, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, .
         signals a broken frame or an exceptional point.
     """
     a = as_matrix(m)
-    herm_residual = fnorm(a - a.conj().T)
+    herm_residual = frobenius(a - a.conj().T)
     if herm_residual > tol:
         raise NotHermitian(f"Hermiticity residual {herm_residual:.3e} exceeds {tol:.1e}")
     w, u = np.linalg.eigh(a)

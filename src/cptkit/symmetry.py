@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPTEigenstate
 from .frames import PTFrame, pair_swap_frame
-from .linops import DEFAULT_TOL, as_matrix, as_vector, eigendecompose, fnorm, frobenius
+from .linops import DEFAULT_TOL, as_matrix, as_vector, eigendecompose, frobenius, require_finite_scale
 
 UNBROKEN = "unbroken"
 BROKEN = "broken"
@@ -165,10 +165,13 @@ def is_pt_symmetric(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> PTSymmetryCh
     """Test (PT) H (PT) = H via the antilinear composition rules.
 
     For entrywise-conjugation T this reduces to |H P - P conj(H)| = 0.  The
-    residual is compared against ``tol * |H|``.
+    residual is compared against ``tol * |H|``; NonFiniteEntries is raised
+    when |H| overflows, as by :func:`classify_symmetry`.
     """
     a = _checked(h, frame)
-    symmetric, residual = _pt_check(a[None], frobenius(a), frame, tol)
+    scale = frobenius(a)
+    require_finite_scale(scale)
+    symmetric, residual = _pt_check(a[None], scale, frame, tol)
     return PTSymmetryCheck(bool(symmetric[0]), float(residual[0]))
 
 
@@ -426,8 +429,8 @@ def classify_2x2(h, tol: float = DEFAULT_TOL) -> TwoByTwoClass:
     if a.shape != (2, 2):
         raise DimensionMismatch(f"expected a 2x2 matrix, got {a.shape}")
     frame = pair_swap_frame(2)
-    hermitian = fnorm(a - a.conj().T) <= tol
-    symmetric = fnorm(a - a.T) <= tol
+    hermitian = frobenius(a - a.conj().T) <= tol
+    symmetric = frobenius(a - a.T) <= tol
     pt_symmetric = bool(is_pt_symmetric(a, frame, tol))
     forms = set()
     if hermitian:

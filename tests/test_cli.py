@@ -66,6 +66,25 @@ def test_validate_cpt_frame_document(tmp_path, capsys):
     assert "cpt-frame axioms: PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "p, t, code",
+    [
+        # every entry is finite but T^2 overflows: an axiom violation, not a usage error
+        ([[0, 1], [1, 0]], [[1e300, 0], [0, 1e-300]], EXIT_AXIOM),
+        # a valid involution whose distance from the identity overflows
+        ([[0, 1e200], [1e-200, 0]], [[1, 0], [0, 1]], EXIT_OK),
+    ],
+    ids=["t-squared-overflows", "identity-distance-overflows"],
+)
+def test_validate_overflowing_residuals_are_violations(tmp_path, capsys, p, t, code):
+    path = tmp_path / "frame.json"
+    doc = {name: {"dim": 2, "entries": [[float(x), 0] for x in np.ravel(m)]} for name, m in (("p", p), ("t", t))}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["validate", "--frame", str(path)]) == code
+    out = capsys.readouterr().out
+    assert ("T^2 = I: residual" in out) == (code == EXIT_AXIOM)
+
+
 # ---------------------------------------------------------------- analyze
 
 
@@ -320,6 +339,13 @@ def test_compose_double_reports_verdict(tmp_path, capsys):
     assert "pt-symmetric: yes" in capsys.readouterr().out
     doubled = load_matrix(tmp_path / "d.json").matrix
     assert doubled.shape == (4, 4)
+
+
+def test_compose_double_of_an_overflowing_matrix_is_usage_error(tmp_path, capsys):
+    h_path = tmp_path / "h.json"
+    write_matrix(h_path, np.array([[1e308, 1e308], [0.0, 1.0]]))
+    assert run(["compose", "--op", "double", "--hamiltonian", str(h_path)]) == EXIT_USAGE
+    assert "pt-symmetric" not in capsys.readouterr().out
 
 
 def test_compose_dsum(tmp_path, capsys):

@@ -206,6 +206,14 @@ def test_doubling_symmetric_input():
     assert validate_pt_frame(frame.p, frame.t, tol=1e-12).passed
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_doubling_frame_is_the_block_swap(n):
+    _, frame, _ = doubling(np.eye(n))
+    assert frame.p.matrix.tobytes() == np.kron(SWAP, np.eye(n)).astype(complex).tobytes()
+    assert frame.t.matrix.tobytes() == np.eye(2 * n, dtype=complex).tobytes()
+    assert frame.p.is_linear and not frame.t.is_linear
+
+
 def test_doubling_non_symmetric_input():
     _, _, symmetric = doubling(H3)
     assert not symmetric

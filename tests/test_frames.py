@@ -90,6 +90,14 @@ def test_pair_swap_frame_6_validates_tightly():
     assert validate_pt_frame(frame.p, frame.t, tol=1e-12).passed
 
 
+@pytest.mark.parametrize("n", [2, 6, 200])
+def test_pair_swap_frame_is_the_kron_construction(n):
+    frame = pair_swap_frame(n)
+    assert frame.p.matrix.tobytes() == np.kron(np.eye(n // 2), SWAP).astype(complex).tobytes()
+    assert frame.t.matrix.tobytes() == np.eye(n, dtype=complex).tobytes()
+    assert frame.p.is_linear and not frame.t.is_linear
+
+
 def test_pair_swap_frame_rejects_odd():
     with pytest.raises(ValueError):
         pair_swap_frame(3)
@@ -137,6 +145,15 @@ def test_validate_cpt_negative_identity_fails_positivity():
     report = validate_cpt_frame(Operator.linear(-np.eye(2)), frame)
     assert not report.passed
     assert [name for name, _ in report.violations] == ["PC positive definite"]
+
+
+def test_validate_cpt_overflowing_residuals_are_violations():
+    # every entry of C is finite, but C^2 and two other residuals overflow
+    report = validate_cpt_frame(Operator.linear(np.diag([1e300, 1e-300])), pair_swap_frame(2))
+    assert not report.passed
+    assert [name for name, _ in report.violations] == [
+        "C^2 = I", "CPT = TPC", "PC hermitian", "PC positive definite",
+    ]
 
 
 def test_validate_cpt_kind_and_dimension_checks():

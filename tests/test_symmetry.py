@@ -286,6 +286,13 @@ def test_classify_stack_rejects_a_stack_of_the_wrong_dimension():
         classify_stack(np.zeros((3, 4, 4)), pair_swap_frame(2))
 
 
+def test_pt_check_of_an_overflowing_scale_raises():
+    # H is not PT-symmetric, but |H| overflows and a tolerance relative to
+    # it would be infinite: the check raises instead of passing
+    with pytest.raises(NonFiniteEntries):
+        is_pt_symmetric(np.array([[1e308, 1e308], [0.0, 1.0]]), pair_swap_frame(2))
+
+
 def test_overflowing_scale_raises_instead_of_passing_every_check():
     # |H| overflows: every tolerance relative to it would be infinite
     with pytest.raises(NonFiniteEntries):
