@@ -29,7 +29,7 @@ from .errors import (
 from .composition import BlockSpec, direct_sum, doubling, tensor_hamiltonians
 from .frames import CPTFrame, PTFrame, checked_cpt_frame, checked_pt_frame, pair_swap_frame, validate_cpt_frame, validate_pt_frame
 from .io import format_float, frame_document, load_frame_parts, load_matrix, matrix_document, write_frame, write_matrix
-from .linops import DEFAULT_TOL, frobenius, hermitian_powers
+from .linops import DEFAULT_TOL, hermiticity_residual, spectral_powers
 from .models import FAMILIES, ModelSpec, build_model, model_frame, model_matrix
 from .symmetry import BROKEN, UNBROKEN, classify_stack, classify_symmetry
 
@@ -231,7 +231,7 @@ def _collect_outputs(emits, cpt_frame: CPTFrame, h, tol) -> tuple[list[tuple[str
         elif kind == "pc":
             outputs.append(("pc", pc))
         elif kind == "sqrt":
-            outputs += zip(("pc_sqrt", "pc_inv_sqrt"), hermitian_powers(pc, (0.5, -0.5), tol))
+            outputs += zip(("pc_sqrt", "pc_inv_sqrt"), spectral_powers(pc, cpt_frame.metric_spectrum, (0.5, -0.5), tol))
         elif kind == "h":
             h_matrix = hermitize(h, cpt_frame, tol)
             outputs.append(("h", h_matrix))
@@ -244,7 +244,7 @@ def cmd_build_c(args) -> int:
     print(f"gram residual: {result.gram_residual:.6e}")
     outputs, h_matrix = _collect_outputs(args.emit or ["c"], result.cpt, h, args.tol)
     if h_matrix is not None:
-        print(f"hermiticity residual of h: {frobenius(h_matrix - h_matrix.conj().T):.6e}")
+        print(f"hermiticity residual of h: {hermiticity_residual(h_matrix):.6e}")
     _emit(args, outputs)
     return EXIT_OK
 
@@ -261,7 +261,7 @@ def cmd_hermitize(args) -> int:
     if h_matrix is None:
         h_matrix = hermitize(h, cpt_frame, args.tol)
         outputs.append(("h", h_matrix))
-    print(f"hermiticity residual of h: {frobenius(h_matrix - h_matrix.conj().T):.6e}")
+    print(f"hermiticity residual of h: {hermiticity_residual(h_matrix):.6e}")
     _emit(args, outputs)
     return EXIT_OK
 

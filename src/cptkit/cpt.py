@@ -21,14 +21,24 @@ import numpy as np
 from .errors import (
     CommutatorViolation,
     DimensionMismatch,
+    FrameInvalid,
     GramDefect,
     KindMismatch,
     NotPTEigenstate,
     NotUnbroken,
     SelfOrthogonal,
 )
-from .frames import CPTFrame, PTFrame, checked_cpt_frame
-from .linops import DEFAULT_TOL, Operator, as_matrix, as_vector, commutator_check, frobenius, hermitian_power, hermitian_powers
+from .frames import CPTFrame, PTFrame
+from .linops import (
+    DEFAULT_TOL,
+    Operator,
+    as_matrix,
+    as_vector,
+    commutator_check,
+    frobenius,
+    hermiticity_residual,
+    spectral_powers,
+)
 from .symmetry import UNBROKEN, classify_symmetry
 
 #: Self-orthogonality guard for C synthesis: a state whose normalized
@@ -146,14 +156,17 @@ def normalize_indefinite(
 def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
     """Synthesize the C operator of an unbroken Hamiltonian.
 
-    Pipeline: classify the symmetry phase (must be unbroken); turn each
-    eigenspace of the report into an indefinite-orthonormal basis with one
-    :func:`normalize_indefinite` call; verify pairwise indefinite
-    orthogonality across eigenspaces (automatic for distinct eigenvalues of
-    a symmetric Hamiltonian); set C to the sum of phi_k (P phi_k)^+ over the
-    normalized states, which satisfies C phi_k = sign_k phi_k; validate the
-    resulting frame and the commutator [C, H].  C depends only on each
-    eigenspace, not on the basis the eigensolver returned for it.
+    Pipeline: require a Hermitian P, ``|P - P^+| <= tol * max(1, |P|)``,
+    since (u, v) = <P u, v> is a Hermitian form only then; classify the
+    symmetry phase (must be unbroken); turn each eigenspace of the report
+    into an indefinite-orthonormal basis with one :func:`normalize_indefinite`
+    call; verify pairwise indefinite orthogonality across eigenspaces
+    (automatic for distinct eigenvalues of a symmetric Hamiltonian); set C to
+    the sum of phi_k (P phi_k)^+ over the normalized states, which satisfies
+    C phi_k = sign_k phi_k; validate the resulting frame, whose one
+    factorization of PC also gives the Gram tolerance, and the commutator
+    [C, H].  C depends only on each eigenspace, not on the basis the
+    eigensolver returned for it.
 
     The normalization step guards against self-orthogonal states at
     ``EP_GUARD_TOL``: it refuses states closer to an exceptional point than
@@ -161,8 +174,18 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
 
     Raises
     ------
-    NotUnbroken, SelfOrthogonal, GramDefect, FrameInvalid, CommutatorViolation
+    FrameInvalid
+        For a non-Hermitian P (exit code 3), or a synthesized frame that
+        fails validation.
+    NotUnbroken, SelfOrthogonal, GramDefect, CommutatorViolation
     """
+    # a bound that overflows admits no P: a Hermitian involution is unitary
+    p_residual = hermiticity_residual(frame.p.matrix)
+    if not p_residual <= tol * max(1.0, frobenius(frame.p.matrix)) < np.inf:
+        raise FrameInvalid(
+            f"C synthesis requires a Hermitian parity P = P^+: |P - P^+| = {p_residual:.3e} "
+            f"exceeds {tol:.1e} * max(1, |P|)"
+        )
     a = as_matrix(h)
     report = classify_symmetry(a, frame, tol)
     if report.classification != UNBROKEN:
@@ -187,21 +210,22 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
     p_phi_adj = (frame.p.matrix @ phi).conj().T
     gram = p_phi_adj @ phi
     gram_error = frobenius(gram - np.diag(signs))
-    # rounding in the Gram entries is amplified by the Euclidean size of the
-    # indefinitely-normalized states, which grows near an exceptional point
-    gram_tol = tol * max(1.0, float(np.linalg.norm(phi, 2)) ** 2)
+    c_matrix = phi @ p_phi_adj
+    cpt = CPTFrame(frame, Operator.linear(c_matrix))
+    # rounding in the Gram entries is amplified by |phi|_2^2 = |P phi|_2^2, the
+    # largest eigenvalue of PC = (P phi)(P phi)^+, which grows near an exceptional point
+    gram_tol = tol * max(1.0, float(cpt.metric_spectrum[0][-1]))
     if gram_error > gram_tol:
         raise GramDefect(
             f"indefinite Gram matrix deviates from diag(signs) by {gram_error:.3e}; "
             "the orthonormality hypothesis cannot be met for this eigensystem"
         )
 
-    c_matrix = phi @ p_phi_adj
     # equation-residual tolerance scales with |C|^2 (the axiom residuals of
     # an exact frame grow with the squared magnitude of C near an exceptional
     # point); the positive-definiteness margin stays relative to |PC|
     structural_tol = tol * max(1.0, frobenius(c_matrix)) ** 2
-    cpt = checked_cpt_frame(Operator.linear(c_matrix), frame, structural_tol, pd_tol=tol)
+    cpt.validate(structural_tol, pd_tol=tol).require("CPT-frame")
 
     commutator, commutes = commutator_check(c_matrix, a, tol)
     if not commutes:
@@ -230,15 +254,15 @@ def cpt_inner(u, v, cpt: CPTFrame) -> complex:
 def cpt_adjoint(a: Operator, cpt: CPTFrame, tol: float = DEFAULT_TOL) -> Operator:
     """Adjoint with respect to the CPT inner product: (PC)^-1 A+ (PC).
 
-    The inverse metric is taken spectrally so positive-definiteness failures
-    surface early.  Satisfies <adj(A) u, v>_CPT = <u, A v>_CPT.
+    The inverse metric comes from the frame's metric, so positive-definiteness
+    failures surface early.  Satisfies <adj(A) u, v>_CPT = <u, A v>_CPT.
     """
     if not a.is_linear:
         raise KindMismatch("the CPT adjoint is defined for linear operators")
     if a.dim != cpt.dim:
         raise DimensionMismatch(f"operator dimension {a.dim} does not match frame dimension {cpt.dim}")
     pc = cpt.pc_matrix
-    pc_inv = hermitian_power(pc, -1.0, tol)
+    (pc_inv,) = spectral_powers(pc, cpt.metric_spectrum, (-1.0,), tol)
     return Operator.linear(pc_inv @ a.matrix.conj().T @ pc)
 
 
@@ -259,5 +283,5 @@ def hermitize(h, cpt: CPTFrame, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise CommutatorViolation(
             f"[C, H] residual {commutator:.3e} exceeds tolerance; the frame is not a frame for H"
         )
-    root, inv_root = hermitian_powers(cpt.pc_matrix, (0.5, -0.5), tol)
+    root, inv_root = spectral_powers(cpt.pc_matrix, cpt.metric_spectrum, (0.5, -0.5), tol)
     return root @ a @ inv_root

@@ -3,7 +3,10 @@
 A PT-frame is a pair {P, T} with P linear and not the identity, T antilinear,
 P^2 = T^2 = I and PT = TP.  A CPT-frame adds a linear C with C^2 = I,
 CPT = TPC and PC Hermitian positive definite.  The validators form each
-residual from the matrix parts and report one that overflows as a violation.
+residual from the matrix parts and report one that overflows as a violation
+with residual inf.  A :class:`CPTFrame` factors its metric PC once, with one
+``eigh`` of its Hermitian part; validation, C synthesis, Hermitization and
+the CPT adjoint all read that one factorization.
 
 Every built-in involution frame comes from :func:`frame_from_involution`,
 with T entrywise conjugation.  Any admissible antilinear T is accepted by the
@@ -26,7 +29,7 @@ from .errors import (
     NonRealEntries,
     NotInvolution,
 )
-from .linops import DEFAULT_TOL, Operator, apply, as_matrix, compose, frobenius, opnorm
+from .linops import DEFAULT_TOL, Operator, apply, as_matrix, compose, frobenius, hermiticity_residual
 
 #: Floor of the tolerance at which :func:`frame_from_involution` validates
 #: its frame; the built-in constructors validate at exactly this tolerance.
@@ -48,6 +51,11 @@ class FrameReport:
         if self.passed:
             return "all axioms satisfied"
         return "; ".join(f"{name} violated (residual {res:.3e})" for name, res in self.violations)
+
+    def require(self, what: str) -> None:
+        """Raise FrameInvalid, with this report attached, unless it passed."""
+        if not self.passed:
+            raise FrameInvalid(f"not a {what}: {self.describe()}", report=self)
 
 
 @dataclass(frozen=True)
@@ -77,17 +85,28 @@ class PTFrame:
 
 @dataclass(frozen=True)
 class CPTFrame:
-    """A validated triple {C, P, T} over an underlying PT-frame.  The metric
-    ``pc_matrix`` = P @ C is composed once here and is read-only."""
+    """A triple {C, P, T} over a PT-frame, checked by :meth:`validate`.  The
+    metric ``pc_matrix`` = P @ C and ``metric_spectrum`` = (w, U), w ascending,
+    the one eigendecomposition of its Hermitian part, are formed once here,
+    read-only: no consumer of the metric factors it again."""
 
     frame: PTFrame
     c: Operator
     pc_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    metric_spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pc = self.frame.p.matrix @ self.c.matrix
-        pc.setflags(write=False)
+        if not self.c.is_linear:
+            raise KindMismatch("C must be a linear operator")
+        if self.c.dim != self.frame.dim:
+            raise DimensionMismatch(f"C has dimension {self.c.dim} but frame has dimension {self.frame.dim}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            pc = self.frame.p.matrix @ self.c.matrix
+            spectrum = np.linalg.eigh((pc + pc.conj().T) / 2.0)
+        for part in (pc, *spectrum):
+            part.setflags(write=False)
         object.__setattr__(self, "pc_matrix", pc)
+        object.__setattr__(self, "metric_spectrum", tuple(spectrum))
 
     @property
     def dim(self) -> int:
@@ -100,6 +119,28 @@ class CPTFrame:
     @property
     def t(self) -> Operator:
         return self.frame.t
+
+    def validate(self, tol: float = DEFAULT_TOL, pd_tol: float | None = None) -> FrameReport:
+        """Check the CPT-frame axioms and report every violation with its
+        residual.  PC is positive definite when its smallest metric eigenvalue
+        is above ``pd_tol * |PC|`` (the largest eigenvalue modulus; ``pd_tol``
+        defaults to ``tol``): equation residuals of an exact frame scale with
+        |C|^2, the metric's spectral margin does not."""
+        mp, mt, mc, pc = self.p.matrix, self.t.matrix, self.c.matrix, self.pc_matrix
+        eye = np.eye(self.dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            residuals = (
+                ("C^2 = I", frobenius(mc @ mc - eye)),
+                ("CPT = TPC", frobenius(mc @ mp @ mt - mt @ mp.conj() @ mc.conj())),
+                ("PC hermitian", hermiticity_residual(pc)),
+            )
+        violations = [(name, float(residual)) for name, residual in residuals if not residual <= tol]
+        w = self.metric_spectrum[0]
+        min_eig = float(w.min())
+        pd_threshold = (tol if pd_tol is None else pd_tol) * float(np.abs(w).max())
+        if not min_eig > pd_threshold:
+            violations.append(("PC positive definite", pd_threshold - min_eig))
+        return FrameReport(not violations, tuple(violations))
 
 
 def validate_pt_frame(p: Operator, t: Operator, tol: float = DEFAULT_TOL) -> FrameReport:
@@ -134,45 +175,13 @@ def validate_pt_frame(p: Operator, t: Operator, tol: float = DEFAULT_TOL) -> Fra
 def validate_cpt_frame(
     c: Operator, frame: PTFrame, tol: float = DEFAULT_TOL, pd_tol: float | None = None
 ) -> FrameReport:
-    """Check the CPT-frame axioms for C over an existing PT-frame.
-
-    Positive definiteness is decided by the spectrum of the Hermitian part of
-    PC with threshold ``pd_tol * |PC|`` (operator norm, ``pd_tol`` defaulting
-    to ``tol``), after the Hermiticity residual is reported separately.  The
-    thresholds are separate because equation residuals of an exact frame
-    scale with |C|^2 while the metric's spectral margin does not.
-    """
-    if not c.is_linear:
-        raise KindMismatch("C must be a linear operator")
-    if c.dim != frame.dim:
-        raise DimensionMismatch(f"C has dimension {c.dim} but frame has dimension {frame.dim}")
-
-    mp, mt, mc = frame.p.matrix, frame.t.matrix, c.matrix
-    eye = np.eye(frame.dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pc = mp @ mc
-        residuals = (
-            ("C^2 = I", frobenius(mc @ mc - eye)),
-            ("CPT = TPC", frobenius(mc @ mp @ mt - mt @ mp.conj() @ mc.conj())),
-            ("PC hermitian", frobenius(pc - pc.conj().T)),
-        )
-        hermitian_part = (pc + pc.conj().T) / 2.0
-    violations = [(name, float(residual)) for name, residual in residuals if not residual <= tol]
-    min_eig = float(np.linalg.eigvalsh(hermitian_part).min())
-    pd_threshold = (tol if pd_tol is None else pd_tol) * opnorm(pc)
-    if not min_eig > pd_threshold:
-        violations.append(("PC positive definite", pd_threshold - min_eig))
-    return FrameReport(not violations, tuple(violations))
-
-
-def _require(report: FrameReport, what: str) -> None:
-    if not report.passed:
-        raise FrameInvalid(f"not a {what}: {report.describe()}", report=report)
+    """Check the CPT-frame axioms for C over a PT-frame: :meth:`CPTFrame.validate`."""
+    return CPTFrame(frame, c).validate(tol, pd_tol)
 
 
 def checked_pt_frame(p: Operator, t: Operator, tol: float = DEFAULT_TOL) -> PTFrame:
     """Validate and assemble a PT-frame, raising FrameInvalid on failure."""
-    _require(validate_pt_frame(p, t, tol), "PT-frame")
+    validate_pt_frame(p, t, tol).require("PT-frame")
     return PTFrame(p, t)
 
 
@@ -180,8 +189,9 @@ def checked_cpt_frame(
     c: Operator, frame: PTFrame, tol: float = DEFAULT_TOL, pd_tol: float | None = None
 ) -> CPTFrame:
     """Validate and assemble a CPT-frame, raising FrameInvalid on failure."""
-    _require(validate_cpt_frame(c, frame, tol, pd_tol), "CPT-frame")
-    return CPTFrame(frame, c)
+    cpt = CPTFrame(frame, c)
+    cpt.validate(tol, pd_tol).require("CPT-frame")
+    return cpt
 
 
 def pair_swap_frame(n: int) -> PTFrame:
@@ -215,5 +225,5 @@ def frame_from_involution(p_matrix, tol: float = DEFAULT_TOL) -> PTFrame:
         raise NotInvolution(f"P^2 = I fails with residual {violated['P^2 = I']:.3e}")
     if "P != I" in violated:
         raise IsIdentity("the identity matrix is not an admissible parity")
-    _require(report, "PT-frame")
+    report.require("PT-frame")
     return PTFrame(p, t)

@@ -56,9 +56,19 @@ def as_vector(v) -> np.ndarray:
 def frobenius(a) -> np.ndarray:
     """Frobenius norm of a matrix or of each matrix in a stack: the measure of
     every residual and the scale that relative tolerances are measured
-    against; inf or nan where it overflows or an entry is not finite."""
+    against; inf where it overflows or an entry is not finite (a nan entry of
+    a residual formed from finite matrices is an overflow: inf - inf or
+    inf * 0)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
+        # fmin ignores a nan operand: nan -> inf, anything else unchanged
+        return np.fmin(np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1))), np.inf)
+
+
+def hermiticity_residual(a: np.ndarray) -> float:
+    """The Frobenius norm of ``a - a^+``: inf, never a warning, where forming
+    it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return frobenius(a - a.conj().T)
 
 
 def require_finite_scale(scale) -> None:
@@ -70,15 +80,10 @@ def require_finite_scale(scale) -> None:
 
 def commutator_check(c: np.ndarray, h: np.ndarray, tol: float) -> tuple[float, bool]:
     """The residual |[C, H]| and whether it is within
-    ``tol * max(1, |H|) * max(1, |C|)``; a nan residual fails."""
+    ``tol * max(1, |H|) * max(1, |C|)``; an overflowed residual fails."""
     with np.errstate(over="ignore", invalid="ignore"):
         residual = frobenius(c @ h - h @ c)
     return residual, bool(residual <= tol * max(1.0, frobenius(h)) * max(1.0, frobenius(c)))
-
-
-def opnorm(m) -> float:
-    """Operator 2-norm (largest singular value)."""
-    return float(np.linalg.norm(m, 2))
 
 
 @dataclass(frozen=True)
@@ -279,33 +284,30 @@ def eigendecompose(m, tol: float = DEFAULT_TOL) -> EigenSystem:
 
 
 def hermitian_powers(m, powers, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
-    """Real powers of a Hermitian positive definite matrix via one spectrum.
-
-    Returns ``U diag(w**p) U+`` for each p in ``powers``, from the one
-    eigendecomposition ``m = U diag(w) U+``.
-
-    Raises
-    ------
-    NotHermitian
-        If ``|m - m+| > tol``.
-    NotPositiveDefinite
-        If the smallest eigenvalue is not above ``tol``; upstream this
-        signals a broken frame or an exceptional point.
-    """
+    """Real powers of a Hermitian positive definite matrix via one spectrum:
+    :func:`spectral_powers` of ``m`` and its one ``eigh``, with its errors."""
     a = as_matrix(m)
-    herm_residual = frobenius(a - a.conj().T)
+    return spectral_powers(a, np.linalg.eigh(a), powers, tol)
+
+
+def hermitian_power(m, p: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The one-power case of :func:`hermitian_powers`, with the same errors."""
+    return hermitian_powers(m, (p,), tol)[0]
+
+
+def spectral_powers(m: np.ndarray, spectrum, powers, tol: float) -> tuple[np.ndarray, ...]:
+    """``U diag(w**p) U+`` for each p in ``powers``, from the eigendecomposition
+    ``spectrum = (w, U)`` of the Hermitian positive definite matrix ``m``.
+    Raises NotHermitian if ``|m - m+| > tol`` and NotPositiveDefinite if the
+    smallest eigenvalue is not above ``tol`` (upstream: a broken frame or an
+    exceptional point)."""
+    herm_residual = hermiticity_residual(m)
     if herm_residual > tol:
         raise NotHermitian(f"Hermiticity residual {herm_residual:.3e} exceeds {tol:.1e}")
-    w, u = np.linalg.eigh(a)
+    w, u = spectrum
     if float(w.min()) <= tol:
         raise NotPositiveDefinite(
             f"minimum eigenvalue {float(w.min()):.3e} is not above {tol:.1e}"
         )
     u_adj = u.conj().T
     return tuple((u * w ** float(p)) @ u_adj for p in powers)
-
-
-def hermitian_power(m, p: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Real power of a Hermitian positive definite matrix via its spectrum:
-    the one-power case of :func:`hermitian_powers`, with the same errors."""
-    return hermitian_powers(m, (p,), tol)[0]

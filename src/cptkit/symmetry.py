@@ -18,7 +18,15 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPTEigenstate
 from .frames import PTFrame, pair_swap_frame
-from .linops import DEFAULT_TOL, as_matrix, as_vector, eigendecompose, frobenius, require_finite_scale
+from .linops import (
+    DEFAULT_TOL,
+    as_matrix,
+    as_vector,
+    eigendecompose,
+    frobenius,
+    hermiticity_residual,
+    require_finite_scale,
+)
 
 UNBROKEN = "unbroken"
 BROKEN = "broken"
@@ -428,10 +436,11 @@ def classify_2x2(h, tol: float = DEFAULT_TOL) -> TwoByTwoClass:
     a = as_matrix(h)
     if a.shape != (2, 2):
         raise DimensionMismatch(f"expected a 2x2 matrix, got {a.shape}")
-    frame = pair_swap_frame(2)
-    hermitian = frobenius(a - a.conj().T) <= tol
+    # the PT check raises NonFiniteEntries first when |H| overflows; below
+    # that scale neither residual can overflow
+    pt_symmetric = bool(is_pt_symmetric(a, pair_swap_frame(2), tol))
+    hermitian = hermiticity_residual(a) <= tol
     symmetric = frobenius(a - a.T) <= tol
-    pt_symmetric = bool(is_pt_symmetric(a, frame, tol))
     forms = set()
     if hermitian:
         forms.add(3)

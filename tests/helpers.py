@@ -62,6 +62,40 @@ def shared_eigenvalue_chain(first, second):
     return build_model(ModelSpec("chain", (first, (upper / lower * r, upper / lower * s, theta))))
 
 
+#: The problem families of the basis-change tests: "identity" is H = I, where
+#: every state shares one eigenspace of signature (+1, +1, -1, -1) and C
+#: must be P; "shared" has a 2-fold eigenspace of signature (+1, -1).
+COVARIANCE_FAMILIES = ("2x2", "4x4", "tensor", "chain", "identity", "shared")
+
+
+def covariance_problem(rng, family):
+    """A random unbroken problem of one of ``COVARIANCE_FAMILIES``."""
+    if family == "identity":
+        return np.eye(4), pair_swap_frame(4)
+    n_blocks = {"2x2": 1, "4x4": 2, "tensor": 2, "shared": 1}.get(family, int(rng.integers(1, 4)))
+    blocks = []
+    for _ in range(n_blocks):
+        s = rng.uniform(1.0, 2.0) * rng.choice([-1.0, 1.0])
+        # |r / s| <= 0.9 keeps every cell unbroken and away from its exceptional point
+        blocks.append((rng.uniform(0.2, 0.9) * s, s, rng.uniform(0.1, 1.5)))
+    if family == "shared":
+        r, s, theta = blocks[0]
+        # s < r keeps the second cell's lower eigenvalue positive
+        second = (rng.uniform(1.1, 1.5), rng.uniform(0.9, 1.0), rng.uniform(0.1, 0.6))
+        return shared_eigenvalue_chain((abs(r), abs(s), theta), second)
+    return build_model(ModelSpec(family, tuple(blocks)))
+
+
+def skewed_parity_problem():
+    """An unbroken cell moved by the non-unitary S = [[1, 0.7], [0, 1.3]]:
+    P = S SWAP S^-1 is a real involution that is not Hermitian, and
+    H = S H_cell S^-1 is PT-symmetric with a real spectrum."""
+    s = np.array([[1.0, 0.7], [0.0, 1.3]])
+    s_inv = np.linalg.inv(s)
+    cell, _ = build_model(ModelSpec("2x2", ((1.0, 2.0, np.pi / 6),)))
+    return s @ cell @ s_inv, frame_from_involution(s @ SWAP @ s_inv)
+
+
 def unitary_basis_change(h, frame: PTFrame, rng):
     """Move a problem by a random unitary U: H -> U H U^H, P -> U P U^H and
     T -> U T U^T (the antilinear matrix part).  Returns ``(u, h, frame)``."""

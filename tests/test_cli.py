@@ -3,11 +3,30 @@ import json
 import numpy as np
 import pytest
 
-from cptkit import UNBROKEN, CptKitError, Operator, build_model, classify_symmetry, cli, frames, pair_swap_frame
+from cptkit import (
+    UNBROKEN,
+    CptKitError,
+    Operator,
+    build_model,
+    classify_symmetry,
+    cli,
+    frames,
+    hermitian_power,
+    pair_swap_frame,
+)
 from cptkit.cli import EXIT_AXIOM, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from cptkit.frames import checked_cpt_frame
 from cptkit.io import format_float, load_matrix, write_frame, write_matrix
-from helpers import H1, H3, SWAP, shared_eigenvalue_chain, unitary_basis_change
+from helpers import (
+    COVARIANCE_FAMILIES,
+    H1,
+    H3,
+    SWAP,
+    covariance_problem,
+    shared_eigenvalue_chain,
+    skewed_parity_problem,
+    unitary_basis_change,
+)
 
 THETA_PI_6 = "0.5235987755982988"
 TAN_PHI = 0.2581988897471611
@@ -82,7 +101,8 @@ def test_validate_overflowing_residuals_are_violations(tmp_path, capsys, p, t, c
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert run(["validate", "--frame", str(path)]) == code
     out = capsys.readouterr().out
-    assert ("T^2 = I: residual" in out) == (code == EXIT_AXIOM)
+    # the overflowed residual reads inf, not nan
+    assert ("T^2 = I: residual inf" in out) == (code == EXIT_AXIOM)
 
 
 # ---------------------------------------------------------------- analyze
@@ -182,6 +202,32 @@ def test_build_c_multiple_emits(tmp_path, capsys):
     np.testing.assert_allclose(root @ inv_root, np.eye(2), atol=1e-10)
     h = load_matrix(tmp_path / "result.h.json").matrix
     assert np.linalg.norm(h - h.conj().T) <= 1e-8 * np.linalg.norm(h)
+
+
+def test_build_c_with_a_non_hermitian_parity_is_an_axiom_failure(tmp_path, capsys):
+    h, frame = skewed_parity_problem()
+    h_path, frame_path = tmp_path / "h.json", tmp_path / "frame.json"
+    write_matrix(h_path, h)
+    write_frame(frame_path, frame)
+    assert run(["build-c", "--hamiltonian", str(h_path), "--frame", str(frame_path)]) == EXIT_AXIOM
+    assert "Hermitian parity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", COVARIANCE_FAMILIES)
+def test_emitted_metric_roots_match_the_hermitian_power_oracle(family, tmp_path, capsys):
+    # a problem moved by a random unitary: T is a general antilinear operator
+    h, frame = covariance_problem(np.random.default_rng(7), family)
+    _, h, frame = unitary_basis_change(h, frame, np.random.default_rng(8))
+    h_path, frame_path, out = tmp_path / "h.json", tmp_path / "frame.json", tmp_path / "m.json"
+    write_matrix(h_path, h)
+    write_frame(frame_path, frame)
+    args = ["--hamiltonian", str(h_path), "--frame", str(frame_path), "--out", str(out)]
+    assert run(["build-c", *args, "--emit", "pc", "--emit", "sqrt"]) == EXIT_OK
+    pc = load_matrix(tmp_path / "m.pc.json").matrix
+    for label, power in (("pc_sqrt", 0.5), ("pc_inv_sqrt", -0.5)):
+        want = hermitian_power(pc, power)
+        got = load_matrix(tmp_path / f"m.{label}.json").matrix
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_hermitize_model(tmp_path, capsys):

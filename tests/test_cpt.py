@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from cptkit import (
     classify_symmetry,
     cpt_adjoint,
     cpt_inner,
+    hermitian_power,
     hermitize,
     normalize_indefinite,
     pair_swap_frame,
@@ -21,6 +24,7 @@ from cptkit import (
 )
 from cptkit.errors import (
     CommutatorViolation,
+    FrameInvalid,
     GramDefect,
     NotPTEigenstate,
     NotUnbroken,
@@ -28,14 +32,16 @@ from cptkit.errors import (
 )
 from cptkit import frames, linops, symmetry
 from cptkit.frames import checked_cpt_frame
-from cptkit.linops import opnorm
 from helpers import (
+    COVARIANCE_FAMILIES,
     H2,
     SWAP,
+    covariance_problem,
     multiset_gap,
     random_complex,
     random_symmetric_pt_symmetric,
     shared_eigenvalue_chain,
+    skewed_parity_problem,
     unitary_basis_change,
 )
 
@@ -160,6 +166,16 @@ def test_build_c_gram_defect_when_states_not_orthogonal():
         build_c(H2, pair_swap_frame(2))
 
 
+def test_build_c_requires_a_hermitian_parity():
+    # (u, v) = <P u, v> is a Hermitian form only for P = P^+: an axiom
+    # failure (exit code 3), not a numerical breakdown
+    h, frame = skewed_parity_problem()
+    assert classify_symmetry(h, frame).classification == UNBROKEN
+    with pytest.raises(FrameInvalid, match="Hermitian parity") as info:
+        build_c(h, frame)
+    assert info.value.exit_code == 3
+
+
 def test_build_c_fails_self_orthogonal_within_guard():
     h = model_2x2(1.0 - 1e-9, 1.0, np.pi / 2)
     with pytest.raises(SelfOrthogonal):
@@ -189,7 +205,7 @@ def test_build_c_output_validates_and_commutes():
         assert np.linalg.norm(c @ h - h @ c) <= 1e-10 * np.linalg.norm(h)
         # [C, PT] = 0 in matrix form: C M_pt = M_pt conj(C)
         pt = frame.pt.matrix
-        assert np.linalg.norm(c @ pt - pt @ np.conj(c)) <= 1e-10 * opnorm(c)
+        assert np.linalg.norm(c @ pt - pt @ np.conj(c)) <= 1e-10 * np.linalg.norm(c, 2)
 
 
 def test_build_c_invariant_under_state_sign_flip():
@@ -354,8 +370,8 @@ def test_norm_sandwich():
     result = build_c(model_2x2(1, 2, np.pi / 6), pair_swap_frame(2))
     pc = result.cpt.pc_matrix
     cp = result.cpt.c.matrix @ result.cpt.p.matrix
-    upper = np.sqrt(opnorm(pc))
-    lower = 1.0 / np.sqrt(opnorm(cp))
+    upper = np.sqrt(np.linalg.norm(pc, 2))
+    lower = 1.0 / np.sqrt(np.linalg.norm(cp, 2))
     rng = np.random.default_rng(50)
     for _ in range(200):
         v = random_complex(rng, 2)
@@ -410,34 +426,14 @@ def test_repeated_cells_share_one_energy_per_eigenspace():
     assert all(type(state.energy) is float for state in result.aligned_states)
 
 
-def _covariance_problem(rng, family):
-    if family == "identity":
-        return np.eye(4), pair_swap_frame(4)
-    n_blocks = {"2x2": 1, "4x4": 2, "tensor": 2, "shared": 1}.get(family, int(rng.integers(1, 4)))
-    blocks = []
-    for _ in range(n_blocks):
-        s = rng.uniform(1.0, 2.0) * rng.choice([-1.0, 1.0])
-        # |r / s| <= 0.9 keeps every cell unbroken and away from its exceptional point
-        blocks.append((rng.uniform(0.2, 0.9) * s, s, rng.uniform(0.1, 1.5)))
-    if family == "shared":
-        r, s, theta = blocks[0]
-        # s < r keeps the second cell's lower eigenvalue positive
-        second = (rng.uniform(1.1, 1.5), rng.uniform(0.9, 1.0), rng.uniform(0.1, 0.6))
-        return shared_eigenvalue_chain((abs(r), abs(s), theta), second)
-    return build_model(ModelSpec(family, tuple(blocks)))
-
-
 @settings(deadline=None, max_examples=50)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    family=st.sampled_from(["2x2", "4x4", "tensor", "chain", "identity", "shared"]),
+    family=st.sampled_from(COVARIANCE_FAMILIES),
 )
 def test_pipeline_is_covariant_under_unitary_basis_change(seed, family):
-    # "identity" is H = I, where every state shares one eigenspace of
-    # signature (+1, +1, -1, -1) and C must be P; "shared" has a 2-fold
-    # eigenspace of signature (+1, -1)
     rng = np.random.default_rng(seed)
-    h, frame = _covariance_problem(rng, family)
+    h, frame = covariance_problem(rng, family)
     u, h_moved, moved = unitary_basis_change(h, frame, rng)
     scale = max(1.0, np.linalg.norm(h))
 
@@ -464,36 +460,88 @@ def test_pipeline_is_covariant_under_unitary_basis_change(seed, family):
     )
 
 
-def _count_eigh(monkeypatch):
-    calls = []
-    real_eigh = np.linalg.eigh
+def _count_factorizations(monkeypatch) -> Counter:
+    """Count the calls of eig, eigh, eigvalsh and svd, also the SVD inside
+    ``np.linalg.norm(., 2)``."""
+    calls = Counter()
+    for name in ("eig", "eigh", "eigvalsh", "svd"):
+        real = getattr(np.linalg, name)
 
-    def counting(a, *args, **kwargs):
-        calls.append(None)
-        return real_eigh(a, *args, **kwargs)
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+        # np.linalg.norm(., 2) calls the svd of the module that defines it
+        for module in (np.linalg, getattr(np.linalg, "_linalg", None) or np.linalg.linalg):
+            monkeypatch.setattr(module, name, counting)
     return calls
 
 
 def test_simple_eigenspaces_are_normalized_in_one_pass(monkeypatch):
-    calls = _count_eigh(monkeypatch)
+    calls = _count_factorizations(monkeypatch)
 
     def eigh_calls(n_blocks):
         h, frame = _chain(n_blocks)
         calls.clear()
         build_c(h, frame)
-        return len(calls)
+        return calls["eigh"]
 
     assert eigh_calls(10) == eigh_calls(100)
 
 
-def test_hermitize_takes_both_roots_from_one_eigh(monkeypatch):
-    h, frame = build_model(ModelSpec("2x2", ((1.0, 2.0, 0.5),)))
+@pytest.mark.parametrize("n_blocks", [1, 10], ids=["cell", "chain-dim-20"])
+def test_the_metric_is_factored_once(monkeypatch, n_blocks):
+    # the eigensolve and its condition number, then one eigh of PC held by
+    # the frame: the Gram tolerance, validation and both roots read it
+    h, frame = _chain(n_blocks)
+    calls = _count_factorizations(monkeypatch)
     cpt = build_c(h, frame).cpt
-    calls = _count_eigh(monkeypatch)
     hermitize(h, cpt)
-    assert len(calls) == 1
+    assert [calls[name] for name in ("eig", "svd", "eigh", "eigvalsh")] == [1, 1, 1, 0]
+    for consumer in (lambda: hermitize(h, cpt), lambda: cpt_adjoint(Operator.linear(h), cpt)):
+        calls.clear()
+        consumer()
+        assert not calls
+
+
+def _relative_gap(got, want) -> float:
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("family", COVARIANCE_FAMILIES)
+def test_metric_consumers_match_the_hermitian_power_oracle(family):
+    # moved by a random unitary, so T is a general antilinear operator
+    rng = np.random.default_rng(COVARIANCE_FAMILIES.index(family))
+    for _ in range(5):
+        h, frame = covariance_problem(rng, family)
+        _, h_moved, moved = unitary_basis_change(h, frame, rng)
+        cpt = build_c(h_moved, moved).cpt
+        pc = cpt.pc_matrix
+        root, inv_root, inverse = (hermitian_power(pc, p) for p in (0.5, -0.5, -1.0))
+        assert _relative_gap(hermitize(h_moved, cpt), root @ h_moved @ inv_root) <= 1e-12
+        a = random_complex(rng, pc.shape)
+        assert _relative_gap(cpt_adjoint(Operator.linear(a), cpt).matrix, inverse @ a.conj().T @ pc) <= 1e-12
+
+
+def test_positive_definiteness_verdict_matches_the_eigvalsh_oracle():
+    # random C, P + noise, -I + noise and build_c outputs over moved frames
+    rng = np.random.default_rng(61)
+    verdicts = set()
+    for trial in range(120):
+        h, frame = covariance_problem(rng, COVARIANCE_FAMILIES[trial % len(COVARIANCE_FAMILIES)])
+        _, h, moved = unitary_basis_change(h, frame, rng)
+        n = moved.dim
+        noise = random_complex(rng, (n, n), scale=10.0 ** rng.uniform(-12, 0))
+        candidates = (lambda: random_complex(rng, (n, n)), lambda: moved.p.matrix + noise,
+                      lambda: -np.eye(n) + noise, lambda: build_c(h, moved).cpt.c.matrix)
+        c = candidates[trial % 4]()
+        report = validate_cpt_frame(Operator.linear(c), moved)
+        pc = moved.p.matrix @ c
+        min_eig = np.linalg.eigvalsh((pc + pc.conj().T) / 2).min()
+        positive = bool(min_eig > 1e-10 * np.linalg.norm(pc, 2))
+        assert ("PC positive definite" not in dict(report.violations)) == positive
+        verdicts.add(positive)
+    assert verdicts == {True, False}
 
 
 def test_vector_and_one_column_block_normalize_alike():

@@ -154,6 +154,10 @@ def test_validate_cpt_overflowing_residuals_are_violations():
     assert [name for name, _ in report.violations] == [
         "C^2 = I", "CPT = TPC", "PC hermitian", "PC positive definite",
     ]
+    # an overflowed residual reads inf, not nan, also where BLAS forms inf * 0
+    assert [residual for _, residual in report.violations[:3]] == [np.inf] * 3
+    t_report = validate_pt_frame(Operator.linear(SWAP), Operator.antilinear(np.diag([1e300, 1e-300])))
+    assert dict(t_report.violations)["T^2 = I"] == np.inf
 
 
 def test_validate_cpt_kind_and_dimension_checks():

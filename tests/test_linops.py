@@ -277,6 +277,9 @@ def test_hermitian_power_inverse_pairs():
 def test_hermitian_power_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         hermitian_power(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5)
+    # m - m+ overflows: still NotHermitian, and no overflow warning
+    with pytest.raises(NotHermitian):
+        hermitian_power(np.array([[1.0, 1e308], [-1e308, 1.0]]), 0.5)
 
 
 def test_hermitian_power_rejects_indefinite():

@@ -239,6 +239,12 @@ def test_classify_2x2_rejects_other_shapes():
         classify_2x2(np.eye(3))
 
 
+def test_classify_2x2_of_an_overflowing_scale_raises_without_warning():
+    # |H| and H - H+ overflow: NonFiniteEntries, not numpy's RuntimeWarning
+    with pytest.raises(NonFiniteEntries):
+        classify_2x2(np.array([[1.0, 1e308], [-1e308, 1.0]]))
+
+
 # ---------------------------------------------------------------- classify_stack
 
 
