@@ -43,8 +43,10 @@ from .symmetry import UNBROKEN, classify_symmetry
 
 #: Self-orthogonality guard for C synthesis: a state whose normalized
 #: indefinite self-product |(v, v)| / |v|^2 falls below this threshold is
-#: treated as an exceptional point.  The value sqrt(2e-8) makes the 2x2 model
-#: family fail exactly when its breaking parameter is within 1e-8 of 1.
+#: treated as an exceptional point.  For the 2x2 model family that product is
+#: 1/sqrt(K), K its Petermann factor, so the guard is the bound
+#: K <= 1/EP_GUARD_TOL^2 = 5e7, in the unit of symmetry.EP_WARNING_K; it fails
+#: exactly when the breaking parameter is within 1e-8 of 1.
 EP_GUARD_TOL = float(np.sqrt(2e-8))
 
 

@@ -197,7 +197,10 @@ class EigenSystem:
 
     ``vectors[:, i]`` is the unit Euclidean-norm eigenvector for
     ``values[i]``.  ``condition`` is the condition number of the eigenvector
-    matrix, a proximity measure for exceptional points.
+    matrix.  With unit columns it bounds every Petermann factor, the squared
+    eigenvalue condition number K_k = |x_k|^2 |y_k|^2 / |y_k^+ x_k|^2:
+    K_k <= |V^-1|^2 <= condition^2.  So it also bounds the proximity to an
+    exceptional point, where K diverges.
 
     For an ``(N, n, n)`` stack every field gains a leading row axis, and
     ``defective`` marks the rows that failed a check; a single matrix raises

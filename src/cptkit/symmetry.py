@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotPTEigenstate
 from .frames import PTFrame, pair_swap_frame
 from .linops import (
+    COND_LIMIT,
     DEFAULT_TOL,
     as_matrix,
     as_vector,
@@ -41,10 +42,11 @@ REALITY_FACTOR = 1e-9
 #: degenerate groups.
 DEGENERACY_FACTOR = 1e-8
 
-#: A 2x2 model matrix [[z, s], [s, conj(z)]] whose breaking parameter
-#: |Im z / s| lies within this distance of 1 gets an exceptional-point
-#: proximity warning.
-EP_WARNING_BAND = 1e-6
+#: A matrix whose largest Petermann factor K_k = |x_k|^2 |y_k|^2 / |y_k^+ x_k|^2
+#: (x_k, y_k the right and left eigenvectors) reaches this value gets an
+#: exceptional-point proximity warning.  The 2x2 cell has K = 1/(1 - x^2) unbroken
+#: and x^2/(x^2 - 1) broken at breaking parameter x: this is its band |x - 1| <= 1e-6.
+EP_WARNING_K = 1.0 / (1e-6 * (2.0 - 1e-6))
 
 
 @dataclass(frozen=True)
@@ -146,8 +148,7 @@ class _Rows(NamedTuple):
     theta: np.ndarray
     phase_ok: np.ndarray
     partner: np.ndarray
-    breaking: np.ndarray
-    near_ep: np.ndarray
+    petermann: np.ndarray
     classification: np.ndarray
     warning: np.ndarray
     irregular: np.ndarray
@@ -274,28 +275,18 @@ def _pair(values: np.ndarray, nonreal: np.ndarray, width: np.ndarray) -> np.ndar
     return partner
 
 
-def _breaking_parameter(a: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """|Im z| / |s| for each row of the 2x2 family [[z, s], [s, conj(z)]] with
-    real s, matched to within 1e-12 times ``scale``; nan for other rows."""
-    if a.shape[1:] != (2, 2):
-        return np.full(len(a), np.nan)
-    z, s = a[:, 0, 0], a[:, 0, 1]
-    eps = 1e-12 * scale
-    family = (
-        (np.abs(a[:, 1, 0] - s) <= eps)
-        & (np.abs(s.imag) <= eps)
-        & (np.abs(a[:, 1, 1] - z.conj()) <= eps)
-        & (np.abs(s.real) >= eps)
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):  # s = 0 lies outside the family
-        return np.where(family, np.abs(z.imag) / np.abs(s.real), np.nan)
+def _petermann(vectors: np.ndarray) -> np.ndarray:
+    """The largest Petermann factor of each unit-column eigenvector matrix V of a
+    stack: row k of V^-1 is y_k^+ scaled to y_k^+ x_k = 1, so K_k = |row k|^2."""
+    inverse = np.linalg.inv(vectors)
+    return np.add.reduce((inverse.conj() * inverse).real, axis=-1).max(-1)
 
 
-def _classify_rows(a: np.ndarray, values: np.ndarray, vectors: np.ndarray, frame: PTFrame, tol: float) -> _Rows:
-    """The classification kernel over an ``(N, n, n)`` stack and its sorted
-    eigensystem: PT residual, reality, degenerate clusters, phase alignment
-    of every eigenvector, conjugate pairs and exceptional-point proximity,
-    each computed for all rows at once.
+def _classify_rows(a: np.ndarray, values, vectors, condition, frame: PTFrame, tol: float) -> _Rows:
+    """The classification kernel over an ``(N, n, n)`` stack, its sorted
+    eigensystem and eigenvector condition numbers: PT residual, reality,
+    degenerate clusters, phase alignment of every eigenvector, conjugate pairs
+    and exceptional-point proximity, each computed for all rows at once.
 
     ``classification`` and ``warning`` are final for every row except the
     ``irregular`` ones: a PT-symmetric row with a degenerate real eigenspace
@@ -313,15 +304,18 @@ def _classify_rows(a: np.ndarray, values: np.ndarray, vectors: np.ndarray, frame
         phi, theta, phase_ok = vectors, np.zeros(real.shape), real
     nonreal = symmetric[:, None] & ~real
     partner = _pair(values, nonreal, DEGENERACY_FACTOR * scale)
-    breaking = _breaking_parameter(a, scale[:, 0])
-    near_ep = np.abs(breaking - 1.0) <= EP_WARNING_BAND
+    # max K <= |V^-1|^2 <= cond(V)^2: only rows past this gate can warn; error rows are left out
+    gate = (condition <= COND_LIMIT) & (np.minimum(condition, COND_LIMIT) ** 2 >= EP_WARNING_K)
+    petermann = np.zeros(len(a))
+    if gate.any():
+        petermann[gate] = _petermann(vectors[gate])
     classification = np.where(symmetric, np.where(nonreal.any(-1), BROKEN, UNBROKEN), NOT_APPLICABLE)
-    warning = near_ep | (nonreal & (partner < 0)).any(-1)
+    warning = (petermann >= EP_WARNING_K) | (nonreal & (partner < 0)).any(-1)
     # a real eigenvalue that opens no run sits in a degenerate eigenspace
     irregular = symmetric & (real & ~(start & phase_ok)).any(-1)
     return _Rows(
         values, vectors, symmetric, pt_residual, real, start, phi, theta, phase_ok,
-        partner, breaking, near_ep, classification, warning, irregular,
+        partner, petermann, classification, warning, irregular,
     )
 
 
@@ -331,10 +325,10 @@ def _report(rows: _Rows, i: int, frame: PTFrame) -> SymmetryReport:
     and every warning."""
     values, vectors = rows.values[i], rows.vectors[i]
     warnings: list[str] = []
-    if rows.near_ep[i]:
+    if rows.petermann[i] >= EP_WARNING_K:
         warnings.append(
-            f"exceptional-point proximity: breaking parameter {rows.breaking[i]:.9f} is within "
-            f"{EP_WARNING_BAND:.0e} of 1; eigenvectors nearly coalesce and results are ill-conditioned"
+            f"exceptional-point proximity: Petermann factor {rows.petermann[i]:.3e} reaches the threshold "
+            f"{EP_WARNING_K:.3e}; eigenvectors nearly coalesce and results are ill-conditioned"
         )
     if not rows.symmetric[i]:
         return SymmetryReport(False, NOT_APPLICABLE, values, (), (), tuple(warnings), float(rows.pt_residual[i]))
@@ -394,6 +388,10 @@ def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryRe
     are real and every eigenstate aligns; otherwise it is broken and the
     non-real eigenvalues are matched into conjugate pairs.
 
+    Warnings flag a largest Petermann factor at or above ``EP_WARNING_K``
+    (exceptional-point proximity, for any n and frame), an unpaired non-real
+    eigenvalue and a simple eigenvector aligned by rebasing.
+
     This is the one-matrix case of :func:`classify_stack`: the same kernel
     runs on a stack of one, and where the stack marks a row as an error this
     raises.  NonFiniteEntries (also for a Frobenius norm that overflows) and
@@ -401,7 +399,8 @@ def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryRe
     """
     a = _checked(h, frame)
     eigen = eigendecompose(a, tol)
-    return _report(_classify_rows(a[None], eigen.values[None], eigen.vectors[None], frame, tol), 0, frame)
+    rows = _classify_rows(a[None], eigen.values[None], eigen.vectors[None], np.array([eigen.condition]), frame, tol)
+    return _report(rows, 0, frame)
 
 
 def classify_stack(hs, frame: PTFrame, tol: float = DEFAULT_TOL) -> StackClassification:
@@ -422,7 +421,7 @@ def classify_stack(hs, frame: PTFrame, tol: float = DEFAULT_TOL) -> StackClassif
     error = eigen.defective
     if error.any():
         a = np.where(error[:, None, None], 0.0, a)
-    rows = _classify_rows(a, eigen.values, eigen.vectors, frame, tol)
+    rows = _classify_rows(a, eigen.values, eigen.vectors, eigen.condition, frame, tol)
     classification, warning = rows.classification.copy(), rows.warning & ~error
     for i in np.flatnonzero(rows.irregular & ~error):
         report = _report(rows, i, frame)

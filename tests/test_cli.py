@@ -299,13 +299,48 @@ def test_scan_zero_parameter_rows_are_marked_not_fatal(tmp_path):
     assert rows[1][1] == ""  # eigenvalue cells empty on the error row
 
 
+#: The cell (r, s) = (1, 1) alone, and the same cell as the first block of a
+#: chain and of a 4x4 model next to the cell (1, 3, 0.4), far from its own
+#: exceptional point.
+EMBEDDINGS = {
+    "2x2": (["--model", "2x2", "--r", "1", "--s", "1"], "theta"),
+    "chain": (["--model", "chain", "--r", "1", "--s", "1", "--r", "1", "--s", "3", "--theta", "0.4"], "theta1"),
+    "4x4": (["--model", "4x4", "--r", "1", "--s", "1", "--r", "1", "--s", "3", "--theta", "0.4"], "theta1"),
+}
+
+
+def _scan_rows(tmp_path, family, lo, hi, n) -> list[list[str]]:
+    """The CSV rows of a sweep of the cell's theta in one of ``EMBEDDINGS``."""
+    argv, name = EMBEDDINGS[family]
+    out = tmp_path / f"{family}.csv"
+    assert run(["scan", *argv, "--sweep", f"{name}={lo!r}:{hi!r}:{n}", "--out", str(out)]) == EXIT_OK
+    return [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+
+
 def test_scan_warning_flag_near_exceptional_point(tmp_path):
-    out = tmp_path / "scan.csv"
     lo, hi = 1.5705963268, 1.5706963268  # theta window with |sin(theta)| within 1e-6 of 1
-    code = run(["scan", "--model", "2x2", "--sweep", f"theta={lo}:{hi}:3", "--r", "1", "--s", "1", "--out", str(out)])
-    assert code == EXIT_OK
-    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
-    assert all(r[-2] == "1" for r in rows)
+    for family in EMBEDDINGS:
+        assert [r[-2] for r in _scan_rows(tmp_path, family, lo, hi, 3)] == ["1"] * 3, family
+
+
+def test_scan_exceptional_point_flags_are_the_same_under_embedding(tmp_path):
+    # the direct sum leaves the cell's eigenvectors, and so its Petermann
+    # factors, unchanged: every row takes the 2x2 scan's flags
+    lo, hi = np.pi / 2 - 2e-3, np.pi / 2 + 2e-3
+    cell = [r[-3:] for r in _scan_rows(tmp_path, "2x2", lo, hi, 1001)]
+    assert sum(flags[1] == "1" for flags in cell) > 500
+    for family in ("chain", "4x4"):
+        assert [r[-3:] for r in _scan_rows(tmp_path, family, lo, hi, 1001)] == cell
+
+
+def test_scan_verdict_at_the_exceptional_point_depends_on_the_embedding(tmp_path):
+    # a known limit: at theta = 1.5707963 the cell's rounded eigenvalues carry
+    # an imaginary part that the 2x2 scan reads as non-real, while inside the
+    # chain the reality threshold scales with the larger |H|.  Both rows warn.
+    lo, hi = 1.5697963, 1.5717963
+    cell, chain = (_scan_rows(tmp_path, family, lo, hi, 5) for family in ("2x2", "chain"))
+    assert [r[-2] for r in cell] == [r[-2] for r in chain] == ["1"] * 5
+    assert (cell[2][0], cell[2][-3], chain[2][-3]) == ("1.5707963", "0", "1")
 
 
 def test_scan_sweeping_second_block(tmp_path):

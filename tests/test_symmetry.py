@@ -5,9 +5,12 @@ from cptkit import (
     BROKEN,
     NOT_APPLICABLE,
     UNBROKEN,
+    ModelSpec,
+    build_model,
     classify_2x2,
     classify_stack,
     classify_symmetry,
+    eigendecompose,
     is_pt_symmetric,
     pair_swap_frame,
     phase_align,
@@ -151,10 +154,67 @@ def test_classify_not_applicable():
 
 
 def test_classify_warns_near_exceptional_point():
-    h = model_2x2(1.0, 1.0, np.arcsin(1.0 - 1e-7))
-    report = classify_symmetry(h, pair_swap_frame(2))
-    assert report.classification == UNBROKEN
-    assert any("exceptional" in w for w in report.warnings)
+    cell = (1.0, 1.0, np.arcsin(1.0 - 1e-7))
+    # the cell alone, and inside a chain next to a cell far from its own exceptional point
+    for spec in (ModelSpec("2x2", (cell,)), ModelSpec("chain", (cell, (1.0, 3.0, 0.4)))):
+        report = classify_symmetry(*build_model(spec))
+        assert report.classification == UNBROKEN
+        assert any("exceptional" in w for w in report.warnings), spec.family
+
+
+def _cell_petermann(x):
+    """Closed-form Petermann factor of a 2x2 cell at breaking parameter x."""
+    return 1.0 / (1.0 - x * x) if x < 1.0 else x * x / (x * x - 1.0)
+
+
+@pytest.mark.parametrize("x", [0.5, 0.9, 1.0 - 1e-4, 1.0 + 1e-4, 1.5])
+def test_petermann_factor_of_the_cell_matches_its_closed_form(x):
+    vectors = eigendecompose(model_2x2(x / np.sin(1.2), 1.0, 1.2)).vectors
+    assert symmetry._petermann(vectors[None])[0] == pytest.approx(_cell_petermann(x), rel=1e-9)
+
+
+def test_petermann_warning_is_the_breaking_parameter_band():
+    # K >= EP_WARNING_K is |x - 1| <= 1e-6 for the cell, up to a sliver of
+    # width ~1e-12 above x = 1 + 1e-6, where the broken-side closed form
+    # x^2 / (x^2 - 1) still reaches the threshold: there it is the oracle
+    r = np.linspace(1.0 - 2e-6, 1.0 + 2e-6, 20001) / np.sin(1.2)
+    x = np.abs(r * np.sin(1.2))  # the breaking parameter |r/s sin(theta)| at s = 1
+    rows = classify_stack(np.stack([model_2x2(ri, 1.0, 1.2) for ri in r]), pair_swap_frame(2))
+    expected = np.abs(x - 1.0) <= 1e-6
+    for i in np.flatnonzero(np.abs(np.abs(x - 1.0) - 1e-6) <= 1e-11):
+        expected[i] = _cell_petermann(x[i]) >= symmetry.EP_WARNING_K
+    assert np.flatnonzero(rows.error).tolist() == np.flatnonzero(np.abs(x - 1.0) <= 1e-12).tolist()
+    np.testing.assert_array_equal(rows.warning[~rows.error], expected[~rows.error])
+    assert rows.warning.sum() > 9000
+
+
+def test_petermann_factor_is_bounded_by_the_squared_condition():
+    # max K <= |V^-1|^2 <= cond(V)^2 for unit columns: the gate of the kernel
+    rng = np.random.default_rng(71)
+    for _ in range(210):
+        n = int(rng.integers(2, 9))
+        eigen = eigendecompose(random_pt_symmetric(rng, any_dim_frame(n), imag_bias=rng.uniform(0.05, 2.0)))
+        assert symmetry._petermann(eigen.vectors[None])[0] <= eigen.condition**2 * (1.0 + 1e-12)
+
+
+def test_classification_far_from_an_exceptional_point_inverts_nothing(monkeypatch):
+    inversions = []
+    real_inv = np.linalg.inv
+
+    def counting_inv(a):
+        inversions.append(None)
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    blocks = tuple((0.5, 1.0 + 0.01 * k, 0.3 + 0.01 * k) for k in range(100))
+    h, frame = build_model(ModelSpec("chain", blocks))
+    classify_symmetry(h, frame)
+    classify_stack(np.stack([h, 2.0 * h]), frame)
+    assert inversions == []
+    # the gate opens near one: the counter sees the inversion there
+    near = build_model(ModelSpec("chain", ((1.0, 1.0, np.arcsin(1.0 - 1e-7)),) + blocks[1:]))
+    classify_symmetry(*near)
+    assert len(inversions) == 1
 
 
 def test_classify_no_warning_far_from_exceptional_point():
