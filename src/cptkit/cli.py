@@ -284,8 +284,8 @@ def _parse_sweep(text: str) -> tuple[str, int | None, float, float, int]:
     return match.group(1), index, lo, hi, n
 
 
-def _scan_spec(args, kind: str, index: int, value: float) -> ModelSpec:
-    """The scanned model with ``value`` at the swept position."""
+def _scan_spec(args, kind: str, index: int, value: float | np.ndarray) -> ModelSpec:
+    """The scanned model with ``value``, a point or the grid, at the swept position."""
     lists = {"r": list(args.r or []), "s": list(args.s or []), "theta": list(args.theta or [])}
     if kind == "a":
         return ModelSpec(args.model, _blocks(**lists), a=value)
@@ -314,17 +314,11 @@ def cmd_scan(args) -> int:
     kind, index, lo, hi, n = _parse_sweep(args.sweep)
     index, layout = _scan_layout(args, kind, index)
     dim = layout.dim
-    with np.errstate(invalid="ignore"):  # an infinite bound gives non-finite grid points: error rows
+    # one model, one frame and one stacked classification for the whole grid; a
+    # non-finite or zero grid point (outside every family) gives an error row
+    with np.errstate(invalid="ignore"):
         grid = np.linspace(lo, hi, n)
-
-    # one frame and one stacked classification for the whole grid; a grid
-    # point whose parameters fail validation stays non-finite: an error row
-    stack = np.full((n, dim, dim), np.nan, dtype=complex)
-    for i, value in enumerate(grid):
-        try:
-            stack[i] = model_matrix(_scan_spec(args, kind, index, float(value)))
-        except CptKitError:
-            pass
+        stack = model_matrix(_scan_spec(args, kind, index, np.where(grid == 0.0, np.nan, grid)))
     rows = classify_stack(stack, model_frame(layout), args.tol)
 
     header = [args.sweep.split("=", 1)[0].strip()]

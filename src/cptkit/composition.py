@@ -63,12 +63,12 @@ class BlockSpec:
 
 
 def _block_diag(mats: list[np.ndarray]) -> np.ndarray:
-    n = sum(m.shape[0] for m in mats)
-    out = np.zeros((n, n), dtype=complex)
+    n = sum(m.shape[-1] for m in mats)
+    out = np.zeros(np.broadcast_shapes(*{m.shape[:-2] for m in mats}) + (n, n), dtype=complex)
     at = 0
     for m in mats:
-        k = m.shape[0]
-        out[at : at + k, at : at + k] = m
+        k = m.shape[-1]
+        out[..., at : at + k, at : at + k] = m
         at += k
     return out
 

@@ -120,6 +120,31 @@ def _normalize_columns(v, frame: PTFrame, tol: float) -> tuple[np.ndarray, np.nd
     return vectors / np.sqrt(np.abs(q)), np.where(q > 0, 1, -1)
 
 
+def _normalize_block(v, frame: PTFrame, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Indefinite-orthonormal basis of the span of the PT-fixed columns of
+    ``v``, one eigenspace, from one ``eigh`` of its real Gram block."""
+    vectors, norm_sq = _pt_fixed_columns(v, frame, tol)
+    # (P u)^+ v is real for PT-fixed u, v; the real part drops rounding noise
+    # so that real combinations stay PT-fixed exactly
+    q, rotation = np.linalg.eigh(((frame.p.matrix @ vectors).conj().T @ vectors).real)
+    if np.abs(q).min() <= tol * norm_sq.max():
+        raise GramDefect("degenerate eigenspace contains a self-orthogonal direction")
+    return vectors @ rotation / np.sqrt(np.abs(q)), np.where(q > 0, 1, -1)
+
+
+def _require_hermitian_parity(frame: PTFrame, tol: float) -> None:
+    """Raise FrameInvalid unless ``|P - P^+| <= tol * max(1, |P|)``: the
+    indefinite form (u, v) = <P u, v> is Hermitian only for a Hermitian P,
+    so only then do its signs and C mean anything."""
+    # a bound that overflows admits no P: a Hermitian involution is unitary
+    p_residual = hermiticity_residual(frame.p.matrix)
+    if not p_residual <= tol * max(1.0, frobenius(frame.p.matrix)) < np.inf:
+        raise FrameInvalid(
+            f"the indefinite form <P u, v> needs a Hermitian parity P = P^+: |P - P^+| = {p_residual:.3e} "
+            f"exceeds {tol:.1e} * max(1, |P|)"
+        )
+
+
 def normalize_indefinite(
     v, frame: PTFrame, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, int | np.ndarray]:
@@ -135,6 +160,8 @@ def normalize_indefinite(
 
     Raises
     ------
+    FrameInvalid
+        If P is not Hermitian, ``|P - P^+| > tol * max(1, |P|)``.
     NotPTEigenstate
         If PT v deviates from v by more than ``tol |v|`` for a column v.
     SelfOrthogonal
@@ -143,16 +170,11 @@ def normalize_indefinite(
         construction fails at an exceptional point.  For several columns
         this is GramDefect: the eigenspace has a self-orthogonal direction.
     """
-    if np.ndim(v) != 2 or np.shape(v)[1] == 1:
-        units, signs = _normalize_columns(v, frame, tol)
-        return (units, signs) if np.ndim(v) == 2 else (units[:, 0], int(signs[0]))
-    vectors, norm_sq = _pt_fixed_columns(v, frame, tol)
-    # (P u)^+ v is real for PT-fixed u, v; the real part drops rounding noise
-    # so that real combinations stay PT-fixed exactly
-    q, rotation = np.linalg.eigh(((frame.p.matrix @ vectors).conj().T @ vectors).real)
-    if np.abs(q).min() <= tol * norm_sq.max():
-        raise GramDefect("degenerate eigenspace contains a self-orthogonal direction")
-    return vectors @ rotation / np.sqrt(np.abs(q)), np.where(q > 0, 1, -1)
+    _require_hermitian_parity(frame, tol)
+    if np.ndim(v) == 2 and np.shape(v)[1] != 1:
+        return _normalize_block(v, frame, tol)
+    units, signs = _normalize_columns(v, frame, tol)
+    return (units, signs) if np.ndim(v) == 2 else (units[:, 0], int(signs[0]))
 
 
 def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
@@ -181,13 +203,7 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
         fails validation.
     NotUnbroken, SelfOrthogonal, GramDefect, CommutatorViolation
     """
-    # a bound that overflows admits no P: a Hermitian involution is unitary
-    p_residual = hermiticity_residual(frame.p.matrix)
-    if not p_residual <= tol * max(1.0, frobenius(frame.p.matrix)) < np.inf:
-        raise FrameInvalid(
-            f"C synthesis requires a Hermitian parity P = P^+: |P - P^+| = {p_residual:.3e} "
-            f"exceeds {tol:.1e} * max(1, |P|)"
-        )
+    _require_hermitian_parity(frame, tol)
     a = as_matrix(h)
     report = classify_symmetry(a, frame, tol)
     if report.classification != UNBROKEN:
@@ -205,7 +221,7 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
     phi[:, simple], signs[simple] = _normalize_columns(phi[:, simple], frame, EP_GUARD_TOL)
     for at, size in zip(np.cumsum(sizes) - sizes, sizes):
         if size > 1:
-            phi[:, at:at + size], signs[at:at + size] = normalize_indefinite(phi[:, at:at + size], frame, EP_GUARD_TOL)
+            phi[:, at:at + size], signs[at:at + size] = _normalize_block(phi[:, at:at + size], frame, EP_GUARD_TOL)
     normalized = [
         SignedState(state.energy, unit, int(sign)) for state, unit, sign in zip(report.aligned_states, phi.T, signs)
     ]

@@ -46,7 +46,7 @@ class ModelSpec:
 
     ``blocks`` holds one (r, s, theta) triple per 2x2 cell; the 3x3 family
     additionally takes the decoupled level ``a``.  All parameters must be
-    nonzero.
+    nonzero.  A parameter may be a 1-D array, a sweep, with no zero entry.
     """
 
     family: str
@@ -54,9 +54,8 @@ class ModelSpec:
     a: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "blocks", tuple(tuple(float(x) for x in b) for b in self.blocks)
-        )
+        object.__setattr__(self, "blocks", tuple(tuple(_parameter(x) for x in b) for b in self.blocks))
+        object.__setattr__(self, "a", None if self.a is None else _parameter(self.a))
         if self.family not in FAMILIES:
             raise InvalidModel(f"unknown model family {self.family!r}; choose from {FAMILIES}")
         expected = _BLOCK_COUNT.get(self.family)
@@ -66,11 +65,11 @@ class ModelSpec:
             )
         if self.family == CHAIN and not self.blocks:
             raise InvalidModel("chain needs at least one (r, s, theta) block")
-        for i, (r, s, theta) in enumerate(self.blocks):
-            if r == 0.0 or s == 0.0 or theta == 0.0:
+        for i, block in enumerate(self.blocks):
+            if not all(map(_nonzero, block)):
                 raise InvalidModel(f"block {i}: r, s, theta must all be nonzero")
         if self.family == THREE_BY_THREE:
-            if self.a is None or self.a == 0.0:
+            if self.a is None or not _nonzero(self.a):
                 raise InvalidModel("the 3x3 family needs a nonzero decoupled level a")
         elif self.a is not None:
             raise InvalidModel(f"family {self.family} does not take an a parameter")
@@ -96,10 +95,22 @@ class ClosedFormSpectrum:
     degenerate: bool = False
 
 
-def _cell(r: float, s: float, theta: float) -> np.ndarray:
-    return np.array(
-        [[r * np.exp(1j * theta), s], [s, r * np.exp(-1j * theta)]], dtype=complex
-    )
+def _parameter(x) -> float | np.ndarray:
+    """A scalar parameter as a float, a swept one (a 1-D array) as a float array."""
+    return x.astype(float) if isinstance(x, np.ndarray) and x.ndim == 1 else float(x)
+
+
+def _nonzero(x: float | np.ndarray) -> bool:
+    """Whether a parameter, or every entry of a swept one, is nonzero."""
+    return bool(x.all()) if isinstance(x, np.ndarray) else x != 0.0
+
+
+def _cell(r, s, theta) -> np.ndarray:
+    out = np.empty(np.broadcast(r, s, theta).shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = r * np.exp(1j * theta)
+    out[..., 0, 1] = out[..., 1, 0] = s
+    out[..., 1, 1] = r * np.exp(-1j * theta)
+    return out
 
 
 def model_frame(spec: ModelSpec) -> PTFrame:
@@ -113,13 +124,14 @@ def model_frame(spec: ModelSpec) -> PTFrame:
 
 
 def model_matrix(spec: ModelSpec) -> np.ndarray:
-    """The Hamiltonian of a model, PT-symmetric under :func:`model_frame`
-    and non-Hermitian for nonzero theta."""
+    """The Hamiltonian of a model, PT-symmetric under :func:`model_frame` and non-Hermitian
+    for nonzero theta; for swept parameters an ``(N, n, n)`` stack, one row per entry."""
     cells = [_cell(*b) for b in spec.blocks]
     if spec.family == THREE_BY_THREE:
-        return _block_diag([cells[0], np.array([[spec.a]], dtype=complex)])
-    if spec.family == TENSOR:
-        return np.kron(cells[0], cells[1])
+        return _block_diag([cells[0], np.asarray(spec.a, dtype=complex)[..., None, None]])
+    if spec.family == TENSOR:  # np.kron, broadcast over leading axes
+        product = cells[0][..., :, None, :, None] * cells[1][..., None, :, None, :]
+        return product.reshape(product.shape[:-4] + (4, 4))
     return _block_diag(cells)  # 2x2, 4x4 and chain
 
 

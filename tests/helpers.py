@@ -64,15 +64,16 @@ def shared_eigenvalue_chain(first, second):
 
 #: The problem families of the basis-change tests: "identity" is H = I, where
 #: every state shares one eigenspace of signature (+1, +1, -1, -1) and C
-#: must be P; "shared" has a 2-fold eigenspace of signature (+1, -1).
-COVARIANCE_FAMILIES = ("2x2", "4x4", "tensor", "chain", "identity", "shared")
+#: must be P; "shared" has a 2-fold eigenspace of signature (+1, -1); "3x3"
+#: has odd dimension and a parity with a fixed point.
+COVARIANCE_FAMILIES = ("2x2", "4x4", "tensor", "chain", "identity", "shared", "3x3")
 
 
 def covariance_problem(rng, family):
     """A random unbroken problem of one of ``COVARIANCE_FAMILIES``."""
     if family == "identity":
         return np.eye(4), pair_swap_frame(4)
-    n_blocks = {"2x2": 1, "4x4": 2, "tensor": 2, "shared": 1}.get(family, int(rng.integers(1, 4)))
+    n_blocks = {"2x2": 1, "3x3": 1, "4x4": 2, "tensor": 2, "shared": 1}.get(family, int(rng.integers(1, 4)))
     blocks = []
     for _ in range(n_blocks):
         s = rng.uniform(1.0, 2.0) * rng.choice([-1.0, 1.0])
@@ -83,7 +84,8 @@ def covariance_problem(rng, family):
         # s < r keeps the second cell's lower eigenvalue positive
         second = (rng.uniform(1.1, 1.5), rng.uniform(0.9, 1.0), rng.uniform(0.1, 0.6))
         return shared_eigenvalue_chain((abs(r), abs(s), theta), second)
-    return build_model(ModelSpec(family, tuple(blocks)))
+    a = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]) if family == "3x3" else None
+    return build_model(ModelSpec(family, tuple(blocks), a=a))
 
 
 def skewed_parity_problem():

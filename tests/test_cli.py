@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -149,6 +150,18 @@ def test_analyze_signs_of_a_degenerate_eigenspace_after_basis_change(tmp_path, c
         signs = [line.rsplit("sign = ", 1)[1] for line in lines]
         assert signs[0] == "-1" and signs[3] == "+1"
         assert sorted(signs[1:3]) == ["+1", "-1"]
+
+
+def test_analyze_gives_no_signs_for_a_non_hermitian_parity(tmp_path, capsys):
+    h, frame = skewed_parity_problem()
+    h_path, frame_path = tmp_path / "h.json", tmp_path / "frame.json"
+    write_matrix(h_path, h)
+    write_frame(frame_path, frame)
+    assert run(["analyze", "--hamiltonian", str(h_path), "--frame", str(frame_path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "classification: unbroken" in out
+    states = [line for line in out.splitlines() if line.lstrip().startswith("E = ")]
+    assert len(states) == 2 and all(line.endswith("sign = n/a") for line in states)
 
 
 def test_analyze_without_input_is_usage_error(capsys):
@@ -532,25 +545,25 @@ def test_scan_marks_rows_whose_scale_overflows(tmp_path):
 
 
 def test_scan_classifies_its_grid_in_one_batch(monkeypatch, tmp_path):
-    eig_calls, validations = [], []
-    real_eig, real_validate = np.linalg.eig, frames.validate_pt_frame
+    calls = Counter()
 
-    def counting_eig(a):
-        eig_calls.append(None)
-        return real_eig(a)
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
 
-    def counting_validate(*args, **kwargs):
-        validations.append(None)
-        return real_validate(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(np.linalg, "eig", counting_eig)
-    monkeypatch.setattr(frames, "validate_pt_frame", counting_validate)
+    monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
+    monkeypatch.setattr(frames, "validate_pt_frame", counting("validate", frames.validate_pt_frame))
+    monkeypatch.setattr(cli, "model_matrix", counting("model_matrix", cli.model_matrix))
+    monkeypatch.setattr(cli, "ModelSpec", counting("ModelSpec", cli.ModelSpec))
 
     def counts(n):
-        eig_calls.clear()
-        validations.clear()
+        calls.clear()
         argv = ["scan", "--model", "2x2", "--sweep", f"theta=0.01:1.5607:{n}", "--r", "2", "--s", "1"]
         assert run(argv + ["--out", str(tmp_path / "scan.csv")]) == EXIT_OK
-        return len(eig_calls), len(validations)
+        return dict(calls)
 
     assert counts(10) == counts(1000)
+    assert counts(10)["model_matrix"] == 1

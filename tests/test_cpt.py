@@ -176,6 +176,18 @@ def test_build_c_requires_a_hermitian_parity():
     assert info.value.exit_code == 3
 
 
+def test_normalize_indefinite_requires_a_hermitian_parity():
+    # the skewed problem's PT-fixed eigenstates are not orthogonal under
+    # <P u, v>, so the signs of that form would mean nothing
+    h, frame = skewed_parity_problem()
+    states = np.column_stack([state.state for state in classify_symmetry(h, frame).aligned_states])
+    assert abs(pt_inner(states[:, 0], states[:, 1], frame)) > 0.1
+    for v in (states[:, 0], states[:, :1], states):
+        with pytest.raises(FrameInvalid, match="Hermitian parity") as info:
+            normalize_indefinite(v, frame)
+        assert info.value.exit_code == 3
+
+
 def test_build_c_fails_self_orthogonal_within_guard():
     h = model_2x2(1.0 - 1e-9, 1.0, np.pi / 2)
     with pytest.raises(SelfOrthogonal):

@@ -23,7 +23,16 @@ from cptkit.errors import (
     NotHermitian,
     NotPositiveDefinite,
 )
-from helpers import H1, H2, H3, SWAP, random_complex
+from helpers import (
+    COVARIANCE_FAMILIES,
+    H1,
+    H2,
+    H3,
+    SWAP,
+    covariance_problem,
+    random_complex,
+    unitary_basis_change,
+)
 
 # closed-form eigenvalues of the 2x2 model at (r=1, s=2, theta=pi/6):
 # E_pm = r cos(theta) pm s cos(phi) with sin(phi) = (r/s) sin(theta) = 1/4
@@ -197,6 +206,25 @@ def test_t_transpose_is_plain_transpose_for_conjugation_t():
 def test_t_transpose_identity():
     frame = pair_swap_frame(2)
     np.testing.assert_allclose(t_transpose(Operator.identity(2), frame).matrix, np.eye(2))
+
+
+@pytest.mark.parametrize("family", COVARIANCE_FAMILIES)
+def test_t_transpose_under_a_general_admissible_t(family):
+    # moved by a random unitary U, T has matrix part U U^T: still an
+    # involution that reverses products, no longer the plain transpose
+    rng = np.random.default_rng(COVARIANCE_FAMILIES.index(family))
+    for _ in range(5):
+        h, frame = covariance_problem(rng, family)
+        _, _, moved = unitary_basis_change(h, frame, rng)
+        a, b = (Operator.linear(random_complex(rng, (frame.dim, frame.dim))) for _ in range(2))
+        np.testing.assert_array_equal(t_transpose(a, frame).matrix, a.matrix.T)
+        moved_a = t_transpose(a, moved)
+        assert np.linalg.norm(moved_a.matrix - a.matrix.T) > 1e-3 * np.linalg.norm(a.matrix)
+        twice = t_transpose(moved_a, moved).matrix
+        assert np.linalg.norm(twice - a.matrix) <= 1e-13 * np.linalg.norm(a.matrix)
+        product = t_transpose(compose(a, b), moved).matrix
+        reversed_product = compose(t_transpose(b, moved), moved_a).matrix
+        assert np.linalg.norm(product - reversed_product) <= 1e-13 * np.linalg.norm(a.matrix) * np.linalg.norm(b.matrix)
 
 
 # ---------------------------------------------------------------- eigendecompose

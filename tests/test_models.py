@@ -11,6 +11,7 @@ from cptkit import (
     direct_sum,
     eigendecompose,
     is_pt_symmetric,
+    model_matrix,
 )
 from cptkit.errors import InvalidModel, SelfOrthogonal
 from helpers import SWAP, multiset_gap
@@ -140,6 +141,58 @@ def test_chain_frame_is_the_direct_sum_of_its_cell_frames():
     np.testing.assert_array_equal(frame.p.matrix, summed.p.matrix)
     np.testing.assert_array_equal(frame.t.matrix, summed.t.matrix)
     assert frame.t.kind == summed.t.kind
+
+
+# ---------------------------------------------------------------- swept parameters
+
+SWEEP_BASES = {
+    "2x2": (((1.0, 2.0, 0.5),), None),
+    "3x3": (((1.0, 2.0, 0.5),), 2.0),
+    "4x4": (((1.0, 2.0, 0.5), (0.7, 1.5, -0.3)), None),
+    "chain": (((1.0, 2.0, 0.5), (0.5, 1.0, 0.2), (2.0, 3.0, 0.9)), None),
+    "tensor": (((1.0, 2.0, 0.5), (1.0, 3.0, 0.7)), None),
+}
+#: every sweepable slot: (family, block, position in (r, s, theta)), or "a"
+SWEEP_SLOTS = [
+    (family, block, position)
+    for family, (blocks, _) in SWEEP_BASES.items()
+    for block in range(len(blocks))
+    for position in range(3)
+] + [("3x3", None, "a")]
+#: a scan maps zero to nan; inf and 1e308 give non-finite or overflowing entries
+SWEEP_VALUES = np.array([-1.5, 0.3, np.nan, 2.0, np.inf, -np.inf, 1e308, -1e308, -1e-300, np.pi / 2])
+
+
+def _swept_spec(family, block, position, value):
+    blocks, a = SWEEP_BASES[family]
+    if position == "a":
+        return ModelSpec(family, blocks, a=value)
+    swept = list(map(list, blocks))
+    swept[block][position] = value
+    return ModelSpec(family, tuple(map(tuple, swept)), a=a)
+
+
+@pytest.mark.parametrize("family, block, position", SWEEP_SLOTS)
+def test_swept_model_is_the_stack_of_its_points(family, block, position):
+    with np.errstate(all="ignore"):
+        swept = model_matrix(_swept_spec(family, block, position, SWEEP_VALUES))
+        points = np.stack([model_matrix(_swept_spec(family, block, position, float(v))) for v in SWEEP_VALUES])
+    dim = _swept_spec(family, block, position, 1.0).dim
+    assert swept.shape == (len(SWEEP_VALUES), dim, dim)
+    assert np.array_equal(swept, points, equal_nan=True)
+
+
+@pytest.mark.parametrize("family, block, position", SWEEP_SLOTS)
+def test_a_zero_inside_a_sweep_is_rejected(family, block, position):
+    for zero in (0.0, -0.0):
+        with pytest.raises(InvalidModel):
+            _swept_spec(family, block, position, np.array([1.0, zero, 2.0]))
+
+
+def test_a_sweep_must_be_one_dimensional():
+    with pytest.raises(TypeError):
+        ModelSpec("2x2", ((np.ones((2, 2)), 2.0, 0.5),))
+    assert model_matrix(ModelSpec("2x2", ((np.array(1.0), 2.0, 0.5),))).shape == (2, 2)
 
 
 # ---------------------------------------------------------------- closed_form_spectrum
