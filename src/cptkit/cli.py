@@ -27,7 +27,7 @@ from .errors import (
     InvalidModel,
 )
 from .composition import BlockSpec, direct_sum, doubling, tensor_hamiltonians
-from .frames import CPTFrame, PTFrame, checked_cpt_frame, checked_pt_frame, pair_swap_frame, validate_cpt_frame, validate_pt_frame
+from .frames import CPTFrame, PTFrame, checked_cpt_frame, checked_pt_frame, pair_swap_frame, validate_cpt_frame
 from .io import format_float, frame_document, load_frame_parts, load_matrix, matrix_document, write_frame, write_matrix
 from .linops import DEFAULT_TOL, hermiticity_residual, spectral_powers
 from .models import FAMILIES, ModelSpec, build_model, model_frame, model_matrix
@@ -158,17 +158,17 @@ def _cfmt(z: complex) -> str:
 def cmd_validate(args) -> int:
     if args.frame:
         p, t, c = load_frame_parts(args.frame)
+        frame = PTFrame(p, t)
     elif args.model:
-        frame = model_frame(_model_spec_from_args(args))
-        p, t, c = frame.p, frame.t, None
+        frame, c = model_frame(_model_spec_from_args(args)), None
     else:
         raise InvalidModel("give --frame FILE or --model parameters to validate")
-    report = validate_pt_frame(p, t, args.tol)
+    report = frame.validate(args.tol)
     print(f"pt-frame axioms: {'PASS' if report.passed else 'FAIL'}")
     _print_violations(report.violations)
     passed = report.passed
     if c is not None:
-        creport = validate_cpt_frame(c, PTFrame(p, t), args.tol)
+        creport = validate_cpt_frame(c, frame, args.tol)
         print(f"cpt-frame axioms: {'PASS' if creport.passed else 'FAIL'}")
         _print_violations(creport.violations)
         passed = passed and creport.passed
@@ -284,6 +284,15 @@ def _parse_sweep(text: str) -> tuple[str, int | None, float, float, int]:
     return match.group(1), index, lo, hi, n
 
 
+def _grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """``np.linspace(lo, hi, n)``.  Where finite ends span more than the
+    largest float, the grid of the quartered ends, times 4: both scalings are
+    exact there, and neither the span nor a grid step overflows."""
+    if np.isfinite([lo, hi]).all() and not np.isfinite(hi - lo):
+        return 4.0 * np.linspace(lo / 4.0, hi / 4.0, n)
+    return np.linspace(lo, hi, n)
+
+
 def _scan_spec(args, kind: str, index: int, value: float | np.ndarray) -> ModelSpec:
     """The scanned model with ``value``, a point or the grid, at the swept position."""
     lists = {"r": list(args.r or []), "s": list(args.s or []), "theta": list(args.theta or [])}
@@ -317,7 +326,7 @@ def cmd_scan(args) -> int:
     # one model, one frame and one stacked classification for the whole grid; a
     # non-finite or zero grid point (outside every family) gives an error row
     with np.errstate(invalid="ignore"):
-        grid = np.linspace(lo, hi, n)
+        grid = _grid(lo, hi, n)
         stack = model_matrix(_scan_spec(args, kind, index, np.where(grid == 0.0, np.nan, grid)))
     rows = classify_stack(stack, model_frame(layout), args.tol)
 

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import CommutatorViolation, InvalidArgument, NotPTSymmetric
 from .frames import (
     CONSTRUCTION_TOL,
-    SWAP,
     CPTFrame,
     PTFrame,
     checked_cpt_frame,
@@ -153,6 +152,6 @@ def doubling(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, PTFrame, bool]:
     doubled = np.zeros((2 * n, 2 * n), dtype=complex)
     doubled[:n, :n] = a
     doubled[n:, n:] = a.conj().T
-    frame = frame_from_involution(np.kron(SWAP, np.eye(n)), CONSTRUCTION_TOL)
+    frame = frame_from_involution(np.roll(np.eye(2 * n), n, axis=1), CONSTRUCTION_TOL)
     verdict = bool(is_pt_symmetric(doubled, frame, tol))
     return doubled, frame, verdict

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     CommutatorViolation,
     DimensionMismatch,
-    FrameInvalid,
     GramDefect,
     KindMismatch,
     NotPTEigenstate,
@@ -36,7 +35,6 @@ from .linops import (
     as_vector,
     commutator_check,
     frobenius,
-    hermiticity_residual,
     spectral_powers,
 )
 from .symmetry import UNBROKEN, classify_symmetry
@@ -89,7 +87,7 @@ def pt_inner(u, v, frame: PTFrame) -> complex:
         raise DimensionMismatch(
             f"vectors of lengths {uu.shape[0]}, {vv.shape[0]} do not match frame dimension {frame.dim}"
         )
-    return complex(np.vdot(frame.p.matrix @ uu, vv))
+    return complex(np.vdot(frame.apply_p(uu), vv))
 
 
 def _pt_fixed_columns(v, frame: PTFrame, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -110,7 +108,7 @@ def _normalize_columns(v, frame: PTFrame, tol: float) -> tuple[np.ndarray, np.nd
     one-dimensional eigenspace: all columns in one vectorized pass."""
     vectors, norm_sq = _pt_fixed_columns(v, frame, tol)
     # (P v)^+ v is real for PT-fixed v; the real part drops rounding noise
-    q = np.einsum("ij,ij->j", (frame.p.matrix @ vectors).conj(), vectors).real
+    q = np.einsum("ij,ij->j", frame.apply_p(vectors).conj(), vectors).real
     small = np.abs(q) <= tol * norm_sq
     if small.any():
         raise SelfOrthogonal(
@@ -126,23 +124,10 @@ def _normalize_block(v, frame: PTFrame, tol: float) -> tuple[np.ndarray, np.ndar
     vectors, norm_sq = _pt_fixed_columns(v, frame, tol)
     # (P u)^+ v is real for PT-fixed u, v; the real part drops rounding noise
     # so that real combinations stay PT-fixed exactly
-    q, rotation = np.linalg.eigh(((frame.p.matrix @ vectors).conj().T @ vectors).real)
+    q, rotation = np.linalg.eigh((frame.apply_p(vectors).conj().T @ vectors).real)
     if np.abs(q).min() <= tol * norm_sq.max():
         raise GramDefect("degenerate eigenspace contains a self-orthogonal direction")
     return vectors @ rotation / np.sqrt(np.abs(q)), np.where(q > 0, 1, -1)
-
-
-def _require_hermitian_parity(frame: PTFrame, tol: float) -> None:
-    """Raise FrameInvalid unless ``|P - P^+| <= tol * max(1, |P|)``: the
-    indefinite form (u, v) = <P u, v> is Hermitian only for a Hermitian P,
-    so only then do its signs and C mean anything."""
-    # a bound that overflows admits no P: a Hermitian involution is unitary
-    p_residual = hermiticity_residual(frame.p.matrix)
-    if not p_residual <= tol * max(1.0, frobenius(frame.p.matrix)) < np.inf:
-        raise FrameInvalid(
-            f"the indefinite form <P u, v> needs a Hermitian parity P = P^+: |P - P^+| = {p_residual:.3e} "
-            f"exceeds {tol:.1e} * max(1, |P|)"
-        )
 
 
 def normalize_indefinite(
@@ -170,7 +155,7 @@ def normalize_indefinite(
         construction fails at an exceptional point.  For several columns
         this is GramDefect: the eigenspace has a self-orthogonal direction.
     """
-    _require_hermitian_parity(frame, tol)
+    frame.require_hermitian_parity(tol)
     if np.ndim(v) == 2 and np.shape(v)[1] != 1:
         return _normalize_block(v, frame, tol)
     units, signs = _normalize_columns(v, frame, tol)
@@ -203,7 +188,7 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
         fails validation.
     NotUnbroken, SelfOrthogonal, GramDefect, CommutatorViolation
     """
-    _require_hermitian_parity(frame, tol)
+    frame.require_hermitian_parity(tol)
     a = as_matrix(h)
     report = classify_symmetry(a, frame, tol)
     if report.classification != UNBROKEN:
@@ -225,7 +210,7 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
     normalized = [
         SignedState(state.energy, unit, int(sign)) for state, unit, sign in zip(report.aligned_states, phi.T, signs)
     ]
-    p_phi_adj = (frame.p.matrix @ phi).conj().T
+    p_phi_adj = frame.apply_p(phi).conj().T
     gram = p_phi_adj @ phi
     gram_error = frobenius(gram - np.diag(signs))
     c_matrix = phi @ p_phi_adj

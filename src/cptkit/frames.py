@@ -8,15 +8,18 @@ with residual inf.  A :class:`CPTFrame` factors its metric PC once, with one
 ``eigh`` of its Hermitian part; validation, C synthesis, Hermitization and
 the CPT adjoint all read that one factorization.
 
-Every built-in involution frame comes from :func:`frame_from_involution`,
-with T entrywise conjugation.  Any admissible antilinear T is accepted by the
-validators and by every consumer of a frame (classification, C synthesis,
-Hermitization, composition).
+Every built-in frame has a permutation P and T = entrywise conjugation: the
+pair swap, the 3x3 family and doubling (from :func:`frame_from_involution`),
+tensor products and direct sums of these, also read back from a document.
+Such a frame stores P's index array: its PT-axiom check is O(n), and P and
+PT act by index.  Any other admissible P and antilinear T (a moved frame, a
+document frame) takes the dense matrix path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,14 +32,11 @@ from .errors import (
     NonRealEntries,
     NotInvolution,
 )
-from .linops import DEFAULT_TOL, Operator, apply, as_matrix, compose, frobenius, hermiticity_residual
+from .linops import DEFAULT_TOL, Operator, apply, compose, frobenius, hermiticity_residual, operand
 
 #: Floor of the tolerance at which :func:`frame_from_involution` validates
 #: its frame; the built-in constructors validate at exactly this tolerance.
 CONSTRUCTION_TOL = 1e-12
-
-#: The parity of one two-level cell: e1 <-> e2.
-SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -60,27 +60,117 @@ class FrameReport:
 
 @dataclass(frozen=True)
 class PTFrame:
-    """A validated pair {P, T}.  Construct through the module constructors or
-    validate explicitly with :func:`validate_pt_frame`.
-
-    ``pt``, the combined antilinear operator PT, is composed once here; every
-    consumer applies it through :meth:`apply_pt`.
+    """A pair {P, T}, checked by :meth:`validate`.  ``perm`` is the read-only
+    index array of P (``P x = x[perm]``) when P is an involutive permutation
+    matrix and T's matrix part is exactly I, else None; ``pt``, the antilinear
+    PT, is composed once, on first use.  Every consumer applies P and PT
+    through the methods below: a gather on an index frame, dense otherwise.
     """
 
     p: Operator
     t: Operator
-    pt: Operator = field(init=False, repr=False, compare=False)
+    perm: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "pt", compose(self.p, self.t))
+        if not self.p.is_linear:
+            raise KindMismatch("P must be a linear operator")
+        if self.t.is_linear:
+            raise KindMismatch("T must be an antilinear operator")
+        if self.p.dim != self.t.dim:
+            raise DimensionMismatch(f"P has dimension {self.p.dim} but T has dimension {self.t.dim}")
+        object.__setattr__(self, "perm", _involutive_permutation(self.p.matrix, self.t.matrix))
+
+    @cached_property
+    def pt(self) -> Operator:
+        return compose(self.p, self.t)
 
     @property
     def dim(self) -> int:
         return self.p.dim
 
+    def validate(self, tol: float = DEFAULT_TOL) -> FrameReport:
+        """Check the PT-frame axioms and report every violation with its
+        residual.  On an index frame the residuals are exact from the
+        indices: P^2 = I, T^2 = I and PT = TP hold exactly, and |P - I| is
+        sqrt(2 * #moved), so the check is O(n)."""
+        if self.perm is None:
+            mp, mt = self.p.matrix, self.t.matrix
+            eye = np.eye(self.dim)
+            with np.errstate(over="ignore", invalid="ignore"):
+                residuals = (
+                    ("P^2 = I", frobenius(mp @ mp - eye)),
+                    ("T^2 = I", frobenius(mt @ mt.conj() - eye)),
+                    ("PT = TP", frobenius(mp @ mt - mt @ mp.conj())),
+                )
+            identity_distance = float(frobenius(mp - eye))
+        else:
+            residuals = (("P^2 = I", 0.0), ("T^2 = I", 0.0), ("PT = TP", 0.0))
+            identity_distance = float(np.sqrt(2.0 * np.count_nonzero(self.perm != np.arange(self.dim))))
+        violations = [(name, float(residual)) for name, residual in residuals if not residual <= tol]
+        if identity_distance <= tol:
+            violations.append(("P != I", identity_distance))
+        return FrameReport(not violations, tuple(violations))
+
+    def apply_p(self, v) -> np.ndarray:
+        """Apply P to a vector, to each column of an ``(n, k)`` block or to
+        each block of an ``(N, n, k)`` stack."""
+        if self.perm is None:
+            return apply(self.p, v)
+        x = operand(v, self.dim)
+        return np.take(x, self.perm, axis=max(x.ndim - 2, 0))
+
     def apply_pt(self, v) -> np.ndarray:
-        """Apply PT to a vector or to each column of an ``(n, k)`` block."""
-        return apply(self.pt, v)
+        """Apply PT as :meth:`apply_p` applies P: a gather of ``conj(v)`` on an index frame."""
+        if self.perm is None:
+            return apply(self.pt, v)
+        x = operand(v, self.dim).conj()
+        return np.take(x, self.perm, axis=max(x.ndim - 2, 0))
+
+    def pt_conjugate(self, a: np.ndarray) -> np.ndarray:
+        """(PT) A (PT) = M conj(A) conj(M), M the matrix part of PT, for each
+        matrix A of an ``(N, n, n)`` stack."""
+        if self.perm is None:
+            m = self.pt.matrix
+            return m @ a.conj() @ m.conj()
+        gathered = a[:, self.perm[:, None], self.perm]
+        return np.conjugate(gathered, out=gathered)
+
+    def _cpt_residual(self, c: np.ndarray) -> float:
+        """|C P T - T P C| over the matrix parts, for the matrix ``c`` of a linear C."""
+        if self.perm is None:
+            mp, mt = self.p.matrix, self.t.matrix
+            return frobenius(c @ mp @ mt - mt @ mp.conj() @ c.conj())
+        return frobenius(c[:, self.perm] - c.conj()[self.perm])
+
+    def require_hermitian_parity(self, tol: float) -> None:
+        """Raise FrameInvalid unless ``|P - P^+| <= tol * max(1, |P|)``: the
+        indefinite form (u, v) = <P u, v> is Hermitian only for a Hermitian P,
+        so only then do its signs and C mean anything."""
+        if self.perm is None:
+            p_residual, p_norm = hermiticity_residual(self.p.matrix), frobenius(self.p.matrix)
+        else:  # an involutive permutation is symmetric
+            p_residual, p_norm = 0.0, np.sqrt(self.dim)
+        # a bound that overflows admits no P: a Hermitian involution is unitary
+        if not p_residual <= tol * max(1.0, p_norm) < np.inf:
+            raise FrameInvalid(
+                f"the indefinite form <P u, v> needs a Hermitian parity P = P^+: |P - P^+| = {p_residual:.3e} "
+                f"exceeds {tol:.1e} * max(1, |P|)"
+            )
+
+
+def _involutive_permutation(p: np.ndarray, t: np.ndarray) -> np.ndarray | None:
+    """The read-only index array ``perm`` with ``p = I[perm]`` when ``p`` is an
+    involutive permutation matrix and ``t`` is exactly I, else None."""
+    # n nonzero real and imaginary parts in all, n of them known to be 1;
+    # perm o perm = id then also puts one 1 in each column
+    n = len(p)
+    if not n or np.count_nonzero(t.view(float)) != n or not (t.diagonal() == 1).all():
+        return None
+    indices, perm = np.arange(n), p.real.argmax(axis=1)
+    if np.count_nonzero(p.view(float)) != n or not ((p[indices, perm] == 1).all() and (perm[perm] == indices).all()):
+        return None
+    perm.setflags(write=False)
+    return perm
 
 
 @dataclass(frozen=True)
@@ -101,7 +191,7 @@ class CPTFrame:
         if self.c.dim != self.frame.dim:
             raise DimensionMismatch(f"C has dimension {self.c.dim} but frame has dimension {self.frame.dim}")
         with np.errstate(over="ignore", invalid="ignore"):
-            pc = self.frame.p.matrix @ self.c.matrix
+            pc = self.frame.apply_p(self.c.matrix)
             spectrum = np.linalg.eigh((pc + pc.conj().T) / 2.0)
         for part in (pc, *spectrum):
             part.setflags(write=False)
@@ -126,13 +216,12 @@ class CPTFrame:
         is above ``pd_tol * |PC|`` (the largest eigenvalue modulus; ``pd_tol``
         defaults to ``tol``): equation residuals of an exact frame scale with
         |C|^2, the metric's spectral margin does not."""
-        mp, mt, mc, pc = self.p.matrix, self.t.matrix, self.c.matrix, self.pc_matrix
-        eye = np.eye(self.dim)
+        mc = self.c.matrix
         with np.errstate(over="ignore", invalid="ignore"):
             residuals = (
-                ("C^2 = I", frobenius(mc @ mc - eye)),
-                ("CPT = TPC", frobenius(mc @ mp @ mt - mt @ mp.conj() @ mc.conj())),
-                ("PC hermitian", hermiticity_residual(pc)),
+                ("C^2 = I", frobenius(mc @ mc - np.eye(self.dim))),
+                ("CPT = TPC", self.frame._cpt_residual(mc)),
+                ("PC hermitian", hermiticity_residual(self.pc_matrix)),
             )
         violations = [(name, float(residual)) for name, residual in residuals if not residual <= tol]
         w = self.metric_spectrum[0]
@@ -144,32 +233,14 @@ class CPTFrame:
 
 
 def validate_pt_frame(p: Operator, t: Operator, tol: float = DEFAULT_TOL) -> FrameReport:
-    """Check the PT-frame axioms and report every violation with its residual.
+    """Check the PT-frame axioms and report every violation with its residual:
+    :meth:`PTFrame.validate`.
 
     Raises KindMismatch when p is not linear or t is not antilinear, and
     DimensionMismatch when their dimensions differ; axiom failures are
     reported, not raised.
     """
-    if not p.is_linear:
-        raise KindMismatch("P must be a linear operator")
-    if t.is_linear:
-        raise KindMismatch("T must be an antilinear operator")
-    if p.dim != t.dim:
-        raise DimensionMismatch(f"P has dimension {p.dim} but T has dimension {t.dim}")
-
-    mp, mt = p.matrix, t.matrix
-    eye = np.eye(p.dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        residuals = (
-            ("P^2 = I", frobenius(mp @ mp - eye)),
-            ("T^2 = I", frobenius(mt @ mt.conj() - eye)),
-            ("PT = TP", frobenius(mp @ mt - mt @ mp.conj())),
-        )
-    violations = [(name, float(residual)) for name, residual in residuals if not residual <= tol]
-    identity_distance = float(frobenius(mp - eye))
-    if identity_distance <= tol:
-        violations.append(("P != I", identity_distance))
-    return FrameReport(not violations, tuple(violations))
+    return PTFrame(p, t).validate(tol)
 
 
 def validate_cpt_frame(
@@ -181,8 +252,9 @@ def validate_cpt_frame(
 
 def checked_pt_frame(p: Operator, t: Operator, tol: float = DEFAULT_TOL) -> PTFrame:
     """Validate and assemble a PT-frame, raising FrameInvalid on failure."""
-    validate_pt_frame(p, t, tol).require("PT-frame")
-    return PTFrame(p, t)
+    frame = PTFrame(p, t)
+    frame.validate(tol).require("PT-frame")
+    return frame
 
 
 def checked_cpt_frame(
@@ -203,7 +275,7 @@ def pair_swap_frame(n: int) -> PTFrame:
     """
     if n <= 0 or n % 2 != 0:
         raise InvalidArgument(f"pair-swap parity needs an even positive dimension, got {n}")
-    return frame_from_involution(np.kron(np.eye(n // 2), SWAP), CONSTRUCTION_TOL)
+    return frame_from_involution(np.eye(n)[np.arange(n) ^ 1], CONSTRUCTION_TOL)
 
 
 def frame_from_involution(p_matrix, tol: float = DEFAULT_TOL) -> PTFrame:
@@ -215,15 +287,15 @@ def frame_from_involution(p_matrix, tol: float = DEFAULT_TOL) -> PTFrame:
     reports P^2 = I or P != I violated, and FrameInvalid for any other
     violation.
     """
-    a = as_matrix(p_matrix)
-    if float(np.abs(a.imag).max(initial=0.0)) > tol:
+    p = Operator.linear(p_matrix)
+    if float(np.abs(p.matrix.imag).max(initial=0.0)) > tol:
         raise NonRealEntries("parity matrix must have real entries")
-    p, t = Operator.linear(a), Operator.conjugation(a.shape[0])
-    report = validate_pt_frame(p, t, max(tol, CONSTRUCTION_TOL))
+    frame = PTFrame(p, Operator.conjugation(p.dim))
+    report = frame.validate(max(tol, CONSTRUCTION_TOL))
     violated = dict(report.violations)
     if "P^2 = I" in violated:
         raise NotInvolution(f"P^2 = I fails with residual {violated['P^2 = I']:.3e}")
     if "P != I" in violated:
         raise IsIdentity("the identity matrix is not an admissible parity")
     report.require("PT-frame")
-    return PTFrame(p, t)
+    return frame

@@ -132,16 +132,20 @@ class Operator:
 def apply(op: Operator, v) -> np.ndarray:
     """Apply an operator to a vector, column by column to an ``(n, k)``
     block of vectors, or to each block of an ``(N, n, k)`` stack."""
+    x = operand(v, op.dim)
+    return op.matrix @ (x if op.is_linear else np.conj(x))
+
+
+def operand(v, dim: int) -> np.ndarray:
+    """``v`` as a checked complex vector, ``(n, k)`` block or ``(N, n, k)`` stack of length ``dim``."""
     x = np.asarray(v, dtype=complex)
     x = x if x.ndim >= 2 else x.reshape(-1)
     if not np.all(np.isfinite(x)):
         raise NonFiniteEntries("input contains NaN or infinite entries")
     length = x.shape[0] if x.ndim == 1 else x.shape[-2]
-    if length != op.dim:
-        raise DimensionMismatch(
-            f"operator of dimension {op.dim} applied to vectors of length {length}"
-        )
-    return op.matrix @ (x if op.is_linear else np.conj(x))
+    if length != dim:
+        raise DimensionMismatch(f"operator of dimension {dim} applied to vectors of length {length}")
+    return x
 
 
 def compose(a: Operator, b: Operator) -> Operator:

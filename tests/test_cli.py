@@ -544,6 +544,16 @@ def test_scan_marks_rows_whose_scale_overflows(tmp_path):
     assert [row[-3:] for row in rows] == [["", "", "1"]] * 3
 
 
+def test_scan_grid_whose_span_overflows(tmp_path):
+    # hi - lo overflows, but the grid itself is finite; the rows stay error rows
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--model", "2x2", "--sweep", "r=-1e308:1e308:5", "--s", "1", "--theta", "0.9", "--out", str(out)]
+    assert run(argv) == EXIT_OK
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [row[0] for row in rows] == [format_float(x) for x in (-1e308, -5e307, 0.0, 5e307, 1e308)]
+    assert [row[-3:] for row in rows] == [["", "", "1"]] * 5
+
+
 def test_scan_classifies_its_grid_in_one_batch(monkeypatch, tmp_path):
     calls = Counter()
 
@@ -555,7 +565,7 @@ def test_scan_classifies_its_grid_in_one_batch(monkeypatch, tmp_path):
         return wrapper
 
     monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
-    monkeypatch.setattr(frames, "validate_pt_frame", counting("validate", frames.validate_pt_frame))
+    monkeypatch.setattr(frames.PTFrame, "validate", counting("validate", frames.PTFrame.validate))
     monkeypatch.setattr(cli, "model_matrix", counting("model_matrix", cli.model_matrix))
     monkeypatch.setattr(cli, "ModelSpec", counting("ModelSpec", cli.ModelSpec))
 

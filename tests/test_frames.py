@@ -1,23 +1,47 @@
+import json
+
 import numpy as np
 import pytest
 
 from cptkit import (
+    DEFAULT_TOL,
+    BlockSpec,
+    CPTFrame,
+    FrameReport,
+    ModelSpec,
     Operator,
+    PTFrame,
     apply,
+    build_c,
+    build_model,
+    checked_pt_frame,
+    classify_stack,
+    classify_symmetry,
     compose,
+    direct_sum,
+    doubling,
     frame_from_involution,
+    hermitize,
+    is_pt_symmetric,
+    model_frame,
+    normalize_indefinite,
     pair_swap_frame,
+    pt_inner,
     validate_cpt_frame,
     validate_pt_frame,
 )
 from cptkit.errors import (
     DimensionMismatch,
+    FrameInvalid,
     IsIdentity,
     KindMismatch,
     NonRealEntries,
     NotInvolution,
 )
-from helpers import SWAP, any_dim_frame, random_complex
+from cptkit.frames import CONSTRUCTION_TOL
+from cptkit.io import frame_document, parse_frame_document
+from cptkit.linops import frobenius
+from helpers import SWAP, any_dim_frame, covariance_problem, random_complex, random_pt_symmetric, unitary_basis_change
 
 EQ12_P = np.array(
     [
@@ -182,3 +206,200 @@ def test_pt_frame_apply_matches_operator_composition():
     frame = any_dim_frame(5)
     v = random_complex(rng, 5)
     np.testing.assert_allclose(frame.apply_pt(v), apply(frame.pt, v))
+
+
+# ---------------------------------------------------------------- index frames
+
+# The dense formulas of the PT- and CPT-frame axioms, written out as the
+# oracle of the index path: a frame whose P is a permutation must report what
+# these report, bit for bit.
+
+
+def dense_pt_violations(p, t, tol):
+    mp, mt = p.matrix, t.matrix
+    eye = np.eye(p.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = (
+            ("P^2 = I", frobenius(mp @ mp - eye)),
+            ("T^2 = I", frobenius(mt @ mt.conj() - eye)),
+            ("PT = TP", frobenius(mp @ mt - mt @ mp.conj())),
+        )
+    violations = [(name, float(residual)) for name, residual in residuals if not residual <= tol]
+    identity_distance = float(frobenius(mp - eye))
+    if identity_distance <= tol:
+        violations.append(("P != I", identity_distance))
+    return tuple(violations)
+
+
+def dense_cpt_violations(c, frame, tol, pd_tol):
+    mp, mt, mc = frame.p.matrix, frame.t.matrix, c.matrix
+    pc = mp @ mc
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = (
+            ("C^2 = I", frobenius(mc @ mc - np.eye(frame.dim))),
+            ("CPT = TPC", frobenius(mc @ mp @ mt - mt @ mp.conj() @ mc.conj())),
+            ("PC hermitian", frobenius(pc - pc.conj().T)),
+        )
+    violations = [(name, float(residual)) for name, residual in residuals if not residual <= tol]
+    w = np.linalg.eigh((pc + pc.conj().T) / 2.0)[0]
+    threshold = pd_tol * float(np.abs(w).max())
+    if not float(w.min()) > threshold:
+        violations.append(("PC positive definite", threshold - float(w.min())))
+    return tuple(violations)
+
+
+def random_involution(rng, n):
+    """A seeded involutive permutation: a random set of disjoint swaps."""
+    perm, order = np.arange(n), rng.permutation(n)
+    pairs = order[: 2 * int(rng.integers(0, n // 2 + 1))].reshape(-1, 2)
+    perm[pairs[:, 0]], perm[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    return perm
+
+
+def _parity_matrices():
+    """Real parity candidates: involutive permutations (one with negative
+    zeros), the identity, non-involutive and signed permutations, a
+    reflection that is no permutation and a non-Hermitian involution."""
+    rng = np.random.default_rng(90)
+    out = [np.eye(n)[random_involution(rng, n)] for n in (1, 2, 3, 5, 8, 13, 21, 34, 50)]
+    swaps = np.eye(6)[[1, 0, 3, 2, 4, 5]]
+    out.append(np.where(swaps == 0.0, -0.0, swaps))
+    out += [np.eye(4), np.eye(5)[np.roll(np.arange(5), 1)], np.eye(3)[[1, 2, 0]]]
+    out += [np.diag([1.0, -1.0]), np.array([[0.0, -1.0], [-1.0, 0.0]]), np.diag([1.0, 1.0, -1.0])[[2, 1, 0]]]
+    out += [np.array([[0.6, 0.8], [0.8, -0.6]]), np.array([[0.0, 2.0], [0.5, 0.0]])]
+    return out
+
+
+def _frame_parts():
+    """(P, T) over the parities above, each with T = I, a phase T, a
+    permutation T and a unitarily moved copy."""
+    rng = np.random.default_rng(91)
+    parts = []
+    for p in _parity_matrices():
+        n = len(p)
+        u, _ = np.linalg.qr(random_complex(rng, (n, n)))
+        parts += [(Operator.linear(p), Operator.antilinear(t)) for t in
+                  (np.eye(n), np.diag(np.exp(1j * rng.uniform(0, 6, n))), np.eye(n)[::-1])]
+        parts.append((Operator.linear(u @ p @ u.conj().T), Operator.antilinear(u @ u.T)))
+    return parts
+
+
+def _is_index_frame(p, t):
+    """Whether P is an involutive permutation matrix and T's matrix part is I."""
+    perm = np.argmax(p.matrix.real, axis=1)
+    n = p.dim
+    return bool(np.array_equal(np.eye(n)[perm], p.matrix) and (perm[perm] == np.arange(n)).all()
+                and np.array_equal(t.matrix, np.eye(n)))
+
+
+def test_validate_pt_frame_matches_the_dense_formulas():
+    for p, t in _frame_parts():
+        assert (PTFrame(p, t).perm is not None) == _is_index_frame(p, t)
+        for tol in (DEFAULT_TOL, CONSTRUCTION_TOL, 0.0):
+            report = validate_pt_frame(p, t, tol)
+            want = dense_pt_violations(p, t, tol)
+            assert report.violations == want
+            assert report.passed == (not want)
+
+
+def test_frame_from_involution_raises_what_the_dense_formulas_imply():
+    for p in _parity_matrices() + [np.array([[0.0, 1j], [-1j, 0.0]])]:
+        a = np.asarray(p, dtype=complex)
+        violations = dict(dense_pt_violations(Operator.linear(a.real), Operator.conjugation(len(a)), CONSTRUCTION_TOL))
+        if np.abs(a.imag).max() > DEFAULT_TOL:
+            want = NonRealEntries, "parity matrix must have real entries"
+        elif "P^2 = I" in violations:
+            want = NotInvolution, f"P^2 = I fails with residual {violations['P^2 = I']:.3e}"
+        elif "P != I" in violations:
+            want = IsIdentity, "the identity matrix is not an admissible parity"
+        elif violations:
+            want = FrameInvalid, "not a PT-frame: " + FrameReport(False, tuple(violations.items())).describe()
+        else:
+            want = None
+        if want is None:
+            assert frame_from_involution(p).p.matrix.tobytes() == a.tobytes()
+        else:
+            with pytest.raises(want[0]) as info:
+                frame_from_involution(p)
+            assert str(info.value) == want[1]
+
+
+def test_pt_residual_matches_the_dense_formula():
+    rng = np.random.default_rng(92)
+    for base in (pair_swap_frame(2), pair_swap_frame(6), model_frame(ModelSpec("3x3", ((1.0, 2.0, 0.4),), a=1.0)),
+                 model_frame(ModelSpec("tensor", ((1.0, 2.0, 0.4), (1.0, 3.0, 0.7))))):
+        symmetric = random_pt_symmetric(rng, base)
+        for h, frame in ((symmetric, base), unitary_basis_change(symmetric, base, rng)[1:]):
+            m = frame.p.matrix @ frame.t.matrix  # the matrix part of PT, composed densely
+            for a in (h, random_complex(rng, h.shape)):
+                assert is_pt_symmetric(a, frame).residual == float(frobenius(m @ a.conj() @ m.conj() - a))
+
+
+def test_cpt_report_matches_the_dense_formulas():
+    rng = np.random.default_rng(93)
+    for family in ("2x2", "4x4", "3x3", "tensor", "chain"):
+        problem = covariance_problem(rng, family)
+        for h, frame in (problem, unitary_basis_change(*problem, rng)[1:]):
+            c = build_c(h, frame).cpt.c.matrix
+            perturbed = c + 1e-6 * random_complex(rng, c.shape)
+            for candidate in map(Operator.linear, (c, perturbed, -c, 3.0 * c)):
+                for tol, pd_tol in ((DEFAULT_TOL, DEFAULT_TOL), (1e-3, 1e-12)):
+                    report = CPTFrame(frame, candidate).validate(tol, pd_tol)
+                    assert report.violations == dense_cpt_violations(candidate, frame, tol, pd_tol)
+
+
+def _round_tripped(frame):
+    p, t, _ = parse_frame_document(json.loads(frame_document(frame)))
+    return checked_pt_frame(p, t)
+
+
+def _cell(r, s, theta):
+    return build_model(ModelSpec("2x2", ((r, s, theta),)))
+
+
+@pytest.mark.parametrize("frame", [
+    pair_swap_frame(2), pair_swap_frame(6), pair_swap_frame(200),
+    model_frame(ModelSpec("3x3", ((1.0, 2.0, 0.4),), a=1.0)),
+    model_frame(ModelSpec("tensor", ((1.0, 2.0, 0.4), (1.0, 3.0, 0.7)))),
+    doubling(np.eye(1))[1], doubling(np.arange(9.0).reshape(3, 3))[1],
+    direct_sum(BlockSpec((_cell(1.0, 2.0, 0.4), _cell(1.0, 3.0, 0.7))))[1],
+    _round_tripped(model_frame(ModelSpec("tensor", ((1.0, 2.0, 0.4), (1.0, 3.0, 0.7))))),
+], ids=["swap-2", "swap-6", "swap-200", "3x3", "tensor", "doubling-1", "doubling-3", "direct-sum", "document"])
+def test_built_in_frames_carry_their_permutation(frame):
+    assert frame.perm is not None and not frame.perm.flags.writeable
+    assert np.eye(frame.dim)[frame.perm].astype(complex).tobytes() == frame.p.matrix.tobytes()
+
+
+def test_other_frames_take_the_dense_path():
+    rng = np.random.default_rng(94)
+    for frame in (frame_from_involution(np.array([[0.6, 0.8], [0.8, -0.6]])), frame_from_involution(np.diag([1.0, -1.0])),
+                  checked_pt_frame(Operator.linear(SWAP), Operator.antilinear(SWAP)),
+                  unitary_basis_change(np.eye(4), pair_swap_frame(4), rng)[2]):
+        assert frame.perm is None
+
+
+class _DenseReadForbidden:
+    """A stand-in for an operator whose dense matrix must not be read."""
+
+    def __init__(self, kind, dim):
+        self.kind, self.dim, self.is_linear = kind, dim, kind == "linear"
+
+    @property
+    def matrix(self):
+        raise AssertionError("a dense matrix of an index frame was read")
+
+
+def test_index_frames_apply_p_and_pt_without_their_dense_matrices():
+    for h, frame in (_cell(1.0, 2.0, 0.4), build_model(ModelSpec("chain", ((1.0, 2.0, 0.4), (1.0, 3.0, 0.7))))):
+        want = build_c(h, frame)
+        for name, kind in (("p", "linear"), ("t", "antilinear"), ("pt", "antilinear")):
+            object.__setattr__(frame, name, _DenseReadForbidden(kind, frame.dim))
+        report = classify_symmetry(h, frame)
+        assert report.classification == "unbroken"
+        assert classify_stack(h[None], frame).classification.tolist() == ["unbroken"]
+        result = build_c(h, frame)
+        assert result.cpt.c.matrix.tobytes() == want.cpt.c.matrix.tobytes()
+        np.testing.assert_array_equal(hermitize(h, result.cpt), hermitize(h, want.cpt))
+        state = report.aligned_states[0].state
+        assert normalize_indefinite(state, frame)[1] == result.aligned_states[0].sign
+        assert pt_inner(state, state, frame) == np.vdot(state[np.arange(frame.dim) ^ 1], state)
