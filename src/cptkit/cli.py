@@ -29,7 +29,7 @@ from .errors import (
 from .composition import BlockSpec, direct_sum, doubling, tensor_hamiltonians
 from .frames import CPTFrame, PTFrame, checked_cpt_frame, checked_pt_frame, pair_swap_frame, validate_cpt_frame
 from .io import format_float, frame_document, load_frame_parts, load_matrix, matrix_document, write_frame, write_matrix
-from .linops import DEFAULT_TOL, hermiticity_residual, spectral_powers
+from .linops import DEFAULT_TOL, hermiticity_residual
 from .models import FAMILIES, ModelSpec, build_model, model_frame, model_matrix
 from .symmetry import BROKEN, UNBROKEN, classify_stack, classify_symmetry
 
@@ -222,16 +222,15 @@ def _emit(args, outputs: list[tuple[str, np.ndarray]]) -> None:
 
 
 def _collect_outputs(emits, cpt_frame: CPTFrame, h, tol) -> tuple[list[tuple[str, np.ndarray]], np.ndarray | None]:
-    pc = cpt_frame.pc_matrix
     outputs: list[tuple[str, np.ndarray]] = []
     h_matrix = None
     for kind in emits:
         if kind == "c":
             outputs.append(("c", cpt_frame.c.matrix))
         elif kind == "pc":
-            outputs.append(("pc", pc))
+            outputs.append(("pc", cpt_frame.pc_matrix))
         elif kind == "sqrt":
-            outputs += zip(("pc_sqrt", "pc_inv_sqrt"), spectral_powers(pc, cpt_frame.metric_spectrum, (0.5, -0.5), tol))
+            outputs += zip(("pc_sqrt", "pc_inv_sqrt"), cpt_frame.metric_roots(tol))
         elif kind == "h":
             h_matrix = hermitize(h, cpt_frame, tol)
             outputs.append(("h", h_matrix))

@@ -33,6 +33,7 @@ from .linops import (
     Operator,
     as_matrix,
     as_vector,
+    column_norms,
     commutator_check,
     frobenius,
     spectral_powers,
@@ -97,7 +98,7 @@ def _pt_fixed_columns(v, frame: PTFrame, tol: float) -> tuple[np.ndarray, np.nda
     norm_sq = np.einsum("ij,ij->j", vectors.conj(), vectors).real
     if not norm_sq.all():
         raise SelfOrthogonal("cannot normalize the zero vector")
-    residual = np.linalg.norm(frame.apply_pt(vectors) - vectors, axis=0)
+    residual = column_norms(frame.apply_pt(vectors) - vectors)
     if (residual > tol * np.sqrt(norm_sq)).any():
         raise NotPTEigenstate(f"vector is not PT-fixed (residual {residual.max():.3e}); align it first")
     return vectors, norm_sq
@@ -286,5 +287,5 @@ def hermitize(h, cpt: CPTFrame, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise CommutatorViolation(
             f"[C, H] residual {commutator:.3e} exceeds tolerance; the frame is not a frame for H"
         )
-    root, inv_root = spectral_powers(cpt.pc_matrix, cpt.metric_spectrum, (0.5, -0.5), tol)
+    root, inv_root = cpt.metric_roots(tol)
     return root @ a @ inv_root

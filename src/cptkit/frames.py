@@ -12,14 +12,19 @@ Every built-in frame has a permutation P and T = entrywise conjugation: the
 pair swap, the 3x3 family and doubling (from :func:`frame_from_involution`),
 tensor products and direct sums of these, also read back from a document.
 Such a frame stores P's index array: its PT-axiom check is O(n), and P and
-PT act by index.  Any other admissible P and antilinear T (a moved frame, a
-document frame) takes the dense matrix path.
+PT act by index.  Its PT-fixed basis Q is a permutation-sparse unitary, so
+PT is plain complex conjugation in that basis and a PT-symmetric H is the
+real matrix Q^+ H Q (Bender & Mannheim, Phys. Lett. A 374, 1616 (2010));
+the frame maps a stack into that basis and eigenvectors back, each in
+O(n^2).  Any other admissible P and antilinear T (a moved frame, a document
+frame) takes the dense matrix path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +37,7 @@ from .errors import (
     NonRealEntries,
     NotInvolution,
 )
-from .linops import DEFAULT_TOL, Operator, apply, compose, frobenius, hermiticity_residual, operand
+from .linops import DEFAULT_TOL, Operator, apply, compose, frobenius, hermiticity_residual, operand, spectral_powers
 
 #: Floor of the tolerance at which :func:`frame_from_involution` validates
 #: its frame; the built-in constructors validate at exactly this tolerance.
@@ -58,13 +63,37 @@ class FrameReport:
             raise FrameInvalid(f"not a {what}: {self.describe()}", report=self)
 
 
+class RealBasis(NamedTuple):
+    """The PT-fixed orthonormal basis Q of an index frame, laid out in
+    place: for each pair i < j = perm[i], column i is (e_i + e_j) / sqrt(2)
+    and column j is i (e_i - e_j) / sqrt(2); a fixed point f keeps e_f.  Q
+    has two entries per row and per column: ``rows`` holds Q[i, i] and
+    Q[i, perm[i]] as ``(n, 1)`` columns, ``cols`` holds Q[l, l] and
+    Q[perm[l], l], and ``adjoint`` holds conj(cols) as ``(n, 1)`` columns."""
+
+    rows: tuple[np.ndarray, np.ndarray]
+    cols: tuple[np.ndarray, np.ndarray]
+    adjoint: tuple[np.ndarray, np.ndarray]
+
+
+_R = np.sqrt(0.5)
+#: The entries of RealBasis (rows, cols, adjoint) at index i, by its role: the
+#: first of a pair (i < perm[i]), the second of a pair, a fixed point
+_REAL_BASIS_ENTRIES = np.array([
+    [_R, 1j * _R, _R, _R, _R, _R],
+    [-1j * _R, _R, -1j * _R, 1j * _R, 1j * _R, -1j * _R],
+    [1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
+])
+
+
 @dataclass(frozen=True)
 class PTFrame:
     """A pair {P, T}, checked by :meth:`validate`.  ``perm`` is the read-only
     index array of P (``P x = x[perm]``) when P is an involutive permutation
     matrix and T's matrix part is exactly I, else None; ``pt``, the antilinear
-    PT, is composed once, on first use.  Every consumer applies P and PT
-    through the methods below: a gather on an index frame, dense otherwise.
+    PT, and ``real_basis``, the PT-fixed basis of an index frame, are formed
+    once, on first use.  Every consumer applies P and PT through the methods
+    below: a gather on an index frame, dense otherwise.
     """
 
     p: Operator
@@ -83,6 +112,34 @@ class PTFrame:
     @cached_property
     def pt(self) -> Operator:
         return compose(self.p, self.t)
+
+    @cached_property
+    def real_basis(self) -> RealBasis | None:
+        """Q, the PT-fixed basis of an index frame (None on any other frame),
+        formed once, on first use: PT q = q for every column q."""
+        if self.perm is None:
+            return None
+        i = np.arange(self.dim)
+        entries = np.ascontiguousarray(_REAL_BASIS_ENTRIES[(self.perm < i) + 2 * (self.perm == i)].T)
+        entries.setflags(write=False)
+        column = entries[:, :, None]
+        return RealBasis((column[0], column[1]), (entries[2], entries[3]), (column[4], column[5]))
+
+    def real_form(self, a: np.ndarray) -> np.ndarray:
+        """Re(Q^+ A Q) for each matrix A of an ``(N, n, n)`` stack over an
+        index frame, by two gathers.  For a PT-symmetric A, Q^+ A Q is real,
+        so this is Q^+ A Q; for any A it is Q^+ A_s Q, where A_s = (A + (PT)
+        A (PT)) / 2 is the PT-symmetric part, and |A - A_s| is half the PT
+        residual."""
+        (c0, c1), (d0, d1) = self.real_basis.cols, self.real_basis.adjoint
+        aq = a * c0 + a.take(self.perm, axis=-1) * c1
+        return (d0 * aq + d1 * aq.take(self.perm, axis=-2)).real
+
+    def from_real_basis(self, x: np.ndarray) -> np.ndarray:
+        """Q X for an ``(n, k)`` block or an ``(N, n, k)`` stack over an
+        index frame: columns in the real basis mapped back, by one gather."""
+        r0, r1 = self.real_basis.rows
+        return r0 * x + r1 * x.take(self.perm, axis=-2)
 
     @property
     def dim(self) -> int:
@@ -117,14 +174,14 @@ class PTFrame:
         if self.perm is None:
             return apply(self.p, v)
         x = operand(v, self.dim)
-        return np.take(x, self.perm, axis=max(x.ndim - 2, 0))
+        return x.take(self.perm, axis=max(x.ndim - 2, 0))
 
     def apply_pt(self, v) -> np.ndarray:
         """Apply PT as :meth:`apply_p` applies P: a gather of ``conj(v)`` on an index frame."""
         if self.perm is None:
             return apply(self.pt, v)
         x = operand(v, self.dim).conj()
-        return np.take(x, self.perm, axis=max(x.ndim - 2, 0))
+        return x.take(self.perm, axis=max(x.ndim - 2, 0))
 
     def pt_conjugate(self, a: np.ndarray) -> np.ndarray:
         """(PT) A (PT) = M conj(A) conj(M), M the matrix part of PT, for each
@@ -132,7 +189,7 @@ class PTFrame:
         if self.perm is None:
             m = self.pt.matrix
             return m @ a.conj() @ m.conj()
-        gathered = a[:, self.perm[:, None], self.perm]
+        gathered = a.take(self.perm, axis=1).take(self.perm, axis=2)
         return np.conjugate(gathered, out=gathered)
 
     def _cpt_residual(self, c: np.ndarray) -> float:
@@ -178,12 +235,14 @@ class CPTFrame:
     """A triple {C, P, T} over a PT-frame, checked by :meth:`validate`.  The
     metric ``pc_matrix`` = P @ C and ``metric_spectrum`` = (w, U), w ascending,
     the one eigendecomposition of its Hermitian part, are formed once here,
-    read-only: no consumer of the metric factors it again."""
+    read-only: no consumer of the metric factors it again, and its roots are
+    formed once per tolerance by :meth:`metric_roots`."""
 
     frame: PTFrame
     c: Operator
     pc_matrix: np.ndarray = field(init=False, repr=False, compare=False)
     metric_spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _roots: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if not self.c.is_linear:
@@ -209,6 +268,19 @@ class CPTFrame:
     @property
     def t(self) -> Operator:
         return self.frame.t
+
+    def metric_roots(self, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+        """(PC)^(1/2) and (PC)^(-1/2) from the metric spectrum, read-only, with
+        the errors of :func:`~cptkit.linops.spectral_powers` at ``tol``: formed
+        on first use at each tolerance and kept, so Hermitization and the
+        emitted roots share one formation."""
+        roots = self._roots.get(tol)
+        if roots is None:
+            roots = spectral_powers(self.pc_matrix, self.metric_spectrum, (0.5, -0.5), tol)
+            for root in roots:
+                root.setflags(write=False)
+            self._roots[tol] = roots
+        return roots
 
     def validate(self, tol: float = DEFAULT_TOL, pd_tol: float | None = None) -> FrameReport:
         """Check the CPT-frame axioms and report every violation with its

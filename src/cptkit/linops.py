@@ -35,10 +35,14 @@ ANTILINEAR = "antilinear"
 
 def as_matrix(m) -> np.ndarray:
     """Coerce input to a read-only square complex matrix with finite entries."""
-    a = np.array(m, dtype=complex)
+    return _finite_square(np.array(m, dtype=complex))
+
+
+def _finite_square(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, read-only, after checking that it is square with finite entries."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteEntries("matrix contains NaN or infinite entries")
     a.setflags(write=False)
     return a
@@ -47,7 +51,7 @@ def as_matrix(m) -> np.ndarray:
 def as_vector(v) -> np.ndarray:
     """Coerce input to a read-only complex vector with finite entries."""
     a = np.array(v, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteEntries("vector contains NaN or infinite entries")
     a.setflags(write=False)
     return a
@@ -62,6 +66,13 @@ def frobenius(a) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         # fmin ignores a nan operand: nan -> inf, anything else unchanged
         return np.fmin(np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1))), np.inf)
+
+
+def column_norms(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """The Euclidean norm of each column of an ``(n, k)`` block, or of each
+    block of an ``(N, n, k)`` stack: ``np.linalg.norm(x, axis=-2)`` without
+    its argument handling, which dominates on small blocks."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-2, keepdims=keepdims))
 
 
 def hermiticity_residual(a: np.ndarray) -> float:
@@ -140,7 +151,7 @@ def operand(v, dim: int) -> np.ndarray:
     """``v`` as a checked complex vector, ``(n, k)`` block or ``(N, n, k)`` stack of length ``dim``."""
     x = np.asarray(v, dtype=complex)
     x = x if x.ndim >= 2 else x.reshape(-1)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteEntries("input contains NaN or infinite entries")
     length = x.shape[0] if x.ndim == 1 else x.shape[-2]
     if length != dim:
@@ -222,13 +233,16 @@ class EigenSystem:
 
 
 def eigendecompose(m, tol: float = DEFAULT_TOL) -> EigenSystem:
-    """Eigendecompose a square complex matrix, or each matrix of an
-    ``(N, n, n)`` stack with one stacked ``np.linalg.eig`` call.
+    """Eigendecompose a square matrix, or each matrix of an ``(N, n, n)``
+    stack with one stacked ``np.linalg.eig`` call.
 
     Parameters
     ----------
     m : array_like
-        Square matrix, or a stack of them.
+        Square matrix, or a stack of them.  Real input stays real: the
+        eigensolve, the condition number and the residual check then run in
+        real arithmetic, and ``values`` and ``vectors`` are real where the
+        spectrum of the whole input is.  Complex input is solved as complex.
     tol : float
         Relative residual tolerance: every pair must satisfy
         ``|m v - lam v| <= tol |m|``.
@@ -250,12 +264,25 @@ def eigendecompose(m, tol: float = DEFAULT_TOL) -> EigenSystem:
         regularized output.
     """
     stacked = np.ndim(m) == 3
-    a = np.asarray(m, dtype=complex) if stacked else as_matrix(m)[None]
+    a = np.asarray(m)
+    a = a.astype(float if a.dtype.kind in "biuf" else complex, copy=not stacked)
+    a = a if stacked else _finite_square(a)[None]
     if a.shape[1] != a.shape[2]:
         raise DimensionMismatch(f"expected a stack of square matrices, got shape {a.shape}")
     scale = frobenius(a)
     if not stacked:
         require_finite_scale(scale[0])
+    eigen, residual = stacked_eigensystem(a, scale, tol)
+    if stacked:
+        return eigen
+    require_regular(eigen, residual, scale, tol)
+    return EigenSystem(eigen.values[0], eigen.vectors[0], float(eigen.condition[0]))
+
+
+def stacked_eigensystem(a: np.ndarray, scale: np.ndarray, tol: float) -> tuple[EigenSystem, np.ndarray]:
+    """The stacked :class:`EigenSystem` of a real or complex ``(N, n, n)``
+    stack whose Frobenius norms are ``scale``, and each row's largest
+    eigenpair residual: the body of :func:`eigendecompose`."""
     unscaled = ~np.isfinite(scale)  # non-finite entries, or a norm that overflows
     if unscaled.any():
         # a placeholder keeps the stacked LAPACK calls valid for the other rows
@@ -265,29 +292,33 @@ def eigendecompose(m, tol: float = DEFAULT_TOL) -> EigenSystem:
     order = np.lexsort((values.imag, values.real), axis=-1)
     values = values[rows, order]
     vectors = vectors[rows[:, :, None], np.arange(a.shape[1])[:, None], order[:, None, :]]
-    vectors = vectors / np.sqrt(np.add.reduce((vectors.conj() * vectors).real, axis=-2, keepdims=True))
+    vectors = vectors / column_norms(vectors, keepdims=True)
 
     singular = np.linalg.svd(vectors, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         condition = singular[:, 0] / singular[:, -1]
-    ill = ~(condition <= COND_LIMIT)
-    residual = np.linalg.norm(a @ vectors - vectors * values[:, None, :], axis=-2).max(-1)
-    defective = unscaled | ill | (residual > tol * scale)
-    if stacked:
-        return EigenSystem(values, vectors, condition, defective)
+    residual = column_norms(a @ vectors - vectors * values[:, None, :]).max(-1)
+    defective = unscaled | ~(condition <= COND_LIMIT) | (residual > tol * scale)
+    return EigenSystem(values, vectors, condition, defective), residual
 
-    if ill[0]:
+
+def require_regular(eigen: EigenSystem, residual: np.ndarray, scale: np.ndarray, tol: float) -> None:
+    """Raise DefectiveSpectrum, as :func:`eigendecompose` does for a single
+    matrix, where row 0 of the stacked ``eigen`` of one matrix with
+    Frobenius norm ``scale[0]`` is defective."""
+    if not eigen.defective[0]:
+        return
+    condition = float(eigen.condition[0])
+    if not condition <= COND_LIMIT:
         raise DefectiveSpectrum(
-            f"eigenvector matrix condition {condition[0]:.3e} exceeds {COND_LIMIT:.1e}; "
+            f"eigenvector matrix condition {condition:.3e} exceeds {COND_LIMIT:.1e}; "
             "matrix is numerically defective (exceptional point?)",
-            condition=float(condition[0]),
+            condition=condition,
         )
-    if defective[0]:
-        raise DefectiveSpectrum(
-            f"eigenpair residual {residual[0]:.3e} exceeds {tol:.1e} * |m| = {tol * scale[0]:.3e}",
-            condition=float(condition[0]),
-        )
-    return EigenSystem(values[0], vectors[0], float(condition[0]))
+    raise DefectiveSpectrum(
+        f"eigenpair residual {residual[0]:.3e} exceeds {tol:.1e} * |m| = {tol * scale[0]:.3e}",
+        condition=condition,
+    )
 
 
 def hermitian_powers(m, powers, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, ...]:

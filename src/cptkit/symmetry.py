@@ -6,6 +6,9 @@ real spectrum; otherwise non-real eigenvalues come in conjugate pairs.
 
 One kernel classifies a whole ``(N, n, n)`` stack over one frame
 (:func:`classify_stack`); :func:`classify_symmetry` is its one-matrix case.
+Over a frame whose P is a permutation and whose T is conjugation, a
+PT-symmetric H is a real matrix in the frame's PT-fixed basis, and is
+eigendecomposed there in real arithmetic.
 """
 
 from __future__ import annotations
@@ -21,12 +24,15 @@ from .frames import PTFrame, pair_swap_frame
 from .linops import (
     COND_LIMIT,
     DEFAULT_TOL,
+    EigenSystem,
     as_matrix,
     as_vector,
-    eigendecompose,
+    column_norms,
     frobenius,
     hermiticity_residual,
     require_finite_scale,
+    require_regular,
+    stacked_eigensystem,
 )
 
 UNBROKEN = "unbroken"
@@ -195,7 +201,7 @@ def _align_columns(vectors: np.ndarray, frame: PTFrame, tol: float):
     w = frame.apply_pt(vectors)
     norm_sq = np.einsum("...ij,...ij->...j", vectors.conj(), vectors).real
     c = np.einsum("...ij,...ij->...j", vectors.conj(), w) / norm_sq
-    residual = np.linalg.norm(w - c[..., None, :] * vectors, axis=-2)
+    residual = column_norms(w - c[..., None, :] * vectors)
     aligned = (np.abs(np.abs(c) - 1.0) <= tol) & (residual <= tol * np.sqrt(norm_sq))
     theta = np.angle(c) % (2.0 * np.pi)
     theta[2.0 * np.pi - theta <= 1e-8] = 0.0  # rounding noise just below a full turn is phase zero
@@ -282,19 +288,60 @@ def _petermann(vectors: np.ndarray) -> np.ndarray:
     return np.add.reduce((inverse.conj() * inverse).real, axis=-1).max(-1)
 
 
-def _classify_rows(a: np.ndarray, values, vectors, condition, frame: PTFrame, tol: float) -> _Rows:
-    """The classification kernel over an ``(N, n, n)`` stack, its sorted
-    eigensystem and eigenvector condition numbers: PT residual, reality,
-    degenerate clusters, phase alignment of every eigenvector, conjugate pairs
-    and exceptional-point proximity, each computed for all rows at once.
+def _eigensystems(a: np.ndarray, norm: np.ndarray, symmetric: np.ndarray, frame: PTFrame, tol: float):
+    """The sorted eigensystem of each matrix of an ``(N, n, n)`` stack with
+    Frobenius norms ``norm`` and PT verdicts ``symmetric``, and each row's
+    largest eigenpair residual.
+
+    A PT-symmetric row over an index frame is solved as the real matrix
+    Re(Q^+ H Q) of :meth:`PTFrame.real_form`, and its eigenvectors are mapped
+    back by Q.  That is an exact eigensystem of H's PT-symmetric part, which
+    differs from H by half the PT residual, at most ``tol * |H| / 2``.  Every
+    other row is solved as complex, in one stacked call with the rows whose
+    real solve is defective or passes the exceptional-point gate, so every
+    warning and error comes from the complex solve of H itself.
+    """
+    real = symmetric & (norm < np.inf)
+    whole = bool(real.all())
+    if frame.perm is None or not (whole or real.any()):
+        return stacked_eigensystem(a, norm, tol)
+    eigen, residual = stacked_eigensystem(frame.real_form(a if whole else a[real]), norm if whole else norm[real], tol)
+    regular = ~(eigen.defective | _past_ep_gate(eigen.condition))
+    if whole and regular.all():  # the common case: nothing falls back
+        vectors = frame.from_real_basis(eigen.vectors)
+        return EigenSystem(eigen.values.astype(complex), vectors, eigen.condition, eigen.defective), residual
+    real[real] = regular  # the rows whose real solve is kept
+    fallback = ~real
+    rest, rest_residual = stacked_eigensystem(a[fallback], norm[fallback], tol)
+    values, vectors = np.empty(a.shape[:2], dtype=complex), np.empty(a.shape, dtype=complex)
+    condition, residuals, defective = np.empty(len(a)), np.empty(len(a)), np.zeros(len(a), dtype=bool)
+    values[real], vectors[real] = eigen.values[regular], frame.from_real_basis(eigen.vectors[regular])
+    condition[real], residuals[real] = eigen.condition[regular], residual[regular]
+    values[fallback], vectors[fallback] = rest.values, rest.vectors
+    condition[fallback], residuals[fallback], defective[fallback] = rest.condition, rest_residual, rest.defective
+    return EigenSystem(values, vectors, condition, defective), residuals
+
+
+def _past_ep_gate(condition: np.ndarray) -> np.ndarray:
+    """Whether a row may reach EP_WARNING_K: max K <= |V^-1|^2 <= cond(V)^2."""
+    return np.minimum(condition, COND_LIMIT) ** 2 >= EP_WARNING_K
+
+
+def _classify_rows(
+    eigen: EigenSystem, symmetric, pt_residual, norm, frame: PTFrame, tol: float
+) -> _Rows:
+    """The classification kernel over the sorted eigensystem ``eigen`` of an
+    ``(N, n, n)`` stack with PT verdicts and residuals from :func:`_pt_check`
+    and Frobenius norms ``norm``: reality, degenerate clusters, phase
+    alignment of every eigenvector, conjugate pairs and exceptional-point
+    proximity, each computed for all rows at once.
 
     ``classification`` and ``warning`` are final for every row except the
     ``irregular`` ones: a PT-symmetric row with a degenerate real eigenspace
     or a simple real eigenvector that failed phase alignment.  Those are
     rebased by :func:`_report`, which may break the symmetry and add warnings.
     """
-    norm = frobenius(a)
-    symmetric, pt_residual = _pt_check(a, norm, frame, tol)
+    values, vectors, condition = eigen.values, eigen.vectors, eigen.condition
     scale = np.maximum(1.0, norm)[:, None]
     real = np.abs(values.imag) <= REALITY_FACTOR * scale
     start = _cluster_starts(values.real, real, DEGENERACY_FACTOR * scale)
@@ -304,9 +351,9 @@ def _classify_rows(a: np.ndarray, values, vectors, condition, frame: PTFrame, to
         phi, theta, phase_ok = vectors, np.zeros(real.shape), real
     nonreal = symmetric[:, None] & ~real
     partner = _pair(values, nonreal, DEGENERACY_FACTOR * scale)
-    # max K <= |V^-1|^2 <= cond(V)^2: only rows past this gate can warn; error rows are left out
-    gate = (condition <= COND_LIMIT) & (np.minimum(condition, COND_LIMIT) ** 2 >= EP_WARNING_K)
-    petermann = np.zeros(len(a))
+    # only rows past the gate can warn; error rows are left out
+    gate = (condition <= COND_LIMIT) & _past_ep_gate(condition)
+    petermann = np.zeros(len(values))
     if gate.any():
         petermann[gate] = _petermann(vectors[gate])
     classification = np.where(symmetric, np.where(nonreal.any(-1), BROKEN, UNBROKEN), NOT_APPLICABLE)
@@ -381,7 +428,8 @@ def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryRe
     """Classify the symmetry phase of a Hamiltonian over a PT-frame.
 
     Pipeline: decide PT-symmetry (otherwise the classification is
-    not-applicable), eigendecompose, then try to align every real-eigenvalue
+    not-applicable), eigendecompose (in the real basis of an index frame,
+    see :func:`_eigensystems`), then try to align every real-eigenvalue
     eigenstate onto the PT-fixed ray.  Degenerate real eigenspaces are
     re-based with the v + PT v construction, which is exact by antilinear
     involution algebra.  The result is unbroken exactly when all eigenvalues
@@ -397,17 +445,21 @@ def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryRe
     raises.  NonFiniteEntries (also for a Frobenius norm that overflows) and
     DefectiveSpectrum from the eigensolver propagate.
     """
-    a = _checked(h, frame)
-    eigen = eigendecompose(a, tol)
-    rows = _classify_rows(a[None], eigen.values[None], eigen.vectors[None], np.array([eigen.condition]), frame, tol)
-    return _report(rows, 0, frame)
+    a = _checked(h, frame)[None]
+    norm = frobenius(a)
+    require_finite_scale(norm[0])
+    symmetric, pt_residual = _pt_check(a, norm, frame, tol)
+    eigen, residual = _eigensystems(a, norm, symmetric, frame, tol)
+    require_regular(eigen, residual, norm, tol)
+    return _report(_classify_rows(eigen, symmetric, pt_residual, norm, frame, tol), 0, frame)
 
 
 def classify_stack(hs, frame: PTFrame, tol: float = DEFAULT_TOL) -> StackClassification:
     """Classify every matrix of an ``(N, n, n)`` stack over one PT-frame.
 
-    One stacked eigendecomposition and one pass of the classification kernel
-    cover the whole stack; only rows with a degenerate real eigenspace or a
+    One stacked real eigendecomposition (the PT-symmetric rows over an index
+    frame), one stacked complex one (every other row) and one pass of the
+    classification kernel cover the whole stack; only rows with a degenerate real eigenspace or a
     failed phase alignment go through the per-row rebase of
     :func:`classify_symmetry`.  Each row gets the classification and warning
     flag that :func:`classify_symmetry` gives its matrix.  A row on which
@@ -417,11 +469,14 @@ def classify_stack(hs, frame: PTFrame, tol: float = DEFAULT_TOL) -> StackClassif
     a = np.asarray(hs, dtype=complex)
     if a.ndim != 3 or a.shape[1:] != (frame.dim, frame.dim):
         raise DimensionMismatch(f"expected a stack of {frame.dim}x{frame.dim} matrices, got shape {a.shape}")
-    eigen = eigendecompose(a, tol)
+    norm = frobenius(a)
+    scaled = norm < np.inf
+    if not scaled.all():  # non-finite entries, or a norm that overflows: error rows, kept out of the PT check
+        a = np.where(scaled[:, None, None], a, 0.0)
+    symmetric, pt_residual = _pt_check(a, norm, frame, tol)
+    eigen, _ = _eigensystems(a, norm, symmetric, frame, tol)
     error = eigen.defective
-    if error.any():
-        a = np.where(error[:, None, None], 0.0, a)
-    rows = _classify_rows(a, eigen.values, eigen.vectors, eigen.condition, frame, tol)
+    rows = _classify_rows(eigen, symmetric, pt_residual, norm, frame, tol)
     classification, warning = rows.classification.copy(), rows.warning & ~error
     for i in np.flatnonzero(rows.irregular & ~error):
         report = _report(rows, i, frame)

@@ -5,19 +5,24 @@ import numpy as np
 import pytest
 
 from cptkit import (
+    DEFAULT_TOL,
     UNBROKEN,
     CptKitError,
+    ModelSpec,
     Operator,
+    build_c,
     build_model,
     classify_symmetry,
     cli,
+    cpt,
     frames,
     hermitian_power,
+    linops,
     pair_swap_frame,
 )
 from cptkit.cli import EXIT_AXIOM, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from cptkit.frames import checked_cpt_frame
-from cptkit.io import format_float, load_matrix, write_frame, write_matrix
+from cptkit.io import format_float, load_matrix, matrix_document, write_frame, write_matrix
 from helpers import (
     COVARIANCE_FAMILIES,
     H1,
@@ -215,6 +220,33 @@ def test_build_c_multiple_emits(tmp_path, capsys):
     np.testing.assert_allclose(root @ inv_root, np.eye(2), atol=1e-10)
     h = load_matrix(tmp_path / "result.h.json").matrix
     assert np.linalg.norm(h - h.conj().T) <= 1e-8 * np.linalg.norm(h)
+
+
+@pytest.mark.parametrize("command, emits", [
+    ("build-c", ["sqrt", "h"]), ("build-c", ["h", "sqrt"]), ("hermitize", ["sqrt"]), ("hermitize", ["h", "sqrt"]),
+])
+def test_metric_roots_are_formed_once_per_command(command, emits, monkeypatch, tmp_path, capsys):
+    blocks = ((1.0, 2.0, float(THETA_PI_6)), (1.0, 3.0, 0.7))
+    h, frame = build_model(ModelSpec("chain", blocks))
+    metric = build_c(h, frame).cpt
+    root, inv_root = linops.spectral_powers(metric.pc_matrix, metric.metric_spectrum, (0.5, -0.5), DEFAULT_TOL)
+    want = {"pc_sqrt": root, "pc_inv_sqrt": inv_root, "h": root @ h @ inv_root}
+    calls = []
+    real = linops.spectral_powers
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    for module in (linops, frames, cpt, cli):
+        if hasattr(module, "spectral_powers"):
+            monkeypatch.setattr(module, "spectral_powers", counting)
+    model = ["--model", "chain"] + [flag for r, s, theta in blocks for flag in ("--r", repr(r), "--s", repr(s), "--theta", repr(theta))]
+    emit_flags = [flag for kind in emits for flag in ("--emit", kind)]
+    assert run([command, *model, "--out", str(tmp_path / "m.json"), *emit_flags]) == EXIT_OK
+    assert len(calls) == 1
+    for label, matrix in want.items():
+        assert (tmp_path / f"m.{label}.json").read_text(encoding="utf-8") == matrix_document(matrix)
 
 
 def test_build_c_with_a_non_hermitian_parity_is_an_axiom_failure(tmp_path, capsys):
@@ -577,3 +609,19 @@ def test_scan_classifies_its_grid_in_one_batch(monkeypatch, tmp_path):
 
     assert counts(10) == counts(1000)
     assert counts(10)["model_matrix"] == 1
+
+
+def test_an_exceptional_point_sweep_falls_back_in_one_batch(monkeypatch, tmp_path):
+    # every row is PT-symmetric over the index frame: one real solve for all,
+    # then one complex solve for the rows near the exceptional point
+    kinds = []
+    real = np.linalg.eig
+
+    def recording(a, *args, **kwargs):
+        kinds.append(np.asarray(a).dtype.kind)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", recording)
+    out = tmp_path / "scan.csv"
+    assert run(["scan", *EQUIVALENCE_SWEEPS["exceptional-point"], "--out", str(out)]) == EXIT_OK
+    assert kinds == ["f", "c"]

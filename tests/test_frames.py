@@ -357,7 +357,7 @@ def _cell(r, s, theta):
     return build_model(ModelSpec("2x2", ((r, s, theta),)))
 
 
-@pytest.mark.parametrize("frame", [
+BUILT_IN_FRAMES = pytest.mark.parametrize("frame", [
     pair_swap_frame(2), pair_swap_frame(6), pair_swap_frame(200),
     model_frame(ModelSpec("3x3", ((1.0, 2.0, 0.4),), a=1.0)),
     model_frame(ModelSpec("tensor", ((1.0, 2.0, 0.4), (1.0, 3.0, 0.7)))),
@@ -365,9 +365,34 @@ def _cell(r, s, theta):
     direct_sum(BlockSpec((_cell(1.0, 2.0, 0.4), _cell(1.0, 3.0, 0.7))))[1],
     _round_tripped(model_frame(ModelSpec("tensor", ((1.0, 2.0, 0.4), (1.0, 3.0, 0.7))))),
 ], ids=["swap-2", "swap-6", "swap-200", "3x3", "tensor", "doubling-1", "doubling-3", "direct-sum", "document"])
+
+
+@BUILT_IN_FRAMES
 def test_built_in_frames_carry_their_permutation(frame):
     assert frame.perm is not None and not frame.perm.flags.writeable
     assert np.eye(frame.dim)[frame.perm].astype(complex).tobytes() == frame.p.matrix.tobytes()
+
+
+@BUILT_IN_FRAMES
+def test_built_in_frames_map_into_their_real_basis(frame):
+    rng = np.random.default_rng(frame.dim)
+    n = frame.dim
+    q = frame.from_real_basis(np.eye(n))
+    # Q is unitary, its columns are PT-fixed and Q maps back what real_form maps in
+    np.testing.assert_allclose(q.conj().T @ q, np.eye(n), rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(frame.apply_pt(q), q)
+    a = random_complex(rng, (3, n, n))
+    np.testing.assert_allclose(frame.real_form(a), (q.conj().T @ a @ q).real, rtol=0, atol=1e-14 * np.sqrt(n))
+    x = random_complex(rng, (2, n, 3))
+    np.testing.assert_allclose(frame.from_real_basis(x), q @ x, rtol=0, atol=1e-15)
+    # in that basis the PT-antisymmetric part, half the PT residual, is all
+    # of the imaginary part
+    h = random_pt_symmetric(rng, frame)
+    for noise in (0.0, 1e-6):
+        moved = h + noise * random_complex(rng, (n, n))
+        imaginary = frobenius((q.conj().T @ moved @ q).imag)
+        assert imaginary <= is_pt_symmetric(moved, frame).residual / 2.0 * (1.0 + 1e-8) + 1e-14 * frobenius(h)
+        assert not noise or imaginary >= is_pt_symmetric(moved, frame).residual / 2.0 * (1.0 - 1e-6)
 
 
 def test_other_frames_take_the_dense_path():

@@ -273,6 +273,24 @@ def test_eigendecompose_defective_raises_with_condition():
     assert info.value.condition is None or info.value.condition > 1e8
 
 
+def test_eigendecompose_keeps_real_input_real():
+    rng = np.random.default_rng(14)
+    symmetric = rng.standard_normal((5, 5))
+    symmetric = symmetric + symmetric.T
+    eig = eigendecompose(symmetric)
+    assert eig.values.dtype == eig.vectors.dtype == np.float64
+    np.testing.assert_allclose(eig.values, eigendecompose(symmetric.astype(complex)).values.real, atol=1e-13)
+    np.testing.assert_allclose(symmetric @ eig.vectors, eig.vectors * eig.values, atol=1e-12)
+    # a real matrix with a conjugate pair: complex output, sorted as ever
+    rotation = eigendecompose(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    np.testing.assert_allclose(rotation.values, [-1j, 1j], atol=1e-15)
+    with pytest.raises(DefectiveSpectrum) as info:
+        eigendecompose(np.array([[0, 1], [0, 0]]))
+    assert info.value.condition > 1e8
+    stack = eigendecompose(np.stack([symmetric[:2, :2], np.array([[0.0, 1.0], [0.0, 0.0]])]))
+    assert stack.defective.tolist() == [False, True] and stack.vectors.dtype == np.float64
+
+
 # ---------------------------------------------------------------- hermitian_power
 
 

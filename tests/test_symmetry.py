@@ -6,6 +6,7 @@ from cptkit import (
     NOT_APPLICABLE,
     UNBROKEN,
     ModelSpec,
+    build_c,
     build_model,
     classify_2x2,
     classify_stack,
@@ -16,8 +17,8 @@ from cptkit import (
     phase_align,
     symmetry,
 )
-from cptkit.errors import CptKitError, DimensionMismatch, NonFiniteEntries, NotPTEigenstate
-from helpers import H1, H2, H3, any_dim_frame, multiset_gap, random_pt_symmetric
+from cptkit.errors import CptKitError, DefectiveSpectrum, DimensionMismatch, NonFiniteEntries, NotPTEigenstate
+from helpers import H1, H2, H3, any_dim_frame, multiset_gap, random_pt_symmetric, unitary_basis_change
 
 E_PLUS = 2.8025170768881473
 E_MINUS = -1.0704662693192697
@@ -363,3 +364,72 @@ def test_overflowing_scale_raises_instead_of_passing_every_check():
     # |H| overflows: every tolerance relative to it would be infinite
     with pytest.raises(NonFiniteEntries):
         classify_symmetry(model_2x2(1e308, 1.0, 0.3), pair_swap_frame(2))
+
+
+# ---------------------------------------------------------------- the real basis
+
+
+def _recorded_kinds(monkeypatch):
+    """Record the dtype kind ("f" real, "c" complex) of every matrix passed
+    to np.linalg.eig and np.linalg.svd."""
+    kinds = {"eig": [], "svd": []}
+    for name, seen in kinds.items():
+        real = getattr(np.linalg, name)
+
+        def recording(a, *args, _seen=seen, _real=real, **kwargs):
+            _seen.append(np.asarray(a).dtype.kind)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return kinds
+
+
+def test_an_index_frame_chain_is_classified_in_real_arithmetic(monkeypatch):
+    h, frame = build_model(ModelSpec("chain", tuple((0.5, 1.0 + 0.1 * k, 0.3 + 0.05 * k) for k in range(10))))
+    kinds = _recorded_kinds(monkeypatch)
+    report = classify_symmetry(h, frame)
+    build_c(h, frame)
+    assert kinds == {"eig": ["f", "f"], "svd": ["f", "f"]}
+    assert report.classification == UNBROKEN
+    np.testing.assert_allclose(report.eigenvalues, eigendecompose(h).values, rtol=0, atol=1e-13)
+    for state in report.aligned_states:
+        np.testing.assert_allclose(frame.apply_pt(state.state), state.state, rtol=0, atol=1e-15)
+
+
+def _fallback_inputs():
+    """Inputs whose eigenvalues must come from the complex solve of H: a
+    frame moved by a unitary (no index array), the cells of acceptance
+    criterion 10 at and around the self-orthogonality guard, a cell near its
+    exceptional point and a row that is not PT-symmetric."""
+    rng = np.random.default_rng(5)
+    cell = build_model(ModelSpec("2x2", ((1.0, 2.0, 0.4),)))
+    yield unitary_basis_change(*cell, rng)[1:]
+    yield unitary_basis_change(*build_model(ModelSpec("chain", ((1.0, 2.0, 0.4), (1.0, 3.0, 0.7)))), rng)[1:]
+    for r in (1.0 - 1e-8, 1.0 - 1e-9, 1.0 - 1e-12, -(1.0 - 1e-9), 1.0 - 2e-8, 1.0 - 1e-6):
+        yield build_model(ModelSpec("2x2", ((r, 1.0, np.pi / 2),)))
+    yield H3, pair_swap_frame(2)
+
+
+def test_fallback_rows_take_the_complex_solve_bit_for_bit(monkeypatch):
+    kinds = _recorded_kinds(monkeypatch)
+    for h, frame in _fallback_inputs():
+        kinds["eig"].clear()
+        report = classify_symmetry(h, frame)
+        assert kinds["eig"][-1] == "c"
+        assert report.eigenvalues.tobytes() == eigendecompose(h).values.tobytes()
+        stack = classify_stack(np.stack([h, h]), frame)
+        assert stack.eigenvalues.tobytes() == eigendecompose(np.stack([h, h]).astype(complex)).values.tobytes()
+
+
+def test_an_exact_exceptional_point_fails_as_in_the_complex_solve(monkeypatch):
+    h, frame = build_model(ModelSpec("2x2", ((1.5, 1.5, np.pi / 2),)))
+    kinds = _recorded_kinds(monkeypatch)
+    with pytest.raises(DefectiveSpectrum) as want:
+        eigendecompose(h)
+    with pytest.raises(DefectiveSpectrum) as got:
+        classify_symmetry(h, frame)
+    assert str(got.value) == str(want.value)
+    assert kinds["eig"] == ["c", "f", "c"]
+    stack = classify_stack(h[None], frame)
+    assert stack.error.tolist() == [True]
+    assert stack.eigenvalues.tobytes() == eigendecompose(h[None]).values.tobytes()
