@@ -38,7 +38,7 @@ from .linops import (
     frobenius,
     spectral_powers,
 )
-from .symmetry import UNBROKEN, classify_symmetry
+from .symmetry import UNBROKEN, _classify_one
 
 #: Self-orthogonality guard for C synthesis: a state whose normalized
 #: indefinite self-product |(v, v)| / |v|^2 falls below this threshold is
@@ -81,7 +81,10 @@ def pt_inner(u, v, frame: PTFrame) -> complex:
 
     When T is entrywise conjugation and u is PT-aligned this equals the
     conjugation-free bilinear form sum_i u_i v_i.
+    Like :func:`build_c`, raises FrameInvalid (exit code 3) for a P that is
+    not Hermitian at ``DEFAULT_TOL``: the form is Hermitian only for such a P.
     """
+    frame.require_hermitian_parity(DEFAULT_TOL)
     uu = as_vector(u)
     vv = as_vector(v)
     if uu.shape[0] != frame.dim or vv.shape[0] != frame.dim:
@@ -168,11 +171,13 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
 
     Pipeline: require a Hermitian P, ``|P - P^+| <= tol * max(1, |P|)``,
     since (u, v) = <P u, v> is a Hermitian form only then; classify the
-    symmetry phase (must be unbroken); turn each eigenspace of the report
-    into an indefinite-orthonormal basis with one :func:`normalize_indefinite`
-    call; verify pairwise indefinite orthogonality across eigenspaces
-    (automatic for distinct eigenvalues of a symmetric Hamiltonian); set C to
-    the sum of phi_k (P phi_k)^+ over the normalized states, which satisfies
+    symmetry phase (must be unbroken) and read the kernel's arrays of
+    :func:`classify_symmetry`: the aligned states as one ``(n, n)`` array and
+    where each eigenspace starts; normalize them as :func:`normalize_indefinite`
+    does, the simple eigenspaces in one pass and one call per degenerate one;
+    verify pairwise indefinite orthogonality across eigenspaces (automatic
+    for distinct eigenvalues of a symmetric Hamiltonian); set C to the sum
+    of phi_k (P phi_k)^+ over the normalized states, which satisfies
     C phi_k = sign_k phi_k; validate the resulting frame, whose one
     factorization of PC also gives the Gram tolerance, and the commutator
     [C, H].  C depends only on each eigenspace, not on the basis the
@@ -191,26 +196,25 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
     """
     frame.require_hermitian_parity(tol)
     a = as_matrix(h)
-    report = classify_symmetry(a, frame, tol)
-    if report.classification != UNBROKEN:
+    rows = _classify_one(a, frame, tol)
+    if rows.classification[0] != UNBROKEN:
         raise NotUnbroken(
-            f"C synthesis requires unbroken symmetry, got {report.classification} "
-            f"(PT residual {report.pt_residual:.3e})"
+            f"C synthesis requires unbroken symmetry, got {rows.classification[0]} "
+            f"(PT residual {rows.pt_residual[0]:.3e})"
         )
 
-    # the simple eigenspaces in one vectorized pass, one block call per
-    # degenerate eigenspace
-    sizes = np.array([len(members) for members in report.eigenspaces])
-    phi = np.column_stack([state.state for state in report.aligned_states])
-    signs = np.empty(len(report.aligned_states), dtype=int)
-    simple = np.repeat(sizes == 1, sizes)
+    # unbroken: every column of phi is an aligned state, and each run of
+    # columns that ``start`` opens is one eigenspace
+    phi, start = rows.phi[0], rows.start[0]
+    signs = np.empty(len(start), dtype=int)
+    simple = start & np.append(start[1:], True)
     phi[:, simple], signs[simple] = _normalize_columns(phi[:, simple], frame, EP_GUARD_TOL)
-    for at, size in zip(np.cumsum(sizes) - sizes, sizes):
-        if size > 1:
-            phi[:, at:at + size], signs[at:at + size] = _normalize_block(phi[:, at:at + size], frame, EP_GUARD_TOL)
-    normalized = [
-        SignedState(state.energy, unit, int(sign)) for state, unit, sign in zip(report.aligned_states, phi.T, signs)
-    ]
+    bounds = np.append(np.flatnonzero(start), len(start)).tolist()
+    for at, end in zip(bounds[:-1], bounds[1:]):
+        if end - at > 1:
+            phi[:, at:end], signs[at:end] = _normalize_block(phi[:, at:end], frame, EP_GUARD_TOL)
+    energies = rows.energy[0].tolist()
+    normalized = [SignedState(energy, unit, sign) for energy, unit, sign in zip(energies, phi.T, signs.tolist())]
     p_phi_adj = frame.apply_p(phi).conj().T
     gram = p_phi_adj @ phi
     gram_error = frobenius(gram - np.diag(signs))

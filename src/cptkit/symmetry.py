@@ -141,23 +141,23 @@ class StackClassification:
 
 
 class _Rows(NamedTuple):
-    """What the classification kernel measured on each row of a stack; see
+    """The verdict of the classification kernel on each row of a stack; see
     :func:`_classify_rows`."""
 
-    values: np.ndarray
-    vectors: np.ndarray
+    eigen: EigenSystem
     symmetric: np.ndarray
     pt_residual: np.ndarray
-    real: np.ndarray
     start: np.ndarray
+    energy: np.ndarray
     phi: np.ndarray
     theta: np.ndarray
-    phase_ok: np.ndarray
+    kept: np.ndarray
+    rebased: np.ndarray
     partner: np.ndarray
+    unpaired: np.ndarray
     petermann: np.ndarray
     classification: np.ndarray
     warning: np.ndarray
-    irregular: np.ndarray
 
 
 def _checked(h, frame: PTFrame) -> np.ndarray:
@@ -336,12 +336,16 @@ def _classify_rows(
     alignment of every eigenvector, conjugate pairs and exceptional-point
     proximity, each computed for all rows at once.
 
-    ``classification`` and ``warning`` are final for every row except the
-    ``irregular`` ones: a PT-symmetric row with a degenerate real eigenspace
-    or a simple real eigenvector that failed phase alignment.  Those are
-    rebased by :func:`_report`, which may break the symmetry and add warnings.
+    ``start`` marks the first column of each real eigenspace, and ``kept``
+    the columns of ``phi`` that hold aligned states, with phase ``theta`` and
+    their eigenspace's ``energy``.  Each real eigenspace of a PT-symmetric
+    row that is degenerate, or simple with a sour phase alignment, is rebased
+    in place (``rebased`` marks the simple ones), or dropped from ``kept``
+    where that fails, which breaks the symmetry.  The verdicts are read off
+    these arrays; rows marked ``eigen.defective`` are not rebased and never warn.
     """
     values, vectors, condition = eigen.values, eigen.vectors, eigen.condition
+    settled = ~eigen.defective
     scale = np.maximum(1.0, norm)[:, None]
     real = np.abs(values.imag) <= REALITY_FACTOR * scale
     start = _cluster_starts(values.real, real, DEGENERACY_FACTOR * scale)
@@ -356,72 +360,45 @@ def _classify_rows(
     petermann = np.zeros(len(values))
     if gate.any():
         petermann[gate] = _petermann(vectors[gate])
-    classification = np.where(symmetric, np.where(nonreal.any(-1), BROKEN, UNBROKEN), NOT_APPLICABLE)
-    warning = (petermann >= EP_WARNING_K) | (nonreal & (partner < 0)).any(-1)
-    # a real eigenvalue that opens no run sits in a degenerate eigenspace
-    irregular = symmetric & (real & ~(start & phase_ok)).any(-1)
+
+    kept = symmetric[:, None] & real & start & phase_ok
+    energy, rebased = values.real, np.zeros_like(kept)
+    broken = nonreal.any(-1)
+    irregular = settled & symmetric & (real & ~kept).any(-1)
+    if irregular.any():
+        energy = energy.copy()
+        label = np.cumsum(start, axis=-1)  # the eigenspace of each real column
+        for i in np.flatnonzero(irregular):
+            for cluster in np.unique(label[i, real[i] & ~kept[i]]):
+                members = np.flatnonzero(real[i] & (label[i] == cluster))
+                try:  # the v + PT v rebase still lands on the PT-fixed ray
+                    basis = _pt_fixed_basis(vectors[i][:, members], frame, len(members))
+                except NotPTEigenstate:  # the whole eigenspace is dropped, its first member too
+                    kept[i, members] = False
+                    continue
+                phi[i][:, members], theta[i, members] = basis, 0.0
+                energy[i, members] = values.real[i, members].sum() / len(members)
+                kept[i, members], rebased[i, members] = True, len(members) == 1
+        broken |= irregular & (real & ~kept).any(-1)
+
+    unpaired = nonreal & (partner < 0)
+    classification = np.where(symmetric, np.where(broken, BROKEN, UNBROKEN), NOT_APPLICABLE)
+    warning = settled & ((petermann >= EP_WARNING_K) | (unpaired | rebased).any(-1))
     return _Rows(
-        values, vectors, symmetric, pt_residual, real, start, phi, theta, phase_ok,
-        partner, petermann, classification, warning, irregular,
+        eigen, symmetric, pt_residual, start, energy, phi, theta, kept, rebased,
+        partner, unpaired, petermann, classification, warning,
     )
 
 
-def _report(rows: _Rows, i: int, frame: PTFrame) -> SymmetryReport:
-    """The SymmetryReport of row ``i``: aligned states, rebasing the
-    irregular eigenspaces through :func:`_pt_fixed_basis`, conjugate pairs
-    and every warning."""
-    values, vectors = rows.values[i], rows.vectors[i]
-    warnings: list[str] = []
-    if rows.petermann[i] >= EP_WARNING_K:
-        warnings.append(
-            f"exceptional-point proximity: Petermann factor {rows.petermann[i]:.3e} reaches the threshold "
-            f"{EP_WARNING_K:.3e}; eigenvectors nearly coalesce and results are ill-conditioned"
-        )
-    if not rows.symmetric[i]:
-        return SymmetryReport(False, NOT_APPLICABLE, values, (), (), tuple(warnings), float(rows.pt_residual[i]))
-
-    aligned: list[AlignedState] = []
-    align_failed = False
-    clusters: list[list[int]] = []
-    for j, opens in zip(np.flatnonzero(rows.real[i]).tolist(), rows.start[i][rows.real[i]].tolist()):
-        if opens:
-            clusters.append([j])
-        else:
-            clusters[-1].append(j)
-    for members in clusters:
-        energy = float(values.real[members].sum() / len(members))
-        if len(members) == 1 and rows.phase_ok[i, members[0]]:
-            aligned.append(AlignedState(energy, rows.phi[i, :, members[0]], float(rows.theta[i, members[0]])))
-            continue
-        # a degenerate eigenspace, or a numerically sour simple eigenvector:
-        # the v + PT v rebase still lands on the PT-fixed ray
-        try:
-            basis = _pt_fixed_basis(vectors[:, members], frame, len(members))
-        except NotPTEigenstate:
-            align_failed = True
-            continue
-        if len(members) == 1:
-            warnings.append(f"eigenvector for E = {energy:.6g} aligned via rebasing, not by phase")
-        aligned.extend(AlignedState(energy, b, 0.0) for b in basis.T)
-
-    pairs: list[ConjugatePair] = []
-    nonreal = np.flatnonzero(~rows.real[i]).tolist()
-    for j in nonreal:  # upper half-plane first, each with its partner
-        if values[j].imag < 0:
-            continue
-        k = rows.partner[i, j]
-        if k < 0:
-            warnings.append(f"non-real eigenvalue {values[j]:.6g} has no conjugate partner")
-        else:
-            pairs.append(ConjugatePair(complex(values[j]), complex(values[k]), vectors[:, j], vectors[:, k]))
-    for j in nonreal:
-        if values[j].imag < 0 and rows.partner[i, j] < 0:
-            warnings.append(f"non-real eigenvalue {values[j]:.6g} has no conjugate partner")
-
-    classification = BROKEN if align_failed else str(rows.classification[i])
-    return SymmetryReport(
-        True, classification, values, tuple(aligned), tuple(pairs), tuple(warnings), float(rows.pt_residual[i])
-    )
+def _classify_one(h, frame: PTFrame, tol: float) -> _Rows:
+    """The kernel's verdict on a stack of one matrix, raising on an error row."""
+    a = _checked(h, frame)[None]
+    norm = frobenius(a)
+    require_finite_scale(norm[0])
+    symmetric, pt_residual = _pt_check(a, norm, frame, tol)
+    eigen, residual = _eigensystems(a, norm, symmetric, frame, tol)
+    require_regular(eigen, residual, norm, tol)
+    return _classify_rows(eigen, symmetric, pt_residual, norm, frame, tol)
 
 
 def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryReport:
@@ -436,22 +413,45 @@ def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryRe
     are real and every eigenstate aligns; otherwise it is broken and the
     non-real eigenvalues are matched into conjugate pairs.
 
-    Warnings flag a largest Petermann factor at or above ``EP_WARNING_K``
-    (exceptional-point proximity, for any n and frame), an unpaired non-real
-    eigenvalue and a simple eigenvector aligned by rebasing.
+    Warnings flag, in this order, a largest Petermann factor at or above
+    ``EP_WARNING_K`` (exceptional-point proximity, for any n and frame), each
+    simple eigenvector aligned by rebasing, in ascending energy, and each
+    unpaired non-real eigenvalue, those above the real axis first.
 
-    This is the one-matrix case of :func:`classify_stack`: the same kernel
-    runs on a stack of one, and where the stack marks a row as an error this
-    raises.  NonFiniteEntries (also for a Frobenius norm that overflows) and
-    DefectiveSpectrum from the eigensolver propagate.
+    This is the one-matrix case of :func:`classify_stack`: the report renders
+    the kernel's arrays for a stack of one, and where the stack marks the row
+    as an error this raises.  NonFiniteEntries (also for a Frobenius norm
+    that overflows) and DefectiveSpectrum from the eigensolver propagate.
     """
-    a = _checked(h, frame)[None]
-    norm = frobenius(a)
-    require_finite_scale(norm[0])
-    symmetric, pt_residual = _pt_check(a, norm, frame, tol)
-    eigen, residual = _eigensystems(a, norm, symmetric, frame, tol)
-    require_regular(eigen, residual, norm, tol)
-    return _report(_classify_rows(eigen, symmetric, pt_residual, norm, frame, tol), 0, frame)
+    rows = _classify_one(h, frame, tol)
+    values, vectors, phi, kept = rows.eigen.values[0], rows.eigen.vectors[0], rows.phi[0], rows.kept[0]
+    energies, thetas = rows.energy[0, kept].tolist(), rows.theta[0, kept].tolist()
+    aligned = tuple(AlignedState(e, phi[:, j], t) for j, e, t in zip(np.flatnonzero(kept).tolist(), energies, thetas))
+    pairs, warnings = (), []
+    if rows.classification[0] == BROKEN:
+        paired = np.flatnonzero((values.imag > 0) & (rows.partner[0] >= 0)).tolist()
+        pairs = tuple(
+            ConjugatePair(complex(values[j]), complex(values[k]), vectors[:, j], vectors[:, k])
+            for j, k in zip(paired, rows.partner[0, paired].tolist())
+        )
+    if rows.warning[0]:  # the texts of the masks that set the warning bit
+        if rows.petermann[0] >= EP_WARNING_K:
+            warnings.append(
+                f"exceptional-point proximity: Petermann factor {rows.petermann[0]:.3e} reaches the threshold "
+                f"{EP_WARNING_K:.3e}; eigenvectors nearly coalesce and results are ill-conditioned"
+            )
+        warnings += [
+            f"eigenvector for E = {energy:.6g} aligned via rebasing, not by phase"
+            for energy in rows.energy[0, rows.rebased[0]].tolist()
+        ]
+        warnings += [
+            f"non-real eigenvalue {values[j]:.6g} has no conjugate partner"
+            for j in sorted(np.flatnonzero(rows.unpaired[0]).tolist(), key=lambda j: values[j].imag < 0)
+        ]
+    return SymmetryReport(
+        bool(rows.symmetric[0]), str(rows.classification[0]), values, aligned, pairs, tuple(warnings),
+        float(rows.pt_residual[0]),
+    )
 
 
 def classify_stack(hs, frame: PTFrame, tol: float = DEFAULT_TOL) -> StackClassification:
@@ -459,10 +459,10 @@ def classify_stack(hs, frame: PTFrame, tol: float = DEFAULT_TOL) -> StackClassif
 
     One stacked real eigendecomposition (the PT-symmetric rows over an index
     frame), one stacked complex one (every other row) and one pass of the
-    classification kernel cover the whole stack; only rows with a degenerate real eigenspace or a
-    failed phase alignment go through the per-row rebase of
-    :func:`classify_symmetry`.  Each row gets the classification and warning
-    flag that :func:`classify_symmetry` gives its matrix.  A row on which
+    classification kernel cover the whole stack; only real eigenspaces that
+    are degenerate or fail phase alignment are rebased one by one.  Each row
+    gets the classification and warning flag of the kernel's arrays, which
+    :func:`classify_symmetry` renders for its matrix.  A row on which
     :func:`classify_symmetry` would raise is marked in ``error`` instead, so
     one bad row never stops the others.
     """
@@ -475,13 +475,8 @@ def classify_stack(hs, frame: PTFrame, tol: float = DEFAULT_TOL) -> StackClassif
         a = np.where(scaled[:, None, None], a, 0.0)
     symmetric, pt_residual = _pt_check(a, norm, frame, tol)
     eigen, _ = _eigensystems(a, norm, symmetric, frame, tol)
-    error = eigen.defective
     rows = _classify_rows(eigen, symmetric, pt_residual, norm, frame, tol)
-    classification, warning = rows.classification.copy(), rows.warning & ~error
-    for i in np.flatnonzero(rows.irregular & ~error):
-        report = _report(rows, i, frame)
-        classification[i], warning[i] = report.classification, bool(report.warnings)
-    return StackClassification(eigen.values, classification, warning, error)
+    return StackClassification(eigen.values, rows.classification, rows.warning, eigen.defective)
 
 
 def classify_2x2(h, tol: float = DEFAULT_TOL) -> TwoByTwoClass:

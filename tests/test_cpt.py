@@ -181,11 +181,20 @@ def test_normalize_indefinite_requires_a_hermitian_parity():
     # <P u, v>, so the signs of that form would mean nothing
     h, frame = skewed_parity_problem()
     states = np.column_stack([state.state for state in classify_symmetry(h, frame).aligned_states])
-    assert abs(pt_inner(states[:, 0], states[:, 1], frame)) > 0.1
+    assert abs(np.vdot(frame.apply_p(states[:, 0]), states[:, 1])) > 0.1
     for v in (states[:, 0], states[:, :1], states):
         with pytest.raises(FrameInvalid, match="Hermitian parity") as info:
             normalize_indefinite(v, frame)
         assert info.value.exit_code == 3
+
+
+def test_pt_inner_requires_a_hermitian_parity():
+    # <P u, v> is not a Hermitian form for the skewed P: no number is returned
+    h, frame = skewed_parity_problem()
+    u, v = (state.state for state in classify_symmetry(h, frame).aligned_states)
+    with pytest.raises(FrameInvalid, match="Hermitian parity") as info:
+        pt_inner(u, v, frame)
+    assert info.value.exit_code == 3
 
 
 def test_build_c_fails_self_orthogonal_within_guard():

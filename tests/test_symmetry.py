@@ -111,7 +111,9 @@ def test_classify_unbroken_model():
         np.testing.assert_allclose(frame.apply_pt(state.state), state.state, atol=1e-10)
 
 
-def test_classify_rebases_simple_eigenvector_that_fails_phase_alignment(monkeypatch):
+def _sour_phase_alignment(monkeypatch):
+    """Make every eigenvector fail phase alignment, so that each real
+    eigenspace, simple ones too, is rebased."""
     real_align = symmetry._align_columns
 
     def sour(vectors, frame, tol):
@@ -119,6 +121,10 @@ def test_classify_rebases_simple_eigenvector_that_fails_phase_alignment(monkeypa
         return phi, theta, np.zeros_like(aligned), c, residual
 
     monkeypatch.setattr(symmetry, "_align_columns", sour)
+
+
+def test_classify_rebases_simple_eigenvector_that_fails_phase_alignment(monkeypatch):
+    _sour_phase_alignment(monkeypatch)
     frame = pair_swap_frame(2)
     report = classify_symmetry(model_2x2(1, 2, np.pi / 6), frame)
     assert report.classification == UNBROKEN
@@ -126,6 +132,39 @@ def test_classify_rebases_simple_eigenvector_that_fails_phase_alignment(monkeypa
     for state in report.aligned_states:
         assert state.theta == 0.0
         np.testing.assert_allclose(frame.apply_pt(state.state), state.state, atol=1e-12)
+
+
+def test_classify_breaks_where_a_rebase_fails(monkeypatch):
+    # the degenerate eigenspace of the identity cannot be rebased: its
+    # states are dropped and the symmetry reads broken, with no warning
+    def fail(columns, frame, dim):
+        raise NotPTEigenstate("no PT-fixed basis")
+
+    monkeypatch.setattr(symmetry, "_pt_fixed_basis", fail)
+    frame = pair_swap_frame(4)
+    report = classify_symmetry(np.eye(4), frame)
+    assert (report.classification, report.aligned_states, report.warnings) == (BROKEN, (), ())
+    rows = classify_stack(np.eye(4)[None], frame)
+    assert (rows.classification.tolist(), rows.warning.tolist(), rows.error.tolist()) == ([BROKEN], [False], [False])
+
+
+def test_unpaired_conjugates_are_warned_upper_half_plane_first():
+    # a perturbed exceptional point: the non-real eigenvalues +-(1 + i) 5e-6
+    # are each other's negatives, not conjugates, so neither has a partner
+    g = model_2x2(1.0, 1.0, np.pi / 2) + 5e-11j * np.array([[0, 1], [0, 0]])
+    frame = pair_swap_frame(2)
+    report = classify_symmetry(g, frame)
+    assert report.classification == BROKEN
+    assert report.broken_pairs == ()
+    assert report.warnings == (
+        "exceptional-point proximity: Petermann factor 2.000e+10 reaches the threshold 5.000e+05; "
+        "eigenvectors nearly coalesce and results are ill-conditioned",
+        "non-real eigenvalue 5e-06+5e-06j has no conjugate partner",
+        "non-real eigenvalue -5e-06-5e-06j has no conjugate partner",
+    )
+    rows = classify_stack(np.stack([g, g]), frame)
+    assert rows.classification.tolist() == [BROKEN, BROKEN]
+    assert rows.warning.tolist() == [True, True]
 
 
 def test_classify_broken_model():
@@ -322,8 +361,16 @@ def _row_by_row(mats, frame):
     return rows
 
 
+def _stack_rows(stack):
+    """The rows of a StackClassification in the form of :func:`_row_by_row`."""
+    return [
+        (bool(e), None if e else str(c), None if e else bool(w))
+        for e, c, w in zip(stack.error, stack.classification, stack.warning)
+    ]
+
+
 @pytest.mark.parametrize("n", [2, 4])
-def test_classify_stack_agrees_with_classify_symmetry_row_by_row(n):
+def test_classify_stack_agrees_with_classify_symmetry_row_by_row(n, monkeypatch):
     rng = np.random.default_rng(21 + n)
     frame = pair_swap_frame(n)
     cells = [model_2x2(1.0, 1.0, np.pi / 2), model_2x2(1.0, 1.0, np.pi / 2 - 1e-4), model_2x2(2.0, 1.0, 1.2)]
@@ -337,15 +384,22 @@ def test_classify_stack_agrees_with_classify_symmetry_row_by_row(n):
         np.full((n, n), np.nan),
     ]
     stack = classify_stack(np.stack(mats), frame)
-    got = [
-        (bool(e), None if e else str(c), None if e else bool(w))
-        for e, c, w in zip(stack.error, stack.classification, stack.warning)
-    ]
+    got = _stack_rows(stack)
     assert got == _row_by_row(mats, frame)
     assert {c for _, c, _ in got} == {UNBROKEN, BROKEN, NOT_APPLICABLE, None}
     for m, error, values in zip(mats, stack.error, stack.eigenvalues):
         if not error:
             np.testing.assert_array_equal(values, classify_symmetry(m, frame).eigenvalues)
+
+    # with phase alignment sour, every simple eigenvector is rebased: the
+    # random unbroken rows that were quiet now warn, from the kernel's arrays
+    quiet = (stack.classification == UNBROKEN) & ~stack.warning & ~stack.error
+    quiet[12:] = False  # the identity is one degenerate eigenspace: rebased, never warned
+    assert quiet.any()
+    _sour_phase_alignment(monkeypatch)
+    sour = classify_stack(np.stack(mats), frame)
+    assert sour.warning[quiet].all()
+    assert _stack_rows(sour) == _row_by_row(mats, frame)
 
 
 def test_classify_stack_rejects_a_stack_of_the_wrong_dimension():
