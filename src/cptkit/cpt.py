@@ -94,44 +94,51 @@ def pt_inner(u, v, frame: PTFrame) -> complex:
     return complex(np.vdot(frame.apply_p(uu), vv))
 
 
-def _pt_fixed_columns(v, frame: PTFrame, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The columns of ``v`` (a vector is one column) and their squared norms,
-    after checking that each is nonzero and PT-fixed."""
-    vectors = as_vector(v).reshape(np.shape(v) if np.ndim(v) == 2 else (-1, 1))
-    norm_sq = np.einsum("ij,ij->j", vectors.conj(), vectors).real
-    if not norm_sq.all():
-        raise SelfOrthogonal("cannot normalize the zero vector")
-    residual = column_norms(frame.apply_pt(vectors) - vectors)
-    if (residual > tol * np.sqrt(norm_sq)).any():
-        raise NotPTEigenstate(f"vector is not PT-fixed (residual {residual.max():.3e}); align it first")
-    return vectors, norm_sq
+def _normalize(v: np.ndarray, energy: np.ndarray, frame: PTFrame, tol: float):
+    """Indefinite-orthonormal bases W = V Q |L|^(-1/2), signs sign(L), of the
+    eigenspaces V (runs of equal ``energy``) of the PT-fixed columns ``v``,
+    from their real Gram blocks Re((P V)^+ V) = Q L Q^T, one stacked ``eigh``
+    per size above 1.  Sign 0, never an error, marks an eigenspace with a zero
+    column, a column v with |PT v - v| > tol |v| or a |q| <= tol * its largest
+    |v|^2.  Also returns the per-column norm_sq, residual and q."""
+    bounds = np.concatenate(([True], energy[1:] != energy[:-1], [True])).nonzero()[0]
+    first, size = bounds[:-1], bounds[1:] - bounds[:-1]
+    norm_sq = np.einsum("ij,ij->j", v.conj(), v).real
+    residual = column_norms(frame.apply_pt(v) - v)
+    rejected = (residual > tol * np.sqrt(norm_sq)) | (norm_sq == 0)
+    units, q = v.copy(), np.empty(len(energy))
+    for m in set(size.tolist()):
+        at = first[size == m, None] + np.arange(m)  # (g, m): the columns of each eigenspace of size m
+        block = v[:, at].transpose(1, 0, 2)
+        # (P u)^+ v is real for PT-fixed u, v; dropping its rounding noise keeps real combinations PT-fixed
+        gram = (frame.apply_p(block).conj().transpose(0, 2, 1) @ block).real
+        if m == 1:  # a 1x1 Gram block is its own eigenvalue
+            q[at] = gram[:, 0]
+        else:  # rejected whole; if kept, its smallest |q| passes every column's bound below
+            q[at], rotation = np.linalg.eigh(gram)
+            units[:, at] = (block @ rotation).transpose(1, 0, 2)
+            rejected[at] = (rejected[at].any(-1) | (np.abs(q[at]).min(-1) <= tol * norm_sq[at].max(-1)))[:, None]
+    kept = ~rejected & (np.abs(q) > tol * norm_sq)
+    np.divide(units, np.sqrt(np.abs(q)), out=units, where=kept)  # q may be 0 in a rejected eigenspace
+    return units, np.where(q > 0, 1, -1) * kept, norm_sq, residual, q
 
 
-def _normalize_columns(v, frame: PTFrame, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize each PT-fixed column of ``v`` on its own, as the basis of a
-    one-dimensional eigenspace: all columns in one vectorized pass."""
-    vectors, norm_sq = _pt_fixed_columns(v, frame, tol)
-    # (P v)^+ v is real for PT-fixed v; the real part drops rounding noise
-    q = np.einsum("ij,ij->j", frame.apply_p(vectors).conj(), vectors).real
-    small = np.abs(q) <= tol * norm_sq
-    if small.any():
+def _normalized(v: np.ndarray, energy: np.ndarray, frame: PTFrame, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The units and signs of :func:`_normalize`, raising where it rejects an
+    eigenspace: for a zero column, a column that is not PT-fixed, a simple
+    self-orthogonal eigenspace or a degenerate one, in this order."""
+    units, signs, norm_sq, residual, q = _normalize(v, energy, frame, tol)
+    if not signs.all():
+        if not norm_sq.all():
+            raise SelfOrthogonal("cannot normalize the zero vector")
+        if (residual > tol * np.sqrt(norm_sq)).any():
+            raise NotPTEigenstate(f"vector is not PT-fixed (residual {residual.max():.3e}); align it first")
+        simple = [j for j in np.flatnonzero(signs == 0).tolist() if np.count_nonzero(energy == energy[j]) == 1]
         raise SelfOrthogonal(
-            f"indefinite self-product {q[small][0]:.3e} vanishes at tolerance {tol:.1e} * |v|^2; "
+            f"indefinite self-product {q[simple[0]]:.3e} vanishes at tolerance {tol:.1e} * |v|^2; "
             "the state is self-orthogonal (exceptional point)"
-        )
-    return vectors / np.sqrt(np.abs(q)), np.where(q > 0, 1, -1)
-
-
-def _normalize_block(v, frame: PTFrame, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Indefinite-orthonormal basis of the span of the PT-fixed columns of
-    ``v``, one eigenspace, from one ``eigh`` of its real Gram block."""
-    vectors, norm_sq = _pt_fixed_columns(v, frame, tol)
-    # (P u)^+ v is real for PT-fixed u, v; the real part drops rounding noise
-    # so that real combinations stay PT-fixed exactly
-    q, rotation = np.linalg.eigh((frame.apply_p(vectors).conj().T @ vectors).real)
-    if np.abs(q).min() <= tol * norm_sq.max():
-        raise GramDefect("degenerate eigenspace contains a self-orthogonal direction")
-    return vectors @ rotation / np.sqrt(np.abs(q)), np.where(q > 0, 1, -1)
+        ) if simple else GramDefect("degenerate eigenspace contains a self-orthogonal direction")
+    return units, signs
 
 
 def normalize_indefinite(
@@ -142,10 +149,11 @@ def normalize_indefinite(
 
     For a vector, returns ``(v / sqrt(|(v, v)|), sign((v, v)))``: the output
     has indefinite self-product exactly +1 or -1.  For an ``(n, k)`` block V,
-    returns ``(W, signs)`` with W = V Q |L|^(-1/2) and signs = sign(L), from
-    one ``eigh`` of the real Gram block Re((P V)^+ V) = Q L Q^T: a basis of
-    the span of V with (W, W) = diag(signs), whose columns stay PT-fixed.
-    For orthonormal V, the sum of w_j (P w_j)^+ depends only on that span.
+    one eigenspace, returns ``(W, signs)`` with W = V Q |L|^(-1/2) and signs
+    = sign(L), from the real Gram block Re((P V)^+ V) = Q L Q^T, as
+    :func:`build_c` does for each eigenspace: a basis of the span of V with
+    (W, W) = diag(signs), whose columns stay PT-fixed.  For orthonormal V,
+    the sum of w_j (P w_j)^+ depends only on that span.
 
     Raises
     ------
@@ -160,9 +168,8 @@ def normalize_indefinite(
         this is GramDefect: the eigenspace has a self-orthogonal direction.
     """
     frame.require_hermitian_parity(tol)
-    if np.ndim(v) == 2 and np.shape(v)[1] != 1:
-        return _normalize_block(v, frame, tol)
-    units, signs = _normalize_columns(v, frame, tol)
+    vectors = as_vector(v).reshape(np.shape(v) if np.ndim(v) == 2 else (-1, 1))
+    units, signs = _normalized(vectors, np.zeros(vectors.shape[1]), frame, tol)
     return (units, signs) if np.ndim(v) == 2 else (units[:, 0], int(signs[0]))
 
 
@@ -173,8 +180,8 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
     since (u, v) = <P u, v> is a Hermitian form only then; classify the
     symmetry phase (must be unbroken) and read the kernel's arrays of
     :func:`classify_symmetry`: the aligned states as one ``(n, n)`` array and
-    where each eigenspace starts; normalize them as :func:`normalize_indefinite`
-    does, the simple eigenspaces in one pass and one call per degenerate one;
+    their energies; normalize each eigenspace, a run of equal energy, as
+    :func:`normalize_indefinite` does, in one ``eigh`` per degenerate size;
     verify pairwise indefinite orthogonality across eigenspaces (automatic
     for distinct eigenvalues of a symmetric Hamiltonian); set C to the sum
     of phi_k (P phi_k)^+ over the normalized states, which satisfies
@@ -203,18 +210,9 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
             f"(PT residual {rows.pt_residual[0]:.3e})"
         )
 
-    # unbroken: every column of phi is an aligned state, and each run of
-    # columns that ``start`` opens is one eigenspace
-    phi, start = rows.phi[0], rows.start[0]
-    signs = np.empty(len(start), dtype=int)
-    simple = start & np.append(start[1:], True)
-    phi[:, simple], signs[simple] = _normalize_columns(phi[:, simple], frame, EP_GUARD_TOL)
-    bounds = np.append(np.flatnonzero(start), len(start)).tolist()
-    for at, end in zip(bounds[:-1], bounds[1:]):
-        if end - at > 1:
-            phi[:, at:end], signs[at:end] = _normalize_block(phi[:, at:end], frame, EP_GUARD_TOL)
-    energies = rows.energy[0].tolist()
-    normalized = [SignedState(energy, unit, sign) for energy, unit, sign in zip(energies, phi.T, signs.tolist())]
+    # unbroken: every column of phi is an aligned state; a run of equal energy is one eigenspace
+    phi, signs = _normalized(rows.phi[0], rows.energy[0], frame, EP_GUARD_TOL)
+    normalized = [SignedState(*state) for state in zip(rows.energy[0].tolist(), phi.T, signs.tolist())]
     p_phi_adj = frame.apply_p(phi).conj().T
     gram = p_phi_adj @ phi
     gram_error = frobenius(gram - np.diag(signs))

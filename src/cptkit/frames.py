@@ -91,8 +91,9 @@ class PTFrame:
     """A pair {P, T}, checked by :meth:`validate`.  ``perm`` is the read-only
     index array of P (``P x = x[perm]``) when P is an involutive permutation
     matrix and T's matrix part is exactly I, else None; ``pt``, the antilinear
-    PT, and ``real_basis``, the PT-fixed basis of an index frame, are formed
-    once, on first use.  Every consumer applies P and PT through the methods
+    PT, ``real_basis``, the PT-fixed basis of an index frame, and the
+    residual and norm that decide whether P is Hermitian are formed once, on
+    first use.  Every consumer applies P and PT through the methods
     below: a gather on an index frame, dense otherwise.
     """
 
@@ -112,6 +113,13 @@ class PTFrame:
     @cached_property
     def pt(self) -> Operator:
         return compose(self.p, self.t)
+
+    @cached_property
+    def _parity_hermiticity(self) -> tuple[float, float]:
+        """|P - P^+| and |P|, for :meth:`require_hermitian_parity`."""
+        if self.perm is None:
+            return hermiticity_residual(self.p.matrix), frobenius(self.p.matrix)
+        return 0.0, np.sqrt(self.dim)  # an involutive permutation is symmetric
 
     @cached_property
     def real_basis(self) -> RealBasis | None:
@@ -203,10 +211,7 @@ class PTFrame:
         """Raise FrameInvalid unless ``|P - P^+| <= tol * max(1, |P|)``: the
         indefinite form (u, v) = <P u, v> is Hermitian only for a Hermitian P,
         so only then do its signs and C mean anything."""
-        if self.perm is None:
-            p_residual, p_norm = hermiticity_residual(self.p.matrix), frobenius(self.p.matrix)
-        else:  # an involutive permutation is symmetric
-            p_residual, p_norm = 0.0, np.sqrt(self.dim)
+        p_residual, p_norm = self._parity_hermiticity
         # a bound that overflows admits no P: a Hermitian involution is unitary
         if not p_residual <= tol * max(1.0, p_norm) < np.inf:
             raise FrameInvalid(

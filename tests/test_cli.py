@@ -169,6 +169,31 @@ def test_analyze_gives_no_signs_for_a_non_hermitian_parity(tmp_path, capsys):
     assert len(states) == 2 and all(line.endswith("sign = n/a") for line in states)
 
 
+def _printed_signs(out: str) -> list[str]:
+    return [line.rsplit("sign = ", 1)[1] for line in out.splitlines() if "sign = " in line]
+
+
+def test_analyze_gives_no_signs_for_a_self_orthogonal_eigenspace_only(capsys):
+    # the first cell is within 1e-9 of its exceptional point, which the
+    # guard of C synthesis rejects; the second cell keeps its signs
+    theta = repr(float(np.arcsin(1.0 - 1e-9)))
+    cells = ["--r", "1", "--s", "1", "--theta", theta, "--r", "1", "--s", "2", "--theta", "0.5"]
+    assert run(["analyze", "--model", "4x4", *cells]) == EXIT_OK
+    assert _printed_signs(capsys.readouterr().out) == ["-1", "n/a", "n/a", "+1"]
+
+
+def test_analyze_signs_agree_with_build_c_after_basis_change(tmp_path, capsys):
+    h, frame = shared_eigenvalue_chain((1.0, 1.5, 0.5), (2.0, 1.3, 0.6))
+    h_path, frame_path = tmp_path / "h.json", tmp_path / "frame.json"
+    for seed in range(30):
+        _, h_moved, moved = unitary_basis_change(h, frame, np.random.default_rng(seed))
+        write_matrix(h_path, h_moved)
+        write_frame(frame_path, moved)
+        assert run(["analyze", "--hamiltonian", str(h_path), "--frame", str(frame_path)]) == EXIT_OK
+        signs = [f"{state.sign:+d}" for state in build_c(load_matrix(h_path).matrix, moved).aligned_states]
+        assert _printed_signs(capsys.readouterr().out) == signs
+
+
 def test_analyze_without_input_is_usage_error(capsys):
     assert run(["analyze"]) == EXIT_USAGE
 

@@ -96,6 +96,24 @@ def test_pt_inner_equals_bilinear_form_for_aligned_first_slot():
         assert pt_inner(u, v, frame) == pytest.approx(complex(np.sum(u * v)), abs=1e-12)
 
 
+def test_the_parity_verdict_is_formed_once_per_frame(monkeypatch):
+    # a dense frame: the pair swap moved by a unitary
+    rng = np.random.default_rng(29)
+    _, _, moved = unitary_basis_change(np.eye(4), pair_swap_frame(4), rng)
+    calls = []
+    real_residual = frames.hermiticity_residual
+
+    def counting(a):
+        calls.append(None)
+        return real_residual(a)
+
+    monkeypatch.setattr(frames, "hermiticity_residual", counting)
+    u, v = random_complex(rng, 4), random_complex(rng, 4)
+    first = pt_inner(u, v, moved)
+    assert pt_inner(u, v, moved) == first
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------- normalize_indefinite
 
 
@@ -508,6 +526,21 @@ def test_simple_eigenspaces_are_normalized_in_one_pass(monkeypatch):
         return calls["eigh"]
 
     assert eigh_calls(10) == eigh_calls(100)
+
+
+def test_degenerate_eigenspaces_are_normalized_in_one_eigh_per_size(monkeypatch):
+    # every cell repeated 3 times: only 3-fold eigenspaces, 4 or 40 of them
+    calls = _count_factorizations(monkeypatch)
+
+    def eigh_calls(n_cells):
+        blocks = tuple((1.0, 2.0 + 0.05 * k, 0.5) for k in range(n_cells) for _ in range(3))
+        h, frame = build_model(ModelSpec("chain", blocks))
+        assert [len(space) for space in classify_symmetry(h, frame).eigenspaces] == [3] * (2 * n_cells)
+        calls.clear()
+        assert build_c(h, frame).gram_residual < 1e-8
+        return calls["eigh"]
+
+    assert eigh_calls(2) == eigh_calls(20)
 
 
 @pytest.mark.parametrize("n_blocks", [1, 10], ids=["cell", "chain-dim-20"])
