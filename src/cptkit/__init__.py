@@ -73,6 +73,7 @@ from .cpt import (
     EP_GUARD_TOL,
     CPTResult,
     SignedState,
+    aligned_signs,
     build_c,
     cpt_adjoint,
     cpt_inner,

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .cpt import EP_GUARD_TOL, _normalize, build_c, hermitize
+from .cpt import aligned_signs, build_c, hermitize
 from .errors import (
     EXIT_AXIOM,
     EXIT_NUMERIC,
@@ -23,7 +23,6 @@ from .errors import (
     CptKitError,
     DimensionMismatch,
     DocumentError,
-    FrameInvalid,
     InvalidArgument,
     InvalidModel,
 )
@@ -192,14 +191,7 @@ def cmd_analyze(args) -> int:
     _print_classification(report)
     if report.classification == UNBROKEN:
         print("aligned states:")
-        states = report.aligned_states
-        v, energy = np.column_stack([s.state for s in states]), np.array([s.energy for s in states])
-        signs = _normalize(v, energy, base, EP_GUARD_TOL)[1].tolist()  # 0 where the guard rejects an eigenspace
-        try:
-            base.require_hermitian_parity(EP_GUARD_TOL)
-        except FrameInvalid:  # no sign means anything for a non-Hermitian P
-            signs = [0] * len(states)
-        for state, sign in zip(states, signs):
+        for state, sign in zip(report.aligned_states, aligned_signs(report, base).tolist()):
             print(f"  E = {state.energy:.12g}  theta = {state.theta:.12g}  sign = {f'{sign:+d}' if sign else 'n/a'}")
     if report.classification == BROKEN:
         print("conjugate pairs:")

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     CommutatorViolation,
     DimensionMismatch,
+    FrameInvalid,
     GramDefect,
     KindMismatch,
     NotPTEigenstate,
@@ -38,7 +39,7 @@ from .linops import (
     frobenius,
     spectral_powers,
 )
-from .symmetry import UNBROKEN, _classify_one
+from .symmetry import UNBROKEN, SymmetryReport, _classify_one, _runs
 
 #: Self-orthogonality guard for C synthesis: a state whose normalized
 #: indefinite self-product |(v, v)| / |v|^2 falls below this threshold is
@@ -101,14 +102,11 @@ def _normalize(v: np.ndarray, energy: np.ndarray, frame: PTFrame, tol: float):
     per size above 1.  Sign 0, never an error, marks an eigenspace with a zero
     column, a column v with |PT v - v| > tol |v| or a |q| <= tol * its largest
     |v|^2.  Also returns the per-column norm_sq, residual and q."""
-    bounds = np.concatenate(([True], energy[1:] != energy[:-1], [True])).nonzero()[0]
-    first, size = bounds[:-1], bounds[1:] - bounds[:-1]
     norm_sq = np.einsum("ij,ij->j", v.conj(), v).real
     residual = column_norms(frame.apply_pt(v) - v)
     rejected = (residual > tol * np.sqrt(norm_sq)) | (norm_sq == 0)
     units, q = v.copy(), np.empty(len(energy))
-    for m in set(size.tolist()):
-        at = first[size == m, None] + np.arange(m)  # (g, m): the columns of each eigenspace of size m
+    for m, at in _runs(energy).items():  # at (g, m): the columns of each eigenspace of size m
         block = v[:, at].transpose(1, 0, 2)
         # (P u)^+ v is real for PT-fixed u, v; dropping its rounding noise keeps real combinations PT-fixed
         gram = (frame.apply_p(block).conj().transpose(0, 2, 1) @ block).real
@@ -171,6 +169,26 @@ def normalize_indefinite(
     vectors = as_vector(v).reshape(np.shape(v) if np.ndim(v) == 2 else (-1, 1))
     units, signs = _normalized(vectors, np.zeros(vectors.shape[1]), frame, tol)
     return (units, signs) if np.ndim(v) == 2 else (units[:, 0], int(signs[0]))
+
+
+def aligned_signs(report: SymmetryReport, frame: PTFrame) -> np.ndarray:
+    """The sign that :func:`build_c` gives each aligned state of an unbroken
+    report, as an integer array: each eigenspace normalized as by
+    :func:`normalize_indefinite` at ``EP_GUARD_TOL``.  Never raises for a
+    state: sign 0 marks every state of an eigenspace that the guard rejects,
+    and every state when P is not Hermitian, where no sign means anything.
+
+    Raises NotUnbroken for a report that is not unbroken.
+    """
+    if report.classification != UNBROKEN:
+        raise NotUnbroken(f"signs need unbroken symmetry, got {report.classification}")
+    states = report.aligned_states
+    try:
+        frame.require_hermitian_parity(EP_GUARD_TOL)
+    except FrameInvalid:
+        return np.zeros(len(states), dtype=int)
+    v, energy = np.column_stack([s.state for s in states]), np.array([s.energy for s in states])
+    return _normalize(v, energy, frame, EP_GUARD_TOL)[1]
 
 
 def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:

@@ -238,25 +238,33 @@ def _cluster_starts(re: np.ndarray, real: np.ndarray, width: np.ndarray) -> np.n
     return real & (re - previous > width)
 
 
-def _pt_fixed_basis(columns: np.ndarray, frame: PTFrame, dim: int) -> np.ndarray:
-    """Build an orthonormal PT-fixed basis of the space spanned by ``columns``.
+def _runs(key: np.ndarray) -> dict[int, np.ndarray]:
+    """The runs of equal neighbours in the 1-D ``key``, grouped by length:
+    for each run length m, the ``(g, m)`` positions of the g runs of that length."""
+    bounds = np.concatenate(([True], key[1:] != key[:-1], [True])).nonzero()[0]
+    first, size = bounds[:-1], bounds[1:] - bounds[:-1]
+    return {m: first[size == m, None] + np.arange(m) for m in set(size.tolist())}
+
+
+def _pt_fixed_basis(columns: np.ndarray, frame: PTFrame) -> tuple[np.ndarray, np.ndarray]:
+    """Build an orthonormal PT-fixed basis of the space spanned by the m
+    columns of each block of a ``(g, n, m)`` stack, in one stacked SVD.
 
     Each candidate v yields the PT-fixed vectors v + PT v and i (v - PT v),
     which span the PT-fixed part over the reals.  The basis is the leading
-    ``dim`` left singular vectors of their real embedding [Re; Im]: real
+    m left singular vectors of their real embedding [Re; Im]: real
     combinations keep PT-fixedness exact, and the basis depends only on the
-    span, up to a real rotation.
+    span, up to a real rotation.  Returns ``(basis, full)``, where ``full``
+    is false for each block whose candidates have fewer than m singular
+    values above 1e-8 times the largest: no PT-fixed basis of its span
+    exists, and its ``basis`` means nothing.
     """
+    n, m = columns.shape[1:]
     w = frame.apply_pt(columns)
-    candidates = np.hstack([columns + w, 1j * (columns - w)])
-    left, singular, _ = np.linalg.svd(np.vstack([candidates.real, candidates.imag]), full_matrices=False)
-    rank = int(np.count_nonzero(singular > 1e-8 * singular[0]))
-    if rank < dim:
-        raise NotPTEigenstate(
-            f"could only extract {rank} PT-fixed directions from a {dim}-dimensional eigenspace"
-        )
-    n = len(columns)
-    return left[:n, :dim] + 1j * left[n:, :dim]
+    candidates = np.concatenate([columns + w, 1j * (columns - w)], axis=-1)
+    left, singular, _ = np.linalg.svd(np.concatenate([candidates.real, candidates.imag], axis=-2), full_matrices=False)
+    full = np.count_nonzero(singular > 1e-8 * singular[:, :1], axis=-1) >= m
+    return left[:, :n, :m] + 1j * left[:, n:, :m], full
 
 
 def _pair(values: np.ndarray, nonreal: np.ndarray, width: np.ndarray) -> np.ndarray:
@@ -341,8 +349,11 @@ def _classify_rows(
     their eigenspace's ``energy``.  Each real eigenspace of a PT-symmetric
     row that is degenerate, or simple with a sour phase alignment, is rebased
     in place (``rebased`` marks the simple ones), or dropped from ``kept``
-    where that fails, which breaks the symmetry.  The verdicts are read off
-    these arrays; rows marked ``eigen.defective`` are not rebased and never warn.
+    where that fails, which breaks the symmetry.  These eigenspaces are
+    gathered across the whole stack and grouped by size by :func:`_runs`,
+    with one stacked :func:`_pt_fixed_basis` per size.  The verdicts are
+    read off these arrays; rows marked ``eigen.defective`` are not rebased
+    and never warn.
     """
     values, vectors, condition = eigen.values, eigen.vectors, eigen.condition
     settled = ~eigen.defective
@@ -367,18 +378,21 @@ def _classify_rows(
     irregular = settled & symmetric & (real & ~kept).any(-1)
     if irregular.any():
         energy = energy.copy()
-        label = np.cumsum(start, axis=-1)  # the eigenspace of each real column
-        for i in np.flatnonzero(irregular):
-            for cluster in np.unique(label[i, real[i] & ~kept[i]]):
-                members = np.flatnonzero(real[i] & (label[i] == cluster))
-                try:  # the v + PT v rebase still lands on the PT-fixed ray
-                    basis = _pt_fixed_basis(vectors[i][:, members], frame, len(members))
-                except NotPTEigenstate:  # the whole eigenspace is dropped, its first member too
-                    kept[i, members] = False
-                    continue
-                phi[i][:, members], theta[i, members] = basis, 0.0
-                energy[i, members] = values.real[i, members].sum() / len(members)
-                kept[i, members], rebased[i, members] = True, len(members) == 1
+        label = np.cumsum(start).reshape(start.shape)  # the eigenspace of each real column, numbered across rows
+        irregular_space = np.zeros(label[-1, -1] + 1, dtype=bool)
+        irregular_space[label[irregular[:, None] & real & ~kept]] = True
+        row, col = np.nonzero(real & irregular_space[label])  # non-real columns may sit inside a label run
+        across = np.arange(vectors.shape[1])[:, None]
+        for m, runs in _runs(label[row, col]).items():
+            r, c = row[runs], col[runs]  # (g, m): the members of each eigenspace of size m
+            # the v + PT v rebase; where it finds no PT-fixed basis, the whole
+            # eigenspace is dropped, its first member too
+            basis, full = _pt_fixed_basis(vectors[r[:, None], across, c[:, None]], frame)
+            kept[r, c] = full[:, None]
+            r, c = r[full], c[full]
+            phi[r[:, None], across, c[:, None]] = basis[full]
+            theta[r, c], rebased[r, c] = 0.0, m == 1
+            energy[r, c] = (values.real[r, c].sum(-1) / m)[:, None]
         broken |= irregular & (real & ~kept).any(-1)
 
     unpaired = nonreal & (partner < 0)
@@ -459,9 +473,10 @@ def classify_stack(hs, frame: PTFrame, tol: float = DEFAULT_TOL) -> StackClassif
 
     One stacked real eigendecomposition (the PT-symmetric rows over an index
     frame), one stacked complex one (every other row) and one pass of the
-    classification kernel cover the whole stack; only real eigenspaces that
-    are degenerate or fail phase alignment are rebased one by one.  Each row
-    gets the classification and warning flag of the kernel's arrays, which
+    classification kernel cover the whole stack; the real eigenspaces that
+    are degenerate or fail phase alignment are rebased in one SVD per
+    eigenspace size, for every row at once.  Each row gets the
+    classification and warning flag of the kernel's arrays, which
     :func:`classify_symmetry` renders for its matrix.  A row on which
     :func:`classify_symmetry` would raise is marked in ``error`` instead, so
     one bad row never stops the others.

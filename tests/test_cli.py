@@ -1,5 +1,7 @@
+import ast
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +50,19 @@ def swap_frame_file(tmp_path):
 
 def run(args):
     return main(args)
+
+
+def test_the_cli_imports_no_private_name_of_the_library():
+    # the CLI is a thin shell over the public library
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").split(".")[0] == "cptkit")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 # ---------------------------------------------------------------- validate

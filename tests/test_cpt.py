@@ -9,6 +9,7 @@ from cptkit import (
     UNBROKEN,
     ModelSpec,
     Operator,
+    aligned_signs,
     apply,
     build_c,
     build_model,
@@ -277,6 +278,19 @@ def test_remark_orthogonality_without_gram_schmidt():
         for i in range(4):
             for j in range(i + 1, 4):
                 assert abs(pt_inner(states[i], states[j], frame)) < 1e-10
+
+
+def test_aligned_signs_are_the_signs_of_build_c():
+    rng = np.random.default_rng(17)
+    for family in COVARIANCE_FAMILIES:
+        h, frame = covariance_problem(rng, family)
+        signs = aligned_signs(classify_symmetry(h, frame), frame)
+        assert signs.tolist() == [state.sign for state in build_c(h, frame).aligned_states]
+    h, frame = skewed_parity_problem()  # no sign means anything for a non-Hermitian P
+    assert aligned_signs(classify_symmetry(h, frame), frame).tolist() == [0, 0]
+    frame = pair_swap_frame(2)
+    with pytest.raises(NotUnbroken):
+        aligned_signs(classify_symmetry(model_2x2(2.0, 1.0, 1.2), frame), frame)
 
 
 # ---------------------------------------------------------------- cpt_inner

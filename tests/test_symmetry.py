@@ -137,8 +137,8 @@ def test_classify_rebases_simple_eigenvector_that_fails_phase_alignment(monkeypa
 def test_classify_breaks_where_a_rebase_fails(monkeypatch):
     # the degenerate eigenspace of the identity cannot be rebased: its
     # states are dropped and the symmetry reads broken, with no warning
-    def fail(columns, frame, dim):
-        raise NotPTEigenstate("no PT-fixed basis")
+    def fail(columns, frame):
+        return columns, np.zeros(len(columns), dtype=bool)
 
     monkeypatch.setattr(symmetry, "_pt_fixed_basis", fail)
     frame = pair_swap_frame(4)
@@ -487,3 +487,67 @@ def test_an_exact_exceptional_point_fails_as_in_the_complex_solve(monkeypatch):
     stack = classify_stack(h[None], frame)
     assert stack.error.tolist() == [True]
     assert stack.eigenvalues.tobytes() == eigendecompose(h[None]).values.tobytes()
+
+
+# ---------------------------------------------------------------- the rebase
+
+
+def _chain(*blocks):
+    return build_model(ModelSpec("chain", blocks))
+
+
+def _rebase_stacks():
+    """Stacks whose rows rebase eigenspaces of several sizes, with the
+    classification of each row: index-frame chains with 2- and 3-fold
+    eigenspaces and the identity; and, moved by one unitary onto the dense
+    frame, such chains, the identity and a broken row with a degenerate real
+    cluster.  No broken row shares a stack over an index frame: its complex
+    eigenvalues make the real eigensolver return every row of the stack as
+    complex, which moves the other rows' eigenvectors in the last bits."""
+    cell, other, broken = (1.0, 2.0, 0.5), (0.5, 1.0, 0.3), (2.0, 1.0, 1.2)
+    twofold, frame = _chain(cell, cell, other)
+    threefold = _chain(cell, cell, cell)[0]
+    yield [twofold, threefold, np.eye(6)], frame, [UNBROKEN] * 3
+    yield [_chain(cell, cell)[0], np.eye(4), _chain(cell, other)[0]], pair_swap_frame(4), [UNBROKEN] * 3
+    u, moved, dense = unitary_basis_change(twofold, frame, np.random.default_rng(3))
+    mats = [moved, u @ _chain(cell, cell, broken)[0] @ u.conj().T, np.eye(6), u @ threefold @ u.conj().T]
+    yield mats, dense, [UNBROKEN, BROKEN, UNBROKEN, UNBROKEN]
+
+
+def _kernel_calls(monkeypatch):
+    """Record the arrays of every call of the classification kernel."""
+    calls = []
+    kernel = symmetry._classify_rows
+
+    def recording(*args):
+        calls.append(kernel(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(symmetry, "_classify_rows", recording)
+    return calls
+
+
+@pytest.mark.parametrize("sour", [False, True])
+def test_a_stack_rebases_each_row_as_its_own_classification_bit_for_bit(sour, monkeypatch):
+    if sour:  # every simple eigenspace is rebased too: size-1 groups across rows
+        _sour_phase_alignment(monkeypatch)
+    calls = _kernel_calls(monkeypatch)
+    for mats, frame, want in _rebase_stacks():
+        stack = classify_stack(np.stack(mats), frame)
+        rows = calls[-1]
+        assert stack.classification.tolist() == want
+        assert rows.rebased.any() == sour
+        for i, m in enumerate(mats):
+            one = symmetry._classify_one(m, frame, symmetry.DEFAULT_TOL)
+            for field in ("phi", "theta", "energy", "kept", "rebased"):
+                assert getattr(rows, field)[i].tobytes() == getattr(one, field)[0].tobytes(), (i, field)
+
+
+@pytest.mark.parametrize("n_rows", [1, 6])
+def test_a_stack_rebases_in_one_svd_per_eigenspace_size(n_rows, monkeypatch):
+    # two 3-fold eigenspaces per row: one SVD for cond(V), one for every rebase
+    h, frame = _chain((1.0, 2.0, 0.5), (1.0, 2.0, 0.5), (1.0, 2.0, 0.5), (0.5, 1.0, 0.3))
+    kinds = _recorded_kinds(monkeypatch)
+    stack = classify_stack(np.stack([h] * n_rows), frame)
+    assert stack.classification.tolist() == [UNBROKEN] * n_rows
+    assert len(kinds["svd"]) == 2
