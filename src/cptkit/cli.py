@@ -9,6 +9,7 @@ breakdown (defective or exceptional input).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .composition import BlockSpec, direct_sum, doubling, tensor_hamiltonians
 from .frames import CPTFrame, PTFrame, checked_cpt_frame, checked_pt_frame, pair_swap_frame, validate_cpt_frame
-from .io import format_float, frame_document, load_frame_parts, load_matrix, matrix_document, write_frame, write_matrix
+from .io import frame_document, load_frame_parts, load_matrix, matrix_document, write_frame, write_matrix
 from .linops import DEFAULT_TOL, hermiticity_residual
 from .models import FAMILIES, ModelSpec, build_model, model_frame, model_matrix
 from .symmetry import BROKEN, UNBROKEN, classify_stack, classify_symmetry
@@ -38,56 +39,54 @@ EXIT_OK = 0
 _SWEEP_RE = re.compile(r"^(r|s|theta|a)(\d*)$")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=FAMILIES, help="built-in model family")
-    parser.add_argument("--r", action="append", type=float, help="r parameter (repeat per block)")
-    parser.add_argument("--s", action="append", type=float, help="s parameter (repeat per block)")
-    parser.add_argument("--theta", action="append", type=float, help="theta in radians (repeat per block)")
-    parser.add_argument("--a", type=float, help="decoupled level for the 3x3 family")
-    parser.add_argument("--hamiltonian", metavar="FILE", help="matrix document to analyze")
-    parser.add_argument("--frame", metavar="FILE", help="frame document (p, t and optionally c)")
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="tolerance (default 1e-10)")
+def _tolerance(text: str) -> float:
+    """The value of --tol: a finite float above 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive, finite number, got {text!r}")
+    return tol
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--model", choices=FAMILIES, help="built-in model family")
+    common.add_argument("--r", action="append", type=float, help="r parameter (repeat per block)")
+    common.add_argument("--s", action="append", type=float, help="s parameter (repeat per block)")
+    common.add_argument("--theta", action="append", type=float, help="theta in radians (repeat per block)")
+    common.add_argument("--a", type=float, help="decoupled level for the 3x3 family")
+    common.add_argument("--hamiltonian", metavar="FILE", help="matrix document to analyze")
+    common.add_argument("--frame", metavar="FILE", help="frame document (p, t and optionally c)")
+    common.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="tolerance (default 1e-10)")
+
     parser = argparse.ArgumentParser(
         prog="cpt-kit",
         description="Validate PT/CPT frames, classify symmetry phases, synthesize C operators, "
         "Hermitize Hamiltonians and scan parameter families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check frame axioms")
-    _add_common(p)
-    p.set_defaults(handler=cmd_validate)
-
-    p = sub.add_parser("analyze", help="PT-symmetry verdict and phase classification")
-    _add_common(p)
-    p.set_defaults(handler=cmd_analyze)
-
-    p = sub.add_parser("build-c", help="synthesize the C operator of an unbroken Hamiltonian")
-    _add_common(p)
-    p.add_argument("--out", metavar="PATH", help="output path (kind-suffixed when several)")
-    p.add_argument("--emit", action="append", choices=("c", "pc", "sqrt", "h"), help="documents to write")
-    p.set_defaults(handler=cmd_build_c)
-
-    p = sub.add_parser("hermitize", help="similarity-transform to a Hermitian matrix")
-    _add_common(p)
-    p.add_argument("--out", metavar="PATH", help="output path (kind-suffixed when several)")
-    p.add_argument("--emit", action="append", choices=("c", "pc", "sqrt", "h"), help="documents to write")
-    p.set_defaults(handler=cmd_hermitize)
-
-    p = sub.add_parser("scan", help="sweep one parameter and emit per-point classification CSV")
-    _add_common(p)
-    p.add_argument("--sweep", required=True, metavar="P=LO:HI:N", help="swept parameter and grid")
-    p.add_argument("--out", metavar="PATH", help="CSV output path (stdout if omitted)")
-    p.set_defaults(handler=cmd_scan)
-
-    p = sub.add_parser("compose", help="tensor, direct-sum or doubling composition")
-    _add_common(p)
-    p.add_argument("--op", required=True, choices=("tensor", "dsum", "double"))
-    p.add_argument("--out", metavar="PATH", help="output path for the composed Hamiltonian")
-    p.set_defaults(handler=cmd_compose)
+    commands = {}
+    for name, help_text, handler in (
+        ("validate", "check frame axioms", cmd_validate),
+        ("analyze", "PT-symmetry verdict and phase classification", cmd_analyze),
+        ("build-c", "synthesize the C operator of an unbroken Hamiltonian", cmd_synthesize),
+        ("hermitize", "similarity-transform to a Hermitian matrix", cmd_synthesize),
+        ("scan", "sweep one parameter and emit per-point classification CSV", cmd_scan),
+        ("compose", "tensor, direct-sum or doubling composition", cmd_compose),
+    ):
+        commands[name] = sub.add_parser(name, help=help_text, parents=[common])
+        commands[name].set_defaults(handler=handler)
+    for name in ("build-c", "hermitize"):
+        commands[name].add_argument("--out", metavar="PATH", help="output path (kind-suffixed when several)")
+        commands[name].add_argument(
+            "--emit", action="append", choices=("c", "pc", "sqrt", "h"), help="documents to write"
+        )
+    commands["scan"].add_argument("--sweep", required=True, metavar="P=LO:HI:N", help="swept parameter and grid")
+    commands["scan"].add_argument("--out", metavar="PATH", help="CSV output path (stdout if omitted)")
+    commands["compose"].add_argument("--op", required=True, choices=("tensor", "dsum", "double"))
+    commands["compose"].add_argument("--out", metavar="PATH", help="output path for the composed Hamiltonian")
     return parser
 
 
@@ -117,25 +116,23 @@ def _base_frame(frame) -> PTFrame:
     return frame.frame if isinstance(frame, CPTFrame) else frame
 
 
-def _resolve_problem(args, tol: float):
+def _resolve_problem(args):
     """Produce (hamiltonian matrix, frame) from model flags or files."""
     if args.model:
         h, frame = build_model(_model_spec_from_args(args))
-        if args.frame:
-            frame = _load_validated_frame(args.frame, tol)
-        return h, frame
-    if not args.hamiltonian:
-        raise InvalidModel("give either --model with parameters or --hamiltonian FILE")
-    op = load_matrix(args.hamiltonian)
-    if not op.is_linear:
-        raise DocumentError("a Hamiltonian document must not be flagged antilinear")
-    h = op.matrix
-    if args.frame:
-        frame = _load_validated_frame(args.frame, tol)
-    elif h.shape[0] % 2 == 0:
-        frame = pair_swap_frame(h.shape[0])
+    elif args.hamiltonian:
+        op = load_matrix(args.hamiltonian)
+        if not op.is_linear:
+            raise DocumentError("a Hamiltonian document must not be flagged antilinear")
+        h = op.matrix
     else:
-        raise InvalidModel("an odd-dimensional Hamiltonian needs an explicit --frame")
+        raise InvalidModel("give either --model with parameters or --hamiltonian FILE")
+    if args.frame:
+        frame = _load_validated_frame(args.frame, args.tol)
+    elif not args.model:
+        if h.shape[0] % 2:
+            raise InvalidModel("an odd-dimensional Hamiltonian needs an explicit --frame")
+        frame = pair_swap_frame(h.shape[0])
     if _base_frame(frame).dim != h.shape[0]:
         raise DimensionMismatch(
             f"Hamiltonian dimension {h.shape[0]} does not match frame dimension {_base_frame(frame).dim}"
@@ -183,7 +180,7 @@ def _print_classification(report) -> None:
 
 
 def cmd_analyze(args) -> int:
-    h, frame = _resolve_problem(args, args.tol)
+    h, frame = _resolve_problem(args)
     base = _base_frame(frame)
     report = classify_symmetry(h, base, args.tol)
     verdict = "yes" if report.pt_symmetric else "no"
@@ -215,7 +212,21 @@ def _emit(args, outputs: list[tuple[str, np.ndarray]]) -> None:
             sys.stdout.write(matrix_document(matrix))
 
 
-def _collect_outputs(emits, cpt_frame: CPTFrame, h, tol) -> tuple[list[tuple[str, np.ndarray]], np.ndarray | None]:
+def cmd_synthesize(args) -> int:
+    """build-c and hermitize.  hermitize reuses the C of a CPT frame document
+    and always emits h, last if it was not requested; build-c always
+    synthesizes C."""
+    h, frame = _resolve_problem(args)
+    hermitizing = args.command == "hermitize"
+    if hermitizing and isinstance(frame, CPTFrame):
+        cpt_frame = frame
+    else:
+        result = build_c(h, _base_frame(frame), args.tol)
+        cpt_frame = result.cpt
+        print(f"gram residual: {result.gram_residual:.6e}")
+    emits = args.emit or ["h" if hermitizing else "c"]
+    if hermitizing and "h" not in emits:
+        emits = [*emits, "h"]
     outputs: list[tuple[str, np.ndarray]] = []
     h_matrix = None
     for kind in emits:
@@ -224,37 +235,12 @@ def _collect_outputs(emits, cpt_frame: CPTFrame, h, tol) -> tuple[list[tuple[str
         elif kind == "pc":
             outputs.append(("pc", cpt_frame.pc_matrix))
         elif kind == "sqrt":
-            outputs += zip(("pc_sqrt", "pc_inv_sqrt"), cpt_frame.metric_roots(tol))
-        elif kind == "h":
-            h_matrix = hermitize(h, cpt_frame, tol)
+            outputs += zip(("pc_sqrt", "pc_inv_sqrt"), cpt_frame.metric_roots(args.tol))
+        else:
+            h_matrix = hermitize(h, cpt_frame, args.tol)
             outputs.append(("h", h_matrix))
-    return outputs, h_matrix
-
-
-def cmd_build_c(args) -> int:
-    h, frame = _resolve_problem(args, args.tol)
-    result = build_c(h, _base_frame(frame), args.tol)
-    print(f"gram residual: {result.gram_residual:.6e}")
-    outputs, h_matrix = _collect_outputs(args.emit or ["c"], result.cpt, h, args.tol)
     if h_matrix is not None:
         print(f"hermiticity residual of h: {hermiticity_residual(h_matrix):.6e}")
-    _emit(args, outputs)
-    return EXIT_OK
-
-
-def cmd_hermitize(args) -> int:
-    h, frame = _resolve_problem(args, args.tol)
-    if isinstance(frame, CPTFrame):
-        cpt_frame = frame
-    else:
-        result = build_c(h, frame, args.tol)
-        cpt_frame = result.cpt
-        print(f"gram residual: {result.gram_residual:.6e}")
-    outputs, h_matrix = _collect_outputs(args.emit or ["h"], cpt_frame, h, args.tol)
-    if h_matrix is None:
-        h_matrix = hermitize(h, cpt_frame, args.tol)
-        outputs.append(("h", h_matrix))
-    print(f"hermiticity residual of h: {hermiticity_residual(h_matrix):.6e}")
     _emit(args, outputs)
     return EXIT_OK
 
@@ -323,20 +309,15 @@ def cmd_scan(args) -> int:
         stack = model_matrix(_scan_spec(args, kind, index, np.where(grid == 0.0, np.nan, grid)))
     rows = classify_stack(stack, model_frame(layout), args.tol)
 
+    # one %-format per row; the fields are %.17g, as io.format_float writes them
+    row = ",".join(["%.17g"] * (1 + 2 * dim) + ["%d", "%d", "0"])
+    error_row = "%.17g" + "," * (2 * dim + 2) + ",1"
+    parts = np.stack((rows.eigenvalues.real, rows.eigenvalues.imag), -1).reshape(n, 2 * dim)
+    fields = np.column_stack((grid, parts, rows.classification == UNBROKEN, rows.warning))
     header = [args.sweep.split("=", 1)[0].strip()]
     header += [f"E{i + 1}_{part}" for i in range(dim) for part in ("re", "im")]
-    header += ["unbroken", "warning", "error"]
-    lines = [",".join(header)]
-    error_cells = [""] * (2 * dim) + ["", "", "1"]
-    for i, value in enumerate(grid):
-        cells = [format_float(value)]
-        if rows.error[i]:
-            cells += error_cells
-        else:
-            for eig in rows.eigenvalues[i]:
-                cells += [format_float(eig.real), format_float(eig.imag)]
-            cells += ["1" if rows.classification[i] == UNBROKEN else "0", "1" if rows.warning[i] else "0", "0"]
-        lines.append(",".join(cells))
+    lines = [",".join(header + ["unbroken", "warning", "error"])]
+    lines += [error_row % f[0] if error else row % tuple(f) for f, error in zip(fields.tolist(), rows.error.tolist())]
 
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -357,19 +338,18 @@ def cmd_compose(args) -> int:
         composed, out_frame, symmetric = doubling(op.matrix, tol)
         print(f"doubled dimension: {composed.shape[0]}")
         print(f"pt-symmetric: {'yes' if symmetric else 'no'}")
-    elif args.op == "tensor":
+    else:
         blocks = _blocks_from_args(args)
-        if len(blocks) != 2:
+        if args.op == "tensor" and len(blocks) != 2:
             raise InvalidModel("compose --op tensor needs exactly two (r, s, theta) blocks")
         cells = [build_model(ModelSpec("2x2", (block,))) for block in blocks]
-        results = [build_c(h, fr, tol) for h, fr in cells]
-        composed, out_frame = tensor_hamiltonians(
-            cells[0][0], cells[1][0], results[0].cpt, results[1].cpt, tol
-        )
-    else:  # dsum
-        cells = [build_model(ModelSpec("2x2", (block,))) for block in _blocks_from_args(args)]
-        composed, out_frame = direct_sum(BlockSpec(tuple(cells)), tol)
-    if args.op != "double":
+        if args.op == "tensor":
+            (h1, frame1), (h2, frame2) = cells
+            composed, out_frame = tensor_hamiltonians(
+                h1, h2, build_c(h1, frame1, tol).cpt, build_c(h2, frame2, tol).cpt, tol
+            )
+        else:
+            composed, out_frame = direct_sum(BlockSpec(tuple(cells)), tol)
         _print_classification(classify_symmetry(composed, _base_frame(out_frame), tol))
 
     if args.out:

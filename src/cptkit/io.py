@@ -1,4 +1,5 @@
-"""Flat-file formats: JSON matrix documents, JSON frame documents, CSV scans.
+"""Flat-file formats: JSON matrix documents and JSON frame documents.  The
+scan CSV is written by ``cpt-kit scan`` (:mod:`cptkit.cli`), not here.
 
 A matrix document is
 

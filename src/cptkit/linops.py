@@ -292,14 +292,30 @@ def stacked_eigensystem(a: np.ndarray, scale: np.ndarray, tol: float) -> tuple[E
     order = np.lexsort((values.imag, values.real), axis=-1)
     values = values[rows, order]
     vectors = vectors[rows[:, :, None], np.arange(a.shape[1])[:, None], order[:, None, :]]
-    vectors = vectors / column_norms(vectors, keepdims=True)
+    plain = (values.imag == 0).all(-1) if a.dtype.kind == "f" and values.dtype.kind == "c" else None
+    if plain is None or not plain.any():
+        vectors, condition, residual = _unit_eigenvectors(a, values, vectors)
+    else:
+        # eig returns every row of a real stack as complex once one row has a
+        # non-real eigenvalue: the rows with a real spectrum are finished in
+        # real arithmetic, bit for bit as each would be alone
+        condition, residual = np.empty(len(a)), np.empty(len(a))
+        for group, part in ((plain, np.real), (~plain, np.asarray)):
+            vectors[group], condition[group], residual[group] = _unit_eigenvectors(
+                a[group], part(values[group]), part(vectors[group])
+            )
+    defective = unscaled | ~(condition <= COND_LIMIT) | (residual > tol * scale)
+    return EigenSystem(values, vectors, condition, defective), residual
 
+
+def _unit_eigenvectors(a: np.ndarray, values: np.ndarray, vectors: np.ndarray):
+    """Unit-column eigenvectors, cond(V) and the largest eigenpair residual of each row."""
+    vectors = vectors / column_norms(vectors, keepdims=True)
     singular = np.linalg.svd(vectors, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         condition = singular[:, 0] / singular[:, -1]
     residual = column_norms(a @ vectors - vectors * values[:, None, :]).max(-1)
-    defective = unscaled | ~(condition <= COND_LIMIT) | (residual > tol * scale)
-    return EigenSystem(values, vectors, condition, defective), residual
+    return vectors, condition, residual
 
 
 def require_regular(eigen: EigenSystem, residual: np.ndarray, scale: np.ndarray, tol: float) -> None:

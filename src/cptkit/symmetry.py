@@ -496,15 +496,17 @@ def classify_stack(hs, frame: PTFrame, tol: float = DEFAULT_TOL) -> StackClassif
 
 def classify_2x2(h, tol: float = DEFAULT_TOL) -> TwoByTwoClass:
     """Evaluate the structural predicates of a 2x2 matrix (swap frame implied):
-    Hermitian, symmetric, PT-symmetric, and their conjunctions."""
+    Hermitian, symmetric, PT-symmetric, and their conjunctions, each residual
+    relative to ``tol * |H|``."""
     a = as_matrix(h)
     if a.shape != (2, 2):
         raise DimensionMismatch(f"expected a 2x2 matrix, got {a.shape}")
     # the PT check raises NonFiniteEntries first when |H| overflows; below
     # that scale neither residual can overflow
     pt_symmetric = bool(is_pt_symmetric(a, pair_swap_frame(2), tol))
-    hermitian = hermiticity_residual(a) <= tol
-    symmetric = frobenius(a - a.T) <= tol
+    bound = tol * frobenius(a)
+    hermitian = bool(hermiticity_residual(a) <= bound)
+    symmetric = bool(frobenius(a - a.T) <= bound)
     forms = set()
     if hermitian:
         forms.add(3)

@@ -337,6 +337,41 @@ def test_hermitize_uses_supplied_c(tmp_path, capsys):
     np.testing.assert_allclose(load_matrix(out).matrix, [[2.0, 3.0], [3.0, 2.0]], atol=1e-12)
 
 
+def test_build_c_ignores_the_c_of_a_cpt_frame_document(tmp_path, capsys):
+    h, frame = build_model(ModelSpec("2x2", ((1.0, 2.0, 0.5),)))
+    other = build_model(ModelSpec("2x2", ((1.0, 3.0, 0.7),)))[0]
+    h_path, pt_path, cpt_path = tmp_path / "h.json", tmp_path / "pt.json", tmp_path / "cpt.json"
+    write_matrix(h_path, h)
+    write_frame(pt_path, frame)
+    write_frame(cpt_path, build_c(other, frame).cpt)  # a valid C over the frame, but not the C of h
+    results = []
+    for frame_path, out in ((pt_path, tmp_path / "pt-c.json"), (cpt_path, tmp_path / "cpt-c.json")):
+        assert run(["build-c", "--hamiltonian", str(h_path), "--frame", str(frame_path), "--out", str(out)]) == EXIT_OK
+        results.append((capsys.readouterr().out.replace(str(out), "OUT"), out.read_text(encoding="utf-8")))
+    assert results[0] == results[1]
+
+
+def test_hermitize_emits_h_last_as_build_c_does(tmp_path, capsys):
+    model = ["--model", "2x2", "--r", "1", "--s", "2", "--theta", THETA_PI_6]
+    documents = []
+    for command, emits in (("hermitize", ["c"]), ("build-c", ["c", "h"])):
+        out = tmp_path / f"{command}.json"
+        emit_flags = [flag for kind in emits for flag in ("--emit", kind)]
+        assert run([command, *model, *emit_flags, "--out", str(out)]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert stdout.index("wrote c") < stdout.index("wrote h")
+        documents.append([(tmp_path / f"{command}.{kind}.json").read_text(encoding="utf-8") for kind in ("c", "h")])
+    assert documents[0] == documents[1]
+
+
+@pytest.mark.parametrize("command", ["analyze", "build-c", "scan"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_tolerance_must_be_positive_and_finite(command, tol, capsys):
+    params = ["--r", "1", "--s", "2"] + (["--sweep", "theta=0.1:1.5:3"] if command == "scan" else ["--theta", "0.5"])
+    assert run([command, "--model", "2x2", *params, "--tol", tol]) == EXIT_USAGE
+    assert "--tol" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- scan
 
 

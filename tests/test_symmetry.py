@@ -323,6 +323,15 @@ def test_classify_2x2_h3():
     assert out.cpt_candidate_forms == frozenset({3})
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e12])
+def test_classify_2x2_verdicts_do_not_depend_on_the_scale(scale):
+    # every residual is compared against tol * |H|, as criterion 5's table reads at scale 1
+    for h in (H1, H2, H3):
+        base, scaled = classify_2x2(h), classify_2x2(scale * h)
+        assert scaled == base
+        assert all(type(flag) is bool for flag in (scaled.hermitian, scaled.symmetric, scaled.pt_symmetric))
+
+
 def test_classify_2x2_real_circulant_satisfies_everything():
     out = classify_2x2(np.array([[2.0, 3.0], [3.0, 2.0]]))
     assert out.cpt_candidate_forms == frozenset({3, 4, 5, 6, 7})
@@ -499,15 +508,13 @@ def _chain(*blocks):
 def _rebase_stacks():
     """Stacks whose rows rebase eigenspaces of several sizes, with the
     classification of each row: index-frame chains with 2- and 3-fold
-    eigenspaces and the identity; and, moved by one unitary onto the dense
-    frame, such chains, the identity and a broken row with a degenerate real
-    cluster.  No broken row shares a stack over an index frame: its complex
-    eigenvalues make the real eigensolver return every row of the stack as
-    complex, which moves the other rows' eigenvectors in the last bits."""
+    eigenspaces, the identity and a broken chain; and, moved by one unitary
+    onto the dense frame, such chains, the identity and a broken row with a
+    degenerate real cluster."""
     cell, other, broken = (1.0, 2.0, 0.5), (0.5, 1.0, 0.3), (2.0, 1.0, 1.2)
     twofold, frame = _chain(cell, cell, other)
     threefold = _chain(cell, cell, cell)[0]
-    yield [twofold, threefold, np.eye(6)], frame, [UNBROKEN] * 3
+    yield [twofold, threefold, np.eye(6), _chain(cell, other, broken)[0]], frame, [UNBROKEN] * 3 + [BROKEN]
     yield [_chain(cell, cell)[0], np.eye(4), _chain(cell, other)[0]], pair_swap_frame(4), [UNBROKEN] * 3
     u, moved, dense = unitary_basis_change(twofold, frame, np.random.default_rng(3))
     mats = [moved, u @ _chain(cell, cell, broken)[0] @ u.conj().T, np.eye(6), u @ threefold @ u.conj().T]
@@ -541,6 +548,7 @@ def test_a_stack_rebases_each_row_as_its_own_classification_bit_for_bit(sour, mo
             one = symmetry._classify_one(m, frame, symmetry.DEFAULT_TOL)
             for field in ("phi", "theta", "energy", "kept", "rebased"):
                 assert getattr(rows, field)[i].tobytes() == getattr(one, field)[0].tobytes(), (i, field)
+            assert rows.eigen.condition[i].tobytes() == one.eigen.condition[0].tobytes(), i
 
 
 @pytest.mark.parametrize("n_rows", [1, 6])
