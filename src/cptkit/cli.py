@@ -107,9 +107,7 @@ def _model_spec_from_args(args) -> ModelSpec:
 def _load_validated_frame(path: str, tol: float):
     p, t, c = load_frame_parts(path)
     frame = checked_pt_frame(p, t, tol)
-    if c is None:
-        return frame
-    return checked_cpt_frame(c, frame, tol)
+    return frame if c is None else checked_cpt_frame(c, frame, tol)
 
 
 def _base_frame(frame) -> PTFrame:
@@ -338,18 +336,19 @@ def cmd_compose(args) -> int:
         composed, out_frame, symmetric = doubling(op.matrix, tol)
         print(f"doubled dimension: {composed.shape[0]}")
         print(f"pt-symmetric: {'yes' if symmetric else 'no'}")
-    else:
+    elif args.op == "tensor":
         blocks = _blocks_from_args(args)
-        if args.op == "tensor" and len(blocks) != 2:
+        if len(blocks) != 2:
             raise InvalidModel("compose --op tensor needs exactly two (r, s, theta) blocks")
         cells = [build_model(ModelSpec("2x2", (block,))) for block in blocks]
-        if args.op == "tensor":
-            (h1, frame1), (h2, frame2) = cells
-            composed, out_frame = tensor_hamiltonians(
-                h1, h2, build_c(h1, frame1, tol).cpt, build_c(h2, frame2, tol).cpt, tol
-            )
-        else:
-            composed, out_frame = direct_sum(BlockSpec(tuple(cells)), tol)
+        results = [build_c(h, fr, tol) for h, fr in cells]
+        composed, out_frame = tensor_hamiltonians(
+            cells[0][0], cells[1][0], results[0].cpt, results[1].cpt, tol
+        )
+    else:  # dsum
+        cells = [build_model(ModelSpec("2x2", (block,))) for block in _blocks_from_args(args)]
+        composed, out_frame = direct_sum(BlockSpec(tuple(cells)), tol)
+    if args.op != "double":
         _print_classification(classify_symmetry(composed, _base_frame(out_frame), tol))
 
     if args.out:

@@ -292,15 +292,13 @@ def stacked_eigensystem(a: np.ndarray, scale: np.ndarray, tol: float) -> tuple[E
     order = np.lexsort((values.imag, values.real), axis=-1)
     values = values[rows, order]
     vectors = vectors[rows[:, :, None], np.arange(a.shape[1])[:, None], order[:, None, :]]
-    plain = (values.imag == 0).all(-1) if a.dtype.kind == "f" and values.dtype.kind == "c" else None
-    if plain is None or not plain.any():
-        vectors, condition, residual = _unit_eigenvectors(a, values, vectors)
-    else:
-        # eig returns every row of a real stack as complex once one row has a
-        # non-real eigenvalue: the rows with a real spectrum are finished in
-        # real arithmetic, bit for bit as each would be alone
-        condition, residual = np.empty(len(a)), np.empty(len(a))
-        for group, part in ((plain, np.real), (~plain, np.asarray)):
+    # eig returns every row of a real stack as complex once one row has a
+    # non-real eigenvalue: the rows with a real spectrum are finished in real
+    # arithmetic, bit for bit as each would be alone
+    plain = (values.imag == 0).all(-1) & (a.dtype.kind == "f")
+    condition, residual = np.empty(len(a)), np.empty(len(a))
+    for group, part in ((plain, np.real), (~plain, np.asarray)):
+        if group.any():
             vectors[group], condition[group], residual[group] = _unit_eigenvectors(
                 a[group], part(values[group]), part(vectors[group])
             )
