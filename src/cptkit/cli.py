@@ -114,15 +114,20 @@ def _base_frame(frame) -> PTFrame:
     return frame.frame if isinstance(frame, CPTFrame) else frame
 
 
+def _load_hamiltonian(path: str) -> np.ndarray:
+    """The matrix of a Hamiltonian document, which must not be flagged antilinear."""
+    op = load_matrix(path)
+    if not op.is_linear:
+        raise DocumentError("a Hamiltonian document must not be flagged antilinear")
+    return op.matrix
+
+
 def _resolve_problem(args):
     """Produce (hamiltonian matrix, frame) from model flags or files."""
     if args.model:
         h, frame = build_model(_model_spec_from_args(args))
     elif args.hamiltonian:
-        op = load_matrix(args.hamiltonian)
-        if not op.is_linear:
-            raise DocumentError("a Hamiltonian document must not be flagged antilinear")
-        h = op.matrix
+        h = _load_hamiltonian(args.hamiltonian)
     else:
         raise InvalidModel("give either --model with parameters or --hamiltonian FILE")
     if args.frame:
@@ -332,8 +337,7 @@ def cmd_compose(args) -> int:
     if args.op == "double":
         if not args.hamiltonian:
             raise InvalidModel("compose --op double needs --hamiltonian FILE")
-        op = load_matrix(args.hamiltonian)
-        composed, out_frame, symmetric = doubling(op.matrix, tol)
+        composed, out_frame, symmetric = doubling(_load_hamiltonian(args.hamiltonian), tol)
         print(f"doubled dimension: {composed.shape[0]}")
         print(f"pt-symmetric: {'yes' if symmetric else 'no'}")
     elif args.op == "tensor":

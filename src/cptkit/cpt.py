@@ -10,11 +10,28 @@ antilinear T.  The sign of each state is intrinsic, sign((phi, phi)); states
 are never reordered to force an alternating pattern.  C depends only on each
 eigenspace, not on the basis the eigensolver returned for it, so it moves
 with the frame under a unitary change of basis.
+
+Over an index frame (a permutation P, conjugation T) the synthesis runs in
+the frame's real PT-fixed basis Q, where P is the signature J = diag(+-1).
+A PT-fixed state phi = Q x has real coordinates x = Re(Q^+ phi), the form
+(u, v) becomes the Krein form x^T J y, and with X the J-normalized columns:
+
+- the Gram matrix is X^T J X = diag(signs);
+- C = Q C_r Q^+ with C_r = X X^T J, and C^2 = I is C_r^2 = I;
+- PC = Q M Q^+ with M = J X X^T J real symmetric, factored by one real
+  ``eigh`` into the metric spectrum (w, Q U_r);
+- [C, H] is measured as [C_r, Q^+ H Q], and the CPT Gram as X^T M X.
+
+Every product of the synthesis is then real; C and PC are mapped back by the
+frame's gathers in O(n^2).  The roots (PC)^(+-1/2) and h stay on the dense
+formula, from (w, Q U_r).  Any other frame synthesizes densely, in the
+original basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,8 +52,8 @@ from .linops import (
     as_matrix,
     as_vector,
     column_norms,
-    commutator_check,
     frobenius,
+    require_tolerance,
     spectral_powers,
 )
 from .symmetry import UNBROKEN, SymmetryReport, _classify_one, _runs
@@ -95,21 +112,21 @@ def pt_inner(u, v, frame: PTFrame) -> complex:
     return complex(np.vdot(frame.apply_p(uu), vv))
 
 
-def _normalize(v: np.ndarray, energy: np.ndarray, frame: PTFrame, tol: float):
+def _normalize(v: np.ndarray, energy: np.ndarray, apply_p, residual: np.ndarray, tol: float):
     """Indefinite-orthonormal bases W = V Q |L|^(-1/2), signs sign(L), of the
     eigenspaces V (runs of equal ``energy``) of the PT-fixed columns ``v``,
     from their real Gram blocks Re((P V)^+ V) = Q L Q^T, one stacked ``eigh``
-    per size above 1.  Sign 0, never an error, marks an eigenspace with a zero
-    column, a column v with |PT v - v| > tol |v| or a |q| <= tol * its largest
-    |v|^2.  Also returns the per-column norm_sq, residual and q."""
+    per size above 1, with P applied by ``apply_p`` and each column's
+    |PT v - v| given as ``residual``.  Sign 0, never an error, marks an
+    eigenspace with a zero column, a column v with residual > tol |v| or a
+    |q| <= tol * its largest |v|^2.  Also returns the per-column norm_sq and q."""
     norm_sq = np.einsum("ij,ij->j", v.conj(), v).real
-    residual = column_norms(frame.apply_pt(v) - v)
     rejected = (residual > tol * np.sqrt(norm_sq)) | (norm_sq == 0)
     units, q = v.copy(), np.empty(len(energy))
     for m, at in _runs(energy).items():  # at (g, m): the columns of each eigenspace of size m
         block = v[:, at].transpose(1, 0, 2)
         # (P u)^+ v is real for PT-fixed u, v; dropping its rounding noise keeps real combinations PT-fixed
-        gram = (frame.apply_p(block).conj().transpose(0, 2, 1) @ block).real
+        gram = (apply_p(block).conj().transpose(0, 2, 1) @ block).real
         if m == 1:  # a 1x1 Gram block is its own eigenvalue
             q[at] = gram[:, 0]
         else:  # rejected whole; if kept, its smallest |q| passes every column's bound below
@@ -118,14 +135,16 @@ def _normalize(v: np.ndarray, energy: np.ndarray, frame: PTFrame, tol: float):
             rejected[at] = (rejected[at].any(-1) | (np.abs(q[at]).min(-1) <= tol * norm_sq[at].max(-1)))[:, None]
     kept = ~rejected & (np.abs(q) > tol * norm_sq)
     np.divide(units, np.sqrt(np.abs(q)), out=units, where=kept)  # q may be 0 in a rejected eigenspace
-    return units, np.where(q > 0, 1, -1) * kept, norm_sq, residual, q
+    return units, np.where(q > 0, 1, -1) * kept, norm_sq, q
 
 
-def _normalized(v: np.ndarray, energy: np.ndarray, frame: PTFrame, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _normalized(
+    v: np.ndarray, energy: np.ndarray, apply_p, residual: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
     """The units and signs of :func:`_normalize`, raising where it rejects an
     eigenspace: for a zero column, a column that is not PT-fixed, a simple
     self-orthogonal eigenspace or a degenerate one, in this order."""
-    units, signs, norm_sq, residual, q = _normalize(v, energy, frame, tol)
+    units, signs, norm_sq, q = _normalize(v, energy, apply_p, residual, tol)
     if not signs.all():
         if not norm_sq.all():
             raise SelfOrthogonal("cannot normalize the zero vector")
@@ -137,6 +156,18 @@ def _normalized(v: np.ndarray, energy: np.ndarray, frame: PTFrame, tol: float) -
             "the state is self-orthogonal (exceptional point)"
         ) if simple else GramDefect("degenerate eigenspace contains a self-orthogonal direction")
     return units, signs
+
+
+def _coordinates(phi: np.ndarray, frame: PTFrame, real: bool):
+    """The columns ``phi`` as :func:`_normalize` takes them: their
+    coordinates, how P acts on those and each column's |PT phi - phi|.  In
+    the original basis that is phi and P; in the real basis Q of an index
+    frame it is x = Re(Q^+ phi) and the signature J, with
+    |PT phi - phi| = 2 |Im(Q^+ phi)|, since PT is conjugation there."""
+    if not real:
+        return phi, frame.apply_p, column_norms(frame.apply_pt(phi) - phi)
+    y = frame.to_real_basis(phi)
+    return y.real, partial(np.multiply, frame.real_basis.signature), 2.0 * column_norms(y.imag)
 
 
 def normalize_indefinite(
@@ -155,6 +186,8 @@ def normalize_indefinite(
 
     Raises
     ------
+    InvalidArgument
+        For a ``tol`` that is not a positive, finite number.
     FrameInvalid
         If P is not Hermitian, ``|P - P^+| > tol * max(1, |P|)``.
     NotPTEigenstate
@@ -165,9 +198,11 @@ def normalize_indefinite(
         construction fails at an exceptional point.  For several columns
         this is GramDefect: the eigenspace has a self-orthogonal direction.
     """
+    require_tolerance(tol)
     frame.require_hermitian_parity(tol)
     vectors = as_vector(v).reshape(np.shape(v) if np.ndim(v) == 2 else (-1, 1))
-    units, signs = _normalized(vectors, np.zeros(vectors.shape[1]), frame, tol)
+    x, apply_p, residual = _coordinates(vectors, frame, False)
+    units, signs = _normalized(x, np.zeros(vectors.shape[1]), apply_p, residual, tol)
     return (units, signs) if np.ndim(v) == 2 else (units[:, 0], int(signs[0]))
 
 
@@ -188,7 +223,8 @@ def aligned_signs(report: SymmetryReport, frame: PTFrame) -> np.ndarray:
     except FrameInvalid:
         return np.zeros(len(states), dtype=int)
     v, energy = np.column_stack([s.state for s in states]), np.array([s.energy for s in states])
-    return _normalize(v, energy, frame, EP_GUARD_TOL)[1]
+    x, apply_p, residual = _coordinates(v, frame, False)
+    return _normalize(x, energy, apply_p, residual, EP_GUARD_TOL)[1]
 
 
 def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
@@ -206,7 +242,9 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
     C phi_k = sign_k phi_k; validate the resulting frame, whose one
     factorization of PC also gives the Gram tolerance, and the commutator
     [C, H].  C depends only on each eigenspace, not on the basis the
-    eigensolver returned for it.
+    eigensolver returned for it.  Over an index frame every step after the
+    classification runs in real arithmetic, in the frame's real basis (see
+    the module docstring).
 
     The normalization step guards against self-orthogonal states at
     ``EP_GUARD_TOL``: it refuses states closer to an exceptional point than
@@ -214,11 +252,14 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
 
     Raises
     ------
+    InvalidArgument
+        For a ``tol`` that is not a positive, finite number.
     FrameInvalid
         For a non-Hermitian P (exit code 3), or a synthesized frame that
         fails validation.
     NotUnbroken, SelfOrthogonal, GramDefect, CommutatorViolation
     """
+    require_tolerance(tol)
     frame.require_hermitian_parity(tol)
     a = as_matrix(h)
     rows = _classify_one(a, frame, tol)
@@ -229,13 +270,16 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
         )
 
     # unbroken: every column of phi is an aligned state; a run of equal energy is one eigenspace
-    phi, signs = _normalized(rows.phi[0], rows.energy[0], frame, EP_GUARD_TOL)
+    real = frame.perm is not None
+    x, apply_p, residual = _coordinates(rows.phi[0], frame, real)
+    x, signs = _normalized(x, rows.energy[0], apply_p, residual, EP_GUARD_TOL)
+    phi = frame.from_real_basis(x) if real else x
     normalized = [SignedState(*state) for state in zip(rows.energy[0].tolist(), phi.T, signs.tolist())]
-    p_phi_adj = frame.apply_p(phi).conj().T
-    gram = p_phi_adj @ phi
+    p_x_adj = apply_p(x).conj().T
+    gram = p_x_adj @ x
     gram_error = frobenius(gram - np.diag(signs))
-    c_matrix = phi @ p_phi_adj
-    cpt = CPTFrame(frame, Operator.linear(c_matrix))
+    c_matrix = x @ p_x_adj  # C itself, or C_r in the real basis
+    cpt = CPTFrame._from_real_basis(frame, c_matrix) if real else CPTFrame(frame, Operator.linear(c_matrix))
     # rounding in the Gram entries is amplified by |phi|_2^2 = |P phi|_2^2, the
     # largest eigenvalue of PC = (P phi)(P phi)^+, which grows near an exceptional point
     gram_tol = tol * max(1.0, float(cpt.metric_spectrum[0][-1]))
@@ -251,14 +295,14 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
     structural_tol = tol * max(1.0, frobenius(c_matrix)) ** 2
     cpt.validate(structural_tol, pd_tol=tol).require("CPT-frame")
 
-    commutator, commutes = commutator_check(c_matrix, a, tol)
+    commutator, commutes = cpt._commutator(a, tol)
     if not commutes:
         raise CommutatorViolation(
             f"[C, H] residual {commutator:.3e} exceeds tolerance; C is not a frame for H"
         )
 
-    pc = cpt.pc_matrix
-    gram_cpt = (pc @ phi).conj().T @ phi
+    pc = cpt._real_metric() if real else cpt.pc_matrix
+    gram_cpt = (pc @ x).conj().T @ x
     gram_residual = float(frobenius(gram_cpt - np.eye(len(signs))))
     return CPTResult(cpt, tuple(normalized), gram_residual)
 
@@ -280,7 +324,9 @@ def cpt_adjoint(a: Operator, cpt: CPTFrame, tol: float = DEFAULT_TOL) -> Operato
 
     The inverse metric comes from the frame's metric, so positive-definiteness
     failures surface early.  Satisfies <adj(A) u, v>_CPT = <u, A v>_CPT.
+    Raises InvalidArgument for a ``tol`` that is not a positive, finite number.
     """
+    require_tolerance(tol)
     if not a.is_linear:
         raise KindMismatch("the CPT adjoint is defined for linear operators")
     if a.dim != cpt.dim:
@@ -297,12 +343,14 @@ def hermitize(h, cpt: CPTFrame, tol: float = DEFAULT_TOL) -> np.ndarray:
     similarity preserves the spectrum.  Requires [C, H] = 0 at tolerance (the
     frame must be a frame *for* H) and PC positive definite.
 
-    Raises NotPositiveDefinite, NotHermitian or CommutatorViolation.
+    Raises NotPositiveDefinite, NotHermitian or CommutatorViolation, and
+    InvalidArgument for a ``tol`` that is not a positive, finite number.
     """
+    require_tolerance(tol)
     a = as_matrix(h)
     if a.shape[0] != cpt.dim:
         raise DimensionMismatch(f"matrix dimension {a.shape[0]} does not match frame dimension {cpt.dim}")
-    commutator, commutes = commutator_check(cpt.c.matrix, a, tol)
+    commutator, commutes = cpt._commutator(a, tol)
     if not commutes:
         raise CommutatorViolation(
             f"[C, H] residual {commutator:.3e} exceeds tolerance; the frame is not a frame for H"

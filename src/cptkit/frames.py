@@ -18,6 +18,16 @@ real matrix Q^+ H Q (Bender & Mannheim, Phys. Lett. A 374, 1616 (2010));
 the frame maps a stack into that basis and eigenvectors back, each in
 O(n^2).  Any other admissible P and antilinear T (a moved frame, a document
 frame) takes the dense matrix path.
+
+In that basis P is the signature J = Q^+ P Q = diag(+-1), so the indefinite
+form <P u, v> of PT-fixed states u = Q x, v = Q y is the Krein form
+x^T J y, with x and y real (Azizov & Iokhvidov, *Linear Operators in Spaces
+with an Indefinite Metric*, 1989).  A C synthesized there is the real
+C_r = Q^+ C Q, its metric PC is the real symmetric M = J C_r, and CPT = TPC
+holds exactly, since T P acts as conjugation on real matrices.  A
+:class:`CPTFrame` built from such a C_r (:meth:`CPTFrame._from_real_basis`)
+factors M with one real ``eigh`` and validates in real products; one built
+from a given C always takes the dense path.
 """
 
 from __future__ import annotations
@@ -37,7 +47,17 @@ from .errors import (
     NonRealEntries,
     NotInvolution,
 )
-from .linops import DEFAULT_TOL, Operator, apply, compose, frobenius, hermiticity_residual, operand, spectral_powers
+from .linops import (
+    DEFAULT_TOL,
+    Operator,
+    apply,
+    commutator_check,
+    compose,
+    frobenius,
+    hermiticity_residual,
+    operand,
+    spectral_powers,
+)
 
 #: Floor of the tolerance at which :func:`frame_from_involution` validates
 #: its frame; the built-in constructors validate at exactly this tolerance.
@@ -69,20 +89,23 @@ class RealBasis(NamedTuple):
     and column j is i (e_i - e_j) / sqrt(2); a fixed point f keeps e_f.  Q
     has two entries per row and per column: ``rows`` holds Q[i, i] and
     Q[i, perm[i]] as ``(n, 1)`` columns, ``cols`` holds Q[l, l] and
-    Q[perm[l], l], and ``adjoint`` holds conj(cols) as ``(n, 1)`` columns."""
+    Q[perm[l], l], and ``adjoint`` holds conj(cols) as ``(n, 1)`` columns.
+    ``signature`` is the real ``(n, 1)`` diagonal of J = Q^+ P Q: -1 on the
+    second member of each pair, +1 elsewhere."""
 
     rows: tuple[np.ndarray, np.ndarray]
     cols: tuple[np.ndarray, np.ndarray]
     adjoint: tuple[np.ndarray, np.ndarray]
+    signature: np.ndarray
 
 
 _R = np.sqrt(0.5)
-#: The entries of RealBasis (rows, cols, adjoint) at index i, by its role: the
-#: first of a pair (i < perm[i]), the second of a pair, a fixed point
+#: The entries of RealBasis (rows, cols, adjoint, signature) at index i, by
+#: its role: the first of a pair (i < perm[i]), the second of a pair, a fixed point
 _REAL_BASIS_ENTRIES = np.array([
-    [_R, 1j * _R, _R, _R, _R, _R],
-    [-1j * _R, _R, -1j * _R, 1j * _R, 1j * _R, -1j * _R],
-    [1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
+    [_R, 1j * _R, _R, _R, _R, _R, 1.0],
+    [-1j * _R, _R, -1j * _R, 1j * _R, 1j * _R, -1j * _R, -1.0],
+    [1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0],
 ])
 
 
@@ -129,9 +152,11 @@ class PTFrame:
             return None
         i = np.arange(self.dim)
         entries = np.ascontiguousarray(_REAL_BASIS_ENTRIES[(self.perm < i) + 2 * (self.perm == i)].T)
-        entries.setflags(write=False)
+        signature = np.ascontiguousarray(entries[6, :, None].real)
+        for part in (entries, signature):
+            part.setflags(write=False)
         column = entries[:, :, None]
-        return RealBasis((column[0], column[1]), (entries[2], entries[3]), (column[4], column[5]))
+        return RealBasis((column[0], column[1]), (entries[2], entries[3]), (column[4], column[5]), signature)
 
     def real_form(self, a: np.ndarray) -> np.ndarray:
         """Re(Q^+ A Q) for each matrix A of an ``(N, n, n)`` stack over an
@@ -139,15 +164,33 @@ class PTFrame:
         so this is Q^+ A Q; for any A it is Q^+ A_s Q, where A_s = (A + (PT)
         A (PT)) / 2 is the PT-symmetric part, and |A - A_s| is half the PT
         residual."""
-        (c0, c1), (d0, d1) = self.real_basis.cols, self.real_basis.adjoint
-        aq = a * c0 + a.take(self.perm, axis=-1) * c1
-        return (d0 * aq + d1 * aq.take(self.perm, axis=-2)).real
+        return self.basis_form(a).real
+
+    def basis_form(self, a: np.ndarray) -> np.ndarray:
+        """Q^+ A Q for a matrix A, or each matrix of an ``(N, n, n)`` stack,
+        over an index frame, by two gathers."""
+        c0, c1 = self.real_basis.cols
+        return self.to_real_basis(a * c0 + a.take(self.perm, axis=-1) * c1)
+
+    def to_real_basis(self, v: np.ndarray) -> np.ndarray:
+        """Q^+ V for an ``(n, k)`` block or an ``(N, n, k)`` stack over an
+        index frame: columns mapped into the real basis, by one gather.  A
+        PT-fixed column has real coordinates."""
+        d0, d1 = self.real_basis.adjoint
+        return d0 * v + d1 * v.take(self.perm, axis=-2)
 
     def from_real_basis(self, x: np.ndarray) -> np.ndarray:
         """Q X for an ``(n, k)`` block or an ``(N, n, k)`` stack over an
         index frame: columns in the real basis mapped back, by one gather."""
         r0, r1 = self.real_basis.rows
         return r0 * x + r1 * x.take(self.perm, axis=-2)
+
+    def from_real_form(self, m: np.ndarray) -> np.ndarray:
+        """Q M Q^+ for an ``(n, n)`` matrix M over an index frame: a matrix
+        of the real basis mapped back, by two gathers."""
+        r0, r1 = self.real_basis.rows
+        qm = self.from_real_basis(m)
+        return qm * r0.conj().T + qm.take(self.perm, axis=-1) * r1.conj().T
 
     @property
     def dim(self) -> int:
@@ -241,13 +284,17 @@ class CPTFrame:
     metric ``pc_matrix`` = P @ C and ``metric_spectrum`` = (w, U), w ascending,
     the one eigendecomposition of its Hermitian part, are formed once here,
     read-only: no consumer of the metric factors it again, and its roots are
-    formed once per tolerance by :meth:`metric_roots`."""
+    formed once per tolerance by :meth:`metric_roots`.  A frame synthesized in
+    the real basis of an index frame (:meth:`_from_real_basis`) keeps its
+    real C_r = Q^+ C Q as ``_c_real``, and its spectrum is (w, Q U_r) from
+    one real ``eigh`` of M = J C_r."""
 
     frame: PTFrame
     c: Operator
     pc_matrix: np.ndarray = field(init=False, repr=False, compare=False)
     metric_spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     _roots: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _c_real: np.ndarray | None = field(default=None, repr=False, compare=False, kw_only=True)
 
     def __post_init__(self):
         if not self.c.is_linear:
@@ -256,11 +303,35 @@ class CPTFrame:
             raise DimensionMismatch(f"C has dimension {self.c.dim} but frame has dimension {self.frame.dim}")
         with np.errstate(over="ignore", invalid="ignore"):
             pc = self.frame.apply_p(self.c.matrix)
-            spectrum = np.linalg.eigh((pc + pc.conj().T) / 2.0)
+            if self._c_real is None:
+                spectrum = np.linalg.eigh((pc + pc.conj().T) / 2.0)
+            else:
+                m = self._real_metric()
+                w, u = np.linalg.eigh((m + m.T) / 2.0)
+                spectrum = (w, self.frame.from_real_basis(u))
         for part in (pc, *spectrum):
             part.setflags(write=False)
         object.__setattr__(self, "pc_matrix", pc)
         object.__setattr__(self, "metric_spectrum", tuple(spectrum))
+
+    @classmethod
+    def _from_real_basis(cls, frame: PTFrame, c_real: np.ndarray) -> CPTFrame:
+        """The frame of C = Q C_r Q^+ over an index frame, for the real
+        matrix ``c_real`` = C_r of a C synthesized in its real basis Q."""
+        c_real.setflags(write=False)
+        return cls(frame, Operator.linear(frame.from_real_form(c_real)), _c_real=c_real)
+
+    def _real_metric(self) -> np.ndarray:
+        """M = J C_r = Q^+ (PC) Q, the metric in the real basis, of a frame
+        synthesized there."""
+        return self.frame.real_basis.signature * self._c_real
+
+    def _commutator(self, h: np.ndarray, tol: float) -> tuple[float, bool]:
+        """:func:`~cptkit.linops.commutator_check` of C and H; for a frame
+        synthesized in the real basis, of C_r and Q^+ H Q, in real products."""
+        if self._c_real is None:
+            return commutator_check(self.c.matrix, h, tol)
+        return commutator_check(self._c_real, self.frame.basis_form(h), tol)
 
     @property
     def dim(self) -> int:
@@ -292,13 +363,16 @@ class CPTFrame:
         residual.  PC is positive definite when its smallest metric eigenvalue
         is above ``pd_tol * |PC|`` (the largest eigenvalue modulus; ``pd_tol``
         defaults to ``tol``): equation residuals of an exact frame scale with
-        |C|^2, the metric's spectral margin does not."""
-        mc = self.c.matrix
+        |C|^2, the metric's spectral margin does not.  A frame synthesized in
+        the real basis is checked there, on C_r and M, in real products."""
+        dense = self._c_real is None
+        mc, pc = (self.c.matrix, self.pc_matrix) if dense else (self._c_real, self._real_metric())
         with np.errstate(over="ignore", invalid="ignore"):
             residuals = (
                 ("C^2 = I", frobenius(mc @ mc - np.eye(self.dim))),
-                ("CPT = TPC", self.frame._cpt_residual(mc)),
-                ("PC hermitian", hermiticity_residual(self.pc_matrix)),
+                # in the real basis TP is conjugation, which fixes the real C_r exactly
+                ("CPT = TPC", self.frame._cpt_residual(mc) if dense else 0.0),
+                ("PC hermitian", hermiticity_residual(pc)),
             )
         violations = [(name, float(residual)) for name, residual in residuals if not residual <= tol]
         w = self.metric_spectrum[0]

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     DefectiveSpectrum,
     DimensionMismatch,
+    InvalidArgument,
     KindMismatch,
     NonFiniteEntries,
     NotHermitian,
@@ -82,6 +83,15 @@ def hermiticity_residual(a: np.ndarray) -> float:
         return frobenius(a - a.conj().T)
 
 
+def require_tolerance(tol) -> None:
+    """Raise InvalidArgument (exit code 2) unless ``tol`` is a finite number
+    above 0: against nan every comparison is false, and against 0, a negative
+    or an infinite value every verdict is decided before any residual is
+    measured."""
+    if not 0.0 < tol < np.inf:
+        raise InvalidArgument(f"tolerance must be a positive, finite number, got {tol!r}")
+
+
 def require_finite_scale(scale) -> None:
     """Raise NonFiniteEntries when the Frobenius norm ``scale`` of a matrix
     is not finite: no tolerance relative to it exists."""
@@ -91,10 +101,17 @@ def require_finite_scale(scale) -> None:
 
 def commutator_check(c: np.ndarray, h: np.ndarray, tol: float) -> tuple[float, bool]:
     """The residual |[C, H]| and whether it is within
-    ``tol * max(1, |H|) * max(1, |C|)``; an overflowed residual fails."""
+    ``tol * max(1, |H|) * max(1, |C|)``; an overflowed residual fails.  A real
+    C and a complex H = A + iB are checked in real products, from the stack
+    of [C, A] and [C, B], whose Frobenius norm is |[C, H]|."""
+    n = len(c)
+    if np.iscomplexobj(h) and not np.iscomplexobj(c):
+        h = np.stack([h.real, h.imag])
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = frobenius(c @ h - h @ c)
-    return residual, bool(residual <= tol * max(1.0, frobenius(h)) * max(1.0, frobenius(c)))
+        commutator = c @ h
+        commutator -= h @ c
+        residual = frobenius(commutator.reshape(-1, n))
+    return residual, bool(residual <= tol * max(1.0, frobenius(h.reshape(-1, n))) * max(1.0, frobenius(c)))
 
 
 @dataclass(frozen=True)
@@ -245,7 +262,8 @@ def eigendecompose(m, tol: float = DEFAULT_TOL) -> EigenSystem:
         spectrum of the whole input is.  Complex input is solved as complex.
     tol : float
         Relative residual tolerance: every pair must satisfy
-        ``|m v - lam v| <= tol |m|``.
+        ``|m v - lam v| <= tol |m|``.  A positive, finite number, else
+        InvalidArgument.
 
     A stack never raises for a single row: a row with non-finite entries, a
     Frobenius norm that overflows, an eigenvector condition above
@@ -263,6 +281,7 @@ def eigendecompose(m, tol: float = DEFAULT_TOL) -> EigenSystem:
         physically meaningful here and must surface as errors, not as
         regularized output.
     """
+    require_tolerance(tol)
     stacked = np.ndim(m) == 3
     a = np.asarray(m)
     a = a.astype(float if a.dtype.kind in "biuf" else complex, copy=not stacked)
@@ -298,10 +317,13 @@ def stacked_eigensystem(a: np.ndarray, scale: np.ndarray, tol: float) -> tuple[E
     plain = (values.imag == 0).all(-1) & (a.dtype.kind == "f")
     condition, residual = np.empty(len(a)), np.empty(len(a))
     for group, part in ((plain, np.real), (~plain, np.asarray)):
-        if group.any():
-            vectors[group], condition[group], residual[group] = _unit_eigenvectors(
-                a[group], part(values[group]), part(vectors[group])
-            )
+        if group.all():  # the whole stack, as always for one matrix: a slice, not a copy
+            group = slice(None)
+        elif not group.any():
+            continue
+        vectors[group], condition[group], residual[group] = _unit_eigenvectors(
+            a[group], part(values[group]), part(vectors[group])
+        )
     defective = unscaled | ~(condition <= COND_LIMIT) | (residual > tol * scale)
     return EigenSystem(values, vectors, condition, defective), residual
 

@@ -32,6 +32,7 @@ from .linops import (
     hermiticity_residual,
     require_finite_scale,
     require_regular,
+    require_tolerance,
     stacked_eigensystem,
 )
 
@@ -181,8 +182,10 @@ def is_pt_symmetric(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> PTSymmetryCh
     index gather of conj(H) when P is a permutation (every built-in frame),
     two dense products on a general frame.  The residual is compared against
     ``tol * |H|``; NonFiniteEntries is raised when |H| overflows, as by
-    :func:`classify_symmetry`.
+    :func:`classify_symmetry`.  A ``tol`` that is not a positive, finite
+    number raises InvalidArgument.
     """
+    require_tolerance(tol)
     a = _checked(h, frame)
     scale = frobenius(a)
     require_finite_scale(scale)
@@ -435,8 +438,10 @@ def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryRe
     This is the one-matrix case of :func:`classify_stack`: the report renders
     the kernel's arrays for a stack of one, and where the stack marks the row
     as an error this raises.  NonFiniteEntries (also for a Frobenius norm
-    that overflows) and DefectiveSpectrum from the eigensolver propagate.
+    that overflows) and DefectiveSpectrum from the eigensolver propagate, and
+    a ``tol`` that is not a positive, finite number raises InvalidArgument.
     """
+    require_tolerance(tol)
     rows = _classify_one(h, frame, tol)
     values, vectors, phi, kept = rows.eigen.values[0], rows.eigen.vectors[0], rows.phi[0], rows.kept[0]
     energies, thetas = rows.energy[0, kept].tolist(), rows.theta[0, kept].tolist()
@@ -479,8 +484,10 @@ def classify_stack(hs, frame: PTFrame, tol: float = DEFAULT_TOL) -> StackClassif
     classification and warning flag of the kernel's arrays, which
     :func:`classify_symmetry` renders for its matrix.  A row on which
     :func:`classify_symmetry` would raise is marked in ``error`` instead, so
-    one bad row never stops the others.
+    one bad row never stops the others.  A ``tol`` that is not a positive,
+    finite number raises InvalidArgument for the whole stack.
     """
+    require_tolerance(tol)
     a = np.asarray(hs, dtype=complex)
     if a.ndim != 3 or a.shape[1:] != (frame.dim, frame.dim):
         raise DimensionMismatch(f"expected a stack of {frame.dim}x{frame.dim} matrices, got shape {a.shape}")

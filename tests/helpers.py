@@ -1,5 +1,9 @@
 """Shared generators and comparison utilities for the test suite."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from cptkit import (
@@ -86,6 +90,19 @@ def covariance_problem(rng, family):
         return shared_eigenvalue_chain((abs(r), abs(s), theta), second)
     a = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]) if family == "3x3" else None
     return build_model(ModelSpec(family, tuple(blocks), a=a))
+
+
+def bench_workloads():
+    """``bench/workloads.py``, the generator of the benchmark's inputs, loaded
+    by path as the module ``bench_workloads``."""
+    module = sys.modules.get("bench_workloads")
+    if module is None:
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules["bench_workloads"] = module
+        spec.loader.exec_module(module)
+    return module
 
 
 def skewed_parity_problem():

@@ -549,6 +549,16 @@ def test_compose_double_of_an_overflowing_matrix_is_usage_error(tmp_path, capsys
     assert "pt-symmetric" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["build-c"], ["compose", "--op", "double"]])
+def test_an_antilinear_hamiltonian_document_is_rejected_alike_by_every_command(command, tmp_path, capsys):
+    h_path = tmp_path / "anti.json"
+    write_matrix(h_path, H1, antilinear=True)
+    assert run([*command, "--hamiltonian", str(h_path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "error: a Hamiltonian document must not be flagged antilinear\n"
+    assert captured.out == ""
+
+
 def test_compose_dsum(tmp_path, capsys):
     code = run(
         [

@@ -32,11 +32,14 @@ from cptkit.errors import (
     SelfOrthogonal,
 )
 from cptkit import frames, linops, symmetry
+from cptkit.cpt import EP_GUARD_TOL
 from cptkit.frames import checked_cpt_frame
+from cptkit.linops import DEFAULT_TOL, frobenius, spectral_powers
 from helpers import (
     COVARIANCE_FAMILIES,
     H2,
     SWAP,
+    bench_workloads,
     covariance_problem,
     multiset_gap,
     random_complex,
@@ -621,3 +624,103 @@ def test_vector_and_one_column_block_normalize_alike():
     assert signs.tolist() == [sign]
     with pytest.raises(SelfOrthogonal):
         normalize_indefinite(np.zeros((2, 1)), frame)
+
+
+# ---------------------------------------------------------------- synthesis in the real basis
+
+#: Relative bound between C, PC and h synthesized in an index frame's real
+#: basis and the dense formulas in the original basis: both are rounding
+#: away from the exact values (3.1e-15 is the largest gap measured on the
+#: inputs below, BLAS at 1 thread).
+REAL_BASIS_GAP = 1e-13
+
+
+def _dense_synthesis(h, frame):
+    """C, PC, h, the signs and the CPT Gram residual by the dense formulas
+    of the original basis: each eigenspace of :func:`classify_symmetry`
+    normalized by :func:`normalize_indefinite`, C = sum phi (P phi)^+,
+    PC = P C and the roots of PC by :func:`hermitian_power`."""
+    spaces = classify_symmetry(h, frame).eigenspaces
+    blocks = [normalize_indefinite(np.column_stack([s.state for s in space]), frame, EP_GUARD_TOL) for space in spaces]
+    phi, signs = np.column_stack([b for b, _ in blocks]), np.concatenate([s for _, s in blocks])
+    p = frame.p.matrix
+    c = phi @ (p @ phi).conj().T
+    pc = p @ c
+    hermitized = hermitian_power(pc, 0.5) @ h @ hermitian_power(pc, -0.5)
+    gram_residual = np.linalg.norm((pc @ phi).conj().T @ phi - np.eye(len(signs)))
+    return c, pc, hermitized, signs.tolist(), gram_residual
+
+
+def _index_frame_problems(source):
+    """The unbroken inputs of a benchmark workload at seeds 1-3, or three
+    problems of each covariance family (degenerate chains, the identity and
+    the 3x3 frame with a fixed point among them), all over index frames."""
+    if source == "covariance":
+        for family in COVARIANCE_FAMILIES:
+            rng = np.random.default_rng(COVARIANCE_FAMILIES.index(family))
+            for _ in range(3):
+                yield covariance_problem(rng, family)
+        return
+    workloads = bench_workloads()
+    for seed in (1, 2, 3):
+        for index in range(20 if source == "cells" else 1):
+            p = workloads.problem(source, seed, index)
+            if p.kind == "unbroken":
+                yield build_model(p.spec)
+
+
+@pytest.mark.parametrize("source", ["cells", "chain-dense", "chain-clustered", "covariance"])
+def test_index_frame_synthesis_matches_the_dense_formulas(source):
+    for h, frame in _index_frame_problems(source):
+        assert frame.perm is not None
+        result = build_c(h, frame)
+        hermitized = hermitize(h, result.cpt)
+        c, pc, want_h, signs, gram_residual = _dense_synthesis(h, frame)
+        assert _relative_gap(result.cpt.c.matrix, c) <= REAL_BASIS_GAP
+        assert _relative_gap(result.cpt.pc_matrix, pc) <= REAL_BASIS_GAP
+        assert _relative_gap(hermitized, want_h) <= REAL_BASIS_GAP
+        assert [state.sign for state in result.aligned_states] == signs
+        assert abs(result.gram_residual - gram_residual) <= REAL_BASIS_GAP * np.linalg.norm(pc)
+
+
+@pytest.mark.parametrize("family", COVARIANCE_FAMILIES)
+def test_dense_frame_synthesis_is_the_dense_formula_bit_for_bit(family):
+    # a frame moved by a unitary has no index array: C, its metric, the Gram
+    # residual and h are formed in the original basis, exactly as written here
+    rng = np.random.default_rng(70 + COVARIANCE_FAMILIES.index(family))
+    _, h, moved = unitary_basis_change(*covariance_problem(rng, family), rng)
+    assert moved.perm is None
+    result = build_c(h, moved)
+    phi = np.column_stack([state.state for state in result.aligned_states])
+    c = phi @ moved.apply_p(phi).conj().T
+    pc = moved.apply_p(c)
+    w, u = np.linalg.eigh((pc + pc.conj().T) / 2.0)
+    metric = result.cpt
+    assert [metric.c.matrix.tobytes(), metric.pc_matrix.tobytes()] == [c.tobytes(), pc.tobytes()]
+    assert [part.tobytes() for part in metric.metric_spectrum] == [w.tobytes(), u.tobytes()]
+    assert result.gram_residual == float(frobenius((pc @ phi).conj().T @ phi - np.eye(len(phi))))
+    root, inv_root = spectral_powers(pc, (w, u), (0.5, -0.5), DEFAULT_TOL)
+    assert hermitize(h, metric).tobytes() == (root @ h @ inv_root).tobytes()
+
+
+@pytest.mark.parametrize("blocks, eighs", [
+    (tuple((1.0, 2.0 + 0.05 * k, 0.5) for k in range(10)), 1),
+    (tuple((1.0, 2.0 + 0.05 * (k // 3), 0.5) for k in range(12)), 2),
+], ids=["simple", "threefold"])
+def test_index_frame_synthesis_factors_only_real_matrices(monkeypatch, blocks, eighs):
+    # the classification's real eig and cond(V) SVD, the rebase SVD and the
+    # normalization eigh of the 3-fold eigenspaces, and the metric's one
+    # eigh, of M = J C_r: none of them sees a complex matrix
+    h, frame = build_model(ModelSpec("chain", blocks))
+    kinds = []
+    for name in ("eig", "eigh", "eigvalsh", "svd"):
+        real = getattr(np.linalg, name)
+
+        def recording(a, *args, _name=name, _real=real, **kwargs):
+            kinds.append((_name, np.asarray(a).dtype.kind))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    hermitize(h, build_c(h, frame).cpt)
+    assert {kind for _, kind in kinds} == {"f"}
+    assert [name for name, _ in kinds].count("eigh") == eighs

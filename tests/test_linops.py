@@ -5,19 +5,30 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cptkit import (
+    ModelSpec,
     Operator,
     apply,
+    build_c,
+    build_model,
+    classify_stack,
+    classify_symmetry,
     compose,
+    cpt_adjoint,
     dirac_adjoint,
     eigendecompose,
     hermitian_power,
     hermitian_powers,
+    hermitize,
+    is_pt_symmetric,
+    normalize_indefinite,
     pair_swap_frame,
     t_transpose,
 )
 from cptkit.errors import (
+    EXIT_USAGE,
     DefectiveSpectrum,
     DimensionMismatch,
+    InvalidArgument,
     KindMismatch,
     NonFiniteEntries,
     NotHermitian,
@@ -367,3 +378,33 @@ def test_hermitian_powers_share_one_spectrum():
     np.testing.assert_allclose(root @ inv_root, np.eye(4), atol=1e-12)
     with pytest.raises(NotPositiveDefinite):
         hermitian_powers(np.diag([1.0, -1.0]), (0.5, -0.5))
+
+
+# ---------------------------------------------------------------- tolerances
+
+
+def _tolerance_entries():
+    """Each public entry that takes ``tol``, called on an unbroken 2x2 cell."""
+    h, frame = build_model(ModelSpec("2x2", ((1.0, 2.0, 0.5),)))
+    metric = build_c(h, frame).cpt
+    state = classify_symmetry(h, frame).aligned_states[0].state
+    return {
+        "eigendecompose": lambda tol: eigendecompose(h, tol),
+        "is_pt_symmetric": lambda tol: is_pt_symmetric(h, frame, tol),
+        "classify_symmetry": lambda tol: classify_symmetry(h, frame, tol),
+        "classify_stack": lambda tol: classify_stack(h[None], frame, tol),
+        "build_c": lambda tol: build_c(h, frame, tol),
+        "normalize_indefinite": lambda tol: normalize_indefinite(state, frame, tol),
+        "hermitize": lambda tol: hermitize(h, metric, tol),
+        "cpt_adjoint": lambda tol: cpt_adjoint(Operator.linear(h), metric, tol),
+    }
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-10], ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize("entry", sorted(_tolerance_entries()))
+def test_a_tolerance_that_is_not_positive_and_finite_is_a_usage_error(entry, tol):
+    call = _tolerance_entries()[entry]
+    call(1e-10)
+    with pytest.raises(InvalidArgument, match="tolerance must be a positive, finite number") as info:
+        call(tol)
+    assert info.value.exit_code == EXIT_USAGE

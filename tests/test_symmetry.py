@@ -559,3 +559,31 @@ def test_a_stack_rebases_in_one_svd_per_eigenspace_size(n_rows, monkeypatch):
     stack = classify_stack(np.stack([h] * n_rows), frame)
     assert stack.classification.tolist() == [UNBROKEN] * n_rows
     assert len(kinds["svd"]) == 2
+
+
+def _grid(thetas):
+    return np.stack([model_2x2(1.5, 1.0, theta) for theta in thetas])
+
+
+@pytest.mark.parametrize("thetas", [
+    [0.3], [1.2], [0.1, 0.3, 0.5], [0.9, 1.2, 1.5], [0.1, 0.9, 0.3, 1.2, 0.5],
+], ids=["one-unbroken", "one-broken", "all-unbroken", "all-broken", "mixed"])
+def test_stack_rows_equal_their_single_classification_bit_for_bit(thetas, monkeypatch):
+    # the breaking parameter 1.5 sin(theta) crosses 1 at theta = 0.73: a stack
+    # whose rows are all unbroken or all broken is solved as one group, a
+    # mixed stack as two; phi, theta and energy of a column that holds no
+    # aligned state carry no meaning
+    calls = _kernel_calls(monkeypatch)
+    frame = pair_swap_frame(2)
+    stack = classify_stack(_grid(thetas), frame)
+    rows = calls[-1]
+    assert stack.classification.tolist() == [UNBROKEN if 1.5 * np.sin(t) < 1 else BROKEN for t in thetas]
+    for i, m in enumerate(_grid(thetas)):
+        one = symmetry._classify_one(m, frame, symmetry.DEFAULT_TOL)
+        for field in ("values", "vectors", "condition"):
+            assert getattr(rows.eigen, field)[i].tobytes() == getattr(one.eigen, field)[0].tobytes(), (i, field)
+        kept = one.kept[0]
+        for field in ("phi", "theta", "energy"):
+            assert getattr(rows, field)[i][..., kept].tobytes() == getattr(one, field)[0][..., kept].tobytes(), (i, field)
+        for field in ("kept", "partner", "classification", "warning"):
+            assert getattr(rows, field)[i].tobytes() == getattr(one, field)[0].tobytes(), (i, field)
