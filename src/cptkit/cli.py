@@ -344,11 +344,8 @@ def cmd_compose(args) -> int:
         blocks = _blocks_from_args(args)
         if len(blocks) != 2:
             raise InvalidModel("compose --op tensor needs exactly two (r, s, theta) blocks")
-        cells = [build_model(ModelSpec("2x2", (block,))) for block in blocks]
-        results = [build_c(h, fr, tol) for h, fr in cells]
-        composed, out_frame = tensor_hamiltonians(
-            cells[0][0], cells[1][0], results[0].cpt, results[1].cpt, tol
-        )
+        (h1, f1), (h2, f2) = (build_model(ModelSpec("2x2", (block,))) for block in blocks)
+        composed, out_frame = tensor_hamiltonians(h1, h2, build_c(h1, f1, tol).cpt, build_c(h2, f2, tol).cpt, tol)
     else:  # dsum
         cells = [build_model(ModelSpec("2x2", (block,))) for block in _blocks_from_args(args)]
         composed, out_frame = direct_sum(BlockSpec(tuple(cells)), tol)

@@ -14,13 +14,15 @@ with the frame under a unitary change of basis.
 Over an index frame (a permutation P, conjugation T) the synthesis runs in
 the frame's real PT-fixed basis Q, where P is the signature J = diag(+-1).
 A PT-fixed state phi = Q x has real coordinates x = Re(Q^+ phi), the form
-(u, v) becomes the Krein form x^T J y, and with X the J-normalized columns:
+(u, v) becomes the Krein form x^T J y (Azizov & Iokhvidov, *Linear Operators
+in Spaces with an Indefinite Metric*, 1989), and with X the J-normalized columns:
 
 - the Gram matrix is X^T J X = diag(signs);
 - C = Q C_r Q^+ with C_r = X X^T J, and C^2 = I is C_r^2 = I;
 - PC = Q M Q^+ with M = J X X^T J real symmetric, factored by one real
   ``eigh`` into the metric spectrum (w, Q U_r);
-- [C, H] is measured as [C_r, Q^+ H Q], and the CPT Gram as X^T M X.
+- [C, H] is measured as [C_r, Q^+ H Q], and the CPT Gram as X^T M X;
+- CPT = TPC holds exactly, since TP acts as conjugation on the real C_r.
 
 Every product of the synthesis is then real; C and PC are mapped back by the
 frame's gathers in O(n^2).  The roots (PC)^(+-1/2) and h stay on the dense
@@ -36,10 +38,10 @@ from functools import partial
 import numpy as np
 
 from .errors import (
-    CommutatorViolation,
     DimensionMismatch,
     FrameInvalid,
     GramDefect,
+    InvalidArgument,
     KindMismatch,
     NotPTEigenstate,
     NotUnbroken,
@@ -49,14 +51,13 @@ from .frames import CPTFrame, PTFrame
 from .linops import (
     DEFAULT_TOL,
     Operator,
-    as_matrix,
     as_vector,
     column_norms,
     frobenius,
     require_tolerance,
     spectral_powers,
 )
-from .symmetry import UNBROKEN, SymmetryReport, _classify_one, _runs
+from .symmetry import UNBROKEN, SymmetryReport, _checked, _runs, classify_symmetry
 
 #: Self-orthogonality guard for C synthesis: a state whose normalized
 #: indefinite self-product |(v, v)| / |v|^2 falls below this threshold is
@@ -103,13 +104,16 @@ def pt_inner(u, v, frame: PTFrame) -> complex:
     not Hermitian at ``DEFAULT_TOL``: the form is Hermitian only for such a P.
     """
     frame.require_hermitian_parity(DEFAULT_TOL)
-    uu = as_vector(u)
-    vv = as_vector(v)
-    if uu.shape[0] != frame.dim or vv.shape[0] != frame.dim:
-        raise DimensionMismatch(
-            f"vectors of lengths {uu.shape[0]}, {vv.shape[0]} do not match frame dimension {frame.dim}"
-        )
+    uu, vv = _vector_pair(u, v, frame.dim)
     return complex(np.vdot(frame.apply_p(uu), vv))
+
+
+def _vector_pair(u, v, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``u`` and ``v`` as checked vectors, which must both have length ``dim``."""
+    uu, vv = as_vector(u), as_vector(v)
+    if uu.shape[0] != dim or vv.shape[0] != dim:
+        raise DimensionMismatch(f"vectors of lengths {uu.shape[0]}, {vv.shape[0]} do not match frame dimension {dim}")
+    return uu, vv
 
 
 def _normalize(v: np.ndarray, energy: np.ndarray, apply_p, residual: np.ndarray, tol: float):
@@ -228,23 +232,24 @@ def aligned_signs(report: SymmetryReport, frame: PTFrame) -> np.ndarray:
 
 
 def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
-    """Synthesize the C operator of an unbroken Hamiltonian.
+    """Synthesize the C operator of an unbroken Hamiltonian, given as a
+    matrix or as its report from :func:`classify_symmetry` over ``frame`` at
+    ``tol``, which is then not classified again.
 
     Pipeline: require a Hermitian P, ``|P - P^+| <= tol * max(1, |P|)``,
     since (u, v) = <P u, v> is a Hermitian form only then; classify the
-    symmetry phase (must be unbroken) and read the kernel's arrays of
-    :func:`classify_symmetry`: the aligned states as one ``(n, n)`` array and
-    their energies; normalize each eigenspace, a run of equal energy, as
-    :func:`normalize_indefinite` does, in one ``eigh`` per degenerate size;
-    verify pairwise indefinite orthogonality across eigenspaces (automatic
-    for distinct eigenvalues of a symmetric Hamiltonian); set C to the sum
-    of phi_k (P phi_k)^+ over the normalized states, which satisfies
-    C phi_k = sign_k phi_k; validate the resulting frame, whose one
-    factorization of PC also gives the Gram tolerance, and the commutator
-    [C, H].  C depends only on each eigenspace, not on the basis the
-    eigensolver returned for it.  Over an index frame every step after the
-    classification runs in real arithmetic, in the frame's real basis (see
-    the module docstring).
+    symmetry phase (must be unbroken) and read the report's aligned states
+    as one ``(n, n)`` array, with their energies; normalize each eigenspace,
+    a run of equal energy, as :func:`normalize_indefinite` does, in one
+    ``eigh`` per degenerate size; verify pairwise indefinite orthogonality
+    across eigenspaces (automatic for distinct eigenvalues of a symmetric
+    Hamiltonian); set C to the sum of phi_k (P phi_k)^+ over the normalized
+    states, which satisfies C phi_k = sign_k phi_k; validate the resulting
+    frame, whose one factorization of PC also gives the Gram tolerance, and
+    [C, H], whose verdict the frame keeps for :func:`hermitize`.  C depends
+    only on each eigenspace, not on the basis the eigensolver returned for
+    it.  Over an index frame every step after the classification runs in
+    real arithmetic, in the frame's real basis (see the module docstring).
 
     The normalization step guards against self-orthogonal states at
     ``EP_GUARD_TOL``: it refuses states closer to an exceptional point than
@@ -253,7 +258,8 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
     Raises
     ------
     InvalidArgument
-        For a ``tol`` that is not a positive, finite number.
+        For a ``tol`` that is not a positive, finite number, or a report not
+        made by :func:`classify_symmetry` over an equal frame at this ``tol``.
     FrameInvalid
         For a non-Hermitian P (exit code 3), or a synthesized frame that
         fails validation.
@@ -261,23 +267,22 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
     """
     require_tolerance(tol)
     frame.require_hermitian_parity(tol)
-    a = as_matrix(h)
-    rows = _classify_one(a, frame, tol)
-    if rows.classification[0] != UNBROKEN:
-        raise NotUnbroken(
-            f"C synthesis requires unbroken symmetry, got {rows.classification[0]} "
-            f"(PT residual {rows.pt_residual[0]:.3e})"
-        )
+    report = h if isinstance(h, SymmetryReport) else classify_symmetry(h, frame, tol)
+    analysis = report._analysis
+    if analysis is None or analysis.tol != tol or not (analysis.frame is frame or analysis.frame == frame):
+        raise InvalidArgument(f"build_c takes a report of classify_symmetry over this frame at tolerance {tol!r}")
+    if report.classification != UNBROKEN:
+        raise NotUnbroken(f"C synthesis requires unbroken symmetry, got {report.classification} "
+                          f"(PT residual {report.pt_residual:.3e})")
 
-    # unbroken: every column of phi is an aligned state; a run of equal energy is one eigenspace
+    # unbroken: every column of the states is aligned; a run of equal energy is one eigenspace
     real = frame.perm is not None
-    x, apply_p, residual = _coordinates(rows.phi[0], frame, real)
-    x, signs = _normalized(x, rows.energy[0], apply_p, residual, EP_GUARD_TOL)
-    phi = frame.from_real_basis(x) if real else x
-    normalized = [SignedState(*state) for state in zip(rows.energy[0].tolist(), phi.T, signs.tolist())]
+    x, apply_p, residual = _coordinates(analysis.states, frame, real)
+    matrix, energy = analysis.matrix, analysis.energy
+    del report, analysis  # a report made here frees its aligned states before the synthesis
+    x, signs = _normalized(x, energy, apply_p, residual, EP_GUARD_TOL)
     p_x_adj = apply_p(x).conj().T
-    gram = p_x_adj @ x
-    gram_error = frobenius(gram - np.diag(signs))
+    gram_error = frobenius(p_x_adj @ x - np.diag(signs))
     c_matrix = x @ p_x_adj  # C itself, or C_r in the real basis
     cpt = CPTFrame._from_real_basis(frame, c_matrix) if real else CPTFrame(frame, Operator.linear(c_matrix))
     # rounding in the Gram entries is amplified by |phi|_2^2 = |P phi|_2^2, the
@@ -294,28 +299,20 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
     # point); the positive-definiteness margin stays relative to |PC|
     structural_tol = tol * max(1.0, frobenius(c_matrix)) ** 2
     cpt.validate(structural_tol, pd_tol=tol).require("CPT-frame")
-
-    commutator, commutes = cpt._commutator(a, tol)
-    if not commutes:
-        raise CommutatorViolation(
-            f"[C, H] residual {commutator:.3e} exceeds tolerance; C is not a frame for H"
-        )
+    cpt._require_commuting(matrix, tol)
 
     pc = cpt._real_metric() if real else cpt.pc_matrix
     gram_cpt = (pc @ x).conj().T @ x
     gram_residual = float(frobenius(gram_cpt - np.eye(len(signs))))
+    phi = frame.from_real_basis(x) if real else x  # mapped back last, so not held through the checks
+    normalized = [SignedState(*state) for state in zip(energy.tolist(), phi.T, signs.tolist())]
     return CPTResult(cpt, tuple(normalized), gram_residual)
 
 
 def cpt_inner(u, v, cpt: CPTFrame) -> complex:
     """CPT inner product <u, v>_CPT = <PC u, v>: sesquilinear (conjugate
     linear in the first slot) and positive definite for a valid frame."""
-    uu = as_vector(u)
-    vv = as_vector(v)
-    if uu.shape[0] != cpt.dim or vv.shape[0] != cpt.dim:
-        raise DimensionMismatch(
-            f"vectors of lengths {uu.shape[0]}, {vv.shape[0]} do not match frame dimension {cpt.dim}"
-        )
+    uu, vv = _vector_pair(u, v, cpt.dim)
     return complex(np.vdot(cpt.pc_matrix @ uu, vv))
 
 
@@ -341,19 +338,14 @@ def hermitize(h, cpt: CPTFrame, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     The output is genuinely Hermitian exactly when H is symmetric, and the
     similarity preserves the spectrum.  Requires [C, H] = 0 at tolerance (the
-    frame must be a frame *for* H) and PC positive definite.
+    frame must be a frame *for* H) and PC positive definite.  The commutator
+    is not formed again for the H, entrywise, that the frame last passed at a
+    ``tol`` no tighter, such as the H that :func:`build_c` synthesized it for.
 
     Raises NotPositiveDefinite, NotHermitian or CommutatorViolation, and
     InvalidArgument for a ``tol`` that is not a positive, finite number.
     """
     require_tolerance(tol)
-    a = as_matrix(h)
-    if a.shape[0] != cpt.dim:
-        raise DimensionMismatch(f"matrix dimension {a.shape[0]} does not match frame dimension {cpt.dim}")
-    commutator, commutes = cpt._commutator(a, tol)
-    if not commutes:
-        raise CommutatorViolation(
-            f"[C, H] residual {commutator:.3e} exceeds tolerance; the frame is not a frame for H"
-        )
+    a = cpt._require_commuting(_checked(h, cpt), tol)  # the copy it equals, if remembered, is dropped here
     root, inv_root = cpt.metric_roots(tol)
     return root @ a @ inv_root

@@ -19,15 +19,12 @@ the frame maps a stack into that basis and eigenvectors back, each in
 O(n^2).  Any other admissible P and antilinear T (a moved frame, a document
 frame) takes the dense matrix path.
 
-In that basis P is the signature J = Q^+ P Q = diag(+-1), so the indefinite
-form <P u, v> of PT-fixed states u = Q x, v = Q y is the Krein form
-x^T J y, with x and y real (Azizov & Iokhvidov, *Linear Operators in Spaces
-with an Indefinite Metric*, 1989).  A C synthesized there is the real
-C_r = Q^+ C Q, its metric PC is the real symmetric M = J C_r, and CPT = TPC
-holds exactly, since T P acts as conjugation on real matrices.  A
-:class:`CPTFrame` built from such a C_r (:meth:`CPTFrame._from_real_basis`)
-factors M with one real ``eigh`` and validates in real products; one built
-from a given C always takes the dense path.
+In that basis P is the signature J = Q^+ P Q = diag(+-1), and a C
+synthesized there is the real C_r = Q^+ C Q (the Krein-form algebra is in
+:mod:`cptkit.cpt`).  A :class:`CPTFrame` built from such a C_r
+(:meth:`CPTFrame._from_real_basis`) factors its metric M = J C_r with one
+real ``eigh`` and validates in real products, where CPT = TPC holds exactly;
+one built from a given C always takes the dense path.
 """
 
 from __future__ import annotations
@@ -39,6 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    CommutatorViolation,
     DimensionMismatch,
     FrameInvalid,
     InvalidArgument,
@@ -287,7 +285,8 @@ class CPTFrame:
     formed once per tolerance by :meth:`metric_roots`.  A frame synthesized in
     the real basis of an index frame (:meth:`_from_real_basis`) keeps its
     real C_r = Q^+ C Q as ``_c_real``, and its spectrum is (w, Q U_r) from
-    one real ``eigh`` of M = J C_r."""
+    one real ``eigh`` of M = J C_r.  The H and ``tol`` of the last passing
+    [C, H] check are kept as ``_commuting``."""
 
     frame: PTFrame
     c: Operator
@@ -295,6 +294,7 @@ class CPTFrame:
     metric_spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     _roots: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _c_real: np.ndarray | None = field(default=None, repr=False, compare=False, kw_only=True)
+    _commuting: tuple[np.ndarray, float] | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not self.c.is_linear:
@@ -326,12 +326,23 @@ class CPTFrame:
         synthesized there."""
         return self.frame.real_basis.signature * self._c_real
 
-    def _commutator(self, h: np.ndarray, tol: float) -> tuple[float, bool]:
-        """:func:`~cptkit.linops.commutator_check` of C and H; for a frame
-        synthesized in the real basis, of C_r and Q^+ H Q, in real products."""
+    def _require_commuting(self, h: np.ndarray, tol: float) -> np.ndarray:
+        """Raise CommutatorViolation unless :func:`~cptkit.linops.commutator_check`
+        of C (C_r and Q^+ H Q, if synthesized in the real basis) and the
+        read-only H passes at ``tol``; return the H that passed.  An H equal,
+        entrywise, to that of the last pass passes at a ``tol`` no tighter with no product."""
+        last = self._commuting
+        if last is not None and tol >= last[1] and (h is last[0] or np.array_equal(h, last[0])):
+            return last[0]
         if self._c_real is None:
-            return commutator_check(self.c.matrix, h, tol)
-        return commutator_check(self._c_real, self.frame.basis_form(h), tol)
+            residual, commutes = commutator_check(self.c.matrix, h, tol)
+        else:  # passed, not bound, so the complex Q^+ H Q is freed once split into real parts
+            residual, commutes = commutator_check(self._c_real, self.frame.basis_form(h), tol)
+        if not commutes:
+            raise CommutatorViolation(f"[C, H] residual {residual:.3e} exceeds tolerance; "
+                                      "the frame is not a frame for H")
+        object.__setattr__(self, "_commuting", (h, tol))
+        return h
 
     @property
     def dim(self) -> int:

@@ -15,7 +15,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-import math
+import sys
 
 import numpy as np
 
@@ -60,19 +60,24 @@ def parse_matrix_document(obj) -> Operator:
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
         ):
             raise DocumentError(f"entry {i} is not a [re, im] number pair")
-        if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
+        # false for nan, inf and an integer beyond float range, which float() refuses
+        if not all(abs(x) <= sys.float_info.max for x in pair):
             raise DocumentError(f"entry {i} is not finite")
         flat[i] = complex(pair[0], pair[1])
     return Operator(ANTILINEAR if antilinear else LINEAR, flat.reshape(dim, dim))
 
 
-def load_matrix(path) -> Operator:
+def _read_document(path, kind: str):
+    """The parsed JSON of a ``kind`` document, or DocumentError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise DocumentError(f"cannot read matrix document {path}: {exc}") from exc
-    return parse_matrix_document(obj)
+        raise DocumentError(f"cannot read {kind} document {path}: {exc}") from exc
+
+
+def load_matrix(path) -> Operator:
+    return parse_matrix_document(_read_document(path, "matrix"))
 
 
 def write_matrix(path, matrix, antilinear: bool = False) -> None:
@@ -82,16 +87,12 @@ def write_matrix(path, matrix, antilinear: bool = False) -> None:
 
 def frame_document(frame) -> str:
     """Serialize a PT- or CPT-frame as a JSON document."""
-    if isinstance(frame, CPTFrame):
-        p, t, c = frame.p, frame.t, frame.c
-    else:
-        p, t, c = frame.p, frame.t, None
     parts = [
-        f'"p": {matrix_document(p.matrix).rstrip()}',
-        f'"t": {matrix_document(t.matrix, antilinear=True).rstrip()}',
+        f'"p": {matrix_document(frame.p.matrix).rstrip()}',
+        f'"t": {matrix_document(frame.t.matrix, antilinear=True).rstrip()}',
     ]
-    if c is not None:
-        parts.append(f'"c": {matrix_document(c.matrix).rstrip()}')
+    if isinstance(frame, CPTFrame):
+        parts.append(f'"c": {matrix_document(frame.c.matrix).rstrip()}')
     return "{" + ", ".join(parts) + "}\n"
 
 
@@ -116,12 +117,7 @@ def parse_frame_document(obj) -> tuple[Operator, Operator, Operator | None]:
 
 
 def load_frame_parts(path) -> tuple[Operator, Operator, Operator | None]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DocumentError(f"cannot read frame document {path}: {exc}") from exc
-    return parse_frame_document(obj)
+    return parse_frame_document(_read_document(path, "frame"))
 
 
 def write_frame(path, frame) -> None:

@@ -131,6 +131,10 @@ class Operator:
             raise KindMismatch(f"unknown operator kind {self.kind!r}")
         object.__setattr__(self, "matrix", as_matrix(self.matrix))
 
+    def __eq__(self, other) -> bool:
+        """Same kind and entrywise-equal matrix parts; frames compare by these."""
+        return isinstance(other, Operator) and self.kind == other.kind and np.array_equal(self.matrix, other.matrix)
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]

@@ -13,7 +13,7 @@ eigendecomposed there in real arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 from typing import NamedTuple
 
@@ -48,6 +48,14 @@ REALITY_FACTOR = 1e-9
 #: Width, relative to max(1, |H|), for clustering real eigenvalues into
 #: degenerate groups.
 DEGENERACY_FACTOR = 1e-8
+
+#: A PT phase within this of a full turn is phase zero: a PT eigenvalue of 1 up
+#: to rounding, a tiny negative angle mod 2 pi, must not flip its state's sign.
+PHASE_WRAP = 1e-8
+
+#: Rank cutoff of the rebase, relative to the largest singular value: about
+#: sqrt(machine epsilon), the customary cut between a span and rounding noise.
+RANK_CUTOFF = 1e-8
 
 #: A matrix whose largest Petermann factor K_k = |x_k|^2 |y_k|^2 / |y_k^+ x_k|^2
 #: (x_k, y_k the right and left eigenvectors) reaches this value gets an
@@ -91,8 +99,20 @@ class ConjugatePair:
     partner_state: np.ndarray
 
 
+class _Analysis(NamedTuple):
+    """What :func:`~cptkit.cpt.build_c` reads of a report; ``aligned_states`` views ``states``."""
+
+    matrix: np.ndarray
+    frame: PTFrame
+    tol: float
+    energy: np.ndarray
+    states: np.ndarray
+
+
 @dataclass(frozen=True)
 class SymmetryReport:
+    """The verdict of :func:`classify_symmetry`, which alone sets ``_analysis``."""
+
     pt_symmetric: bool
     classification: str
     eigenvalues: np.ndarray
@@ -100,6 +120,7 @@ class SymmetryReport:
     broken_pairs: tuple[ConjugatePair, ...]
     warnings: tuple[str, ...]
     pt_residual: float
+    _analysis: _Analysis | None = field(default=None, repr=False, compare=False)
 
     @property
     def eigenspaces(self) -> tuple[tuple[AlignedState, ...], ...]:
@@ -207,7 +228,7 @@ def _align_columns(vectors: np.ndarray, frame: PTFrame, tol: float):
     residual = column_norms(w - c[..., None, :] * vectors)
     aligned = (np.abs(np.abs(c) - 1.0) <= tol) & (residual <= tol * np.sqrt(norm_sq))
     theta = np.angle(c) % (2.0 * np.pi)
-    theta[2.0 * np.pi - theta <= 1e-8] = 0.0  # rounding noise just below a full turn is phase zero
+    theta[2.0 * np.pi - theta <= PHASE_WRAP] = 0.0
     return np.exp(0.5j * theta)[..., None, :] * vectors, theta, aligned, c, residual
 
 
@@ -259,14 +280,14 @@ def _pt_fixed_basis(columns: np.ndarray, frame: PTFrame) -> tuple[np.ndarray, np
     combinations keep PT-fixedness exact, and the basis depends only on the
     span, up to a real rotation.  Returns ``(basis, full)``, where ``full``
     is false for each block whose candidates have fewer than m singular
-    values above 1e-8 times the largest: no PT-fixed basis of its span
+    values above RANK_CUTOFF times the largest: no PT-fixed basis of its span
     exists, and its ``basis`` means nothing.
     """
     n, m = columns.shape[1:]
     w = frame.apply_pt(columns)
     candidates = np.concatenate([columns + w, 1j * (columns - w)], axis=-1)
     left, singular, _ = np.linalg.svd(np.concatenate([candidates.real, candidates.imag], axis=-2), full_matrices=False)
-    full = np.count_nonzero(singular > 1e-8 * singular[:, :1], axis=-1) >= m
+    full = np.count_nonzero(singular > RANK_CUTOFF * singular[:, :1], axis=-1) >= m
     return left[:, :n, :m] + 1j * left[:, n:, :m], full
 
 
@@ -407,17 +428,6 @@ def _classify_rows(
     )
 
 
-def _classify_one(h, frame: PTFrame, tol: float) -> _Rows:
-    """The kernel's verdict on a stack of one matrix, raising on an error row."""
-    a = _checked(h, frame)[None]
-    norm = frobenius(a)
-    require_finite_scale(norm[0])
-    symmetric, pt_residual = _pt_check(a, norm, frame, tol)
-    eigen, residual = _eigensystems(a, norm, symmetric, frame, tol)
-    require_regular(eigen, residual, norm, tol)
-    return _classify_rows(eigen, symmetric, pt_residual, norm, frame, tol)
-
-
 def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryReport:
     """Classify the symmetry phase of a Hamiltonian over a PT-frame.
 
@@ -440,10 +450,18 @@ def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryRe
     as an error this raises.  NonFiniteEntries (also for a Frobenius norm
     that overflows) and DefectiveSpectrum from the eigensolver propagate, and
     a ``tol`` that is not a positive, finite number raises InvalidArgument.
+    The report also keeps, privately, what :func:`~cptkit.cpt.build_c` reads
+    of the classification, so a report passed there is not classified again.
     """
     require_tolerance(tol)
-    rows = _classify_one(h, frame, tol)
-    values, vectors, phi, kept = rows.eigen.values[0], rows.eigen.vectors[0], rows.phi[0], rows.kept[0]
+    a = _checked(h, frame)
+    norm = frobenius(a[None])
+    require_finite_scale(norm[0])
+    symmetric, pt_residual = _pt_check(a[None], norm, frame, tol)
+    eigen, residual = _eigensystems(a[None], norm, symmetric, frame, tol)
+    require_regular(eigen, residual, norm, tol)
+    rows = _classify_rows(eigen, symmetric, pt_residual, norm, frame, tol)
+    values, vectors, phi, kept = eigen.values[0], eigen.vectors[0], rows.phi[0], rows.kept[0]
     energies, thetas = rows.energy[0, kept].tolist(), rows.theta[0, kept].tolist()
     aligned = tuple(AlignedState(e, phi[:, j], t) for j, e, t in zip(np.flatnonzero(kept).tolist(), energies, thetas))
     pairs, warnings = (), []
@@ -469,7 +487,7 @@ def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryRe
         ]
     return SymmetryReport(
         bool(rows.symmetric[0]), str(rows.classification[0]), values, aligned, pairs, tuple(warnings),
-        float(rows.pt_residual[0]),
+        float(rows.pt_residual[0]), _Analysis(a, frame, tol, rows.energy[0].copy(), phi),
     )
 
 
@@ -514,15 +532,5 @@ def classify_2x2(h, tol: float = DEFAULT_TOL) -> TwoByTwoClass:
     bound = tol * frobenius(a)
     hermitian = bool(hermiticity_residual(a) <= bound)
     symmetric = bool(frobenius(a - a.T) <= bound)
-    forms = set()
-    if hermitian:
-        forms.add(3)
-    if symmetric:
-        forms.add(4)
-    if pt_symmetric:
-        forms.add(5)
-    if pt_symmetric and hermitian:
-        forms.add(6)
-    if pt_symmetric and hermitian and symmetric:
-        forms.add(7)
-    return TwoByTwoClass(hermitian, symmetric, pt_symmetric, frozenset(forms))
+    held = (hermitian, symmetric, pt_symmetric, pt_symmetric and hermitian, pt_symmetric and hermitian and symmetric)
+    return TwoByTwoClass(hermitian, symmetric, pt_symmetric, frozenset(k for k, on in enumerate(held, 3) if on))

@@ -549,6 +549,13 @@ def test_compose_double_of_an_overflowing_matrix_is_usage_error(tmp_path, capsys
     assert "pt-symmetric" not in capsys.readouterr().out
 
 
+def test_an_integer_entry_beyond_float_range_is_a_usage_error(tmp_path, capsys):
+    h_path = tmp_path / "huge.json"
+    h_path.write_text('{"dim": 2, "entries": [[0, 0], [1' + "0" * 400 + ', 0], [1, 0], [0, 0]]}', encoding="utf-8")
+    assert run(["analyze", "--hamiltonian", str(h_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: entry 1 is not finite\n"
+
+
 @pytest.mark.parametrize("command", [["analyze"], ["build-c"], ["compose", "--op", "double"]])
 def test_an_antilinear_hamiltonian_document_is_rejected_alike_by_every_command(command, tmp_path, capsys):
     h_path = tmp_path / "anti.json"

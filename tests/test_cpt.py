@@ -9,6 +9,7 @@ from cptkit import (
     UNBROKEN,
     ModelSpec,
     Operator,
+    SymmetryReport,
     aligned_signs,
     apply,
     build_c,
@@ -27,13 +28,14 @@ from cptkit.errors import (
     CommutatorViolation,
     FrameInvalid,
     GramDefect,
+    InvalidArgument,
     NotPTEigenstate,
     NotUnbroken,
     SelfOrthogonal,
 )
 from cptkit import frames, linops, symmetry
 from cptkit.cpt import EP_GUARD_TOL
-from cptkit.frames import checked_cpt_frame
+from cptkit.frames import checked_cpt_frame, frame_from_involution
 from cptkit.linops import DEFAULT_TOL, frobenius, spectral_powers
 from helpers import (
     COVARIANCE_FAMILIES,
@@ -724,3 +726,89 @@ def test_index_frame_synthesis_factors_only_real_matrices(monkeypatch, blocks, e
     hermitize(h, build_c(h, frame).cpt)
     assert {kind for _, kind in kinds} == {"f"}
     assert [name for name, _ in kinds].count("eigh") == eighs
+
+
+# ---------------------------------------------------------------- one analysis per H
+
+
+def _count_kernel_and_commutator(monkeypatch) -> Counter:
+    """Count the passes of the classification kernel and the commutators formed."""
+    calls = Counter()
+    for module, name in ((symmetry, "_classify_rows"), (frames, "commutator_check")):
+        real = getattr(module, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _pipeline_problem(moved: bool):
+    h, frame = _chain(3)
+    return unitary_basis_change(h, frame, np.random.default_rng(5))[1:] if moved else (h, frame)
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["index-frame", "dense-frame"])
+@pytest.mark.parametrize("route", ["report", "matrix"])
+def test_a_pipeline_classifies_once_and_forms_the_commutator_once(monkeypatch, route, moved):
+    h, frame = _pipeline_problem(moved)
+    calls = _count_kernel_and_commutator(monkeypatch)
+    result = build_c(classify_symmetry(h, frame) if route == "report" else h, frame)
+    hermitize(h, result.cpt)
+    # an entrywise-equal H at a looser tol reuses the verdict too
+    hermitize(h.copy(), result.cpt, 10 * DEFAULT_TOL)
+    assert calls == {"_classify_rows": 1, "commutator_check": 1}
+
+
+@pytest.mark.parametrize("source", ["cells", "chain-clustered", "covariance"])
+def test_the_report_route_synthesizes_the_matrix_route_bit_for_bit(source):
+    for h, frame in _index_frame_problems(source):
+        _, h_moved, moved = unitary_basis_change(h, frame, np.random.default_rng(9))
+        for h, frame in ((h, frame), (h_moved, moved)):
+            results = [build_c(h, frame), build_c(classify_symmetry(h, frame), frame)]
+            digests = [
+                [r.cpt.c.matrix.tobytes(), r.cpt.pc_matrix.tobytes(), *(part.tobytes() for part in r.cpt.metric_spectrum),
+                 [s.sign for s in r.aligned_states], r.gram_residual, hermitize(h, r.cpt).tobytes()]
+                for r in results
+            ]
+            assert digests[0] == digests[1]
+
+
+def test_a_different_h_or_a_tighter_tol_forms_the_commutator_again(monkeypatch):
+    h, frame = _chain(2)
+    cpt = build_c(h, frame).cpt
+    near = h.copy()
+    near[0, 0] += 1e-6
+    calls = _count_kernel_and_commutator(monkeypatch)
+    with pytest.raises(CommutatorViolation):
+        hermitize(near, cpt)
+    assert calls["commutator_check"] == 1
+    hermitize(near, cpt, 1e-3)
+    hermitize(near, cpt, 1e-2)  # no tighter than the last pass
+    assert calls["commutator_check"] == 2
+    with pytest.raises(CommutatorViolation):
+        hermitize(near, cpt, 1e-8)
+    assert calls["commutator_check"] == 3
+    hermitize(h, cpt)  # a different H from the last pass
+    assert calls["commutator_check"] == 4
+
+
+def test_build_c_refuses_a_report_it_did_not_get_from_classify_symmetry():
+    h, frame = _chain(2)
+    report = classify_symmetry(h, frame)
+    hand_built = SymmetryReport(*(getattr(report, name) for name in (
+        "pt_symmetric", "classification", "eigenvalues", "aligned_states", "broken_pairs", "warnings", "pt_residual")))
+    assert hand_built == report and repr(hand_built) == repr(report)  # both skip the private field
+    reversed_frame = frame_from_involution(np.eye(4)[::-1])
+    for bad, over, tol in ((hand_built, frame, DEFAULT_TOL), (report, reversed_frame, DEFAULT_TOL),
+                           (report, frame, 10 * DEFAULT_TOL)):
+        with pytest.raises(InvalidArgument):
+            build_c(bad, over, tol)
+    # an equal frame is not another frame
+    same = build_c(report, pair_swap_frame(4))
+    assert same.cpt.c.matrix.tobytes() == build_c(h, frame).cpt.c.matrix.tobytes()
+    broken = classify_symmetry(model_2x2(2, 1, 1.0), pair_swap_frame(2))
+    with pytest.raises(NotUnbroken):
+        build_c(broken, pair_swap_frame(2))

@@ -201,6 +201,20 @@ def test_frame_operators_commute_and_square(dim):
     np.testing.assert_allclose(compose(pt_then, pt_then).matrix, np.eye(dim), atol=1e-12)
 
 
+def test_operators_and_frames_compare_by_kind_and_entries():
+    eye = np.eye(2)
+    assert Operator.linear(eye) == Operator.linear(eye.astype(complex))
+    assert Operator.linear(eye) != Operator.antilinear(eye)  # an unequal kind
+    assert Operator.linear(eye) != Operator.linear(SWAP)
+    assert Operator.linear(eye) != eye
+    assert pair_swap_frame(4) == pair_swap_frame(4)
+    assert pair_swap_frame(4) != frame_from_involution(np.eye(4)[::-1])  # an unequal P
+    h = np.array([[1.0 + 0.5j, 2.0], [2.0, 1.0 - 0.5j]])
+    cpt = build_c(h, pair_swap_frame(2)).cpt
+    assert cpt == CPTFrame(pair_swap_frame(2), Operator.linear(cpt.c.matrix.copy()))
+    assert cpt != CPTFrame(pair_swap_frame(2), Operator.linear(SWAP))
+
+
 def test_pt_frame_apply_matches_operator_composition():
     rng = np.random.default_rng(21)
     frame = any_dim_frame(5)

@@ -74,6 +74,14 @@ def test_parse_matrix_document_rejects_non_finite():
         parse_matrix_document({"dim": 1, "entries": [[float("inf"), 0.0]]})
 
 
+@pytest.mark.parametrize("pair", [[10**400, 0], [0, -(10**400)]], ids=["re", "im"])
+def test_an_integer_beyond_float_range_is_not_finite(pair):
+    # json.loads reads "1" and 400 zeros as an int, which no float holds
+    assert json.loads("1" + "0" * 400) == 10**400
+    with pytest.raises(DocumentError, match="entry 0 is not finite"):
+        parse_matrix_document({"dim": 1, "entries": [pair]})
+
+
 def test_load_matrix_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

@@ -545,7 +545,8 @@ def test_a_stack_rebases_each_row_as_its_own_classification_bit_for_bit(sour, mo
         assert stack.classification.tolist() == want
         assert rows.rebased.any() == sour
         for i, m in enumerate(mats):
-            one = symmetry._classify_one(m, frame, symmetry.DEFAULT_TOL)
+            classify_symmetry(m, frame)
+            one = calls[-1]
             for field in ("phi", "theta", "energy", "kept", "rebased"):
                 assert getattr(rows, field)[i].tobytes() == getattr(one, field)[0].tobytes(), (i, field)
             assert rows.eigen.condition[i].tobytes() == one.eigen.condition[0].tobytes(), i
@@ -579,7 +580,8 @@ def test_stack_rows_equal_their_single_classification_bit_for_bit(thetas, monkey
     rows = calls[-1]
     assert stack.classification.tolist() == [UNBROKEN if 1.5 * np.sin(t) < 1 else BROKEN for t in thetas]
     for i, m in enumerate(_grid(thetas)):
-        one = symmetry._classify_one(m, frame, symmetry.DEFAULT_TOL)
+        classify_symmetry(m, frame)
+        one = calls[-1]
         for field in ("values", "vectors", "condition"):
             assert getattr(rows.eigen, field)[i].tobytes() == getattr(one.eigen, field)[0].tobytes(), (i, field)
         kept = one.kept[0]
