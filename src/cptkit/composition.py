@@ -8,6 +8,10 @@ convention.  The tensor of two antilinear operators is represented by the
 Kronecker product of the matrix parts with a single global conjugation,
 which is forced by the composition algebra because each factor conjugates
 exactly once.
+
+A composition takes [C_i, H_i] from its factor frames, which answer a pass
+they remember with no product, and the composed CPT-frame keeps its own
+[C, H] verdict.
 """
 
 from __future__ import annotations
@@ -25,13 +29,14 @@ from .frames import (
     checked_pt_frame,
     frame_from_involution,
 )
-from .linops import DEFAULT_TOL, Operator, as_matrix, commutator_check
+from .linops import DEFAULT_TOL, Operator, as_matrix
 from .symmetry import is_pt_symmetric
 
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """Ordered blocks for a direct sum, each a (matrix, frame) pair.
+    """Ordered blocks for a direct sum, each a (matrix, frame) pair; each
+    matrix is kept as checked here (complex, read-only), once.
 
     Frames must be homogeneous: all PTFrame or all CPTFrame.
     """
@@ -39,14 +44,13 @@ class BlockSpec:
     blocks: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        if not self.blocks:
+        blocks = tuple(self.blocks)
+        if not blocks:
             raise InvalidArgument("direct sum needs at least one block")
-        kinds = {isinstance(frame, CPTFrame) for _, frame in self.blocks}
-        if len(kinds) != 1:
+        if len({isinstance(frame, CPTFrame) for _, frame in blocks}) != 1:
             raise InvalidArgument("blocks mix plain PT-frames with CPT-frames")
-        for i, (matrix, frame) in enumerate(self.blocks):
-            m = as_matrix(matrix)
+        object.__setattr__(self, "blocks", tuple((as_matrix(m), frame) for m, frame in blocks))
+        for i, (m, frame) in enumerate(self.blocks):
             if m.shape[0] != frame.dim:
                 raise InvalidArgument(
                     f"block {i}: matrix dimension {m.shape[0]} does not match frame dimension {frame.dim}"
@@ -61,7 +65,7 @@ class BlockSpec:
         return sum(frame.dim for _, frame in self.blocks)
 
 
-def _block_diag(mats: list[np.ndarray]) -> np.ndarray:
+def _block_diag(*mats: np.ndarray) -> np.ndarray:
     n = sum(m.shape[-1] for m in mats)
     out = np.zeros(np.broadcast_shapes(*{m.shape[:-2] for m in mats}) + (n, n), dtype=complex)
     at = 0
@@ -72,19 +76,25 @@ def _block_diag(mats: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _joined(join, frames, has_c: bool, tol: float):
+    """The frame whose P, T and, if ``has_c``, C are ``join`` of the factors'
+    matrix parts, validated once: a PTFrame, or a CPTFrame over it."""
+    def joined(role):
+        return join(*(getattr(f, role).matrix for f in frames))
+
+    base = checked_pt_frame(Operator.linear(joined("p")), Operator.antilinear(joined("t")), tol)
+    return checked_cpt_frame(Operator.linear(joined("c")), base, tol) if has_c else base
+
+
 def tensor_pt_frames(a: PTFrame, b: PTFrame, tol: float = DEFAULT_TOL) -> PTFrame:
     """Tensor product of two PT-frames: P = P1 (x) P2, T antilinear with
     matrix part T1 (x) T2."""
-    p = Operator.linear(np.kron(a.p.matrix, b.p.matrix))
-    t = Operator.antilinear(np.kron(a.t.matrix, b.t.matrix))
-    return checked_pt_frame(p, t, tol)
+    return _joined(np.kron, (a, b), False, tol)
 
 
 def tensor_frames(a: CPTFrame, b: CPTFrame, tol: float = DEFAULT_TOL) -> CPTFrame:
     """Tensor product of two CPT-frames; the result is again a CPT-frame."""
-    base = tensor_pt_frames(a.frame, b.frame, tol)
-    c = Operator.linear(np.kron(a.c.matrix, b.c.matrix))
-    return checked_cpt_frame(c, base, tol)
+    return _joined(np.kron, (a, b), True, tol)
 
 
 def tensor_hamiltonians(
@@ -93,31 +103,27 @@ def tensor_hamiltonians(
     """Tensor two PT-symmetric Hamiltonians with their CPT-frames.
 
     Returns H = H1 (x) H2 together with the tensored frame.  H is
-    PT-symmetric, and when each C_i commutes with its h_i the composed C
-    commutes with H.
+    PT-symmetric.  When each factor frame finds its C_i commuting with H_i,
+    the composed frame checks [C, H] once, raising CommutatorViolation if it
+    fails, and keeps the pass for a later :func:`~cptkit.cpt.hermitize`.
     """
-    m1 = as_matrix(h1)
-    m2 = as_matrix(h2)
+    m1, m2 = as_matrix(h1), as_matrix(h2)
     for label, m, fr in (("first", m1, a), ("second", m2, b)):
         check = is_pt_symmetric(m, fr.frame, tol)
         if not check:
-            raise NotPTSymmetric(
-                f"{label} factor is not PT-symmetric (residual {check.residual:.3e})"
-            )
+            raise NotPTSymmetric(f"{label} factor is not PT-symmetric (residual {check.residual:.3e})")
     product = np.kron(m1, m2)
     frame = tensor_frames(a, b, tol)
     check = is_pt_symmetric(product, frame.frame, tol)
     if not check:
-        raise NotPTSymmetric(
-            f"tensor product lost PT-symmetry (residual {check.residual:.3e}); "
-            "this indicates inconsistent input frames"
-        )
-    if commutator_check(a.c.matrix, m1, tol)[1] and commutator_check(b.c.matrix, m2, tol)[1]:
-        commutator, commutes = commutator_check(frame.c.matrix, product, tol)
-        if not commutes:
-            raise CommutatorViolation(
-                f"[C, H1 (x) H2] residual {commutator:.3e} despite commuting factors"
-            )
+        raise NotPTSymmetric(f"tensor product lost PT-symmetry (residual {check.residual:.3e}); "
+                             "this indicates inconsistent input frames")
+    try:
+        a._require_commuting(m1, tol)
+        b._require_commuting(m2, tol)
+    except CommutatorViolation:  # a factor that does not commute leaves [C, H] unchecked
+        return product, frame
+    frame._require_commuting(as_matrix(product), tol)  # a read-only copy: the caller may write to H
     return product, frame
 
 
@@ -128,15 +134,8 @@ def direct_sum(spec: BlockSpec, tol: float = DEFAULT_TOL):
     spectrum is the multiset union of the block spectra, and the composite
     symmetry is unbroken exactly when every block is.
     """
-    mats = [as_matrix(m) for m, _ in spec.blocks]
-    h = _block_diag(mats)
-    p = Operator.linear(_block_diag([fr.p.matrix for _, fr in spec.blocks]))
-    t = Operator.antilinear(_block_diag([fr.t.matrix for _, fr in spec.blocks]))
-    base = checked_pt_frame(p, t, tol)
-    if not spec.has_c:
-        return h, base
-    c = Operator.linear(_block_diag([fr.c.matrix for _, fr in spec.blocks]))
-    return h, checked_cpt_frame(c, base, tol)
+    h = _block_diag(*(m for m, _ in spec.blocks))
+    return h, _joined(_block_diag, [frame for _, frame in spec.blocks], spec.has_c, tol)
 
 
 def doubling(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, PTFrame, bool]:

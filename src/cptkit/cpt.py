@@ -51,6 +51,7 @@ from .frames import CPTFrame, PTFrame
 from .linops import (
     DEFAULT_TOL,
     Operator,
+    _fields_equal,
     as_vector,
     column_norms,
     frobenius,
@@ -77,6 +78,8 @@ class SignedState:
     state: np.ndarray
     sign: int
 
+    __eq__ = _fields_equal
+
     def __post_init__(self):
         object.__setattr__(self, "energy", float(self.energy))
         self.state.setflags(write=False)
@@ -93,6 +96,8 @@ class CPTResult:
     cpt: CPTFrame
     aligned_states: tuple[SignedState, ...]
     gram_residual: float
+
+    __eq__ = _fields_equal
 
 
 def pt_inner(u, v, frame: PTFrame) -> complex:

@@ -8,7 +8,7 @@ the conjugation semantics explicit and testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,6 +37,23 @@ ANTILINEAR = "antilinear"
 def as_matrix(m) -> np.ndarray:
     """Coerce input to a read-only square complex matrix with finite entries."""
     return _finite_square(np.array(m, dtype=complex))
+
+
+def _same(a, b) -> bool:
+    """``a == b`` as one bool: arrays by content, with ``np.array_equal``."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def _fields_equal(self, other) -> bool:
+    """``==`` for a dataclass with array fields: the same class, and each
+    compared field equal by :func:`_same`, so no comparison raises.  Any
+    other operand is unequal, not deferred to: an array would compare
+    entrywise."""
+    return other.__class__ is self.__class__ and all(
+        _same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare
+    )
 
 
 def _finite_square(a: np.ndarray) -> np.ndarray:
@@ -131,9 +148,7 @@ class Operator:
             raise KindMismatch(f"unknown operator kind {self.kind!r}")
         object.__setattr__(self, "matrix", as_matrix(self.matrix))
 
-    def __eq__(self, other) -> bool:
-        """Same kind and entrywise-equal matrix parts; frames compare by these."""
-        return isinstance(other, Operator) and self.kind == other.kind and np.array_equal(self.matrix, other.matrix)
+    __eq__ = _fields_equal  # same kind and entrywise-equal matrix parts; frames compare by these
 
     @property
     def dim(self) -> int:
@@ -247,6 +262,8 @@ class EigenSystem:
     vectors: np.ndarray
     condition: float | np.ndarray
     defective: bool | np.ndarray = False
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         self.values.setflags(write=False)

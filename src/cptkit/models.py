@@ -128,11 +128,11 @@ def model_matrix(spec: ModelSpec) -> np.ndarray:
     for nonzero theta; for swept parameters an ``(N, n, n)`` stack, one row per entry."""
     cells = [_cell(*b) for b in spec.blocks]
     if spec.family == THREE_BY_THREE:
-        return _block_diag([cells[0], np.asarray(spec.a, dtype=complex)[..., None, None]])
+        return _block_diag(cells[0], np.asarray(spec.a, dtype=complex)[..., None, None])
     if spec.family == TENSOR:  # np.kron, broadcast over leading axes
         product = cells[0][..., :, None, :, None] * cells[1][..., None, :, None, :]
         return product.reshape(product.shape[:-4] + (4, 4))
-    return _block_diag(cells)  # 2x2, 4x4 and chain
+    return _block_diag(*cells)  # 2x2, 4x4 and chain
 
 
 def build_model(spec: ModelSpec) -> tuple[np.ndarray, PTFrame]:

@@ -25,6 +25,7 @@ from .linops import (
     COND_LIMIT,
     DEFAULT_TOL,
     EigenSystem,
+    _fields_equal,
     as_matrix,
     as_vector,
     column_norms,
@@ -85,6 +86,8 @@ class AlignedState:
     state: np.ndarray
     theta: float
 
+    __eq__ = _fields_equal
+
     def __post_init__(self):
         self.state.setflags(write=False)
 
@@ -97,6 +100,8 @@ class ConjugatePair:
     partner: complex
     state: np.ndarray
     partner_state: np.ndarray
+
+    __eq__ = _fields_equal
 
 
 class _Analysis(NamedTuple):
@@ -121,6 +126,8 @@ class SymmetryReport:
     warnings: tuple[str, ...]
     pt_residual: float
     _analysis: _Analysis | None = field(default=None, repr=False, compare=False)
+
+    __eq__ = _fields_equal
 
     @property
     def eigenspaces(self) -> tuple[tuple[AlignedState, ...], ...]:
@@ -161,6 +168,8 @@ class StackClassification:
     warning: np.ndarray
     error: np.ndarray
 
+    __eq__ = _fields_equal
+
 
 class _Rows(NamedTuple):
     """The verdict of the classification kernel on each row of a stack; see
@@ -169,7 +178,6 @@ class _Rows(NamedTuple):
     eigen: EigenSystem
     symmetric: np.ndarray
     pt_residual: np.ndarray
-    start: np.ndarray
     energy: np.ndarray
     phi: np.ndarray
     theta: np.ndarray
@@ -368,12 +376,11 @@ def _classify_rows(
     alignment of every eigenvector, conjugate pairs and exceptional-point
     proximity, each computed for all rows at once.
 
-    ``start`` marks the first column of each real eigenspace, and ``kept``
-    the columns of ``phi`` that hold aligned states, with phase ``theta`` and
-    their eigenspace's ``energy``.  Each real eigenspace of a PT-symmetric
-    row that is degenerate, or simple with a sour phase alignment, is rebased
-    in place (``rebased`` marks the simple ones), or dropped from ``kept``
-    where that fails, which breaks the symmetry.  These eigenspaces are
+    ``kept`` marks the columns of ``phi`` that hold aligned states, with
+    phase ``theta`` and their eigenspace's ``energy``.  Each real eigenspace
+    of a PT-symmetric row that is degenerate, or simple with a sour phase
+    alignment, is rebased in place (``rebased`` marks the simple ones), or
+    dropped from ``kept`` where that fails, which breaks the symmetry.  These eigenspaces are
     gathered across the whole stack and grouped by size by :func:`_runs`,
     with one stacked :func:`_pt_fixed_basis` per size.  The verdicts are
     read off these arrays; rows marked ``eigen.defective`` are not rebased
@@ -423,7 +430,7 @@ def _classify_rows(
     classification = np.where(symmetric, np.where(broken, BROKEN, UNBROKEN), NOT_APPLICABLE)
     warning = settled & ((petermann >= EP_WARNING_K) | (unpaired | rebased).any(-1))
     return _Rows(
-        eigen, symmetric, pt_residual, start, energy, phi, theta, kept, rebased,
+        eigen, symmetric, pt_residual, energy, phi, theta, kept, rebased,
         partner, unpaired, petermann, classification, warning,
     )
 

@@ -5,11 +5,15 @@ from cptkit import (
     BROKEN,
     UNBROKEN,
     BlockSpec,
+    ModelSpec,
     Operator,
+    build_c,
+    build_model,
     classify_symmetry,
     direct_sum,
     doubling,
     eigendecompose,
+    hermitize,
     is_pt_symmetric,
     pair_swap_frame,
     tensor_frames,
@@ -18,10 +22,12 @@ from cptkit import (
     validate_cpt_frame,
     validate_pt_frame,
 )
-from cptkit.errors import NotPTSymmetric
+from cptkit import cli, composition, frames
+from cptkit.errors import CommutatorViolation, NotPTSymmetric
 from cptkit.frames import checked_cpt_frame
+from cptkit.linops import hermiticity_residual
 from cptkit.models import closed_form_c, closed_form_spectrum
-from helpers import H1, H3, SWAP, multiset_gap, random_complex
+from helpers import H1, H3, SWAP, multiset_gap, random_complex, unitary_basis_change
 
 PARAMS_A = (1.0, 2.0, np.pi / 6)
 PARAMS_B = (1.0, 3.0, np.pi / 4)
@@ -234,3 +240,138 @@ def test_doubling_verdict_tracks_transpose_property():
         doubled, frame, symmetric = doubling(a)
         assert symmetric == (np.linalg.norm(a - a.T) <= 1e-12)
         assert bool(is_pt_symmetric(doubled, frame)) == symmetric
+
+
+# ---------------------------------------------------------------- one joiner, [C, H] from the frames
+
+
+def _block_diag_explicit(mats):
+    return np.block([[m if i == j else np.zeros((len(m), len(n)), dtype=complex) for j, n in enumerate(mats)]
+                     for i, m in enumerate(mats)])
+
+
+def test_composed_frames_are_the_explicit_constructions():
+    a, b = closed_form_cpt(*PARAMS_A), closed_form_cpt(*PARAMS_B)
+    for composed, roles in ((tensor_pt_frames(a.frame, b.frame), ("p", "t")), (tensor_frames(a, b), ("p", "t", "c"))):
+        for role in roles:
+            expected = np.kron(getattr(a, role).matrix, getattr(b, role).matrix)
+            assert getattr(composed, role).matrix.tobytes() == expected.tobytes()
+    factors = (a, b, closed_form_cpt(0.5, 1.5, 0.7))
+    for has_c in (False, True):
+        spec = BlockSpec(tuple((model_2x2(*PARAMS_A), f if has_c else f.frame) for f in factors))
+        h, summed = direct_sum(spec)
+        assert isinstance(summed, frames.CPTFrame) == has_c
+        assert h.tobytes() == _block_diag_explicit([model_2x2(*PARAMS_A).astype(complex)] * 3).tobytes()
+        for role in ("p", "t", "c") if has_c else ("p", "t"):
+            expected = _block_diag_explicit([getattr(f, role).matrix for f in factors])
+            assert getattr(summed, role).matrix.tobytes() == expected.tobytes()
+
+
+def test_direct_sum_checks_each_block_matrix_once(monkeypatch):
+    calls = []
+    real = composition.as_matrix
+    monkeypatch.setattr(composition, "as_matrix", lambda m: calls.append(None) or real(m))
+    direct_sum(BlockSpec(tuple((model_2x2(*p), pair_swap_frame(2)) for p in (PARAMS_A, PARAMS_B))))
+    assert len(calls) == 2
+
+
+def _count_commutators(monkeypatch) -> list:
+    calls = []
+    real = frames.commutator_check
+
+    def counting(c, h, tol):
+        calls.append(len(c))
+        return real(c, h, tol)
+
+    monkeypatch.setattr(frames, "commutator_check", counting)
+    return calls
+
+
+def test_compose_tensor_forms_three_commutators(monkeypatch, capsys):
+    assert not hasattr(composition, "commutator_check")
+    calls = _count_commutators(monkeypatch)
+    blocks = ["--r", "1", "--s", "2", "--theta", "0.52", "--r", "1", "--s", "3", "--theta", "0.78"]
+    assert cli.main(["compose", "--op", "tensor", *blocks]) == 0
+    capsys.readouterr()
+    assert len(calls) == 3  # one per build_c, one for the composite
+    # the composed frame keeps its verdict for hermitize
+    h1, h2 = model_2x2(*PARAMS_A), model_2x2(*PARAMS_B)
+    product, composed = tensor_hamiltonians(h1, h2, build_c(h1, pair_swap_frame(2)).cpt,
+                                            build_c(h2, pair_swap_frame(2)).cpt)
+    calls.clear()
+    hermitize(product, composed)
+    assert calls == []
+
+
+def test_a_factor_that_does_not_commute_skips_the_composite_check(monkeypatch):
+    a, b = closed_form_cpt(*PARAMS_A), closed_form_cpt(*PARAMS_B)
+    h1 = model_2x2(1.0, 2.0, np.pi / 5)  # PT-symmetric, but not the H of a's C
+    calls = _count_commutators(monkeypatch)
+    product, composed = tensor_hamiltonians(h1, model_2x2(*PARAMS_B), a, b)
+    assert calls == [2]
+    assert product.tobytes() == np.kron(h1, model_2x2(*PARAMS_B)).astype(complex).tobytes()
+    assert composed.validate().passed
+
+
+def test_a_composite_that_fails_raises(monkeypatch):
+    real = frames.commutator_check
+
+    def failing_composite(c, h, tol):
+        residual, commutes = real(c, h, tol)
+        return residual, commutes and len(c) == 2
+
+    monkeypatch.setattr(frames, "commutator_check", failing_composite)
+    with pytest.raises(CommutatorViolation):
+        tensor_hamiltonians(model_2x2(*PARAMS_A), model_2x2(*PARAMS_B),
+                            closed_form_cpt(*PARAMS_A), closed_form_cpt(*PARAMS_B))
+
+
+# ---------------------------------------------------------------- under a change of basis
+
+
+def _moved_cell(params, rng):
+    """A 2x2 cell moved by a random unitary: a dense frame, with ``perm is None``."""
+    h, frame = build_model(ModelSpec("2x2", (params,)))
+    _, h, frame = unitary_basis_change(h, frame, rng)
+    assert frame.perm is None
+    return h, frame
+
+
+def _assert_hermitian(h):
+    assert hermiticity_residual(h) <= 1e-9 * np.linalg.norm(h)
+
+
+@pytest.mark.parametrize("seed", [71, 72, 73])
+def test_tensor_composition_under_a_change_of_basis(seed):
+    rng = np.random.default_rng(seed)
+    (h1, f1), (h2, f2) = (_moved_cell(p, rng) for p in (PARAMS_A, PARAMS_B))
+    product, composed = tensor_hamiltonians(h1, h2, build_c(h1, f1).cpt, build_c(h2, f2).cpt)
+    assert composed.frame.validate().passed and composed.validate().passed
+    expected = [x * y for x in eigendecompose(h1).values for y in eigendecompose(h2).values]
+    assert multiset_gap(eigendecompose(product).values, expected) <= 1e-9
+    assert classify_symmetry(product, composed.frame).classification == UNBROKEN
+    _assert_hermitian(hermitize(product, composed))
+
+
+@pytest.mark.parametrize("seed", [74, 75, 76])
+def test_direct_sum_under_a_change_of_basis(seed):
+    rng = np.random.default_rng(seed)
+    cells = [_moved_cell(p, rng) for p in (PARAMS_A, PARAMS_B, (0.5, 1.5, 0.7))]
+    h, summed = direct_sum(BlockSpec(tuple((m, build_c(m, f).cpt) for m, f in cells)))
+    assert summed.frame.validate().passed and summed.validate().passed
+    expected = [e for m, _ in cells for e in eigendecompose(m).values]
+    report = classify_symmetry(h, summed.frame)
+    assert report.classification == UNBROKEN
+    assert multiset_gap(report.eigenvalues, expected) <= 1e-9
+    _assert_hermitian(hermitize(h, summed))
+
+
+def test_direct_sum_under_a_change_of_basis_is_unbroken_exactly_when_every_block_is():
+    rng = np.random.default_rng(77)
+    params = {UNBROKEN: (1.0, 2.0, np.pi / 6), BROKEN: (2.0, 1.0, np.pi / 2)}
+    for kinds in ((UNBROKEN, UNBROKEN), (UNBROKEN, BROKEN), (BROKEN, BROKEN)):
+        cells = [_moved_cell(params[kind], rng) for kind in kinds]
+        h, summed = direct_sum(BlockSpec(tuple(cells)))
+        assert summed.validate().passed
+        expected = UNBROKEN if set(kinds) == {UNBROKEN} else BROKEN
+        assert classify_symmetry(h, summed).classification == expected

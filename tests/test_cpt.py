@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from cptkit import (
     apply,
     build_c,
     build_model,
+    classify_stack,
     classify_symmetry,
     cpt_adjoint,
     cpt_inner,
+    eigendecompose,
     hermitian_power,
     hermitize,
     normalize_indefinite,
@@ -812,3 +815,35 @@ def test_build_c_refuses_a_report_it_did_not_get_from_classify_symmetry():
     broken = classify_symmetry(model_2x2(2, 1, 1.0), pair_swap_frame(2))
     with pytest.raises(NotUnbroken):
         build_c(broken, pair_swap_frame(2))
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["index-frame", "dense-frame"])
+def test_results_compare_by_content(moved):
+    h, frame = _pipeline_problem(moved)
+    reports = [classify_symmetry(h, frame) for _ in range(2)]
+    results = [build_c(h, frame) for _ in range(2)]
+    eigens = [eigendecompose(h) for _ in range(2)]
+    stacks = [classify_stack(np.stack([h, 2 * h]), frame) for _ in range(2)]
+    for first, second in (reports, results, eigens, stacks):
+        assert first is not second and first == second and not first != second
+    report, result, eigen, stack = reports[0], results[0], eigens[0], stacks[0]
+    values = report.eigenvalues.copy()
+    values[0] += 1e-12
+    state = report.aligned_states[0]
+    moved_state = replace(state, state=state.state * np.exp(1e-9j))
+    c = result.cpt.c.matrix.copy()
+    c[0, 0] += 1e-12
+    signed = result.aligned_states[0]
+    flipped = replace(signed, state=-signed.state)
+    unequal = (
+        (report, replace(report, eigenvalues=values)),
+        (report, replace(report, aligned_states=(moved_state, *report.aligned_states[1:]))),
+        (result, replace(result, cpt=type(result.cpt)(result.cpt.frame, Operator.linear(c)))),
+        (result, replace(result, aligned_states=(flipped, *result.aligned_states[1:]))),
+        (eigen, replace(eigen, values=eigen.values[::-1])),
+        (stack, replace(stack, warning=~stack.warning)),
+        (report, result),
+        (report, report.eigenvalues),
+    )
+    for first, second in unequal:
+        assert first != second and not first == second
