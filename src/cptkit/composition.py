@@ -29,7 +29,7 @@ from .frames import (
     checked_pt_frame,
     frame_from_involution,
 )
-from .linops import DEFAULT_TOL, Operator, as_matrix
+from .linops import DEFAULT_TOL, Operator, _fields_equal, as_matrix
 from .symmetry import is_pt_symmetric
 
 
@@ -42,6 +42,8 @@ class BlockSpec:
     """
 
     blocks: tuple
+
+    __eq__ = _fields_equal  # block by block: entrywise-equal matrices and equal frames
 
     def __post_init__(self):
         blocks = tuple(self.blocks)

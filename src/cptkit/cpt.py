@@ -28,6 +28,15 @@ Every product of the synthesis is then real; C and PC are mapped back by the
 frame's gathers in O(n^2).  The roots (PC)^(+-1/2) and h stay on the dense
 formula, from (w, Q U_r).  Any other frame synthesizes densely, in the
 original basis.
+
+The synthesis reads the record of the classification pipeline
+(:func:`~cptkit.symmetry._classify_rows`): ``build_c`` of a matrix takes it
+straight from the pipeline and renders no report, and ``build_c`` and
+``aligned_signs`` take a report only through one provenance check, that
+:func:`~cptkit.symmetry.classify_symmetry` made it over an equal frame (and,
+for ``build_c``, at its ``tol``).  ``aligned_signs`` normalizes the
+record's states in ``build_c``'s coordinates, so its signs are
+``build_c``'s.
 """
 
 from __future__ import annotations
@@ -58,7 +67,7 @@ from .linops import (
     require_tolerance,
     spectral_powers,
 )
-from .symmetry import UNBROKEN, SymmetryReport, _checked, _runs, classify_symmetry
+from .symmetry import UNBROKEN, SymmetryReport, _checked, _classify_one, _runs
 
 #: Self-orthogonality guard for C synthesis: a state whose normalized
 #: indefinite self-product |(v, v)| / |v|^2 falls below this threshold is
@@ -215,25 +224,37 @@ def normalize_indefinite(
     return (units, signs) if np.ndim(v) == 2 else (units[:, 0], int(signs[0]))
 
 
+def _record(report: SymmetryReport, frame: PTFrame, caller: str, tol: float | None = None):
+    """The kernel record that ``report`` keeps, if :func:`classify_symmetry`
+    made it over a frame equal to ``frame`` (and at ``tol``, unless None);
+    else InvalidArgument."""
+    rows = getattr(report, "_analysis", None)
+    if rows is None or tol not in (None, rows.tol) or not (rows.frame is frame or rows.frame == frame):
+        at = "" if tol is None else f" at tolerance {tol!r}"
+        raise InvalidArgument(f"{caller} takes a report of classify_symmetry over this frame{at}")
+    return rows
+
+
 def aligned_signs(report: SymmetryReport, frame: PTFrame) -> np.ndarray:
     """The sign that :func:`build_c` gives each aligned state of an unbroken
-    report, as an integer array: each eigenspace normalized as by
-    :func:`normalize_indefinite` at ``EP_GUARD_TOL``.  Never raises for a
-    state: sign 0 marks every state of an eigenspace that the guard rejects,
-    and every state when P is not Hermitian, where no sign means anything.
+    report of :func:`classify_symmetry` over ``frame``, as an integer array:
+    each eigenspace normalized as by :func:`build_c`, at ``EP_GUARD_TOL``.
+    Never raises for a state: sign 0 marks every state of an eigenspace that
+    the guard rejects, and every state when P is not Hermitian, where no
+    sign means anything.
 
-    Raises NotUnbroken for a report that is not unbroken.
+    Raises InvalidArgument for a report that :func:`classify_symmetry` did
+    not make over an equal frame, and NotUnbroken for one that is not unbroken.
     """
-    if report.classification != UNBROKEN:
-        raise NotUnbroken(f"signs need unbroken symmetry, got {report.classification}")
-    states = report.aligned_states
+    rows = _record(report, frame, "aligned_signs")
+    if rows.classification[0] != UNBROKEN:
+        raise NotUnbroken(f"signs need unbroken symmetry, got {rows.classification[0]}")
     try:
         frame.require_hermitian_parity(EP_GUARD_TOL)
     except FrameInvalid:
-        return np.zeros(len(states), dtype=int)
-    v, energy = np.column_stack([s.state for s in states]), np.array([s.energy for s in states])
-    x, apply_p, residual = _coordinates(v, frame, False)
-    return _normalize(x, energy, apply_p, residual, EP_GUARD_TOL)[1]
+        return np.zeros(len(report.aligned_states), dtype=int)
+    x, apply_p, residual = _coordinates(rows.phi[0], frame, frame.perm is not None)
+    return _normalize(x, rows.energy[0], apply_p, residual, EP_GUARD_TOL)[1]
 
 
 def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
@@ -243,8 +264,9 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
 
     Pipeline: require a Hermitian P, ``|P - P^+| <= tol * max(1, |P|)``,
     since (u, v) = <P u, v> is a Hermitian form only then; classify the
-    symmetry phase (must be unbroken) and read the report's aligned states
-    as one ``(n, n)`` array, with their energies; normalize each eigenspace,
+    symmetry phase (must be unbroken), a matrix through the kernel alone,
+    rendering no report, and read the aligned states as one ``(n, n)``
+    array, with their energies; normalize each eigenspace,
     a run of equal energy, as :func:`normalize_indefinite` does, in one
     ``eigh`` per degenerate size; verify pairwise indefinite orthogonality
     across eigenspaces (automatic for distinct eigenvalues of a symmetric
@@ -272,19 +294,16 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
     """
     require_tolerance(tol)
     frame.require_hermitian_parity(tol)
-    report = h if isinstance(h, SymmetryReport) else classify_symmetry(h, frame, tol)
-    analysis = report._analysis
-    if analysis is None or analysis.tol != tol or not (analysis.frame is frame or analysis.frame == frame):
-        raise InvalidArgument(f"build_c takes a report of classify_symmetry over this frame at tolerance {tol!r}")
-    if report.classification != UNBROKEN:
-        raise NotUnbroken(f"C synthesis requires unbroken symmetry, got {report.classification} "
-                          f"(PT residual {report.pt_residual:.3e})")
+    rows = _record(h, frame, "build_c", tol) if isinstance(h, SymmetryReport) else _classify_one(h, frame, tol)
+    if rows.classification[0] != UNBROKEN:
+        raise NotUnbroken(f"C synthesis requires unbroken symmetry, got {rows.classification[0]} "
+                          f"(PT residual {rows.pt_residual[0]:.3e})")
 
     # unbroken: every column of the states is aligned; a run of equal energy is one eigenspace
     real = frame.perm is not None
-    x, apply_p, residual = _coordinates(analysis.states, frame, real)
-    matrix, energy = analysis.matrix, analysis.energy
-    del report, analysis  # a report made here frees its aligned states before the synthesis
+    x, apply_p, residual = _coordinates(rows.phi[0], frame, real)
+    matrix, energy = rows.stack[0], rows.energy[0]
+    del h, rows  # a record made here frees its eigenvectors before the synthesis
     x, signs = _normalized(x, energy, apply_p, residual, EP_GUARD_TOL)
     p_x_adj = apply_p(x).conj().T
     gram_error = frobenius(p_x_adj @ x - np.diag(signs))

@@ -48,6 +48,7 @@ from .errors import (
 from .linops import (
     DEFAULT_TOL,
     Operator,
+    _require_threshold,
     apply,
     commutator_check,
     compose,
@@ -198,7 +199,9 @@ class PTFrame:
         """Check the PT-frame axioms and report every violation with its
         residual.  On an index frame the residuals are exact from the
         indices: P^2 = I, T^2 = I and PT = TP hold exactly, and |P - I| is
-        sqrt(2 * #moved), so the check is O(n)."""
+        sqrt(2 * #moved), so the check is O(n).  ``tol`` 0 is the exact
+        check; a nan, negative or infinite ``tol`` raises InvalidArgument."""
+        _require_threshold(tol)
         if self.perm is None:
             mp, mt = self.p.matrix, self.t.matrix
             eye = np.eye(self.dim)
@@ -375,7 +378,11 @@ class CPTFrame:
         is above ``pd_tol * |PC|`` (the largest eigenvalue modulus; ``pd_tol``
         defaults to ``tol``): equation residuals of an exact frame scale with
         |C|^2, the metric's spectral margin does not.  A frame synthesized in
-        the real basis is checked there, on C_r and M, in real products."""
+        the real basis is checked there, on C_r and M, in real products.  A
+        nan, negative or infinite ``tol`` or ``pd_tol`` raises InvalidArgument."""
+        _require_threshold(tol)
+        pd_tol = tol if pd_tol is None else pd_tol
+        _require_threshold(pd_tol, "pd_tol")
         dense = self._c_real is None
         mc, pc = (self.c.matrix, self.pc_matrix) if dense else (self._c_real, self._real_metric())
         with np.errstate(over="ignore", invalid="ignore"):
@@ -388,7 +395,7 @@ class CPTFrame:
         violations = [(name, float(residual)) for name, residual in residuals if not residual <= tol]
         w = self.metric_spectrum[0]
         min_eig = float(w.min())
-        pd_threshold = (tol if pd_tol is None else pd_tol) * float(np.abs(w).max())
+        pd_threshold = pd_tol * float(np.abs(w).max())
         if not min_eig > pd_threshold:
             violations.append(("PC positive definite", pd_threshold - min_eig))
         return FrameReport(not violations, tuple(violations))
@@ -444,11 +451,13 @@ def frame_from_involution(p_matrix, tol: float = DEFAULT_TOL) -> PTFrame:
     """The one constructor of a frame with T = entrywise conjugation from a
     real involution P, validated at ``max(tol, CONSTRUCTION_TOL)``.
 
-    Raises NonRealEntries for complex-entried P (it need not commute with
+    Raises InvalidArgument for a ``tol`` that is nan, negative or infinite,
+    then NonRealEntries for complex-entried P (it need not commute with
     conjugation-T), then NotInvolution or IsIdentity where the validator
     reports P^2 = I or P != I violated, and FrameInvalid for any other
     violation.
     """
+    _require_threshold(tol)
     p = Operator.linear(p_matrix)
     if float(np.abs(p.matrix.imag).max(initial=0.0)) > tol:
         raise NonRealEntries("parity matrix must have real entries")

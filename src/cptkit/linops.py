@@ -40,9 +40,12 @@ def as_matrix(m) -> np.ndarray:
 
 
 def _same(a, b) -> bool:
-    """``a == b`` as one bool: arrays by content, with ``np.array_equal``."""
+    """``a == b`` as one bool: arrays by content, with ``np.array_equal``,
+    and tuples element by element, so arrays nested in them too."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return np.array_equal(a, b)
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
     return a == b
 
 
@@ -107,6 +110,16 @@ def require_tolerance(tol) -> None:
     measured."""
     if not 0.0 < tol < np.inf:
         raise InvalidArgument(f"tolerance must be a positive, finite number, got {tol!r}")
+
+
+def _require_threshold(tol, name: str = "tolerance") -> None:
+    """Raise InvalidArgument (exit code 2) unless ``tol``, a threshold that
+    residuals are compared against, is a finite number at least 0, where 0
+    is the exact check: against nan every comparison is false, and against
+    a negative or an infinite value every verdict is decided before any
+    residual is measured."""
+    if not 0.0 <= tol < np.inf:
+        raise InvalidArgument(f"{name} must be a finite number at least 0, got {tol!r}")
 
 
 def require_finite_scale(scale) -> None:
@@ -395,7 +408,9 @@ def spectral_powers(m: np.ndarray, spectrum, powers, tol: float) -> tuple[np.nda
     ``spectrum = (w, U)`` of the Hermitian positive definite matrix ``m``.
     Raises NotHermitian if ``|m - m+| > tol`` and NotPositiveDefinite if the
     smallest eigenvalue is not above ``tol`` (upstream: a broken frame or an
-    exceptional point)."""
+    exceptional point), and InvalidArgument for a ``tol`` that is nan,
+    negative or infinite."""
+    _require_threshold(tol)
     herm_residual = hermiticity_residual(m)
     if herm_residual > tol:
         raise NotHermitian(f"Hermiticity residual {herm_residual:.3e} exceeds {tol:.1e}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import _block_diag, tensor_pt_frames
+from .composition import _block_diag
 from .errors import InvalidArgument, InvalidModel, SelfOrthogonal
 from .frames import PTFrame, frame_from_involution, pair_swap_frame
 from .linops import DEFAULT_TOL
@@ -118,8 +118,8 @@ def model_frame(spec: ModelSpec) -> PTFrame:
     number of blocks, so a scan over one family builds it once."""
     if spec.family == THREE_BY_THREE:
         return frame_from_involution(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
-    if spec.family == TENSOR:
-        return tensor_pt_frames(pair_swap_frame(2), pair_swap_frame(2))
+    if spec.family == TENSOR:  # the pair swap tensored with itself is the reversal e_k <-> e_(3-k)
+        return frame_from_involution(np.eye(4)[::-1])
     return pair_swap_frame(spec.dim)  # 2x2, 4x4 and chain: one swap per cell
 
 

@@ -4,8 +4,15 @@ A Hamiltonian is PT-symmetric when (PT) H (PT) = H.  Its symmetry is
 unbroken when every eigenstate is also an eigenstate of PT, which forces a
 real spectrum; otherwise non-real eigenvalues come in conjugate pairs.
 
-One kernel classifies a whole ``(N, n, n)`` stack over one frame
-(:func:`classify_stack`); :func:`classify_symmetry` is its one-matrix case.
+One pipeline, :func:`_classify_rows`, classifies a whole ``(N, n, n)``
+stack over one frame: the non-finite guard, the PT check, the eigensolve and
+the kernel, in one pass that returns one record of the stack, the frame,
+``tol``, the eigensystem and the kernel's verdict arrays.
+:func:`classify_stack` reads that record's arrays; :func:`classify_symmetry`
+is its one-matrix case, which renders the record as a report and keeps it
+for :mod:`cptkit.cpt`, whose :func:`~cptkit.cpt.build_c` also takes the
+record of a matrix directly, rendering nothing.
+
 Over a frame whose P is a permutation and whose T is conjugation, a
 PT-symmetric H is a real matrix in the frame's PT-fixed basis, and is
 eigendecomposed there in real arithmetic.
@@ -104,19 +111,35 @@ class ConjugatePair:
     __eq__ = _fields_equal
 
 
-class _Analysis(NamedTuple):
-    """What :func:`~cptkit.cpt.build_c` reads of a report; ``aligned_states`` views ``states``."""
+class _Rows(NamedTuple):
+    """The record of :func:`_classify_rows` for an ``(N, n, n)`` stack: the
+    checked ``stack`` (non-finite rows zeroed), the ``frame`` and ``tol`` it
+    was classified at, its eigensystem with each row's largest eigenpair
+    ``residual``, and the kernel's verdict arrays."""
 
-    matrix: np.ndarray
+    stack: np.ndarray
     frame: PTFrame
     tol: float
+    eigen: EigenSystem
+    residual: np.ndarray
+    symmetric: np.ndarray
+    pt_residual: np.ndarray
     energy: np.ndarray
-    states: np.ndarray
+    phi: np.ndarray
+    theta: np.ndarray
+    kept: np.ndarray
+    rebased: np.ndarray
+    partner: np.ndarray
+    unpaired: np.ndarray
+    petermann: np.ndarray
+    classification: np.ndarray
+    warning: np.ndarray
 
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    """The verdict of :func:`classify_symmetry`, which alone sets ``_analysis``."""
+    """The verdict of :func:`classify_symmetry`, which alone sets ``_analysis``:
+    the record of its one pass of :func:`_classify_rows`."""
 
     pt_symmetric: bool
     classification: str
@@ -125,7 +148,7 @@ class SymmetryReport:
     broken_pairs: tuple[ConjugatePair, ...]
     warnings: tuple[str, ...]
     pt_residual: float
-    _analysis: _Analysis | None = field(default=None, repr=False, compare=False)
+    _analysis: _Rows | None = field(default=None, repr=False, compare=False)
 
     __eq__ = _fields_equal
 
@@ -169,25 +192,6 @@ class StackClassification:
     error: np.ndarray
 
     __eq__ = _fields_equal
-
-
-class _Rows(NamedTuple):
-    """The verdict of the classification kernel on each row of a stack; see
-    :func:`_classify_rows`."""
-
-    eigen: EigenSystem
-    symmetric: np.ndarray
-    pt_residual: np.ndarray
-    energy: np.ndarray
-    phi: np.ndarray
-    theta: np.ndarray
-    kept: np.ndarray
-    rebased: np.ndarray
-    partner: np.ndarray
-    unpaired: np.ndarray
-    petermann: np.ndarray
-    classification: np.ndarray
-    warning: np.ndarray
 
 
 def _checked(h, frame: PTFrame) -> np.ndarray:
@@ -367,12 +371,11 @@ def _past_ep_gate(condition: np.ndarray) -> np.ndarray:
     return np.minimum(condition, COND_LIMIT) ** 2 >= EP_WARNING_K
 
 
-def _classify_rows(
-    eigen: EigenSystem, symmetric, pt_residual, norm, frame: PTFrame, tol: float
-) -> _Rows:
-    """The classification kernel over the sorted eigensystem ``eigen`` of an
-    ``(N, n, n)`` stack with PT verdicts and residuals from :func:`_pt_check`
-    and Frobenius norms ``norm``: reality, degenerate clusters, phase
+def _classify_rows(a: np.ndarray, norm: np.ndarray, frame: PTFrame, tol: float) -> _Rows:
+    """The classification pipeline of an ``(N, n, n)`` stack with Frobenius
+    norms ``norm``: the rows that are not finite or whose norm overflows are
+    zeroed, then the PT check of :func:`_pt_check`, the eigensystems of
+    :func:`_eigensystems` and the kernel: reality, degenerate clusters, phase
     alignment of every eigenvector, conjugate pairs and exceptional-point
     proximity, each computed for all rows at once.
 
@@ -386,6 +389,11 @@ def _classify_rows(
     read off these arrays; rows marked ``eigen.defective`` are not rebased
     and never warn.
     """
+    scaled = norm < np.inf
+    if not scaled.all():  # non-finite entries, or a norm that overflows: error rows, kept out of the PT check
+        a = np.where(scaled[:, None, None], a, 0.0)
+    symmetric, pt_residual = _pt_check(a, norm, frame, tol)
+    eigen, residual = _eigensystems(a, norm, symmetric, frame, tol)
     values, vectors, condition = eigen.values, eigen.vectors, eigen.condition
     settled = ~eigen.defective
     scale = np.maximum(1.0, norm)[:, None]
@@ -430,9 +438,21 @@ def _classify_rows(
     classification = np.where(symmetric, np.where(broken, BROKEN, UNBROKEN), NOT_APPLICABLE)
     warning = settled & ((petermann >= EP_WARNING_K) | (unpaired | rebased).any(-1))
     return _Rows(
-        eigen, symmetric, pt_residual, energy, phi, theta, kept, rebased,
+        a, frame, tol, eigen, residual, symmetric, pt_residual, energy, phi, theta, kept, rebased,
         partner, unpaired, petermann, classification, warning,
     )
+
+
+def _classify_one(h, frame: PTFrame, tol: float) -> _Rows:
+    """The record of :func:`_classify_rows` for one matrix, with the raises
+    of :func:`classify_symmetry`."""
+    require_tolerance(tol)
+    a = _checked(h, frame)
+    norm = frobenius(a[None])
+    require_finite_scale(norm[0])
+    rows = _classify_rows(a[None], norm, frame, tol)
+    require_regular(rows.eigen, rows.residual, norm, tol)
+    return rows
 
 
 def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryReport:
@@ -453,22 +473,16 @@ def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryRe
     unpaired non-real eigenvalue, those above the real axis first.
 
     This is the one-matrix case of :func:`classify_stack`: the report renders
-    the kernel's arrays for a stack of one, and where the stack marks the row
-    as an error this raises.  NonFiniteEntries (also for a Frobenius norm
+    the pipeline's record for a stack of one, and where the stack marks the
+    row as an error this raises.  NonFiniteEntries (also for a Frobenius norm
     that overflows) and DefectiveSpectrum from the eigensolver propagate, and
     a ``tol`` that is not a positive, finite number raises InvalidArgument.
-    The report also keeps, privately, what :func:`~cptkit.cpt.build_c` reads
-    of the classification, so a report passed there is not classified again.
+    The report also keeps that record, privately, so a report passed to
+    :func:`~cptkit.cpt.build_c` or :func:`~cptkit.cpt.aligned_signs` is not
+    classified again.
     """
-    require_tolerance(tol)
-    a = _checked(h, frame)
-    norm = frobenius(a[None])
-    require_finite_scale(norm[0])
-    symmetric, pt_residual = _pt_check(a[None], norm, frame, tol)
-    eigen, residual = _eigensystems(a[None], norm, symmetric, frame, tol)
-    require_regular(eigen, residual, norm, tol)
-    rows = _classify_rows(eigen, symmetric, pt_residual, norm, frame, tol)
-    values, vectors, phi, kept = eigen.values[0], eigen.vectors[0], rows.phi[0], rows.kept[0]
+    rows = _classify_one(h, frame, tol)
+    values, vectors, phi, kept = rows.eigen.values[0], rows.eigen.vectors[0], rows.phi[0], rows.kept[0]
     energies, thetas = rows.energy[0, kept].tolist(), rows.theta[0, kept].tolist()
     aligned = tuple(AlignedState(e, phi[:, j], t) for j, e, t in zip(np.flatnonzero(kept).tolist(), energies, thetas))
     pairs, warnings = (), []
@@ -494,7 +508,7 @@ def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryRe
         ]
     return SymmetryReport(
         bool(rows.symmetric[0]), str(rows.classification[0]), values, aligned, pairs, tuple(warnings),
-        float(rows.pt_residual[0]), _Analysis(a, frame, tol, rows.energy[0].copy(), phi),
+        float(rows.pt_residual[0]), rows,
     )
 
 
@@ -516,14 +530,8 @@ def classify_stack(hs, frame: PTFrame, tol: float = DEFAULT_TOL) -> StackClassif
     a = np.asarray(hs, dtype=complex)
     if a.ndim != 3 or a.shape[1:] != (frame.dim, frame.dim):
         raise DimensionMismatch(f"expected a stack of {frame.dim}x{frame.dim} matrices, got shape {a.shape}")
-    norm = frobenius(a)
-    scaled = norm < np.inf
-    if not scaled.all():  # non-finite entries, or a norm that overflows: error rows, kept out of the PT check
-        a = np.where(scaled[:, None, None], a, 0.0)
-    symmetric, pt_residual = _pt_check(a, norm, frame, tol)
-    eigen, _ = _eigensystems(a, norm, symmetric, frame, tol)
-    rows = _classify_rows(eigen, symmetric, pt_residual, norm, frame, tol)
-    return StackClassification(eigen.values, rows.classification, rows.warning, eigen.defective)
+    rows = _classify_rows(a, frobenius(a), frame, tol)
+    return StackClassification(rows.eigen.values, rows.classification, rows.warning, rows.eigen.defective)
 
 
 def classify_2x2(h, tol: float = DEFAULT_TOL) -> TwoByTwoClass:

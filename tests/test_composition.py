@@ -24,7 +24,7 @@ from cptkit import (
 )
 from cptkit import cli, composition, frames
 from cptkit.errors import CommutatorViolation, NotPTSymmetric
-from cptkit.frames import checked_cpt_frame
+from cptkit.frames import checked_cpt_frame, frame_from_involution
 from cptkit.linops import hermiticity_residual
 from cptkit.models import closed_form_c, closed_form_spectrum
 from helpers import H1, H3, SWAP, multiset_gap, random_complex, unitary_basis_change
@@ -198,6 +198,28 @@ def test_block_spec_rejects_empty_and_mixed():
     a = closed_form_cpt(*PARAMS_A)
     with pytest.raises(ValueError):
         BlockSpec(((model_2x2(*PARAMS_A), a), (model_2x2(*PARAMS_B), pair_swap_frame(2))))
+
+
+
+def test_block_specs_compare_block_by_block():
+    def spec(*blocks):
+        return BlockSpec(tuple(blocks))
+
+    h, frame = model_2x2(*PARAMS_A), closed_form_cpt(*PARAMS_A)
+    assert spec((np.eye(2), pair_swap_frame(2))) == spec((np.eye(2), pair_swap_frame(2)))
+    assert spec((h, frame), (h, frame)) == spec((h.copy(), closed_form_cpt(*PARAMS_A)), (h, frame))
+    changed = h.copy()
+    changed[0, 1] += 1e-12
+    other_frame = frame_from_involution(-SWAP)
+    unequal = (
+        (spec((np.eye(2), pair_swap_frame(2))), spec((np.eye(2), other_frame))),
+        (spec((h, frame)), spec((changed, frame))),
+        (spec((h, frame)), spec((h, closed_form_cpt(*PARAMS_B)))),
+        (spec((h, frame)), spec((h, frame), (h, frame))),
+        (spec((h, frame)), ((h, frame),)),
+    )
+    for first, second in unequal:
+        assert first != second and not first == second
 
 
 # ---------------------------------------------------------------- doubling

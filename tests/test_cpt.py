@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from cptkit import (
     UNBROKEN,
+    AlignedState,
+    ConjugatePair,
     ModelSpec,
     Operator,
     SymmetryReport,
@@ -847,3 +849,59 @@ def test_results_compare_by_content(moved):
     )
     for first, second in unequal:
         assert first != second and not first == second
+
+
+# ---------------------------------------------------------------- one pipeline, no rendering
+
+
+def _constructed(monkeypatch, *classes) -> Counter:
+    """Count the instances of ``classes`` constructed, by class name."""
+    made = Counter()
+    for cls in classes:
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            made[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return made
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["index-frame", "dense-frame"])
+def test_build_c_of_a_matrix_renders_no_report(monkeypatch, moved):
+    # a chain; a cell near its exceptional point (K about 2.5e6), whose report
+    # carries a warning text; and a broken cell, which build_c refuses
+    near, broken, swap = model_2x2(1.0 - 2e-7, 1.0, np.pi / 2), model_2x2(2.0, 1.0, 1.2), pair_swap_frame(2)
+    chain = _pipeline_problem(moved)
+    if moved:
+        u, near, swap = unitary_basis_change(near, swap, np.random.default_rng(31))
+        broken = u @ broken @ u.conj().T
+    made = _constructed(monkeypatch, SymmetryReport, AlignedState, ConjugatePair)
+    for h, frame in (chain, (near, swap)):
+        build_c(h, frame)
+    with pytest.raises(NotUnbroken):
+        build_c(broken, swap)
+    assert not made
+    report = classify_symmetry(near, swap)
+    assert report.warnings and made == {"SymmetryReport": 1, "AlignedState": 2}
+
+
+def test_aligned_signs_takes_only_a_report_of_classify_symmetry_over_its_frame():
+    h, frame = _chain(2)
+    report = classify_symmetry(h, frame)
+    hand_built = SymmetryReport(*(getattr(report, name) for name in (
+        "pt_symmetric", "classification", "eigenvalues", "aligned_states", "broken_pairs", "warnings", "pt_residual")))
+    reversed_frame = frame_from_involution(np.eye(4)[::-1])
+    for bad, over in ((hand_built, frame), (report, reversed_frame)):
+        with pytest.raises(InvalidArgument, match="aligned_signs takes a report of classify_symmetry over this frame"):
+            aligned_signs(bad, over)
+    signs = [state.sign for state in build_c(h, frame).aligned_states]
+    assert aligned_signs(report, pair_swap_frame(4)).tolist() == signs  # an equal frame is not another frame
+
+
+@pytest.mark.parametrize("source", ["cells", "chain-dense", "chain-clustered", "covariance"])
+def test_aligned_signs_are_the_signs_of_build_c_on_every_input(source):
+    for h, frame in _index_frame_problems(source):
+        _, h_moved, moved = unitary_basis_change(h, frame, np.random.default_rng(11))
+        for h, frame in ((h, frame), (h_moved, moved)):
+            signs = aligned_signs(classify_symmetry(h, frame), frame)
+            assert signs.tolist() == [state.sign for state in build_c(h, frame).aligned_states]

@@ -14,6 +14,7 @@ from cptkit import (
     apply,
     build_c,
     build_model,
+    checked_cpt_frame,
     checked_pt_frame,
     classify_stack,
     classify_symmetry,
@@ -21,18 +22,24 @@ from cptkit import (
     direct_sum,
     doubling,
     frame_from_involution,
+    hermitian_power,
+    hermitian_powers,
     hermitize,
     is_pt_symmetric,
     model_frame,
     normalize_indefinite,
     pair_swap_frame,
     pt_inner,
+    tensor_frames,
+    tensor_pt_frames,
     validate_cpt_frame,
     validate_pt_frame,
 )
 from cptkit.errors import (
+    EXIT_USAGE,
     DimensionMismatch,
     FrameInvalid,
+    InvalidArgument,
     IsIdentity,
     KindMismatch,
     NonRealEntries,
@@ -40,7 +47,7 @@ from cptkit.errors import (
 )
 from cptkit.frames import CONSTRUCTION_TOL
 from cptkit.io import frame_document, parse_frame_document
-from cptkit.linops import frobenius
+from cptkit.linops import _same, frobenius, spectral_powers
 from helpers import SWAP, any_dim_frame, covariance_problem, random_complex, random_pt_symmetric, unitary_basis_change
 
 EQ12_P = np.array(
@@ -442,3 +449,55 @@ def test_index_frames_apply_p_and_pt_without_their_dense_matrices():
         state = report.aligned_states[0].state
         assert normalize_indefinite(state, frame)[1] == result.aligned_states[0].sign
         assert pt_inner(state, state, frame) == np.vdot(state[np.arange(frame.dim) ^ 1], state)
+
+
+# ---------------------------------------------------------------- thresholds
+
+
+def _threshold_entries():
+    """Each entry that compares residuals against a ``tol`` (or ``pd_tol``)
+    that may be 0, on inputs where every residual is exactly 0 and every
+    margin is wide: an index frame, a dense frame (the swap with T = -I), C =
+    P over the swap, whose metric PC = I, and a diagonal metric."""
+    swap, dense = pair_swap_frame(2), PTFrame(Operator.linear(SWAP), Operator.antilinear(-np.eye(2)))
+    c = Operator.linear(SWAP)
+    metric, spec = CPTFrame(swap, c), BlockSpec(((np.eye(2), swap), (np.eye(2), swap)))
+    m = np.diag([1.0, 4.0])
+    return {
+        "PTFrame.validate": lambda tol: swap.validate(tol),
+        "PTFrame.validate dense": lambda tol: dense.validate(tol),
+        "CPTFrame.validate": lambda tol: metric.validate(tol),
+        "CPTFrame.validate pd_tol": lambda tol: metric.validate(DEFAULT_TOL, tol),
+        "validate_pt_frame": lambda tol: validate_pt_frame(dense.p, dense.t, tol),
+        "validate_cpt_frame": lambda tol: validate_cpt_frame(c, swap, tol),
+        "checked_pt_frame": lambda tol: checked_pt_frame(swap.p, swap.t, tol),
+        "checked_cpt_frame": lambda tol: checked_cpt_frame(c, swap, tol, tol),
+        "tensor_pt_frames": lambda tol: tensor_pt_frames(swap, dense, tol),
+        "tensor_frames": lambda tol: tensor_frames(metric, metric, tol),
+        "direct_sum": lambda tol: direct_sum(spec, tol),
+        "frame_from_involution": lambda tol: frame_from_involution(SWAP, tol),
+        "spectral_powers": lambda tol: spectral_powers(m, np.linalg.eigh(m), (0.5, -1.0), tol),
+        "hermitian_powers": lambda tol: hermitian_powers(m, (0.5, -1.0), tol),
+        "hermitian_power": lambda tol: hermitian_power(m, 0.5, tol),
+        "metric_roots": lambda tol: CPTFrame(swap, c).metric_roots(tol),
+    }
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf], ids=["nan", "negative", "inf"])
+@pytest.mark.parametrize("entry", sorted(_threshold_entries()))
+def test_a_threshold_that_is_nan_negative_or_infinite_is_a_usage_error(entry, tol):
+    call = _threshold_entries()[entry]
+    with pytest.raises(InvalidArgument, match="must be a finite number at least 0") as info:
+        call(tol)
+    assert info.value.exit_code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("entry", sorted(_threshold_entries()))
+def test_a_threshold_of_zero_is_the_exact_check(entry):
+    # every residual is exactly 0 here, so the exact check gives the default's result
+    call = _threshold_entries()[entry]
+    got = call(0.0)
+    assert _same(got, call(DEFAULT_TOL))
+    if isinstance(got, FrameReport):
+        assert got.passed
+

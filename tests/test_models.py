@@ -11,7 +11,10 @@ from cptkit import (
     direct_sum,
     eigendecompose,
     is_pt_symmetric,
+    model_frame,
     model_matrix,
+    pair_swap_frame,
+    tensor_pt_frames,
 )
 from cptkit.errors import InvalidModel, SelfOrthogonal
 from helpers import SWAP, multiset_gap
@@ -70,6 +73,13 @@ def test_build_chain_dimension():
     blocks = ((1.0, 2.0, 0.5), (0.5, 1.0, 0.2), (2.0, 3.0, 0.9))
     h, frame = build_model(ModelSpec("chain", blocks))
     assert h.shape == (6, 6) and frame.dim == 6
+
+
+def test_tensor_frame_is_the_tensor_of_two_pair_swaps():
+    frame = model_frame(ModelSpec("tensor", ((1.0, 2.0, 0.5), (1.0, 3.0, 0.7))))
+    kron = tensor_pt_frames(pair_swap_frame(2), pair_swap_frame(2))
+    assert [frame.p.matrix.tobytes(), frame.t.matrix.tobytes()] == [kron.p.matrix.tobytes(), kron.t.matrix.tobytes()]
+    assert frame == kron and frame.perm.tolist() == kron.perm.tolist() == [3, 2, 1, 0]
 
 
 def test_build_tensor_is_kron_of_cells():

@@ -552,6 +552,16 @@ def test_a_stack_rebases_each_row_as_its_own_classification_bit_for_bit(sour, mo
             assert rows.eigen.condition[i].tobytes() == one.eigen.condition[0].tobytes(), i
 
 
+def test_a_stack_and_a_matrix_each_take_one_pass_of_the_pipeline(monkeypatch):
+    calls = _kernel_calls(monkeypatch)
+    for mats, frame, want in _rebase_stacks():
+        assert classify_stack(np.stack(mats), frame).classification.tolist() == want
+        assert len(calls) == 1 and len(calls[0].stack) == len(mats)
+        report = classify_symmetry(mats[0], frame)
+        assert len(calls) == 2 and report._analysis is calls[1]
+        calls.clear()
+
+
 @pytest.mark.parametrize("n_rows", [1, 6])
 def test_a_stack_rebases_in_one_svd_per_eigenspace_size(n_rows, monkeypatch):
     # two 3-fold eigenspaces per row: one SVD for cond(V), one for every rebase
