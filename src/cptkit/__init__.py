@@ -87,7 +87,6 @@ from .composition import (
     doubling,
     tensor_frames,
     tensor_hamiltonians,
-    tensor_pt_frames,
 )
 from .models import (
     FAMILIES,

@@ -9,9 +9,10 @@ Kronecker product of the matrix parts with a single global conjugation,
 which is forced by the composition algebra because each factor conjugates
 exactly once.
 
-A composition takes [C_i, H_i] from its factor frames, which answer a pass
-they remember with no product, and the composed CPT-frame keeps its own
-[C, H] verdict.
+A composition reads its kind, PT-frames or CPT-frames, from its factor
+frames; mixed kinds raise InvalidArgument.  It takes [C_i, H_i] from its
+factor frames, which answer a pass they remember with no product, and the
+composed CPT-frame keeps its own [C, H] verdict.
 """
 
 from __future__ import annotations
@@ -49,22 +50,13 @@ class BlockSpec:
         blocks = tuple(self.blocks)
         if not blocks:
             raise InvalidArgument("direct sum needs at least one block")
-        if len({isinstance(frame, CPTFrame) for _, frame in blocks}) != 1:
-            raise InvalidArgument("blocks mix plain PT-frames with CPT-frames")
+        _has_c(frame for _, frame in blocks)
         object.__setattr__(self, "blocks", tuple((as_matrix(m), frame) for m, frame in blocks))
         for i, (m, frame) in enumerate(self.blocks):
             if m.shape[0] != frame.dim:
                 raise InvalidArgument(
                     f"block {i}: matrix dimension {m.shape[0]} does not match frame dimension {frame.dim}"
                 )
-
-    @property
-    def has_c(self) -> bool:
-        return isinstance(self.blocks[0][1], CPTFrame)
-
-    @property
-    def dim(self) -> int:
-        return sum(frame.dim for _, frame in self.blocks)
 
 
 def _block_diag(*mats: np.ndarray) -> np.ndarray:
@@ -78,9 +70,20 @@ def _block_diag(*mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def _joined(join, frames, has_c: bool, tol: float):
-    """The frame whose P, T and, if ``has_c``, C are ``join`` of the factors'
-    matrix parts, validated once: a PTFrame, or a CPTFrame over it."""
+def _has_c(frames) -> bool:
+    """Whether ``frames`` are CPT-frames, not plain PT-frames; InvalidArgument
+    where they mix the two kinds."""
+    kinds = {isinstance(frame, CPTFrame) for frame in frames}
+    if len(kinds) != 1:
+        raise InvalidArgument("a composition mixes plain PT-frames with CPT-frames")
+    return kinds.pop()
+
+
+def _joined(join, frames, tol: float):
+    """The frame whose P, T and, over CPT-frames, C are ``join`` of the
+    factors' matrix parts, validated once: a frame of the factors' kind."""
+    has_c = _has_c(frames)
+
     def joined(role):
         return join(*(getattr(f, role).matrix for f in frames))
 
@@ -88,15 +91,11 @@ def _joined(join, frames, has_c: bool, tol: float):
     return checked_cpt_frame(Operator.linear(joined("c")), base, tol) if has_c else base
 
 
-def tensor_pt_frames(a: PTFrame, b: PTFrame, tol: float = DEFAULT_TOL) -> PTFrame:
-    """Tensor product of two PT-frames: P = P1 (x) P2, T antilinear with
-    matrix part T1 (x) T2."""
-    return _joined(np.kron, (a, b), False, tol)
-
-
-def tensor_frames(a: CPTFrame, b: CPTFrame, tol: float = DEFAULT_TOL) -> CPTFrame:
-    """Tensor product of two CPT-frames; the result is again a CPT-frame."""
-    return _joined(np.kron, (a, b), True, tol)
+def tensor_frames(a: PTFrame | CPTFrame, b: PTFrame | CPTFrame, tol: float = DEFAULT_TOL) -> PTFrame | CPTFrame:
+    """Tensor product of two PT-frames, or of two CPT-frames, a frame of the
+    same kind: P = P1 (x) P2, T antilinear with matrix part T1 (x) T2 and
+    C = C1 (x) C2.  Factors of mixed kinds raise InvalidArgument."""
+    return _joined(np.kron, (a, b), tol)
 
 
 def tensor_hamiltonians(
@@ -108,7 +107,10 @@ def tensor_hamiltonians(
     PT-symmetric.  When each factor frame finds its C_i commuting with H_i,
     the composed frame checks [C, H] once, raising CommutatorViolation if it
     fails, and keeps the pass for a later :func:`~cptkit.cpt.hermitize`.
+    Raises InvalidArgument unless both frames are CPT-frames.
     """
+    if not _has_c((a, b)):
+        raise InvalidArgument("tensor_hamiltonians needs two CPT-frames; tensor PT-frames with tensor_frames")
     m1, m2 = as_matrix(h1), as_matrix(h2)
     for label, m, fr in (("first", m1, a), ("second", m2, b)):
         check = is_pt_symmetric(m, fr.frame, tol)
@@ -137,7 +139,7 @@ def direct_sum(spec: BlockSpec, tol: float = DEFAULT_TOL):
     symmetry is unbroken exactly when every block is.
     """
     h = _block_diag(*(m for m, _ in spec.blocks))
-    return h, _joined(_block_diag, [frame for _, frame in spec.blocks], spec.has_c, tol)
+    return h, _joined(_block_diag, [frame for _, frame in spec.blocks], tol)
 
 
 def doubling(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, PTFrame, bool]:
@@ -149,10 +151,8 @@ def doubling(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, PTFrame, bool]:
     equals its transpose.
     """
     a = as_matrix(h)
+    doubled = _block_diag(a, a.conj().T)
     n = a.shape[0]
-    doubled = np.zeros((2 * n, 2 * n), dtype=complex)
-    doubled[:n, :n] = a
-    doubled[n:, n:] = a.conj().T
     frame = frame_from_involution(np.roll(np.eye(2 * n), n, axis=1), CONSTRUCTION_TOL)
     verdict = bool(is_pt_symmetric(doubled, frame, tol))
     return doubled, frame, verdict

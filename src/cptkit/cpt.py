@@ -11,8 +11,9 @@ are never reordered to force an alternating pattern.  C depends only on each
 eigenspace, not on the basis the eigensolver returned for it, so it moves
 with the frame under a unitary change of basis.
 
-Over an index frame (a permutation P, conjugation T) the synthesis runs in
-the frame's real PT-fixed basis Q, where P is the signature J = diag(+-1).
+Over a frame with a real basis (``frame.real_basis``, set on an index frame:
+a permutation P, conjugation T) the synthesis runs in that PT-fixed basis Q,
+where P is the signature J = diag(+-1).
 A PT-fixed state phi = Q x has real coordinates x = Re(Q^+ phi), the form
 (u, v) becomes the Krein form x^T J y (Azizov & Iokhvidov, *Linear Operators
 in Spaces with an Indefinite Metric*, 1989), and with X the J-normalized columns:
@@ -24,10 +25,11 @@ in Spaces with an Indefinite Metric*, 1989), and with X the J-normalized columns
 - [C, H] is measured as [C_r, Q^+ H Q], and the CPT Gram as X^T M X;
 - CPT = TPC holds exactly, since TP acts as conjugation on the real C_r.
 
-Every product of the synthesis is then real; C and PC are mapped back by the
-frame's gathers in O(n^2).  The roots (PC)^(+-1/2) and h stay on the dense
-formula, from (w, Q U_r).  Any other frame synthesizes densely, in the
-original basis.
+Every product of the synthesis is then real; C is mapped back by the real
+basis's gathers in O(n^2), and the one :class:`~cptkit.frames.CPTFrame`
+constructor, given C_r as well, factors M.  The roots (PC)^(+-1/2) and h
+stay on the dense formula, from (w, Q U_r).  A frame without a real basis
+synthesizes densely, in the original basis.
 
 The synthesis reads the record of the classification pipeline
 (:func:`~cptkit.symmetry._classify_rows`): ``build_c`` of a matrix takes it
@@ -56,7 +58,7 @@ from .errors import (
     NotUnbroken,
     SelfOrthogonal,
 )
-from .frames import CPTFrame, PTFrame
+from .frames import CPTFrame, PTFrame, RealBasis
 from .linops import (
     DEFAULT_TOL,
     Operator,
@@ -176,16 +178,16 @@ def _normalized(
     return units, signs
 
 
-def _coordinates(phi: np.ndarray, frame: PTFrame, real: bool):
+def _coordinates(phi: np.ndarray, frame: PTFrame, basis: RealBasis | None):
     """The columns ``phi`` as :func:`_normalize` takes them: their
     coordinates, how P acts on those and each column's |PT phi - phi|.  In
-    the original basis that is phi and P; in the real basis Q of an index
-    frame it is x = Re(Q^+ phi) and the signature J, with
+    the original basis (``basis`` None) that is phi and P; in the frame's
+    real basis Q it is x = Re(Q^+ phi) and the signature J, with
     |PT phi - phi| = 2 |Im(Q^+ phi)|, since PT is conjugation there."""
-    if not real:
+    if basis is None:
         return phi, frame.apply_p, column_norms(frame.apply_pt(phi) - phi)
-    y = frame.to_real_basis(phi)
-    return y.real, partial(np.multiply, frame.real_basis.signature), 2.0 * column_norms(y.imag)
+    y = basis.to_basis(phi)
+    return y.real, partial(np.multiply, basis.signature), 2.0 * column_norms(y.imag)
 
 
 def normalize_indefinite(
@@ -206,6 +208,9 @@ def normalize_indefinite(
     ------
     InvalidArgument
         For a ``tol`` that is not a positive, finite number.
+    DimensionMismatch
+        For an array of more than two dimensions, or columns whose length is
+        not the frame's dimension.
     FrameInvalid
         If P is not Hermitian, ``|P - P^+| > tol * max(1, |P|)``.
     NotPTEigenstate
@@ -217,9 +222,11 @@ def normalize_indefinite(
         this is GramDefect: the eigenspace has a self-orthogonal direction.
     """
     require_tolerance(tol)
+    if np.ndim(v) > 2:
+        raise DimensionMismatch(f"expected a vector or an (n, k) block, got an array of shape {np.shape(v)}")
     frame.require_hermitian_parity(tol)
     vectors = as_vector(v).reshape(np.shape(v) if np.ndim(v) == 2 else (-1, 1))
-    x, apply_p, residual = _coordinates(vectors, frame, False)
+    x, apply_p, residual = _coordinates(vectors, frame, None)
     units, signs = _normalized(x, np.zeros(vectors.shape[1]), apply_p, residual, tol)
     return (units, signs) if np.ndim(v) == 2 else (units[:, 0], int(signs[0]))
 
@@ -253,7 +260,7 @@ def aligned_signs(report: SymmetryReport, frame: PTFrame) -> np.ndarray:
         frame.require_hermitian_parity(EP_GUARD_TOL)
     except FrameInvalid:
         return np.zeros(len(report.aligned_states), dtype=int)
-    x, apply_p, residual = _coordinates(rows.phi[0], frame, frame.perm is not None)
+    x, apply_p, residual = _coordinates(rows.phi[0], frame, frame.real_basis)
     return _normalize(x, rows.energy[0], apply_p, residual, EP_GUARD_TOL)[1]
 
 
@@ -300,15 +307,18 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
                           f"(PT residual {rows.pt_residual[0]:.3e})")
 
     # unbroken: every column of the states is aligned; a run of equal energy is one eigenspace
-    real = frame.perm is not None
-    x, apply_p, residual = _coordinates(rows.phi[0], frame, real)
+    basis = frame.real_basis
+    x, apply_p, residual = _coordinates(rows.phi[0], frame, basis)
     matrix, energy = rows.stack[0], rows.energy[0]
     del h, rows  # a record made here frees its eigenvectors before the synthesis
     x, signs = _normalized(x, energy, apply_p, residual, EP_GUARD_TOL)
     p_x_adj = apply_p(x).conj().T
     gram_error = frobenius(p_x_adj @ x - np.diag(signs))
     c_matrix = x @ p_x_adj  # C itself, or C_r in the real basis
-    cpt = CPTFrame._from_real_basis(frame, c_matrix) if real else CPTFrame(frame, Operator.linear(c_matrix))
+    if basis is None:
+        cpt = CPTFrame(frame, Operator.linear(c_matrix))
+    else:
+        cpt = CPTFrame(frame, Operator.linear(basis.from_form(c_matrix)), _c_real=c_matrix)
     # rounding in the Gram entries is amplified by |phi|_2^2 = |P phi|_2^2, the
     # largest eigenvalue of PC = (P phi)(P phi)^+, which grows near an exceptional point
     gram_tol = tol * max(1.0, float(cpt.metric_spectrum[0][-1]))
@@ -325,10 +335,10 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
     cpt.validate(structural_tol, pd_tol=tol).require("CPT-frame")
     cpt._require_commuting(matrix, tol)
 
-    pc = cpt._real_metric() if real else cpt.pc_matrix
+    pc = cpt.pc_matrix if basis is None else cpt._real_metric()
     gram_cpt = (pc @ x).conj().T @ x
     gram_residual = float(frobenius(gram_cpt - np.eye(len(signs))))
-    phi = frame.from_real_basis(x) if real else x  # mapped back last, so not held through the checks
+    phi = x if basis is None else basis.from_basis(x)  # mapped back last, so not held through the checks
     normalized = [SignedState(*state) for state in zip(energy.tolist(), phi.T, signs.tolist())]
     return CPTResult(cpt, tuple(normalized), gram_residual)
 

@@ -14,17 +14,19 @@ tensor products and direct sums of these, also read back from a document.
 Such a frame stores P's index array: its PT-axiom check is O(n), and P and
 PT act by index.  Its PT-fixed basis Q is a permutation-sparse unitary, so
 PT is plain complex conjugation in that basis and a PT-symmetric H is the
-real matrix Q^+ H Q (Bender & Mannheim, Phys. Lett. A 374, 1616 (2010));
-the frame maps a stack into that basis and eigenvectors back, each in
-O(n^2).  Any other admissible P and antilinear T (a moved frame, a document
-frame) takes the dense matrix path.
+real matrix Q^+ H Q (Bender & Mannheim, Phys. Lett. A 374, 1616 (2010)).
+The frame's :class:`RealBasis` (``real_basis``) holds Q with its maps, a
+stack into that basis and eigenvectors back, each in O(n^2); every consumer
+works in the real basis exactly when the frame has one.  Any other
+admissible P and antilinear T (a moved frame, a document frame) has none
+and takes the dense matrix path.
 
 In that basis P is the signature J = Q^+ P Q = diag(+-1), and a C
 synthesized there is the real C_r = Q^+ C Q (the Krein-form algebra is in
-:mod:`cptkit.cpt`).  A :class:`CPTFrame` built from such a C_r
-(:meth:`CPTFrame._from_real_basis`) factors its metric M = J C_r with one
-real ``eigh`` and validates in real products, where CPT = TPC holds exactly;
-one built from a given C always takes the dense path.
+:mod:`cptkit.cpt`).  A :class:`CPTFrame` given such a C_r (``_c_real``)
+factors its metric M = J C_r with one real ``eigh`` and validates in real
+products, where CPT = TPC holds exactly; one built from a C alone takes the
+dense path.
 """
 
 from __future__ import annotations
@@ -83,19 +85,47 @@ class FrameReport:
 
 
 class RealBasis(NamedTuple):
-    """The PT-fixed orthonormal basis Q of an index frame, laid out in
-    place: for each pair i < j = perm[i], column i is (e_i + e_j) / sqrt(2)
-    and column j is i (e_i - e_j) / sqrt(2); a fixed point f keeps e_f.  Q
-    has two entries per row and per column: ``rows`` holds Q[i, i] and
-    Q[i, perm[i]] as ``(n, 1)`` columns, ``cols`` holds Q[l, l] and
-    Q[perm[l], l], and ``adjoint`` holds conj(cols) as ``(n, 1)`` columns.
-    ``signature`` is the real ``(n, 1)`` diagonal of J = Q^+ P Q: -1 on the
-    second member of each pair, +1 elsewhere."""
+    """The PT-fixed orthonormal basis Q of an index frame with P's index
+    array ``perm``, laid out in place: for each pair i < j = perm[i], column
+    i is (e_i + e_j) / sqrt(2) and column j is i (e_i - e_j) / sqrt(2); a
+    fixed point f keeps e_f.  Q has two entries per row and per column:
+    ``rows`` holds Q[i, i] and Q[i, perm[i]] as ``(n, 1)`` columns, ``cols``
+    holds Q[l, l] and Q[perm[l], l], and ``adjoint`` holds conj(cols) as
+    ``(n, 1)`` columns.  ``signature`` is the real ``(n, 1)`` diagonal of
+    J = Q^+ P Q: -1 on the second member of each pair, +1 elsewhere.  Each
+    map below is one or two gathers, O(n^2) on a matrix."""
 
+    perm: np.ndarray
     rows: tuple[np.ndarray, np.ndarray]
     cols: tuple[np.ndarray, np.ndarray]
     adjoint: tuple[np.ndarray, np.ndarray]
     signature: np.ndarray
+
+    def form(self, a: np.ndarray) -> np.ndarray:
+        """Q^+ A Q for a matrix A, or each matrix of an ``(N, n, n)`` stack.
+        For a PT-symmetric A it is real; for any A its real part is Q^+ A_s
+        Q, where A_s = (A + (PT) A (PT)) / 2 is the PT-symmetric part, and
+        |A - A_s| is half the PT residual."""
+        c0, c1 = self.cols
+        return self.to_basis(a * c0 + a.take(self.perm, axis=-1) * c1)
+
+    def to_basis(self, v: np.ndarray) -> np.ndarray:
+        """Q^+ V for an ``(n, k)`` block or an ``(N, n, k)`` stack: columns
+        mapped into the real basis.  A PT-fixed column has real coordinates."""
+        d0, d1 = self.adjoint
+        return d0 * v + d1 * v.take(self.perm, axis=-2)
+
+    def from_basis(self, x: np.ndarray) -> np.ndarray:
+        """Q X for an ``(n, k)`` block or an ``(N, n, k)`` stack: columns in
+        the real basis mapped back."""
+        r0, r1 = self.rows
+        return r0 * x + r1 * x.take(self.perm, axis=-2)
+
+    def from_form(self, m: np.ndarray) -> np.ndarray:
+        """Q M Q^+ for an ``(n, n)`` matrix M: a matrix of the real basis mapped back."""
+        r0, r1 = self.rows
+        qm = self.from_basis(m)
+        return qm * r0.conj().T + qm.take(self.perm, axis=-1) * r1.conj().T
 
 
 _R = np.sqrt(0.5)
@@ -113,10 +143,11 @@ class PTFrame:
     """A pair {P, T}, checked by :meth:`validate`.  ``perm`` is the read-only
     index array of P (``P x = x[perm]``) when P is an involutive permutation
     matrix and T's matrix part is exactly I, else None; ``pt``, the antilinear
-    PT, ``real_basis``, the PT-fixed basis of an index frame, and the
-    residual and norm that decide whether P is Hermitian are formed once, on
-    first use.  Every consumer applies P and PT through the methods
-    below: a gather on an index frame, dense otherwise.
+    PT, ``real_basis``, the PT-fixed basis of an index frame with its maps
+    (None on any other frame), and the residual and norm that decide whether
+    P is Hermitian are formed once, on first use.  Every consumer applies P
+    and PT through the methods below, a gather on an index frame and dense
+    otherwise, and works in the real basis exactly when ``real_basis`` is set.
     """
 
     p: Operator
@@ -145,8 +176,8 @@ class PTFrame:
 
     @cached_property
     def real_basis(self) -> RealBasis | None:
-        """Q, the PT-fixed basis of an index frame (None on any other frame),
-        formed once, on first use: PT q = q for every column q."""
+        """Q, the PT-fixed basis of an index frame (None on any other frame):
+        PT q = q for every column q."""
         if self.perm is None:
             return None
         i = np.arange(self.dim)
@@ -155,41 +186,9 @@ class PTFrame:
         for part in (entries, signature):
             part.setflags(write=False)
         column = entries[:, :, None]
-        return RealBasis((column[0], column[1]), (entries[2], entries[3]), (column[4], column[5]), signature)
-
-    def real_form(self, a: np.ndarray) -> np.ndarray:
-        """Re(Q^+ A Q) for each matrix A of an ``(N, n, n)`` stack over an
-        index frame, by two gathers.  For a PT-symmetric A, Q^+ A Q is real,
-        so this is Q^+ A Q; for any A it is Q^+ A_s Q, where A_s = (A + (PT)
-        A (PT)) / 2 is the PT-symmetric part, and |A - A_s| is half the PT
-        residual."""
-        return self.basis_form(a).real
-
-    def basis_form(self, a: np.ndarray) -> np.ndarray:
-        """Q^+ A Q for a matrix A, or each matrix of an ``(N, n, n)`` stack,
-        over an index frame, by two gathers."""
-        c0, c1 = self.real_basis.cols
-        return self.to_real_basis(a * c0 + a.take(self.perm, axis=-1) * c1)
-
-    def to_real_basis(self, v: np.ndarray) -> np.ndarray:
-        """Q^+ V for an ``(n, k)`` block or an ``(N, n, k)`` stack over an
-        index frame: columns mapped into the real basis, by one gather.  A
-        PT-fixed column has real coordinates."""
-        d0, d1 = self.real_basis.adjoint
-        return d0 * v + d1 * v.take(self.perm, axis=-2)
-
-    def from_real_basis(self, x: np.ndarray) -> np.ndarray:
-        """Q X for an ``(n, k)`` block or an ``(N, n, k)`` stack over an
-        index frame: columns in the real basis mapped back, by one gather."""
-        r0, r1 = self.real_basis.rows
-        return r0 * x + r1 * x.take(self.perm, axis=-2)
-
-    def from_real_form(self, m: np.ndarray) -> np.ndarray:
-        """Q M Q^+ for an ``(n, n)`` matrix M over an index frame: a matrix
-        of the real basis mapped back, by two gathers."""
-        r0, r1 = self.real_basis.rows
-        qm = self.from_real_basis(m)
-        return qm * r0.conj().T + qm.take(self.perm, axis=-1) * r1.conj().T
+        return RealBasis(
+            self.perm, (column[0], column[1]), (entries[2], entries[3]), (column[4], column[5]), signature
+        )
 
     @property
     def dim(self) -> int:
@@ -286,10 +285,10 @@ class CPTFrame:
     the one eigendecomposition of its Hermitian part, are formed once here,
     read-only: no consumer of the metric factors it again, and its roots are
     formed once per tolerance by :meth:`metric_roots`.  A frame synthesized in
-    the real basis of an index frame (:meth:`_from_real_basis`) keeps its
-    real C_r = Q^+ C Q as ``_c_real``, and its spectrum is (w, Q U_r) from
-    one real ``eigh`` of M = J C_r.  The H and ``tol`` of the last passing
-    [C, H] check are kept as ``_commuting``."""
+    the real basis Q of an index frame is given its real C_r = Q^+ C Q as
+    ``_c_real``, with C = Q C_r Q^+, and keeps it read-only; its spectrum is
+    (w, Q U_r) from one real ``eigh`` of M = J C_r.  The H and ``tol`` of
+    the last passing [C, H] check are kept as ``_commuting``."""
 
     frame: PTFrame
     c: Operator
@@ -311,18 +310,12 @@ class CPTFrame:
             else:
                 m = self._real_metric()
                 w, u = np.linalg.eigh((m + m.T) / 2.0)
-                spectrum = (w, self.frame.from_real_basis(u))
+                spectrum = (w, self.frame.real_basis.from_basis(u))
+                self._c_real.setflags(write=False)
         for part in (pc, *spectrum):
             part.setflags(write=False)
         object.__setattr__(self, "pc_matrix", pc)
         object.__setattr__(self, "metric_spectrum", tuple(spectrum))
-
-    @classmethod
-    def _from_real_basis(cls, frame: PTFrame, c_real: np.ndarray) -> CPTFrame:
-        """The frame of C = Q C_r Q^+ over an index frame, for the real
-        matrix ``c_real`` = C_r of a C synthesized in its real basis Q."""
-        c_real.setflags(write=False)
-        return cls(frame, Operator.linear(frame.from_real_form(c_real)), _c_real=c_real)
 
     def _real_metric(self) -> np.ndarray:
         """M = J C_r = Q^+ (PC) Q, the metric in the real basis, of a frame
@@ -340,7 +333,7 @@ class CPTFrame:
         if self._c_real is None:
             residual, commutes = commutator_check(self.c.matrix, h, tol)
         else:  # passed, not bound, so the complex Q^+ H Q is freed once split into real parts
-            residual, commutes = commutator_check(self._c_real, self.frame.basis_form(h), tol)
+            residual, commutes = commutator_check(self._c_real, self.frame.real_basis.form(h), tol)
         if not commutes:
             raise CommutatorViolation(f"[C, H] residual {residual:.3e} exceeds tolerance; "
                                       "the frame is not a frame for H")
@@ -412,11 +405,9 @@ def validate_pt_frame(p: Operator, t: Operator, tol: float = DEFAULT_TOL) -> Fra
     return PTFrame(p, t).validate(tol)
 
 
-def validate_cpt_frame(
-    c: Operator, frame: PTFrame, tol: float = DEFAULT_TOL, pd_tol: float | None = None
-) -> FrameReport:
+def validate_cpt_frame(c: Operator, frame: PTFrame, tol: float = DEFAULT_TOL) -> FrameReport:
     """Check the CPT-frame axioms for C over a PT-frame: :meth:`CPTFrame.validate`."""
-    return CPTFrame(frame, c).validate(tol, pd_tol)
+    return CPTFrame(frame, c).validate(tol)
 
 
 def checked_pt_frame(p: Operator, t: Operator, tol: float = DEFAULT_TOL) -> PTFrame:
@@ -426,12 +417,10 @@ def checked_pt_frame(p: Operator, t: Operator, tol: float = DEFAULT_TOL) -> PTFr
     return frame
 
 
-def checked_cpt_frame(
-    c: Operator, frame: PTFrame, tol: float = DEFAULT_TOL, pd_tol: float | None = None
-) -> CPTFrame:
+def checked_cpt_frame(c: Operator, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTFrame:
     """Validate and assemble a CPT-frame, raising FrameInvalid on failure."""
     cpt = CPTFrame(frame, c)
-    cpt.validate(tol, pd_tol).require("CPT-frame")
+    cpt.validate(tol).require("CPT-frame")
     return cpt
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .composition import _block_diag
 from .errors import InvalidArgument, InvalidModel, SelfOrthogonal
 from .frames import PTFrame, frame_from_involution, pair_swap_frame
-from .linops import DEFAULT_TOL
+from .linops import DEFAULT_TOL, require_tolerance
 
 TWO_BY_TWO = "2x2"
 THREE_BY_THREE = "3x3"
@@ -176,8 +176,11 @@ def closed_form_c(phi: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     [[i tan(phi), sec(phi)], [sec(phi), -i tan(phi)]].
 
     Traceless, determinant -1, squares to the identity.  Fails at the
-    exceptional point where cos(phi) vanishes.
+    exceptional point where cos(phi) vanishes: SelfOrthogonal for
+    cos(phi) <= tol, and InvalidArgument for a ``tol`` that is not a
+    positive, finite number.
     """
+    require_tolerance(tol)
     phi = float(phi)
     if not abs(phi) < np.pi / 2:
         raise InvalidArgument(f"phi must lie in (-pi/2, pi/2), got {phi}")

@@ -252,8 +252,10 @@ def phase_align(v, frame: PTFrame, tol: float = DEFAULT_TOL) -> tuple[np.ndarray
     keeps the Euclidean norm of v.  The best scalar is estimated as
     c = <v, PT v> / <v, v>.
 
-    Raises NotPTEigenstate when |PT v - c v| > tol |v|.
+    Raises NotPTEigenstate when |PT v - c v| > tol |v|, and InvalidArgument
+    for a ``tol`` that is not a positive, finite number.
     """
+    require_tolerance(tol)
     vec = as_vector(v)
     if not np.any(vec):
         raise NotPTEigenstate("cannot align the zero vector")
@@ -337,29 +339,30 @@ def _eigensystems(a: np.ndarray, norm: np.ndarray, symmetric: np.ndarray, frame:
     Frobenius norms ``norm`` and PT verdicts ``symmetric``, and each row's
     largest eigenpair residual.
 
-    A PT-symmetric row over an index frame is solved as the real matrix
-    Re(Q^+ H Q) of :meth:`PTFrame.real_form`, and its eigenvectors are mapped
-    back by Q.  That is an exact eigensystem of H's PT-symmetric part, which
-    differs from H by half the PT residual, at most ``tol * |H| / 2``.  Every
+    A PT-symmetric row over a frame with a real basis Q is solved as the
+    real matrix Re(Q^+ H Q), and its eigenvectors are mapped back by Q.
+    That is an exact eigensystem of H's PT-symmetric part, which differs
+    from H by half the PT residual, at most ``tol * |H| / 2``.  Every
     other row is solved as complex, in one stacked call with the rows whose
     real solve is defective or passes the exceptional-point gate, so every
     warning and error comes from the complex solve of H itself.
     """
     real = symmetric & (norm < np.inf)
     whole = bool(real.all())
-    if frame.perm is None or not (whole or real.any()):
+    basis = frame.real_basis if whole or real.any() else None
+    if basis is None:
         return stacked_eigensystem(a, norm, tol)
-    eigen, residual = stacked_eigensystem(frame.real_form(a if whole else a[real]), norm if whole else norm[real], tol)
+    eigen, residual = stacked_eigensystem(basis.form(a if whole else a[real]).real, norm if whole else norm[real], tol)
     regular = ~(eigen.defective | _past_ep_gate(eigen.condition))
     if whole and regular.all():  # the common case: nothing falls back
-        vectors = frame.from_real_basis(eigen.vectors)
+        vectors = basis.from_basis(eigen.vectors)
         return EigenSystem(eigen.values.astype(complex), vectors, eigen.condition, eigen.defective), residual
     real[real] = regular  # the rows whose real solve is kept
     fallback = ~real
     rest, rest_residual = stacked_eigensystem(a[fallback], norm[fallback], tol)
     values, vectors = np.empty(a.shape[:2], dtype=complex), np.empty(a.shape, dtype=complex)
     condition, residuals, defective = np.empty(len(a)), np.empty(len(a)), np.zeros(len(a), dtype=bool)
-    values[real], vectors[real] = eigen.values[regular], frame.from_real_basis(eigen.vectors[regular])
+    values[real], vectors[real] = eigen.values[regular], basis.from_basis(eigen.vectors[regular])
     condition[real], residuals[real] = eigen.condition[regular], residual[regular]
     values[fallback], vectors[fallback] = rest.values, rest.vectors
     condition[fallback], residuals[fallback], defective[fallback] = rest.condition, rest_residual, rest.defective

@@ -717,3 +717,79 @@ def test_an_exceptional_point_sweep_falls_back_in_one_batch(monkeypatch, tmp_pat
     out = tmp_path / "scan.csv"
     assert run(["scan", *EQUIVALENCE_SWEEPS["exceptional-point"], "--out", str(out)]) == EXIT_OK
     assert kinds == ["f", "c"]
+
+
+# ---------------------------------------------------------------- input and output paths
+
+
+def test_analyze_of_an_even_dimensional_document_takes_the_pair_swap(tmp_path, capsys):
+    h_path, frame_path = tmp_path / "h.json", tmp_path / "swap.json"
+    write_matrix(h_path, build_model(ModelSpec("4x4", ((1.0, 2.0, 0.5), (1.0, 3.0, 0.7))))[0])
+    write_frame(frame_path, pair_swap_frame(4))
+    assert run(["analyze", "--hamiltonian", str(h_path), "--frame", str(frame_path)]) == EXIT_OK
+    explicit = capsys.readouterr().out
+    assert run(["analyze", "--hamiltonian", str(h_path)]) == EXIT_OK
+    assert capsys.readouterr().out == explicit
+    assert "classification: unbroken" in explicit
+
+
+def test_analyze_of_an_odd_dimensional_document_needs_a_frame(tmp_path, capsys):
+    h_path = tmp_path / "h.json"
+    write_matrix(h_path, np.eye(3))
+    assert run(["analyze", "--hamiltonian", str(h_path)]) == EXIT_USAGE
+    assert "an odd-dimensional Hamiltonian needs an explicit --frame" in capsys.readouterr().err
+
+
+def test_analyze_with_a_frame_of_another_dimension_is_usage_error(tmp_path, swap_frame_file, capsys):
+    h_path = tmp_path / "h.json"
+    write_matrix(h_path, np.eye(4))
+    assert run(["analyze", "--hamiltonian", str(h_path), "--frame", swap_frame_file]) == EXIT_USAGE
+    assert "Hamiltonian dimension 4 does not match frame dimension 2" in capsys.readouterr().err
+
+
+def test_validate_without_input_is_usage_error(capsys):
+    assert run(["validate"]) == EXIT_USAGE
+    assert "give --frame FILE or --model parameters to validate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build-c", "hermitize"])
+def test_without_out_the_documents_go_to_stdout(command, capsys):
+    assert run([command, "--model", "2x2", "--r", "1", "--s", "2", "--theta", THETA_PI_6]) == EXIT_OK
+    h, frame = build_model(ModelSpec("2x2", ((1.0, 2.0, float(THETA_PI_6)),)))
+    metric = build_c(h, frame).cpt
+    label, matrix = ("c", metric.c.matrix) if command == "build-c" else ("h", cpt.hermitize(h, metric))
+    assert capsys.readouterr().out.endswith(f"{label}:\n" + matrix_document(matrix))
+
+
+def test_scan_without_out_writes_the_csv_to_stdout(tmp_path, capsys):
+    argv = ["scan", "--model", "2x2", "--sweep", "theta=0.2:1.5:7", "--r", "2", "--s", "1"]
+    assert run([*argv, "--out", str(tmp_path / "scan.csv")]) == EXIT_OK
+    capsys.readouterr()
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr().out == (tmp_path / "scan.csv").read_text(encoding="utf-8")
+
+
+TWO_BLOCKS = ["--r", "1", "--s", "2", "--r", "1", "--s", "3", "--theta", "0.7"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--model", "2x2", "--sweep", "theta0=0.1:1.5:5", "--r", "2", "--s", "1"], "sweep block indices are 1-based"),
+    (["--sweep", "theta=0.1:1.5:5", "--r", "2", "--s", "1"], "scan needs --model"),
+    (["--model", "3x3", "--sweep", "a=0.5:1.5:5", "--a", "1", "--r", "1", "--s", "2", "--theta", "0.5"],
+     "the swept parameter must not also be fixed with --a"),
+    (["--model", "4x4", "--sweep", "theta=0.1:1.5:5", *TWO_BLOCKS],
+     "sweeping 'theta' over a multi-block model needs an index, e.g. theta2"),
+    (["--model", "4x4", "--sweep", "theta3=0.1:1.5:5", *TWO_BLOCKS], "sweep index 3 outside the 2-block model"),
+], ids=["index-0", "no-model", "a-fixed", "no-index", "index-outside"])
+def test_scan_sweep_errors_are_usage_errors(argv, message, capsys):
+    assert run(["scan", *argv]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--op", "double"], "compose --op double needs --hamiltonian FILE"),
+    (["--op", "tensor", "--r", "1", "--s", "2", "--theta", "0.5"], "compose --op tensor needs exactly two"),
+], ids=["double-without-hamiltonian", "tensor-of-one-block"])
+def test_compose_without_its_inputs_is_usage_error(argv, message, capsys):
+    assert run(["compose", *argv]) == EXIT_USAGE
+    assert message in capsys.readouterr().err

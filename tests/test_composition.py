@@ -18,12 +18,11 @@ from cptkit import (
     pair_swap_frame,
     tensor_frames,
     tensor_hamiltonians,
-    tensor_pt_frames,
     validate_cpt_frame,
     validate_pt_frame,
 )
 from cptkit import cli, composition, frames
-from cptkit.errors import CommutatorViolation, NotPTSymmetric
+from cptkit.errors import EXIT_USAGE, CommutatorViolation, InvalidArgument, NotPTSymmetric
 from cptkit.frames import checked_cpt_frame, frame_from_involution
 from cptkit.linops import hermiticity_residual
 from cptkit.models import closed_form_c, closed_form_spectrum
@@ -69,7 +68,7 @@ def test_tensor_of_trivial_metrics():
 
 def test_tensor_pt_eigenvalue_pattern():
     # PT acts on the product eigenstates with eigenvalues (1, -1, -1, 1)
-    frame = tensor_pt_frames(pair_swap_frame(2), pair_swap_frame(2))
+    frame = tensor_frames(pair_swap_frame(2), pair_swap_frame(2))
     phi1 = np.arcsin((PARAMS_A[0] / PARAMS_A[1]) * np.sin(PARAMS_A[2]))
     phi2 = np.arcsin((PARAMS_B[0] / PARAMS_B[1]) * np.sin(PARAMS_B[2]))
     expected = {(1, 1): 1.0, (1, -1): -1.0, (-1, 1): -1.0, (-1, -1): 1.0}
@@ -200,6 +199,36 @@ def test_block_spec_rejects_empty_and_mixed():
         BlockSpec(((model_2x2(*PARAMS_A), a), (model_2x2(*PARAMS_B), pair_swap_frame(2))))
 
 
+def test_block_spec_rejects_a_matrix_of_another_dimension_than_its_frame():
+    with pytest.raises(InvalidArgument, match="block 1: matrix dimension 4 does not match frame dimension 2"):
+        BlockSpec(((np.eye(2), pair_swap_frame(2)), (np.eye(4), pair_swap_frame(2))))
+
+
+def _kind_errors():
+    """Each composition given frames of mixed kinds, or PT-frames where it needs CPT-frames."""
+    a, b, h = closed_form_cpt(*PARAMS_A), closed_form_cpt(*PARAMS_B), model_2x2(*PARAMS_A)
+    return {
+        "tensor_frames CPT, PT": lambda: tensor_frames(a, b.frame),
+        "tensor_frames PT, CPT": lambda: tensor_frames(a.frame, b),
+        "direct_sum CPT, PT": lambda: direct_sum(BlockSpec(((h, a), (h, b.frame)))),
+        "tensor_hamiltonians CPT, PT": lambda: tensor_hamiltonians(h, h, a, b.frame),
+        "tensor_hamiltonians PT, PT": lambda: tensor_hamiltonians(h, h, a.frame, b.frame),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_kind_errors()))
+def test_compositions_read_their_kind_from_the_frames(entry):
+    with pytest.raises(InvalidArgument) as info:
+        _kind_errors()[entry]()
+    assert info.value.exit_code == EXIT_USAGE
+
+
+def test_one_tensor_frames_keeps_the_kind_of_its_factors():
+    a, b = closed_form_cpt(*PARAMS_A), closed_form_cpt(*PARAMS_B)
+    plain, full = tensor_frames(a.frame, b.frame), tensor_frames(a, b)
+    assert type(plain) is frames.PTFrame and type(full) is frames.CPTFrame
+    assert plain == full.frame
+
 
 def test_block_specs_compare_block_by_block():
     def spec(*blocks):
@@ -274,7 +303,7 @@ def _block_diag_explicit(mats):
 
 def test_composed_frames_are_the_explicit_constructions():
     a, b = closed_form_cpt(*PARAMS_A), closed_form_cpt(*PARAMS_B)
-    for composed, roles in ((tensor_pt_frames(a.frame, b.frame), ("p", "t")), (tensor_frames(a, b), ("p", "t", "c"))):
+    for composed, roles in ((tensor_frames(a.frame, b.frame), ("p", "t")), (tensor_frames(a, b), ("p", "t", "c"))):
         for role in roles:
             expected = np.kron(getattr(a, role).matrix, getattr(b, role).matrix)
             assert getattr(composed, role).matrix.tobytes() == expected.tobytes()

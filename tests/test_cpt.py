@@ -31,9 +31,11 @@ from cptkit import (
 )
 from cptkit.errors import (
     CommutatorViolation,
+    DimensionMismatch,
     FrameInvalid,
     GramDefect,
     InvalidArgument,
+    KindMismatch,
     NotPTEigenstate,
     NotUnbroken,
     SelfOrthogonal,
@@ -149,6 +151,12 @@ def test_normalize_indefinite_scale_invariant():
 def test_normalize_indefinite_requires_alignment():
     with pytest.raises(NotPTEigenstate):
         normalize_indefinite(np.array([1.0, 0.0]), pair_swap_frame(2))
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 1), (2, 1, 1), (3, 2, 2)])
+def test_normalize_indefinite_rejects_an_array_of_more_than_two_dimensions(shape):
+    with pytest.raises(DimensionMismatch, match=rf"got an array of shape \({shape[0]}, "):
+        normalize_indefinite(np.ones(shape), pair_swap_frame(2))
 
 
 def test_normalize_indefinite_self_orthogonal_near_exceptional_point():
@@ -354,6 +362,20 @@ def test_cpt_adjoint_identity():
     np.testing.assert_allclose(
         cpt_adjoint(Operator.identity(2), result.cpt).matrix, np.eye(2), atol=1e-12
     )
+
+
+def test_cpt_adjoint_takes_a_linear_operator_of_the_frame_dimension():
+    metric = build_c(model_2x2(1, 2, np.pi / 6), pair_swap_frame(2)).cpt
+    with pytest.raises(KindMismatch, match="the CPT adjoint is defined for linear operators"):
+        cpt_adjoint(Operator.conjugation(2), metric)
+    with pytest.raises(DimensionMismatch, match="operator dimension 3 does not match frame dimension 2"):
+        cpt_adjoint(Operator.identity(3), metric)
+
+
+def test_cpt_inner_of_vectors_of_another_length_fails():
+    metric = build_c(model_2x2(1, 2, np.pi / 6), pair_swap_frame(2)).cpt
+    with pytest.raises(DimensionMismatch, match="vectors of lengths 3, 2 do not match frame dimension 2"):
+        cpt_inner(np.ones(3), np.ones(2), metric)
 
 
 def test_model_is_cpt_hermitian():

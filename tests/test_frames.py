@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +33,6 @@ from cptkit import (
     pair_swap_frame,
     pt_inner,
     tensor_frames,
-    tensor_pt_frames,
     validate_cpt_frame,
     validate_pt_frame,
 )
@@ -45,6 +46,7 @@ from cptkit.errors import (
     NonRealEntries,
     NotInvolution,
 )
+from cptkit import frames
 from cptkit.frames import CONSTRUCTION_TOL
 from cptkit.io import frame_document, parse_frame_document
 from cptkit.linops import _same, frobenius, spectral_powers
@@ -398,14 +400,16 @@ def test_built_in_frames_carry_their_permutation(frame):
 def test_built_in_frames_map_into_their_real_basis(frame):
     rng = np.random.default_rng(frame.dim)
     n = frame.dim
-    q = frame.from_real_basis(np.eye(n))
-    # Q is unitary, its columns are PT-fixed and Q maps back what real_form maps in
+    q = frame.real_basis.from_basis(np.eye(n))
+    # Q is unitary, its columns are PT-fixed and Q maps back what form maps in
     np.testing.assert_allclose(q.conj().T @ q, np.eye(n), rtol=0, atol=1e-15)
     np.testing.assert_array_equal(frame.apply_pt(q), q)
     a = random_complex(rng, (3, n, n))
-    np.testing.assert_allclose(frame.real_form(a), (q.conj().T @ a @ q).real, rtol=0, atol=1e-14 * np.sqrt(n))
+    np.testing.assert_allclose(
+        frame.real_basis.form(a).real, (q.conj().T @ a @ q).real, rtol=0, atol=1e-14 * np.sqrt(n)
+    )
     x = random_complex(rng, (2, n, 3))
-    np.testing.assert_allclose(frame.from_real_basis(x), q @ x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(frame.real_basis.from_basis(x), q @ x, rtol=0, atol=1e-15)
     # in that basis the PT-antisymmetric part, half the PT residual, is all
     # of the imaginary part
     h = random_pt_symmetric(rng, frame)
@@ -471,8 +475,8 @@ def _threshold_entries():
         "validate_pt_frame": lambda tol: validate_pt_frame(dense.p, dense.t, tol),
         "validate_cpt_frame": lambda tol: validate_cpt_frame(c, swap, tol),
         "checked_pt_frame": lambda tol: checked_pt_frame(swap.p, swap.t, tol),
-        "checked_cpt_frame": lambda tol: checked_cpt_frame(c, swap, tol, tol),
-        "tensor_pt_frames": lambda tol: tensor_pt_frames(swap, dense, tol),
+        "checked_cpt_frame": lambda tol: checked_cpt_frame(c, swap, tol),
+        "tensor_frames of PT-frames": lambda tol: tensor_frames(swap, dense, tol),
         "tensor_frames": lambda tol: tensor_frames(metric, metric, tol),
         "direct_sum": lambda tol: direct_sum(spec, tol),
         "frame_from_involution": lambda tol: frame_from_involution(SWAP, tol),
@@ -501,3 +505,15 @@ def test_a_threshold_of_zero_is_the_exact_check(entry):
     if isinstance(got, FrameReport):
         assert got.passed
 
+
+
+def test_only_the_frames_module_reads_the_permutation():
+    # every other module asks the frame, or its real basis, for what the permutation gives
+    package = Path(frames.__file__).parent
+    readers = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if path.name != "frames.py" and isinstance(node, ast.Attribute) and node.attr == "perm"
+    ]
+    assert readers == []

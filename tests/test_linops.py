@@ -10,11 +10,14 @@ from cptkit import (
     apply,
     build_c,
     build_model,
+    classify_2x2,
     classify_stack,
     classify_symmetry,
+    closed_form_c,
     compose,
     cpt_adjoint,
     dirac_adjoint,
+    doubling,
     eigendecompose,
     hermitian_power,
     hermitian_powers,
@@ -22,7 +25,9 @@ from cptkit import (
     is_pt_symmetric,
     normalize_indefinite,
     pair_swap_frame,
+    phase_align,
     t_transpose,
+    tensor_hamiltonians,
 )
 from cptkit.errors import (
     EXIT_USAGE,
@@ -397,6 +402,11 @@ def _tolerance_entries():
         "normalize_indefinite": lambda tol: normalize_indefinite(state, frame, tol),
         "hermitize": lambda tol: hermitize(h, metric, tol),
         "cpt_adjoint": lambda tol: cpt_adjoint(Operator.linear(h), metric, tol),
+        "phase_align": lambda tol: phase_align(state, frame, tol),
+        "closed_form_c": lambda tol: closed_form_c(0.5, tol),
+        "classify_2x2": lambda tol: classify_2x2(h, tol),
+        "doubling": lambda tol: doubling(h, tol),
+        "tensor_hamiltonians": lambda tol: tensor_hamiltonians(h, h, metric, metric, tol),
     }
 
 

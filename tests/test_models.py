@@ -14,7 +14,7 @@ from cptkit import (
     model_frame,
     model_matrix,
     pair_swap_frame,
-    tensor_pt_frames,
+    tensor_frames,
 )
 from cptkit.errors import InvalidModel, SelfOrthogonal
 from helpers import SWAP, multiset_gap
@@ -77,7 +77,7 @@ def test_build_chain_dimension():
 
 def test_tensor_frame_is_the_tensor_of_two_pair_swaps():
     frame = model_frame(ModelSpec("tensor", ((1.0, 2.0, 0.5), (1.0, 3.0, 0.7))))
-    kron = tensor_pt_frames(pair_swap_frame(2), pair_swap_frame(2))
+    kron = tensor_frames(pair_swap_frame(2), pair_swap_frame(2))
     assert [frame.p.matrix.tobytes(), frame.t.matrix.tobytes()] == [kron.p.matrix.tobytes(), kron.t.matrix.tobytes()]
     assert frame == kron and frame.perm.tolist() == kron.perm.tolist() == [3, 2, 1, 0]
 

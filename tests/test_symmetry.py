@@ -82,6 +82,11 @@ def test_phase_align_basis_vector_fails():
         phase_align(np.array([1.0, 0.0]), pair_swap_frame(2))
 
 
+def test_phase_align_of_the_zero_vector_fails():
+    with pytest.raises(NotPTEigenstate, match="cannot align the zero vector"):
+        phase_align(np.zeros(2), pair_swap_frame(2))
+
+
 def test_phase_align_idempotent():
     rng = np.random.default_rng(31)
     frame = any_dim_frame(4)
