@@ -9,7 +9,6 @@ breakdown (defective or exceptional input).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
@@ -30,7 +29,7 @@ from .errors import (
 from .composition import BlockSpec, direct_sum, doubling, tensor_hamiltonians
 from .frames import CPTFrame, PTFrame, checked_cpt_frame, checked_pt_frame, pair_swap_frame, validate_cpt_frame
 from .io import frame_document, load_frame_parts, load_matrix, matrix_document, write_frame, write_matrix
-from .linops import DEFAULT_TOL, hermiticity_residual
+from .linops import DEFAULT_TOL, hermiticity_residual, require_tolerance
 from .models import FAMILIES, ModelSpec, build_model, model_frame, model_matrix
 from .symmetry import BROKEN, UNBROKEN, classify_stack, classify_symmetry
 
@@ -40,13 +39,12 @@ _SWEEP_RE = re.compile(r"^(r|s|theta|a)(\d*)$")
 
 
 def _tolerance(text: str) -> float:
-    """The value of --tol: a finite float above 0."""
+    """The value of --tol: a float that :func:`~cptkit.linops.require_tolerance` accepts."""
     try:
         tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not 0.0 < tol < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a positive, finite number, got {text!r}")
+        require_tolerance(tol)
+    except ValueError:  # InvalidArgument is a ValueError
+        raise argparse.ArgumentTypeError(f"expected a positive, finite number, got {text!r}") from None
     return tol
 
 

@@ -30,7 +30,7 @@ from .frames import (
     checked_pt_frame,
     frame_from_involution,
 )
-from .linops import DEFAULT_TOL, Operator, _fields_equal, as_matrix
+from .linops import DEFAULT_TOL, Operator, _block_diag, _fields_equal, as_matrix
 from .symmetry import is_pt_symmetric
 
 
@@ -57,17 +57,6 @@ class BlockSpec:
                 raise InvalidArgument(
                     f"block {i}: matrix dimension {m.shape[0]} does not match frame dimension {frame.dim}"
                 )
-
-
-def _block_diag(*mats: np.ndarray) -> np.ndarray:
-    n = sum(m.shape[-1] for m in mats)
-    out = np.zeros(np.broadcast_shapes(*{m.shape[:-2] for m in mats}) + (n, n), dtype=complex)
-    at = 0
-    for m in mats:
-        k = m.shape[-1]
-        out[..., at : at + k, at : at + k] = m
-        at += k
-    return out
 
 
 def _has_c(frames) -> bool:

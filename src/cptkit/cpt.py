@@ -31,14 +31,13 @@ constructor, given C_r as well, factors M.  The roots (PC)^(+-1/2) and h
 stay on the dense formula, from (w, Q U_r).  A frame without a real basis
 synthesizes densely, in the original basis.
 
-The synthesis reads the record of the classification pipeline
-(:func:`~cptkit.symmetry._classify_rows`): ``build_c`` of a matrix takes it
-straight from the pipeline and renders no report, and ``build_c`` and
-``aligned_signs`` take a report only through one provenance check, that
+The synthesis takes the unbroken states from :mod:`cptkit.symmetry`, which
+alone reads the record of its classification pipeline: ``build_c`` of a
+matrix has it classified there with no report rendered, and ``build_c`` and
+``aligned_signs`` pass a report through the one provenance check there, that
 :func:`~cptkit.symmetry.classify_symmetry` made it over an equal frame (and,
-for ``build_c``, at its ``tol``).  ``aligned_signs`` normalizes the
-record's states in ``build_c``'s coordinates, so its signs are
-``build_c``'s.
+for ``build_c``, at its ``tol``).  ``aligned_signs`` normalizes those states
+in ``build_c``'s coordinates, so its signs are ``build_c``'s.
 """
 
 from __future__ import annotations
@@ -52,10 +51,8 @@ from .errors import (
     DimensionMismatch,
     FrameInvalid,
     GramDefect,
-    InvalidArgument,
     KindMismatch,
     NotPTEigenstate,
-    NotUnbroken,
     SelfOrthogonal,
 )
 from .frames import CPTFrame, PTFrame, RealBasis
@@ -69,7 +66,7 @@ from .linops import (
     require_tolerance,
     spectral_powers,
 )
-from .symmetry import UNBROKEN, SymmetryReport, _checked, _classify_one, _runs
+from .symmetry import SymmetryReport, _checked, _runs, _unbroken
 
 #: Self-orthogonality guard for C synthesis: a state whose normalized
 #: indefinite self-product |(v, v)| / |v|^2 falls below this threshold is
@@ -231,17 +228,6 @@ def normalize_indefinite(
     return (units, signs) if np.ndim(v) == 2 else (units[:, 0], int(signs[0]))
 
 
-def _record(report: SymmetryReport, frame: PTFrame, caller: str, tol: float | None = None):
-    """The kernel record that ``report`` keeps, if :func:`classify_symmetry`
-    made it over a frame equal to ``frame`` (and at ``tol``, unless None);
-    else InvalidArgument."""
-    rows = getattr(report, "_analysis", None)
-    if rows is None or tol not in (None, rows.tol) or not (rows.frame is frame or rows.frame == frame):
-        at = "" if tol is None else f" at tolerance {tol!r}"
-        raise InvalidArgument(f"{caller} takes a report of classify_symmetry over this frame{at}")
-    return rows
-
-
 def aligned_signs(report: SymmetryReport, frame: PTFrame) -> np.ndarray:
     """The sign that :func:`build_c` gives each aligned state of an unbroken
     report of :func:`classify_symmetry` over ``frame``, as an integer array:
@@ -253,15 +239,13 @@ def aligned_signs(report: SymmetryReport, frame: PTFrame) -> np.ndarray:
     Raises InvalidArgument for a report that :func:`classify_symmetry` did
     not make over an equal frame, and NotUnbroken for one that is not unbroken.
     """
-    rows = _record(report, frame, "aligned_signs")
-    if rows.classification[0] != UNBROKEN:
-        raise NotUnbroken(f"signs need unbroken symmetry, got {rows.classification[0]}")
+    _, phi, energy = _unbroken(report, frame, None, "aligned_signs")
     try:
         frame.require_hermitian_parity(EP_GUARD_TOL)
     except FrameInvalid:
-        return np.zeros(len(report.aligned_states), dtype=int)
-    x, apply_p, residual = _coordinates(rows.phi[0], frame, frame.real_basis)
-    return _normalize(x, rows.energy[0], apply_p, residual, EP_GUARD_TOL)[1]
+        return np.zeros(len(energy), dtype=int)
+    x, apply_p, residual = _coordinates(phi, frame, frame.real_basis)
+    return _normalize(x, energy, apply_p, residual, EP_GUARD_TOL)[1]
 
 
 def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
@@ -301,16 +285,12 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
     """
     require_tolerance(tol)
     frame.require_hermitian_parity(tol)
-    rows = _record(h, frame, "build_c", tol) if isinstance(h, SymmetryReport) else _classify_one(h, frame, tol)
-    if rows.classification[0] != UNBROKEN:
-        raise NotUnbroken(f"C synthesis requires unbroken symmetry, got {rows.classification[0]} "
-                          f"(PT residual {rows.pt_residual[0]:.3e})")
+    matrix, phi, energy = _unbroken(h, frame, tol, "build_c")
 
     # unbroken: every column of the states is aligned; a run of equal energy is one eigenspace
     basis = frame.real_basis
-    x, apply_p, residual = _coordinates(rows.phi[0], frame, basis)
-    matrix, energy = rows.stack[0], rows.energy[0]
-    del h, rows  # a record made here frees its eigenvectors before the synthesis
+    x, apply_p, residual = _coordinates(phi, frame, basis)
+    del h, phi  # states classified here are freed once in the basis's coordinates
     x, signs = _normalized(x, energy, apply_p, residual, EP_GUARD_TOL)
     p_x_adj = apply_p(x).conj().T
     gram_error = frobenius(p_x_adj @ x - np.diag(signs))

@@ -57,6 +57,7 @@ from .linops import (
     frobenius,
     hermiticity_residual,
     operand,
+    positive_definiteness,
     spectral_powers,
 )
 
@@ -369,7 +370,8 @@ class CPTFrame:
         """Check the CPT-frame axioms and report every violation with its
         residual.  PC is positive definite when its smallest metric eigenvalue
         is above ``pd_tol * |PC|`` (the largest eigenvalue modulus; ``pd_tol``
-        defaults to ``tol``): equation residuals of an exact frame scale with
+        defaults to ``tol``), by :func:`~cptkit.linops.positive_definiteness`,
+        the rule of the spectral powers too: equation residuals of an exact frame scale with
         |C|^2, the metric's spectral margin does not.  A frame synthesized in
         the real basis is checked there, on C_r and M, in real products.  A
         nan, negative or infinite ``tol`` or ``pd_tol`` raises InvalidArgument."""
@@ -386,9 +388,7 @@ class CPTFrame:
                 ("PC hermitian", hermiticity_residual(pc)),
             )
         violations = [(name, float(residual)) for name, residual in residuals if not residual <= tol]
-        w = self.metric_spectrum[0]
-        min_eig = float(w.min())
-        pd_threshold = pd_tol * float(np.abs(w).max())
+        min_eig, pd_threshold = positive_definiteness(self.metric_spectrum[0], pd_tol)
         if not min_eig > pd_threshold:
             violations.append(("PC positive definite", pd_threshold - min_eig))
         return FrameReport(not violations, tuple(violations))

@@ -129,6 +129,19 @@ def require_finite_scale(scale) -> None:
         raise NonFiniteEntries("the Frobenius norm of the matrix overflows; no tolerance relative to its scale exists")
 
 
+def _block_diag(*mats: np.ndarray) -> np.ndarray:
+    """The complex block-diagonal join of square matrices, or of stacks of
+    them, whose leading axes broadcast."""
+    n = sum(m.shape[-1] for m in mats)
+    out = np.zeros(np.broadcast_shapes(*{m.shape[:-2] for m in mats}) + (n, n), dtype=complex)
+    at = 0
+    for m in mats:
+        k = m.shape[-1]
+        out[..., at : at + k, at : at + k] = m
+        at += k
+    return out
+
+
 def commutator_check(c: np.ndarray, h: np.ndarray, tol: float) -> tuple[float, bool]:
     """The residual |[C, H]| and whether it is within
     ``tol * max(1, |H|) * max(1, |C|)``; an overflowed residual fails.  A real
@@ -403,21 +416,29 @@ def hermitian_power(m, p: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     return hermitian_powers(m, (p,), tol)[0]
 
 
+def positive_definiteness(w: np.ndarray, tol: float) -> tuple[float, float]:
+    """The smallest of the eigenvalues ``w`` of a Hermitian matrix and the
+    threshold ``tol * max|w|`` it must lie above for the matrix to be
+    positive definite: the one rule of :func:`spectral_powers` and
+    :meth:`~cptkit.frames.CPTFrame.validate`, relative to the matrix's scale."""
+    return float(w.min()), tol * float(np.abs(w).max())
+
+
 def spectral_powers(m: np.ndarray, spectrum, powers, tol: float) -> tuple[np.ndarray, ...]:
     """``U diag(w**p) U+`` for each p in ``powers``, from the eigendecomposition
     ``spectrum = (w, U)`` of the Hermitian positive definite matrix ``m``.
     Raises NotHermitian if ``|m - m+| > tol`` and NotPositiveDefinite if the
-    smallest eigenvalue is not above ``tol`` (upstream: a broken frame or an
-    exceptional point), and InvalidArgument for a ``tol`` that is nan,
-    negative or infinite."""
+    smallest eigenvalue is not above ``tol * max|w|``, by
+    :func:`positive_definiteness` (upstream: a broken frame or an exceptional
+    point), and InvalidArgument for a ``tol`` that is nan, negative or
+    infinite."""
     _require_threshold(tol)
     herm_residual = hermiticity_residual(m)
     if herm_residual > tol:
         raise NotHermitian(f"Hermiticity residual {herm_residual:.3e} exceeds {tol:.1e}")
     w, u = spectrum
-    if float(w.min()) <= tol:
-        raise NotPositiveDefinite(
-            f"minimum eigenvalue {float(w.min()):.3e} is not above {tol:.1e}"
-        )
+    min_eig, threshold = positive_definiteness(w, tol)
+    if not min_eig > threshold:
+        raise NotPositiveDefinite(f"minimum eigenvalue {min_eig:.3e} is not above {tol:.1e} * max|w| = {threshold:.3e}")
     u_adj = u.conj().T
     return tuple((u * w ** float(p)) @ u_adj for p in powers)

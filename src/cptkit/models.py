@@ -24,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import _block_diag
 from .errors import InvalidArgument, InvalidModel, SelfOrthogonal
 from .frames import PTFrame, frame_from_involution, pair_swap_frame
-from .linops import DEFAULT_TOL, require_tolerance
+from .linops import DEFAULT_TOL, _block_diag, require_tolerance
 
 TWO_BY_TWO = "2x2"
 THREE_BY_THREE = "3x3"

@@ -9,9 +9,13 @@ stack over one frame: the non-finite guard, the PT check, the eigensolve and
 the kernel, in one pass that returns one record of the stack, the frame,
 ``tol``, the eigensystem and the kernel's verdict arrays.
 :func:`classify_stack` reads that record's arrays; :func:`classify_symmetry`
-is its one-matrix case, which renders the record as a report and keeps it
-for :mod:`cptkit.cpt`, whose :func:`~cptkit.cpt.build_c` also takes the
-record of a matrix directly, rendering nothing.
+is its one-matrix case, which renders the record as a report and keeps it.
+This module alone reads the record: :func:`_unbroken` hands
+:mod:`cptkit.cpt` the checked H, the aligned states and their energies of an
+unbroken matrix, classified with nothing rendered, or of a report, after
+checking where the report came from.  Each row lists a matched conjugate
+pair with its negative imaginary part first, the order in which the real
+solve's exact conjugates sort.
 
 Over a frame whose P is a permutation and whose T is conjugation, a
 PT-symmetric H is a real matrix in the frame's PT-fixed basis, and is
@@ -26,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPTEigenstate
+from .errors import DimensionMismatch, InvalidArgument, NotPTEigenstate, NotUnbroken
 from .frames import PTFrame, pair_swap_frame
 from .linops import (
     COND_LIMIT,
@@ -178,7 +182,8 @@ class TwoByTwoClass:
 class StackClassification:
     """Per-row verdicts of :func:`classify_stack` over an ``(N, n, n)`` stack.
 
-    ``eigenvalues`` is ``(N, n)``, each row sorted as by ``eigendecompose``.
+    ``eigenvalues`` is ``(N, n)``, each row sorted as by ``eigendecompose``,
+    except that a matched conjugate pair lists its negative imaginary part first.
     ``classification`` holds UNBROKEN, BROKEN or NOT_APPLICABLE, and ``warning``
     is true where :func:`classify_symmetry` would report a warning.  ``error``
     marks the rows for which :func:`classify_symmetry` would raise: non-finite
@@ -204,7 +209,9 @@ def _checked(h, frame: PTFrame) -> np.ndarray:
 def _pt_check(a: np.ndarray, scale: np.ndarray, frame: PTFrame, tol: float):
     """The residual |(PT) H (PT) - H| of each matrix of a stack, and whether
     it is within ``tol * scale``."""
-    residual = frobenius(frame.pt_conjugate(a) - a)
+    difference = frame.pt_conjugate(a)  # a fresh array on every frame
+    difference -= a
+    residual = frobenius(difference)
     return residual <= tol * scale, residual
 
 
@@ -390,7 +397,9 @@ def _classify_rows(a: np.ndarray, norm: np.ndarray, frame: PTFrame, tol: float) 
     gathered across the whole stack and grouped by size by :func:`_runs`,
     with one stacked :func:`_pt_fixed_basis` per size.  The verdicts are
     read off these arrays; rows marked ``eigen.defective`` are not rebased
-    and never warn.
+    and never warn.  A matched pair that a complex solve lists upper member
+    first has its two columns swapped, in the eigensystem, ``phi`` and
+    ``theta``, so every row lists it as the real solve does.
     """
     scaled = norm < np.inf
     if not scaled.all():  # non-finite entries, or a norm that overflows: error rows, kept out of the PT check
@@ -413,6 +422,14 @@ def _classify_rows(a: np.ndarray, norm: np.ndarray, frame: PTFrame, tol: float) 
     petermann = np.zeros(len(values))
     if gate.any():
         petermann[gate] = _petermann(vectors[gate])
+    if nonreal.any():  # a complex solve lists a pair in an order set by rounding: its lower member goes first
+        row, i = np.nonzero(settled[:, None] & (values.imag > 0) & (partner > np.arange(values.shape[1])))
+        if len(row):
+            j = partner[row, i]  # the partners stay partners when the two columns swap
+            values, vectors, phi, theta = (part.copy() for part in (values, vectors, phi, theta))
+            for part in (values, vectors, phi, theta):
+                part[row, ..., i], part[row, ..., j] = part[row, ..., j], part[row, ..., i]
+            eigen = EigenSystem(values, vectors, condition, eigen.defective)
 
     kept = symmetric[:, None] & real & start & phase_ok
     energy, rebased = values.real, np.zeros_like(kept)
@@ -456,6 +473,27 @@ def _classify_one(h, frame: PTFrame, tol: float) -> _Rows:
     rows = _classify_rows(a[None], norm, frame, tol)
     require_regular(rows.eigen, rows.residual, norm, tol)
     return rows
+
+
+def _unbroken(h, frame: PTFrame, tol: float | None, caller: str):
+    """The checked H, the aligned states as one ``(n, n)`` array and their
+    energies, of an unbroken Hamiltonian over ``frame``, for ``caller``:
+    a matrix is classified here at ``tol``; a report is taken only if
+    :func:`classify_symmetry` made it over a frame equal to ``frame`` at
+    ``tol``, or at any tolerance where ``tol`` is None, which takes only a
+    report.  Raises InvalidArgument for any other report, and NotUnbroken
+    unless the classification is unbroken."""
+    if tol is None or isinstance(h, SymmetryReport):
+        rows = getattr(h, "_analysis", None)
+        if rows is None or tol not in (None, rows.tol) or not (rows.frame is frame or rows.frame == frame):
+            at = "" if tol is None else f" at tolerance {tol!r}"
+            raise InvalidArgument(f"{caller} takes a report of classify_symmetry over this frame{at}")
+    else:
+        rows = _classify_one(h, frame, tol)
+    if rows.classification[0] != UNBROKEN:
+        raise NotUnbroken(f"{caller} requires unbroken symmetry, got {rows.classification[0]} "
+                          f"(PT residual {rows.pt_residual[0]:.3e})")
+    return rows.stack[0], rows.phi[0], rows.energy[0]
 
 
 def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryReport:

@@ -1,0 +1,147 @@
+"""One owner per decision: only :mod:`cptkit.symmetry` reads the record of
+its classification pipeline, and :mod:`cptkit.linops` alone states the
+positive-definiteness, tolerance and block-join rules."""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cptkit import (
+    Operator,
+    build_c,
+    cli,
+    cpt,
+    cpt_adjoint,
+    frames,
+    hermitian_power,
+    hermitian_powers,
+    linops,
+    pair_swap_frame,
+)
+from cptkit.errors import NotPositiveDefinite
+from cptkit.frames import CPTFrame
+from cptkit.linops import DEFAULT_TOL
+from helpers import COVARIANCE_FAMILIES, covariance_problem, random_complex, unitary_basis_change
+
+PACKAGE = Path(linops.__file__).parent
+
+
+def _imports(name: str) -> dict[str, set[str]]:
+    """The names that module ``name`` of the package imports, by the module they come from."""
+    found = {}
+    for node in ast.walk(ast.parse((PACKAGE / name).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            found.setdefault(node.module, set()).update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                found.setdefault(alias.name, set())
+    return found
+
+
+def test_only_the_symmetry_module_reads_the_classification_record():
+    # the synthesis asks symmetry for the unbroken states; it reads no field of the record
+    source = (PACKAGE / "cpt.py").read_text()
+    for read in ("_analysis", ".classification[", ".phi[", ".stack[", ".energy[", ".pt_residual["):
+        assert read not in source, read
+    assert not _imports("cpt.py")["symmetry"] & {"_classify_one", "UNBROKEN", "_Rows"}
+    assert not hasattr(cpt, "_record")
+
+
+def test_the_block_join_lives_in_linops_and_models_leaves_composition_alone():
+    definers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_block_diag"
+    ]
+    assert definers == ["linops.py"]
+    assert "composition" not in _imports("models.py")
+
+
+def test_the_cli_tolerance_is_the_library_rule(monkeypatch):
+    assert "math" not in _imports("cli.py")
+    checked = []
+    monkeypatch.setattr(cli, "require_tolerance", lambda tol: checked.append(tol) or linops.require_tolerance(tol))
+    assert cli._tolerance("1e-8") == 1e-8 and checked == [1e-8]
+
+
+def test_validation_and_the_spectral_powers_share_one_positive_definiteness_rule(monkeypatch):
+    assert frames.positive_definiteness is linops.positive_definiteness
+    rules = []
+
+    def counting(w, tol, _rule=linops.positive_definiteness):
+        rules.append(tol)
+        return _rule(w, tol)
+
+    monkeypatch.setattr(linops, "positive_definiteness", counting)
+    monkeypatch.setattr(frames, "positive_definiteness", counting)
+    h = np.array([[1.0 + 0.5j, 2.0], [2.0, 1.0 - 0.5j]])
+    frame = build_c(h, pair_swap_frame(2)).cpt
+    rules.clear()
+    frame.validate(1e-9)
+    frame.metric_roots(2e-9)
+    cpt_adjoint(Operator.linear(h), frame, 3e-9)
+    hermitian_power(2.0 * np.eye(2), 0.5, 4e-9)
+    hermitian_powers(3.0 * np.eye(2), (0.5, -1.0), 5e-9)
+    assert rules == [1e-9, 2e-9, 3e-9, 4e-9, 5e-9]
+
+
+def _definite(rng, n: int, smallest: float) -> np.ndarray:
+    """An exactly Hermitian n x n matrix with eigenvalues from ``smallest`` up to about 5."""
+    q, _ = np.linalg.qr(random_complex(rng, (n, n)))
+    w = np.concatenate(([smallest], np.linspace(1.0, 5.0, n - 1)))
+    m = (q * w) @ q.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e12])
+def test_the_spectral_powers_do_not_depend_on_the_scale(scale):
+    rng = np.random.default_rng(20)
+    m = _definite(rng, 5, 0.3)
+    for p in (0.5, -0.5, -1.0, 2.0):
+        expected = scale**p * hermitian_power(m, p)
+        got = hermitian_power(scale * m, p)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+    # refused alike: indefinite, and definite only below tol * max|w|
+    for smallest in (-0.3, 0.0, 0.5 * DEFAULT_TOL * 5.0):
+        bad = _definite(rng, 5, smallest)
+        for matrix in (bad, scale * bad):
+            with pytest.raises(NotPositiveDefinite):
+                hermitian_power(matrix, 0.5)
+
+
+def _moved_metrics(result, tol):
+    """CPT-frames over the frame of ``result`` whose metric is its PC with the
+    smallest eigenvalue moved to each of several multiples of ``tol * max|w|``."""
+    w, u = result.cpt.metric_spectrum
+    for factor in (-1.0, 0.0, 0.5, 0.99, 1.01, 2.0, 1e3):
+        target = w.copy()
+        target[0] = factor * tol * np.abs(w).max()
+        pc = (u * target) @ u.conj().T
+        # C = P (PC), since P^2 = I
+        yield CPTFrame(result.cpt.frame, Operator.linear(result.cpt.frame.apply_p((pc + pc.conj().T) / 2.0)))
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["index-frame", "dense-frame"])
+def test_the_metric_roots_refuse_exactly_what_validation_refuses(moved):
+    rng = np.random.default_rng(2020)
+    outcomes = set()
+    for family in COVARIANCE_FAMILIES:
+        h, frame = covariance_problem(rng, family)
+        if moved:
+            _, h, frame = unitary_basis_change(h, frame, rng)
+        result = build_c(h, frame)
+        for tol in (DEFAULT_TOL, 1e-6):
+            for candidate in (result.cpt, *_moved_metrics(result, tol)):
+                refused = "PC positive definite" in dict(candidate.validate(tol).violations)
+                try:
+                    candidate.metric_roots(tol)
+                except NotPositiveDefinite:
+                    raised = True
+                else:
+                    raised = False
+                assert raised == refused, (family, tol)
+                outcomes.add(refused)
+    assert outcomes == {False, True}

@@ -604,3 +604,42 @@ def test_stack_rows_equal_their_single_classification_bit_for_bit(thetas, monkey
             assert getattr(rows, field)[i][..., kept].tobytes() == getattr(one, field)[0][..., kept].tobytes(), (i, field)
         for field in ("kept", "partner", "classification", "warning"):
             assert getattr(rows, field)[i].tobytes() == getattr(one, field)[0].tobytes(), (i, field)
+
+
+def _conjugates_lower_first(values) -> bool:
+    """Whether each non-real eigenvalue above the real axis comes after its
+    conjugate, the nearest eigenvalue to its conjugate, in ``values``."""
+    return all(np.abs(values - values[j].conj()).argmin() < j for j in np.flatnonzero(values.imag > 1e-6))
+
+
+@pytest.mark.parametrize("cells", [1, 3], ids=["cell", "chain"])
+def test_a_conjugate_pair_is_listed_lower_member_first_on_every_solve(cells):
+    # the real solve of an index frame gives exact conjugates, which sort lower
+    # member first; the complex solve over a dense frame lists a pair in an
+    # order set by rounding, and is brought to the same order
+    rng = np.random.default_rng(20)
+
+    def cell(broken):
+        s, theta = rng.uniform(0.5, 2.0), rng.uniform(0.15, 1.4)
+        x = rng.uniform(1.2, 3.0) if broken else rng.uniform(0.1, 0.9)
+        return (x * s / np.sin(theta), s, theta)
+
+    family = "2x2" if cells == 1 else "chain"
+    problems = [build_model(ModelSpec(family, tuple(cell(k == 0) for k in range(cells)))) for _ in range(60)]
+    u, _, moved = unitary_basis_change(*problems[0], rng)
+    dense = [u @ h @ u.conj().T for h, _ in problems]
+    for (h, frame), m in zip(problems, dense):
+        for over, matrix in ((frame, h), (moved, m)):
+            report = classify_symmetry(matrix, over)
+            assert report.classification == BROKEN and report.broken_pairs
+            where = {complex(v): j for j, v in enumerate(report.eigenvalues.tolist())}
+            assert all(where[pair.partner] < where[pair.value] for pair in report.broken_pairs)
+    # a stack row is listed as its matrix alone, beside unbroken rows
+    unbroken = [u @ build_model(ModelSpec(family, tuple(cell(False) for _ in range(cells))))[0] @ u.conj().T
+                for _ in range(3)]
+    rows = dense[:10] + unbroken
+    stack = classify_stack(np.stack(rows), moved)
+    for i, m in enumerate(rows):
+        values = classify_symmetry(m, moved).eigenvalues
+        assert stack.eigenvalues[i].tobytes() == values.tobytes()
+        assert _conjugates_lower_first(stack.eigenvalues[i])
