@@ -263,8 +263,10 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
     across eigenspaces (automatic for distinct eigenvalues of a symmetric
     Hamiltonian); set C to the sum of phi_k (P phi_k)^+ over the normalized
     states, which satisfies C phi_k = sign_k phi_k; validate the resulting
-    frame, whose one factorization of PC also gives the Gram tolerance, and
-    [C, H], whose verdict the frame keeps for :func:`hermitize`.  C depends
+    frame at ``tol`` by :meth:`~cptkit.frames.CPTFrame.validate`, which
+    works out its thresholds from C and its metric, and whose one
+    factorization of PC also gives the Gram tolerance; then check [C, H],
+    whose verdict the frame keeps for :func:`hermitize`.  C depends
     only on each eigenspace, not on the basis the eigensolver returned for
     it.  Over an index frame every step after the classification runs in
     real arithmetic, in the frame's real basis (see the module docstring).
@@ -308,11 +310,7 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
             "the orthonormality hypothesis cannot be met for this eigensystem"
         )
 
-    # equation-residual tolerance scales with |C|^2 (the axiom residuals of
-    # an exact frame grow with the squared magnitude of C near an exceptional
-    # point); the positive-definiteness margin stays relative to |PC|
-    structural_tol = tol * max(1.0, frobenius(c_matrix)) ** 2
-    cpt.validate(structural_tol, pd_tol=tol).require("CPT-frame")
+    cpt.validate(tol).require("CPT-frame")
     cpt._require_commuting(matrix, tol)
 
     pc = cpt.pc_matrix if basis is None else cpt._real_metric()

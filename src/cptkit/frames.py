@@ -366,31 +366,34 @@ class CPTFrame:
             self._roots[tol] = roots
         return roots
 
-    def validate(self, tol: float = DEFAULT_TOL, pd_tol: float | None = None) -> FrameReport:
+    def validate(self, tol: float = DEFAULT_TOL) -> FrameReport:
         """Check the CPT-frame axioms and report every violation with its
-        residual.  PC is positive definite when its smallest metric eigenvalue
-        is above ``pd_tol * |PC|`` (the largest eigenvalue modulus; ``pd_tol``
-        defaults to ``tol``), by :func:`~cptkit.linops.positive_definiteness`,
-        the rule of the spectral powers too: equation residuals of an exact frame scale with
-        |C|^2, the metric's spectral margin does not.  A frame synthesized in
-        the real basis is checked there, on C_r and M, in real products.  A
-        nan, negative or infinite ``tol`` or ``pd_tol`` raises InvalidArgument."""
+        residual, with every threshold worked out from C and its metric.  The
+        equation residuals, C^2 = I and CPT = TPC, are compared against
+        ``tol * max(1, |C|)**2``: those of an exact frame grow with |C|^2
+        near an exceptional point.  PC is Hermitian when |PC - PC^+| is at
+        most, and positive definite when its smallest metric eigenvalue is
+        above, the one threshold ``tol * max|w|`` of
+        :func:`~cptkit.linops.positive_definiteness`, by which the spectral
+        powers judge a metric too.  A bound that overflows admits nothing.
+        A frame synthesized in the real basis is checked there, on C_r (of
+        the norm of C) and M, in real products.  A nan, negative or infinite
+        ``tol`` raises InvalidArgument."""
         _require_threshold(tol)
-        pd_tol = tol if pd_tol is None else pd_tol
-        _require_threshold(pd_tol, "pd_tol")
         dense = self._c_real is None
         mc, pc = (self.c.matrix, self.pc_matrix) if dense else (self._c_real, self._real_metric())
+        min_eig, threshold = positive_definiteness(self.metric_spectrum[0], tol)
         with np.errstate(over="ignore", invalid="ignore"):
+            bound = tol * max(1.0, frobenius(mc)) ** 2
             residuals = (
-                ("C^2 = I", frobenius(mc @ mc - np.eye(self.dim))),
+                ("C^2 = I", frobenius(mc @ mc - np.eye(self.dim)), bound),
                 # in the real basis TP is conjugation, which fixes the real C_r exactly
-                ("CPT = TPC", self.frame._cpt_residual(mc) if dense else 0.0),
-                ("PC hermitian", hermiticity_residual(pc)),
+                ("CPT = TPC", self.frame._cpt_residual(mc) if dense else 0.0, bound),
+                ("PC hermitian", hermiticity_residual(pc), threshold),
             )
-        violations = [(name, float(residual)) for name, residual in residuals if not residual <= tol]
-        min_eig, pd_threshold = positive_definiteness(self.metric_spectrum[0], pd_tol)
-        if not min_eig > pd_threshold:
-            violations.append(("PC positive definite", pd_threshold - min_eig))
+        violations = [(name, float(residual)) for name, residual, limit in residuals if not residual <= limit < np.inf]
+        if not min_eig > threshold:
+            violations.append(("PC positive definite", threshold - min_eig))
         return FrameReport(not violations, tuple(violations))
 
 

@@ -22,8 +22,10 @@ from .errors import (
     NotPositiveDefinite,
 )
 
-#: Default tolerance for structural axiom residuals (absolute) and spectral
-#: residuals (relative).  Every public operation accepts an override.
+#: Default tolerance: relative to max(1, |C|)^2 for the CPT-frame equation
+#: residuals, to max|w| for a metric's checks, to the matrix for spectral
+#: residuals, and absolute for the PT-frame axioms.  Every public operation
+#: accepts an override.
 DEFAULT_TOL = 1e-10
 
 #: Eigenvector-matrix condition number above which a matrix is rejected as
@@ -112,14 +114,14 @@ def require_tolerance(tol) -> None:
         raise InvalidArgument(f"tolerance must be a positive, finite number, got {tol!r}")
 
 
-def _require_threshold(tol, name: str = "tolerance") -> None:
+def _require_threshold(tol) -> None:
     """Raise InvalidArgument (exit code 2) unless ``tol``, a threshold that
     residuals are compared against, is a finite number at least 0, where 0
     is the exact check: against nan every comparison is false, and against
     a negative or an infinite value every verdict is decided before any
     residual is measured."""
     if not 0.0 <= tol < np.inf:
-        raise InvalidArgument(f"{name} must be a finite number at least 0, got {tol!r}")
+        raise InvalidArgument(f"tolerance must be a finite number at least 0, got {tol!r}")
 
 
 def require_finite_scale(scale) -> None:
@@ -419,7 +421,8 @@ def hermitian_power(m, p: float, tol: float = DEFAULT_TOL) -> np.ndarray:
 def positive_definiteness(w: np.ndarray, tol: float) -> tuple[float, float]:
     """The smallest of the eigenvalues ``w`` of a Hermitian matrix and the
     threshold ``tol * max|w|`` it must lie above for the matrix to be
-    positive definite: the one rule of :func:`spectral_powers` and
+    positive definite, which its Hermiticity residual must not exceed: the
+    one rule of :func:`spectral_powers` and
     :meth:`~cptkit.frames.CPTFrame.validate`, relative to the matrix's scale."""
     return float(w.min()), tol * float(np.abs(w).max())
 
@@ -427,17 +430,20 @@ def positive_definiteness(w: np.ndarray, tol: float) -> tuple[float, float]:
 def spectral_powers(m: np.ndarray, spectrum, powers, tol: float) -> tuple[np.ndarray, ...]:
     """``U diag(w**p) U+`` for each p in ``powers``, from the eigendecomposition
     ``spectrum = (w, U)`` of the Hermitian positive definite matrix ``m``.
-    Raises NotHermitian if ``|m - m+| > tol`` and NotPositiveDefinite if the
-    smallest eigenvalue is not above ``tol * max|w|``, by
-    :func:`positive_definiteness` (upstream: a broken frame or an exceptional
-    point), and InvalidArgument for a ``tol`` that is nan, negative or
+    Against the one threshold ``tol * max|w|`` of
+    :func:`positive_definiteness`, as :meth:`~cptkit.frames.CPTFrame.validate`
+    judges a metric, raises NotHermitian unless ``|m - m+|`` is at most it,
+    then NotPositiveDefinite unless the smallest eigenvalue is above it
+    (upstream: a broken frame or an exceptional point), so the verdict does
+    not depend on the scale of ``m``; a threshold that overflows admits
+    nothing.  Raises InvalidArgument for a ``tol`` that is nan, negative or
     infinite."""
     _require_threshold(tol)
-    herm_residual = hermiticity_residual(m)
-    if herm_residual > tol:
-        raise NotHermitian(f"Hermiticity residual {herm_residual:.3e} exceeds {tol:.1e}")
     w, u = spectrum
     min_eig, threshold = positive_definiteness(w, tol)
+    herm_residual = hermiticity_residual(m)
+    if not herm_residual <= threshold < np.inf:
+        raise NotHermitian(f"Hermiticity residual {herm_residual:.3e} exceeds {tol:.1e} * max|w| = {threshold:.3e}")
     if not min_eig > threshold:
         raise NotPositiveDefinite(f"minimum eigenvalue {min_eig:.3e} is not above {tol:.1e} * max|w| = {threshold:.3e}")
     u_adj = u.conj().T

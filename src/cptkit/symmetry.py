@@ -118,13 +118,13 @@ class ConjugatePair:
 class _Rows(NamedTuple):
     """The record of :func:`_classify_rows` for an ``(N, n, n)`` stack: the
     checked ``stack`` (non-finite rows zeroed), the ``frame`` and ``tol`` it
-    was classified at, its eigensystem with each row's largest eigenpair
-    ``residual``, and the kernel's verdict arrays."""
+    was classified at, its eigensystem (None in a report's record) with
+    each row's largest eigenpair ``residual``, and the kernel's verdict arrays."""
 
     stack: np.ndarray
     frame: PTFrame
     tol: float
-    eigen: EigenSystem
+    eigen: EigenSystem | None
     residual: np.ndarray
     symmetric: np.ndarray
     pt_residual: np.ndarray
@@ -143,7 +143,8 @@ class _Rows(NamedTuple):
 @dataclass(frozen=True)
 class SymmetryReport:
     """The verdict of :func:`classify_symmetry`, which alone sets ``_analysis``:
-    the record of its one pass of :func:`_classify_rows`."""
+    the record of its one pass of :func:`_classify_rows`, without the
+    eigensystem, so an unbroken report holds no eigenvectors."""
 
     pt_symmetric: bool
     classification: str
@@ -518,9 +519,9 @@ def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryRe
     row as an error this raises.  NonFiniteEntries (also for a Frobenius norm
     that overflows) and DefectiveSpectrum from the eigensolver propagate, and
     a ``tol`` that is not a positive, finite number raises InvalidArgument.
-    The report also keeps that record, privately, so a report passed to
-    :func:`~cptkit.cpt.build_c` or :func:`~cptkit.cpt.aligned_signs` is not
-    classified again.
+    The report also keeps that record, privately and without its
+    eigensystem, so a report passed to :func:`~cptkit.cpt.build_c` or
+    :func:`~cptkit.cpt.aligned_signs` is not classified again.
     """
     rows = _classify_one(h, frame, tol)
     values, vectors, phi, kept = rows.eigen.values[0], rows.eigen.vectors[0], rows.phi[0], rows.kept[0]
@@ -549,7 +550,7 @@ def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryRe
         ]
     return SymmetryReport(
         bool(rows.symmetric[0]), str(rows.classification[0]), values, aligned, pairs, tuple(warnings),
-        float(rows.pt_residual[0]), rows,
+        float(rows.pt_residual[0]), rows._replace(eigen=None),
     )
 
 

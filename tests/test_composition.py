@@ -22,9 +22,9 @@ from cptkit import (
     validate_pt_frame,
 )
 from cptkit import cli, composition, frames
-from cptkit.errors import EXIT_USAGE, CommutatorViolation, InvalidArgument, NotPTSymmetric
+from cptkit.errors import EXIT_USAGE, CommutatorViolation, FrameInvalid, InvalidArgument, NotPTSymmetric
 from cptkit.frames import checked_cpt_frame, frame_from_involution
-from cptkit.linops import hermiticity_residual
+from cptkit.linops import DEFAULT_TOL, hermiticity_residual
 from cptkit.models import closed_form_c, closed_form_spectrum
 from helpers import H1, H3, SWAP, multiset_gap, random_complex, unitary_basis_change
 
@@ -120,6 +120,41 @@ def test_tensor_spectrum_product_property():
         lhs = eigendecompose(np.kron(a, b)).values
         rhs = [x * y for x in eigendecompose(a).values for y in eigendecompose(b).values]
         assert multiset_gap(lhs, rhs) <= 1e-8 * max(1.0, np.linalg.norm(np.kron(a, b)))
+
+
+# Near an exceptional point the equation residuals of an exact frame grow
+# with |C|^2, so a composite is judged as build_c judges its factors: a cell
+# at breaking parameter x = (r / s) sin(theta) just below 1, alone or with
+# the cell (1, 2, 0.5).
+NEAR_EP_CELLS = [(0.9999, None), (0.999999, (1.0, 2.0, 0.5))]
+
+
+def _near_ep_factors(x, partner):
+    """Two (H, CPT-frame) factors: the cell (1, 1, arcsin x) and itself, or ``partner``."""
+    first = build_model(ModelSpec("2x2", ((1.0, 1.0, float(np.arcsin(x))),)))
+    second = first if partner is None else build_model(ModelSpec("2x2", (partner,)))
+    return [(h, build_c(h, frame).cpt) for h, frame in (first, second)]
+
+
+@pytest.mark.parametrize("x, partner", NEAR_EP_CELLS)
+def test_a_tensor_near_an_exceptional_point_is_a_cpt_frame(x, partner):
+    (h1, a), (h2, b) = _near_ep_factors(x, partner)
+    assert tensor_hamiltonians(h1, h2, a, b)[1].validate().passed
+
+
+@pytest.mark.parametrize("x, partner", NEAR_EP_CELLS + [(0.999999, None)])
+def test_a_direct_sum_near_an_exceptional_point_is_a_cpt_frame(x, partner):
+    assert direct_sum(BlockSpec(tuple(_near_ep_factors(x, partner))))[1].validate().passed
+
+
+def test_a_self_tensor_past_the_metric_conditioning_is_refused_by_positive_definiteness_alone():
+    (h, a), _ = _near_ep_factors(0.99999, None)
+    # the composite metric PC (x) PC has condition number about 4e10, past 1 / tol
+    w = np.linalg.eigvalsh(np.kron(a.pc_matrix, a.pc_matrix))
+    assert w.max() / w.min() > 1.0 / DEFAULT_TOL
+    with pytest.raises(FrameInvalid) as info:
+        tensor_hamiltonians(h, h, a, a)
+    assert [name for name, _ in info.value.report.violations] == ["PC positive definite"]
 
 
 # ---------------------------------------------------------------- direct sum

@@ -254,18 +254,21 @@ def dense_pt_violations(p, t, tol):
     return tuple(violations)
 
 
-def dense_cpt_violations(c, frame, tol, pd_tol):
+def dense_cpt_violations(c, frame, tol):
+    # the equation residuals against tol * max(1, |C|)^2, the metric's two
+    # checks against tol * max|w|; a bound that overflows admits nothing
     mp, mt, mc = frame.p.matrix, frame.t.matrix, c.matrix
     pc = mp @ mc
-    with np.errstate(over="ignore", invalid="ignore"):
-        residuals = (
-            ("C^2 = I", frobenius(mc @ mc - np.eye(frame.dim))),
-            ("CPT = TPC", frobenius(mc @ mp @ mt - mt @ mp.conj() @ mc.conj())),
-            ("PC hermitian", frobenius(pc - pc.conj().T)),
-        )
-    violations = [(name, float(residual)) for name, residual in residuals if not residual <= tol]
     w = np.linalg.eigh((pc + pc.conj().T) / 2.0)[0]
-    threshold = pd_tol * float(np.abs(w).max())
+    threshold = tol * float(np.abs(w).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = tol * max(1.0, frobenius(mc)) ** 2
+        residuals = (
+            ("C^2 = I", frobenius(mc @ mc - np.eye(frame.dim)), bound),
+            ("CPT = TPC", frobenius(mc @ mp @ mt - mt @ mp.conj() @ mc.conj()), bound),
+            ("PC hermitian", frobenius(pc - pc.conj().T), threshold),
+        )
+    violations = [(name, float(residual)) for name, residual, limit in residuals if not residual <= limit < np.inf]
     if not float(w.min()) > threshold:
         violations.append(("PC positive definite", threshold - float(w.min())))
     return tuple(violations)
@@ -366,9 +369,9 @@ def test_cpt_report_matches_the_dense_formulas():
             c = build_c(h, frame).cpt.c.matrix
             perturbed = c + 1e-6 * random_complex(rng, c.shape)
             for candidate in map(Operator.linear, (c, perturbed, -c, 3.0 * c)):
-                for tol, pd_tol in ((DEFAULT_TOL, DEFAULT_TOL), (1e-3, 1e-12)):
-                    report = CPTFrame(frame, candidate).validate(tol, pd_tol)
-                    assert report.violations == dense_cpt_violations(candidate, frame, tol, pd_tol)
+                for tol in (DEFAULT_TOL, 1e-3, 1e-12):
+                    report = CPTFrame(frame, candidate).validate(tol)
+                    assert report.violations == dense_cpt_violations(candidate, frame, tol)
 
 
 def _round_tripped(frame):
@@ -459,10 +462,10 @@ def test_index_frames_apply_p_and_pt_without_their_dense_matrices():
 
 
 def _threshold_entries():
-    """Each entry that compares residuals against a ``tol`` (or ``pd_tol``)
-    that may be 0, on inputs where every residual is exactly 0 and every
-    margin is wide: an index frame, a dense frame (the swap with T = -I), C =
-    P over the swap, whose metric PC = I, and a diagonal metric."""
+    """Each entry that compares residuals against a ``tol`` that may be 0,
+    on inputs where every residual is exactly 0 and every margin is wide: an
+    index frame, a dense frame (the swap with T = -I), C = P over the swap,
+    whose metric PC = I, and a diagonal metric."""
     swap, dense = pair_swap_frame(2), PTFrame(Operator.linear(SWAP), Operator.antilinear(-np.eye(2)))
     c = Operator.linear(SWAP)
     metric, spec = CPTFrame(swap, c), BlockSpec(((np.eye(2), swap), (np.eye(2), swap)))
@@ -471,7 +474,6 @@ def _threshold_entries():
         "PTFrame.validate": lambda tol: swap.validate(tol),
         "PTFrame.validate dense": lambda tol: dense.validate(tol),
         "CPTFrame.validate": lambda tol: metric.validate(tol),
-        "CPTFrame.validate pd_tol": lambda tol: metric.validate(DEFAULT_TOL, tol),
         "validate_pt_frame": lambda tol: validate_pt_frame(dense.p, dense.t, tol),
         "validate_cpt_frame": lambda tol: validate_cpt_frame(c, swap, tol),
         "checked_pt_frame": lambda tol: checked_pt_frame(swap.p, swap.t, tol),

@@ -1,6 +1,8 @@
 """One owner per decision: only :mod:`cptkit.symmetry` reads the record of
-its classification pipeline, and :mod:`cptkit.linops` alone states the
-positive-definiteness, tolerance and block-join rules."""
+its classification pipeline, :mod:`cptkit.linops` alone states the
+positive-definiteness, tolerance and block-join rules, and
+:meth:`cptkit.frames.CPTFrame.validate` alone works out the thresholds of a
+CPT-frame's verdict."""
 
 import ast
 from pathlib import Path
@@ -20,7 +22,7 @@ from cptkit import (
     linops,
     pair_swap_frame,
 )
-from cptkit.errors import NotPositiveDefinite
+from cptkit.errors import NotHermitian, NotPositiveDefinite
 from cptkit.frames import CPTFrame
 from cptkit.linops import DEFAULT_TOL
 from helpers import COVARIANCE_FAMILIES, covariance_problem, random_complex, unitary_basis_change
@@ -88,6 +90,21 @@ def test_validation_and_the_spectral_powers_share_one_positive_definiteness_rule
     assert rules == [1e-9, 2e-9, 3e-9, 4e-9, 5e-9]
 
 
+def test_build_c_takes_the_cpt_frame_verdict_of_validate_at_its_own_tol(monkeypatch):
+    assert all("pd_tol" not in path.read_text() for path in PACKAGE.glob("*.py"))
+    calls = []
+
+    def recording(self, *args, _validate=CPTFrame.validate, **kwargs):
+        calls.append((args, kwargs))
+        return _validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(CPTFrame, "validate", recording)
+    for h, frame in (covariance_problem(np.random.default_rng(21), "chain"), (np.eye(4), pair_swap_frame(4))):
+        calls.clear()
+        build_c(h, frame, 1e-9)
+        assert calls == [((1e-9,), {})]
+
+
 def _definite(rng, n: int, smallest: float) -> np.ndarray:
     """An exactly Hermitian n x n matrix with eigenvalues from ``smallest`` up to about 5."""
     q, _ = np.linalg.qr(random_complex(rng, (n, n)))
@@ -110,6 +127,17 @@ def test_the_spectral_powers_do_not_depend_on_the_scale(scale):
         for matrix in (bad, scale * bad):
             with pytest.raises(NotPositiveDefinite):
                 hermitian_power(matrix, 0.5)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6, 1e12])
+def test_the_spectral_powers_judge_hermiticity_relative_to_the_scale(scale):
+    rng = np.random.default_rng(22)
+    a = random_complex(rng, (5, 5))
+    m = a @ a.conj().T + np.eye(5)  # Hermitian to rounding
+    expected = np.sqrt(scale) * hermitian_power(m, 0.5)
+    assert np.linalg.norm(hermitian_power(scale * m, 0.5) - expected) <= 1e-12 * np.linalg.norm(expected)
+    with pytest.raises(NotHermitian):
+        hermitian_power(scale * (m + 1e-3 * (a - a.conj().T)), 0.5)
 
 
 def _moved_metrics(result, tol):
@@ -145,3 +173,40 @@ def test_the_metric_roots_refuse_exactly_what_validation_refuses(moved):
                 assert raised == refused, (family, tol)
                 outcomes.add(refused)
     assert outcomes == {False, True}
+
+
+def _skewed_metrics(result, tol):
+    """CPT-frames over the frame of ``result`` whose metric is its PC plus an
+    anti-Hermitian K, scaled so that |PC - PC^+| is each of several multiples
+    of ``tol * max|w|``, and that factor; K leaves the Hermitian part, and so
+    the metric spectrum, as it was, up to rounding."""
+    rng = np.random.default_rng(result.cpt.dim)
+    pc, w = result.cpt.pc_matrix, result.cpt.metric_spectrum[0]
+    k = random_complex(rng, pc.shape)
+    k = (k - k.conj().T) / (2.0 * np.linalg.norm(k - k.conj().T))  # |K - K^+| = 1
+    hermitian = (pc + pc.conj().T) / 2.0
+    for factor in (0.5, 0.99, 1.01, 2.0):
+        skewed = hermitian + factor * tol * np.abs(w).max() * k
+        yield factor, CPTFrame(result.cpt.frame, Operator.linear(result.cpt.frame.apply_p(skewed)))
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["index-frame", "dense-frame"])
+def test_the_metric_roots_refuse_the_hermiticity_that_validation_refuses(moved):
+    rng = np.random.default_rng(2021)
+    for family in COVARIANCE_FAMILIES:
+        h, frame = covariance_problem(rng, family)
+        if moved:
+            _, h, frame = unitary_basis_change(h, frame, rng)
+        result = build_c(h, frame)
+        for tol in (DEFAULT_TOL, 1e-6):
+            for factor, candidate in ((0.0, result.cpt), *_skewed_metrics(result, tol)):
+                refused = "PC hermitian" in dict(candidate.validate(tol).violations)
+                # the threshold is tol * max|w|, whatever the scale of the metric
+                assert refused == (factor > 1.0), (family, tol, factor)
+                try:
+                    candidate.metric_roots(tol)
+                except NotHermitian:
+                    raised = True
+                else:
+                    raised = False
+                assert raised == refused, (family, tol, factor)
