@@ -27,9 +27,12 @@ in Spaces with an Indefinite Metric*, 1989), and with X the J-normalized columns
 
 Every product of the synthesis is then real; C is mapped back by the real
 basis's gathers in O(n^2), and the one :class:`~cptkit.frames.CPTFrame`
-constructor, given C_r as well, factors M.  The roots (PC)^(+-1/2) and h
-stay on the dense formula, from (w, Q U_r).  A frame without a real basis
-synthesizes densely, in the original basis.
+constructor, given C_r as well, factors M into (w, U_r).  The metric's
+powers stay real too: the roots R = M^(+-1/2) and M^-1 come from (w, U_r),
+h = Q (R+ (Q^+ H Q) R-) Q^+ and the CPT adjoint are formed with Q^+ H Q
+split into its real and imaginary parts, and only the emitted roots are
+mapped back, Q R Q^+.  A frame without a real basis synthesizes densely,
+in the original basis, and forms its roots and h there.
 
 The synthesis takes the unbroken states from :mod:`cptkit.symmetry`, which
 alone reads the record of its classification pipeline: ``build_c`` of a
@@ -64,7 +67,6 @@ from .linops import (
     column_norms,
     frobenius,
     require_tolerance,
-    spectral_powers,
 )
 from .symmetry import SymmetryReport, _checked, _runs, _unbroken
 
@@ -199,7 +201,8 @@ def normalize_indefinite(
     = sign(L), from the real Gram block Re((P V)^+ V) = Q L Q^T, as
     :func:`build_c` does for each eigenspace: a basis of the span of V with
     (W, W) = diag(signs), whose columns stay PT-fixed.  For orthonormal V,
-    the sum of w_j (P w_j)^+ depends only on that span.
+    the sum of w_j (P w_j)^+ depends only on that span.  An ``(n, 0)``
+    block, the empty span, normalizes to an ``(n, 0)`` basis with no signs.
 
     Raises
     ------
@@ -303,7 +306,7 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
         cpt = CPTFrame(frame, Operator.linear(basis.from_form(c_matrix)), _c_real=c_matrix)
     # rounding in the Gram entries is amplified by |phi|_2^2 = |P phi|_2^2, the
     # largest eigenvalue of PC = (P phi)(P phi)^+, which grows near an exceptional point
-    gram_tol = tol * max(1.0, float(cpt.metric_spectrum[0][-1]))
+    gram_tol = tol * max(1.0, float(cpt._spectrum[0][-1]))
     if gram_error > gram_tol:
         raise GramDefect(
             f"indefinite Gram matrix deviates from diag(signs) by {gram_error:.3e}; "
@@ -313,8 +316,7 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
     cpt.validate(tol).require("CPT-frame")
     cpt._require_commuting(matrix, tol)
 
-    pc = cpt.pc_matrix if basis is None else cpt._real_metric()
-    gram_cpt = (pc @ x).conj().T @ x
+    gram_cpt = (cpt._metric() @ x).conj().T @ x
     gram_residual = float(frobenius(gram_cpt - np.eye(len(signs))))
     phi = x if basis is None else basis.from_basis(x)  # mapped back last, so not held through the checks
     normalized = [SignedState(*state) for state in zip(energy.tolist(), phi.T, signs.tolist())]
@@ -331,8 +333,11 @@ def cpt_inner(u, v, cpt: CPTFrame) -> complex:
 def cpt_adjoint(a: Operator, cpt: CPTFrame, tol: float = DEFAULT_TOL) -> Operator:
     """Adjoint with respect to the CPT inner product: (PC)^-1 A+ (PC).
 
-    The inverse metric comes from the frame's metric, so positive-definiteness
-    failures surface early.  Satisfies <adj(A) u, v>_CPT = <u, A v>_CPT.
+    The inverse metric comes from the frame's metric spectrum, so
+    positive-definiteness failures surface early; on a frame synthesized in
+    the real basis it is the real M^-1, and the product is formed there in
+    real products (see the module docstring).  Satisfies
+    <adj(A) u, v>_CPT = <u, A v>_CPT.
     Raises InvalidArgument for a ``tol`` that is not a positive, finite number.
     """
     require_tolerance(tol)
@@ -340,16 +345,17 @@ def cpt_adjoint(a: Operator, cpt: CPTFrame, tol: float = DEFAULT_TOL) -> Operato
         raise KindMismatch("the CPT adjoint is defined for linear operators")
     if a.dim != cpt.dim:
         raise DimensionMismatch(f"operator dimension {a.dim} does not match frame dimension {cpt.dim}")
-    pc = cpt.pc_matrix
-    (pc_inv,) = spectral_powers(pc, cpt.metric_spectrum, (-1.0,), tol)
-    return Operator.linear(pc_inv @ a.matrix.conj().T @ pc)
+    (pc_inv,) = cpt._metric_powers((-1.0,), tol)
+    return Operator.linear(cpt._similarity(pc_inv, a.matrix.conj().T, cpt._metric()))
 
 
 def hermitize(h, cpt: CPTFrame, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Similarity transform h = (PC)^(1/2) H (PC)^(-1/2).
 
     The output is genuinely Hermitian exactly when H is symmetric, and the
-    similarity preserves the spectrum.  Requires [C, H] = 0 at tolerance (the
+    similarity preserves the spectrum.  On a frame synthesized in the real
+    basis Q it is Q (R+ (Q^+ H Q) R-) Q^+, with the real roots R+- of M, in
+    real products.  Requires [C, H] = 0 at tolerance (the
     frame must be a frame *for* H) and PC positive definite.  The commutator
     is not formed again for the H, entrywise, that the frame last passed at a
     ``tol`` no tighter, such as the H that :func:`build_c` synthesized it for.
@@ -359,5 +365,5 @@ def hermitize(h, cpt: CPTFrame, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     require_tolerance(tol)
     a = cpt._require_commuting(_checked(h, cpt), tol)  # the copy it equals, if remembered, is dropped here
-    root, inv_root = cpt.metric_roots(tol)
-    return root @ a @ inv_root
+    root, inv_root = cpt._basis_roots(tol)
+    return cpt._similarity(root, a, inv_root)

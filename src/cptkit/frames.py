@@ -24,9 +24,10 @@ and takes the dense matrix path.
 In that basis P is the signature J = Q^+ P Q = diag(+-1), and a C
 synthesized there is the real C_r = Q^+ C Q (the Krein-form algebra is in
 :mod:`cptkit.cpt`).  A :class:`CPTFrame` given such a C_r (``_c_real``)
-factors its metric M = J C_r with one real ``eigh`` and validates in real
-products, where CPT = TPC holds exactly; one built from a C alone takes the
-dense path.
+factors its metric M = J C_r with one real ``eigh``, validates in real
+products, where CPT = TPC holds exactly, and forms the metric's powers,
+Hermitization and the CPT adjoint in real products too; one built from a C
+alone takes the dense path.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class RealBasis(NamedTuple):
     holds Q[l, l] and Q[perm[l], l], and ``adjoint`` holds conj(cols) as
     ``(n, 1)`` columns.  ``signature`` is the real ``(n, 1)`` diagonal of
     J = Q^+ P Q: -1 on the second member of each pair, +1 elsewhere.  Each
-    map below is one or two gathers, O(n^2) on a matrix."""
+    map below is one or two gathers, O(n^2) on a matrix, by :func:`_combine`."""
 
     perm: np.ndarray
     rows: tuple[np.ndarray, np.ndarray]
@@ -107,26 +108,35 @@ class RealBasis(NamedTuple):
         For a PT-symmetric A it is real; for any A its real part is Q^+ A_s
         Q, where A_s = (A + (PT) A (PT)) / 2 is the PT-symmetric part, and
         |A - A_s| is half the PT residual."""
-        c0, c1 = self.cols
-        return self.to_basis(a * c0 + a.take(self.perm, axis=-1) * c1)
+        aq = _combine(a.astype(complex), *self.cols, self.perm, -1)
+        return _combine(aq, *self.adjoint, self.perm, -2)
 
     def to_basis(self, v: np.ndarray) -> np.ndarray:
         """Q^+ V for an ``(n, k)`` block or an ``(N, n, k)`` stack: columns
         mapped into the real basis.  A PT-fixed column has real coordinates."""
-        d0, d1 = self.adjoint
-        return d0 * v + d1 * v.take(self.perm, axis=-2)
+        return _combine(v.astype(complex), *self.adjoint, self.perm, -2)
 
     def from_basis(self, x: np.ndarray) -> np.ndarray:
         """Q X for an ``(n, k)`` block or an ``(N, n, k)`` stack: columns in
         the real basis mapped back."""
-        r0, r1 = self.rows
-        return r0 * x + r1 * x.take(self.perm, axis=-2)
+        return _combine(x.astype(complex), *self.rows, self.perm, -2)
 
     def from_form(self, m: np.ndarray) -> np.ndarray:
         """Q M Q^+ for an ``(n, n)`` matrix M: a matrix of the real basis mapped back."""
         r0, r1 = self.rows
-        qm = self.from_basis(m)
-        return qm * r0.conj().T + qm.take(self.perm, axis=-1) * r1.conj().T
+        return _combine(self.from_basis(m), r0.conj().T, r1.conj().T, self.perm, -1)
+
+
+def _combine(own: np.ndarray, w0: np.ndarray, w1: np.ndarray, perm: np.ndarray, axis: int) -> np.ndarray:
+    """w0 X + w1 X', X' the gather ``X.take(perm, axis)``, for the weights
+    ``w0``, ``w1`` of the real basis and a complex X, ``own``, that the caller
+    gives up: formed in its place, so that the only new array is X' (the
+    fresh arrays of a map, not its O(n^2) arithmetic, dominate its time)."""
+    out = own.take(perm, axis=axis)
+    out *= w1
+    own *= w0
+    out += own
+    return out
 
 
 _R = np.sqrt(0.5)
@@ -282,19 +292,22 @@ def _involutive_permutation(p: np.ndarray, t: np.ndarray) -> np.ndarray | None:
 @dataclass(frozen=True)
 class CPTFrame:
     """A triple {C, P, T} over a PT-frame, checked by :meth:`validate`.  The
-    metric ``pc_matrix`` = P @ C and ``metric_spectrum`` = (w, U), w ascending,
-    the one eigendecomposition of its Hermitian part, are formed once here,
-    read-only: no consumer of the metric factors it again, and its roots are
-    formed once per tolerance by :meth:`metric_roots`.  A frame synthesized in
-    the real basis Q of an index frame is given its real C_r = Q^+ C Q as
-    ``_c_real``, with C = Q C_r Q^+, and keeps it read-only; its spectrum is
-    (w, Q U_r) from one real ``eigh`` of M = J C_r.  The H and ``tol`` of
-    the last passing [C, H] check are kept as ``_commuting``."""
+    metric ``pc_matrix`` = P @ C and the one eigendecomposition (w, U), w
+    ascending, of its Hermitian part are formed once here, read-only: no
+    consumer of the metric factors it again, and its powers are formed from
+    that spectrum, the roots once per tolerance.  A frame synthesized in the
+    real basis Q of an index frame is given its real C_r = Q^+ C Q as
+    ``_c_real``, with C = Q C_r Q^+, and keeps it read-only; it factors
+    M = J C_r = Q^+ (PC) Q with one real ``eigh`` into (w, U_r), and forms
+    the metric's powers, Hermitization and the CPT adjoint in real products
+    of that basis; ``metric_spectrum`` is then (w, Q U_r), formed on first
+    use.  The H and ``tol`` of the last passing [C, H] check are kept as
+    ``_commuting``."""
 
     frame: PTFrame
     c: Operator
     pc_matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    metric_spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     _roots: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _c_real: np.ndarray | None = field(default=None, repr=False, compare=False, kw_only=True)
     _commuting: tuple[np.ndarray, float] | None = field(init=False, repr=False, compare=False, default=None)
@@ -304,24 +317,51 @@ class CPTFrame:
             raise KindMismatch("C must be a linear operator")
         if self.c.dim != self.frame.dim:
             raise DimensionMismatch(f"C has dimension {self.c.dim} but frame has dimension {self.frame.dim}")
+        if self._c_real is not None:
+            self._c_real.setflags(write=False)
         with np.errstate(over="ignore", invalid="ignore"):
-            pc = self.frame.apply_p(self.c.matrix)
-            if self._c_real is None:
-                spectrum = np.linalg.eigh((pc + pc.conj().T) / 2.0)
-            else:
-                m = self._real_metric()
-                w, u = np.linalg.eigh((m + m.T) / 2.0)
-                spectrum = (w, self.frame.real_basis.from_basis(u))
-                self._c_real.setflags(write=False)
-        for part in (pc, *spectrum):
+            object.__setattr__(self, "pc_matrix", self.frame.apply_p(self.c.matrix))
+            m = self._metric()
+            spectrum = tuple(np.linalg.eigh((m + m.conj().T) / 2.0))
+        for part in (self.pc_matrix, *spectrum):
             part.setflags(write=False)
-        object.__setattr__(self, "pc_matrix", pc)
-        object.__setattr__(self, "metric_spectrum", tuple(spectrum))
+        object.__setattr__(self, "_spectrum", spectrum)
 
-    def _real_metric(self) -> np.ndarray:
-        """M = J C_r = Q^+ (PC) Q, the metric in the real basis, of a frame
-        synthesized there."""
+    @cached_property
+    def metric_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, U), w ascending, the eigendecomposition of PC's Hermitian
+        part, read-only: (w, Q U_r) on a frame synthesized in the real basis."""
+        if self._c_real is None:
+            return self._spectrum
+        w, u = self._spectrum
+        u = self.frame.real_basis.from_basis(u)
+        u.setflags(write=False)
+        return w, u
+
+    def _metric(self) -> np.ndarray:
+        """The metric in the frame's own basis: M = J C_r = Q^+ (PC) Q on a
+        frame synthesized in the real basis, PC on any other."""
+        if self._c_real is None:
+            return self.pc_matrix
         return self.frame.real_basis.signature * self._c_real
+
+    def _metric_powers(self, powers, tol: float) -> tuple[np.ndarray, ...]:
+        """:func:`~cptkit.linops.spectral_powers` of :meth:`_metric` from its
+        one spectrum, with its errors at ``tol``: real on a frame synthesized
+        in the real basis."""
+        return spectral_powers(self._metric(), self._spectrum, powers, tol)
+
+    def _similarity(self, left: np.ndarray, a: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """left A right, for ``left`` and ``right`` in the frame's own basis,
+        as :meth:`_metric_powers` forms them: on a frame synthesized in the
+        real basis, Q (left (Q^+ A Q) right) Q^+ in real products, with
+        Q^+ A Q split into its real and imaginary parts."""
+        if self._c_real is None:
+            return left @ a @ right
+        basis = self.frame.real_basis
+        form = basis.form(a)
+        form.real, form.imag = left @ np.stack([form.real, form.imag]) @ right
+        return basis.from_form(form)
 
     def _require_commuting(self, h: np.ndarray, tol: float) -> np.ndarray:
         """Raise CommutatorViolation unless :func:`~cptkit.linops.commutator_check`
@@ -353,18 +393,32 @@ class CPTFrame:
     def t(self) -> Operator:
         return self.frame.t
 
-    def metric_roots(self, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-        """(PC)^(1/2) and (PC)^(-1/2) from the metric spectrum, read-only, with
-        the errors of :func:`~cptkit.linops.spectral_powers` at ``tol``: formed
-        on first use at each tolerance and kept, so Hermitization and the
-        emitted roots share one formation."""
+    def _basis_roots(self, tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """The roots of :meth:`_metric`, ``(0.5, -0.5)`` powers by
+        :meth:`_metric_powers`, read-only: formed on first use at each
+        tolerance and kept, so Hermitization and the emitted roots share one
+        formation."""
         roots = self._roots.get(tol)
         if roots is None:
-            roots = spectral_powers(self.pc_matrix, self.metric_spectrum, (0.5, -0.5), tol)
+            roots = self._metric_powers((0.5, -0.5), tol)
             for root in roots:
                 root.setflags(write=False)
             self._roots[tol] = roots
         return roots
+
+    def metric_roots(self, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+        """(PC)^(1/2) and (PC)^(-1/2) from the metric spectrum, read-only, with
+        the errors of :func:`~cptkit.linops.spectral_powers` at ``tol``.  The
+        roots are formed once per tolerance, those of a frame synthesized in
+        the real basis as the real roots R of M, which :func:`~cptkit.cpt.hermitize`
+        reads; this maps them back, Q R Q^+, on each call."""
+        roots = self._basis_roots(tol)
+        if self._c_real is None:
+            return roots
+        mapped = tuple(self.frame.real_basis.from_form(root) for root in roots)
+        for root in mapped:
+            root.setflags(write=False)
+        return mapped
 
     def validate(self, tol: float = DEFAULT_TOL) -> FrameReport:
         """Check the CPT-frame axioms and report every violation with its
@@ -381,8 +435,8 @@ class CPTFrame:
         ``tol`` raises InvalidArgument."""
         _require_threshold(tol)
         dense = self._c_real is None
-        mc, pc = (self.c.matrix, self.pc_matrix) if dense else (self._c_real, self._real_metric())
-        min_eig, threshold = positive_definiteness(self.metric_spectrum[0], tol)
+        mc, pc = (self.c.matrix if dense else self._c_real), self._metric()
+        min_eig, threshold = positive_definiteness(self._spectrum[0], tol)
         with np.errstate(over="ignore", invalid="ignore"):
             bound = tol * max(1.0, frobenius(mc)) ** 2
             residuals = (

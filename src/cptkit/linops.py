@@ -321,6 +321,9 @@ def eigendecompose(m, tol: float = DEFAULT_TOL) -> EigenSystem:
 
     Raises
     ------
+    DimensionMismatch
+        For a matrix that is not square, or is empty: an empty matrix has no
+        eigensystem to report.
     NonFiniteEntries
         For a single matrix whose Frobenius norm, the scale of the residual
         check, overflows.
@@ -337,6 +340,8 @@ def eigendecompose(m, tol: float = DEFAULT_TOL) -> EigenSystem:
     a = a if stacked else _finite_square(a)[None]
     if a.shape[1] != a.shape[2]:
         raise DimensionMismatch(f"expected a stack of square matrices, got shape {a.shape}")
+    if not a.shape[1]:
+        raise DimensionMismatch("an empty matrix has no eigensystem")
     scale = frobenius(a)
     if not stacked:
         require_finite_scale(scale[0])

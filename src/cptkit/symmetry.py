@@ -19,7 +19,11 @@ solve's exact conjugates sort.
 
 Over a frame whose P is a permutation and whose T is conjugation, a
 PT-symmetric H is a real matrix in the frame's PT-fixed basis, and is
-eigendecomposed there in real arithmetic.
+eigendecomposed there in real arithmetic.  Each eigenvector of that solve
+with an exactly real eigenvalue is Q x with x real, PT-fixed as it stands
+with phase 0, so phase alignment runs only on the other real columns: those
+of a dense frame, of a row that falls back to the complex solve, and of a
+non-real eigenvalue within the reality width.
 """
 
 from __future__ import annotations
@@ -286,7 +290,10 @@ def _cluster_starts(re: np.ndarray, real: np.ndarray, width: np.ndarray) -> np.n
 
 def _runs(key: np.ndarray) -> dict[int, np.ndarray]:
     """The runs of equal neighbours in the 1-D ``key``, grouped by length:
-    for each run length m, the ``(g, m)`` positions of the g runs of that length."""
+    for each run length m, the ``(g, m)`` positions of the g runs of that
+    length.  An empty key has no runs."""
+    if not len(key):
+        return {}
     bounds = np.concatenate(([True], key[1:] != key[:-1], [True])).nonzero()[0]
     first, size = bounds[:-1], bounds[1:] - bounds[:-1]
     return {m: first[size == m, None] + np.arange(m) for m in set(size.tolist())}
@@ -344,8 +351,8 @@ def _petermann(vectors: np.ndarray) -> np.ndarray:
 
 def _eigensystems(a: np.ndarray, norm: np.ndarray, symmetric: np.ndarray, frame: PTFrame, tol: float):
     """The sorted eigensystem of each matrix of an ``(N, n, n)`` stack with
-    Frobenius norms ``norm`` and PT verdicts ``symmetric``, and each row's
-    largest eigenpair residual.
+    Frobenius norms ``norm`` and PT verdicts ``symmetric``, each row's
+    largest eigenpair residual, and which rows were solved in the real basis.
 
     A PT-symmetric row over a frame with a real basis Q is solved as the
     real matrix Re(Q^+ H Q), and its eigenvectors are mapped back by Q.
@@ -359,12 +366,12 @@ def _eigensystems(a: np.ndarray, norm: np.ndarray, symmetric: np.ndarray, frame:
     whole = bool(real.all())
     basis = frame.real_basis if whole or real.any() else None
     if basis is None:
-        return stacked_eigensystem(a, norm, tol)
+        return (*stacked_eigensystem(a, norm, tol), np.zeros(len(a), dtype=bool))
     eigen, residual = stacked_eigensystem(basis.form(a if whole else a[real]).real, norm if whole else norm[real], tol)
     regular = ~(eigen.defective | _past_ep_gate(eigen.condition))
     if whole and regular.all():  # the common case: nothing falls back
         vectors = basis.from_basis(eigen.vectors)
-        return EigenSystem(eigen.values.astype(complex), vectors, eigen.condition, eigen.defective), residual
+        return EigenSystem(eigen.values.astype(complex), vectors, eigen.condition, eigen.defective), residual, real
     real[real] = regular  # the rows whose real solve is kept
     fallback = ~real
     rest, rest_residual = stacked_eigensystem(a[fallback], norm[fallback], tol)
@@ -374,7 +381,7 @@ def _eigensystems(a: np.ndarray, norm: np.ndarray, symmetric: np.ndarray, frame:
     condition[real], residuals[real] = eigen.condition[regular], residual[regular]
     values[fallback], vectors[fallback] = rest.values, rest.vectors
     condition[fallback], residuals[fallback], defective[fallback] = rest.condition, rest_residual, rest.defective
-    return EigenSystem(values, vectors, condition, defective), residuals
+    return EigenSystem(values, vectors, condition, defective), residuals, real
 
 
 def _past_ep_gate(condition: np.ndarray) -> np.ndarray:
@@ -387,8 +394,12 @@ def _classify_rows(a: np.ndarray, norm: np.ndarray, frame: PTFrame, tol: float) 
     norms ``norm``: the rows that are not finite or whose norm overflows are
     zeroed, then the PT check of :func:`_pt_check`, the eigensystems of
     :func:`_eigensystems` and the kernel: reality, degenerate clusters, phase
-    alignment of every eigenvector, conjugate pairs and exceptional-point
-    proximity, each computed for all rows at once.
+    alignment, conjugate pairs and exceptional-point proximity, each computed
+    for all rows at once.  Alignment runs on the whole stack, where any real
+    column needs it, and is kept on those columns only: a column of a real
+    solve (see the module docstring) with an exactly real eigenvalue keeps
+    its eigenvector with phase 0, so a row of a stack is classified bit for
+    bit as the row alone.
 
     ``kept`` marks the columns of ``phi`` that hold aligned states, with
     phase ``theta`` and their eigenspace's ``energy``.  Each real eigenspace
@@ -406,15 +417,20 @@ def _classify_rows(a: np.ndarray, norm: np.ndarray, frame: PTFrame, tol: float) 
     if not scaled.all():  # non-finite entries, or a norm that overflows: error rows, kept out of the PT check
         a = np.where(scaled[:, None, None], a, 0.0)
     symmetric, pt_residual = _pt_check(a, norm, frame, tol)
-    eigen, residual = _eigensystems(a, norm, symmetric, frame, tol)
+    eigen, residual, solved_real = _eigensystems(a, norm, symmetric, frame, tol)
     values, vectors, condition = eigen.values, eigen.vectors, eigen.condition
     settled = ~eigen.defective
     scale = np.maximum(1.0, norm)[:, None]
     real = np.abs(values.imag) <= REALITY_FACTOR * scale
     start = _cluster_starts(values.real, real, DEGENERACY_FACTOR * scale)
-    if real.any():
+    # a column of a real solve with an exactly real eigenvalue is Q x, x real:
+    # PT-fixed as it stands, with phase 0, so only the other real columns need aligning
+    fixed = solved_real[:, None] & (values.imag == 0)
+    if (real & ~fixed).any():
         phi, theta, phase_ok, _, _ = _align_columns(vectors, frame, tol)
-    else:  # nothing to align, as on a broken 2x2 row
+        row, col = np.nonzero(fixed)
+        phi[row, :, col], theta[row, col], phase_ok[row, col] = vectors[row, :, col], 0.0, True
+    else:  # nothing to align, as on a row of a real solve or a broken 2x2 row
         phi, theta, phase_ok = vectors, np.zeros(real.shape), real
     nonreal = symmetric[:, None] & ~real
     partner = _pair(values, nonreal, DEGENERACY_FACTOR * scale)
@@ -438,6 +454,8 @@ def _classify_rows(a: np.ndarray, norm: np.ndarray, frame: PTFrame, tol: float) 
     irregular = settled & symmetric & (real & ~kept).any(-1)
     if irregular.any():
         energy = energy.copy()
+        if phi is vectors:  # rebased in place, so not in the read-only eigensystem
+            phi = vectors.copy()
         label = np.cumsum(start).reshape(start.shape)  # the eigenspace of each real column, numbered across rows
         irregular_space = np.zeros(label[-1, -1] + 1, dtype=bool)
         irregular_space[label[irregular[:, None] & real & ~kept]] = True
@@ -503,7 +521,9 @@ def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryRe
     Pipeline: decide PT-symmetry (otherwise the classification is
     not-applicable), eigendecompose (in the real basis of an index frame,
     see :func:`_eigensystems`), then try to align every real-eigenvalue
-    eigenstate onto the PT-fixed ray.  Degenerate real eigenspaces are
+    eigenstate onto the PT-fixed ray: one that the real solve found with an
+    exactly real eigenvalue is PT-fixed already, with theta 0, and only the
+    others are phase-aligned.  Degenerate real eigenspaces are
     re-based with the v + PT v construction, which is exact by antilinear
     involution algebra.  The result is unbroken exactly when all eigenvalues
     are real and every eigenstate aligns; otherwise it is broken and the

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from cptkit import (
-    DEFAULT_TOL,
     UNBROKEN,
     CptKitError,
     ModelSpec,
@@ -267,10 +266,7 @@ def test_build_c_multiple_emits(tmp_path, capsys):
 ])
 def test_metric_roots_are_formed_once_per_command(command, emits, monkeypatch, tmp_path, capsys):
     blocks = ((1.0, 2.0, float(THETA_PI_6)), (1.0, 3.0, 0.7))
-    h, frame = build_model(ModelSpec("chain", blocks))
-    metric = build_c(h, frame).cpt
-    root, inv_root = linops.spectral_powers(metric.pc_matrix, metric.metric_spectrum, (0.5, -0.5), DEFAULT_TOL)
-    want = {"pc_sqrt": root, "pc_inv_sqrt": inv_root, "h": root @ h @ inv_root}
+    h, _ = build_model(ModelSpec("chain", blocks))
     calls = []
     real = linops.spectral_powers
 
@@ -282,11 +278,14 @@ def test_metric_roots_are_formed_once_per_command(command, emits, monkeypatch, t
         if hasattr(module, "spectral_powers"):
             monkeypatch.setattr(module, "spectral_powers", counting)
     model = ["--model", "chain"] + [flag for r, s, theta in blocks for flag in ("--r", repr(r), "--s", repr(s), "--theta", repr(theta))]
-    emit_flags = [flag for kind in emits for flag in ("--emit", kind)]
+    emit_flags = [flag for kind in ["pc", *emits] for flag in ("--emit", kind)]
     assert run([command, *model, "--out", str(tmp_path / "m.json"), *emit_flags]) == EXIT_OK
     assert len(calls) == 1
-    for label, matrix in want.items():
-        assert (tmp_path / f"m.{label}.json").read_text(encoding="utf-8") == matrix_document(matrix)
+    # the roots and h against the powers of the emitted PC, formed independently
+    root, inv_root = (hermitian_power(load_matrix(tmp_path / "m.pc.json").matrix, p) for p in (0.5, -0.5))
+    for label, want in {"pc_sqrt": root, "pc_inv_sqrt": inv_root, "h": root @ h @ inv_root}.items():
+        got = load_matrix(tmp_path / f"m.{label}.json").matrix
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), label
 
 
 def test_build_c_with_a_non_hermitian_parity_is_an_axiom_failure(tmp_path, capsys):

@@ -289,6 +289,12 @@ def test_eigendecompose_defective_raises_with_condition():
     assert info.value.condition is None or info.value.condition > 1e8
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+def test_eigendecompose_of_an_empty_matrix_is_a_dimension_mismatch(shape):
+    with pytest.raises(DimensionMismatch, match="empty matrix"):
+        eigendecompose(np.zeros(shape))
+
+
 def test_eigendecompose_keeps_real_input_real():
     rng = np.random.default_rng(14)
     symmetric = rng.standard_normal((5, 5))

@@ -18,7 +18,16 @@ from cptkit import (
     symmetry,
 )
 from cptkit.errors import CptKitError, DefectiveSpectrum, DimensionMismatch, NonFiniteEntries, NotPTEigenstate
-from helpers import H1, H2, H3, any_dim_frame, multiset_gap, random_pt_symmetric, unitary_basis_change
+from helpers import (
+    H1,
+    H2,
+    H3,
+    any_dim_frame,
+    bench_workloads,
+    multiset_gap,
+    random_pt_symmetric,
+    unitary_basis_change,
+)
 
 E_PLUS = 2.8025170768881473
 E_MINUS = -1.0704662693192697
@@ -117,8 +126,10 @@ def test_classify_unbroken_model():
 
 
 def _sour_phase_alignment(monkeypatch):
-    """Make every eigenvector fail phase alignment, so that each real
-    eigenspace, simple ones too, is rebased."""
+    """Make every eigenvector that phase alignment runs on fail it, so that
+    each real eigenspace, simple ones too, is rebased.  Alignment runs on
+    the eigenvectors of a dense frame and of a row that falls back to the
+    complex solve; those of the real solve are PT-fixed as they stand."""
     real_align = symmetry._align_columns
 
     def sour(vectors, frame, tol):
@@ -130,8 +141,9 @@ def _sour_phase_alignment(monkeypatch):
 
 def test_classify_rebases_simple_eigenvector_that_fails_phase_alignment(monkeypatch):
     _sour_phase_alignment(monkeypatch)
-    frame = pair_swap_frame(2)
-    report = classify_symmetry(model_2x2(1, 2, np.pi / 6), frame)
+    # moved by a unitary onto a dense frame, where the eigenvectors are phase-aligned
+    _, h, frame = unitary_basis_change(model_2x2(1, 2, np.pi / 6), pair_swap_frame(2), np.random.default_rng(4))
+    report = classify_symmetry(h, frame)
     assert report.classification == UNBROKEN
     assert [w.endswith("aligned via rebasing, not by phase") for w in report.warnings] == [True, True]
     for state in report.aligned_states:
@@ -405,15 +417,19 @@ def test_classify_stack_agrees_with_classify_symmetry_row_by_row(n, monkeypatch)
         if not error:
             np.testing.assert_array_equal(values, classify_symmetry(m, frame).eigenvalues)
 
+    # moved onto a dense frame, where every eigenvector is phase-aligned, and
     # with phase alignment sour, every simple eigenvector is rebased: the
     # random unbroken rows that were quiet now warn, from the kernel's arrays
+    u, _, dense = unitary_basis_change(np.eye(n), frame, rng)
+    moved = [u @ m @ u.conj().T for m in mats]
+    stack = classify_stack(np.stack(moved), dense)
     quiet = (stack.classification == UNBROKEN) & ~stack.warning & ~stack.error
     quiet[12:] = False  # the identity is one degenerate eigenspace: rebased, never warned
     assert quiet.any()
     _sour_phase_alignment(monkeypatch)
-    sour = classify_stack(np.stack(mats), frame)
+    sour = classify_stack(np.stack(moved), dense)
     assert sour.warning[quiet].all()
-    assert _stack_rows(sour) == _row_by_row(mats, frame)
+    assert _stack_rows(sour) == _row_by_row(moved, dense)
 
 
 def test_classify_stack_rejects_a_stack_of_the_wrong_dimension():
@@ -489,6 +505,73 @@ def test_fallback_rows_take_the_complex_solve_bit_for_bit(monkeypatch):
         assert stack.eigenvalues.tobytes() == eigendecompose(np.stack([h, h]).astype(complex)).values.tobytes()
 
 
+def _count_alignments(monkeypatch) -> list:
+    """Record one entry per call of the phase alignment."""
+    calls = []
+    align = symmetry._align_columns
+
+    def counting(*args):
+        calls.append(None)
+        return align(*args)
+
+    monkeypatch.setattr(symmetry, "_align_columns", counting)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [2, 200])
+def test_the_real_solve_leaves_no_state_to_phase_align(dim, monkeypatch):
+    # each eigenvector of the real solve is Q x, x real: PT-fixed as it
+    # stands, with phase 0, so an unbroken pipeline aligns nothing
+    if dim == 2:
+        h, frame = build_model(ModelSpec("2x2", ((1.0, 2.0, 0.5),)))
+    else:
+        h, frame = build_model(bench_workloads().problem("chain-dense", 1, 0).spec)
+    assert frame.dim == dim
+    calls = _count_alignments(monkeypatch)
+    report = classify_symmetry(h, frame)
+    build_c(h, frame)
+    assert len(calls) == 0
+    assert report.classification == UNBROKEN and len(report.aligned_states) == dim
+    for state in report.aligned_states:
+        assert state.theta == 0.0
+        assert np.array_equal(frame.apply_pt(state.state), state.state)
+    # moved by a unitary onto a dense frame, each classification aligns once
+    _, h, frame = unitary_basis_change(h, frame, np.random.default_rng(dim))
+    classify_symmetry(h, frame)
+    build_c(h, frame)
+    assert len(calls) == 2
+
+
+def test_a_row_that_falls_back_to_the_complex_solve_is_phase_aligned(monkeypatch):
+    # near its exceptional point the cell's real solve passes the gate: the
+    # complex solve's eigenvectors carry phases, which alignment removes
+    near, frame = build_model(ModelSpec("2x2", ((1.0 - 1e-6, 1.0, np.pi / 2),)))
+    cell = build_model(ModelSpec("2x2", ((1.0, 2.0, 0.5),)))[0]
+    calls = _count_alignments(monkeypatch)
+    report = classify_symmetry(near, frame)
+    assert len(calls) == 1 and report.classification == UNBROKEN
+    assert all(state.theta > 0.0 for state in report.aligned_states)
+    for state in report.aligned_states:
+        np.testing.assert_allclose(frame.apply_pt(state.state), state.state, atol=1e-12)
+    # in a stack, alignment is kept on the fallback row's columns alone:
+    # each row is its own classification, bit for bit
+    records = _kernel_calls(monkeypatch)
+    calls.clear()
+    classify_stack(np.stack([cell, near, cell]), frame)
+    assert len(calls) == 1
+    rows = records[-1]
+    assert rows.theta[[0, 2]].tolist() == [[0.0, 0.0]] * 2
+    for i, m in enumerate([cell, near, cell]):
+        classify_symmetry(m, frame)
+        for field in ("phi", "theta", "kept"):
+            assert getattr(rows, field)[i].tobytes() == getattr(records[-1], field)[0].tobytes(), (i, field)
+
+
+def test_an_empty_key_has_no_runs():
+    assert symmetry._runs(np.zeros(0)) == {}
+    assert {m: r.tolist() for m, r in symmetry._runs(np.array([1.0, 1.0, 2.0])).items()} == {2: [[0, 1]], 1: [[2]]}
+
+
 def test_an_exact_exceptional_point_fails_as_in_the_complex_solve(monkeypatch):
     h, frame = build_model(ModelSpec("2x2", ((1.5, 1.5, np.pi / 2),)))
     kinds = _recorded_kinds(monkeypatch)
@@ -545,6 +628,9 @@ def test_a_stack_rebases_each_row_as_its_own_classification_bit_for_bit(sour, mo
         _sour_phase_alignment(monkeypatch)
     calls = _kernel_calls(monkeypatch)
     for mats, frame, want in _rebase_stacks():
+        if sour and frame.real_basis is not None:  # moved onto a dense frame, where alignment runs
+            u, _, frame = unitary_basis_change(mats[0], frame, np.random.default_rng(len(mats)))
+            mats = [u @ m @ u.conj().T for m in mats]
         stack = classify_stack(np.stack(mats), frame)
         rows = calls[-1]
         assert stack.classification.tolist() == want
