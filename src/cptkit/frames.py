@@ -355,12 +355,18 @@ class CPTFrame:
         """left A right, for ``left`` and ``right`` in the frame's own basis,
         as :meth:`_metric_powers` forms them: on a frame synthesized in the
         real basis, Q (left (Q^+ A Q) right) Q^+ in real products, with
-        Q^+ A Q split into its real and imaginary parts."""
+        Q^+ A Q split into its real and imaginary parts.  An exactly real
+        Q^+ A Q, as of every built-in model, takes the real part's two
+        products alone, and its imaginary part is written as the +0.0 that
+        the products of zeros give."""
         if self._c_real is None:
             return left @ a @ right
         basis = self.frame.real_basis
         form = basis.form(a)
-        form.real, form.imag = left @ np.stack([form.real, form.imag]) @ right
+        if np.count_nonzero(form.imag):
+            form.real, form.imag = left @ np.stack([form.real, form.imag]) @ right
+        else:
+            form.real, form.imag = left @ np.ascontiguousarray(form.real) @ right, 0.0
         return basis.from_form(form)
 
     def _require_commuting(self, h: np.ndarray, tol: float) -> np.ndarray:

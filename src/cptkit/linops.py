@@ -32,6 +32,9 @@ DEFAULT_TOL = 1e-10
 #: numerically defective instead of silently regularized.
 COND_LIMIT = 1e8
 
+#: The spacing of doubles at 1, the unit of the Gram certificate's margin.
+_EPS = 2.0**-52
+
 LINEAR = "linear"
 ANTILINEAR = "antilinear"
 
@@ -352,10 +355,22 @@ def eigendecompose(m, tol: float = DEFAULT_TOL) -> EigenSystem:
     return EigenSystem(eigen.values[0], eigen.vectors[0], float(eigen.condition[0]))
 
 
-def stacked_eigensystem(a: np.ndarray, scale: np.ndarray, tol: float) -> tuple[EigenSystem, np.ndarray]:
+def stacked_eigensystem(
+    a: np.ndarray, scale: np.ndarray, tol: float, gate: float | None = None
+) -> tuple[EigenSystem, np.ndarray]:
     """The stacked :class:`EigenSystem` of a real or complex ``(N, n, n)``
     stack whose Frobenius norms are ``scale``, and each row's largest
-    eigenpair residual: the body of :func:`eigendecompose`."""
+    eigenpair residual: the body of :func:`eigendecompose`.
+
+    Without ``gate`` every row's ``condition`` is cond(V) from the SVD, as
+    :func:`eigendecompose` and DefectiveSpectrum report it.  With it, for a
+    caller that asks of cond(V) only whether its square lies below ``gate``
+    (at most ``COND_LIMIT``^2), a row whose residual check passes and whose
+    Gram certificate puts cond(V)^2 below ``gate``, with the margin
+    2 (n + 2) (n + 4) eps in the Gram row sum (see
+    :func:`_unit_eigenvectors`), keeps the certificate's bound as its
+    condition and takes no SVD: the bound lies on the same side of the
+    gate, and of ``COND_LIMIT``, as the SVD's value."""
     unscaled = ~np.isfinite(scale)  # non-finite entries, or a norm that overflows
     if unscaled.any():
         # a placeholder keeps the stacked LAPACK calls valid for the other rows
@@ -369,26 +384,58 @@ def stacked_eigensystem(a: np.ndarray, scale: np.ndarray, tol: float) -> tuple[E
     # non-real eigenvalue: the rows with a real spectrum are finished in real
     # arithmetic, bit for bit as each would be alone
     plain = (values.imag == 0).all(-1) & (a.dtype.kind == "f")
-    condition, residual = np.empty(len(a)), np.empty(len(a))
+    condition, residual, limit = np.empty(len(a)), np.empty(len(a)), tol * scale
     for group, part in ((plain, np.real), (~plain, np.asarray)):
         if group.all():  # the whole stack, as always for one matrix: a slice, not a copy
             group = slice(None)
         elif not group.any():
             continue
         vectors[group], condition[group], residual[group] = _unit_eigenvectors(
-            a[group], part(values[group]), part(vectors[group])
+            a[group], part(values[group]), part(vectors[group]), limit[group], gate
         )
-    defective = unscaled | ~(condition <= COND_LIMIT) | (residual > tol * scale)
+    defective = unscaled | ~(condition <= COND_LIMIT) | (residual > limit)
     return EigenSystem(values, vectors, condition, defective), residual
 
 
-def _unit_eigenvectors(a: np.ndarray, values: np.ndarray, vectors: np.ndarray):
-    """Unit-column eigenvectors, cond(V) and the largest eigenpair residual of each row."""
+def _unit_eigenvectors(
+    a: np.ndarray, values: np.ndarray, vectors: np.ndarray, limit: np.ndarray, gate: float | None
+):
+    """Unit-column eigenvectors, cond(V) and the largest eigenpair residual
+    of each row, for the residual ``limit`` and the ``gate`` of
+    :func:`stacked_eigensystem`.
+
+    cond(V) is the ratio of the extreme singular values, from one stacked
+    SVD, except on the rows that a ``gate`` clears with a certificate.  The
+    Gram matrix G = V^+ V of unit columns has a unit diagonal, so by
+    Gershgorin its eigenvalues lie in [2 - s, s], s the largest row sum of
+    |G|, and cond(V)^2 <= s / (2 - s).  A row is cleared where its residual
+    is within ``limit`` and s / (2 - s) < ``gate`` still holds with s raised
+    by the margin 2 (n + 2) (n + 4) eps.  That is twice the rounding of G's
+    row sums (about n gamma_n), of the sum of their moduli and of the column
+    normalization (which leaves G's diagonal within gamma_(n+4) of 1).  Near
+    the gate it lowers cond(V)^2 by a relative (n + 2) (n + 4) eps gate or
+    more (2.7e-9 at n = 2), far above the rounding of the SVD, about
+    n eps cond(V): the SVD puts a cleared row below the gate too.  A cleared
+    row keeps the bound sqrt(s / (2 - s)) as its condition, below the gate
+    by that margin, and takes no SVD.  The SVD runs on the other rows
+    alone, and not at all where every row clears."""
     vectors = vectors / column_norms(vectors, keepdims=True)
-    singular = np.linalg.svd(vectors, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        condition = singular[:, 0] / singular[:, -1]
     residual = column_norms(a @ vectors - vectors * values[:, None, :]).max(-1)
+    condition, exact = np.empty(len(a)), slice(None)
+    if gate is not None:
+        n = vectors.shape[-1]
+        s = np.maximum.reduce(np.add.reduce(np.abs(vectors.swapaxes(-1, -2).conj() @ vectors), -1), -1)
+        # s + margin < 2 gate / (1 + gate) is (s + margin) / (2 - s - margin) < gate
+        cleared = (s < 2.0 * gate / (1.0 + gate) - 2.0 * (n + 2) * (n + 4) * _EPS) & (residual <= limit)
+        count = np.count_nonzero(cleared)
+        if count == len(a):
+            return vectors, np.sqrt(s / (2.0 - s)), residual
+        if count:
+            s = s[cleared]
+            condition[cleared], exact = np.sqrt(s / (2.0 - s)), ~cleared
+    singular = np.linalg.svd(vectors[exact], compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        condition[exact] = singular[:, 0] / singular[:, -1]
     return vectors, condition, residual
 
 

@@ -361,20 +361,30 @@ def _eigensystems(a: np.ndarray, norm: np.ndarray, symmetric: np.ndarray, frame:
     other row is solved as complex, in one stacked call with the rows whose
     real solve is defective or passes the exceptional-point gate, so every
     warning and error comes from the complex solve of H itself.
+
+    Both solves take the Gram certificate of
+    :func:`~cptkit.linops.stacked_eigensystem` at the gate ``EP_WARNING_K``:
+    a row whose cond(V)^2 it bounds below the gate, by the margin
+    2 (n + 2) (n + 4) eps in the Gram row sum, keeps that bound as its
+    condition and takes no SVD.  The bound is on the same side of the gate
+    and of ``COND_LIMIT`` as the SVD's cond(V), so every fallback, verdict,
+    warning and error is as with the SVD on every row, and an error's
+    condition, that of a row the certificate does not clear, is the SVD's.
     """
     real = symmetric & (norm < np.inf)
     whole = bool(real.all())
     basis = frame.real_basis if whole or real.any() else None
     if basis is None:
-        return (*stacked_eigensystem(a, norm, tol), np.zeros(len(a), dtype=bool))
-    eigen, residual = stacked_eigensystem(basis.form(a if whole else a[real]).real, norm if whole else norm[real], tol)
+        return (*stacked_eigensystem(a, norm, tol, EP_WARNING_K), np.zeros(len(a), dtype=bool))
+    form = basis.form(a if whole else a[real]).real
+    eigen, residual = stacked_eigensystem(form, norm if whole else norm[real], tol, EP_WARNING_K)
     regular = ~(eigen.defective | _past_ep_gate(eigen.condition))
     if whole and regular.all():  # the common case: nothing falls back
         vectors = basis.from_basis(eigen.vectors)
         return EigenSystem(eigen.values.astype(complex), vectors, eigen.condition, eigen.defective), residual, real
     real[real] = regular  # the rows whose real solve is kept
     fallback = ~real
-    rest, rest_residual = stacked_eigensystem(a[fallback], norm[fallback], tol)
+    rest, rest_residual = stacked_eigensystem(a[fallback], norm[fallback], tol, EP_WARNING_K)
     values, vectors = np.empty(a.shape[:2], dtype=complex), np.empty(a.shape, dtype=complex)
     condition, residuals, defective = np.empty(len(a)), np.empty(len(a)), np.zeros(len(a), dtype=bool)
     values[real], vectors[real] = eigen.values[regular], basis.from_basis(eigen.vectors[regular])
@@ -385,7 +395,11 @@ def _eigensystems(a: np.ndarray, norm: np.ndarray, symmetric: np.ndarray, frame:
 
 
 def _past_ep_gate(condition: np.ndarray) -> np.ndarray:
-    """Whether a row may reach EP_WARNING_K: max K <= |V^-1|^2 <= cond(V)^2."""
+    """Whether a row may reach EP_WARNING_K: max K <= |V^-1|^2 <= cond(V)^2.
+    ``condition`` is cond(V) from the SVD, or the Gram certificate's bound
+    on it where :func:`_eigensystems` cleared the row: a bound whose square
+    lies below EP_WARNING_K by the margin 2 (n + 2) (n + 4) eps in the Gram
+    row sum, so a cleared row is not past the gate, as by the SVD."""
     return np.minimum(condition, COND_LIMIT) ** 2 >= EP_WARNING_K
 
 
@@ -528,6 +542,12 @@ def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryRe
     involution algebra.  The result is unbroken exactly when all eigenvalues
     are real and every eigenstate aligns; otherwise it is broken and the
     non-real eigenvalues are matched into conjugate pairs.
+
+    cond(V), which gates the exceptional-point checks, is the Gram
+    certificate's bound where that bound, with its margin of
+    2 (n + 2) (n + 4) eps in the Gram row sum, lies below ``EP_WARNING_K``,
+    and the SVD's value elsewhere: the verdicts, warnings and errors are
+    those of the SVD on every row (see :func:`_eigensystems`).
 
     Warnings flag, in this order, a largest Petermann factor at or above
     ``EP_WARNING_K`` (exceptional-point proximity, for any n and frame), each

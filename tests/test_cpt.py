@@ -591,13 +591,14 @@ def test_degenerate_eigenspaces_are_normalized_in_one_eigh_per_size(monkeypatch)
 
 @pytest.mark.parametrize("n_blocks", [1, 10], ids=["cell", "chain-dim-20"])
 def test_the_metric_is_factored_once(monkeypatch, n_blocks):
-    # the eigensolve and its condition number, then one eigh of PC held by
-    # the frame: the Gram tolerance, validation and both roots read it
+    # the eigensolve, whose condition number the Gram certificate clears
+    # with no SVD, then one eigh of PC held by the frame: the Gram
+    # tolerance, validation and both roots read it
     h, frame = _chain(n_blocks)
     calls = _count_factorizations(monkeypatch)
     cpt = build_c(h, frame).cpt
     hermitize(h, cpt)
-    assert [calls[name] for name in ("eig", "svd", "eigh", "eigvalsh")] == [1, 1, 1, 0]
+    assert [calls[name] for name in ("eig", "svd", "eigh", "eigvalsh")] == [1, 0, 1, 0]
     for consumer in (lambda: hermitize(h, cpt), lambda: cpt_adjoint(Operator.linear(h), cpt)):
         calls.clear()
         consumer()
@@ -748,6 +749,46 @@ def test_the_metric_powers_in_the_real_basis_match_the_dense_formulas():
         )
         a = random_complex(rng, pc.shape)
         assert _relative_gap(cpt_adjoint(Operator.linear(a), cpt).matrix, inverse @ a.conj().T @ pc) <= REAL_POWERS_GAP
+
+
+def _stacked_similarity(cpt, left, a, right):
+    """left A right on a frame synthesized in the real basis, with the real
+    and imaginary parts of Q^+ A Q stacked: four real products for any A."""
+    basis = cpt.frame.real_basis
+    form = basis.form(a)
+    form.real, form.imag = left @ np.stack([form.real, form.imag]) @ right
+    return basis.from_form(form)
+
+
+@pytest.mark.parametrize("source", ["cells", "chain-dense", "chain-clustered", "covariance"])
+def test_a_real_form_takes_half_the_products_bit_for_bit(source, monkeypatch):
+    # every built-in model has an exactly real Q^+ H Q: h and the CPT adjoint
+    # of H take its real part's products alone, with no stack, and equal the
+    # stacked formula bit for bit, whose zero imaginary part is a +0.0; a
+    # complex Q^+ A Q takes the stacked formula
+    rng = np.random.default_rng(90)
+    stacks, forms = [], []
+    real_stack, from_form = np.stack, frames.RealBasis.from_form
+    monkeypatch.setattr(np, "stack", lambda *args, **kwargs: stacks.append(None) or real_stack(*args, **kwargs))
+    monkeypatch.setattr(frames.RealBasis, "from_form", lambda basis, m: forms.append(m.tobytes()) or from_form(basis, m))
+    for h, frame in _index_frame_problems(source):
+        assert np.count_nonzero(frame.real_basis.form(h).imag) == 0
+        cpt = build_c(h, frame).cpt
+        root, inv_root = cpt._basis_roots(DEFAULT_TOL)
+        (inverse,) = cpt._metric_powers((-1.0,), DEFAULT_TOL)
+        stacks.clear()
+        forms.clear()
+        hermitized, adjoint = hermitize(h, cpt), cpt_adjoint(Operator.linear(h), cpt).matrix
+        assert stacks == []
+        assert hermitized.tobytes() == _stacked_similarity(cpt, root, h, inv_root).tobytes()
+        assert adjoint.tobytes() == _stacked_similarity(cpt, inverse, h.conj().T, cpt._metric()).tobytes()
+        # each form mapped back is its stacked formula's, +0.0 imaginary parts included
+        assert len(forms) == 4 and forms[:2] == forms[2:]
+        a = random_complex(rng, h.shape)
+        stacks.clear()
+        adjoint = cpt_adjoint(Operator.linear(a), cpt).matrix
+        assert len(stacks) == 1
+        assert adjoint.tobytes() == _stacked_similarity(cpt, inverse, a.conj().T, cpt._metric()).tobytes()
 
 
 @pytest.mark.parametrize("family", COVARIANCE_FAMILIES)

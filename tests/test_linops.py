@@ -39,6 +39,9 @@ from cptkit.errors import (
     NotHermitian,
     NotPositiveDefinite,
 )
+from cptkit import linops
+from cptkit.linops import COND_LIMIT
+from cptkit.symmetry import EP_WARNING_K
 from helpers import (
     COVARIANCE_FAMILIES,
     H1,
@@ -378,6 +381,112 @@ def test_stacked_eigendecompose_masks_exactly_the_rows_a_single_call_rejects():
             np.testing.assert_array_equal(single.values, values)
             assert single.condition == condition
     assert eigen.defective.tolist() == [False, True, True, False, True]
+
+
+# ---------------------------------------------------------------- the Gram certificate of cond(V)
+
+
+def _toward_parallel(rng, n, mu, complex_):
+    """An ``(n, n)`` matrix whose columns are orthonormal columns q_j plus mu
+    times one common unit vector c: near-orthogonal for a small mu, nearly
+    parallel, so with a large cond(V), for a large one."""
+    x = rng.standard_normal((n, n + 1)) + (1j * rng.standard_normal((n, n + 1)) if complex_ else 0.0)
+    q, _ = np.linalg.qr(x[:, :n])
+    return q + mu * x[:, n:] / np.linalg.norm(x[:, n:])
+
+
+def _conditions(vectors, gate):
+    """cond(V) of each row of a stack of eigenvector matrices, as
+    ``linops._unit_eigenvectors`` reports it with the certificate's ``gate``
+    and without it, and which rows the certificate cleared: those that the
+    SVD did not see."""
+    rows, n = vectors.shape[:2]
+    zero, limit = np.zeros((rows, n, n)), np.ones(rows)
+    seen = []
+    real_svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        seen.extend(row.tobytes() for row in a)
+        return real_svd(a, *args, **kwargs)
+
+    np.linalg.svd = recording
+    try:
+        unit, certified, _ = linops._unit_eigenvectors(zero, np.zeros((rows, n)), vectors, limit, gate)
+    finally:
+        np.linalg.svd = real_svd
+    _, exact, _ = linops._unit_eigenvectors(zero, np.zeros((rows, n)), vectors, limit, None)
+    cleared = np.array([row.tobytes() not in seen for row in unit])
+    assert len(seen) == np.count_nonzero(~cleared)  # one SVD, on the other rows alone
+    return certified, exact, cleared
+
+
+def _assert_decided_as_the_svd(certified, exact, cleared, gate):
+    """Each row is on the same side of the gate, and of COND_LIMIT, as by
+    the SVD.  A cleared row lies below the gate by the SVD too, and its
+    condition bounds the SVD's up to the rounding of 2 - s, a relative
+    eps cond(V)^2; any other row has the SVD's condition, bit for bit."""
+    np.testing.assert_array_equal(certified**2 < gate, exact**2 < gate)
+    np.testing.assert_array_equal(certified <= COND_LIMIT, exact <= COND_LIMIT)
+    assert (exact[cleared] ** 2 < gate).all()
+    rounding = 4.0 * np.finfo(float).eps * (1.0 + certified[cleared] ** 2)
+    assert (certified[cleared] >= exact[cleared] * (1.0 - rounding)).all()
+    assert certified[~cleared].tobytes() == exact[~cleared].tobytes()
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    n=st.integers(2, 40),
+    log_mu=st.floats(-6.0, 10.0),
+    complex_=st.booleans(),
+    kron=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_gram_certificate_decides_cond_v_as_the_svd(n, log_mu, complex_, kron, seed):
+    # columns pushed toward parallel: cond(V) straddles the exceptional-point
+    # gate and COND_LIMIT; a Kronecker product has Gram row sums (1 + x1)(1 + x2)
+    rng = np.random.default_rng(seed)
+    if kron:
+        first = 2 + n % 3
+        v = np.kron(_toward_parallel(rng, first, 10.0**log_mu, complex_),
+                    _toward_parallel(rng, max(2, n // first), rng.uniform(0.0, 0.5), complex_))
+    else:
+        v = _toward_parallel(rng, n, 10.0**log_mu, complex_)
+    # the row alone, and beside an orthonormal row, which always clears
+    stack = np.stack([v, np.linalg.qr(v)[0]])
+    _assert_decided_as_the_svd(*_conditions(stack, EP_WARNING_K), EP_WARNING_K)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_the_gram_certificate_keeps_its_margin_at_the_gate(complex_):
+    # a 2x2 V of unit columns at |v1^+ v2| = c has cond(V)^2 = (1 + c) / (1 - c),
+    # which Gershgorin bounds with equality: the certificate clears it only
+    # below the gate by its margin, and decides each row as the SVD does
+    gate = EP_WARNING_K
+    at_gate = (gate - 1.0) / (gate + 1.0)
+    offsets = np.concatenate([-np.logspace(-16, -6, 21), [0.0], np.logspace(-16, -6, 21)])
+    angles = np.arccos(np.clip(at_gate + offsets, -1.0, 1.0))
+    phase = np.exp(0.7j) if complex_ else 1.0
+    v = np.stack([np.array([[1.0, np.cos(t) * phase], [0.0, np.sin(t)]]) for t in angles])
+    certified, exact, cleared = _conditions(v, gate)
+    _assert_decided_as_the_svd(certified, exact, cleared, gate)
+    assert 0 < np.count_nonzero(cleared) < len(v)
+    # the margin: 48 eps in s at n = 2, a relative 24 eps gate = 2.7e-9 in cond(V)^2
+    assert (certified[cleared] ** 2 < gate * (1.0 - 2e-9)).all()
+    # each row is its own certificate: the stack's conditions are the rows' alone
+    assert certified.tobytes() == np.concatenate([_conditions(row[None], gate)[0] for row in v]).tobytes()
+
+
+def test_eigendecompose_reports_the_exact_condition():
+    # the public eigensystem takes no certificate: cond(V) is the SVD's,
+    # bit for bit, also where the certificate would clear it
+    rng = np.random.default_rng(30)
+    for m in (model_2x2(1.0, 2.0, np.pi / 6), np.diag([1.0, 2.0, 3.0]), random_complex(rng, (6, 6))):
+        eigen = eigendecompose(m)
+        singular = np.linalg.svd(eigen.vectors, compute_uv=False)
+        assert eigen.condition == singular[0] / singular[-1]
+    stack = eigendecompose(np.stack([model_2x2(1.0, 2.0, np.pi / 6), model_2x2(2.0, 1.0, 0.5)]))
+    singular = np.linalg.svd(stack.vectors, compute_uv=False)
+    assert stack.condition.tobytes() == (singular[:, 0] / singular[:, -1]).tobytes()
 
 
 def test_hermitian_powers_share_one_spectrum():

@@ -473,7 +473,8 @@ def test_an_index_frame_chain_is_classified_in_real_arithmetic(monkeypatch):
     kinds = _recorded_kinds(monkeypatch)
     report = classify_symmetry(h, frame)
     build_c(h, frame)
-    assert kinds == {"eig": ["f", "f"], "svd": ["f", "f"]}
+    # cond(V) of both real solves is cleared by the Gram certificate: no SVD
+    assert kinds == {"eig": ["f", "f"], "svd": []}
     assert report.classification == UNBROKEN
     np.testing.assert_allclose(report.eigenvalues, eigendecompose(h).values, rtol=0, atol=1e-13)
     for state in report.aligned_states:
@@ -656,21 +657,29 @@ def test_a_stack_and_a_matrix_each_take_one_pass_of_the_pipeline(monkeypatch):
 
 @pytest.mark.parametrize("n_rows", [1, 6])
 def test_a_stack_rebases_in_one_svd_per_eigenspace_size(n_rows, monkeypatch):
-    # two 3-fold eigenspaces per row: one SVD for cond(V), one for every rebase
+    # two 3-fold eigenspaces per row: one SVD for every rebase, and none for
+    # cond(V), which the Gram certificate clears
     h, frame = _chain((1.0, 2.0, 0.5), (1.0, 2.0, 0.5), (1.0, 2.0, 0.5), (0.5, 1.0, 0.3))
     kinds = _recorded_kinds(monkeypatch)
     stack = classify_stack(np.stack([h] * n_rows), frame)
     assert stack.classification.tolist() == [UNBROKEN] * n_rows
-    assert len(kinds["svd"]) == 2
+    assert len(kinds["svd"]) == 1
 
 
 def _grid(thetas):
     return np.stack([model_2x2(1.5, 1.0, theta) for theta in thetas])
 
 
+#: Angles at which the breaking parameter 1.5 sin(theta) of the grid lies
+#: inside the exceptional-point band, at 1 -+ 5e-7: the certificate clears
+#: neither, and each falls back to the complex solve and warns.
+BAND_THETAS = [float(np.arcsin((1.0 - 5e-7) / 1.5)), float(np.arcsin((1.0 + 5e-7) / 1.5))]
+
+
 @pytest.mark.parametrize("thetas", [
     [0.3], [1.2], [0.1, 0.3, 0.5], [0.9, 1.2, 1.5], [0.1, 0.9, 0.3, 1.2, 0.5],
-], ids=["one-unbroken", "one-broken", "all-unbroken", "all-broken", "mixed"])
+    [BAND_THETAS[0], 0.3, BAND_THETAS[1], 1.2],
+], ids=["one-unbroken", "one-broken", "all-unbroken", "all-broken", "mixed", "band"])
 def test_stack_rows_equal_their_single_classification_bit_for_bit(thetas, monkeypatch):
     # the breaking parameter 1.5 sin(theta) crosses 1 at theta = 0.73: a stack
     # whose rows are all unbroken or all broken is solved as one group, a
@@ -691,6 +700,120 @@ def test_stack_rows_equal_their_single_classification_bit_for_bit(thetas, monkey
             assert getattr(rows, field)[i][..., kept].tobytes() == getattr(one, field)[0][..., kept].tobytes(), (i, field)
         for field in ("kept", "partner", "classification", "warning"):
             assert getattr(rows, field)[i].tobytes() == getattr(one, field)[0].tobytes(), (i, field)
+
+
+# ---------------------------------------------------------------- the Gram certificate of cond(V)
+
+
+#: The tensor model's basis reordered so that its parity pairs the indices
+#: (0, 1) and (2, 3), as the parity of a chain of two cells does.
+TENSOR_AS_CHAIN = [0, 3, 1, 2]
+
+
+def _certificate_stack():
+    """A stack over the frame of a chain of two cells: rows that the Gram
+    certificate clears (chains away from any exceptional point), and rows
+    that it does not: tensor products of two cells, which are well
+    conditioned but have Gram row sums (1 + x1)(1 + x2) > 2, chains with a
+    cell inside the exceptional-point band |x - 1| <= 1e-6 on either side,
+    and a chain with a cell at its exact exceptional point.  Returns the
+    matrices, the chains at 0, 3 and 7 and the tensors at 1 and 5, and the
+    frame."""
+    far = [(1.0, 2.0, 0.5), (1.0, 3.0, 0.7), (0.5, 1.0, 0.3), (2.0, 3.0, 0.4)]
+    chains = [_chain(far[k], far[k + 1])[0] for k in range(3)]
+    frame = _chain(*far[:2])[1]
+    # cells at breaking parameters x = 0.7, 0.6 and 0.8: row sums 2.72 and 2.88
+    strong = [(0.7 / np.sin(1.0), 1.0, 1.0), (1.2 / np.sin(0.8), 2.0, 0.8), (0.8 / np.sin(1.1), 1.0, 1.1)]
+    tensors = [build_model(ModelSpec("tensor", strong[k : k + 2]))[0][np.ix_(TENSOR_AS_CHAIN, TENSOR_AS_CHAIN)]
+               for k in range(2)]
+    band = [_chain(far[0], (x, 1.0, np.pi / 2))[0] for x in (1.0 - 5e-7, 1.0 + 5e-7)]
+    exceptional = _chain(far[1], (1.0, 1.0, np.pi / 2))[0]
+    mats = [chains[0], tensors[0], band[0], chains[1], exceptional, tensors[1], band[1], chains[2]]
+    return mats, frame
+
+
+def _exact_path(monkeypatch):
+    """Classify with cond(V) from the SVD on every row, as without the certificate."""
+    solve = symmetry.stacked_eigensystem
+    monkeypatch.setattr(symmetry, "stacked_eigensystem", lambda a, scale, tol, gate=None: solve(a, scale, tol))
+
+
+def _record_without_condition(rows):
+    """The arrays of a kernel record that do not hold cond(V), by name."""
+    arrays = {name: value for name, value in rows._asdict().items() if isinstance(value, np.ndarray)}
+    arrays.update(values=rows.eigen.values, vectors=rows.eigen.vectors, defective=rows.eigen.defective)
+    return arrays
+
+
+def _report_or_error(h, frame):
+    """The report of :func:`classify_symmetry`, or the message of its DefectiveSpectrum."""
+    try:
+        return classify_symmetry(h, frame)
+    except DefectiveSpectrum as error:
+        return str(error)
+
+
+def test_a_mixed_stack_classifies_each_row_as_alone_and_as_the_exact_path(monkeypatch):
+    mats, frame = _certificate_stack()
+    calls = _kernel_calls(monkeypatch)
+    stack = classify_stack(np.stack(mats), frame)
+    rows, stacked = calls[-1], _record_without_condition(calls[-1])
+    assert stack.error.tolist() == [False] * 4 + [True] + [False] * 3
+    assert stack.classification[~stack.error].tolist() == [UNBROKEN] * 5 + [BROKEN, UNBROKEN]
+    assert stack.warning.tolist() == [False, False, True, False, False, False, True, False]
+    reports = []
+    for i, m in enumerate(mats):  # each row bit for bit as the matrix alone, cond(V) included
+        reports.append(_report_or_error(m, frame))
+        for name, value in _record_without_condition(calls[-1]).items():
+            assert stacked[name][i].tobytes() == value[0].tobytes(), (i, name)
+        assert rows.eigen.condition[i].tobytes() == calls[-1].eigen.condition[0].tobytes(), i
+    # cond(V) from the SVD on every row: the same verdicts, warnings,
+    # messages and arrays, cond(V) aside
+    _exact_path(monkeypatch)
+    assert classify_stack(np.stack(mats), frame) == stack
+    for name, value in _record_without_condition(calls[-1]).items():
+        assert stacked[name].tobytes() == value.tobytes(), name
+    assert [_report_or_error(m, frame) for m in mats] == reports
+
+
+def test_a_residual_failure_reports_the_svd_condition():
+    # at a tolerance below rounding every eigenpair residual fails: the row
+    # falls back to the complex solve, and its error carries the SVD's cond(V)
+    # as eigendecompose reports it, though the certificate would clear the row
+    h, frame = _chain((1.0, 2.0, 0.5), (1.0, 3.0, 0.7))
+    with pytest.raises(DefectiveSpectrum, match="eigenpair residual") as got:
+        classify_symmetry(h, frame, 1e-20)
+    with pytest.raises(DefectiveSpectrum) as want:
+        eigendecompose(h, 1e-20)
+    assert (str(got.value), got.value.condition) == (str(want.value), want.value.condition)
+    singular = np.linalg.svd(eigendecompose(h).vectors, compute_uv=False)
+    assert got.value.condition == singular[0] / singular[-1]
+
+
+def test_the_chain_dense_input_is_classified_and_synthesized_with_no_svd(monkeypatch):
+    h, frame = build_model(bench_workloads().problem("chain-dense", 1, 0).spec)
+    assert frame.dim == 200
+    kinds = _recorded_kinds(monkeypatch)
+    classify_symmetry(h, frame)
+    build_c(h, frame)
+    assert kinds == {"eig": ["f", "f"], "svd": []}
+
+
+def test_a_stack_takes_one_svd_on_the_rows_the_certificate_does_not_clear(monkeypatch):
+    # the well-conditioned tensor rows are kept by the real solve, with cond(V) from the SVD
+    mats, frame = _certificate_stack()
+    mats = [mats[k] for k in (0, 3, 7, 1, 5)]  # three chains, then two tensors
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    stack = classify_stack(np.stack(mats), frame)
+    assert stack.classification.tolist() == [UNBROKEN] * 5 and not stack.warning.any()
+    assert shapes == [(2, 4, 4)]
 
 
 def _conjugates_lower_first(values) -> bool:
