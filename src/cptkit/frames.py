@@ -56,6 +56,7 @@ from .linops import (
     commutator_check,
     compose,
     frobenius,
+    hermitian_spectrum,
     hermiticity_residual,
     operand,
     positive_definiteness,
@@ -322,7 +323,7 @@ class CPTFrame:
         with np.errstate(over="ignore", invalid="ignore"):
             object.__setattr__(self, "pc_matrix", self.frame.apply_p(self.c.matrix))
             m = self._metric()
-            spectrum = tuple(np.linalg.eigh((m + m.conj().T) / 2.0))
+            spectrum = hermitian_spectrum((m + m.conj().T) / 2.0)
         for part in (self.pc_matrix, *spectrum):
             part.setflags(write=False)
         object.__setattr__(self, "_spectrum", spectrum)

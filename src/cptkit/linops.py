@@ -35,6 +35,12 @@ COND_LIMIT = 1e8
 #: The spacing of doubles at 1, the unit of the Gram certificate's margin.
 _EPS = 2.0**-52
 
+#: The least dimension at which an eigensolve is split by the connected
+#: components of the matrix pattern.  The split costs a fixed 0.1-0.2 ms
+#: (labeling, gathers, scatters), so below this a direct sum of 2x2 blocks
+#: is solved faster whole; the measured crossover lies between 64 and 80.
+_SPLIT_DIM = 80
+
 LINEAR = "linear"
 ANTILINEAR = "antilinear"
 
@@ -151,13 +157,21 @@ def commutator_check(c: np.ndarray, h: np.ndarray, tol: float) -> tuple[float, b
     """The residual |[C, H]| and whether it is within
     ``tol * max(1, |H|) * max(1, |C|)``; an overflowed residual fails.  A real
     C and a complex H = A + iB are checked in real products, from the stack
-    of [C, A] and [C, B], whose Frobenius norm is |[C, H]|."""
+    of [C, A] and [C, B], whose Frobenius norm is |[C, H]|.  Where B is
+    exactly zero, as for every built-in model in a frame's real basis, only
+    [C, A] is formed, in two products, and [C, B] is left as the zeros it
+    would be, so the residual sums the same entries in the same order."""
     n = len(c)
     if np.iscomplexobj(h) and not np.iscomplexobj(c):
         h = np.stack([h.real, h.imag])
     with np.errstate(over="ignore", invalid="ignore"):
-        commutator = c @ h
-        commutator -= h @ c
+        if h.ndim == 3 and not np.count_nonzero(h[1]):
+            commutator = np.zeros_like(h)
+            np.matmul(c, h[0], out=commutator[0])
+            commutator[0] -= h[0] @ c
+        else:
+            commutator = c @ h
+            commutator -= h @ c
         residual = frobenius(commutator.reshape(-1, n))
     return residual, bool(residual <= tol * max(1.0, frobenius(h.reshape(-1, n))) * max(1.0, frobenius(c)))
 
@@ -287,6 +301,11 @@ class EigenSystem:
     For an ``(N, n, n)`` stack every field gains a leading row axis, and
     ``defective`` marks the rows that failed a check; a single matrix raises
     instead, and its ``defective`` is False.
+
+    A matrix solved by the connected components of its pattern (see
+    :func:`stacked_eigensystem`), such as a direct sum, has each eigenvector
+    zero off its own component, and its ``condition`` is that of the joined
+    V; a dense or irreducible one is solved whole.
     """
 
     values: np.ndarray
@@ -303,7 +322,8 @@ class EigenSystem:
 
 def eigendecompose(m, tol: float = DEFAULT_TOL) -> EigenSystem:
     """Eigendecompose a square matrix, or each matrix of an ``(N, n, n)``
-    stack with one stacked ``np.linalg.eig`` call.
+    stack with one stacked ``np.linalg.eig`` call, or one per component size
+    for the matrices that split into blocks.
 
     Parameters
     ----------
@@ -321,6 +341,17 @@ def eigendecompose(m, tol: float = DEFAULT_TOL) -> EigenSystem:
     Frobenius norm that overflows, an eigenvector condition above
     ``COND_LIMIT`` or a failed residual check is marked in the returned
     ``defective`` mask, and the other rows are unaffected.
+
+    A matrix of dimension ``_SPLIT_DIM`` (80) or more whose symmetrized
+    nonzero pattern falls into several connected components, a direct sum
+    in any order of its indices, is solved by its blocks: one stacked
+    ``eig`` per component size, each block's eigenpairs normalized and
+    checked alone, then joined and sorted (see :func:`stacked_eigensystem`).
+    Its residual check and ``condition`` are the joined matrix's, against
+    the tolerance of the whole ``|m|``.  A matrix whose first row and column
+    have no zero entry, as every dense one, skips the search for
+    components; it, an irreducible one and a smaller one are solved whole,
+    by one ``eig`` of the whole matrix.
 
     Raises
     ------
@@ -362,19 +393,53 @@ def stacked_eigensystem(
     stack whose Frobenius norms are ``scale``, and each row's largest
     eigenpair residual: the body of :func:`eigendecompose`.
 
-    Without ``gate`` every row's ``condition`` is cond(V) from the SVD, as
-    :func:`eigendecompose` and DefectiveSpectrum report it.  With it, for a
-    caller that asks of cond(V) only whether its square lies below ``gate``
-    (at most ``COND_LIMIT``^2), a row whose residual check passes and whose
-    Gram certificate puts cond(V)^2 below ``gate``, with the margin
-    2 (n + 2) (n + 4) eps in the Gram row sum (see
-    :func:`_unit_eigenvectors`), keeps the certificate's bound as its
-    condition and takes no SVD: the bound lies on the same side of the
-    gate, and of ``COND_LIMIT``, as the SVD's value."""
+    A row whose nonzero pattern splits into several connected components
+    (see :func:`_components`), such as a direct sum, is solved by its
+    blocks: one stacked ``eig`` per component size, across the rows, and
+    the blocks' eigenpairs joined into the row's ``(n, n)`` arrays before
+    the sort.  Its residual is the largest of its components', and its Gram
+    certificate's row sum s too, which is the joined V's, since V^+ V is
+    block diagonal.  Every other row, a dense one always, is solved whole,
+    in one stacked ``eig``.  A row's solve depends on the row alone, so a
+    row of a stack is solved bit for bit as the row alone.
+
+    Without ``gate`` every row's ``condition`` is cond(V) from the SVD of
+    its joined V, as :func:`eigendecompose` and DefectiveSpectrum report
+    it.  With it, for a caller that asks of cond(V) only whether its square
+    lies below ``gate`` (at most ``COND_LIMIT``^2), a row whose residual
+    check passes and whose Gram certificate puts cond(V)^2 below ``gate``,
+    with the margin 2 (n + 2) (n + 4) eps in the Gram row sum at the
+    joined n (see :func:`_unit_eigenvectors`), keeps the certificate's bound
+    as its condition and takes no SVD: the bound lies on the same side of
+    the gate, and of ``COND_LIMIT``, as the SVD's value."""
     unscaled = ~np.isfinite(scale)  # non-finite entries, or a norm that overflows
     if unscaled.any():
         # a placeholder keeps the stacked LAPACK calls valid for the other rows
         a = np.where(unscaled[:, None, None], 0.0, a)
+    limit = tol * scale
+    parts = _components(a)
+    if parts is None:
+        values, vectors, condition, residual = _whole(a, limit, gate)
+    else:
+        split, groups = parts
+        whole = np.ones(len(a), dtype=bool)
+        whole[split] = False
+        solved = [(split, _by_components(a[split], groups, limit[split], gate))]
+        if whole.any():
+            solved.append((whole, _whole(a[whole], limit[whole], gate)))
+        values = np.empty(a.shape[:2], dtype=np.result_type(*(part[0] for _, part in solved)))
+        vectors = np.empty(a.shape, dtype=values.dtype)
+        condition, residual = np.empty(len(a)), np.empty(len(a))
+        for rows, part in solved:
+            values[rows], vectors[rows], condition[rows], residual[rows] = part
+    defective = unscaled | ~(condition <= COND_LIMIT) | (residual > limit)
+    return EigenSystem(values, vectors, condition, defective), residual
+
+
+def _whole(a: np.ndarray, limit: np.ndarray, gate: float | None):
+    """The sorted eigenvalues, unit eigenvectors, cond(V) and largest
+    eigenpair residual of each matrix of an ``(N, n, n)`` stack, each solved
+    whole, in one stacked ``eig``."""
     values, vectors = np.linalg.eig(a)
     rows = np.arange(len(a))[:, None]
     order = np.lexsort((values.imag, values.real), axis=-1)
@@ -384,17 +449,60 @@ def stacked_eigensystem(
     # non-real eigenvalue: the rows with a real spectrum are finished in real
     # arithmetic, bit for bit as each would be alone
     plain = (values.imag == 0).all(-1) & (a.dtype.kind == "f")
-    condition, residual, limit = np.empty(len(a)), np.empty(len(a)), tol * scale
-    for group, part in ((plain, np.real), (~plain, np.asarray)):
-        if group.all():  # the whole stack, as always for one matrix: a slice, not a copy
-            group = slice(None)
-        elif not group.any():
-            continue
+    condition, residual = np.empty(len(a)), np.empty(len(a))
+    for group, part in _arithmetic(plain):
         vectors[group], condition[group], residual[group] = _unit_eigenvectors(
             a[group], part(values[group]), part(vectors[group]), limit[group], gate
         )
-    defective = unscaled | ~(condition <= COND_LIMIT) | (residual > limit)
-    return EigenSystem(values, vectors, condition, defective), residual
+    return values, vectors, condition, residual
+
+
+def _by_components(a: np.ndarray, groups, limit: np.ndarray, gate: float | None):
+    """:func:`_whole` for an ``(N, n, n)`` stack solved by its components:
+    ``groups`` holds, for each size m, the ``(g,)`` rows and ``(g, m)``
+    indices of the g components of that size.  Each component is solved,
+    normalized and checked alone, in real arithmetic where its matrix and
+    spectrum are real, and its unit eigenvectors are written straight into
+    their sorted columns of its row's V, zero elsewhere; cond(V) is decided
+    on the joined V, with the largest Gram row sum of its components.  The
+    arrays are real where every eigenvalue is."""
+    values, solved = np.zeros(a.shape[:2], dtype=complex), []
+    residual, s = np.zeros(len(a)), np.zeros(len(a))
+    for rows, at in groups:
+        block = a[rows[:, None, None], at[:, :, None], at[:, None, :]]
+        w, v = np.linalg.eig(block)
+        values[rows[:, None], at] = w
+        for group, part in _arithmetic((w.imag == 0).all(-1) & (a.dtype.kind == "f")):
+            unit, res, gram = _unit_columns(block[group], part(w[group]), part(v[group]), gate is not None)
+            solved.append((rows[group], at[group], unit))
+            np.maximum.at(residual, rows[group], res)
+            if gram is not None:
+                np.maximum.at(s, rows[group], gram)
+    order = np.lexsort((values.imag, values.real), axis=-1)
+    column = np.argsort(order, axis=-1)  # the sorted position of each eigenvalue
+    values = np.take_along_axis(values, order, -1)
+    plain = (values.imag == 0).all(-1) & (a.dtype.kind == "f")
+    if plain.all():
+        values = values.real
+    vectors = np.zeros(a.shape, dtype=values.dtype)
+    for rows, at, unit in solved:
+        vectors[rows[:, None, None], at[:, :, None], column[rows[:, None], at][:, None, :]] = unit
+    condition = np.empty(len(a))
+    for group, part in _arithmetic(plain):
+        condition[group] = _condition(part(vectors[group]), s[group], residual[group], limit[group], gate)
+    return values, vectors, condition, residual
+
+
+def _arithmetic(plain: np.ndarray):
+    """The rows of a stack to finish in real arithmetic, ``plain``, and the
+    others, each with the map to its arithmetic; a group that holds the
+    whole stack, as always for one matrix, is a slice, not a copy, and an
+    empty one is left out."""
+    for group, part in ((plain, np.real), (~plain, np.asarray)):
+        if group.all():
+            yield slice(None), part
+        elif group.any():
+            yield group, part
 
 
 def _unit_eigenvectors(
@@ -402,16 +510,34 @@ def _unit_eigenvectors(
 ):
     """Unit-column eigenvectors, cond(V) and the largest eigenpair residual
     of each row, for the residual ``limit`` and the ``gate`` of
-    :func:`stacked_eigensystem`.
+    :func:`stacked_eigensystem`: :func:`_unit_columns`, then
+    :func:`_condition`."""
+    vectors, residual, s = _unit_columns(a, values, vectors, gate is not None)
+    return vectors, _condition(vectors, s, residual, limit, gate), residual
 
-    cond(V) is the ratio of the extreme singular values, from one stacked
-    SVD, except on the rows that a ``gate`` clears with a certificate.  The
-    Gram matrix G = V^+ V of unit columns has a unit diagonal, so by
-    Gershgorin its eigenvalues lie in [2 - s, s], s the largest row sum of
-    |G|, and cond(V)^2 <= s / (2 - s).  A row is cleared where its residual
-    is within ``limit`` and s / (2 - s) < ``gate`` still holds with s raised
-    by the margin 2 (n + 2) (n + 4) eps.  That is twice the rounding of G's
-    row sums (about n gamma_n), of the sum of their moduli and of the column
+
+def _unit_columns(a: np.ndarray, values: np.ndarray, vectors: np.ndarray, gram: bool):
+    """The eigenvectors scaled to unit columns, each row's largest eigenpair
+    residual and, where ``gram`` is set, the largest row sum s of |V^+ V|
+    that the certificate of :func:`_condition` reads (else None)."""
+    vectors = vectors / column_norms(vectors, keepdims=True)
+    residual = column_norms(a @ vectors - vectors * values[:, None, :]).max(-1)
+    if not gram:
+        return vectors, residual, None
+    s = np.maximum.reduce(np.add.reduce(np.abs(vectors.swapaxes(-1, -2).conj() @ vectors), -1), -1)
+    return vectors, residual, s
+
+
+def _condition(vectors: np.ndarray, s: np.ndarray | None, residual: np.ndarray, limit: np.ndarray, gate: float | None):
+    """cond(V) of each unit-column V of a stack, the ratio of its extreme
+    singular values, from one stacked SVD, except on the rows that a
+    ``gate`` clears with a certificate.  The Gram matrix G = V^+ V of unit
+    columns has a unit diagonal, so by Gershgorin its eigenvalues lie in
+    [2 - s, s], s the largest row sum of |G|, and cond(V)^2 <= s / (2 - s).
+    A row is cleared where its residual is within ``limit`` and
+    s / (2 - s) < ``gate`` still holds with s raised by the margin
+    2 (n + 2) (n + 4) eps.  That is twice the rounding of G's row sums
+    (about n gamma_n), of the sum of their moduli and of the column
     normalization (which leaves G's diagonal within gamma_(n+4) of 1).  Near
     the gate it lowers cond(V)^2 by a relative (n + 2) (n + 4) eps gate or
     more (2.7e-9 at n = 2), far above the rounding of the SVD, about
@@ -419,24 +545,84 @@ def _unit_eigenvectors(
     row keeps the bound sqrt(s / (2 - s)) as its condition, below the gate
     by that margin, and takes no SVD.  The SVD runs on the other rows
     alone, and not at all where every row clears."""
-    vectors = vectors / column_norms(vectors, keepdims=True)
-    residual = column_norms(a @ vectors - vectors * values[:, None, :]).max(-1)
-    condition, exact = np.empty(len(a)), slice(None)
+    condition, exact = np.empty(len(vectors)), slice(None)
     if gate is not None:
         n = vectors.shape[-1]
-        s = np.maximum.reduce(np.add.reduce(np.abs(vectors.swapaxes(-1, -2).conj() @ vectors), -1), -1)
         # s + margin < 2 gate / (1 + gate) is (s + margin) / (2 - s - margin) < gate
         cleared = (s < 2.0 * gate / (1.0 + gate) - 2.0 * (n + 2) * (n + 4) * _EPS) & (residual <= limit)
         count = np.count_nonzero(cleared)
-        if count == len(a):
-            return vectors, np.sqrt(s / (2.0 - s)), residual
+        if count == len(vectors):
+            return np.sqrt(s / (2.0 - s))
         if count:
             s = s[cleared]
             condition[cleared], exact = np.sqrt(s / (2.0 - s)), ~cleared
     singular = np.linalg.svd(vectors[exact], compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         condition[exact] = singular[:, 0] / singular[:, -1]
-    return vectors, condition, residual
+    return condition
+
+
+def _components(a: np.ndarray):
+    """The connected components of the symmetrized nonzero pattern of each
+    matrix of an ``(N, n, n)`` stack, for the rows with more than one: None
+    where every row is one component, else the ``split`` rows and, for
+    each component size m, the ``(g,)`` rows (positions in ``split``) and
+    the ``(g, m)`` ascending indices of the g components of that size.
+    Components are numbered by their least index, so a row's split depends
+    on that row alone.  A row whose first row and column have no zero entry
+    is one component, decided in O(n) with no labeling: so is every dense
+    matrix.  A stack of matrices smaller than ``_SPLIT_DIM`` is not split."""
+    n = a.shape[-1]
+    if n < _SPLIT_DIM:
+        return None
+    linked = ((a[:, 0] != 0) | (a[:, :, 0] != 0)).all(-1)
+    if linked.all():
+        return None
+    rest = np.flatnonzero(~linked)
+    pattern = a[rest] != 0
+    pattern |= pattern.swapaxes(-1, -2)
+    pattern[:, np.arange(n), np.arange(n)] = True
+    root, _ = _label(pattern)
+    size = np.bincount(root, minlength=len(root))[root]
+    split = size[::n] < n  # vertex 0 of each row lies in a component smaller than the row
+    if not split.any():
+        return None
+    vertex = (np.flatnonzero(split)[:, None] * n + np.arange(n)).reshape(-1)
+    vertex = vertex[np.lexsort((root[vertex], size[vertex]))]  # by size, then component, vertices ascending
+    count, at, groups = np.bincount(size[vertex]), 0, []  # np.unique would import numpy.ma on first use
+    for m in np.flatnonzero(count).tolist():
+        members = vertex[at : at + count[m]].reshape(-1, m)
+        at += count[m]
+        groups.append((np.searchsorted(np.flatnonzero(split), members[:, 0] // n), members % n))
+    return rest[split], groups
+
+
+def _label(pattern: np.ndarray) -> tuple[np.ndarray, int]:
+    """The connected components of the graphs of an ``(N, n, n)`` stack of
+    symmetric boolean patterns with a true diagonal, each row a graph on its
+    own n vertices: every vertex r n + i labelled with the least vertex of
+    its component, and the number of rounds taken.  Each round of FastSV
+    (Zhang, Azad & Hu, SIAM PP 2020) hooks every vertex, and its parent, to
+    the least grandparent among its neighbours, then jumps each pointer to
+    its parent's, in O(nnz) work; it stops when no grandparent moves, after
+    O(log n) rounds in practice (6 on a path of 400 vertices)."""
+    n = pattern.shape[-1]
+    edge = np.flatnonzero(pattern)  # (r n + i) n + j, sorted by vertex; every vertex is its own neighbour
+    head = edge // n
+    tail = head - head % n + edge % n
+    first = np.flatnonzero(np.concatenate(([True], head[1:] != head[:-1])))
+    parent = np.arange(pattern.size // n)
+    grand, rounds = parent.copy(), 0
+    while True:
+        rounds += 1
+        least = np.minimum.reduceat(grand[tail], first)
+        np.minimum.at(parent, parent.copy(), least)
+        np.minimum(parent, least, out=parent)
+        parent = parent[parent]
+        moved = parent[parent]
+        if np.array_equal(moved, grand):
+            return parent, rounds
+        grand = moved
 
 
 def require_regular(eigen: EigenSystem, residual: np.ndarray, scale: np.ndarray, tol: float) -> None:
@@ -460,9 +646,30 @@ def require_regular(eigen: EigenSystem, residual: np.ndarray, scale: np.ndarray,
 
 def hermitian_powers(m, powers, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
     """Real powers of a Hermitian positive definite matrix via one spectrum:
-    :func:`spectral_powers` of ``m`` and its one ``eigh``, with its errors."""
+    :func:`spectral_powers` of ``m`` and its :func:`hermitian_spectrum`,
+    with its errors."""
     a = as_matrix(m)
-    return spectral_powers(a, np.linalg.eigh(a), powers, tol)
+    return spectral_powers(a, hermitian_spectrum(a), powers, tol)
+
+
+def hermitian_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, U), w ascending, of a Hermitian matrix: one ``np.linalg.eigh``,
+    with its bits, where the symmetrized nonzero pattern of ``m`` is one
+    connected component, a dense one always; else one stacked ``eigh`` per
+    component size (see :func:`_components`), the blocks' eigenpairs joined
+    and sorted stably by w."""
+    parts = _components(m[None])
+    if parts is None:
+        return tuple(np.linalg.eigh(m))
+    w, solved = np.empty(len(m)), []
+    for _, at in parts[1]:
+        w[at], v = np.linalg.eigh(m[at[:, :, None], at[:, None, :]])
+        solved.append((at, v))
+    order = np.argsort(w, kind="stable")
+    column, u = np.argsort(order), np.zeros_like(m)  # column: the sorted position of each eigenvalue
+    for at, v in solved:
+        u[at[:, :, None], column[at][:, None, :]] = v
+    return w[order], u
 
 
 def hermitian_power(m, p: float, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -24,6 +24,15 @@ with an exactly real eigenvalue is Q x with x real, PT-fixed as it stands
 with phase 0, so phase alignment runs only on the other real columns: those
 of a dense frame, of a row that falls back to the complex solve, and of a
 non-real eigenvalue within the reality width.
+
+Both solves go through :func:`~cptkit.linops.stacked_eigensystem`, which
+splits a row whose pattern (of H, or of its real form Q^+ H Q) has several
+connected components into its blocks: a chain, a direct sum of 2x2 cells,
+is solved as one stacked ``eig`` of its cells.  The row's eigenvectors are
+then each supported on one block, and an eigenspace across blocks, as of
+two equal cells, holds one eigenvector per block.  Every threshold stays
+relative to the whole |H|, and the split moves eigenpairs by rounding at
+most; a dense or irreducible row is solved whole.
 """
 
 from __future__ import annotations

@@ -92,6 +92,31 @@ def covariance_problem(rng, family):
     return build_model(ModelSpec(family, tuple(blocks), a=a))
 
 
+def random_cells(rng, count):
+    """``count`` unbroken cells (r, s, theta), each at a breaking parameter
+    |x| = |r / s| sin(theta) <= 0.8, away from its exceptional point."""
+    return tuple((rng.uniform(0.2, 0.8) * s, s, rng.uniform(0.3, 1.2)) for s in rng.uniform(0.8, 2.0, count))
+
+
+def permuted_chain(rng, blocks):
+    """The chain of ``blocks`` and its frame with the basis shuffled by a
+    random permutation, so that no block's indices are contiguous.  Returns
+    ``(h, frame, perm)``: h = H[perm][:, perm] and P likewise."""
+    h, frame = build_model(ModelSpec("chain", tuple(blocks)))
+    perm = rng.permutation(len(h))
+    moved = np.ix_(perm, perm)
+    return h[moved], frame_from_involution(frame.p.matrix.real[moved]), perm
+
+
+def solved_whole(monkeypatch):
+    """Solve every eigenproblem whole, by one ``eig`` or ``eigh`` of each
+    matrix: the reference that a solve split by the components of the
+    matrix pattern is compared with."""
+    from cptkit import linops
+
+    monkeypatch.setattr(linops, "_SPLIT_DIM", sys.maxsize)
+
+
 def bench_workloads():
     """``bench/workloads.py``, the generator of the benchmark's inputs, loaded
     by path as the module ``bench_workloads``."""

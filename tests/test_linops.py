@@ -49,7 +49,10 @@ from helpers import (
     H3,
     SWAP,
     covariance_problem,
+    permuted_chain,
+    random_cells,
     random_complex,
+    solved_whole,
     unitary_basis_change,
 )
 
@@ -381,6 +384,142 @@ def test_stacked_eigendecompose_masks_exactly_the_rows_a_single_call_rejects():
             np.testing.assert_array_equal(single.values, values)
             assert single.condition == condition
     assert eigen.defective.tolist() == [False, True, True, False, True]
+
+
+# ---------------------------------------------------------------- split by the components of the pattern
+
+
+def _least_reachable(pattern):
+    """The least vertex that each vertex of a symmetric boolean pattern
+    with a true diagonal reaches, from its transitive closure."""
+    reach = pattern.astype(int)
+    for _ in range(int(np.ceil(np.log2(max(2, len(pattern)))))):
+        reach = np.minimum(reach @ reach, 1)
+    return reach.argmax(-1)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_the_labeler_labels_each_vertex_with_the_least_vertex_it_reaches(seed):
+    # each row a graph of its own: sparse random edges plus pieces of a permuted path
+    rng = np.random.default_rng(seed)
+    rows, n = int(rng.integers(1, 4)), int(rng.integers(1, 40))
+    pattern = rng.random((rows, n, n)) < rng.uniform(0.0, 3.0 / n)
+    path = rng.permutation(n)
+    pattern[:, path[:-1], path[1:]] |= rng.random((rows, n - 1)) < 0.8
+    pattern |= pattern.swapaxes(-1, -2)
+    pattern[:, np.arange(n), np.arange(n)] = True
+    labels, _ = linops._label(pattern)
+    assert labels.tolist() == [r * n + k for r, row in enumerate(pattern) for k in _least_reachable(row)]
+
+
+def test_the_labeler_takes_few_rounds_on_a_tridiagonal_pattern():
+    # a path of 400 vertices, whose diameter a min-label propagation alone
+    # would walk, in order and with its vertices permuted (where hooking
+    # each parent, not only each vertex, keeps the rounds logarithmic)
+    n = 400
+    pattern = np.eye(n, dtype=bool) | np.eye(n, k=1, dtype=bool) | np.eye(n, k=-1, dtype=bool)
+    perm = np.random.default_rng(9).permutation(n)
+    for path in (pattern, pattern[np.ix_(perm, perm)]):
+        labels, rounds = linops._label(path[None])
+        assert not labels.any()
+        assert rounds <= np.log2(n) + 2
+
+
+def _recorded_shapes(monkeypatch, name):
+    """Record the shape of every matrix stack passed to ``np.linalg.<name>``."""
+    shapes = []
+    real = getattr(np.linalg, name)
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recording)
+    return shapes
+
+
+def test_a_permuted_chain_is_solved_by_its_blocks_as_the_whole_matrix(monkeypatch):
+    # 50 cells on indices scattered by a permutation: one stacked eig of the
+    # 50 blocks, eigenpairs within rounding of the whole 100 x 100 solve
+    h, _, _ = permuted_chain(np.random.default_rng(3), random_cells(np.random.default_rng(4), 50))
+    shapes = _recorded_shapes(monkeypatch, "eig")
+    split = eigendecompose(h)
+    assert shapes == [(50, 2, 2)]
+    solved_whole(monkeypatch)
+    whole = eigendecompose(h)
+    assert np.abs(split.values - whole.values).max() <= 1e-14 * np.abs(whole.values).max()
+    # simple eigenvalues: each unit eigenvector is the whole solve's up to a phase
+    np.testing.assert_allclose(np.abs(np.einsum("ij,ij->j", split.vectors.conj(), whole.vectors)), 1.0, rtol=1e-12)
+    assert np.count_nonzero(split.vectors) == 2 * len(h)  # each column lives on its own block
+    assert split.condition == pytest.approx(whole.condition, rel=1e-12)
+
+
+def _mixed_pattern_stack(rng):
+    """Rows of dimension 80 with different patterns: a chain, the chain with
+    its basis permuted, the chain with two cells coupled into one 4 x 4
+    component, a tridiagonal matrix (sparse and irreducible) and a dense one."""
+    h, _ = build_model(ModelSpec("chain", random_cells(rng, 40)))
+    permuted = h[np.ix_(*[rng.permutation(80)] * 2)]
+    coupled = h.copy()
+    coupled[[0, 1, 2, 3], [2, 3, 0, 1]] = 0.3
+    tridiagonal = np.diag(rng.standard_normal(80)) + np.diag(rng.standard_normal(79), 1) + np.diag(np.ones(79), -1)
+    return np.stack([h, permuted, coupled, tridiagonal, random_complex(rng, (80, 80))])
+
+
+def test_a_stack_splits_each_row_by_its_own_pattern_bit_for_bit(monkeypatch):
+    mats = _mixed_pattern_stack(np.random.default_rng(8))
+    for stack in (mats, mats.real):  # complex, and real with non-real spectra in its last two rows
+        eigen = eigendecompose(stack)
+        assert not eigen.defective.any()
+        for i, m in enumerate(stack):
+            alone = eigendecompose(m)
+            for name in ("values", "vectors", "condition"):
+                # a real stack is complex once any row has a non-real eigenvalue
+                got = getattr(eigen, name)[i]
+                assert np.asarray(getattr(alone, name), dtype=got.dtype).tobytes() == got.tobytes(), (i, name)
+    # the irreducible rows, sparse or dense, are solved whole: bit for bit
+    # as by one eig each, also where the Gram certificate gives cond(V)
+    near_normal = mats[3].real + mats[3].real.T + 0.01 * np.diag(np.ones(79), 1)
+    rows = np.stack([mats[3], mats[4], near_normal])
+    scale = linops.frobenius(rows)
+    split = [eigendecompose(rows), linops.stacked_eigensystem(rows, scale, 1e-10, EP_WARNING_K)[0]]
+    solved_whole(monkeypatch)
+    whole = [eigendecompose(rows), linops.stacked_eigensystem(rows, scale, 1e-10, EP_WARNING_K)[0]]
+    for got, want in zip(split, whole):
+        for name in ("values", "vectors", "condition"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_a_row_split_into_blocks_has_the_residual_of_its_worst_block():
+    # a cell scaled by 1e8 among 39 others: at a tolerance that only its
+    # eigenpairs miss, the joined row fails its residual check
+    cells = ((1e8, 2e8, 0.5),) + random_cells(np.random.default_rng(5), 39)
+    h, _ = build_model(ModelSpec("chain", cells))
+    tol, scale = 1e-18, linops.frobenius(h[None])
+    _, residual = linops.stacked_eigensystem(h[None], scale, tol)
+    blocks = [linops.stacked_eigensystem(h[None, k : k + 2, k : k + 2], scale, tol)[1][0] for k in range(0, 80, 2)]
+    assert blocks[0] > tol * scale[0] > max(blocks[1:])
+    assert residual[0] == pytest.approx(blocks[0], rel=1e-12)
+    with pytest.raises(DefectiveSpectrum, match="eigenpair residual"):
+        eigendecompose(h, tol)
+
+
+def test_a_hermitian_spectrum_is_split_by_blocks_and_joined_ascending(monkeypatch):
+    # a direct sum of 30 Hermitian 3 x 3 blocks, each repeated twice, on permuted indices
+    rng = np.random.default_rng(12)
+    blocks = [random_complex(rng, (3, 3)) for _ in range(15)]
+    m = linops._block_diag(*[b + b.conj().T for b in blocks for _ in range(2)])
+    m = m[np.ix_(*[rng.permutation(90)] * 2)]
+    shapes = _recorded_shapes(monkeypatch, "eigh")
+    w, u = linops.hermitian_spectrum(m)
+    assert shapes == [(30, 3, 3)]
+    assert (np.diff(w) >= 0).all()
+    np.testing.assert_allclose(w, np.linalg.eigvalsh(m), rtol=0, atol=1e-14 * np.abs(w).max())
+    np.testing.assert_allclose(u.conj().T @ u, np.eye(90), rtol=0, atol=1e-14)
+    np.testing.assert_allclose((u * w) @ u.conj().T, m, rtol=0, atol=1e-14 * np.abs(w).max())
+    # a dense matrix takes eigh whole, with its bits
+    dense = m + 0.1
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(linops.hermitian_spectrum(dense), np.linalg.eigh(dense)))
 
 
 # ---------------------------------------------------------------- the Gram certificate of cond(V)

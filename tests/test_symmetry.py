@@ -11,8 +11,11 @@ from cptkit import (
     classify_2x2,
     classify_stack,
     classify_symmetry,
+    closed_form_c,
     eigendecompose,
+    hermitize,
     is_pt_symmetric,
+    linops,
     pair_swap_frame,
     phase_align,
     symmetry,
@@ -25,7 +28,11 @@ from helpers import (
     any_dim_frame,
     bench_workloads,
     multiset_gap,
+    permuted_chain,
+    random_cells,
     random_pt_symmetric,
+    random_symmetric_pt_symmetric,
+    solved_whole,
     unitary_basis_change,
 )
 
@@ -853,3 +860,115 @@ def test_a_conjugate_pair_is_listed_lower_member_first_on_every_solve(cells):
         values = classify_symmetry(m, moved).eigenvalues
         assert stack.eigenvalues[i].tobytes() == values.tobytes()
         assert _conjugates_lower_first(stack.eigenvalues[i])
+
+
+# ---------------------------------------------------------------- split by the components of the pattern
+
+
+def _relative(got, want) -> float:
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def test_a_permuted_chain_is_classified_and_synthesized_by_its_blocks(monkeypatch):
+    # 50 cells on scattered indices: C from the blocks' eigenvectors meets
+    # its closed form to rounding, and the whole 100 x 100 solve to its own
+    # accuracy, which is up to 7.4e-13 relative on such chains
+    rng = np.random.default_rng(21)
+    cells = random_cells(rng, 50)
+    h, frame, perm = permuted_chain(rng, cells)
+    closed = linops._block_diag(*[closed_form_c(np.arcsin(r / s * np.sin(theta))) for r, s, theta in cells])
+    report = classify_symmetry(h, frame)
+    result = build_c(report, frame)
+    hermitized = hermitize(h, result.cpt)
+    assert report.classification == UNBROKEN
+    assert _relative(result.cpt.c.matrix, closed[np.ix_(perm, perm)]) <= 1e-14
+    solved_whole(monkeypatch)
+    whole = classify_symmetry(h, frame)
+    whole_result = build_c(whole, frame)
+    assert _relative(report.eigenvalues, whole.eigenvalues) <= 1e-13
+    assert _relative(result.cpt.c.matrix, whole_result.cpt.c.matrix) <= 1e-11
+    assert _relative(hermitized, hermitize(h, whole_result.cpt)) <= 1e-11
+
+
+def test_a_chain_with_a_cell_at_its_exceptional_point_raises_with_the_joined_svd_condition(monkeypatch):
+    cells = list(random_cells(np.random.default_rng(2), 40))
+    cells[17] = (1.0, 1.0, np.pi / 2)
+    h, frame = build_model(ModelSpec("chain", tuple(cells)))
+    seen = []
+    real_svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        seen.append((np.shape(a), real_svd(a, *args, **kwargs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    with pytest.raises(DefectiveSpectrum, match="condition") as got:
+        classify_symmetry(h, frame)
+    shape, singular = seen[-1]  # the SVD of the joined 80 x 80 V, not of a block
+    assert shape == (1, 80, 80)
+    assert got.value.condition == singular[0, 0] / singular[0, -1] > linops.COND_LIMIT
+    with pytest.raises(DefectiveSpectrum) as want:
+        eigendecompose(h)
+    assert (str(got.value), got.value.condition) == (str(want.value), want.value.condition)
+
+
+def _mixed_pattern_stack():
+    """Rows of dimension 80 over one chain frame with different patterns: a
+    chain, a chain with two equal cells (an eigenspace across two blocks),
+    a chain with two cells coupled into one 4 x 4 component, a chain with a
+    broken cell, a chain with a cell at its exceptional point and a dense
+    PT-symmetric matrix."""
+    rng = np.random.default_rng(30)
+    cells = [random_cells(rng, 40) for _ in range(5)]
+    cells[1] = cells[1][:39] + cells[1][:1]
+    cells[3] = ((3.0, 1.0, 0.5),) + cells[3][1:]
+    cells[4] = cells[4][:9] + ((1.0, 1.0, np.pi / 2),) + cells[4][10:]
+    mats = [build_model(ModelSpec("chain", c))[0] for c in cells]
+    frame = build_model(ModelSpec("chain", cells[0]))[1]
+    mats[2] = mats[2].copy()
+    mats[2][[0, 1, 2, 3], [2, 3, 0, 1]] = 0.3  # PT-symmetric: the swap maps (0, 2) to (1, 3)
+    return mats + [random_symmetric_pt_symmetric(rng, frame)], frame
+
+
+def test_a_stack_of_rows_with_different_patterns_classifies_each_row_as_alone(monkeypatch):
+    mats, frame = _mixed_pattern_stack()
+    calls = _kernel_calls(monkeypatch)
+    stack = classify_stack(np.stack(mats), frame)
+    rows, stacked = calls[-1], _record_without_condition(calls[-1])
+    assert stack.error.tolist() == [False] * 4 + [True, False]
+    assert stack.classification[:4].tolist() == [UNBROKEN, UNBROKEN, UNBROKEN, BROKEN]
+    for i, m in enumerate(mats):
+        report = _report_or_error(m, frame)
+        alone = _record_without_condition(calls[-1])
+        kept = alone["kept"][0]
+        for name, value in alone.items():
+            # phi and theta hold aligned states in the kept columns only: the
+            # others are rotated in a stack where any row is aligned, split or not
+            got, want = (stacked[name][i], value[0]) if name not in ("phi", "theta") else (
+                stacked[name][i][..., kept], value[0][..., kept])
+            assert got.tobytes() == want.tobytes(), (i, name)
+        assert rows.eigen.condition[i].tobytes() == calls[-1].eigen.condition[0].tobytes(), i
+        if not stack.error[i]:
+            assert stack.eigenvalues[i].tobytes() == report.eigenvalues.tobytes(), i
+            assert (stack.classification[i], stack.warning[i]) == (report.classification, bool(report.warnings))
+
+
+def test_dense_patterns_make_one_full_size_eig(monkeypatch):
+    # the tensor of two cells, and a chain moved by a unitary onto a dense
+    # frame: one eig of the whole matrix per classification
+    rng = np.random.default_rng(6)
+    tensor = build_model(ModelSpec("tensor", ((1.0, 2.0, 0.5), (1.0, 3.0, 0.7))))
+    moved = unitary_basis_change(*build_model(ModelSpec("chain", random_cells(rng, 40))), rng)[1:]
+    shapes = []
+    real_eig = np.linalg.eig
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_eig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", recording)
+    for h, frame in (tensor, moved):
+        shapes.clear()
+        classify_symmetry(h, frame)
+        build_c(h, frame)
+        assert shapes == [(1, *h.shape)] * 2
