@@ -27,7 +27,23 @@ in Spaces with an Indefinite Metric*, 1989), and with X the J-normalized columns
 
 Every product of the synthesis is then real; C is mapped back by the real
 basis's gathers in O(n^2), and the one :class:`~cptkit.frames.CPTFrame`
-constructor, given C_r as well, factors M into (w, U_r).  The metric's
+constructor, given C_r as well, factors M into (w, U_r).
+
+The synthesis is written once, over ``(g, m, m)`` stacks of blocks.  The
+states of a matrix that :mod:`cptkit.symmetry` classified by its blocks
+(the components of its pattern with P's pairs joined, closed under P) come
+in the real basis, block by block: each eigenspace, a run of equal energy
+within a block, is normalized there, and X, the Gram matrix, C_r, M and its
+``eigh``, validation, [C_r, Q^+ H Q] and the CPT Gram are stacks of block
+size, with every residual the root-sum-square of the blocks' Frobenius
+norms and every threshold the joined matrix's.  An eigenspace across
+blocks, as of equal cells, is normalized block by block: P's Gram matrix is
+block diagonal, so the sum of phi_k (P phi_k)^+ over it is the same.  C,
+PC, the states and h are joined once, block by block, where a public field
+needs them.  A matrix that is not split (irreducible, dense, below
+:data:`~cptkit.linops._SPLIT_DIM`, or whose real solve fell back to the
+complex one) is the one-block case, with its states mapped into the real
+basis as before, in the same arithmetic.  The metric's
 powers stay real too: the roots R = M^(+-1/2) and M^-1 come from (w, U_r),
 h = Q (R+ (Q^+ H Q) R-) Q^+ and the CPT adjoint are formed with Q^+ H Q
 split into its real and imaginary parts, and only the emitted roots are
@@ -46,7 +62,6 @@ in ``build_c``'s coordinates, so its signs are ``build_c``'s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -58,7 +73,7 @@ from .errors import (
     NotPTEigenstate,
     SelfOrthogonal,
 )
-from .frames import CPTFrame, PTFrame, RealBasis
+from .frames import CPTFrame, PTFrame
 from .linops import (
     DEFAULT_TOL,
     Operator,
@@ -67,6 +82,7 @@ from .linops import (
     column_norms,
     frobenius,
     require_tolerance,
+    root_sum_square,
 )
 from .symmetry import SymmetryReport, _checked, _runs, _unbroken
 
@@ -133,19 +149,23 @@ def _vector_pair(u, v, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _normalize(v: np.ndarray, energy: np.ndarray, apply_p, residual: np.ndarray, tol: float):
     """Indefinite-orthonormal bases W = V Q |L|^(-1/2), signs sign(L), of the
-    eigenspaces V (runs of equal ``energy``) of the PT-fixed columns ``v``,
-    from their real Gram blocks Re((P V)^+ V) = Q L Q^T, one stacked ``eigh``
-    per size above 1, with P applied by ``apply_p`` and each column's
-    |PT v - v| given as ``residual``.  Sign 0, never an error, marks an
-    eigenspace with a zero column, a column v with residual > tol |v| or a
-    |q| <= tol * its largest |v|^2.  Also returns the per-column norm_sq and q."""
-    norm_sq = np.einsum("ij,ij->j", v.conj(), v).real
-    rejected = (residual > tol * np.sqrt(norm_sq)) | (norm_sq == 0)
-    units, q = v.copy(), np.empty(len(energy))
-    for m, at in _runs(energy).items():  # at (g, m): the columns of each eigenspace of size m
-        block = v[:, at].transpose(1, 0, 2)
+    eigenspaces V (runs of equal ``energy`` within a block) of the PT-fixed
+    columns of each block of the ``(g, n, k)`` stack ``v``, from their real
+    Gram blocks Re((P V)^+ V) = Q L Q^T, one stacked ``eigh`` per size above
+    1, with P applied by ``apply_p(columns, b)`` to columns of the blocks b
+    and each column's |PT v - v| given as ``residual``.  Sign 0, never an
+    error, marks an eigenspace with a zero column, a column v with residual
+    > tol |v| or a |q| <= tol * its largest |v|^2.  Also returns the
+    per-column norm_sq and q."""
+    g, n, k = v.shape
+    columns = v.transpose(1, 0, 2).reshape(n, g * k)  # column b k + j is column j of block b: a view for one block
+    norm_sq = np.einsum("ij,ij->j", columns.conj(), columns).real
+    rejected = (residual.reshape(-1) > tol * np.sqrt(norm_sq)) | (norm_sq == 0)
+    units, q = columns.copy(), np.empty(g * k)
+    for m, at in _runs(energy).items():  # at (e, m): the columns of each eigenspace of size m
+        block = columns[:, at].transpose(1, 0, 2)
         # (P u)^+ v is real for PT-fixed u, v; dropping its rounding noise keeps real combinations PT-fixed
-        gram = (apply_p(block).conj().transpose(0, 2, 1) @ block).real
+        gram = (apply_p(block, at[:, 0] // k).conj().transpose(0, 2, 1) @ block).real
         if m == 1:  # a 1x1 Gram block is its own eigenvalue
             q[at] = gram[:, 0]
         else:  # rejected whole; if kept, its smallest |q| passes every column's bound below
@@ -154,39 +174,60 @@ def _normalize(v: np.ndarray, energy: np.ndarray, apply_p, residual: np.ndarray,
             rejected[at] = (rejected[at].any(-1) | (np.abs(q[at]).min(-1) <= tol * norm_sq[at].max(-1)))[:, None]
     kept = ~rejected & (np.abs(q) > tol * norm_sq)
     np.divide(units, np.sqrt(np.abs(q)), out=units, where=kept)  # q may be 0 in a rejected eigenspace
-    return units, np.where(q > 0, 1, -1) * kept, norm_sq, q
+    signs = np.where(q > 0, 1, -1) * kept
+    return (units.reshape(n, g, k).transpose(1, 0, 2), signs.reshape(g, k), norm_sq.reshape(g, k), q.reshape(g, k))
 
 
-def _normalized(
-    v: np.ndarray, energy: np.ndarray, apply_p, residual: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The units and signs of :func:`_normalize`, raising where it rejects an
-    eigenspace: for a zero column, a column that is not PT-fixed, a simple
-    self-orthogonal eigenspace or a degenerate one, in this order."""
-    units, signs, norm_sq, q = _normalize(v, energy, apply_p, residual, tol)
-    if not signs.all():
-        if not norm_sq.all():
-            raise SelfOrthogonal("cannot normalize the zero vector")
-        if (residual > tol * np.sqrt(norm_sq)).any():
-            raise NotPTEigenstate(f"vector is not PT-fixed (residual {residual.max():.3e}); align it first")
-        simple = [j for j in np.flatnonzero(signs == 0).tolist() if np.count_nonzero(energy == energy[j]) == 1]
-        raise SelfOrthogonal(
-            f"indefinite self-product {q[simple[0]]:.3e} vanishes at tolerance {tol:.1e} * |v|^2; "
-            "the state is self-orthogonal (exceptional point)"
-        ) if simple else GramDefect("degenerate eigenspace contains a self-orthogonal direction")
-    return units, signs
+def _normalized(parts, tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The units and signs of :func:`_normalize` of each of ``parts``
+    (``(v, energy, apply_p, residual)`` stacks of blocks), raising where it
+    rejects an eigenspace of any: for a zero column, a column that is not
+    PT-fixed, a simple self-orthogonal eigenspace or a degenerate one, in
+    this order."""
+    normalized = [_normalize(*part, tol) for part in parts]
+    if all(signs.all() for _, signs, _, _ in normalized):
+        return [(units, signs) for units, signs, _, _ in normalized]
+    signs, norm_sq, q = (np.concatenate([part[i].reshape(-1) for part in normalized]) for i in (1, 2, 3))
+    residual = np.concatenate([part[3].reshape(-1) for part in parts])
+    if not norm_sq.all():
+        raise SelfOrthogonal("cannot normalize the zero vector")
+    if (residual > tol * np.sqrt(norm_sq)).any():
+        raise NotPTEigenstate(f"vector is not PT-fixed (residual {residual.max():.3e}); align it first")
+    # a simple eigenspace: an energy that no other column of its block shares
+    simple = np.concatenate([((e[:, :, None] == e[:, None, :]).sum(-1) == 1).reshape(-1) for _, e, _, _ in parts])
+    zero = np.flatnonzero((signs == 0) & simple)
+    raise SelfOrthogonal(
+        f"indefinite self-product {q[zero[0]]:.3e} vanishes at tolerance {tol:.1e} * |v|^2; "
+        "the state is self-orthogonal (exceptional point)"
+    ) if len(zero) else GramDefect("degenerate eigenspace contains a self-orthogonal direction")
 
 
-def _coordinates(phi: np.ndarray, frame: PTFrame, basis: RealBasis | None):
-    """The columns ``phi`` as :func:`_normalize` takes them: their
-    coordinates, how P acts on those and each column's |PT phi - phi|.  In
-    the original basis (``basis`` None) that is phi and P; in the frame's
-    real basis Q it is x = Re(Q^+ phi) and the signature J, with
-    |PT phi - phi| = 2 |Im(Q^+ phi)|, since PT is conjugation there."""
+def _coordinates(phi: np.ndarray, energy: np.ndarray, frame: PTFrame, blocks):
+    """The states ``phi`` (columns, with their ``energy``) as :func:`_normalize`
+    takes them, for each block size: ``(at, col, x, energy, apply_p,
+    residual)``, the ``(g, m)`` indices and sorted columns of its blocks,
+    their coordinates, how P acts on those and each column's
+    |PT phi - phi|.  In the original basis (a frame with no real basis)
+    that is phi and P, as one block.  States of the original basis over an
+    index frame are mapped into its real basis Q, one block of the whole
+    basis, as x = Re(Q^+ phi), with |PT phi - phi| = 2 |Im(Q^+ phi)|, since PT
+    is conjugation there, and P the signature J.  States already in the
+    real basis (``blocks`` not None) are taken block by block."""
+    basis, whole = frame.real_basis, np.arange(len(phi))[None]
     if basis is None:
-        return phi, frame.apply_p, column_norms(frame.apply_pt(phi) - phi)
-    y = basis.to_basis(phi)
-    return y.real, partial(np.multiply, basis.signature), 2.0 * column_norms(y.imag)
+        return [(whole, whole, phi[None], energy[None], lambda v, b: frame.apply_p(v),
+                 column_norms(frame.apply_pt(phi) - phi)[None])]
+    if blocks is None:
+        y = basis.to_basis(phi)
+        return [(whole, whole, y.real[None], energy[None], lambda v, b: basis.signature * v,
+                 2.0 * column_norms(y.imag)[None])]
+    parts = []
+    for at, col in blocks:
+        y = phi[at[:, :, None], col[:, None, :]]
+        signature = basis.signature[at]
+        parts.append((at, col, y.real, energy[col], lambda v, b, signature=signature: signature[b] * v,
+                      2.0 * column_norms(y.imag)))
+    return parts
 
 
 def normalize_indefinite(
@@ -226,9 +267,10 @@ def normalize_indefinite(
         raise DimensionMismatch(f"expected a vector or an (n, k) block, got an array of shape {np.shape(v)}")
     frame.require_hermitian_parity(tol)
     vectors = as_vector(v).reshape(np.shape(v) if np.ndim(v) == 2 else (-1, 1))
-    x, apply_p, residual = _coordinates(vectors, frame, None)
-    units, signs = _normalized(x, np.zeros(vectors.shape[1]), apply_p, residual, tol)
-    return (units, signs) if np.ndim(v) == 2 else (units[:, 0], int(signs[0]))
+    residual = column_norms(frame.apply_pt(vectors) - vectors)
+    ((units, signs),) = _normalized([(vectors[None], np.zeros((1, vectors.shape[1])),
+                                      lambda x, b: frame.apply_p(x), residual[None])], tol)
+    return (units[0], signs[0]) if np.ndim(v) == 2 else (units[0, :, 0], int(signs[0, 0]))
 
 
 def aligned_signs(report: SymmetryReport, frame: PTFrame) -> np.ndarray:
@@ -242,13 +284,15 @@ def aligned_signs(report: SymmetryReport, frame: PTFrame) -> np.ndarray:
     Raises InvalidArgument for a report that :func:`classify_symmetry` did
     not make over an equal frame, and NotUnbroken for one that is not unbroken.
     """
-    _, phi, energy = _unbroken(report, frame, None, "aligned_signs")
+    _, phi, energy, blocks = _unbroken(report, frame, None, "aligned_signs")
+    signs = np.zeros(len(energy), dtype=int)
     try:
         frame.require_hermitian_parity(EP_GUARD_TOL)
     except FrameInvalid:
-        return np.zeros(len(energy), dtype=int)
-    x, apply_p, residual = _coordinates(phi, frame, frame.real_basis)
-    return _normalize(x, energy, apply_p, residual, EP_GUARD_TOL)[1]
+        return signs
+    for _, col, *part in _coordinates(phi, energy, frame, blocks):
+        signs[col] = _normalize(*part, EP_GUARD_TOL)[1]
+    return signs
 
 
 def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
@@ -290,23 +334,27 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
     """
     require_tolerance(tol)
     frame.require_hermitian_parity(tol)
-    matrix, phi, energy = _unbroken(h, frame, tol, "build_c")
+    matrix, phi, energy, blocks = _unbroken(h, frame, tol, "build_c")
 
-    # unbroken: every column of the states is aligned; a run of equal energy is one eigenspace
-    basis = frame.real_basis
-    x, apply_p, residual = _coordinates(phi, frame, basis)
+    # unbroken: every column of the states is aligned; a run of equal energy in a block is one eigenspace
+    basis, n = frame.real_basis, len(energy)
+    parts = _coordinates(phi, energy, frame, blocks)
     del h, phi  # states classified here are freed once in the basis's coordinates
-    x, signs = _normalized(x, energy, apply_p, residual, EP_GUARD_TOL)
-    p_x_adj = apply_p(x).conj().T
-    gram_error = frobenius(p_x_adj @ x - np.diag(signs))
-    c_matrix = x @ p_x_adj  # C itself, or C_r in the real basis
+    ats, cols = [part[0] for part in parts], [part[1] for part in parts]
+    xs, signs = zip(*_normalized([part[2:] for part in parts], EP_GUARD_TOL))
+    p_xs = [part[4](x, slice(None)).conj().swapaxes(-1, -2) for part, x in zip(parts, xs)]
+    gram_error = root_sum_square([_deviation(p_x @ x, sign) for p_x, x, sign in zip(p_xs, xs, signs)])
+    c_parts = tuple(x @ p_x for x, p_x in zip(xs, p_xs))  # C itself, or the blocks of C_r in the real basis
     if basis is None:
-        cpt = CPTFrame(frame, Operator.linear(c_matrix))
+        cpt = CPTFrame(frame, Operator.linear(c_parts[0][0]))
+        metric = (cpt._metric(),)
     else:
-        cpt = CPTFrame(frame, Operator.linear(basis.from_form(c_matrix)), _c_real=c_matrix)
+        c_matrix = basis.from_blocks(ats, c_parts)
+        cpt = CPTFrame(frame, Operator.linear(c_matrix), _c_real=c_parts, _blocks=tuple(ats))
+        metric = cpt._metric()
     # rounding in the Gram entries is amplified by |phi|_2^2 = |P phi|_2^2, the
     # largest eigenvalue of PC = (P phi)(P phi)^+, which grows near an exceptional point
-    gram_tol = tol * max(1.0, float(cpt._spectrum[0][-1]))
+    gram_tol = tol * max(1.0, float(cpt._w.max()))
     if gram_error > gram_tol:
         raise GramDefect(
             f"indefinite Gram matrix deviates from diag(signs) by {gram_error:.3e}; "
@@ -314,13 +362,24 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
         )
 
     cpt.validate(tol).require("CPT-frame")
-    cpt._require_commuting(matrix, tol)
+    cpt._require_commuting(matrix, tol, fits=True)  # its blocks are those of Q^+ H Q
 
-    gram_cpt = (cpt._metric() @ x).conj().T @ x
-    gram_residual = float(frobenius(gram_cpt - np.eye(len(signs))))
-    phi = x if basis is None else basis.from_basis(x)  # mapped back last, so not held through the checks
-    normalized = [SignedState(*state) for state in zip(energy.tolist(), phi.T, signs.tolist())]
+    gram_residual = root_sum_square([_deviation((m @ x).conj().swapaxes(-1, -2) @ x, 1) for m, x in zip(metric, xs)])
+    sign = np.zeros(n, dtype=int)
+    for col, part in zip(cols, signs):
+        sign[col] = part
+    # mapped back last, so not held through the checks
+    phi = xs[0][0] if basis is None else basis.from_blocks(ats, xs, cols)
+    normalized = [SignedState(*state) for state in zip(energy.tolist(), phi.T, sign.tolist())]
     return CPTResult(cpt, tuple(normalized), gram_residual)
+
+
+def _deviation(gram: np.ndarray, signs) -> float:
+    """|G - diag(signs)| over every block of a stack of Gram matrices G,
+    formed in G's place."""
+    g, m, _ = gram.shape
+    gram.reshape(g, m * m)[:, :: m + 1] -= signs
+    return frobenius(gram.reshape(-1, m))
 
 
 def cpt_inner(u, v, cpt: CPTFrame) -> complex:

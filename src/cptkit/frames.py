@@ -9,8 +9,9 @@ with residual inf.  A :class:`CPTFrame` factors its metric PC once, with one
 the CPT adjoint all read that one factorization.
 
 Every built-in frame has a permutation P and T = entrywise conjugation: the
-pair swap, the 3x3 family and doubling (from :func:`frame_from_involution`),
-tensor products and direct sums of these, also read back from a document.
+pair swap (built from its index array), the 3x3 family and doubling (from
+:func:`frame_from_involution`), tensor products and direct sums of these,
+also read back from a document.
 Such a frame stores P's index array: its PT-axiom check is O(n), and P and
 PT act by index.  Its PT-fixed basis Q is a permutation-sparse unitary, so
 PT is plain complex conjugation in that basis and a PT-symmetric H is the
@@ -28,6 +29,18 @@ factors its metric M = J C_r with one real ``eigh``, validates in real
 products, where CPT = TPC holds exactly, and forms the metric's powers,
 Hermitization and the CPT adjoint in real products too; one built from a C
 alone takes the dense path.
+
+A block of the real basis closed under P (a union of P's pairs and fixed
+points) is left invariant by Q, so a matrix that vanishes off such blocks
+is mapped into and out of the real basis block by block
+(:meth:`RealBasis.form_blocks`, :meth:`RealBasis.from_blocks`).  The blocks
+of a matrix are the components of its pattern with P's pairs joined
+(:meth:`RealBasis.components`).  A :class:`CPTFrame` synthesized for such a
+matrix keeps C_r as stacks of its blocks, one per block size, with their
+indices, and factors, validates, forms powers and Hermitizes block by
+block, with every residual the root-sum-square of the blocks' and every
+threshold the joined matrix's; one block of the whole basis is the
+unsplit case.
 """
 
 from __future__ import annotations
@@ -49,8 +62,11 @@ from .errors import (
     NotInvolution,
 )
 from .linops import (
+    ANTILINEAR,
     DEFAULT_TOL,
+    LINEAR,
     Operator,
+    _components,
     _require_threshold,
     apply,
     commutator_check,
@@ -58,8 +74,10 @@ from .linops import (
     frobenius,
     hermitian_spectrum,
     hermiticity_residual,
+    joined_spectrum,
     operand,
     positive_definiteness,
+    root_sum_square,
     spectral_powers,
 )
 
@@ -127,13 +145,82 @@ class RealBasis(NamedTuple):
         r0, r1 = self.rows
         return _combine(self.from_basis(m), r0.conj().T, r1.conj().T, self.perm, -1)
 
+    def form_blocks(self, a: np.ndarray, ats) -> tuple[np.ndarray, ...]:
+        """The diagonal blocks of Q^+ A Q at the ``(g, m)`` indices of each
+        of ``ats``, blocks closed under P, as ``(g, m, m)`` stacks: Q acts
+        within each such block, so each is formed from the block of A alone,
+        by the gathers of :meth:`form`, with no product of the whole matrix.
+        One block of the whole basis is ``form(a)`` itself."""
+        if _whole(ats, len(self.perm)):
+            return (self.form(a)[None],)
+        return tuple(self._block_form(a[at[:, :, None], at[:, None, :]], at) for at in ats)
+
+    def components(self, a: np.ndarray):
+        """:func:`~cptkit.linops._components` of an ``(N, n, n)`` stack with
+        P's pairs joined, so that every block is closed under P and Q acts
+        within it: the pair closure of the components of each Q^+ A Q."""
+        return _components(a, self.perm)
+
+    def real_form(self, a: np.ndarray, rows, at) -> np.ndarray:
+        """Re(Q^+ A Q) of the matrices ``a[rows]`` of a stack, or its blocks
+        at the ``(g, m)`` indices ``at``, blocks closed under P: what
+        :func:`~cptkit.linops.split_eigensystem` solves over an index frame."""
+        if at is None:
+            return self.form(a[rows]).real
+        return self._block_form(a[rows[:, None, None], at[:, :, None], at[:, None, :]], at).real
+
+    def from_blocks(self, ats, parts, cols=None) -> np.ndarray:
+        """The ``(n, n)`` matrix Q M Q^+ of the real-basis matrix M whose
+        blocks at ``ats`` (closed under P) are ``parts``, zero off them; with
+        ``cols``, the ``(n, n)`` array Q X of the real-basis columns X whose
+        blocks, supported on ``ats``, are ``parts`` at the columns ``cols``.
+        Each block is mapped alone, by the gathers of :meth:`from_form` and
+        :meth:`from_basis`, and written in place; one block of the whole
+        basis is :meth:`from_form` or :meth:`from_basis` itself."""
+        n = len(self.perm)
+        if _whole(ats, n):
+            return self.from_form(parts[0][0]) if cols is None else self.from_basis(parts[0][0])
+        out = np.zeros((n, n), dtype=complex)
+        r0, r1 = self.rows
+        for at, col, part in zip(ats, ats if cols is None else cols, parts):
+            local = self._local(at)
+            mapped = _combine(part.astype(complex), r0[at], r1[at], local[:, :, None], -2)
+            if cols is None:
+                mapped = _combine(mapped, r0[at].conj().swapaxes(-1, -2), r1[at].conj().swapaxes(-1, -2),
+                                  local[:, None, :], -1)
+            out[at[:, :, None], col[:, None, :]] = mapped
+        return out
+
+    def _block_form(self, blocks: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Q_b^+ A_b Q_b for a ``(g, m, m)`` stack of blocks A_b of a matrix
+        at the indices ``at``, blocks closed under P, by the gathers of :meth:`form`."""
+        local = self._local(at)
+        w0, w1 = (w[at][:, None, :] for w in self.cols)
+        aq = _combine(blocks.astype(complex), w0, w1, local[:, None, :], -1)
+        c0, c1 = (c[at] for c in self.adjoint)
+        return _combine(aq, c0, c1, local[:, :, None], -2)
+
+    def _local(self, at: np.ndarray) -> np.ndarray:
+        """The position in its block of the partner under P of each index of
+        the ``(g, m)`` blocks ``at``, closed under P."""
+        position = np.empty(len(self.perm), dtype=np.intp)
+        position[at] = np.arange(at.shape[1])
+        return position[self.perm[at]]
+
+
+def _whole(ats, n: int) -> bool:
+    """Whether the block indices ``ats`` are one block of all n indices."""
+    return len(ats) == 1 and ats[0].shape == (1, n)
+
 
 def _combine(own: np.ndarray, w0: np.ndarray, w1: np.ndarray, perm: np.ndarray, axis: int) -> np.ndarray:
     """w0 X + w1 X', X' the gather ``X.take(perm, axis)``, for the weights
     ``w0``, ``w1`` of the real basis and a complex X, ``own``, that the caller
     gives up: formed in its place, so that the only new array is X' (the
-    fresh arrays of a map, not its O(n^2) arithmetic, dominate its time)."""
-    out = own.take(perm, axis=axis)
+    fresh arrays of a map, not its O(n^2) arithmetic, dominate its time).
+    For a stack of blocks, ``perm`` holds each block's own positions, as an
+    array that broadcasts along ``axis``, and X' is gathered block by block."""
+    out = own.take(perm, axis=axis) if perm.ndim == 1 else np.take_along_axis(own, perm, axis)
     out *= w1
     own *= w0
     out += own
@@ -252,7 +339,7 @@ class PTFrame:
         if self.perm is None:
             m = self.pt.matrix
             return m @ a.conj() @ m.conj()
-        gathered = a.take(self.perm, axis=1).take(self.perm, axis=2)
+        gathered = a[:, self.perm[:, None], self.perm]  # one gather: two chained takes cost three times as much
         return np.conjugate(gathered, out=gathered)
 
     def _cpt_residual(self, c: np.ndarray) -> float:
@@ -296,37 +383,75 @@ class CPTFrame:
     metric ``pc_matrix`` = P @ C and the one eigendecomposition (w, U), w
     ascending, of its Hermitian part are formed once here, read-only: no
     consumer of the metric factors it again, and its powers are formed from
-    that spectrum, the roots once per tolerance.  A frame synthesized in the
-    real basis Q of an index frame is given its real C_r = Q^+ C Q as
-    ``_c_real``, with C = Q C_r Q^+, and keeps it read-only; it factors
-    M = J C_r = Q^+ (PC) Q with one real ``eigh`` into (w, U_r), and forms
-    the metric's powers, Hermitization and the CPT adjoint in real products
-    of that basis; ``metric_spectrum`` is then (w, Q U_r), formed on first
-    use.  The H and ``tol`` of the last passing [C, H] check are kept as
-    ``_commuting``."""
+    that spectrum, the roots once per tolerance.
+
+    A frame synthesized in the real basis Q of an index frame is given its
+    real C_r = Q^+ C Q as ``_c_real``, with C = Q C_r Q^+, block by block:
+    ``_blocks`` holds, for each block size m, the ``(g, m)`` real-basis
+    indices of the g blocks that C_r leaves invariant (one block of the
+    whole basis for an irreducible H), and ``_c_real`` their ``(g, m, m)``
+    stacks, read-only.  It factors M = J C_r = Q^+ (PC) Q with one real
+    ``eigh`` per block size into (w, U_r), and validates, forms the metric's
+    powers, Hermitizes and forms the CPT adjoint in real products of those
+    blocks, with every residual the root-sum-square of its blocks' and every
+    threshold the joined matrix's; ``metric_spectrum`` is then (w, Q U_r),
+    joined and formed on first use.  The H and ``tol`` of the last passing
+    [C, H] check are kept as ``_commuting``, with whether Q^+ H Q is known to
+    vanish off the blocks."""
 
     frame: PTFrame
     c: Operator
     pc_matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    _spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _spectrum: tuple = field(init=False, repr=False, compare=False)
     _roots: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _c_real: np.ndarray | None = field(default=None, repr=False, compare=False, kw_only=True)
-    _commuting: tuple[np.ndarray, float] | None = field(init=False, repr=False, compare=False, default=None)
+    _c_real: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False, kw_only=True)
+    _blocks: tuple[np.ndarray, ...] = field(default=(), repr=False, compare=False, kw_only=True)
+    _m: tuple[np.ndarray, ...] | None = field(init=False, repr=False, compare=False, default=None)
+    _commuting: tuple[np.ndarray, float, bool] | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not self.c.is_linear:
             raise KindMismatch("C must be a linear operator")
         if self.c.dim != self.frame.dim:
             raise DimensionMismatch(f"C has dimension {self.c.dim} but frame has dimension {self.frame.dim}")
-        if self._c_real is not None:
-            self._c_real.setflags(write=False)
         with np.errstate(over="ignore", invalid="ignore"):
             object.__setattr__(self, "pc_matrix", self.frame.apply_p(self.c.matrix))
-            m = self._metric()
-            spectrum = hermitian_spectrum((m + m.conj().T) / 2.0)
-        for part in (self.pc_matrix, *spectrum):
+            if self._c_real is None:
+                m = self.pc_matrix
+                spectrum = hermitian_spectrum((m + m.conj().T) / 2.0)
+                parts = spectrum
+            else:
+                signature = self.frame.real_basis.signature
+                object.__setattr__(self, "_m", tuple(signature[at] * c for at, c in zip(self._blocks, self._c_real)))
+                spectrum = tuple(zip(*map(self._block_spectrum, self._m)))
+                parts = (*self._c_real, *self._m, *spectrum[0], *spectrum[1])
+        for part in (self.pc_matrix, *parts):
             part.setflags(write=False)
         object.__setattr__(self, "_spectrum", spectrum)
+
+    def _block_spectrum(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(w, U_r) of each block of a stack of M's blocks, by one stacked
+        ``eigh``; a block of the whole basis by :func:`~cptkit.linops.hermitian_spectrum`."""
+        sym = (m + m.conj().swapaxes(-1, -2)) / 2.0
+        if self._one_block:
+            return tuple(part[None] for part in hermitian_spectrum(sym[0]))
+        return tuple(np.linalg.eigh(sym))
+
+    @property
+    def _one_block(self) -> bool:
+        """Whether C_r is one block of the whole real basis."""
+        return _whole(self._blocks, self.dim)
+
+    @cached_property
+    def _w(self) -> np.ndarray:
+        """The metric's eigenvalues, of every block together."""
+        if self._c_real is None:
+            return self._spectrum[0]
+        return np.concatenate([w.reshape(-1) for w in self._spectrum[0]])
+
+    def _joined(self, parts: tuple[np.ndarray, ...]) -> np.ndarray:
+        """The ``(n, n)`` matrix of the real basis whose blocks are ``parts``, zero off them."""
+        return _block_join(self.dim, self._blocks, parts)
 
     @cached_property
     def metric_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -334,58 +459,81 @@ class CPTFrame:
         part, read-only: (w, Q U_r) on a frame synthesized in the real basis."""
         if self._c_real is None:
             return self._spectrum
-        w, u = self._spectrum
+        ws, us = self._spectrum
+        w, u = (ws[0][0], us[0][0]) if self._one_block else joined_spectrum(self.dim, self._blocks, ws, us)
         u = self.frame.real_basis.from_basis(u)
-        u.setflags(write=False)
+        for part in (w, u):
+            part.setflags(write=False)
         return w, u
 
-    def _metric(self) -> np.ndarray:
-        """The metric in the frame's own basis: M = J C_r = Q^+ (PC) Q on a
-        frame synthesized in the real basis, PC on any other."""
-        if self._c_real is None:
-            return self.pc_matrix
-        return self.frame.real_basis.signature * self._c_real
+    def _metric(self):
+        """The metric in the frame's own basis: the blocks of M = J C_r =
+        Q^+ (PC) Q on a frame synthesized in the real basis, PC on any other."""
+        return self.pc_matrix if self._c_real is None else self._m
 
-    def _metric_powers(self, powers, tol: float) -> tuple[np.ndarray, ...]:
+    def _metric_powers(self, powers, tol: float) -> tuple:
         """:func:`~cptkit.linops.spectral_powers` of :meth:`_metric` from its
-        one spectrum, with its errors at ``tol``: real on a frame synthesized
-        in the real basis."""
+        one spectrum, with its errors at ``tol``: on a frame synthesized in
+        the real basis, the metric is checked against its joined spectrum
+        and each power is a tuple of real block stacks."""
         return spectral_powers(self._metric(), self._spectrum, powers, tol)
 
-    def _similarity(self, left: np.ndarray, a: np.ndarray, right: np.ndarray) -> np.ndarray:
+    def _similarity(self, left, a: np.ndarray, right) -> np.ndarray:
         """left A right, for ``left`` and ``right`` in the frame's own basis,
         as :meth:`_metric_powers` forms them: on a frame synthesized in the
         real basis, Q (left (Q^+ A Q) right) Q^+ in real products, with
-        Q^+ A Q split into its real and imaginary parts.  An exactly real
+        Q^+ A Q split into its real and imaginary parts.  The H that
+        :func:`~cptkit.cpt.build_c` synthesized C for, whose Q^+ H Q vanishes
+        off the blocks, is taken block by block; any other A is taken whole,
+        with the blocks of ``left`` and ``right`` joined.  An exactly real
         Q^+ A Q, as of every built-in model, takes the real part's two
         products alone, and its imaginary part is written as the +0.0 that
         the products of zeros give."""
         if self._c_real is None:
             return left @ a @ right
         basis = self.frame.real_basis
-        form = basis.form(a)
-        if np.count_nonzero(form.imag):
-            form.real, form.imag = left @ np.stack([form.real, form.imag]) @ right
-        else:
-            form.real, form.imag = left @ np.ascontiguousarray(form.real) @ right, 0.0
-        return basis.from_form(form)
+        fits = self._fits(a)
+        ats = self._blocks if fits else (np.arange(self.dim)[None],)
+        forms = basis.form_blocks(a, ats)
+        if not fits:
+            left, right = (self._joined(left)[None],), (self._joined(right)[None],)
+        nonreal = any(np.count_nonzero(form.imag) for form in forms)
+        for form, lhs, rhs in zip(forms, left, right):
+            if nonreal:
+                form.real, form.imag = lhs @ np.stack([form.real, form.imag]) @ rhs
+            else:
+                form.real, form.imag = lhs @ np.ascontiguousarray(form.real) @ rhs, 0.0
+        return basis.from_blocks(ats, forms)
 
-    def _require_commuting(self, h: np.ndarray, tol: float) -> np.ndarray:
+    def _fits(self, h: np.ndarray) -> bool:
+        """Whether Q^+ H Q is known to vanish off the blocks: for any H where
+        C_r is one block of the whole basis, else for the H of the last
+        [C, H] pass where its caller said so."""
+        last = self._commuting
+        return self._one_block or (last is not None and h is last[0] and last[2])
+
+    def _require_commuting(self, h: np.ndarray, tol: float, fits: bool = False) -> np.ndarray:
         """Raise CommutatorViolation unless :func:`~cptkit.linops.commutator_check`
-        of C (C_r and Q^+ H Q, if synthesized in the real basis) and the
-        read-only H passes at ``tol``; return the H that passed.  An H equal,
-        entrywise, to that of the last pass passes at a ``tol`` no tighter with no product."""
+        of C and the read-only H passes at ``tol``; return the H that passed.
+        On a frame synthesized in the real basis C is C_r and H is Q^+ H Q,
+        block by block where ``fits`` says that Q^+ H Q vanishes off the
+        blocks (the H that :func:`~cptkit.cpt.build_c` classified), and
+        joined otherwise.  An H equal, entrywise, to that of the last pass
+        passes at a ``tol`` no tighter with no product."""
         last = self._commuting
         if last is not None and tol >= last[1] and (h is last[0] or np.array_equal(h, last[0])):
             return last[0]
+        fits = fits or self._one_block
         if self._c_real is None:
             residual, commutes = commutator_check(self.c.matrix, h, tol)
-        else:  # passed, not bound, so the complex Q^+ H Q is freed once split into real parts
-            residual, commutes = commutator_check(self._c_real, self.frame.real_basis.form(h), tol)
+        elif fits:  # passed, not bound, so the complex blocks are freed once split into real parts
+            residual, commutes = commutator_check(self._c_real, self.frame.real_basis.form_blocks(h, self._blocks), tol)
+        else:
+            residual, commutes = commutator_check(self._joined(self._c_real), self.frame.real_basis.form(h), tol)
         if not commutes:
             raise CommutatorViolation(f"[C, H] residual {residual:.3e} exceeds tolerance; "
                                       "the frame is not a frame for H")
-        object.__setattr__(self, "_commuting", (h, tol))
+        object.__setattr__(self, "_commuting", (h, tol, fits))
         return h
 
     @property
@@ -400,7 +548,7 @@ class CPTFrame:
     def t(self) -> Operator:
         return self.frame.t
 
-    def _basis_roots(self, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    def _basis_roots(self, tol: float) -> tuple:
         """The roots of :meth:`_metric`, ``(0.5, -0.5)`` powers by
         :meth:`_metric_powers`, read-only: formed on first use at each
         tolerance and kept, so Hermitization and the emitted roots share one
@@ -408,8 +556,8 @@ class CPTFrame:
         roots = self._roots.get(tol)
         if roots is None:
             roots = self._metric_powers((0.5, -0.5), tol)
-            for root in roots:
-                root.setflags(write=False)
+            for part in (roots if self._c_real is None else sum(roots, ())):
+                part.setflags(write=False)
             self._roots[tol] = roots
         return roots
 
@@ -417,12 +565,13 @@ class CPTFrame:
         """(PC)^(1/2) and (PC)^(-1/2) from the metric spectrum, read-only, with
         the errors of :func:`~cptkit.linops.spectral_powers` at ``tol``.  The
         roots are formed once per tolerance, those of a frame synthesized in
-        the real basis as the real roots R of M, which :func:`~cptkit.cpt.hermitize`
-        reads; this maps them back, Q R Q^+, on each call."""
+        the real basis as the real blocks R of M's roots, which
+        :func:`~cptkit.cpt.hermitize` reads; this joins and maps them back,
+        Q R Q^+, on each call."""
         roots = self._basis_roots(tol)
         if self._c_real is None:
             return roots
-        mapped = tuple(self.frame.real_basis.from_form(root) for root in roots)
+        mapped = tuple(self.frame.real_basis.from_blocks(self._blocks, root) for root in roots)
         for root in mapped:
             root.setflags(write=False)
         return mapped
@@ -437,25 +586,40 @@ class CPTFrame:
         above, the one threshold ``tol * max|w|`` of
         :func:`~cptkit.linops.positive_definiteness`, by which the spectral
         powers judge a metric too.  A bound that overflows admits nothing.
-        A frame synthesized in the real basis is checked there, on C_r (of
-        the norm of C) and M, in real products.  A nan, negative or infinite
+        A frame synthesized in the real basis is checked there, on the blocks
+        of C_r (of the norm of C) and M, in real products, each residual and
+        norm the root-sum-square of its blocks'.  A nan, negative or infinite
         ``tol`` raises InvalidArgument."""
         _require_threshold(tol)
         dense = self._c_real is None
-        mc, pc = (self.c.matrix if dense else self._c_real), self._metric()
-        min_eig, threshold = positive_definiteness(self._spectrum[0], tol)
+        cs, ms = ((self.c.matrix,), (self.pc_matrix,)) if dense else (self._c_real, self._metric())
+        min_eig, threshold = positive_definiteness(self._w, tol)
         with np.errstate(over="ignore", invalid="ignore"):
-            bound = tol * max(1.0, frobenius(mc)) ** 2
+            bound = tol * max(1.0, root_sum_square([frobenius(c.reshape(-1, c.shape[-1])) for c in cs])) ** 2
+            squares = [frobenius((c @ c - np.eye(c.shape[-1])).reshape(-1, c.shape[-1])) for c in cs]
             residuals = (
-                ("C^2 = I", frobenius(mc @ mc - np.eye(self.dim)), bound),
+                ("C^2 = I", root_sum_square(squares), bound),
                 # in the real basis TP is conjugation, which fixes the real C_r exactly
-                ("CPT = TPC", self.frame._cpt_residual(mc) if dense else 0.0, bound),
-                ("PC hermitian", hermiticity_residual(pc), threshold),
+                ("CPT = TPC", self.frame._cpt_residual(self.c.matrix) if dense else 0.0, bound),
+                ("PC hermitian", root_sum_square([hermiticity_residual(m) for m in ms]), threshold),
             )
         violations = [(name, float(residual)) for name, residual, limit in residuals if not residual <= limit < np.inf]
         if not min_eig > threshold:
             violations.append(("PC positive definite", threshold - min_eig))
         return FrameReport(not violations, tuple(violations))
+
+
+def _block_join(n: int, ats, parts, cols=None) -> np.ndarray:
+    """The ``(n, n)`` array with each ``(g, m, m)`` stack of ``parts`` written
+    at the rows ``ats`` and the columns ``cols`` (``ats`` if None) of its
+    blocks, zero elsewhere: the part itself where it is one block of the
+    whole."""
+    if len(parts) == 1 and parts[0].shape == (1, n, n):
+        return parts[0][0]
+    joined = np.zeros((n, n), dtype=np.result_type(*parts))
+    for at, col, part in zip(ats, ats if cols is None else cols, parts):
+        joined[at[:, :, None], col[:, None, :]] = part
+    return joined
 
 
 def validate_pt_frame(p: Operator, t: Operator, tol: float = DEFAULT_TOL) -> FrameReport:
@@ -497,12 +661,30 @@ def pair_swap_frame(n: int) -> PTFrame:
     """
     if n <= 0 or n % 2 != 0:
         raise InvalidArgument(f"pair-swap parity needs an even positive dimension, got {n}")
-    return frame_from_involution(np.eye(n)[np.arange(n) ^ 1], CONSTRUCTION_TOL)
+    return _permutation_frame(np.arange(n) ^ 1)
+
+
+def _permutation_frame(perm: np.ndarray) -> PTFrame:
+    """The frame of :func:`frame_from_involution` for the permutation matrix
+    of ``perm``, an involution with no fixed point, built from ``perm``:
+    P and T = I are each written once, with no copy, and the frame keeps
+    ``perm`` with no scan of P or T.  The frame axioms hold exactly, and
+    P != I since ``perm`` moves every index."""
+    n = len(perm)
+    p, t = np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex)
+    p[np.arange(n), perm] = 1.0
+    for part in (p, t, perm):
+        part.setflags(write=False)
+    frame = object.__new__(PTFrame)
+    for name, value in (("p", Operator._of(LINEAR, p)), ("t", Operator._of(ANTILINEAR, t)), ("perm", perm)):
+        object.__setattr__(frame, name, value)
+    return frame
 
 
 def frame_from_involution(p_matrix, tol: float = DEFAULT_TOL) -> PTFrame:
     """The one constructor of a frame with T = entrywise conjugation from a
-    real involution P, validated at ``max(tol, CONSTRUCTION_TOL)``.
+    given real involution P, validated at ``max(tol, CONSTRUCTION_TOL)``;
+    :func:`pair_swap_frame` builds its frame from the index array.
 
     Raises InvalidArgument for a ``tol`` that is nan, negative or infinite,
     then NonRealEntries for complex-entried P (it need not commute with

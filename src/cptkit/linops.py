@@ -108,10 +108,19 @@ def column_norms(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
 
 
 def hermiticity_residual(a: np.ndarray) -> float:
-    """The Frobenius norm of ``a - a^+``: inf, never a warning, where forming
-    it overflows."""
+    """The Frobenius norm of ``a - a^+``, over every matrix of a stack
+    together: inf, never a warning, where forming it overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return frobenius(a - a.conj().T)
+        return frobenius((a - a.conj().swapaxes(-1, -2)).reshape(-1, a.shape[-1]))
+
+
+def root_sum_square(norms) -> float:
+    """The Frobenius norm of a block-diagonal matrix from the sequence of
+    those of its blocks, or of its stacks of blocks: the norm itself where
+    there is one."""
+    if len(norms) == 1:
+        return float(norms[0])
+    return float(np.hypot.reduce(np.concatenate([np.ravel(norm) for norm in norms])))
 
 
 def require_tolerance(tol) -> None:
@@ -153,27 +162,40 @@ def _block_diag(*mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def commutator_check(c: np.ndarray, h: np.ndarray, tol: float) -> tuple[float, bool]:
+def commutator_check(c, h, tol: float) -> tuple[float, bool]:
     """The residual |[C, H]| and whether it is within
-    ``tol * max(1, |H|) * max(1, |C|)``; an overflowed residual fails.  A real
-    C and a complex H = A + iB are checked in real products, from the stack
-    of [C, A] and [C, B], whose Frobenius norm is |[C, H]|.  Where B is
-    exactly zero, as for every built-in model in a frame's real basis, only
-    [C, A] is formed, in two products, and [C, B] is left as the zeros it
-    would be, so the residual sums the same entries in the same order."""
-    n = len(c)
+    ``tol * max(1, |H|) * max(1, |C|)``; an overflowed residual fails.  C and
+    H are two matrices, two stacks of the blocks of a block-diagonal pair,
+    or two tuples of such stacks, one per block size, whose norms are taken
+    together, as of the joined matrices.  A real C and a complex H = A + iB
+    are checked in real products, from the stack of [C, A] and [C, B], whose
+    Frobenius norm is |[C, H]|.  Where B is exactly zero, as for every
+    built-in model in a frame's real basis, only [C, A] is formed, in two
+    products, and [C, B] is left as the zeros it would be, so the residual
+    sums the same entries in the same order."""
+    if not isinstance(c, tuple):
+        residual, h_norm, c_norm = _commutator_norms(c, h)
+    elif len(c) == 1:
+        residual, h_norm, c_norm = _commutator_norms(c[0], h[0])
+    else:
+        residual, h_norm, c_norm = map(root_sum_square, zip(*map(_commutator_norms, c, h)))
+    return residual, bool(residual <= tol * max(1.0, h_norm) * max(1.0, c_norm))
+
+
+def _commutator_norms(c: np.ndarray, h: np.ndarray):
+    """|[C, H]|, |H| and |C| for a matrix or a stack of blocks, as :func:`commutator_check` takes them."""
+    n = c.shape[-1]
     if np.iscomplexobj(h) and not np.iscomplexobj(c):
         h = np.stack([h.real, h.imag])
     with np.errstate(over="ignore", invalid="ignore"):
-        if h.ndim == 3 and not np.count_nonzero(h[1]):
+        if h.ndim > c.ndim and not np.count_nonzero(h[1]):
             commutator = np.zeros_like(h)
             np.matmul(c, h[0], out=commutator[0])
             commutator[0] -= h[0] @ c
         else:
             commutator = c @ h
             commutator -= h @ c
-        residual = frobenius(commutator.reshape(-1, n))
-    return residual, bool(residual <= tol * max(1.0, frobenius(h.reshape(-1, n))) * max(1.0, frobenius(c)))
+        return frobenius(commutator.reshape(-1, n)), frobenius(h.reshape(-1, n)), frobenius(c.reshape(-1, n))
 
 
 @dataclass(frozen=True)
@@ -210,6 +232,16 @@ class Operator:
     @staticmethod
     def antilinear(matrix) -> "Operator":
         return Operator(ANTILINEAR, matrix)
+
+    @staticmethod
+    def _of(kind: str, matrix: np.ndarray) -> "Operator":
+        """An operator of a matrix already square, complex, finite and
+        read-only, as :func:`as_matrix` leaves it: taken as it is, with no
+        copy and no scan."""
+        op = object.__new__(Operator)
+        object.__setattr__(op, "kind", kind)
+        object.__setattr__(op, "matrix", matrix)
+        return op
 
     @staticmethod
     def identity(n: int) -> "Operator":
@@ -399,41 +431,69 @@ def stacked_eigensystem(
     the blocks' eigenpairs joined into the row's ``(n, n)`` arrays before
     the sort.  Its residual is the largest of its components', and its Gram
     certificate's row sum s too, which is the joined V's, since V^+ V is
-    block diagonal.  Every other row, a dense one always, is solved whole,
-    in one stacked ``eig``.  A row's solve depends on the row alone, so a
-    row of a stack is solved bit for bit as the row alone.
+    block diagonal; its cond(V), where the SVD decides it, is the largest
+    singular value over the smallest across its blocks, those of the joined
+    V.  Every other row, a dense one always, is solved whole, in one stacked
+    ``eig``.  A row's solve depends on the row alone, so a row of a stack is
+    solved bit for bit as the row alone.
 
-    Without ``gate`` every row's ``condition`` is cond(V) from the SVD of
-    its joined V, as :func:`eigendecompose` and DefectiveSpectrum report
-    it.  With it, for a caller that asks of cond(V) only whether its square
-    lies below ``gate`` (at most ``COND_LIMIT``^2), a row whose residual
-    check passes and whose Gram certificate puts cond(V)^2 below ``gate``,
-    with the margin 2 (n + 2) (n + 4) eps in the Gram row sum at the
-    joined n (see :func:`_unit_eigenvectors`), keeps the certificate's bound
-    as its condition and takes no SVD: the bound lies on the same side of
-    the gate, and of ``COND_LIMIT``, as the SVD's value."""
+    Without ``gate`` every row's ``condition`` is cond(V) from the SVD, as
+    :func:`eigendecompose` and DefectiveSpectrum report it.  With it, for a
+    caller that asks of cond(V) only whether its square lies below ``gate``
+    (at most ``COND_LIMIT``^2), a row whose residual check passes and whose
+    Gram certificate puts cond(V)^2 below ``gate``, with the margin
+    2 (n + 2) (n + 4) eps in the Gram row sum at the joined n (see
+    :func:`_condition`), keeps the certificate's bound as its condition and
+    takes no SVD: the bound lies on the same side of the gate, and of
+    ``COND_LIMIT``, as the SVD's value."""
     unscaled = ~np.isfinite(scale)  # non-finite entries, or a norm that overflows
     if unscaled.any():
         # a placeholder keeps the stacked LAPACK calls valid for the other rows
         a = np.where(unscaled[:, None, None], 0.0, a)
-    limit = tol * scale
-    parts = _components(a)
+    eigen, residual, _ = split_eigensystem(a, _components(a), tol * scale, gate)
+    defective = unscaled | eigen.defective
+    return EigenSystem(eigen.values, eigen.vectors, eigen.condition, defective), residual
+
+
+def split_eigensystem(a: np.ndarray, parts, limit: np.ndarray, gate: float | None, form=None):
+    """:func:`stacked_eigensystem` of a finite ``(N, n, n)`` stack, given its
+    components ``parts`` as :func:`_components` returns them, and each row's
+    residual ``limit``: the stacked :class:`EigenSystem`, each row's largest
+    eigenpair residual and the blocks of the split rows, for each component
+    size m the ``(g,)`` rows, the ``(g, m)`` indices of each component and
+    the ``(g, m)`` ascending columns of its eigenpairs in its row's sorted
+    arrays (an empty list where no row splits).  ``form(a, rows, at)``, if
+    given, is what is solved of the matrices ``a[rows]``: at the ``(g, m)``
+    indices ``at`` of their blocks, or whole with ``at`` None; by default,
+    their own entries."""
+    form = form or _entries
     if parts is None:
-        values, vectors, condition, residual = _whole(a, limit, gate)
+        values, vectors, condition, residual = _whole(form(a, slice(None), None), limit, gate)
+        blocks = []
     else:
         split, groups = parts
         whole = np.ones(len(a), dtype=bool)
         whole[split] = False
-        solved = [(split, _by_components(a[split], groups, limit[split], gate))]
+        groups = [(rows, at, form(a, split[rows], at)) for rows, at in groups]
+        *part, blocks = _by_components(groups, (len(split), a.shape[1]), limit[split], gate)
+        solved = [(split, part)]
         if whole.any():
-            solved.append((whole, _whole(a[whole], limit[whole], gate)))
+            solved.append((whole, _whole(form(a, whole, None), limit[whole], gate)))
         values = np.empty(a.shape[:2], dtype=np.result_type(*(part[0] for _, part in solved)))
         vectors = np.empty(a.shape, dtype=values.dtype)
         condition, residual = np.empty(len(a)), np.empty(len(a))
         for rows, part in solved:
             values[rows], vectors[rows], condition[rows], residual[rows] = part
-    defective = unscaled | ~(condition <= COND_LIMIT) | (residual > limit)
-    return EigenSystem(values, vectors, condition, defective), residual
+        blocks = [(split[rows], at, col) for rows, at, col in blocks]
+    defective = ~(condition <= COND_LIMIT) | (residual > limit)
+    return EigenSystem(values, vectors, condition, defective), residual, blocks
+
+
+def _entries(a: np.ndarray, rows, at) -> np.ndarray:
+    """The matrices ``a[rows]``, or their blocks at the ``(g, m)`` indices ``at``."""
+    if at is None:
+        return a[rows]
+    return a[rows[:, None, None], at[:, :, None], at[:, None, :]]
 
 
 def _whole(a: np.ndarray, limit: np.ndarray, gate: float | None):
@@ -457,22 +517,25 @@ def _whole(a: np.ndarray, limit: np.ndarray, gate: float | None):
     return values, vectors, condition, residual
 
 
-def _by_components(a: np.ndarray, groups, limit: np.ndarray, gate: float | None):
-    """:func:`_whole` for an ``(N, n, n)`` stack solved by its components:
-    ``groups`` holds, for each size m, the ``(g,)`` rows and ``(g, m)``
-    indices of the g components of that size.  Each component is solved,
+def _by_components(groups, shape: tuple[int, int], limit: np.ndarray, gate: float | None):
+    """:func:`_whole` for an ``(N, n, n)`` stack, of ``shape`` (N, n), solved
+    by its components: ``groups`` holds, for each size m, the ``(g,)`` rows,
+    ``(g, m)`` indices and ``(g, m, m)`` blocks of the g components of that
+    size.  Each component is solved,
     normalized and checked alone, in real arithmetic where its matrix and
     spectrum are real, and its unit eigenvectors are written straight into
     their sorted columns of its row's V, zero elsewhere; cond(V) is decided
-    on the joined V, with the largest Gram row sum of its components.  The
-    arrays are real where every eigenvalue is."""
-    values, solved = np.zeros(a.shape[:2], dtype=complex), []
-    residual, s = np.zeros(len(a)), np.zeros(len(a))
-    for rows, at in groups:
-        block = a[rows[:, None, None], at[:, :, None], at[:, None, :]]
+    on the joined V, with the largest Gram row sum of its components, or
+    from the extreme singular values of its blocks.  The arrays are real
+    where every eigenvalue is.  Also returns the blocks as
+    :func:`split_eigensystem` does, with rows local to the stack."""
+    values, solved = np.zeros(shape, dtype=complex), []
+    residual, s = np.zeros(shape[0]), np.zeros(shape[0])
+    real = all(block.dtype.kind == "f" for _, _, block in groups)
+    for rows, at, block in groups:
         w, v = np.linalg.eig(block)
         values[rows[:, None], at] = w
-        for group, part in _arithmetic((w.imag == 0).all(-1) & (a.dtype.kind == "f")):
+        for group, part in _arithmetic((w.imag == 0).all(-1) & real):
             unit, res, gram = _unit_columns(block[group], part(w[group]), part(v[group]), gate is not None)
             solved.append((rows[group], at[group], unit))
             np.maximum.at(residual, rows[group], res)
@@ -481,16 +544,32 @@ def _by_components(a: np.ndarray, groups, limit: np.ndarray, gate: float | None)
     order = np.lexsort((values.imag, values.real), axis=-1)
     column = np.argsort(order, axis=-1)  # the sorted position of each eigenvalue
     values = np.take_along_axis(values, order, -1)
-    plain = (values.imag == 0).all(-1) & (a.dtype.kind == "f")
-    if plain.all():
+    if real and (values.imag == 0).all():
         values = values.real
-    vectors = np.zeros(a.shape, dtype=values.dtype)
+    vectors = np.zeros(shape + shape[-1:], dtype=values.dtype)
+    blocks = []
     for rows, at, unit in solved:
-        vectors[rows[:, None, None], at[:, :, None], column[rows[:, None], at][:, None, :]] = unit
-    condition = np.empty(len(a))
-    for group, part in _arithmetic(plain):
-        condition[group] = _condition(part(vectors[group]), s[group], residual[group], limit[group], gate)
-    return values, vectors, condition, residual
+        col = column[rows[:, None], at]
+        vectors[rows[:, None, None], at[:, :, None], col[:, None, :]] = unit
+        blocks.append((rows, at, col))
+
+    def extremes(exact):  # the largest and smallest singular value over each row's blocks
+        top, bottom, chosen_rows = np.zeros(shape[0]), np.full(shape[0], np.inf), np.zeros(shape[0], dtype=bool)
+        chosen_rows[exact] = True
+        for rows, _, unit in solved:
+            chosen = chosen_rows[rows]
+            if chosen.any():
+                singular = np.linalg.svd(unit[chosen], compute_uv=False)
+                np.maximum.at(top, rows[chosen], singular[:, 0])
+                np.minimum.at(bottom, rows[chosen], singular[:, -1])
+        return top[exact], bottom[exact]
+
+    condition = _condition(extremes, s, residual, limit, gate, shape[1])
+    sizes = {}  # the blocks of each size, each block's columns ascending
+    for rows, at, col in blocks:
+        sizes.setdefault(at.shape[1], []).append((rows, at, np.sort(col, axis=-1)))
+    blocks = [tuple(map(np.concatenate, zip(*same))) for same in sizes.values()]
+    return values, vectors, condition, residual, blocks
 
 
 def _arithmetic(plain: np.ndarray):
@@ -511,9 +590,9 @@ def _unit_eigenvectors(
     """Unit-column eigenvectors, cond(V) and the largest eigenpair residual
     of each row, for the residual ``limit`` and the ``gate`` of
     :func:`stacked_eigensystem`: :func:`_unit_columns`, then
-    :func:`_condition`."""
+    :func:`_condition` with one stacked SVD of the rows it does not clear."""
     vectors, residual, s = _unit_columns(a, values, vectors, gate is not None)
-    return vectors, _condition(vectors, s, residual, limit, gate), residual
+    return vectors, _condition(_singular_extremes(vectors), s, residual, limit, gate, a.shape[-1]), residual
 
 
 def _unit_columns(a: np.ndarray, values: np.ndarray, vectors: np.ndarray, gram: bool):
@@ -528,46 +607,58 @@ def _unit_columns(a: np.ndarray, values: np.ndarray, vectors: np.ndarray, gram: 
     return vectors, residual, s
 
 
-def _condition(vectors: np.ndarray, s: np.ndarray | None, residual: np.ndarray, limit: np.ndarray, gate: float | None):
+def _condition(extremes, s: np.ndarray | None, residual: np.ndarray, limit: np.ndarray, gate: float | None, n: int):
     """cond(V) of each unit-column V of a stack, the ratio of its extreme
-    singular values, from one stacked SVD, except on the rows that a
-    ``gate`` clears with a certificate.  The Gram matrix G = V^+ V of unit
-    columns has a unit diagonal, so by Gershgorin its eigenvalues lie in
-    [2 - s, s], s the largest row sum of |G|, and cond(V)^2 <= s / (2 - s).
-    A row is cleared where its residual is within ``limit`` and
-    s / (2 - s) < ``gate`` still holds with s raised by the margin
-    2 (n + 2) (n + 4) eps.  That is twice the rounding of G's row sums
-    (about n gamma_n), of the sum of their moduli and of the column
-    normalization (which leaves G's diagonal within gamma_(n+4) of 1).  Near
-    the gate it lowers cond(V)^2 by a relative (n + 2) (n + 4) eps gate or
-    more (2.7e-9 at n = 2), far above the rounding of the SVD, about
-    n eps cond(V): the SVD puts a cleared row below the gate too.  A cleared
-    row keeps the bound sqrt(s / (2 - s)) as its condition, below the gate
-    by that margin, and takes no SVD.  The SVD runs on the other rows
-    alone, and not at all where every row clears."""
-    condition, exact = np.empty(len(vectors)), slice(None)
+    singular values, which ``extremes(rows)`` returns for a boolean mask of
+    rows, except on the rows that a ``gate`` clears with a certificate.  The
+    Gram matrix G = V^+ V of unit columns has a unit diagonal, so by
+    Gershgorin its eigenvalues lie in [2 - s, s], s the largest row sum of
+    |G|, and cond(V)^2 <= s / (2 - s).  A row is cleared where its residual
+    is within ``limit`` and s / (2 - s) < ``gate`` still holds with s raised
+    by the margin 2 (n + 2) (n + 4) eps, at the dimension n of V.  That is
+    twice the rounding of G's row sums (about n gamma_n), of the sum of
+    their moduli and of the column normalization (which leaves G's diagonal
+    within gamma_(n+4) of 1).  Near the gate it lowers cond(V)^2 by a
+    relative (n + 2) (n + 4) eps gate or more (2.7e-9 at n = 2), far above
+    the rounding of the SVD, about n eps cond(V): the SVD puts a cleared row
+    below the gate too.  A cleared row keeps the bound sqrt(s / (2 - s)) as
+    its condition, below the gate by that margin, and takes no SVD.  The SVD
+    runs on the other rows alone, and not at all where every row clears."""
+    condition, exact = np.empty(len(residual)), slice(None)
     if gate is not None:
-        n = vectors.shape[-1]
         # s + margin < 2 gate / (1 + gate) is (s + margin) / (2 - s - margin) < gate
         cleared = (s < 2.0 * gate / (1.0 + gate) - 2.0 * (n + 2) * (n + 4) * _EPS) & (residual <= limit)
         count = np.count_nonzero(cleared)
-        if count == len(vectors):
+        if count == len(residual):
             return np.sqrt(s / (2.0 - s))
         if count:
             s = s[cleared]
             condition[cleared], exact = np.sqrt(s / (2.0 - s)), ~cleared
-    singular = np.linalg.svd(vectors[exact], compute_uv=False)
+    top, bottom = extremes(exact)
     with np.errstate(divide="ignore", invalid="ignore"):
-        condition[exact] = singular[:, 0] / singular[:, -1]
+        condition[exact] = top / bottom
     return condition
 
 
-def _components(a: np.ndarray):
+def _singular_extremes(vectors: np.ndarray):
+    """The ``extremes`` of :func:`_condition` for a stack of whole V: one
+    stacked SVD of the chosen rows."""
+
+    def extremes(exact):
+        singular = np.linalg.svd(vectors[exact], compute_uv=False)
+        return singular[:, 0], singular[:, -1]
+
+    return extremes
+
+
+def _components(a: np.ndarray, perm: np.ndarray | None = None):
     """The connected components of the symmetrized nonzero pattern of each
     matrix of an ``(N, n, n)`` stack, for the rows with more than one: None
     where every row is one component, else the ``split`` rows and, for
     each component size m, the ``(g,)`` rows (positions in ``split``) and
     the ``(g, m)`` ascending indices of the g components of that size.
+    With the index array ``perm`` of an index frame's P, each pair
+    (i, perm[i]) is joined too, so that every component is closed under P.
     Components are numbered by their least index, so a row's split depends
     on that row alone.  A row whose first row and column have no zero entry
     is one component, decided in O(n) with no labeling: so is every dense
@@ -580,6 +671,8 @@ def _components(a: np.ndarray):
         return None
     rest = np.flatnonzero(~linked)
     pattern = a[rest] != 0
+    if perm is not None:
+        pattern[:, np.arange(n), perm] = True
     pattern |= pattern.swapaxes(-1, -2)
     pattern[:, np.arange(n), np.arange(n)] = True
     root, _ = _label(pattern)
@@ -657,17 +750,25 @@ def hermitian_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with its bits, where the symmetrized nonzero pattern of ``m`` is one
     connected component, a dense one always; else one stacked ``eigh`` per
     component size (see :func:`_components`), the blocks' eigenpairs joined
-    and sorted stably by w."""
+    by :func:`joined_spectrum`."""
     parts = _components(m[None])
     if parts is None:
         return tuple(np.linalg.eigh(m))
-    w, solved = np.empty(len(m)), []
-    for _, at in parts[1]:
-        w[at], v = np.linalg.eigh(m[at[:, :, None], at[:, None, :]])
-        solved.append((at, v))
+    ats = [at for _, at in parts[1]]
+    return joined_spectrum(len(m), ats, *zip(*(np.linalg.eigh(m[at[:, :, None], at[:, None, :]]) for at in ats)))
+
+
+def joined_spectrum(n: int, ats, ws, us) -> tuple[np.ndarray, np.ndarray]:
+    """(w, U) of a block-diagonal Hermitian matrix of dimension n from the
+    spectra (w, U) of its blocks, stacked by size, with the ``(g, m)``
+    indices ``ats`` of each: w sorted stably ascending, and each block's
+    eigenvectors written into their sorted columns, zero off the block."""
+    w = np.empty(n)
+    for at, part in zip(ats, ws):
+        w[at] = part
     order = np.argsort(w, kind="stable")
-    column, u = np.argsort(order), np.zeros_like(m)  # column: the sorted position of each eigenvalue
-    for at, v in solved:
+    column, u = np.argsort(order), np.zeros((n, n), dtype=np.result_type(*us))  # the sorted position of each eigenvalue
+    for at, v in zip(ats, us):
         u[at[:, :, None], column[at][:, None, :]] = v
     return w[order], u
 
@@ -686,24 +787,43 @@ def positive_definiteness(w: np.ndarray, tol: float) -> tuple[float, float]:
     return float(w.min()), tol * float(np.abs(w).max())
 
 
-def spectral_powers(m: np.ndarray, spectrum, powers, tol: float) -> tuple[np.ndarray, ...]:
+def spectral_powers(m, spectrum, powers, tol: float) -> tuple:
     """``U diag(w**p) U+`` for each p in ``powers``, from the eigendecomposition
-    ``spectrum = (w, U)`` of the Hermitian positive definite matrix ``m``.
-    Against the one threshold ``tol * max|w|`` of
+    ``spectrum = (w, U)`` of the Hermitian positive definite matrix ``m``, or
+    of each matrix of a stack: the checks of :func:`_require_metric` on
+    ``|m - m+|`` and w, then the powers.  ``m`` may also be a tuple of
+    stacks, the blocks of one block-diagonal matrix by size, with
+    ``spectrum`` the tuples (ws, us) of their spectra: the checks are then
+    the joined matrix's, and each power is a tuple of block stacks."""
+    if not isinstance(m, tuple):
+        _require_metric(hermiticity_residual(m), spectrum[0], tol)
+        return _powers(spectrum, powers)
+    ws, us = spectrum
+    _require_metric(root_sum_square([hermiticity_residual(part) for part in m]),
+                    np.concatenate([w.reshape(-1) for w in ws]), tol)
+    return tuple(zip(*(_powers(part, powers) for part in zip(ws, us))))
+
+
+def _require_metric(herm_residual: float, w: np.ndarray, tol: float) -> None:
+    """Against the one threshold ``tol * max|w|`` of
     :func:`positive_definiteness`, as :meth:`~cptkit.frames.CPTFrame.validate`
-    judges a metric, raises NotHermitian unless ``|m - m+|`` is at most it,
-    then NotPositiveDefinite unless the smallest eigenvalue is above it
-    (upstream: a broken frame or an exceptional point), so the verdict does
-    not depend on the scale of ``m``; a threshold that overflows admits
-    nothing.  Raises InvalidArgument for a ``tol`` that is nan, negative or
-    infinite."""
+    judges a metric, raise NotHermitian unless the Hermiticity residual
+    ``herm_residual`` is at most it, then NotPositiveDefinite unless the
+    smallest eigenvalue in ``w`` is above it (upstream: a broken frame or an
+    exceptional point), so the verdict does not depend on the metric's
+    scale; a threshold that overflows admits nothing.  Raises
+    InvalidArgument for a ``tol`` that is nan, negative or infinite."""
     _require_threshold(tol)
-    w, u = spectrum
     min_eig, threshold = positive_definiteness(w, tol)
-    herm_residual = hermiticity_residual(m)
     if not herm_residual <= threshold < np.inf:
         raise NotHermitian(f"Hermiticity residual {herm_residual:.3e} exceeds {tol:.1e} * max|w| = {threshold:.3e}")
     if not min_eig > threshold:
         raise NotPositiveDefinite(f"minimum eigenvalue {min_eig:.3e} is not above {tol:.1e} * max|w| = {threshold:.3e}")
-    u_adj = u.conj().T
-    return tuple((u * w ** float(p)) @ u_adj for p in powers)
+
+
+def _powers(spectrum, powers) -> tuple[np.ndarray, ...]:
+    """``U diag(w**p) U+`` for each p in ``powers``, from ``spectrum = (w, U)``
+    of a matrix or of each matrix of a stack, with no check."""
+    w, u = spectrum
+    u_adj = u.conj().swapaxes(-1, -2)
+    return tuple((u * w[..., None, :] ** float(p)) @ u_adj for p in powers)

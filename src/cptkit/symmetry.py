@@ -25,14 +25,25 @@ with phase 0, so phase alignment runs only on the other real columns: those
 of a dense frame, of a row that falls back to the complex solve, and of a
 non-real eigenvalue within the reality width.
 
-Both solves go through :func:`~cptkit.linops.stacked_eigensystem`, which
-splits a row whose pattern (of H, or of its real form Q^+ H Q) has several
-connected components into its blocks: a chain, a direct sum of 2x2 cells,
-is solved as one stacked ``eig`` of its cells.  The row's eigenvectors are
-then each supported on one block, and an eigenspace across blocks, as of
-two equal cells, holds one eigenvector per block.  Every threshold stays
-relative to the whole |H|, and the split moves eigenpairs by rounding at
-most; a dense or irreducible row is solved whole.
+Over an index frame the pipeline runs block by block on a row whose
+pattern, with P's pairs joined, has several connected components (at
+dimension ``_SPLIT_DIM`` or more): the components are labeled once per
+classification, each block of Re(Q^+ H Q) is formed from H's block, and the
+kernel runs on stacks of equal-size blocks, in the real basis, where PT is
+conjugation.  A chain, a direct sum of 2x2 cells, is classified as one stack
+of its cells.  Degeneracy clusters and the rebase stay within a block, so an
+eigenspace across blocks, as of two equal cells, holds one eigenvector per
+block and takes no rebase.  Every threshold stays the whole row's: the
+reality and degeneracy widths against the whole |H|, the eigenpair residuals
+against ``tol |H|``, cond(V) and the Gram certificate's margin at the joined
+n; the row's verdicts are read off its blocks.  The record keeps the row's
+states in the real basis with its blocks, for :mod:`cptkit.cpt` to
+synthesize block by block; a report maps them back, block by block, once.
+A row whose real solve is defective or passes the exceptional-point gate,
+like every row over a dense frame, takes the complex solve of
+:func:`~cptkit.linops.stacked_eigensystem`, which splits the pattern of H
+itself for the eigensolve alone; a dense or irreducible row is solved
+whole, and a row of a stack is classified as the row alone.
 """
 
 from __future__ import annotations
@@ -58,6 +69,7 @@ from .linops import (
     require_finite_scale,
     require_regular,
     require_tolerance,
+    split_eigensystem,
     stacked_eigensystem,
 )
 
@@ -132,7 +144,9 @@ class _Rows(NamedTuple):
     """The record of :func:`_classify_rows` for an ``(N, n, n)`` stack: the
     checked ``stack`` (non-finite rows zeroed), the ``frame`` and ``tol`` it
     was classified at, its eigensystem (None in a report's record) with
-    each row's largest eigenpair ``residual``, and the kernel's verdict arrays."""
+    each row's largest eigenpair ``residual``, the kernel's verdict arrays,
+    and the ``blocks`` of the rows whose states (``phi``, the eigenvectors)
+    are in the frame's real basis, as :func:`_eigensystems` returns them."""
 
     stack: np.ndarray
     frame: PTFrame
@@ -151,6 +165,7 @@ class _Rows(NamedTuple):
     petermann: np.ndarray
     classification: np.ndarray
     warning: np.ndarray
+    blocks: list
 
 
 @dataclass(frozen=True)
@@ -247,15 +262,16 @@ def is_pt_symmetric(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> PTSymmetryCh
     return PTSymmetryCheck(bool(symmetric[0]), float(residual[0]))
 
 
-def _align_columns(vectors: np.ndarray, frame: PTFrame, tol: float):
+def _align_columns(vectors: np.ndarray, apply_pt, tol: float):
     """Phase-align every column of an ``(n, k)`` block, or of each block of
-    an ``(N, n, k)`` stack, onto the PT-fixed ray.
+    an ``(N, n, k)`` stack, onto the PT-fixed ray, with PT applied by
+    ``apply_pt``.
 
     Returns ``(phi, theta, aligned, c, residual)``, each per column: rotated
     state, phase, whether the column is a PT eigenstate at ``tol``, best PT
     eigenvalue c = <v, PT v> / <v, v> and residual |PT v - c v|.
     """
-    w = frame.apply_pt(vectors)
+    w = apply_pt(vectors)
     norm_sq = np.einsum("...ij,...ij->...j", vectors.conj(), vectors).real
     c = np.einsum("...ij,...ij->...j", vectors.conj(), w) / norm_sq
     residual = column_norms(w - c[..., None, :] * vectors)
@@ -280,7 +296,7 @@ def phase_align(v, frame: PTFrame, tol: float = DEFAULT_TOL) -> tuple[np.ndarray
     vec = as_vector(v)
     if not np.any(vec):
         raise NotPTEigenstate("cannot align the zero vector")
-    phi, theta, aligned, c, residual = _align_columns(vec.reshape(-1, 1), frame, tol)
+    phi, theta, aligned, c, residual = _align_columns(vec.reshape(-1, 1), frame.apply_pt, tol)
     if not aligned[0]:
         raise NotPTEigenstate(
             f"PT v deviates from the ray through v by {residual[0]:.3e} (best |c| = {abs(c[0]):.6f})"
@@ -298,19 +314,24 @@ def _cluster_starts(re: np.ndarray, real: np.ndarray, width: np.ndarray) -> np.n
 
 
 def _runs(key: np.ndarray) -> dict[int, np.ndarray]:
-    """The runs of equal neighbours in the 1-D ``key``, grouped by length:
-    for each run length m, the ``(g, m)`` positions of the g runs of that
-    length.  An empty key has no runs."""
-    if not len(key):
+    """The runs of equal neighbours in the 1-D ``key``, or in each row of a
+    2-D one, grouped by length: for each run length m, the ``(g, m)``
+    positions (in the flattened key) of the g runs of that length.  An empty
+    key has no runs."""
+    if not key.size:
         return {}
-    bounds = np.concatenate(([True], key[1:] != key[:-1], [True])).nonzero()[0]
+    flat = key.reshape(-1)
+    bounds = np.concatenate(([True], flat[1:] != flat[:-1], [True]))
+    bounds[:: key.shape[-1]] = True  # a run never crosses into the next row
+    bounds = bounds.nonzero()[0]
     first, size = bounds[:-1], bounds[1:] - bounds[:-1]
     return {m: first[size == m, None] + np.arange(m) for m in set(size.tolist())}
 
 
-def _pt_fixed_basis(columns: np.ndarray, frame: PTFrame) -> tuple[np.ndarray, np.ndarray]:
+def _pt_fixed_basis(columns: np.ndarray, apply_pt) -> tuple[np.ndarray, np.ndarray]:
     """Build an orthonormal PT-fixed basis of the space spanned by the m
-    columns of each block of a ``(g, n, m)`` stack, in one stacked SVD.
+    columns of each block of a ``(g, n, m)`` stack, in one stacked SVD,
+    with PT applied by ``apply_pt``.
 
     Each candidate v yields the PT-fixed vectors v + PT v and i (v - PT v),
     which span the PT-fixed part over the reals.  The basis is the leading
@@ -322,7 +343,7 @@ def _pt_fixed_basis(columns: np.ndarray, frame: PTFrame) -> tuple[np.ndarray, np
     exists, and its ``basis`` means nothing.
     """
     n, m = columns.shape[1:]
-    w = frame.apply_pt(columns)
+    w = apply_pt(columns)
     candidates = np.concatenate([columns + w, 1j * (columns - w)], axis=-1)
     left, singular, _ = np.linalg.svd(np.concatenate([candidates.real, candidates.imag], axis=-2), full_matrices=False)
     full = np.count_nonzero(singular > RANK_CUTOFF * singular[:, :1], axis=-1) >= m
@@ -361,15 +382,25 @@ def _petermann(vectors: np.ndarray) -> np.ndarray:
 def _eigensystems(a: np.ndarray, norm: np.ndarray, symmetric: np.ndarray, frame: PTFrame, tol: float):
     """The sorted eigensystem of each matrix of an ``(N, n, n)`` stack with
     Frobenius norms ``norm`` and PT verdicts ``symmetric``, each row's
-    largest eigenpair residual, and which rows were solved in the real basis.
+    largest eigenpair residual, which rows were solved in the real basis,
+    and the blocks of the rows that stay in it.
 
     A PT-symmetric row over a frame with a real basis Q is solved as the
-    real matrix Re(Q^+ H Q), and its eigenvectors are mapped back by Q.
-    That is an exact eigensystem of H's PT-symmetric part, which differs
-    from H by half the PT residual, at most ``tol * |H| / 2``.  Every
-    other row is solved as complex, in one stacked call with the rows whose
-    real solve is defective or passes the exceptional-point gate, so every
-    warning and error comes from the complex solve of H itself.
+    real matrix Re(Q^+ H Q).  That is an exact eigensystem of H's
+    PT-symmetric part, which differs from H by half the PT residual, at most
+    ``tol * |H| / 2``.  The components of the pattern of H with P's pairs
+    joined are found once here (:meth:`~cptkit.frames.RealBasis.components`):
+    each is closed under P, so Q acts within it and Q^+ H Q, real and
+    imaginary parts both, vanishes off the blocks.  A row with one component
+    is solved whole and its eigenvectors are mapped back by Q; a row with
+    several is solved by its blocks, each formed from H's block alone, and
+    stays in the real basis: its eigenvectors are the real-basis
+    coordinates, each zero off its block, and its blocks are returned as
+    the ``(rows, at, col)`` of :func:`~cptkit.linops.split_eigensystem`,
+    rows numbered in the stack.
+    Every other row is solved as complex, in one stacked call with the rows
+    whose real solve is defective or passes the exceptional-point gate, so
+    every warning and error comes from the complex solve of H itself, whole.
 
     Both solves take the Gram certificate of
     :func:`~cptkit.linops.stacked_eigensystem` at the gate ``EP_WARNING_K``:
@@ -384,23 +415,42 @@ def _eigensystems(a: np.ndarray, norm: np.ndarray, symmetric: np.ndarray, frame:
     whole = bool(real.all())
     basis = frame.real_basis if whole or real.any() else None
     if basis is None:
-        return (*stacked_eigensystem(a, norm, tol, EP_WARNING_K), np.zeros(len(a), dtype=bool))
-    form = basis.form(a if whole else a[real]).real
-    eigen, residual = stacked_eigensystem(form, norm if whole else norm[real], tol, EP_WARNING_K)
+        return (*stacked_eigensystem(a, norm, tol, EP_WARNING_K), np.zeros(len(a), dtype=bool), [])
+    rows = a if whole else a[real]
+    eigen, residual, blocks = split_eigensystem(
+        rows, basis.components(rows), tol * (norm if whole else norm[real]), EP_WARNING_K, basis.real_form
+    )
+    del rows
     regular = ~(eigen.defective | _past_ep_gate(eigen.condition))
+    split = np.zeros(len(regular), dtype=bool)
+    for rows, _, _ in blocks:  # the rows that stay in the real basis
+        split[rows] = True
     if whole and regular.all():  # the common case: nothing falls back
-        vectors = basis.from_basis(eigen.vectors)
-        return EigenSystem(eigen.values.astype(complex), vectors, eigen.condition, eigen.defective), residual, real
+        vectors = _mapped_back(eigen.vectors, split, basis)
+        return EigenSystem(eigen.values.astype(complex), vectors, eigen.condition, eigen.defective), residual, real, blocks
+    at_row = np.flatnonzero(real)
+    blocks = [(at_row[rows[keep]], at[keep], col[keep]) for rows, at, col in blocks for keep in [regular[rows]] if keep.any()]
     real[real] = regular  # the rows whose real solve is kept
     fallback = ~real
     rest, rest_residual = stacked_eigensystem(a[fallback], norm[fallback], tol, EP_WARNING_K)
     values, vectors = np.empty(a.shape[:2], dtype=complex), np.empty(a.shape, dtype=complex)
     condition, residuals, defective = np.empty(len(a)), np.empty(len(a)), np.zeros(len(a), dtype=bool)
-    values[real], vectors[real] = eigen.values[regular], basis.from_basis(eigen.vectors[regular])
+    values[real], vectors[real] = eigen.values[regular], _mapped_back(eigen.vectors[regular], split[regular], basis)
     condition[real], residuals[real] = eigen.condition[regular], residual[regular]
     values[fallback], vectors[fallback] = rest.values, rest.vectors
     condition[fallback], residuals[fallback], defective[fallback] = rest.condition, rest_residual, rest.defective
-    return EigenSystem(values, vectors, condition, defective), residuals, real
+    return EigenSystem(values, vectors, condition, defective), residuals, real, blocks
+
+
+def _mapped_back(vectors: np.ndarray, split: np.ndarray, basis) -> np.ndarray:
+    """The eigenvectors of a real solve mapped back by Q, except on the
+    ``split`` rows, which stay in the real basis."""
+    if not split.any():
+        return basis.from_basis(vectors)
+    out = vectors.astype(complex)
+    if not split.all():
+        out[~split] = basis.from_basis(vectors[~split])
+    return out
 
 
 def _past_ep_gate(condition: np.ndarray) -> np.ndarray:
@@ -416,43 +466,135 @@ def _classify_rows(a: np.ndarray, norm: np.ndarray, frame: PTFrame, tol: float) 
     """The classification pipeline of an ``(N, n, n)`` stack with Frobenius
     norms ``norm``: the rows that are not finite or whose norm overflows are
     zeroed, then the PT check of :func:`_pt_check`, the eigensystems of
-    :func:`_eigensystems` and the kernel: reality, degenerate clusters, phase
-    alignment, conjugate pairs and exceptional-point proximity, each computed
-    for all rows at once.  Alignment runs on the whole stack, where any real
-    column needs it, and is kept on those columns only: a column of a real
-    solve (see the module docstring) with an exactly real eigenvalue keeps
-    its eigenvector with phase 0, so a row of a stack is classified bit for
-    bit as the row alone.
+    :func:`_eigensystems` and :func:`_kernel`, which runs on parts of the
+    stack: the rows solved whole, together, in the original basis, and the
+    blocks of the rows that stay in the real basis, stacked by size, where
+    PT is conjugation.  Every threshold stays the whole row's.  A row's
+    verdicts are read off its parts: it is broken where any of its blocks
+    is, and its Petermann factor is their largest.  The record's arrays are
+    joined by row and sorted column, with the states of a block row in the
+    real basis and its ``blocks``; where every row is solved whole they are
+    the kernel's own arrays.  A row of a stack is classified bit for bit as
+    the row alone.
+    """
+    scaled = norm < np.inf
+    if not scaled.all():  # non-finite entries, or a norm that overflows: error rows, kept out of the PT check
+        a = np.where(scaled[:, None, None], a, 0.0)
+    symmetric, pt_residual = _pt_check(a, norm, frame, tol)
+    eigen, residual, solved_real, blocks = _eigensystems(a, norm, symmetric, frame, tol)
+    scale = np.maximum(1.0, norm)[:, None]
+    settled = ~eigen.defective
+    values, vectors, condition = eigen.values, eigen.vectors, eigen.condition
+    if not blocks:  # every row solved whole: the kernel's arrays are the record's
+        joined = _kernel(values, vectors, solved_real[:, None] & (values.imag == 0), scale, symmetric, settled,
+                         condition, frame.apply_pt, tol)
+    else:
+        whole = np.ones(len(a), dtype=bool)
+        for rows, _, _ in blocks:
+            whole[rows] = False
+        joined = _joined_record(eigen)
+        for rows, at, col in ([(np.flatnonzero(whole), None, None)] if whole.any() else []) + blocks:
+            if at is None:
+                part, states = values[rows], vectors[rows]
+                fixed, apply_pt = solved_real[rows, None] & (part.imag == 0), frame.apply_pt
+            else:
+                part = values[rows[:, None], col]
+                states = vectors[rows[:, None, None], at[:, :, None], col[:, None, :]]
+                fixed, apply_pt = part.imag == 0, np.conj
+            out = _kernel(part, states, fixed, scale[rows], symmetric[rows], settled[rows], condition[rows], apply_pt, tol)
+            joined = _scatter(joined, out, rows, at, col, states)
+    values, vectors, phi, theta, energy, kept, rebased, partner, unpaired, petermann, broken = joined
+    eigen = EigenSystem(values, vectors, eigen.condition, eigen.defective)
+    classification = np.where(symmetric, np.where(broken, BROKEN, UNBROKEN), NOT_APPLICABLE)
+    warning = settled & ((petermann >= EP_WARNING_K) | (unpaired | rebased).any(-1))
+    return _Rows(
+        a, frame, tol, eigen, residual, symmetric, pt_residual, energy, phi, theta, kept, rebased,
+        partner, unpaired, petermann, classification, warning, blocks,
+    )
+
+
+class _Kernel(NamedTuple):
+    """The arrays of :func:`_kernel` for a part of a stack, or of
+    :func:`_classify_rows` joined by row."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+    phi: np.ndarray
+    theta: np.ndarray
+    energy: np.ndarray
+    kept: np.ndarray
+    rebased: np.ndarray
+    partner: np.ndarray
+    unpaired: np.ndarray
+    petermann: np.ndarray
+    broken: np.ndarray
+
+
+def _joined_record(eigen: EigenSystem) -> _Kernel:
+    """The joined arrays of :func:`_classify_rows` before any part is
+    written: the eigensystem, and every mask false."""
+    shape = eigen.values.shape
+    empty = np.zeros(shape, dtype=bool)
+    return _Kernel(eigen.values.copy(), eigen.vectors, eigen.vectors, np.zeros(shape), np.zeros(shape), empty,
+                   empty.copy(), np.full(shape, -1), empty.copy(), np.zeros(len(empty)), np.zeros(len(empty), dtype=bool))
+
+
+def _scatter(joined: _Kernel, out: _Kernel, rows: np.ndarray, at, col, vectors: np.ndarray) -> _Kernel:
+    """The ``joined`` record with the kernel's arrays ``out`` of a part
+    written in: whole ``rows``, or blocks at the real-basis indices ``at``
+    and sorted columns ``col`` of their rows.  The joined states are copied,
+    once, only where the kernel changed a part's eigenvectors ``vectors``."""
+    if at is None:
+        cells = states = rows
+        partner = out.partner
+    else:
+        cells, states = (rows[:, None], col), (rows[:, None, None], at[:, :, None], col[:, None, :])
+        partner = np.where(out.partner < 0, -1, np.take_along_axis(col, np.maximum(out.partner, 0), -1))
+    for field in ("values", "theta", "energy", "kept", "rebased", "unpaired"):
+        getattr(joined, field)[cells] = getattr(out, field)
+    joined.partner[cells] = partner
+    np.maximum.at(joined.petermann, rows, out.petermann)
+    np.logical_or.at(joined.broken, rows, out.broken)
+    for field in ("vectors", "phi"):
+        part, array = getattr(out, field), getattr(joined, field)
+        if part is vectors:
+            continue
+        if not array.flags.writeable or (field == "phi" and array is joined.vectors):
+            array = array.astype(np.result_type(array, part))
+            joined = joined._replace(**{field: array})
+        array[states] = part
+    return joined
+
+
+def _kernel(values, vectors, fixed, scale, symmetric, settled, condition, apply_pt, tol: float) -> _Kernel:
+    """The classification kernel of a part of a stack: reality, degenerate
+    clusters, phase alignment, conjugate pairs and exceptional-point
+    proximity, each computed for every row of the part at once, with each
+    row's ``scale``, PT verdict ``symmetric``, ``settled`` (not defective)
+    and ``condition``.  A column that is ``fixed``, of a real solve with an
+    exactly real eigenvalue, keeps its eigenvector with phase 0; alignment
+    (with PT applied by ``apply_pt``) runs on the other real columns and is
+    kept on those alone, so a row is classified as it would be alone.
 
     ``kept`` marks the columns of ``phi`` that hold aligned states, with
     phase ``theta`` and their eigenspace's ``energy``.  Each real eigenspace
     of a PT-symmetric row that is degenerate, or simple with a sour phase
     alignment, is rebased in place (``rebased`` marks the simple ones), or
     dropped from ``kept`` where that fails, which breaks the symmetry.  These eigenspaces are
-    gathered across the whole stack and grouped by size by :func:`_runs`,
+    gathered across the whole part and grouped by size by :func:`_runs`,
     with one stacked :func:`_pt_fixed_basis` per size.  The verdicts are
-    read off these arrays; rows marked ``eigen.defective`` are not rebased
-    and never warn.  A matched pair that a complex solve lists upper member
-    first has its two columns swapped, in the eigensystem, ``phi`` and
-    ``theta``, so every row lists it as the real solve does.
+    read off these arrays; rows not ``settled`` are not rebased.  A matched
+    pair that a complex solve lists upper member first has its two columns
+    swapped, in ``values``, ``vectors``, ``phi`` and ``theta``, so every row
+    lists it as the real solve does.
     """
-    scaled = norm < np.inf
-    if not scaled.all():  # non-finite entries, or a norm that overflows: error rows, kept out of the PT check
-        a = np.where(scaled[:, None, None], a, 0.0)
-    symmetric, pt_residual = _pt_check(a, norm, frame, tol)
-    eigen, residual, solved_real = _eigensystems(a, norm, symmetric, frame, tol)
-    values, vectors, condition = eigen.values, eigen.vectors, eigen.condition
-    settled = ~eigen.defective
-    scale = np.maximum(1.0, norm)[:, None]
     real = np.abs(values.imag) <= REALITY_FACTOR * scale
     start = _cluster_starts(values.real, real, DEGENERACY_FACTOR * scale)
-    # a column of a real solve with an exactly real eigenvalue is Q x, x real:
-    # PT-fixed as it stands, with phase 0, so only the other real columns need aligning
-    fixed = solved_real[:, None] & (values.imag == 0)
-    if (real & ~fixed).any():
-        phi, theta, phase_ok, _, _ = _align_columns(vectors, frame, tol)
-        row, col = np.nonzero(fixed)
-        phi[row, :, col], theta[row, col], phase_ok[row, col] = vectors[row, :, col], 0.0, True
+    align = real & ~fixed
+    if align.any():
+        aligned, angle, phase_ok, _, _ = _align_columns(vectors, apply_pt, tol)
+        phi = np.where(align[:, None, :], aligned, vectors)
+        theta, phase_ok = np.where(align, angle, 0.0), ~align | phase_ok
     else:  # nothing to align, as on a row of a real solve or a broken 2x2 row
         phi, theta, phase_ok = vectors, np.zeros(real.shape), real
     nonreal = symmetric[:, None] & ~real
@@ -469,7 +611,6 @@ def _classify_rows(a: np.ndarray, norm: np.ndarray, frame: PTFrame, tol: float) 
             values, vectors, phi, theta = (part.copy() for part in (values, vectors, phi, theta))
             for part in (values, vectors, phi, theta):
                 part[row, ..., i], part[row, ..., j] = part[row, ..., j], part[row, ..., i]
-            eigen = EigenSystem(values, vectors, condition, eigen.defective)
 
     kept = symmetric[:, None] & real & start & phase_ok
     energy, rebased = values.real, np.zeros_like(kept)
@@ -488,21 +629,15 @@ def _classify_rows(a: np.ndarray, norm: np.ndarray, frame: PTFrame, tol: float) 
             r, c = row[runs], col[runs]  # (g, m): the members of each eigenspace of size m
             # the v + PT v rebase; where it finds no PT-fixed basis, the whole
             # eigenspace is dropped, its first member too
-            basis, full = _pt_fixed_basis(vectors[r[:, None], across, c[:, None]], frame)
+            basis, full = _pt_fixed_basis(vectors[r[:, None], across, c[:, None]], apply_pt)
             kept[r, c] = full[:, None]
             r, c = r[full], c[full]
             phi[r[:, None], across, c[:, None]] = basis[full]
             theta[r, c], rebased[r, c] = 0.0, m == 1
             energy[r, c] = (values.real[r, c].sum(-1) / m)[:, None]
         broken |= irregular & (real & ~kept).any(-1)
-
     unpaired = nonreal & (partner < 0)
-    classification = np.where(symmetric, np.where(broken, BROKEN, UNBROKEN), NOT_APPLICABLE)
-    warning = settled & ((petermann >= EP_WARNING_K) | (unpaired | rebased).any(-1))
-    return _Rows(
-        a, frame, tol, eigen, residual, symmetric, pt_residual, energy, phi, theta, kept, rebased,
-        partner, unpaired, petermann, classification, warning,
-    )
+    return _Kernel(values, vectors, phi, theta, energy, kept, rebased, partner, unpaired, petermann, broken)
 
 
 def _classify_one(h, frame: PTFrame, tol: float) -> _Rows:
@@ -518,13 +653,16 @@ def _classify_one(h, frame: PTFrame, tol: float) -> _Rows:
 
 
 def _unbroken(h, frame: PTFrame, tol: float | None, caller: str):
-    """The checked H, the aligned states as one ``(n, n)`` array and their
-    energies, of an unbroken Hamiltonian over ``frame``, for ``caller``:
-    a matrix is classified here at ``tol``; a report is taken only if
-    :func:`classify_symmetry` made it over a frame equal to ``frame`` at
-    ``tol``, or at any tolerance where ``tol`` is None, which takes only a
-    report.  Raises InvalidArgument for any other report, and NotUnbroken
-    unless the classification is unbroken."""
+    """The checked H, the aligned states as one ``(n, n)`` array, their
+    energies and their blocks, of an unbroken Hamiltonian over ``frame``,
+    for ``caller``: a matrix is classified here at ``tol``; a report is
+    taken only if :func:`classify_symmetry` made it over a frame equal to
+    ``frame`` at ``tol``, or at any tolerance where ``tol`` is None, which
+    takes only a report.  The blocks are None where the states are in the
+    original basis; else the ``(at, col)`` of each block size, the states in
+    the frame's real basis, each block's columns ``col`` supported on its
+    indices ``at``.  Raises InvalidArgument for any other report, and
+    NotUnbroken unless the classification is unbroken."""
     if tol is None or isinstance(h, SymmetryReport):
         rows = getattr(h, "_analysis", None)
         if rows is None or tol not in (None, rows.tol) or not (rows.frame is frame or rows.frame == frame):
@@ -535,7 +673,8 @@ def _unbroken(h, frame: PTFrame, tol: float | None, caller: str):
     if rows.classification[0] != UNBROKEN:
         raise NotUnbroken(f"{caller} requires unbroken symmetry, got {rows.classification[0]} "
                           f"(PT residual {rows.pt_residual[0]:.3e})")
-    return rows.stack[0], rows.phi[0], rows.energy[0]
+    blocks = [(at, col) for _, at, col in rows.blocks] or None
+    return rows.stack[0], rows.phi[0], rows.energy[0], blocks
 
 
 def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryReport:
@@ -573,14 +712,17 @@ def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryRe
     :func:`~cptkit.cpt.aligned_signs` is not classified again.
     """
     rows = _classify_one(h, frame, tol)
-    values, vectors, phi, kept = rows.eigen.values[0], rows.eigen.vectors[0], rows.phi[0], rows.kept[0]
+    values, phi, kept = rows.eigen.values[0], rows.phi[0], rows.kept[0]
+    if rows.blocks:  # states of the real basis, mapped back once, block by block
+        ats, cols = [at for _, at, _ in rows.blocks], [col for _, _, col in rows.blocks]
+        phi = frame.real_basis.from_blocks(ats, [phi[at[:, :, None], col[:, None, :]] for at, col in zip(ats, cols)], cols)
     energies, thetas = rows.energy[0, kept].tolist(), rows.theta[0, kept].tolist()
     aligned = tuple(AlignedState(e, phi[:, j], t) for j, e, t in zip(np.flatnonzero(kept).tolist(), energies, thetas))
     pairs, warnings = (), []
-    if rows.classification[0] == BROKEN:
+    if rows.classification[0] == BROKEN:  # phi holds the eigenvectors of the non-real eigenvalues as they are
         paired = np.flatnonzero((values.imag > 0) & (rows.partner[0] >= 0)).tolist()
         pairs = tuple(
-            ConjugatePair(complex(values[j]), complex(values[k]), vectors[:, j], vectors[:, k])
+            ConjugatePair(complex(values[j]), complex(values[k]), phi[:, j], phi[:, k])
             for j, k in zip(paired, rows.partner[0, paired].tolist())
         )
     if rows.warning[0]:  # the texts of the masks that set the warning bit

@@ -519,3 +519,25 @@ def test_only_the_frames_module_reads_the_permutation():
         if path.name != "frames.py" and isinstance(node, ast.Attribute) and node.attr == "perm"
     ]
     assert readers == []
+
+
+@pytest.mark.parametrize("n", [2, 4, 200])
+def test_the_pair_swap_frame_is_the_frame_of_its_involution(n):
+    # built from its index array, with no copy or scan of P and T, it is the
+    # frame that frame_from_involution validates from the permutation matrix
+    fast, checked = pair_swap_frame(n), frame_from_involution(np.eye(n)[np.arange(n) ^ 1])
+    assert fast == checked
+    for name in ("p", "t", "pt"):
+        got, want = getattr(fast, name), getattr(checked, name)
+        assert (got.kind, got.matrix.dtype, got.matrix.tobytes()) == (want.kind, want.matrix.dtype, want.matrix.tobytes())
+        assert not got.matrix.flags.writeable
+    assert fast.perm.tobytes() == checked.perm.tobytes() and not fast.perm.flags.writeable
+    assert all(np.array_equal(a, b) for a, b in zip(_flat(fast.real_basis), _flat(checked.real_basis)))
+    assert fast._parity_hermiticity == checked._parity_hermiticity
+    for tol in (0.0, DEFAULT_TOL, 1.0):
+        assert fast.validate(tol) == checked.validate(tol)
+
+
+def _flat(basis):
+    """The arrays of a real basis, its tuples unpacked."""
+    return [part for field in basis for part in (field if isinstance(field, tuple) else (field,))]

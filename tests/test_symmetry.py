@@ -904,9 +904,14 @@ def test_a_chain_with_a_cell_at_its_exceptional_point_raises_with_the_joined_svd
     monkeypatch.setattr(np.linalg, "svd", recording)
     with pytest.raises(DefectiveSpectrum, match="condition") as got:
         classify_symmetry(h, frame)
-    shape, singular = seen[-1]  # the SVD of the joined 80 x 80 V, not of a block
-    assert shape == (1, 80, 80)
-    assert got.value.condition == singular[0, 0] / singular[0, -1] > linops.COND_LIMIT
+    # the joined V's condition from the SVDs of its 2 x 2 blocks: the largest
+    # singular value over the smallest, across the blocks
+    shape, singular = seen[-1]
+    assert shape == (40, 2, 2)
+    assert got.value.condition == singular[:, 0].max() / singular[:, -1].min() > linops.COND_LIMIT
+    stack = np.asarray(h, dtype=complex)[None]
+    joined = real_svd(linops.stacked_eigensystem(stack, linops.frobenius(stack), 1e-10)[0].vectors[0], compute_uv=False)
+    assert got.value.condition == pytest.approx(joined[0] / joined[-1], rel=1e-6)
     with pytest.raises(DefectiveSpectrum) as want:
         eigendecompose(h)
     assert (str(got.value), got.value.condition) == (str(want.value), want.value.condition)
@@ -940,13 +945,8 @@ def test_a_stack_of_rows_with_different_patterns_classifies_each_row_as_alone(mo
     for i, m in enumerate(mats):
         report = _report_or_error(m, frame)
         alone = _record_without_condition(calls[-1])
-        kept = alone["kept"][0]
         for name, value in alone.items():
-            # phi and theta hold aligned states in the kept columns only: the
-            # others are rotated in a stack where any row is aligned, split or not
-            got, want = (stacked[name][i], value[0]) if name not in ("phi", "theta") else (
-                stacked[name][i][..., kept], value[0][..., kept])
-            assert got.tobytes() == want.tobytes(), (i, name)
+            assert stacked[name][i].tobytes() == value[0].tobytes(), (i, name)
         assert rows.eigen.condition[i].tobytes() == calls[-1].eigen.condition[0].tobytes(), i
         if not stack.error[i]:
             assert stack.eigenvalues[i].tobytes() == report.eigenvalues.tobytes(), i
@@ -972,3 +972,32 @@ def test_dense_patterns_make_one_full_size_eig(monkeypatch):
         classify_symmetry(h, frame)
         build_c(h, frame)
         assert shapes == [(1, *h.shape)] * 2
+
+
+def _aligning_stacks():
+    """Stacks over one index frame in which one row is phase-aligned, a row
+    that falls back to the complex solve with a cell near its exceptional
+    point, beside a broken row whose non-real eigenvectors must stay as the
+    solve returned them: chains of 3 cells, solved whole, and the
+    dimension-80 mixed stack, whose chains are classified by their blocks."""
+    cell, near, broken = (1.0, 2.0, 0.5), (1.0, 1.0, 1.5693821131), (2.0, 1.0, 1.2)
+    frame = _chain(cell, cell, cell)[1]
+    yield [_chain(cell, broken, (0.5, 1.0, 0.3))[0], _chain(cell, near, (1.0, 3.0, 0.7))[0], _chain(cell, cell, cell)[0]], frame
+    mats, frame = _mixed_pattern_stack()
+    cells = random_cells(np.random.default_rng(31), 40)
+    yield mats + [build_model(ModelSpec("chain", cells[:5] + ((1.0, 1.0, 1.5693821131),) + cells[6:]))[0]], frame
+
+
+def test_a_stack_row_keeps_phi_and_theta_of_every_column_as_alone(monkeypatch):
+    # alignment is kept only on the columns that need it, so a broken row's
+    # non-real columns are not rotated because another row of its stack is aligned
+    calls = _kernel_calls(monkeypatch)
+    for mats, frame in _aligning_stacks():
+        classify_stack(np.stack(mats), frame)
+        rows = calls[-1]
+        assert (rows.theta != 0).any()  # some row was phase-aligned
+        for i, m in enumerate(mats):
+            _report_or_error(m, frame)
+            alone = calls[-1]
+            for name in ("phi", "theta"):
+                assert getattr(rows, name)[i].tobytes() == getattr(alone, name)[0].tobytes(), (i, name)
