@@ -259,6 +259,8 @@ def _parse_sweep(text: str) -> tuple[str, int | None, float, float, int]:
     if n < 2:
         raise InvalidArgument("sweep needs at least 2 grid points")
     index = int(match.group(2)) - 1 if match.group(2) else None
+    if index is not None and match.group(1) == "a":
+        raise InvalidArgument(f"the 3x3 level 'a' belongs to no block and takes no index, got {name.strip()!r}")
     if index is not None and index < 0:
         raise InvalidArgument("sweep block indices are 1-based")
     return match.group(1), index, lo, hi, n

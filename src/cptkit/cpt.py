@@ -30,20 +30,20 @@ basis's gathers in O(n^2), and the one :class:`~cptkit.frames.CPTFrame`
 constructor, given C_r as well, factors M into (w, U_r).
 
 The synthesis is written once, over ``(g, m, m)`` stacks of blocks.  The
-states of a matrix that :mod:`cptkit.symmetry` classified by its blocks
-(the components of its pattern with P's pairs joined, closed under P) come
-in the real basis, block by block: each eigenspace, a run of equal energy
-within a block, is normalized there, and X, the Gram matrix, C_r, M and its
-``eigh``, validation, [C_r, Q^+ H Q] and the CPT Gram are stacks of block
-size, with every residual the root-sum-square of the blocks' Frobenius
-norms and every threshold the joined matrix's.  An eigenspace across
-blocks, as of equal cells, is normalized block by block: P's Gram matrix is
-block diagonal, so the sum of phi_k (P phi_k)^+ over it is the same.  C,
-PC, the states and h are joined once, block by block, where a public field
-needs them.  A matrix that is not split (irreducible, dense, below
-:data:`~cptkit.linops._SPLIT_DIM`, or whose real solve fell back to the
-complex one) is the one-block case, with its states mapped into the real
-basis as before, in the same arithmetic.  The metric's
+states of a matrix that :mod:`cptkit.symmetry` solved in the real basis come
+in that basis, block by block (the components of its pattern with P's pairs
+joined, closed under P, or one block of the whole basis where it is not
+split): each eigenspace, a run of equal energy within a block, is
+normalized there, and X, the Gram matrix, C_r, M and its ``eigh``,
+validation, [C_r, Q^+ H Q] and the CPT Gram are stacks of block size, with
+every residual the root-sum-square of the blocks' Frobenius norms and every
+threshold the joined matrix's.  An eigenspace across blocks, as of equal
+cells, is normalized block by block: P's Gram matrix is block diagonal, so
+the sum of phi_k (P phi_k)^+ over it is the same.  C, PC, the states and h
+are joined once, block by block, where a public field needs them.  The
+states of a matrix whose real solve fell back to the complex one are mapped
+into the real basis once, as one block, by
+:mod:`cptkit.symmetry`.  The metric's
 powers stay real too: the roots R = M^(+-1/2) and M^-1 come from (w, U_r),
 h = Q (R+ (Q^+ H Q) R-) Q^+ and the CPT adjoint are formed with Q^+ H Q
 split into its real and imaginary parts, and only the emitted roots are
@@ -76,8 +76,10 @@ from .errors import (
 from .frames import CPTFrame, PTFrame
 from .linops import (
     DEFAULT_TOL,
+    LINEAR,
     Operator,
     _fields_equal,
+    _finite_square,
     as_vector,
     column_norms,
     frobenius,
@@ -207,24 +209,19 @@ def _coordinates(phi: np.ndarray, energy: np.ndarray, frame: PTFrame, blocks):
     takes them, for each block size: ``(at, col, x, energy, apply_p,
     residual)``, the ``(g, m)`` indices and sorted columns of its blocks,
     their coordinates, how P acts on those and each column's
-    |PT phi - phi|.  In the original basis (a frame with no real basis)
-    that is phi and P, as one block.  States of the original basis over an
-    index frame are mapped into its real basis Q, one block of the whole
-    basis, as x = Re(Q^+ phi), with |PT phi - phi| = 2 |Im(Q^+ phi)|, since PT
-    is conjugation there, and P the signature J.  States already in the
-    real basis (``blocks`` not None) are taken block by block."""
-    basis, whole = frame.real_basis, np.arange(len(phi))[None]
-    if basis is None:
+    |PT phi - phi|.  Over a frame with no real basis (``blocks`` None) that
+    is phi and P, as one block.  Otherwise the states are in the real basis
+    Q, block by block, and P is the signature J there: the coordinates are
+    x = Re(y) for the columns y of each block, with |PT phi - phi| =
+    2 |Im(y)|, since PT is conjugation in that basis."""
+    if blocks is None:
+        whole = np.arange(len(phi))[None]
         return [(whole, whole, phi[None], energy[None], lambda v, b: frame.apply_p(v),
                  column_norms(frame.apply_pt(phi) - phi)[None])]
-    if blocks is None:
-        y = basis.to_basis(phi)
-        return [(whole, whole, y.real[None], energy[None], lambda v, b: basis.signature * v,
-                 2.0 * column_norms(y.imag)[None])]
     parts = []
     for at, col in blocks:
         y = phi[at[:, :, None], col[:, None, :]]
-        signature = basis.signature[at]
+        signature = frame.real_basis.signature[at]
         parts.append((at, col, y.real, energy[col], lambda v, b, signature=signature: signature[b] * v,
                       2.0 * column_norms(y.imag)))
     return parts
@@ -345,13 +342,10 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
     p_xs = [part[4](x, slice(None)).conj().swapaxes(-1, -2) for part, x in zip(parts, xs)]
     gram_error = root_sum_square([_deviation(p_x @ x, sign) for p_x, x, sign in zip(p_xs, xs, signs)])
     c_parts = tuple(x @ p_x for x, p_x in zip(xs, p_xs))  # C itself, or the blocks of C_r in the real basis
-    if basis is None:
-        cpt = CPTFrame(frame, Operator.linear(c_parts[0][0]))
-        metric = (cpt._metric(),)
-    else:
-        c_matrix = basis.from_blocks(ats, c_parts)
-        cpt = CPTFrame(frame, Operator.linear(c_matrix), _c_real=c_parts, _blocks=tuple(ats))
-        metric = cpt._metric()
+    c_matrix = c_parts[0][0] if basis is None else basis.from_blocks(ats, c_parts)  # fresh: taken with no copy
+    real = {} if basis is None else {"_c_real": c_parts, "_blocks": tuple(ats)}
+    cpt = CPTFrame(frame, Operator._of(LINEAR, _finite_square(c_matrix)), **real)
+    metric = (cpt._metric(),) if basis is None else cpt._metric()
     # rounding in the Gram entries is amplified by |phi|_2^2 = |P phi|_2^2, the
     # largest eigenvalue of PC = (P phi)(P phi)^+, which grows near an exceptional point
     gram_tol = tol * max(1.0, float(cpt._w.max()))

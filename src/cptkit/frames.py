@@ -66,6 +66,7 @@ from .linops import (
     DEFAULT_TOL,
     LINEAR,
     Operator,
+    _block_join,
     _components,
     _require_threshold,
     apply,
@@ -175,21 +176,22 @@ class RealBasis(NamedTuple):
         ``cols``, the ``(n, n)`` array Q X of the real-basis columns X whose
         blocks, supported on ``ats``, are ``parts`` at the columns ``cols``.
         Each block is mapped alone, by the gathers of :meth:`from_form` and
-        :meth:`from_basis`, and written in place; one block of the whole
-        basis is :meth:`from_form` or :meth:`from_basis` itself."""
+        :meth:`from_basis`, and the blocks are joined by
+        :func:`~cptkit.linops._block_join`; one block of the whole basis is
+        mapped by :meth:`from_form` or :meth:`from_basis` itself."""
         n = len(self.perm)
         if _whole(ats, n):
-            return self.from_form(parts[0][0]) if cols is None else self.from_basis(parts[0][0])
-        out = np.zeros((n, n), dtype=complex)
-        r0, r1 = self.rows
-        for at, col, part in zip(ats, ats if cols is None else cols, parts):
-            local = self._local(at)
-            mapped = _combine(part.astype(complex), r0[at], r1[at], local[:, :, None], -2)
-            if cols is None:
-                mapped = _combine(mapped, r0[at].conj().swapaxes(-1, -2), r1[at].conj().swapaxes(-1, -2),
-                                  local[:, None, :], -1)
-            out[at[:, :, None], col[:, None, :]] = mapped
-        return out
+            mapped = [(self.from_form if cols is None else self.from_basis)(parts[0][0])[None]]
+        else:
+            mapped, (r0, r1) = [], self.rows
+            for at, part in zip(ats, parts):
+                local = self._local(at)
+                x = _combine(part.astype(complex), r0[at], r1[at], local[:, :, None], -2)
+                if cols is None:
+                    r0_adj, r1_adj = (r[at].conj().swapaxes(-1, -2) for r in (r0, r1))
+                    x = _combine(x, r0_adj, r1_adj, local[:, None, :], -1)
+                mapped.append(x)
+        return _block_join(n, ats, mapped, cols)
 
     def _block_form(self, blocks: np.ndarray, at: np.ndarray) -> np.ndarray:
         """Q_b^+ A_b Q_b for a ``(g, m, m)`` stack of blocks A_b of a matrix
@@ -389,7 +391,7 @@ class CPTFrame:
     real C_r = Q^+ C Q as ``_c_real``, with C = Q C_r Q^+, block by block:
     ``_blocks`` holds, for each block size m, the ``(g, m)`` real-basis
     indices of the g blocks that C_r leaves invariant (one block of the
-    whole basis for an irreducible H), and ``_c_real`` their ``(g, m, m)``
+    whole basis for an H that is not split), and ``_c_real`` their ``(g, m, m)``
     stacks, read-only.  It factors M = J C_r = Q^+ (PC) Q with one real
     ``eigh`` per block size into (w, U_r), and validates, forms the metric's
     powers, Hermitizes and forms the CPT adjoint in real products of those
@@ -460,7 +462,7 @@ class CPTFrame:
         if self._c_real is None:
             return self._spectrum
         ws, us = self._spectrum
-        w, u = (ws[0][0], us[0][0]) if self._one_block else joined_spectrum(self.dim, self._blocks, ws, us)
+        w, u = joined_spectrum(self.dim, self._blocks, ws, us)
         u = self.frame.real_basis.from_basis(u)
         for part in (w, u):
             part.setflags(write=False)
@@ -607,19 +609,6 @@ class CPTFrame:
         if not min_eig > threshold:
             violations.append(("PC positive definite", threshold - min_eig))
         return FrameReport(not violations, tuple(violations))
-
-
-def _block_join(n: int, ats, parts, cols=None) -> np.ndarray:
-    """The ``(n, n)`` array with each ``(g, m, m)`` stack of ``parts`` written
-    at the rows ``ats`` and the columns ``cols`` (``ats`` if None) of its
-    blocks, zero elsewhere: the part itself where it is one block of the
-    whole."""
-    if len(parts) == 1 and parts[0].shape == (1, n, n):
-        return parts[0][0]
-    joined = np.zeros((n, n), dtype=np.result_type(*parts))
-    for at, col, part in zip(ats, ats if cols is None else cols, parts):
-        joined[at[:, :, None], col[:, None, :]] = part
-    return joined
 
 
 def validate_pt_frame(p: Operator, t: Operator, tol: float = DEFAULT_TOL) -> FrameReport:

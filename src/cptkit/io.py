@@ -44,7 +44,7 @@ def parse_matrix_document(obj) -> Operator:
     if not isinstance(obj, dict):
         raise DocumentError("matrix document must be a JSON object")
     dim = obj.get("dim")
-    if not isinstance(dim, int) or dim <= 0:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim <= 0:
         raise DocumentError("'dim' must be a positive integer")
     entries = obj.get("entries")
     if not isinstance(entries, list) or len(entries) != dim * dim:

@@ -162,6 +162,19 @@ def _block_diag(*mats: np.ndarray) -> np.ndarray:
     return out
 
 
+def _block_join(n: int, ats, parts, cols=None) -> np.ndarray:
+    """The ``(n, n)`` array with each ``(g, m, m)`` stack of ``parts`` written
+    at the rows ``ats`` and the columns ``cols`` (``ats`` if None) of its
+    blocks, zero elsewhere: the part itself where it is one block of the
+    whole, its columns in order."""
+    if len(parts) == 1 and parts[0].shape == (1, n, n) and (cols is None or (cols[0] == np.arange(n)).all()):
+        return parts[0][0]
+    joined = np.zeros((n, n), dtype=np.result_type(*parts))
+    for at, col, part in zip(ats, ats if cols is None else cols, parts):
+        joined[at[:, :, None], col[:, None, :]] = part
+    return joined
+
+
 def commutator_check(c, h, tol: float) -> tuple[float, bool]:
     """The residual |[C, H]| and whether it is within
     ``tol * max(1, |H|) * max(1, |C|)``; an overflowed residual fails.  C and
@@ -459,17 +472,17 @@ def split_eigensystem(a: np.ndarray, parts, limit: np.ndarray, gate: float | Non
     """:func:`stacked_eigensystem` of a finite ``(N, n, n)`` stack, given its
     components ``parts`` as :func:`_components` returns them, and each row's
     residual ``limit``: the stacked :class:`EigenSystem`, each row's largest
-    eigenpair residual and the blocks of the split rows, for each component
-    size m the ``(g,)`` rows, the ``(g, m)`` indices of each component and
-    the ``(g, m)`` ascending columns of its eigenpairs in its row's sorted
-    arrays (an empty list where no row splits).  ``form(a, rows, at)``, if
-    given, is what is solved of the matrices ``a[rows]``: at the ``(g, m)``
-    indices ``at`` of their blocks, or whole with ``at`` None; by default,
-    their own entries."""
+    eigenpair residual and the blocks of every row, for each block size m
+    the ``(g,)`` rows, the ``(g, m)`` indices of each block and the
+    ``(g, m)`` ascending columns of its eigenpairs in its row's sorted
+    arrays.  A row solved whole is one block of all n indices, its columns
+    in order.  ``form(a, rows, at)``, if given, is what is solved of the
+    matrices ``a[rows]``: at the ``(g, m)`` indices ``at`` of their blocks,
+    or whole with ``at`` None; by default, their own entries."""
     form = form or _entries
     if parts is None:
         values, vectors, condition, residual = _whole(form(a, slice(None), None), limit, gate)
-        blocks = []
+        blocks = [_whole_block(np.arange(len(a)), a.shape[1])]
     else:
         split, groups = parts
         whole = np.ones(len(a), dtype=bool)
@@ -485,8 +498,17 @@ def split_eigensystem(a: np.ndarray, parts, limit: np.ndarray, gate: float | Non
         for rows, part in solved:
             values[rows], vectors[rows], condition[rows], residual[rows] = part
         blocks = [(split[rows], at, col) for rows, at, col in blocks]
+        if whole.any():
+            blocks.append(_whole_block(np.flatnonzero(whole), a.shape[1]))
     defective = ~(condition <= COND_LIMIT) | (residual > limit)
     return EigenSystem(values, vectors, condition, defective), residual, blocks
+
+
+def _whole_block(rows: np.ndarray, n: int):
+    """The block record of :func:`split_eigensystem` for ``rows`` solved
+    whole: one block of all n indices each, its columns in order."""
+    every = np.arange(n)[None].repeat(len(rows), 0)
+    return rows, every, every
 
 
 def _entries(a: np.ndarray, rows, at) -> np.ndarray:
@@ -767,10 +789,8 @@ def joined_spectrum(n: int, ats, ws, us) -> tuple[np.ndarray, np.ndarray]:
     for at, part in zip(ats, ws):
         w[at] = part
     order = np.argsort(w, kind="stable")
-    column, u = np.argsort(order), np.zeros((n, n), dtype=np.result_type(*us))  # the sorted position of each eigenvalue
-    for at, v in zip(ats, us):
-        u[at[:, :, None], column[at][:, None, :]] = v
-    return w[order], u
+    column = np.argsort(order)  # the sorted position of each eigenvalue
+    return w[order], _block_join(n, ats, us, [column[at] for at in ats])
 
 
 def hermitian_power(m, p: float, tol: float = DEFAULT_TOL) -> np.ndarray:

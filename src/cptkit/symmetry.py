@@ -18,18 +18,21 @@ pair with its negative imaginary part first, the order in which the real
 solve's exact conjugates sort.
 
 Over a frame whose P is a permutation and whose T is conjugation, a
-PT-symmetric H is a real matrix in the frame's PT-fixed basis, and is
+PT-symmetric H is a real matrix in the frame's PT-fixed basis Q, and is
 eigendecomposed there in real arithmetic.  Each eigenvector of that solve
-with an exactly real eigenvalue is Q x with x real, PT-fixed as it stands
-with phase 0, so phase alignment runs only on the other real columns: those
-of a dense frame, of a row that falls back to the complex solve, and of a
-non-real eigenvalue within the reality width.
+is the real-basis coordinate vector x of the state Q x, and one with an
+exactly real eigenvalue is PT-fixed as it stands, with phase 0, since PT is
+conjugation there; phase alignment runs only on the other real columns:
+those of a non-real eigenvalue within the reality width, and those of the
+rows solved as complex, in the original basis (a dense frame, a row that is
+not PT-symmetric, a row that falls back).
 
-Over an index frame the pipeline runs block by block on a row whose
-pattern, with P's pairs joined, has several connected components (at
-dimension ``_SPLIT_DIM`` or more): the components are labeled once per
-classification, each block of Re(Q^+ H Q) is formed from H's block, and the
-kernel runs on stacks of equal-size blocks, in the real basis, where PT is
+Over an index frame the pipeline runs block by block, in the real basis,
+on every row it solves there: a row whose pattern, with P's pairs joined,
+has several connected components (at dimension ``_SPLIT_DIM`` or more) is
+split into them, labeled once per classification, each block of
+Re(Q^+ H Q) formed from H's block; any other row is one block of the whole
+basis.  The kernel runs on stacks of equal-size blocks, where PT is
 conjugation.  A chain, a direct sum of 2x2 cells, is classified as one stack
 of its cells.  Degeneracy clusters and the rebase stay within a block, so an
 eigenspace across blocks, as of two equal cells, holds one eigenvector per
@@ -42,8 +45,8 @@ synthesize block by block; a report maps them back, block by block, once.
 A row whose real solve is defective or passes the exceptional-point gate,
 like every row over a dense frame, takes the complex solve of
 :func:`~cptkit.linops.stacked_eigensystem`, which splits the pattern of H
-itself for the eigensolve alone; a dense or irreducible row is solved
-whole, and a row of a stack is classified as the row alone.
+itself for the eigensolve alone, and keeps its states in the original
+basis; a row of a stack is classified as the row alone.
 """
 
 from __future__ import annotations
@@ -145,8 +148,10 @@ class _Rows(NamedTuple):
     checked ``stack`` (non-finite rows zeroed), the ``frame`` and ``tol`` it
     was classified at, its eigensystem (None in a report's record) with
     each row's largest eigenpair ``residual``, the kernel's verdict arrays,
-    and the ``blocks`` of the rows whose states (``phi``, the eigenvectors)
-    are in the frame's real basis, as :func:`_eigensystems` returns them."""
+    and the ``blocks`` of the rows solved in the real basis, whose states
+    (``phi``, the eigenvectors) are in that basis, as :func:`_eigensystems`
+    returns them; a row in no block was solved as complex, and its states
+    are in the original basis."""
 
     stack: np.ndarray
     frame: PTFrame
@@ -382,8 +387,8 @@ def _petermann(vectors: np.ndarray) -> np.ndarray:
 def _eigensystems(a: np.ndarray, norm: np.ndarray, symmetric: np.ndarray, frame: PTFrame, tol: float):
     """The sorted eigensystem of each matrix of an ``(N, n, n)`` stack with
     Frobenius norms ``norm`` and PT verdicts ``symmetric``, each row's
-    largest eigenpair residual, which rows were solved in the real basis,
-    and the blocks of the rows that stay in it.
+    largest eigenpair residual, and the blocks of the rows solved in the
+    real basis, whose eigenvectors stay there.
 
     A PT-symmetric row over a frame with a real basis Q is solved as the
     real matrix Re(Q^+ H Q).  That is an exact eigensystem of H's
@@ -391,16 +396,16 @@ def _eigensystems(a: np.ndarray, norm: np.ndarray, symmetric: np.ndarray, frame:
     ``tol * |H| / 2``.  The components of the pattern of H with P's pairs
     joined are found once here (:meth:`~cptkit.frames.RealBasis.components`):
     each is closed under P, so Q acts within it and Q^+ H Q, real and
-    imaginary parts both, vanishes off the blocks.  A row with one component
-    is solved whole and its eigenvectors are mapped back by Q; a row with
-    several is solved by its blocks, each formed from H's block alone, and
-    stays in the real basis: its eigenvectors are the real-basis
-    coordinates, each zero off its block, and its blocks are returned as
-    the ``(rows, at, col)`` of :func:`~cptkit.linops.split_eigensystem`,
-    rows numbered in the stack.
-    Every other row is solved as complex, in one stacked call with the rows
-    whose real solve is defective or passes the exceptional-point gate, so
-    every warning and error comes from the complex solve of H itself, whole.
+    imaginary parts both, vanishes off the blocks.  A row with several is
+    solved by its blocks, each formed from H's block alone; a row with one
+    is solved whole, as one block of all n indices.  Either way its
+    eigenvectors are the real-basis coordinates, each zero off its block,
+    kept complex, and its blocks are returned as the ``(rows, at, col)`` of
+    :func:`~cptkit.linops.split_eigensystem`, rows numbered in the stack.
+    Every other row is solved as complex, in the original basis, in one
+    stacked call with the rows whose real solve is defective or passes the
+    exceptional-point gate, so every warning and error comes from the
+    complex solve of H itself, whole.
 
     Both solves take the Gram certificate of
     :func:`~cptkit.linops.stacked_eigensystem` at the gate ``EP_WARNING_K``:
@@ -415,19 +420,16 @@ def _eigensystems(a: np.ndarray, norm: np.ndarray, symmetric: np.ndarray, frame:
     whole = bool(real.all())
     basis = frame.real_basis if whole or real.any() else None
     if basis is None:
-        return (*stacked_eigensystem(a, norm, tol, EP_WARNING_K), np.zeros(len(a), dtype=bool), [])
+        return (*stacked_eigensystem(a, norm, tol, EP_WARNING_K), [])
     rows = a if whole else a[real]
     eigen, residual, blocks = split_eigensystem(
         rows, basis.components(rows), tol * (norm if whole else norm[real]), EP_WARNING_K, basis.real_form
     )
     del rows
     regular = ~(eigen.defective | _past_ep_gate(eigen.condition))
-    split = np.zeros(len(regular), dtype=bool)
-    for rows, _, _ in blocks:  # the rows that stay in the real basis
-        split[rows] = True
     if whole and regular.all():  # the common case: nothing falls back
-        vectors = _mapped_back(eigen.vectors, split, basis)
-        return EigenSystem(eigen.values.astype(complex), vectors, eigen.condition, eigen.defective), residual, real, blocks
+        vectors = eigen.vectors.astype(complex)
+        return EigenSystem(eigen.values.astype(complex), vectors, eigen.condition, eigen.defective), residual, blocks
     at_row = np.flatnonzero(real)
     blocks = [(at_row[rows[keep]], at[keep], col[keep]) for rows, at, col in blocks for keep in [regular[rows]] if keep.any()]
     real[real] = regular  # the rows whose real solve is kept
@@ -435,22 +437,11 @@ def _eigensystems(a: np.ndarray, norm: np.ndarray, symmetric: np.ndarray, frame:
     rest, rest_residual = stacked_eigensystem(a[fallback], norm[fallback], tol, EP_WARNING_K)
     values, vectors = np.empty(a.shape[:2], dtype=complex), np.empty(a.shape, dtype=complex)
     condition, residuals, defective = np.empty(len(a)), np.empty(len(a)), np.zeros(len(a), dtype=bool)
-    values[real], vectors[real] = eigen.values[regular], _mapped_back(eigen.vectors[regular], split[regular], basis)
+    values[real], vectors[real] = eigen.values[regular], eigen.vectors[regular]
     condition[real], residuals[real] = eigen.condition[regular], residual[regular]
     values[fallback], vectors[fallback] = rest.values, rest.vectors
     condition[fallback], residuals[fallback], defective[fallback] = rest.condition, rest_residual, rest.defective
-    return EigenSystem(values, vectors, condition, defective), residuals, real, blocks
-
-
-def _mapped_back(vectors: np.ndarray, split: np.ndarray, basis) -> np.ndarray:
-    """The eigenvectors of a real solve mapped back by Q, except on the
-    ``split`` rows, which stay in the real basis."""
-    if not split.any():
-        return basis.from_basis(vectors)
-    out = vectors.astype(complex)
-    if not split.all():
-        out[~split] = basis.from_basis(vectors[~split])
-    return out
+    return EigenSystem(values, vectors, condition, defective), residuals, blocks
 
 
 def _past_ep_gate(condition: np.ndarray) -> np.ndarray:
@@ -467,36 +458,37 @@ def _classify_rows(a: np.ndarray, norm: np.ndarray, frame: PTFrame, tol: float) 
     norms ``norm``: the rows that are not finite or whose norm overflows are
     zeroed, then the PT check of :func:`_pt_check`, the eigensystems of
     :func:`_eigensystems` and :func:`_kernel`, which runs on parts of the
-    stack: the rows solved whole, together, in the original basis, and the
-    blocks of the rows that stay in the real basis, stacked by size, where
-    PT is conjugation.  Every threshold stays the whole row's.  A row's
-    verdicts are read off its parts: it is broken where any of its blocks
-    is, and its Petermann factor is their largest.  The record's arrays are
-    joined by row and sorted column, with the states of a block row in the
-    real basis and its ``blocks``; where every row is solved whole they are
-    the kernel's own arrays.  A row of a stack is classified bit for bit as
-    the row alone.
+    stack: the rows solved as complex, together, in the original basis, where
+    no column is fixed, and the blocks of the rows solved in the real basis,
+    stacked by size, where PT is conjugation.  Every threshold stays the
+    whole row's.  A row's verdicts are read off its parts: it is broken
+    where any of its blocks is, and its Petermann factor is their largest.
+    The record's arrays are joined by row and sorted column, with the states
+    of a real solve in the real basis and its ``blocks``; where one part
+    holds every row, whole, they are the kernel's own arrays.  A row of a
+    stack is classified bit for bit as the row alone.
     """
     scaled = norm < np.inf
     if not scaled.all():  # non-finite entries, or a norm that overflows: error rows, kept out of the PT check
         a = np.where(scaled[:, None, None], a, 0.0)
     symmetric, pt_residual = _pt_check(a, norm, frame, tol)
-    eigen, residual, solved_real, blocks = _eigensystems(a, norm, symmetric, frame, tol)
+    eigen, residual, blocks = _eigensystems(a, norm, symmetric, frame, tol)
     scale = np.maximum(1.0, norm)[:, None]
     settled = ~eigen.defective
     values, vectors, condition = eigen.values, eigen.vectors, eigen.condition
-    if not blocks:  # every row solved whole: the kernel's arrays are the record's
-        joined = _kernel(values, vectors, solved_real[:, None] & (values.imag == 0), scale, symmetric, settled,
-                         condition, frame.apply_pt, tol)
+    if not blocks or (len(blocks) == 1 and blocks[0][1].shape == a.shape[:2]):  # one part of every row, whole
+        fixed = values.imag == 0 if blocks else np.zeros(values.shape, dtype=bool)  # only a real solve fixes columns
+        joined = _kernel(values, vectors, fixed, scale, symmetric, settled, condition,
+                         np.conj if blocks else frame.apply_pt, tol)
     else:
-        whole = np.ones(len(a), dtype=bool)
+        complex_rows = np.ones(len(a), dtype=bool)
         for rows, _, _ in blocks:
-            whole[rows] = False
+            complex_rows[rows] = False
         joined = _joined_record(eigen)
-        for rows, at, col in ([(np.flatnonzero(whole), None, None)] if whole.any() else []) + blocks:
+        for rows, at, col in ([(np.flatnonzero(complex_rows), None, None)] if complex_rows.any() else []) + blocks:
             if at is None:
                 part, states = values[rows], vectors[rows]
-                fixed, apply_pt = solved_real[rows, None] & (part.imag == 0), frame.apply_pt
+                fixed, apply_pt = np.zeros(part.shape, dtype=bool), frame.apply_pt
             else:
                 part = values[rows[:, None], col]
                 states = vectors[rows[:, None, None], at[:, :, None], col[:, None, :]]
@@ -572,7 +564,8 @@ def _kernel(values, vectors, fixed, scale, symmetric, settled, condition, apply_
     proximity, each computed for every row of the part at once, with each
     row's ``scale``, PT verdict ``symmetric``, ``settled`` (not defective)
     and ``condition``.  A column that is ``fixed``, of a real solve with an
-    exactly real eigenvalue, keeps its eigenvector with phase 0; alignment
+    exactly real eigenvalue, whose states are real-basis coordinates and
+    ``apply_pt`` conjugation, keeps its eigenvector with phase 0; alignment
     (with PT applied by ``apply_pt``) runs on the other real columns and is
     kept on those alone, so a row is classified as it would be alone.
 
@@ -658,11 +651,14 @@ def _unbroken(h, frame: PTFrame, tol: float | None, caller: str):
     for ``caller``: a matrix is classified here at ``tol``; a report is
     taken only if :func:`classify_symmetry` made it over a frame equal to
     ``frame`` at ``tol``, or at any tolerance where ``tol`` is None, which
-    takes only a report.  The blocks are None where the states are in the
-    original basis; else the ``(at, col)`` of each block size, the states in
-    the frame's real basis, each block's columns ``col`` supported on its
-    indices ``at``.  Raises InvalidArgument for any other report, and
-    NotUnbroken unless the classification is unbroken."""
+    takes only a report.  Over a frame with a real basis the states are in
+    that basis, with the ``(at, col)`` of each block size, each block's
+    columns ``col`` supported on its indices ``at``: those of the real
+    solve as they are, and those of a row whose real solve fell back to the
+    complex one mapped into it here, as one block of the whole basis.  The
+    blocks are None where the frame has no real basis.  Raises
+    InvalidArgument for any other report, and NotUnbroken unless the
+    classification is unbroken."""
     if tol is None or isinstance(h, SymmetryReport):
         rows = getattr(h, "_analysis", None)
         if rows is None or tol not in (None, rows.tol) or not (rows.frame is frame or rows.frame == frame):
@@ -673,8 +669,11 @@ def _unbroken(h, frame: PTFrame, tol: float | None, caller: str):
     if rows.classification[0] != UNBROKEN:
         raise NotUnbroken(f"{caller} requires unbroken symmetry, got {rows.classification[0]} "
                           f"(PT residual {rows.pt_residual[0]:.3e})")
-    blocks = [(at, col) for _, at, col in rows.blocks] or None
-    return rows.stack[0], rows.phi[0], rows.energy[0], blocks
+    phi, blocks = rows.phi[0], [(at, col) for _, at, col in rows.blocks]
+    if not blocks and frame.real_basis is not None:  # a fallback row, solved in the original basis
+        every = np.arange(len(phi))[None]
+        phi, blocks = frame.real_basis.to_basis(phi), [(every, every)]
+    return rows.stack[0], phi, rows.energy[0], blocks or None
 
 
 def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryReport:

@@ -779,7 +779,9 @@ TWO_BLOCKS = ["--r", "1", "--s", "2", "--r", "1", "--s", "3", "--theta", "0.7"]
     (["--model", "4x4", "--sweep", "theta=0.1:1.5:5", *TWO_BLOCKS],
      "sweeping 'theta' over a multi-block model needs an index, e.g. theta2"),
     (["--model", "4x4", "--sweep", "theta3=0.1:1.5:5", *TWO_BLOCKS], "sweep index 3 outside the 2-block model"),
-], ids=["index-0", "no-model", "a-fixed", "no-index", "index-outside"])
+    (["--model", "3x3", "--r", "1", "--s", "2", "--theta", "0.5", "--sweep", "a7=0.5:1.5:3"],
+     "the 3x3 level 'a' belongs to no block and takes no index, got 'a7'"),
+], ids=["index-0", "no-model", "a-fixed", "no-index", "index-outside", "indexed-a"])
 def test_scan_sweep_errors_are_usage_errors(argv, message, capsys):
     assert run(["scan", *argv]) == EXIT_USAGE
     assert message in capsys.readouterr().err

@@ -1068,6 +1068,71 @@ def test_a_chain_is_classified_synthesized_and_hermitized_by_its_blocks(monkeypa
     assert report.classification == UNBROKEN and np.isfinite(hermitized).all()
 
 
+def _basis_maps(monkeypatch):
+    """Count the calls of the real basis's maps of states, into it and back."""
+    calls = Counter()
+    for name in ("to_basis", "from_basis"):
+        real = getattr(frames.RealBasis, name)
+        monkeypatch.setattr(frames.RealBasis, name,
+                            lambda basis, x, _real=real, _name=name: calls.update([_name]) or _real(basis, x))
+    return calls
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec("2x2", ((1.0, 2.0, 0.5),)),
+    ModelSpec("3x3", ((1.0, 2.0, 0.5),), a=1.3),
+    ModelSpec("chain", random_cells(np.random.default_rng(20), 20)),
+], ids=["2x2", "3x3", "chain-40"])
+def test_a_row_that_is_not_split_keeps_its_states_in_the_real_basis(spec, monkeypatch):
+    # one block of the whole basis: the states go back by Q only where a public field holds them
+    h, frame = build_model(spec)
+    calls = _basis_maps(monkeypatch)
+    report = classify_symmetry(h, frame)
+    assert calls == {"from_basis": 1}  # the report's states
+    result = build_c(h, frame)
+    assert calls == {"from_basis": 3}  # C and the synthesized states; the classification renders nothing
+    hermitize(h, result.cpt)
+    assert calls == {"from_basis": 4}  # h
+    assert report.classification == UNBROKEN and len(result.aligned_states) == len(h)
+
+
+def test_a_stack_of_cells_maps_no_state_into_or_out_of_the_real_basis(monkeypatch):
+    cells = random_cells(np.random.default_rng(21), 50)
+    cells = np.stack([build_model(ModelSpec("2x2", (cell,)))[0] for cell in cells])
+    calls = _basis_maps(monkeypatch)
+    assert (classify_stack(cells, pair_swap_frame(2)).classification == UNBROKEN).all()
+    assert calls == {}
+
+
+def test_a_degenerate_3x3_eigenspace_is_rebased_in_the_real_basis(monkeypatch):
+    # a is the upper level of the cell r = 1, s = 2, theta = 0.5, r cos(theta) + sqrt(s^2 - r^2 sin^2(theta)):
+    # an eigenspace of the pair and the fixed point
+    h, frame = build_model(ModelSpec("3x3", ((1.0, 2.0, 0.5),), a=2.8192702692558154))
+    rebases, rebase = [], symmetry._pt_fixed_basis
+    monkeypatch.setattr(symmetry, "_pt_fixed_basis",
+                        lambda vectors, apply_pt: rebases.append((vectors.shape, apply_pt)) or rebase(vectors, apply_pt))
+    report = classify_symmetry(h, frame)
+    result = build_c(report, frame)
+    assert rebases == [((1, 3, 2), np.conj)]  # one eigenspace of two states, where PT is conjugation
+    assert report.classification == UNBROKEN and [len(space) for space in report.eigenspaces] == [1, 2]
+    # the whole-row reference: the same problem moved onto a dense frame, solved and rebased in its own basis
+    u, moved, dense = unitary_basis_change(h, frame, np.random.default_rng(22))
+    want_report = classify_symmetry(moved, dense)
+    want = build_c(want_report, dense)
+    assert np.abs(report.eigenvalues - want_report.eigenvalues).max() <= 1e-14 * frobenius(h)
+    c = u @ result.cpt.c.matrix @ u.conj().T
+    assert frobenius(c - want.cpt.c.matrix) <= 1e-13 * frobenius(want.cpt.c.matrix)
+    pairs = ((report.aligned_states, want_report.aligned_states), (result.aligned_states, want.aligned_states))
+    for got, expected in pairs:
+        energies = np.array([state.energy for state in got])
+        states = u @ np.column_stack([state.state for state in got])
+        want_energies = np.array([state.energy for state in expected])
+        want_states = np.column_stack([state.state for state in expected])
+        assert np.abs(energies - want_energies).max() <= 1e-14 * frobenius(h)
+        assert _span_gap(energies, states, want_energies, want_states, 1e-8 * frobenius(h)) <= 1e-13
+    assert sorted(state.sign for state in result.aligned_states) == sorted(state.sign for state in want.aligned_states)
+
+
 def _whole_pipeline(h, frame):
     """Classification, C, h and the aligned states of one matrix, or the
     error class, with every eigenproblem solved whole."""

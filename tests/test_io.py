@@ -62,6 +62,7 @@ def test_matrix_document_is_valid_json():
         {"dim": 1, "entries": [["1", "0"]]},
         {"dim": 1, "entries": [[True, False]]},
         {"dim": 1, "entries": 4},
+        {"dim": True, "entries": [[1, 0]]},
     ],
 )
 def test_parse_matrix_document_rejects_malformed(obj):

@@ -51,15 +51,28 @@ def test_only_the_symmetry_module_reads_the_classification_record():
     assert not hasattr(cpt, "_record")
 
 
-def test_the_block_join_lives_in_linops_and_models_leaves_composition_alone():
-    definers = [
-        path.name
-        for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.FunctionDef) and node.name == "_block_diag"
-    ]
-    assert definers == ["linops.py"]
+def test_the_block_join_lives_in_linops_and_models_leaves_composition_alone(monkeypatch):
+    for name in ("_block_diag", "_block_join"):
+        definers = [
+            path.name
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        ]
+        assert definers == ["linops.py"], name
     assert "composition" not in _imports("models.py")
+    # the metric's eigenvectors and the real basis's maps back are joined by it
+    joins, join = [], linops._block_join
+    for module in (linops, frames):
+        monkeypatch.setattr(module, "_block_join", lambda *args: joins.append(len(args[2])) or join(*args))
+    ats, blocks = [np.array([[0, 1], [2, 3]])], [np.eye(2)[None].repeat(2, 0)]
+    linops.joined_spectrum(4, ats, [np.array([[2.0, 1.0], [0.5, 3.0]])], blocks)
+    pair_swap_frame(4).real_basis.from_blocks(ats, blocks)
+    assert joins == [1, 1]
+    # one block of the whole is the part itself, unless its columns move
+    part, whole = np.arange(4.0).reshape(1, 2, 2), [np.arange(2)[None]]
+    assert np.shares_memory(join(2, whole, [part]), part)
+    assert np.array_equal(join(2, whole, [part], [np.array([[1, 0]])]), part[0, :, ::-1])
 
 
 def test_the_cli_tolerance_is_the_library_rule(monkeypatch):
