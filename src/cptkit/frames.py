@@ -68,6 +68,7 @@ from .linops import (
     Operator,
     _block_join,
     _components,
+    _one_block,
     _require_threshold,
     apply,
     commutator_check,
@@ -152,7 +153,7 @@ class RealBasis(NamedTuple):
         within each such block, so each is formed from the block of A alone,
         by the gathers of :meth:`form`, with no product of the whole matrix.
         One block of the whole basis is ``form(a)`` itself."""
-        if _whole(ats, len(self.perm)):
+        if _one_block(ats, (1, len(self.perm))):
             return (self.form(a)[None],)
         return tuple(self._block_form(a[at[:, :, None], at[:, None, :]], at) for at in ats)
 
@@ -180,7 +181,7 @@ class RealBasis(NamedTuple):
         :func:`~cptkit.linops._block_join`; one block of the whole basis is
         mapped by :meth:`from_form` or :meth:`from_basis` itself."""
         n = len(self.perm)
-        if _whole(ats, n):
+        if _one_block(ats, (1, n)):
             mapped = [(self.from_form if cols is None else self.from_basis)(parts[0][0])[None]]
         else:
             mapped, (r0, r1) = [], self.rows
@@ -208,11 +209,6 @@ class RealBasis(NamedTuple):
         position = np.empty(len(self.perm), dtype=np.intp)
         position[at] = np.arange(at.shape[1])
         return position[self.perm[at]]
-
-
-def _whole(ats, n: int) -> bool:
-    """Whether the block indices ``ats`` are one block of all n indices."""
-    return len(ats) == 1 and ats[0].shape == (1, n)
 
 
 def _combine(own: np.ndarray, w0: np.ndarray, w1: np.ndarray, perm: np.ndarray, axis: int) -> np.ndarray:
@@ -435,14 +431,14 @@ class CPTFrame:
         """(w, U_r) of each block of a stack of M's blocks, by one stacked
         ``eigh``; a block of the whole basis by :func:`~cptkit.linops.hermitian_spectrum`."""
         sym = (m + m.conj().swapaxes(-1, -2)) / 2.0
-        if self._one_block:
+        if self._unsplit:
             return tuple(part[None] for part in hermitian_spectrum(sym[0]))
         return tuple(np.linalg.eigh(sym))
 
     @property
-    def _one_block(self) -> bool:
+    def _unsplit(self) -> bool:
         """Whether C_r is one block of the whole real basis."""
-        return _whole(self._blocks, self.dim)
+        return _one_block(self._blocks, (1, self.dim))
 
     @cached_property
     def _w(self) -> np.ndarray:
@@ -512,7 +508,7 @@ class CPTFrame:
         C_r is one block of the whole basis, else for the H of the last
         [C, H] pass where its caller said so."""
         last = self._commuting
-        return self._one_block or (last is not None and h is last[0] and last[2])
+        return self._unsplit or (last is not None and h is last[0] and last[2])
 
     def _require_commuting(self, h: np.ndarray, tol: float, fits: bool = False) -> np.ndarray:
         """Raise CommutatorViolation unless :func:`~cptkit.linops.commutator_check`
@@ -525,7 +521,7 @@ class CPTFrame:
         last = self._commuting
         if last is not None and tol >= last[1] and (h is last[0] or np.array_equal(h, last[0])):
             return last[0]
-        fits = fits or self._one_block
+        fits = fits or self._unsplit
         if self._c_real is None:
             residual, commutes = commutator_check(self.c.matrix, h, tol)
         elif fits:  # passed, not bound, so the complex blocks are freed once split into real parts

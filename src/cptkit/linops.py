@@ -162,12 +162,19 @@ def _block_diag(*mats: np.ndarray) -> np.ndarray:
     return out
 
 
+def _one_block(ats, shape: tuple[int, int]) -> bool:
+    """Whether the ``(g, m)`` block indices ``ats`` of the partition of the
+    n indices of each of N rows, ``shape`` (N, n), are one block of all n
+    indices per row: the partition of a matrix that is not split."""
+    return len(ats) == 1 and ats[0].shape == shape
+
+
 def _block_join(n: int, ats, parts, cols=None) -> np.ndarray:
     """The ``(n, n)`` array with each ``(g, m, m)`` stack of ``parts`` written
     at the rows ``ats`` and the columns ``cols`` (``ats`` if None) of its
     blocks, zero elsewhere: the part itself where it is one block of the
     whole, its columns in order."""
-    if len(parts) == 1 and parts[0].shape == (1, n, n) and (cols is None or (cols[0] == np.arange(n)).all()):
+    if _one_block(ats, (1, n)) and (cols is None or (cols[0] == np.arange(n)).all()):
         return parts[0][0]
     joined = np.zeros((n, n), dtype=np.result_type(*parts))
     for at, col, part in zip(ats, ats if cols is None else cols, parts):
@@ -347,10 +354,11 @@ class EigenSystem:
     ``defective`` marks the rows that failed a check; a single matrix raises
     instead, and its ``defective`` is False.
 
-    A matrix solved by the connected components of its pattern (see
-    :func:`stacked_eigensystem`), such as a direct sum, has each eigenvector
-    zero off its own component, and its ``condition`` is that of the joined
-    V; a dense or irreducible one is solved whole.
+    Every matrix is solved by the connected components of its pattern (see
+    :func:`stacked_eigensystem`): a direct sum has each eigenvector zero off
+    its own component, and its ``condition`` is that of the joined V; a
+    dense or irreducible matrix is one component, its eigensystem that of
+    one ``eig``.
     """
 
     values: np.ndarray
@@ -367,8 +375,7 @@ class EigenSystem:
 
 def eigendecompose(m, tol: float = DEFAULT_TOL) -> EigenSystem:
     """Eigendecompose a square matrix, or each matrix of an ``(N, n, n)``
-    stack with one stacked ``np.linalg.eig`` call, or one per component size
-    for the matrices that split into blocks.
+    stack, with one stacked ``np.linalg.eig`` call per component size.
 
     Parameters
     ----------
@@ -387,16 +394,16 @@ def eigendecompose(m, tol: float = DEFAULT_TOL) -> EigenSystem:
     ``COND_LIMIT`` or a failed residual check is marked in the returned
     ``defective`` mask, and the other rows are unaffected.
 
-    A matrix of dimension ``_SPLIT_DIM`` (80) or more whose symmetrized
-    nonzero pattern falls into several connected components, a direct sum
-    in any order of its indices, is solved by its blocks: one stacked
-    ``eig`` per component size, each block's eigenpairs normalized and
-    checked alone, then joined and sorted (see :func:`stacked_eigensystem`).
-    Its residual check and ``condition`` are the joined matrix's, against
-    the tolerance of the whole ``|m|``.  A matrix whose first row and column
-    have no zero entry, as every dense one, skips the search for
-    components; it, an irreducible one and a smaller one are solved whole,
-    by one ``eig`` of the whole matrix.
+    Each matrix is solved by the connected components of its symmetrized
+    nonzero pattern (see :func:`stacked_eigensystem`): one stacked ``eig``
+    per component size, each block's eigenpairs sorted, normalized and
+    checked alone, then joined.  A direct sum in any order of its indices
+    is solved by its blocks; its residual check and ``condition`` are the
+    joined matrix's, against the tolerance of the whole ``|m|``.  A matrix
+    that is one component is one block of all n indices, solved by one
+    ``eig`` of the whole.  Components are searched for only at dimension
+    ``_SPLIT_DIM`` (80) or more, where the first row or column has a zero
+    entry: a smaller matrix, and every dense one, is one component.
 
     Raises
     ------
@@ -419,8 +426,7 @@ def eigendecompose(m, tol: float = DEFAULT_TOL) -> EigenSystem:
     a = a if stacked else _finite_square(a)[None]
     if a.shape[1] != a.shape[2]:
         raise DimensionMismatch(f"expected a stack of square matrices, got shape {a.shape}")
-    if not a.shape[1]:
-        raise DimensionMismatch("an empty matrix has no eigensystem")
+    _require_nonempty(a.shape[1])
     scale = frobenius(a)
     if not stacked:
         require_finite_scale(scale[0])
@@ -438,17 +444,17 @@ def stacked_eigensystem(
     stack whose Frobenius norms are ``scale``, and each row's largest
     eigenpair residual: the body of :func:`eigendecompose`.
 
-    A row whose nonzero pattern splits into several connected components
-    (see :func:`_components`), such as a direct sum, is solved by its
-    blocks: one stacked ``eig`` per component size, across the rows, and
-    the blocks' eigenpairs joined into the row's ``(n, n)`` arrays before
-    the sort.  Its residual is the largest of its components', and its Gram
-    certificate's row sum s too, which is the joined V's, since V^+ V is
-    block diagonal; its cond(V), where the SVD decides it, is the largest
-    singular value over the smallest across its blocks, those of the joined
-    V.  Every other row, a dense one always, is solved whole, in one stacked
-    ``eig``.  A row's solve depends on the row alone, so a row of a stack is
-    solved bit for bit as the row alone.
+    Each row is solved by the connected components of its nonzero pattern
+    (see :func:`_components`): one stacked ``eig`` per component size,
+    across the rows, each block's eigenpairs sorted, normalized and checked
+    alone, then joined into the row's ``(n, n)`` arrays in the order of
+    their eigenvalues.  A row that is one component, a dense one always, is
+    one block of all n indices, whose sorted eigenpairs are the row's own.  A row's residual is the largest of its
+    blocks', and its Gram certificate's row sum s too, which is the joined
+    V's, since V^+ V is block diagonal; its cond(V), where the SVD decides
+    it, is the largest singular value over the smallest across its blocks,
+    those of the joined V.  A row's solve depends on the row alone, so a row
+    of a stack is solved bit for bit as the row alone.
 
     Without ``gate`` every row's ``condition`` is cond(V) from the SVD, as
     :func:`eigendecompose` and DefectiveSpectrum report it.  With it, for a
@@ -469,46 +475,67 @@ def stacked_eigensystem(
 
 
 def split_eigensystem(a: np.ndarray, parts, limit: np.ndarray, gate: float | None, form=None):
-    """:func:`stacked_eigensystem` of a finite ``(N, n, n)`` stack, given its
-    components ``parts`` as :func:`_components` returns them, and each row's
-    residual ``limit``: the stacked :class:`EigenSystem`, each row's largest
-    eigenpair residual and the blocks of every row, for each block size m
-    the ``(g,)`` rows, the ``(g, m)`` indices of each block and the
-    ``(g, m)`` ascending columns of its eigenpairs in its row's sorted
-    arrays.  A row solved whole is one block of all n indices, its columns
-    in order.  ``form(a, rows, at)``, if given, is what is solved of the
-    matrices ``a[rows]``: at the ``(g, m)`` indices ``at`` of their blocks,
-    or whole with ``at`` None; by default, their own entries."""
+    """:func:`stacked_eigensystem` of a finite ``(N, n, n)`` stack, given the
+    partition ``parts`` of every row as :func:`_components` returns it, and
+    each row's residual ``limit``: the stacked :class:`EigenSystem`, each
+    row's largest eigenpair residual and the blocks of every row, for each
+    block size m the ``(g,)`` rows, the ``(g, m)`` indices of each block and
+    the ``(g, m)`` ascending columns of its eigenpairs in its row's sorted
+    arrays.  Each block is solved, normalized and checked alone by
+    :func:`_eigenpairs`, and its unit eigenvectors are written into their
+    sorted columns of its row's V, zero elsewhere; the arrays are real where
+    every eigenvalue is.  Where every row is one block of all n indices, the
+    block's arrays are the row's own, with no join.  ``form(a, rows, at)``,
+    if given, is what is solved of the matrices ``a[rows]``: at the
+    ``(g, m)`` indices ``at`` of their blocks, or whole with ``at`` None
+    where a block is all n indices; by default, their own entries."""
     form = form or _entries
-    if parts is None:
-        values, vectors, condition, residual = _whole(form(a, slice(None), None), limit, gate)
-        blocks = [_whole_block(np.arange(len(a)), a.shape[1])]
+    count, n = a.shape[:2]
+    every = _one_block([at for _, at in parts], (count, n))
+    solved = [
+        (rows, at, _eigenpairs(form(a, slice(None) if every else rows, None if at.shape[1] == n else at), gate))
+        for rows, at in parts
+    ]
+    if every:
+        (rows, at, (values, vectors, _, residual, s, pieces)), = solved
     else:
-        split, groups = parts
-        whole = np.ones(len(a), dtype=bool)
-        whole[split] = False
-        groups = [(rows, at, form(a, split[rows], at)) for rows, at in groups]
-        *part, blocks = _by_components(groups, (len(split), a.shape[1]), limit[split], gate)
-        solved = [(split, part)]
-        if whole.any():
-            solved.append((whole, _whole(form(a, whole, None), limit[whole], gate)))
-        values = np.empty(a.shape[:2], dtype=np.result_type(*(part[0] for _, part in solved)))
-        vectors = np.empty(a.shape, dtype=values.dtype)
-        condition, residual = np.empty(len(a)), np.empty(len(a))
-        for rows, part in solved:
-            values[rows], vectors[rows], condition[rows], residual[rows] = part
-        blocks = [(split[rows], at, col) for rows, at, col in blocks]
-        if whole.any():
-            blocks.append(_whole_block(np.flatnonzero(whole), a.shape[1]))
+        residual, s, pieces = np.zeros(count), np.zeros(count), ()
+        for rows, _, (_, _, _, res, gram, _) in solved:
+            np.maximum.at(residual, rows, res)
+            np.maximum.at(s, rows, gram)
+
+    def extremes(exact):  # the largest and smallest singular value over each row's blocks
+        if len(pieces) == 1:  # of V itself, every row one block in one arithmetic
+            singular = np.linalg.svd(pieces[0][1][exact], compute_uv=False)
+            return singular[:, 0], singular[:, -1]
+        units = [(rows[group], unit) for rows, _, eigen in solved for group, unit in eigen[-1]]
+        top, bottom, chosen_rows = np.zeros(count), np.full(count, np.inf), np.zeros(count, dtype=bool)
+        chosen_rows[exact] = True
+        for rows, unit in units:
+            chosen = chosen_rows[rows]
+            if chosen.any():
+                singular = np.linalg.svd(unit[chosen], compute_uv=False)
+                np.maximum.at(top, rows[chosen], singular[:, 0])
+                np.minimum.at(bottom, rows[chosen], singular[:, -1])
+        return top[exact], bottom[exact]
+
+    condition = _condition(extremes, s, residual, limit, gate, n)
     defective = ~(condition <= COND_LIMIT) | (residual > limit)
+    if every:
+        return EigenSystem(values, vectors, condition, defective), residual, [(rows, at, at)]
+    values = np.empty((count, n), dtype=np.result_type(*(eigen[0] for _, _, eigen in solved)))
+    places = [np.take_along_axis(at, eigen[2], -1) for _, at, eigen in solved]  # where eig put each sorted eigenvalue
+    for (rows, _, eigen), place in zip(solved, places):
+        values[rows[:, None], place] = eigen[0]
+    order = np.lexsort((values.imag, values.real), axis=-1)
+    column = np.argsort(order, axis=-1)  # the sorted position of each eigenvalue
+    values = np.take_along_axis(values, order, -1)
+    vectors, blocks = np.zeros((count, n, n), dtype=values.dtype), []
+    for (rows, at, eigen), place in zip(solved, places):
+        col = column[rows[:, None], place]  # ascending: a block's eigenvalues keep their order in the row
+        vectors[rows[:, None, None], at[:, :, None], col[:, None, :]] = eigen[1]
+        blocks.append((rows, at, col))
     return EigenSystem(values, vectors, condition, defective), residual, blocks
-
-
-def _whole_block(rows: np.ndarray, n: int):
-    """The block record of :func:`split_eigensystem` for ``rows`` solved
-    whole: one block of all n indices each, its columns in order."""
-    every = np.arange(n)[None].repeat(len(rows), 0)
-    return rows, every, every
 
 
 def _entries(a: np.ndarray, rows, at) -> np.ndarray:
@@ -518,80 +545,30 @@ def _entries(a: np.ndarray, rows, at) -> np.ndarray:
     return a[rows[:, None, None], at[:, :, None], at[:, None, :]]
 
 
-def _whole(a: np.ndarray, limit: np.ndarray, gate: float | None):
-    """The sorted eigenvalues, unit eigenvectors, cond(V) and largest
-    eigenpair residual of each matrix of an ``(N, n, n)`` stack, each solved
-    whole, in one stacked ``eig``."""
-    values, vectors = np.linalg.eig(a)
-    rows = np.arange(len(a))[:, None]
+def _eigenpairs(block: np.ndarray, gate: float | None):
+    """The eigenpairs of each matrix of a ``(g, m, m)`` stack, by one stacked
+    ``eig``, sorted ascending by (real part, imaginary part), and the
+    ``order`` that sorted them; then the eigenvectors scaled to unit
+    columns, each matrix's largest eigenpair residual and, for a ``gate``,
+    its Gram row sum s (see :func:`_unit_columns`; else 0), and the unit
+    eigenvectors of each arithmetic with its rows.  ``eig`` returns every
+    matrix of a real stack as complex once one has a non-real eigenvalue: a
+    real matrix with a real spectrum is finished in real arithmetic, bit for
+    bit as it would be alone."""
+    values, vectors = np.linalg.eig(block)
+    rows = np.arange(len(block))[:, None]
     order = np.lexsort((values.imag, values.real), axis=-1)
     values = values[rows, order]
-    vectors = vectors[rows[:, :, None], np.arange(a.shape[1])[:, None], order[:, None, :]]
-    # eig returns every row of a real stack as complex once one row has a
-    # non-real eigenvalue: the rows with a real spectrum are finished in real
-    # arithmetic, bit for bit as each would be alone
-    plain = (values.imag == 0).all(-1) & (a.dtype.kind == "f")
-    condition, residual = np.empty(len(a)), np.empty(len(a))
+    vectors = vectors[rows[:, :, None], np.arange(block.shape[-1])[:, None], order[:, None, :]]
+    plain = (values.imag == 0).all(-1) & (block.dtype.kind == "f")
+    residual, s, pieces = np.empty(len(block)), np.zeros(len(block)), []
     for group, part in _arithmetic(plain):
-        vectors[group], condition[group], residual[group] = _unit_eigenvectors(
-            a[group], part(values[group]), part(vectors[group]), limit[group], gate
-        )
-    return values, vectors, condition, residual
-
-
-def _by_components(groups, shape: tuple[int, int], limit: np.ndarray, gate: float | None):
-    """:func:`_whole` for an ``(N, n, n)`` stack, of ``shape`` (N, n), solved
-    by its components: ``groups`` holds, for each size m, the ``(g,)`` rows,
-    ``(g, m)`` indices and ``(g, m, m)`` blocks of the g components of that
-    size.  Each component is solved,
-    normalized and checked alone, in real arithmetic where its matrix and
-    spectrum are real, and its unit eigenvectors are written straight into
-    their sorted columns of its row's V, zero elsewhere; cond(V) is decided
-    on the joined V, with the largest Gram row sum of its components, or
-    from the extreme singular values of its blocks.  The arrays are real
-    where every eigenvalue is.  Also returns the blocks as
-    :func:`split_eigensystem` does, with rows local to the stack."""
-    values, solved = np.zeros(shape, dtype=complex), []
-    residual, s = np.zeros(shape[0]), np.zeros(shape[0])
-    real = all(block.dtype.kind == "f" for _, _, block in groups)
-    for rows, at, block in groups:
-        w, v = np.linalg.eig(block)
-        values[rows[:, None], at] = w
-        for group, part in _arithmetic((w.imag == 0).all(-1) & real):
-            unit, res, gram = _unit_columns(block[group], part(w[group]), part(v[group]), gate is not None)
-            solved.append((rows[group], at[group], unit))
-            np.maximum.at(residual, rows[group], res)
-            if gram is not None:
-                np.maximum.at(s, rows[group], gram)
-    order = np.lexsort((values.imag, values.real), axis=-1)
-    column = np.argsort(order, axis=-1)  # the sorted position of each eigenvalue
-    values = np.take_along_axis(values, order, -1)
-    if real and (values.imag == 0).all():
-        values = values.real
-    vectors = np.zeros(shape + shape[-1:], dtype=values.dtype)
-    blocks = []
-    for rows, at, unit in solved:
-        col = column[rows[:, None], at]
-        vectors[rows[:, None, None], at[:, :, None], col[:, None, :]] = unit
-        blocks.append((rows, at, col))
-
-    def extremes(exact):  # the largest and smallest singular value over each row's blocks
-        top, bottom, chosen_rows = np.zeros(shape[0]), np.full(shape[0], np.inf), np.zeros(shape[0], dtype=bool)
-        chosen_rows[exact] = True
-        for rows, _, unit in solved:
-            chosen = chosen_rows[rows]
-            if chosen.any():
-                singular = np.linalg.svd(unit[chosen], compute_uv=False)
-                np.maximum.at(top, rows[chosen], singular[:, 0])
-                np.minimum.at(bottom, rows[chosen], singular[:, -1])
-        return top[exact], bottom[exact]
-
-    condition = _condition(extremes, s, residual, limit, gate, shape[1])
-    sizes = {}  # the blocks of each size, each block's columns ascending
-    for rows, at, col in blocks:
-        sizes.setdefault(at.shape[1], []).append((rows, at, np.sort(col, axis=-1)))
-    blocks = [tuple(map(np.concatenate, zip(*same))) for same in sizes.values()]
-    return values, vectors, condition, residual, blocks
+        unit, residual[group], gram = _unit_columns(block[group], part(values[group]), part(vectors[group]), gate is not None)
+        if gram is not None:
+            s[group] = gram
+        vectors[group] = unit
+        pieces.append((group, unit))
+    return values, vectors, order, residual, s, pieces
 
 
 def _arithmetic(plain: np.ndarray):
@@ -602,19 +579,9 @@ def _arithmetic(plain: np.ndarray):
     for group, part in ((plain, np.real), (~plain, np.asarray)):
         if group.all():
             yield slice(None), part
-        elif group.any():
+            return  # the other group is empty
+        if group.any():
             yield group, part
-
-
-def _unit_eigenvectors(
-    a: np.ndarray, values: np.ndarray, vectors: np.ndarray, limit: np.ndarray, gate: float | None
-):
-    """Unit-column eigenvectors, cond(V) and the largest eigenpair residual
-    of each row, for the residual ``limit`` and the ``gate`` of
-    :func:`stacked_eigensystem`: :func:`_unit_columns`, then
-    :func:`_condition` with one stacked SVD of the rows it does not clear."""
-    vectors, residual, s = _unit_columns(a, values, vectors, gate is not None)
-    return vectors, _condition(_singular_extremes(vectors), s, residual, limit, gate, a.shape[-1]), residual
 
 
 def _unit_columns(a: np.ndarray, values: np.ndarray, vectors: np.ndarray, gram: bool):
@@ -662,54 +629,43 @@ def _condition(extremes, s: np.ndarray | None, residual: np.ndarray, limit: np.n
     return condition
 
 
-def _singular_extremes(vectors: np.ndarray):
-    """The ``extremes`` of :func:`_condition` for a stack of whole V: one
-    stacked SVD of the chosen rows."""
-
-    def extremes(exact):
-        singular = np.linalg.svd(vectors[exact], compute_uv=False)
-        return singular[:, 0], singular[:, -1]
-
-    return extremes
-
-
 def _components(a: np.ndarray, perm: np.ndarray | None = None):
-    """The connected components of the symmetrized nonzero pattern of each
-    matrix of an ``(N, n, n)`` stack, for the rows with more than one: None
-    where every row is one component, else the ``split`` rows and, for
-    each component size m, the ``(g,)`` rows (positions in ``split``) and
-    the ``(g, m)`` ascending indices of the g components of that size.
-    With the index array ``perm`` of an index frame's P, each pair
+    """The partition of the indices of each matrix of an ``(N, n, n)`` stack
+    by the connected components of its symmetrized nonzero pattern: for
+    each component size m, ascending, the ``(g,)`` rows, ascending, and the
+    ``(g, m)`` ascending indices of the g components of that size.  A row
+    that is one component is one block of all n indices, in the group of
+    size n.  With the index array ``perm`` of an index frame's P, each pair
     (i, perm[i]) is joined too, so that every component is closed under P.
-    Components are numbered by their least index, so a row's split depends
-    on that row alone.  A row whose first row and column have no zero entry
-    is one component, decided in O(n) with no labeling: so is every dense
-    matrix.  A stack of matrices smaller than ``_SPLIT_DIM`` is not split."""
-    n = a.shape[-1]
-    if n < _SPLIT_DIM:
-        return None
-    linked = ((a[:, 0] != 0) | (a[:, :, 0] != 0)).all(-1)
-    if linked.all():
-        return None
-    rest = np.flatnonzero(~linked)
-    pattern = a[rest] != 0
-    if perm is not None:
-        pattern[:, np.arange(n), perm] = True
-    pattern |= pattern.swapaxes(-1, -2)
-    pattern[:, np.arange(n), np.arange(n)] = True
-    root, _ = _label(pattern)
-    size = np.bincount(root, minlength=len(root))[root]
-    split = size[::n] < n  # vertex 0 of each row lies in a component smaller than the row
-    if not split.any():
-        return None
-    vertex = (np.flatnonzero(split)[:, None] * n + np.arange(n)).reshape(-1)
-    vertex = vertex[np.lexsort((root[vertex], size[vertex]))]  # by size, then component, vertices ascending
-    count, at, groups = np.bincount(size[vertex]), 0, []  # np.unique would import numpy.ma on first use
-    for m in np.flatnonzero(count).tolist():
-        members = vertex[at : at + count[m]].reshape(-1, m)
-        at += count[m]
-        groups.append((np.searchsorted(np.flatnonzero(split), members[:, 0] // n), members % n))
-    return rest[split], groups
+    Components are numbered by their least index, so a row's partition
+    depends on that row alone.  Only a matrix of dimension ``_SPLIT_DIM``
+    or more whose first row and column have a zero entry is labeled: a
+    smaller one, and one with no such zero, as every dense matrix, is one
+    component, decided in O(n)."""
+    count, n = a.shape[:2]
+    rows, groups = np.arange(count), []  # the rows that are one component
+    rest = rows[~((a[:, 0] != 0) | (a[:, :, 0] != 0)).all(-1)] if n >= _SPLIT_DIM else ()
+    if len(rest):
+        pattern = a[rest] != 0
+        if perm is not None:
+            pattern[:, np.arange(n), perm] = True
+        pattern |= pattern.swapaxes(-1, -2)
+        pattern[:, np.arange(n), np.arange(n)] = True
+        root, _ = _label(pattern)
+        size = np.bincount(root, minlength=len(root))[root]
+        vertex = np.flatnonzero(size < n)  # every vertex of the rows with several components
+        whole = np.ones(count, dtype=bool)
+        whole[rest[vertex[::n] // n]] = False
+        rows = rows[whole]
+        vertex = vertex[np.lexsort((root[vertex], size[vertex]))]  # by size, then component, vertices ascending
+        sizes, at = np.bincount(size[vertex]), 0  # np.unique would import numpy.ma on first use
+        for m in np.flatnonzero(sizes).tolist():
+            members = vertex[at : at + sizes[m]].reshape(-1, m)
+            at += sizes[m]
+            groups.append((rest[members[:, 0] // n], members % n))
+    if len(rows) or not groups:  # a stack of no rows is one group of none
+        groups.append((rows, np.arange(n)[None].repeat(len(rows), 0)))
+    return groups
 
 
 def _label(pattern: np.ndarray) -> tuple[np.ndarray, int]:
@@ -740,6 +696,12 @@ def _label(pattern: np.ndarray) -> tuple[np.ndarray, int]:
         grand = moved
 
 
+def _require_nonempty(n: int) -> None:
+    """Raise DimensionMismatch for a matrix of dimension 0: it has no eigensystem to report."""
+    if not n:
+        raise DimensionMismatch("an empty matrix has no eigensystem")
+
+
 def require_regular(eigen: EigenSystem, residual: np.ndarray, scale: np.ndarray, tol: float) -> None:
     """Raise DefectiveSpectrum, as :func:`eigendecompose` does for a single
     matrix, where row 0 of the stacked ``eigen`` of one matrix with
@@ -762,29 +724,32 @@ def require_regular(eigen: EigenSystem, residual: np.ndarray, scale: np.ndarray,
 def hermitian_powers(m, powers, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
     """Real powers of a Hermitian positive definite matrix via one spectrum:
     :func:`spectral_powers` of ``m`` and its :func:`hermitian_spectrum`,
-    with its errors."""
+    with its errors, and DimensionMismatch for an empty matrix, as from
+    :func:`eigendecompose`."""
     a = as_matrix(m)
+    _require_nonempty(len(a))
     return spectral_powers(a, hermitian_spectrum(a), powers, tol)
 
 
 def hermitian_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(w, U), w ascending, of a Hermitian matrix: one ``np.linalg.eigh``,
-    with its bits, where the symmetrized nonzero pattern of ``m`` is one
-    connected component, a dense one always; else one stacked ``eigh`` per
-    component size (see :func:`_components`), the blocks' eigenpairs joined
-    by :func:`joined_spectrum`."""
-    parts = _components(m[None])
-    if parts is None:
-        return tuple(np.linalg.eigh(m))
-    ats = [at for _, at in parts[1]]
-    return joined_spectrum(len(m), ats, *zip(*(np.linalg.eigh(m[at[:, :, None], at[:, None, :]]) for at in ats)))
+    """(w, U), w ascending, of a Hermitian matrix: one stacked
+    ``np.linalg.eigh`` per component size of its symmetrized nonzero pattern
+    (see :func:`_components`), the blocks' eigenpairs joined by
+    :func:`joined_spectrum`.  A matrix that is one component, a dense one
+    always, is one block, solved as a stack of one, with ``eigh``'s bits."""
+    ats = [at for _, at in _components(m[None])]
+    blocks = [m[None]] if _one_block(ats, (1, len(m))) else [m[at[:, :, None], at[:, None, :]] for at in ats]
+    return joined_spectrum(len(m), ats, *zip(*map(np.linalg.eigh, blocks)))
 
 
 def joined_spectrum(n: int, ats, ws, us) -> tuple[np.ndarray, np.ndarray]:
     """(w, U) of a block-diagonal Hermitian matrix of dimension n from the
     spectra (w, U) of its blocks, stacked by size, with the ``(g, m)``
     indices ``ats`` of each: w sorted stably ascending, and each block's
-    eigenvectors written into their sorted columns, zero off the block."""
+    eigenvectors written into their sorted columns, zero off the block.  One
+    block of all n indices is its own spectrum."""
+    if _one_block(ats, (1, n)):
+        return ws[0][0], us[0][0]
     w = np.empty(n)
     for at, part in zip(ats, ws):
         w[at] = part

@@ -64,6 +64,7 @@ from .linops import (
     DEFAULT_TOL,
     EigenSystem,
     _fields_equal,
+    _one_block,
     as_matrix,
     as_vector,
     column_norms,
@@ -476,7 +477,7 @@ def _classify_rows(a: np.ndarray, norm: np.ndarray, frame: PTFrame, tol: float) 
     scale = np.maximum(1.0, norm)[:, None]
     settled = ~eigen.defective
     values, vectors, condition = eigen.values, eigen.vectors, eigen.condition
-    if not blocks or (len(blocks) == 1 and blocks[0][1].shape == a.shape[:2]):  # one part of every row, whole
+    if not blocks or _one_block([at for _, at, _ in blocks], a.shape[:2]):  # one part of every row, whole
         fixed = values.imag == 0 if blocks else np.zeros(values.shape, dtype=bool)  # only a real solve fixes columns
         joined = _kernel(values, vectors, fixed, scale, symmetric, settled, condition,
                          np.conj if blocks else frame.apply_pt, tol)

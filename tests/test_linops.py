@@ -301,6 +301,14 @@ def test_eigendecompose_of_an_empty_matrix_is_a_dimension_mismatch(shape):
         eigendecompose(np.zeros(shape))
 
 
+@pytest.mark.parametrize("n", [2, 80])
+def test_a_stack_of_no_rows_has_an_empty_eigensystem(n):
+    # no row to partition is one group of none, solved as an empty stack
+    eigen = eigendecompose(np.zeros((0, n, n)))
+    assert eigen.values.shape == (0, n) and eigen.vectors.shape == (0, n, n) and eigen.condition.shape == (0,)
+    assert classify_stack(np.zeros((0, n, n)), pair_swap_frame(n)).eigenvalues.shape == (0, n)
+
+
 def test_eigendecompose_keeps_real_input_real():
     rng = np.random.default_rng(14)
     symmetric = rng.standard_normal((5, 5))
@@ -490,6 +498,52 @@ def test_a_stack_splits_each_row_by_its_own_pattern_bit_for_bit(monkeypatch):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
+def _partition_stack(rng, name):
+    """A stack of dimension-80 rows, one of each way a row is partitioned
+    (dense; no zero in its first row and column, so not labeled; irreducible
+    tridiagonal; a permuted 40-cell chain), or a stack of 2x2 cells, one
+    broken, so that its rows are finished in two arithmetics."""
+    if name == "cells":
+        return np.stack([model_2x2(*cell) for cell in random_cells(rng, 5) + ((2.0, 1.0, 1.2),)])
+    h, _ = build_model(ModelSpec("chain", random_cells(rng, 40)))
+    linked = h.copy()
+    linked[0, 1:] = linked[1:, 0] = 0.1
+    tridiagonal = np.diag(rng.standard_normal(80)) + np.diag(rng.standard_normal(79), 1) + np.diag(np.ones(79), -1)
+    chain, _, _ = permuted_chain(rng, random_cells(rng, 40))
+    return np.stack([random_complex(rng, (80, 80)), linked, tridiagonal, chain])
+
+
+@pytest.mark.parametrize("gate", [None, EP_WARNING_K], ids=["svd", "certificate"])
+@pytest.mark.parametrize("name", ["n80", "cells"])
+def test_the_blocks_of_every_row_are_a_partition_and_each_row_is_solved_as_alone(name, gate):
+    stack = _partition_stack(np.random.default_rng(31), name)
+    count, n = stack.shape[:2]
+    limit = 1e-10 * linops.frobenius(stack)
+
+    def solve(a, lim):
+        return linops.split_eigensystem(a, linops._components(a), lim, gate)
+
+    eigen, residual, blocks = solve(stack, limit)
+    assert not eigen.defective.any()
+    # every index of a row lies in one block, and every sorted column too
+    indices, columns = np.zeros((count, n), dtype=int), np.zeros((count, n), dtype=int)
+    for rows, at, col in blocks:
+        assert at.shape == col.shape == (len(rows), at.shape[1])
+        assert (np.diff(at) > 0).all() and (np.diff(col) > 0).all()
+        np.add.at(indices, (rows[:, None], at), 1)
+        np.add.at(columns, (rows[:, None], col), 1)
+    assert (indices == 1).all() and (columns == 1).all()
+    if name == "n80":  # the chain alone is split, into 40 blocks of 2
+        assert sorted((at.shape[1], rows.tolist()) for rows, at, _ in blocks) == [(2, [3] * 40), (80, [0, 1, 2])]
+    for i in range(count):
+        alone, alone_residual, _ = solve(stack[i : i + 1], limit[i : i + 1])
+        assert alone_residual.tobytes() == residual[i : i + 1].tobytes()
+        for field in ("values", "vectors", "condition"):
+            # a real stack is complex once any row has a non-real eigenvalue
+            got = getattr(eigen, field)[i]
+            assert np.asarray(getattr(alone, field)[0], dtype=got.dtype).tobytes() == got.tobytes(), (i, field)
+
+
 def test_a_row_split_into_blocks_has_the_residual_of_its_worst_block():
     # a cell scaled by 1e8 among 39 others: at a tolerance that only its
     # eigenpairs miss, the joined row fails its residual check
@@ -535,28 +589,36 @@ def _toward_parallel(rng, n, mu, complex_):
 
 
 def _conditions(vectors, gate):
-    """cond(V) of each row of a stack of eigenvector matrices, as
-    ``linops._unit_eigenvectors`` reports it with the certificate's ``gate``
-    and without it, and which rows the certificate cleared: those that the
-    SVD did not see."""
+    """cond(V) of each row of a stack of eigenvector matrices, as the one
+    solver, ``linops.split_eigensystem``, reports it for rows that are each
+    one block, with the certificate's ``gate`` and without it, and which
+    rows the certificate cleared: those that the SVD did not see.  The rows
+    solved are zero matrices, and ``eig`` returns V with zero eigenvalues
+    for them, so every eigenpair residual is 0."""
     rows, n = vectors.shape[:2]
-    zero, limit = np.zeros((rows, n, n)), np.ones(rows)
+    zero, limit = np.zeros((rows, n, n), dtype=vectors.dtype), np.ones(rows)
+    parts = linops._components(zero)
+    assert linops._one_block([at for _, at in parts], (rows, n))
     seen = []
-    real_svd = np.linalg.svd
+    real_eig, real_svd = np.linalg.eig, np.linalg.svd
 
     def recording(a, *args, **kwargs):
         seen.extend(row.tobytes() for row in a)
         return real_svd(a, *args, **kwargs)
 
-    np.linalg.svd = recording
+    np.linalg.eig = lambda a: (np.zeros(a.shape[:2], dtype=vectors.dtype), vectors.copy())
     try:
-        unit, certified, _ = linops._unit_eigenvectors(zero, np.zeros((rows, n)), vectors, limit, gate)
+        np.linalg.svd = recording
+        try:
+            certified = linops.split_eigensystem(zero, parts, limit, gate)[0]
+        finally:
+            np.linalg.svd = real_svd
+        exact = linops.split_eigensystem(zero, parts, limit, None)[0].condition
     finally:
-        np.linalg.svd = real_svd
-    _, exact, _ = linops._unit_eigenvectors(zero, np.zeros((rows, n)), vectors, limit, None)
-    cleared = np.array([row.tobytes() not in seen for row in unit])
+        np.linalg.eig = real_eig
+    cleared = np.array([row.tobytes() not in seen for row in certified.vectors])
     assert len(seen) == np.count_nonzero(~cleared)  # one SVD, on the other rows alone
-    return certified, exact, cleared
+    return certified.condition, exact, cleared
 
 
 def _assert_decided_as_the_svd(certified, exact, cleared, gate):
@@ -626,6 +688,13 @@ def test_eigendecompose_reports_the_exact_condition():
     stack = eigendecompose(np.stack([model_2x2(1.0, 2.0, np.pi / 6), model_2x2(2.0, 1.0, 0.5)]))
     singular = np.linalg.svd(stack.vectors, compute_uv=False)
     assert stack.condition.tobytes() == (singular[:, 0] / singular[:, -1]).tobytes()
+
+
+def test_hermitian_powers_of_an_empty_matrix_are_a_dimension_mismatch():
+    # as for eigendecompose: no eigensystem, and no bare ValueError from a reshape
+    for call in (lambda m: hermitian_powers(m, (0.5,)), lambda m: hermitian_power(m, 0.5)):
+        with pytest.raises(DimensionMismatch, match="an empty matrix has no eigensystem"):
+            call(np.zeros((0, 0)))
 
 
 def test_hermitian_powers_share_one_spectrum():

@@ -1,6 +1,6 @@
 """One owner per decision: only :mod:`cptkit.symmetry` reads the record of
 its classification pipeline, :mod:`cptkit.linops` alone states the
-positive-definiteness, tolerance and block-join rules, and
+positive-definiteness, tolerance, block-join and one-block rules, and
 :meth:`cptkit.frames.CPTFrame.validate` alone works out the thresholds of a
 CPT-frame's verdict."""
 
@@ -73,6 +73,33 @@ def test_the_block_join_lives_in_linops_and_models_leaves_composition_alone(monk
     part, whole = np.arange(4.0).reshape(1, 2, 2), [np.arange(2)[None]]
     assert np.shares_memory(join(2, whole, [part]), part)
     assert np.array_equal(join(2, whole, [part], [np.array([[1, 0]])]), part[0, :, ::-1])
+
+
+def test_one_block_of_all_n_indices_is_stated_in_linops_alone():
+    # the unsplit case is a property of the partition: linops states it, the others ask it
+    definers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_one_block"
+    ]
+    assert definers == ["linops.py"]
+    for name in ("frames.py", "symmetry.py"):
+        assert "_one_block" in _imports(name)["linops"], name
+        shapes = [
+            node.lineno
+            for node in ast.walk(ast.parse((PACKAGE / name).read_text()))
+            if isinstance(node, ast.Compare)
+            for side in (node.left, *node.comparators)
+            if isinstance(side, ast.Attribute) and side.attr == "shape" and isinstance(side.value, ast.Subscript)
+        ]  # as of the first of the block indices, ats[0].shape
+        assert not shapes, (name, shapes)
+    n = 4
+    assert linops._one_block([np.arange(n)[None]], (1, n))
+    assert linops._one_block((np.arange(n)[None].repeat(3, 0),), (3, n))
+    assert not linops._one_block([np.arange(n)[None].repeat(3, 0)], (1, n))
+    assert not linops._one_block([np.array([[0, 1]]), np.array([[2, 3]])], (1, n))
+    assert not linops._one_block([np.array([[0, 1], [2, 3]])], (1, n))
 
 
 def test_the_cli_tolerance_is_the_library_rule(monkeypatch):
