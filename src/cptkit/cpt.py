@@ -27,7 +27,7 @@ in Spaces with an Indefinite Metric*, 1989), and with X the J-normalized columns
 
 Every product of the synthesis is then real; C is mapped back by the real
 basis's gathers in O(n^2), and the one :class:`~cptkit.frames.CPTFrame`
-constructor, given C_r as well, factors M into (w, U_r).
+constructor, given the blocks of C_r as well, factors M into (w, U_r).
 
 The synthesis is written once, over ``(g, m, m)`` stacks of blocks.  The
 states of a matrix that :mod:`cptkit.symmetry` solved in the real basis come
@@ -47,8 +47,10 @@ into the real basis once, as one block, by
 powers stay real too: the roots R = M^(+-1/2) and M^-1 come from (w, U_r),
 h = Q (R+ (Q^+ H Q) R-) Q^+ and the CPT adjoint are formed with Q^+ H Q
 split into its real and imaginary parts, and only the emitted roots are
-mapped back, Q R Q^+.  A frame without a real basis synthesizes densely,
-in the original basis, and forms its roots and h there.
+mapped back, Q R Q^+.  A frame without a real basis synthesizes in the
+original basis, as one block of all n indices (the states are their own
+coordinates and P acts as itself), and its CPT-frame holds C and its
+metric PC as that one block, forming its roots and h there.
 
 The synthesis takes the unbroken states from :mod:`cptkit.symmetry`, which
 alone reads the record of its classification pipeline: ``build_c`` of a
@@ -209,19 +211,19 @@ def _coordinates(phi: np.ndarray, energy: np.ndarray, frame: PTFrame, blocks):
     takes them, for each block size: ``(at, col, x, energy, apply_p,
     residual)``, the ``(g, m)`` indices and sorted columns of its blocks,
     their coordinates, how P acts on those and each column's
-    |PT phi - phi|.  Over a frame with no real basis (``blocks`` None) that
-    is phi and P, as one block.  Otherwise the states are in the real basis
-    Q, block by block, and P is the signature J there: the coordinates are
-    x = Re(y) for the columns y of each block, with |PT phi - phi| =
-    2 |Im(y)|, since PT is conjugation in that basis."""
-    if blocks is None:
-        whole = np.arange(len(phi))[None]
-        return [(whole, whole, phi[None], energy[None], lambda v, b: frame.apply_p(v),
-                 column_norms(frame.apply_pt(phi) - phi)[None])]
-    parts = []
+    |PT phi - phi|.  Over a frame with a real basis Q the states are in that
+    basis, block by block, and P is the signature J there: the coordinates
+    are x = Re(y) for the columns y of each block, with |PT phi - phi| =
+    2 |Im(y)|, since PT is conjugation in that basis.  Over any other frame
+    they are in the original basis, as one block: x = y, with P and
+    |PT y - y|."""
+    basis, parts = frame.real_basis, []
     for at, col in blocks:
         y = phi[at[:, :, None], col[:, None, :]]
-        signature = frame.real_basis.signature[at]
+        if basis is None:
+            parts.append((at, col, y, energy[col], lambda v, b: frame.apply_p(v), column_norms(frame.apply_pt(y) - y)))
+            continue
+        signature = basis.signature[at]
         parts.append((at, col, y.real, energy[col], lambda v, b, signature=signature: signature[b] * v,
                       2.0 * column_norms(y.imag)))
     return parts
@@ -341,11 +343,9 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
     xs, signs = zip(*_normalized([part[2:] for part in parts], EP_GUARD_TOL))
     p_xs = [part[4](x, slice(None)).conj().swapaxes(-1, -2) for part, x in zip(parts, xs)]
     gram_error = root_sum_square([_deviation(p_x @ x, sign) for p_x, x, sign in zip(p_xs, xs, signs)])
-    c_parts = tuple(x @ p_x for x, p_x in zip(xs, p_xs))  # C itself, or the blocks of C_r in the real basis
+    c_parts = tuple(x @ p_x for x, p_x in zip(xs, p_xs))  # the blocks of C, or of C_r in the real basis
     c_matrix = c_parts[0][0] if basis is None else basis.from_blocks(ats, c_parts)  # fresh: taken with no copy
-    real = {} if basis is None else {"_c_real": c_parts, "_blocks": tuple(ats)}
-    cpt = CPTFrame(frame, Operator._of(LINEAR, _finite_square(c_matrix)), **real)
-    metric = (cpt._metric(),) if basis is None else cpt._metric()
+    cpt = CPTFrame(frame, Operator._of(LINEAR, _finite_square(c_matrix)), _c_blocks=c_parts, _blocks=tuple(ats))
     # rounding in the Gram entries is amplified by |phi|_2^2 = |P phi|_2^2, the
     # largest eigenvalue of PC = (P phi)(P phi)^+, which grows near an exceptional point
     gram_tol = tol * max(1.0, float(cpt._w.max()))
@@ -358,7 +358,7 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
     cpt.validate(tol).require("CPT-frame")
     cpt._require_commuting(matrix, tol, fits=True)  # its blocks are those of Q^+ H Q
 
-    gram_residual = root_sum_square([_deviation((m @ x).conj().swapaxes(-1, -2) @ x, 1) for m, x in zip(metric, xs)])
+    gram_residual = root_sum_square([_deviation((m @ x).conj().swapaxes(-1, -2) @ x, 1) for m, x in zip(cpt._m, xs)])
     sign = np.zeros(n, dtype=int)
     for col, part in zip(cols, signs):
         sign[col] = part
@@ -399,7 +399,7 @@ def cpt_adjoint(a: Operator, cpt: CPTFrame, tol: float = DEFAULT_TOL) -> Operato
     if a.dim != cpt.dim:
         raise DimensionMismatch(f"operator dimension {a.dim} does not match frame dimension {cpt.dim}")
     (pc_inv,) = cpt._metric_powers((-1.0,), tol)
-    return Operator.linear(cpt._similarity(pc_inv, a.matrix.conj().T, cpt._metric()))
+    return Operator.linear(cpt._similarity(pc_inv, a.matrix.conj().T, cpt._m))
 
 
 def hermitize(h, cpt: CPTFrame, tol: float = DEFAULT_TOL) -> np.ndarray:

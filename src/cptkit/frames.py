@@ -24,23 +24,24 @@ and takes the dense matrix path.
 
 In that basis P is the signature J = Q^+ P Q = diag(+-1), and a C
 synthesized there is the real C_r = Q^+ C Q (the Krein-form algebra is in
-:mod:`cptkit.cpt`).  A :class:`CPTFrame` given such a C_r (``_c_real``)
-factors its metric M = J C_r with one real ``eigh``, validates in real
-products, where CPT = TPC holds exactly, and forms the metric's powers,
-Hermitization and the CPT adjoint in real products too; one built from a C
-alone takes the dense path.
+:mod:`cptkit.cpt`).  A :class:`CPTFrame` given such a C_r factors its
+metric M = J C_r with one real ``eigh``, validates in real products, where
+CPT = TPC holds exactly, and forms the metric's powers, Hermitization and
+the CPT adjoint in real products too.  Every other :class:`CPTFrame`, one
+built from a C alone or synthesized over a frame with no real basis, is
+one block of all n indices in the original basis, with metric PC: the
+same block code, with the dense arithmetic.
 
 A block of the real basis closed under P (a union of P's pairs and fixed
 points) is left invariant by Q, so a matrix that vanishes off such blocks
 is mapped into and out of the real basis block by block
 (:meth:`RealBasis.form_blocks`, :meth:`RealBasis.from_blocks`).  The blocks
 of a matrix are the components of its pattern with P's pairs joined
-(:meth:`RealBasis.components`).  A :class:`CPTFrame` synthesized for such a
-matrix keeps C_r as stacks of its blocks, one per block size, with their
-indices, and factors, validates, forms powers and Hermitizes block by
-block, with every residual the root-sum-square of the blocks' and every
-threshold the joined matrix's; one block of the whole basis is the
-unsplit case.
+(:meth:`RealBasis.components`).  Every :class:`CPTFrame` keeps C and its
+metric as stacks of their blocks, one per block size, with their indices,
+and factors, validates, forms powers and Hermitizes block by block, with
+every residual the root-sum-square of the blocks' and every threshold the
+joined matrix's; one block of the whole basis is the unsplit case.
 """
 
 from __future__ import annotations
@@ -383,28 +384,34 @@ class CPTFrame:
     consumer of the metric factors it again, and its powers are formed from
     that spectrum, the roots once per tolerance.
 
-    A frame synthesized in the real basis Q of an index frame is given its
-    real C_r = Q^+ C Q as ``_c_real``, with C = Q C_r Q^+, block by block:
-    ``_blocks`` holds, for each block size m, the ``(g, m)`` real-basis
-    indices of the g blocks that C_r leaves invariant (one block of the
-    whole basis for an H that is not split), and ``_c_real`` their ``(g, m, m)``
-    stacks, read-only.  It factors M = J C_r = Q^+ (PC) Q with one real
-    ``eigh`` per block size into (w, U_r), and validates, forms the metric's
-    powers, Hermitizes and forms the CPT adjoint in real products of those
-    blocks, with every residual the root-sum-square of its blocks' and every
-    threshold the joined matrix's; ``metric_spectrum`` is then (w, Q U_r),
-    joined and formed on first use.  The H and ``tol`` of the last passing
-    [C, H] check are kept as ``_commuting``, with whether Q^+ H Q is known to
-    vanish off the blocks."""
+    C is held block by block, in the frame's own basis: ``_blocks`` holds,
+    for each block size m, the ``(g, m)`` indices of the g blocks that C
+    leaves invariant, and ``_c_blocks`` their ``(g, m, m)`` stacks, ``_m``
+    those of the metric, read-only.  A frame that
+    :func:`~cptkit.cpt.build_c` synthesized over an index frame is given
+    them in the real basis Q (``_basis``): the blocks of the real
+    C_r = Q^+ C Q, with C = Q C_r Q^+, and its metric is M = J C_r =
+    Q^+ (PC) Q.  Any other frame, a C given alone (a composition, a
+    document) or synthesized over a frame with no real basis, is one block
+    of all n indices in the original basis, with metric PC.  The metric is
+    factored with one ``eigh`` per block size into (w, U_b), and the frame
+    validates, forms the metric's powers, Hermitizes and forms the CPT
+    adjoint from those blocks, in real products in the real basis, with
+    every residual the root-sum-square of its blocks' and every threshold
+    the joined matrix's; ``metric_spectrum`` is then (w, U_b) joined, and
+    mapped back, Q U_b, from the real basis.  The H and ``tol`` of the last
+    passing [C, H] check are kept as ``_commuting``, with whether H in the
+    frame's basis is known to vanish off the blocks."""
 
     frame: PTFrame
     c: Operator
     pc_matrix: np.ndarray = field(init=False, repr=False, compare=False)
     _spectrum: tuple = field(init=False, repr=False, compare=False)
     _roots: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _c_real: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False, kw_only=True)
+    _c_blocks: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False, kw_only=True)
     _blocks: tuple[np.ndarray, ...] = field(default=(), repr=False, compare=False, kw_only=True)
-    _m: tuple[np.ndarray, ...] | None = field(init=False, repr=False, compare=False, default=None)
+    _basis: RealBasis | None = field(init=False, repr=False, compare=False, default=None)
+    _m: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     _commuting: tuple[np.ndarray, float, bool] | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -412,24 +419,27 @@ class CPTFrame:
             raise KindMismatch("C must be a linear operator")
         if self.c.dim != self.frame.dim:
             raise DimensionMismatch(f"C has dimension {self.c.dim} but frame has dimension {self.frame.dim}")
+        if self._c_blocks is None:  # a C given alone: one block of the whole original basis
+            object.__setattr__(self, "_c_blocks", (self.c.matrix[None],))
+            object.__setattr__(self, "_blocks", (np.arange(self.dim)[None],))
+        else:
+            object.__setattr__(self, "_basis", self.frame.real_basis)
         with np.errstate(over="ignore", invalid="ignore"):
             object.__setattr__(self, "pc_matrix", self.frame.apply_p(self.c.matrix))
-            if self._c_real is None:
-                m = self.pc_matrix
-                spectrum = hermitian_spectrum((m + m.conj().T) / 2.0)
-                parts = spectrum
+            if self._basis is None:
+                m = (self.pc_matrix[None],)
             else:
-                signature = self.frame.real_basis.signature
-                object.__setattr__(self, "_m", tuple(signature[at] * c for at, c in zip(self._blocks, self._c_real)))
-                spectrum = tuple(zip(*map(self._block_spectrum, self._m)))
-                parts = (*self._c_real, *self._m, *spectrum[0], *spectrum[1])
-        for part in (self.pc_matrix, *parts):
+                m = tuple(self._basis.signature[at] * c for at, c in zip(self._blocks, self._c_blocks))
+            spectrum = tuple(zip(*map(self._block_spectrum, m)))
+        for part in (self.pc_matrix, *self._c_blocks, *m, *spectrum[0], *spectrum[1]):
             part.setflags(write=False)
+        object.__setattr__(self, "_m", m)
         object.__setattr__(self, "_spectrum", spectrum)
 
     def _block_spectrum(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(w, U_r) of each block of a stack of M's blocks, by one stacked
-        ``eigh``; a block of the whole basis by :func:`~cptkit.linops.hermitian_spectrum`."""
+        """(w, U_b) of each block of a stack of the metric's blocks, by one
+        stacked ``eigh``; a block of the whole basis by
+        :func:`~cptkit.linops.hermitian_spectrum`."""
         sym = (m + m.conj().swapaxes(-1, -2)) / 2.0
         if self._unsplit:
             return tuple(part[None] for part in hermitian_spectrum(sym[0]))
@@ -437,59 +447,49 @@ class CPTFrame:
 
     @property
     def _unsplit(self) -> bool:
-        """Whether C_r is one block of the whole real basis."""
+        """Whether C is one block of the whole basis."""
         return _one_block(self._blocks, (1, self.dim))
 
     @cached_property
     def _w(self) -> np.ndarray:
         """The metric's eigenvalues, of every block together."""
-        if self._c_real is None:
-            return self._spectrum[0]
         return np.concatenate([w.reshape(-1) for w in self._spectrum[0]])
 
     def _joined(self, parts: tuple[np.ndarray, ...]) -> np.ndarray:
-        """The ``(n, n)`` matrix of the real basis whose blocks are ``parts``, zero off them."""
+        """The ``(n, n)`` matrix of the frame's basis whose blocks are ``parts``, zero off them."""
         return _block_join(self.dim, self._blocks, parts)
 
     @cached_property
     def metric_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """(w, U), w ascending, the eigendecomposition of PC's Hermitian
         part, read-only: (w, Q U_r) on a frame synthesized in the real basis."""
-        if self._c_real is None:
-            return self._spectrum
-        ws, us = self._spectrum
-        w, u = joined_spectrum(self.dim, self._blocks, ws, us)
-        u = self.frame.real_basis.from_basis(u)
+        w, u = joined_spectrum(self.dim, self._blocks, *self._spectrum)
+        if self._basis is not None:
+            u = self._basis.from_basis(u)
         for part in (w, u):
             part.setflags(write=False)
         return w, u
 
-    def _metric(self):
-        """The metric in the frame's own basis: the blocks of M = J C_r =
-        Q^+ (PC) Q on a frame synthesized in the real basis, PC on any other."""
-        return self.pc_matrix if self._c_real is None else self._m
-
     def _metric_powers(self, powers, tol: float) -> tuple:
-        """:func:`~cptkit.linops.spectral_powers` of :meth:`_metric` from its
-        one spectrum, with its errors at ``tol``: on a frame synthesized in
-        the real basis, the metric is checked against its joined spectrum
-        and each power is a tuple of real block stacks."""
-        return spectral_powers(self._metric(), self._spectrum, powers, tol)
+        """:func:`~cptkit.linops.spectral_powers` of the metric's blocks from
+        their one spectrum, with its errors at ``tol``: the metric is checked
+        against its joined spectrum and each power is a tuple of block stacks."""
+        return spectral_powers(self._m, self._spectrum, powers, tol)
 
     def _similarity(self, left, a: np.ndarray, right) -> np.ndarray:
-        """left A right, for ``left`` and ``right`` in the frame's own basis,
-        as :meth:`_metric_powers` forms them: on a frame synthesized in the
-        real basis, Q (left (Q^+ A Q) right) Q^+ in real products, with
-        Q^+ A Q split into its real and imaginary parts.  The H that
-        :func:`~cptkit.cpt.build_c` synthesized C for, whose Q^+ H Q vanishes
-        off the blocks, is taken block by block; any other A is taken whole,
-        with the blocks of ``left`` and ``right`` joined.  An exactly real
-        Q^+ A Q, as of every built-in model, takes the real part's two
-        products alone, and its imaginary part is written as the +0.0 that
-        the products of zeros give."""
-        if self._c_real is None:
-            return left @ a @ right
-        basis = self.frame.real_basis
+        """left A right, for ``left`` and ``right`` the block stacks of
+        :meth:`_metric_powers`, joined: in the original basis a product of
+        the matrices; in the real basis Q (left (Q^+ A Q) right) Q^+ in real
+        products, with Q^+ A Q split into its real and imaginary parts.  The
+        H that :func:`~cptkit.cpt.build_c` synthesized C for, whose Q^+ H Q
+        vanishes off the blocks, is taken block by block; any other A is
+        taken whole, with the blocks of ``left`` and ``right`` joined.  An
+        exactly real Q^+ A Q, as of every built-in model, takes the real
+        part's two products alone, and its imaginary part is written as the
+        +0.0 that the products of zeros give."""
+        basis = self._basis
+        if basis is None:
+            return self._joined(left) @ a @ self._joined(right)
         fits = self._fits(a)
         ats = self._blocks if fits else (np.arange(self.dim)[None],)
         forms = basis.form_blocks(a, ats)
@@ -504,30 +504,30 @@ class CPTFrame:
         return basis.from_blocks(ats, forms)
 
     def _fits(self, h: np.ndarray) -> bool:
-        """Whether Q^+ H Q is known to vanish off the blocks: for any H where
-        C_r is one block of the whole basis, else for the H of the last
-        [C, H] pass where its caller said so."""
+        """Whether H in the frame's basis is known to vanish off the blocks:
+        for any H where C is one block of the whole basis, else for the H of
+        the last [C, H] pass where its caller said so."""
         last = self._commuting
         return self._unsplit or (last is not None and h is last[0] and last[2])
 
     def _require_commuting(self, h: np.ndarray, tol: float, fits: bool = False) -> np.ndarray:
         """Raise CommutatorViolation unless :func:`~cptkit.linops.commutator_check`
         of C and the read-only H passes at ``tol``; return the H that passed.
-        On a frame synthesized in the real basis C is C_r and H is Q^+ H Q,
-        block by block where ``fits`` says that Q^+ H Q vanishes off the
-        blocks (the H that :func:`~cptkit.cpt.build_c` classified), and
-        joined otherwise.  An H equal, entrywise, to that of the last pass
-        passes at a ``tol`` no tighter with no product."""
+        In the real basis C is C_r and H is Q^+ H Q, block by block where
+        ``fits`` says that Q^+ H Q vanishes off the blocks (the H that
+        :func:`~cptkit.cpt.build_c` classified), and joined otherwise.  An H
+        equal, entrywise, to that of the last pass passes at a ``tol`` no
+        tighter with no product."""
         last = self._commuting
         if last is not None and tol >= last[1] and (h is last[0] or np.array_equal(h, last[0])):
             return last[0]
-        fits = fits or self._unsplit
-        if self._c_real is None:
-            residual, commutes = commutator_check(self.c.matrix, h, tol)
+        basis, fits = self._basis, fits or self._unsplit
+        if basis is None:  # one block of the whole original basis
+            residual, commutes = commutator_check(self._c_blocks, (h[None],), tol)
         elif fits:  # passed, not bound, so the complex blocks are freed once split into real parts
-            residual, commutes = commutator_check(self._c_real, self.frame.real_basis.form_blocks(h, self._blocks), tol)
+            residual, commutes = commutator_check(self._c_blocks, basis.form_blocks(h, self._blocks), tol)
         else:
-            residual, commutes = commutator_check(self._joined(self._c_real), self.frame.real_basis.form(h), tol)
+            residual, commutes = commutator_check(self._joined(self._c_blocks), basis.form(h), tol)
         if not commutes:
             raise CommutatorViolation(f"[C, H] residual {residual:.3e} exceeds tolerance; "
                                       "the frame is not a frame for H")
@@ -547,14 +547,14 @@ class CPTFrame:
         return self.frame.t
 
     def _basis_roots(self, tol: float) -> tuple:
-        """The roots of :meth:`_metric`, ``(0.5, -0.5)`` powers by
+        """The block stacks of the metric's roots, ``(0.5, -0.5)`` powers by
         :meth:`_metric_powers`, read-only: formed on first use at each
         tolerance and kept, so Hermitization and the emitted roots share one
         formation."""
         roots = self._roots.get(tol)
         if roots is None:
             roots = self._metric_powers((0.5, -0.5), tol)
-            for part in (roots if self._c_real is None else sum(roots, ())):
+            for part in sum(roots, ()):
                 part.setflags(write=False)
             self._roots[tol] = roots
         return roots
@@ -562,14 +562,13 @@ class CPTFrame:
     def metric_roots(self, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
         """(PC)^(1/2) and (PC)^(-1/2) from the metric spectrum, read-only, with
         the errors of :func:`~cptkit.linops.spectral_powers` at ``tol``.  The
-        roots are formed once per tolerance, those of a frame synthesized in
-        the real basis as the real blocks R of M's roots, which
-        :func:`~cptkit.cpt.hermitize` reads; this joins and maps them back,
-        Q R Q^+, on each call."""
+        roots are formed once per tolerance as the blocks R of the metric's
+        roots, which :func:`~cptkit.cpt.hermitize` reads; this joins them,
+        and in the real basis maps them back, Q R Q^+, on each call."""
         roots = self._basis_roots(tol)
-        if self._c_real is None:
-            return roots
-        mapped = tuple(self.frame.real_basis.from_blocks(self._blocks, root) for root in roots)
+        if self._basis is None:
+            return tuple(map(self._joined, roots))
+        mapped = tuple(self._basis.from_blocks(self._blocks, root) for root in roots)
         for root in mapped:
             root.setflags(write=False)
         return mapped
@@ -584,13 +583,12 @@ class CPTFrame:
         above, the one threshold ``tol * max|w|`` of
         :func:`~cptkit.linops.positive_definiteness`, by which the spectral
         powers judge a metric too.  A bound that overflows admits nothing.
-        A frame synthesized in the real basis is checked there, on the blocks
-        of C_r (of the norm of C) and M, in real products, each residual and
-        norm the root-sum-square of its blocks'.  A nan, negative or infinite
-        ``tol`` raises InvalidArgument."""
+        The frame is checked on the blocks of C and of its metric, in real
+        products in the real basis, each residual and norm the root-sum-square
+        of its blocks'.  A nan, negative or infinite ``tol`` raises
+        InvalidArgument."""
         _require_threshold(tol)
-        dense = self._c_real is None
-        cs, ms = ((self.c.matrix,), (self.pc_matrix,)) if dense else (self._c_real, self._metric())
+        cs = self._c_blocks
         min_eig, threshold = positive_definiteness(self._w, tol)
         with np.errstate(over="ignore", invalid="ignore"):
             bound = tol * max(1.0, root_sum_square([frobenius(c.reshape(-1, c.shape[-1])) for c in cs])) ** 2
@@ -598,8 +596,8 @@ class CPTFrame:
             residuals = (
                 ("C^2 = I", root_sum_square(squares), bound),
                 # in the real basis TP is conjugation, which fixes the real C_r exactly
-                ("CPT = TPC", self.frame._cpt_residual(self.c.matrix) if dense else 0.0, bound),
-                ("PC hermitian", root_sum_square([hermiticity_residual(m) for m in ms]), threshold),
+                ("CPT = TPC", self.frame._cpt_residual(self.c.matrix) if self._basis is None else 0.0, bound),
+                ("PC hermitian", root_sum_square([hermiticity_residual(m) for m in self._m]), threshold),
             )
         violations = [(name, float(residual)) for name, residual, limit in residuals if not residual <= limit < np.inf]
         if not min_eig > threshold:

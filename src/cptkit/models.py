@@ -45,7 +45,8 @@ class ModelSpec:
 
     ``blocks`` holds one (r, s, theta) triple per 2x2 cell; the 3x3 family
     additionally takes the decoupled level ``a``.  All parameters must be
-    nonzero.  A parameter may be a 1-D array, a sweep, with no zero entry.
+    nonzero.  A parameter may be a 1-D array, a sweep, with no zero entry;
+    every sweep of one spec has the same length.
     """
 
     family: str
@@ -72,6 +73,9 @@ class ModelSpec:
                 raise InvalidModel("the 3x3 family needs a nonzero decoupled level a")
         elif self.a is not None:
             raise InvalidModel(f"family {self.family} does not take an a parameter")
+        lengths = sorted({len(x) for x in (*sum(self.blocks, ()), self.a) if isinstance(x, np.ndarray)})
+        if len(lengths) > 1:
+            raise InvalidModel(f"swept parameters must share one length, got lengths {lengths}")
 
     @property
     def dim(self) -> int:
@@ -149,10 +153,13 @@ def closed_form_spectrum(r: float, s: float, theta: float) -> ClosedFormSpectrum
     oracle against the numerical eigensolver.
 
     The critical boundary |r/s sin(theta)| = 1 is classified unbroken with
-    the ``degenerate`` warning flag set; there E_+ = E_-.
+    the ``degenerate`` warning flag set; there E_+ = E_-.  Raises
+    InvalidModel for a parameter that is zero or not finite.
     """
     if r == 0.0 or s == 0.0 or theta == 0.0:
         raise InvalidModel("r, s, theta must all be nonzero")
+    if not np.isfinite((r, s, theta)).all():
+        raise InvalidModel(f"r, s, theta must all be finite, got ({r!r}, {s!r}, {theta!r})")
     x = (r / s) * np.sin(theta)
     base = r * np.cos(theta)
     if abs(x) <= 1.0:
@@ -162,7 +169,7 @@ def closed_form_spectrum(r: float, s: float, theta: float) -> ClosedFormSpectrum
             "unbroken",
             phi,
             (complex(base + gap), complex(base - gap)),
-            degenerate=abs(abs(x) - 1.0) <= 1e-12,
+            degenerate=bool(abs(abs(x) - 1.0) <= 1e-12),
         )
     imag = np.sqrt(r * r * np.sin(theta) ** 2 - s * s)
     return ClosedFormSpectrum(

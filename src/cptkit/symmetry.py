@@ -652,14 +652,14 @@ def _unbroken(h, frame: PTFrame, tol: float | None, caller: str):
     for ``caller``: a matrix is classified here at ``tol``; a report is
     taken only if :func:`classify_symmetry` made it over a frame equal to
     ``frame`` at ``tol``, or at any tolerance where ``tol`` is None, which
-    takes only a report.  Over a frame with a real basis the states are in
-    that basis, with the ``(at, col)`` of each block size, each block's
-    columns ``col`` supported on its indices ``at``: those of the real
-    solve as they are, and those of a row whose real solve fell back to the
-    complex one mapped into it here, as one block of the whole basis.  The
-    blocks are None where the frame has no real basis.  Raises
-    InvalidArgument for any other report, and NotUnbroken unless the
-    classification is unbroken."""
+    takes only a report.  The states come with the ``(at, col)`` of each
+    block size, each block's columns ``col`` supported on its indices
+    ``at``.  Over a frame with a real basis they are in that basis: those of
+    the real solve as they are, and those of a row whose real solve fell
+    back to the complex one mapped into it here, as one block of the whole
+    basis.  Over any other frame they are one block of the whole original
+    basis.  Raises InvalidArgument for any other report, and NotUnbroken
+    unless the classification is unbroken."""
     if tol is None or isinstance(h, SymmetryReport):
         rows = getattr(h, "_analysis", None)
         if rows is None or tol not in (None, rows.tol) or not (rows.frame is frame or rows.frame == frame):
@@ -671,10 +671,10 @@ def _unbroken(h, frame: PTFrame, tol: float | None, caller: str):
         raise NotUnbroken(f"{caller} requires unbroken symmetry, got {rows.classification[0]} "
                           f"(PT residual {rows.pt_residual[0]:.3e})")
     phi, blocks = rows.phi[0], [(at, col) for _, at, col in rows.blocks]
-    if not blocks and frame.real_basis is not None:  # a fallback row, solved in the original basis
+    if not blocks:  # solved in the original basis: one block, mapped into the real basis where there is one
         every = np.arange(len(phi))[None]
-        phi, blocks = frame.real_basis.to_basis(phi), [(every, every)]
-    return rows.stack[0], phi, rows.energy[0], blocks or None
+        phi, blocks = (phi if frame.real_basis is None else frame.real_basis.to_basis(phi)), [(every, every)]
+    return rows.stack[0], phi, rows.energy[0], blocks
 
 
 def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryReport:

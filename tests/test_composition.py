@@ -361,12 +361,18 @@ def test_direct_sum_checks_each_block_matrix_once(monkeypatch):
     assert len(calls) == 2
 
 
+def _dimension(c) -> int:
+    """The dimension of the C that commutator_check takes: a matrix, or a
+    tuple of ``(g, m, m)`` stacks of its blocks."""
+    return sum(part.shape[0] * part.shape[-1] for part in c) if isinstance(c, tuple) else len(c)
+
+
 def _count_commutators(monkeypatch) -> list:
     calls = []
     real = frames.commutator_check
 
     def counting(c, h, tol):
-        calls.append(len(c))
+        calls.append(_dimension(c))
         return real(c, h, tol)
 
     monkeypatch.setattr(frames, "commutator_check", counting)
@@ -404,7 +410,7 @@ def test_a_composite_that_fails_raises(monkeypatch):
 
     def failing_composite(c, h, tol):
         residual, commutes = real(c, h, tol)
-        return residual, commutes and len(c) == 2
+        return residual, commutes and _dimension(c) == 2
 
     monkeypatch.setattr(frames, "commutator_check", failing_composite)
     with pytest.raises(CommutatorViolation):

@@ -29,6 +29,7 @@ from cptkit import (
     normalize_indefinite,
     pair_swap_frame,
     pt_inner,
+    tensor_hamiltonians,
     validate_cpt_frame,
 )
 from cptkit.errors import (
@@ -45,8 +46,8 @@ from cptkit.errors import (
 )
 from cptkit import frames, linops, symmetry
 from cptkit.cpt import EP_GUARD_TOL
-from cptkit.frames import checked_cpt_frame, frame_from_involution
-from cptkit.linops import DEFAULT_TOL, frobenius, spectral_powers
+from cptkit.frames import CPTFrame, checked_cpt_frame, frame_from_involution
+from cptkit.linops import DEFAULT_TOL, frobenius, hermitian_spectrum, spectral_powers
 from helpers import (
     COVARIANCE_FAMILIES,
     H2,
@@ -802,26 +803,62 @@ def test_a_real_form_takes_half_the_products_bit_for_bit(source, monkeypatch):
         hermitized, adjoint = hermitize(h, cpt), cpt_adjoint(Operator.linear(h), cpt).matrix
         assert stacks == []
         assert hermitized.tobytes() == _stacked_similarity(cpt, root, h, inv_root, blocks=True).tobytes()
-        assert adjoint.tobytes() == _stacked_similarity(cpt, inverse, h.conj().T, cpt._metric()).tobytes()
+        assert adjoint.tobytes() == _stacked_similarity(cpt, inverse, h.conj().T, cpt._m).tobytes()
         # each form mapped back is its stacked formula's, +0.0 imaginary parts included
         assert len(forms) == 4 and forms[:2] == forms[2:]
         a = random_complex(rng, h.shape)
         stacks.clear()
         adjoint = cpt_adjoint(Operator.linear(a), cpt).matrix
         assert len(stacks) == 1
-        assert adjoint.tobytes() == _stacked_similarity(cpt, inverse, a.conj().T, cpt._metric()).tobytes()
+        assert adjoint.tobytes() == _stacked_similarity(cpt, inverse, a.conj().T, cpt._m).tobytes()
 
 
 @pytest.mark.parametrize("family", COVARIANCE_FAMILIES)
 def test_the_metric_powers_of_a_dense_frame_are_the_dense_formulas_bit_for_bit(family):
+    # a frame moved by a unitary, and a C given alone over the unmoved index
+    # frame, hold C in the original basis: its metric is PC, factored whole
     rng = np.random.default_rng(80 + COVARIANCE_FAMILIES.index(family))
-    _, h, moved = unitary_basis_change(*covariance_problem(rng, family), rng)
-    cpt = build_c(h, moved).cpt
-    pc = cpt.pc_matrix
-    root, inv_root, inverse = spectral_powers(pc, cpt.metric_spectrum, (0.5, -0.5, -1.0), DEFAULT_TOL)
-    assert [got.tobytes() for got in cpt.metric_roots()] == [root.tobytes(), inv_root.tobytes()]
-    a = random_complex(rng, pc.shape)
-    assert cpt_adjoint(Operator.linear(a), cpt).matrix.tobytes() == (inverse @ a.conj().T @ pc).tobytes()
+    problem = covariance_problem(rng, family)
+    _, h, moved = unitary_basis_change(*problem, rng)
+    for cpt in (build_c(h, moved).cpt, CPTFrame(problem[1], build_c(*problem).cpt.c)):
+        pc = cpt.pc_matrix
+        spectrum = hermitian_spectrum((pc + pc.conj().T) / 2.0)
+        assert [part.tobytes() for part in cpt.metric_spectrum] == [part.tobytes() for part in spectrum]
+        root, inv_root, inverse = spectral_powers(pc, cpt.metric_spectrum, (0.5, -0.5, -1.0), DEFAULT_TOL)
+        assert [got.tobytes() for got in cpt.metric_roots()] == [root.tobytes(), inv_root.tobytes()]
+        a = random_complex(rng, pc.shape)
+        assert cpt_adjoint(Operator.linear(a), cpt).matrix.tobytes() == (inverse @ a.conj().T @ pc).tobytes()
+
+
+def test_every_cpt_frame_holds_c_as_blocks_of_its_basis():
+    # one representation: C and its metric are (g, m, m) stacks on every
+    # frame, those of the real C_r where build_c synthesized C over an index
+    # frame, else one block of the whole original basis; the blocks cover
+    # the indices once, and mapped back through the basis they are C
+    rng = np.random.default_rng(31)
+    cell, cell_frame = build_model(ModelSpec("2x2", ((1.0, 2.0, 0.5),)))
+    chain, chain_frame = build_model(ModelSpec("chain", random_cells(rng, 40)))
+    _, moved_cell, moved = unitary_basis_change(cell, cell_frame, rng)
+    other = model_2x2(1.0, 3.0, 0.78)
+    synthesized = {
+        "cell": build_c(cell, cell_frame).cpt,
+        "chain": build_c(chain, chain_frame).cpt,
+        "moved": build_c(moved_cell, moved).cpt,
+    }
+    given = {
+        "alone": checked_cpt_frame(synthesized["cell"].c, cell_frame),
+        "moved alone": checked_cpt_frame(synthesized["moved"].c, moved),
+        "tensor": tensor_hamiltonians(cell, other, synthesized["cell"], build_c(other, cell_frame).cpt)[1],
+    }
+    assert not synthesized["chain"]._unsplit  # a chain of dimension 80 is split
+    for name, cpt in {**synthesized, **given}.items():
+        basis = cpt._basis
+        assert basis is (cpt.frame.real_basis if name in ("cell", "chain") else None), name
+        assert np.array_equal(np.sort(np.concatenate([at.reshape(-1) for at in cpt._blocks])), np.arange(cpt.dim))
+        for at, c, m in zip(cpt._blocks, cpt._c_blocks, cpt._m, strict=True):
+            assert c.shape == m.shape == at.shape + at.shape[-1:], name
+        joined = cpt._joined(cpt._c_blocks) if basis is None else basis.from_blocks(cpt._blocks, cpt._c_blocks)
+        assert joined.tobytes() == cpt.c.matrix.tobytes(), name
 
 
 @pytest.mark.parametrize("family", COVARIANCE_FAMILIES)

@@ -199,6 +199,25 @@ def test_a_zero_inside_a_sweep_is_rejected(family, block, position):
             _swept_spec(family, block, position, np.array([1.0, zero, 2.0]))
 
 
+@pytest.mark.parametrize("family, blocks, a", [
+    ("2x2", ((np.ones(3), np.full(2, 2.0), 0.5),), None),
+    ("3x3", ((np.full(3, 2.0), 2.0, 0.5),), np.ones(2)),
+    ("4x4", ((np.ones(3), 2.0, 0.5), (1.0, 2.0, np.full(4, 0.5))), None),
+    ("chain", ((np.ones(3), 2.0, 0.5), (0.5, 1.0, 0.2), (2.0, np.full(4, 3.0), 0.9)), None),
+    ("tensor", ((1.0, 2.0, np.full(3, 0.5)), (np.ones(2), 3.0, 0.7)), None),
+])
+def test_sweeps_of_different_lengths_are_rejected(family, blocks, a):
+    # numpy would fail later, at model_matrix, with a bare ValueError
+    with pytest.raises(InvalidModel, match=r"lengths \[\d, \d\]") as caught:
+        ModelSpec(family, blocks, a=a)
+    assert caught.value.exit_code == 2
+    # sweeps of one length, nan included (a scan's zero grid point), are accepted
+    same = tuple(tuple(np.array([1.0, np.nan, 2.0]) if isinstance(x, np.ndarray) else x for x in b) for b in blocks)
+    spec = ModelSpec(family, same, a=None if a is None else np.array([1.0, np.nan, 2.0]))
+    with np.errstate(invalid="ignore"):
+        assert model_matrix(spec).shape == (3, spec.dim, spec.dim)
+
+
 def test_a_sweep_must_be_one_dimensional():
     with pytest.raises(TypeError):
         ModelSpec("2x2", ((np.ones((2, 2)), 2.0, 0.5),))
@@ -239,6 +258,18 @@ def test_closed_form_critical_boundary_flagged():
 def test_closed_form_rejects_zero_parameters():
     with pytest.raises(InvalidModel):
         closed_form_spectrum(0.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("params", [(np.nan, 1.0, 1.0), (1.0, 1.0, np.inf), (1.0, np.inf, 0.5), (1.0, -np.inf, 0.5)])
+def test_closed_form_rejects_non_finite_parameters(params):
+    # read as regimes, these gave broken with nan eigenvalues or unbroken with +-inf
+    with pytest.raises(InvalidModel, match="finite"):
+        closed_form_spectrum(*params)
+
+
+@pytest.mark.parametrize("params", [(1.0, 2.0, np.pi / 6), (1.0, 1.0, np.pi / 2), (2.0, 1.0, np.pi / 2)])
+def test_closed_form_degenerate_is_a_python_bool(params):
+    assert type(closed_form_spectrum(*params).degenerate) is bool
 
 
 def test_oracle_agrees_with_eigensolver():
