@@ -31,9 +31,10 @@ constructor, given the blocks of C_r as well, factors M into (w, U_r).
 
 The synthesis is written once, over ``(g, m, m)`` stacks of blocks.  The
 states of a matrix that :mod:`cptkit.symmetry` solved in the real basis come
-in that basis, block by block (the components of its pattern with P's pairs
-joined, closed under P, or one block of the whole basis where it is not
-split): each eigenspace, a run of equal energy within a block, is
+in that basis as the block stacks its classification kernel ran on (the
+components of its pattern with P's pairs joined, closed under P, or one
+block of the whole basis where it is not split), taken as they are, with no
+gather: each eigenspace, a run of equal energy within a block, is
 normalized there, and X, the Gram matrix, C_r, M and its ``eigh``,
 validation, [C_r, Q^+ H Q] and the CPT Gram are stacks of block size, with
 every residual the root-sum-square of the blocks' Frobenius norms and every
@@ -206,20 +207,19 @@ def _normalized(parts, tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
     ) if len(zero) else GramDefect("degenerate eigenspace contains a self-orthogonal direction")
 
 
-def _coordinates(phi: np.ndarray, energy: np.ndarray, frame: PTFrame, blocks):
-    """The states ``phi`` (columns, with their ``energy``) as :func:`_normalize`
-    takes them, for each block size: ``(at, col, x, energy, apply_p,
-    residual)``, the ``(g, m)`` indices and sorted columns of its blocks,
-    their coordinates, how P acts on those and each column's
-    |PT phi - phi|.  Over a frame with a real basis Q the states are in that
-    basis, block by block, and P is the signature J there: the coordinates
-    are x = Re(y) for the columns y of each block, with |PT phi - phi| =
-    2 |Im(y)|, since PT is conjugation in that basis.  Over any other frame
-    they are in the original basis, as one block: x = y, with P and
-    |PT y - y|."""
+def _coordinates(energy: np.ndarray, frame: PTFrame, blocks):
+    """The states of each block size, ``blocks`` of ``(at, col, y)`` with the
+    ``energy`` of each column, as :func:`_normalize` takes them: ``(at, col,
+    x, energy, apply_p, residual)``, the ``(g, m)`` indices and sorted
+    columns of its blocks, their coordinates, how P acts on those and each
+    column's |PT phi - phi|.  Over a frame with a real basis Q the states
+    are in that basis, block by block, and P is the signature J there: the
+    coordinates are x = Re(y) for the states y of each block, with
+    |PT phi - phi| = 2 |Im(y)|, since PT is conjugation in that basis.
+    Over any other frame they are in the original basis, as one block:
+    x = y, with P and |PT y - y|."""
     basis, parts = frame.real_basis, []
-    for at, col in blocks:
-        y = phi[at[:, :, None], col[:, None, :]]
+    for at, col, y in blocks:
         if basis is None:
             parts.append((at, col, y, energy[col], lambda v, b: frame.apply_p(v), column_norms(frame.apply_pt(y) - y)))
             continue
@@ -283,13 +283,13 @@ def aligned_signs(report: SymmetryReport, frame: PTFrame) -> np.ndarray:
     Raises InvalidArgument for a report that :func:`classify_symmetry` did
     not make over an equal frame, and NotUnbroken for one that is not unbroken.
     """
-    _, phi, energy, blocks = _unbroken(report, frame, None, "aligned_signs")
+    _, energy, blocks = _unbroken(report, frame, None, "aligned_signs")
     signs = np.zeros(len(energy), dtype=int)
     try:
         frame.require_hermitian_parity(EP_GUARD_TOL)
     except FrameInvalid:
         return signs
-    for _, col, *part in _coordinates(phi, energy, frame, blocks):
+    for _, col, *part in _coordinates(energy, frame, blocks):
         signs[col] = _normalize(*part, EP_GUARD_TOL)[1]
     return signs
 
@@ -302,8 +302,8 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
     Pipeline: require a Hermitian P, ``|P - P^+| <= tol * max(1, |P|)``,
     since (u, v) = <P u, v> is a Hermitian form only then; classify the
     symmetry phase (must be unbroken), a matrix through the kernel alone,
-    rendering no report, and read the aligned states as one ``(n, n)``
-    array, with their energies; normalize each eigenspace,
+    rendering no report, and take the aligned states, with their energies,
+    as the block stacks the kernel ran on; normalize each eigenspace,
     a run of equal energy, as :func:`normalize_indefinite` does, in one
     ``eigh`` per degenerate size; verify pairwise indefinite orthogonality
     across eigenspaces (automatic for distinct eigenvalues of a symmetric
@@ -333,19 +333,19 @@ def build_c(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> CPTResult:
     """
     require_tolerance(tol)
     frame.require_hermitian_parity(tol)
-    matrix, phi, energy, blocks = _unbroken(h, frame, tol, "build_c")
+    matrix, energy, blocks = _unbroken(h, frame, tol, "build_c")
 
     # unbroken: every column of the states is aligned; a run of equal energy in a block is one eigenspace
     basis, n = frame.real_basis, len(energy)
-    parts = _coordinates(phi, energy, frame, blocks)
-    del h, phi  # states classified here are freed once in the basis's coordinates
+    parts = _coordinates(energy, frame, blocks)
+    del h, blocks  # states classified here are freed once in the basis's coordinates
     ats, cols = [part[0] for part in parts], [part[1] for part in parts]
     xs, signs = zip(*_normalized([part[2:] for part in parts], EP_GUARD_TOL))
     p_xs = [part[4](x, slice(None)).conj().swapaxes(-1, -2) for part, x in zip(parts, xs)]
     gram_error = root_sum_square([_deviation(p_x @ x, sign) for p_x, x, sign in zip(p_xs, xs, signs)])
     c_parts = tuple(x @ p_x for x, p_x in zip(xs, p_xs))  # the blocks of C, or of C_r in the real basis
     c_matrix = c_parts[0][0] if basis is None else basis.from_blocks(ats, c_parts)  # fresh: taken with no copy
-    cpt = CPTFrame(frame, Operator._of(LINEAR, _finite_square(c_matrix)), _c_blocks=c_parts, _blocks=tuple(ats))
+    cpt = CPTFrame(frame, Operator._of(LINEAR, _finite_square(c_matrix)), _c_parts=c_parts, _ats=tuple(ats))
     # rounding in the Gram entries is amplified by |phi|_2^2 = |P phi|_2^2, the
     # largest eigenvalue of PC = (P phi)(P phi)^+, which grows near an exceptional point
     gram_tol = tol * max(1.0, float(cpt._w.max()))

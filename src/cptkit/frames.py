@@ -46,7 +46,7 @@ joined matrix's; one block of the whole basis is the unsplit case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -389,11 +389,13 @@ class CPTFrame:
     leaves invariant, and ``_c_blocks`` their ``(g, m, m)`` stacks, ``_m``
     those of the metric, read-only.  A frame that
     :func:`~cptkit.cpt.build_c` synthesized over an index frame is given
-    them in the real basis Q (``_basis``): the blocks of the real
-    C_r = Q^+ C Q, with C = Q C_r Q^+, and its metric is M = J C_r =
-    Q^+ (PC) Q.  Any other frame, a C given alone (a composition, a
-    document) or synthesized over a frame with no real basis, is one block
-    of all n indices in the original basis, with metric PC.  The metric is
+    them, as the keywords ``_c_parts`` and ``_ats``, in the real basis Q
+    (``_basis``): the blocks of the real C_r = Q^+ C Q, with
+    C = Q C_r Q^+, and its metric is M = J C_r = Q^+ (PC) Q.  Any other
+    frame, a C given alone (a composition, a document, a frame made by
+    :func:`dataclasses.replace`, which passes no keyword on) or synthesized
+    over a frame with no real basis, is one block of all n indices in the
+    original basis, with metric PC.  The metric is
     factored with one ``eigh`` per block size into (w, U_b), and the frame
     validates, forms the metric's powers, Hermitizes and forms the CPT
     adjoint from those blocks, in real products in the real basis, with
@@ -408,22 +410,25 @@ class CPTFrame:
     pc_matrix: np.ndarray = field(init=False, repr=False, compare=False)
     _spectrum: tuple = field(init=False, repr=False, compare=False)
     _roots: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _c_blocks: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False, kw_only=True)
-    _blocks: tuple[np.ndarray, ...] = field(default=(), repr=False, compare=False, kw_only=True)
+    _c_parts: InitVar[tuple[np.ndarray, ...] | None] = field(default=None, kw_only=True)
+    _ats: InitVar[tuple[np.ndarray, ...]] = field(default=(), kw_only=True)
+    _c_blocks: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _blocks: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     _basis: RealBasis | None = field(init=False, repr=False, compare=False, default=None)
     _m: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     _commuting: tuple[np.ndarray, float, bool] | None = field(init=False, repr=False, compare=False, default=None)
 
-    def __post_init__(self):
+    def __post_init__(self, _c_parts, _ats):
         if not self.c.is_linear:
             raise KindMismatch("C must be a linear operator")
         if self.c.dim != self.frame.dim:
             raise DimensionMismatch(f"C has dimension {self.c.dim} but frame has dimension {self.frame.dim}")
-        if self._c_blocks is None:  # a C given alone: one block of the whole original basis
-            object.__setattr__(self, "_c_blocks", (self.c.matrix[None],))
-            object.__setattr__(self, "_blocks", (np.arange(self.dim)[None],))
+        if _c_parts is None:  # a C given alone, or replaced: one block of the whole original basis
+            _c_parts, _ats = (self.c.matrix[None],), (np.arange(self.dim)[None],)
         else:
             object.__setattr__(self, "_basis", self.frame.real_basis)
+        object.__setattr__(self, "_c_blocks", _c_parts)
+        object.__setattr__(self, "_blocks", _ats)
         with np.errstate(over="ignore", invalid="ignore"):
             object.__setattr__(self, "pc_matrix", self.frame.apply_p(self.c.matrix))
             if self._basis is None:

@@ -445,16 +445,17 @@ def stacked_eigensystem(
     eigenpair residual: the body of :func:`eigendecompose`.
 
     Each row is solved by the connected components of its nonzero pattern
-    (see :func:`_components`): one stacked ``eig`` per component size,
-    across the rows, each block's eigenpairs sorted, normalized and checked
-    alone, then joined into the row's ``(n, n)`` arrays in the order of
-    their eigenvalues.  A row that is one component, a dense one always, is
-    one block of all n indices, whose sorted eigenpairs are the row's own.  A row's residual is the largest of its
-    blocks', and its Gram certificate's row sum s too, which is the joined
-    V's, since V^+ V is block diagonal; its cond(V), where the SVD decides
-    it, is the largest singular value over the smallest across its blocks,
-    those of the joined V.  A row's solve depends on the row alone, so a row
-    of a stack is solved bit for bit as the row alone.
+    (see :func:`_components`) by :func:`split_eigensystem`, and its blocks'
+    unit eigenvectors are joined here, alone in the package, into the row's
+    ``(n, n)`` V: each block's columns at their sorted positions, zero off
+    the block.  A row that is one component, a dense one always, is one
+    block of all n indices, whose sorted eigenpairs are the row's own, with
+    no join.  A row's residual is the largest of its blocks', and its Gram
+    certificate's row sum s too, which is the joined V's, since V^+ V is
+    block diagonal; its cond(V), where the SVD decides it, is the largest
+    singular value over the smallest across its blocks, those of the joined
+    V.  A row's solve depends on the row alone, so a row of a stack is
+    solved bit for bit as the row alone.
 
     Without ``gate`` every row's ``condition`` is cond(V) from the SVD, as
     :func:`eigendecompose` and DefectiveSpectrum report it.  With it, for a
@@ -469,26 +470,32 @@ def stacked_eigensystem(
     if unscaled.any():
         # a placeholder keeps the stacked LAPACK calls valid for the other rows
         a = np.where(unscaled[:, None, None], 0.0, a)
-    eigen, residual, _ = split_eigensystem(a, _components(a), tol * scale, gate)
-    defective = unscaled | eigen.defective
-    return EigenSystem(eigen.values, eigen.vectors, eigen.condition, defective), residual
+    values, condition, defective, residual, blocks = split_eigensystem(a, _components(a), tol * scale, gate)
+    if _one_block([at for _, at, *_ in blocks], a.shape[:2]):
+        vectors = blocks[0][-1]
+    else:
+        vectors = np.zeros(a.shape, dtype=values.dtype)
+        for rows, at, col, _, part in blocks:
+            vectors[rows[:, None, None], at[:, :, None], col[:, None, :]] = part
+    return EigenSystem(values, vectors, condition, unscaled | defective), residual
 
 
 def split_eigensystem(a: np.ndarray, parts, limit: np.ndarray, gate: float | None, form=None):
-    """:func:`stacked_eigensystem` of a finite ``(N, n, n)`` stack, given the
-    partition ``parts`` of every row as :func:`_components` returns it, and
-    each row's residual ``limit``: the stacked :class:`EigenSystem`, each
-    row's largest eigenpair residual and the blocks of every row, for each
-    block size m the ``(g,)`` rows, the ``(g, m)`` indices of each block and
-    the ``(g, m)`` ascending columns of its eigenpairs in its row's sorted
-    arrays.  Each block is solved, normalized and checked alone by
-    :func:`_eigenpairs`, and its unit eigenvectors are written into their
-    sorted columns of its row's V, zero elsewhere; the arrays are real where
-    every eigenvalue is.  Where every row is one block of all n indices, the
-    block's arrays are the row's own, with no join.  ``form(a, rows, at)``,
-    if given, is what is solved of the matrices ``a[rows]``: at the
-    ``(g, m)`` indices ``at`` of their blocks, or whole with ``at`` None
-    where a block is all n indices; by default, their own entries."""
+    """The eigensystems of a finite ``(N, n, n)`` stack by its blocks, given
+    the partition ``parts`` of every row as :func:`_components` returns it,
+    and each row's residual ``limit``: the row-level ``(values, condition,
+    defective, residual)`` of :func:`stacked_eigensystem`, each row's values
+    sorted, and the ``blocks``, for each block size m the ``(g,)`` rows, the
+    ``(g, m)`` indices of each block, the ``(g, m)`` ascending columns of
+    its eigenpairs in its row's sorted values, and the block's own sorted
+    values and unit eigenvectors, ``(g, m)`` and ``(g, m, m)``.  Each block
+    is solved, normalized and checked alone by :func:`_eigenpairs`; a
+    block's arrays are real where every eigenvalue of its size's stack is.
+    Where every row is one block of all n indices, the block's values are
+    the rows' own.  ``form(a, rows, at)``, if given, is what is solved of
+    the matrices ``a[rows]``: at the ``(g, m)`` indices ``at`` of their
+    blocks, or whole with ``at`` None where a block is all n indices; by
+    default, their own entries."""
     form = form or _entries
     count, n = a.shape[:2]
     every = _one_block([at for _, at in parts], (count, n))
@@ -522,7 +529,7 @@ def split_eigensystem(a: np.ndarray, parts, limit: np.ndarray, gate: float | Non
     condition = _condition(extremes, s, residual, limit, gate, n)
     defective = ~(condition <= COND_LIMIT) | (residual > limit)
     if every:
-        return EigenSystem(values, vectors, condition, defective), residual, [(rows, at, at)]
+        return values, condition, defective, residual, [(rows, at, at, values, vectors)]
     values = np.empty((count, n), dtype=np.result_type(*(eigen[0] for _, _, eigen in solved)))
     places = [np.take_along_axis(at, eigen[2], -1) for _, at, eigen in solved]  # where eig put each sorted eigenvalue
     for (rows, _, eigen), place in zip(solved, places):
@@ -530,12 +537,9 @@ def split_eigensystem(a: np.ndarray, parts, limit: np.ndarray, gate: float | Non
     order = np.lexsort((values.imag, values.real), axis=-1)
     column = np.argsort(order, axis=-1)  # the sorted position of each eigenvalue
     values = np.take_along_axis(values, order, -1)
-    vectors, blocks = np.zeros((count, n, n), dtype=values.dtype), []
-    for (rows, at, eigen), place in zip(solved, places):
-        col = column[rows[:, None], place]  # ascending: a block's eigenvalues keep their order in the row
-        vectors[rows[:, None, None], at[:, :, None], col[:, None, :]] = eigen[1]
-        blocks.append((rows, at, col))
-    return EigenSystem(values, vectors, condition, defective), residual, blocks
+    # a block's columns ascend: its eigenvalues keep their order in the row
+    blocks = [(rows, at, column[rows[:, None], place], *eigen[:2]) for (rows, at, eigen), place in zip(solved, places)]
+    return values, condition, defective, residual, blocks
 
 
 def _entries(a: np.ndarray, rows, at) -> np.ndarray:
@@ -704,8 +708,9 @@ def _require_nonempty(n: int) -> None:
 
 def require_regular(eigen: EigenSystem, residual: np.ndarray, scale: np.ndarray, tol: float) -> None:
     """Raise DefectiveSpectrum, as :func:`eigendecompose` does for a single
-    matrix, where row 0 of the stacked ``eigen`` of one matrix with
-    Frobenius norm ``scale[0]`` is defective."""
+    matrix, where row 0 of ``eigen``, the stacked :class:`EigenSystem` of
+    one matrix with Frobenius norm ``scale[0]`` or any record with its
+    ``condition`` and ``defective`` arrays, is defective."""
     if not eigen.defective[0]:
         return
     condition = float(eigen.condition[0])

@@ -7,13 +7,14 @@ real spectrum; otherwise non-real eigenvalues come in conjugate pairs.
 One pipeline, :func:`_classify_rows`, classifies a whole ``(N, n, n)``
 stack over one frame: the non-finite guard, the PT check, the eigensolve and
 the kernel, in one pass that returns one record of the stack, the frame,
-``tol``, the eigensystem and the kernel's verdict arrays.
-:func:`classify_stack` reads that record's arrays; :func:`classify_symmetry`
-is its one-matrix case, which renders the record as a report and keeps it.
-This module alone reads the record: :func:`_unbroken` hands
-:mod:`cptkit.cpt` the checked H, the aligned states and their energies of an
-unbroken matrix, classified with nothing rendered, or of a report, after
-checking where the report came from.  Each row lists a matched conjugate
+``tol``, each row's values, cond(V) and residual, the kernel's verdict
+arrays and the states of each part it ran on.  :func:`classify_stack` reads
+that record's arrays; :func:`classify_symmetry` is its one-matrix case,
+which renders the record as a report and keeps it.  This module alone reads
+the record: :func:`_unbroken` hands :mod:`cptkit.cpt` the checked H, the
+energies of the aligned states and the states themselves, block by block,
+of an unbroken matrix, classified with nothing rendered, or of a report,
+after checking where the report came from.  Each row lists a matched conjugate
 pair with its negative imaginary part first, the order in which the real
 solve's exact conjugates sort.
 
@@ -39,14 +40,15 @@ eigenspace across blocks, as of two equal cells, holds one eigenvector per
 block and takes no rebase.  Every threshold stays the whole row's: the
 reality and degeneracy widths against the whole |H|, the eigenpair residuals
 against ``tol |H|``, cond(V) and the Gram certificate's margin at the joined
-n; the row's verdicts are read off its blocks.  The record keeps the row's
-states in the real basis with its blocks, for :mod:`cptkit.cpt` to
-synthesize block by block; a report maps them back, block by block, once.
+n; the row's verdicts are read off its blocks.  A row's states stay the
+block stacks the kernel ran on, from the eigensolve to the record, with no
+``(n, n)`` array joined in between: :mod:`cptkit.cpt` synthesizes C from
+them block by block, and a report maps them back, block by block, once.
 A row whose real solve is defective or passes the exceptional-point gate,
 like every row over a dense frame, takes the complex solve of
 :func:`~cptkit.linops.stacked_eigensystem`, which splits the pattern of H
-itself for the eigensolve alone, and keeps its states in the original
-basis; a row of a stack is classified as the row alone.
+itself for the eigensolve alone, and keeps its states whole, in the
+original basis; a row of a stack is classified as the row alone.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from .frames import PTFrame, pair_swap_frame
 from .linops import (
     COND_LIMIT,
     DEFAULT_TOL,
-    EigenSystem,
     _fields_equal,
     _one_block,
     as_matrix,
@@ -147,22 +148,26 @@ class ConjugatePair:
 class _Rows(NamedTuple):
     """The record of :func:`_classify_rows` for an ``(N, n, n)`` stack: the
     checked ``stack`` (non-finite rows zeroed), the ``frame`` and ``tol`` it
-    was classified at, its eigensystem (None in a report's record) with
-    each row's largest eigenpair ``residual``, the kernel's verdict arrays,
-    and the ``blocks`` of the rows solved in the real basis, whose states
-    (``phi``, the eigenvectors) are in that basis, as :func:`_eigensystems`
-    returns them; a row in no block was solved as complex, and its states
-    are in the original basis."""
+    was classified at, each row's sorted ``values`` (a matched pair lower
+    member first), cond(V), ``defective`` mask and largest eigenpair
+    ``residual``, the kernel's verdict arrays, and the ``parts`` the kernel
+    ran on, each ``(rows, at, col, states)`` with the part's states, ``phi``:
+    for each block size of the rows solved in the real basis, the ``(g,)``
+    rows, the ``(g, m)`` indices and sorted columns of the blocks and their
+    ``(g, m, m)`` states in that basis; for the rows solved as complex, the
+    rows, ``at`` and ``col`` None and their ``(k, n, n)`` states in the
+    original basis."""
 
     stack: np.ndarray
     frame: PTFrame
     tol: float
-    eigen: EigenSystem | None
+    values: np.ndarray
+    condition: np.ndarray
+    defective: np.ndarray
     residual: np.ndarray
     symmetric: np.ndarray
     pt_residual: np.ndarray
     energy: np.ndarray
-    phi: np.ndarray
     theta: np.ndarray
     kept: np.ndarray
     rebased: np.ndarray
@@ -171,14 +176,14 @@ class _Rows(NamedTuple):
     petermann: np.ndarray
     classification: np.ndarray
     warning: np.ndarray
-    blocks: list
+    parts: list
 
 
 @dataclass(frozen=True)
 class SymmetryReport:
     """The verdict of :func:`classify_symmetry`, which alone sets ``_analysis``:
-    the record of its one pass of :func:`_classify_rows`, without the
-    eigensystem, so an unbroken report holds no eigenvectors."""
+    the record of its one pass of :func:`_classify_rows`, which holds the
+    kernel's states of each part and no eigensystem."""
 
     pt_symmetric: bool
     classification: str
@@ -386,10 +391,11 @@ def _petermann(vectors: np.ndarray) -> np.ndarray:
 
 
 def _eigensystems(a: np.ndarray, norm: np.ndarray, symmetric: np.ndarray, frame: PTFrame, tol: float):
-    """The sorted eigensystem of each matrix of an ``(N, n, n)`` stack with
-    Frobenius norms ``norm`` and PT verdicts ``symmetric``, each row's
-    largest eigenpair residual, and the blocks of the rows solved in the
-    real basis, whose eigenvectors stay there.
+    """The eigensystems of an ``(N, n, n)`` stack with Frobenius norms
+    ``norm`` and PT verdicts ``symmetric``, as the parts the kernel runs on:
+    each row's cond(V), defective mask and largest eigenpair residual, and
+    a list of parts ``(rows, at, col, values, vectors)``, rows numbered in
+    the stack, each part's sorted values and unit eigenvectors complex.
 
     A PT-symmetric row over a frame with a real basis Q is solved as the
     real matrix Re(Q^+ H Q).  That is an exact eigensystem of H's
@@ -399,14 +405,15 @@ def _eigensystems(a: np.ndarray, norm: np.ndarray, symmetric: np.ndarray, frame:
     each is closed under P, so Q acts within it and Q^+ H Q, real and
     imaginary parts both, vanishes off the blocks.  A row with several is
     solved by its blocks, each formed from H's block alone; a row with one
-    is solved whole, as one block of all n indices.  Either way its
-    eigenvectors are the real-basis coordinates, each zero off its block,
-    kept complex, and its blocks are returned as the ``(rows, at, col)`` of
-    :func:`~cptkit.linops.split_eigensystem`, rows numbered in the stack.
+    is solved whole, as one block of all n indices.  Either way its parts
+    are the block stacks of :func:`~cptkit.linops.split_eigensystem`, the
+    blocks of each size with their ``(g, m)`` indices ``at`` and sorted
+    columns ``col``, and their eigenvectors are real-basis coordinates.
     Every other row is solved as complex, in the original basis, in one
     stacked call with the rows whose real solve is defective or passes the
     exceptional-point gate, so every warning and error comes from the
-    complex solve of H itself, whole.
+    complex solve of H itself, whole: one part of whole rows, with ``at``
+    and ``col`` None.  A stack of no rows has no parts.
 
     Both solves take the Gram certificate of
     :func:`~cptkit.linops.stacked_eigensystem` at the gate ``EP_WARNING_K``:
@@ -417,32 +424,28 @@ def _eigensystems(a: np.ndarray, norm: np.ndarray, symmetric: np.ndarray, frame:
     warning and error is as with the SVD on every row, and an error's
     condition, that of a row the certificate does not clear, is the SVD's.
     """
-    real = symmetric & (norm < np.inf)
-    whole = bool(real.all())
-    basis = frame.real_basis if whole or real.any() else None
-    if basis is None:
-        return (*stacked_eigensystem(a, norm, tol, EP_WARNING_K), [])
-    rows = a if whole else a[real]
-    eigen, residual, blocks = split_eigensystem(
-        rows, basis.components(rows), tol * (norm if whole else norm[real]), EP_WARNING_K, basis.real_form
-    )
-    del rows
-    regular = ~(eigen.defective | _past_ep_gate(eigen.condition))
-    if whole and regular.all():  # the common case: nothing falls back
-        vectors = eigen.vectors.astype(complex)
-        return EigenSystem(eigen.values.astype(complex), vectors, eigen.condition, eigen.defective), residual, blocks
-    at_row = np.flatnonzero(real)
-    blocks = [(at_row[rows[keep]], at[keep], col[keep]) for rows, at, col in blocks for keep in [regular[rows]] if keep.any()]
-    real[real] = regular  # the rows whose real solve is kept
-    fallback = ~real
-    rest, rest_residual = stacked_eigensystem(a[fallback], norm[fallback], tol, EP_WARNING_K)
-    values, vectors = np.empty(a.shape[:2], dtype=complex), np.empty(a.shape, dtype=complex)
-    condition, residuals, defective = np.empty(len(a)), np.empty(len(a)), np.zeros(len(a), dtype=bool)
-    values[real], vectors[real] = eigen.values[regular], eigen.vectors[regular]
-    condition[real], residuals[real] = eigen.condition[regular], residual[regular]
-    values[fallback], vectors[fallback] = rest.values, rest.vectors
-    condition[fallback], residuals[fallback], defective[fallback] = rest.condition, rest_residual, rest.defective
-    return EigenSystem(values, vectors, condition, defective), residuals, blocks
+    real = symmetric & (norm < np.inf) & (frame.real_basis is not None)
+    condition, residual, defective = np.empty(len(a)), np.empty(len(a)), np.zeros(len(a), dtype=bool)
+    at_row, parts = np.flatnonzero(real), []
+    if len(at_row):
+        basis = frame.real_basis
+        rows = a if len(at_row) == len(a) else a[at_row]
+        _, condition[at_row], failed, residual[at_row], blocks = split_eigensystem(
+            rows, basis.components(rows), tol * norm[at_row], EP_WARNING_K, basis.real_form
+        )
+        del rows
+        regular = ~(failed | _past_ep_gate(condition[at_row]))
+        if not regular.all():  # the blocks of the rows that fall back are left out
+            blocks = [[x[keep] for x in block] for block in blocks for keep in [regular[block[0]]] if keep.any()]
+            real[at_row] = regular
+        parts = [(at_row[rows], at, col, values.astype(complex), vectors.astype(complex))
+                 for rows, at, col, values, vectors in blocks]
+    fallback = np.flatnonzero(~real)
+    if len(fallback):
+        rest, residual[fallback] = stacked_eigensystem(a[fallback], norm[fallback], tol, EP_WARNING_K)
+        condition[fallback], defective[fallback] = rest.condition, rest.defective
+        parts.insert(0, (fallback, None, None, rest.values, rest.vectors))
+    return condition, defective, residual, parts
 
 
 def _past_ep_gate(condition: np.ndarray) -> np.ndarray:
@@ -457,62 +460,49 @@ def _past_ep_gate(condition: np.ndarray) -> np.ndarray:
 def _classify_rows(a: np.ndarray, norm: np.ndarray, frame: PTFrame, tol: float) -> _Rows:
     """The classification pipeline of an ``(N, n, n)`` stack with Frobenius
     norms ``norm``: the rows that are not finite or whose norm overflows are
-    zeroed, then the PT check of :func:`_pt_check`, the eigensystems of
-    :func:`_eigensystems` and :func:`_kernel`, which runs on parts of the
-    stack: the rows solved as complex, together, in the original basis, where
-    no column is fixed, and the blocks of the rows solved in the real basis,
-    stacked by size, where PT is conjugation.  Every threshold stays the
-    whole row's.  A row's verdicts are read off its parts: it is broken
-    where any of its blocks is, and its Petermann factor is their largest.
-    The record's arrays are joined by row and sorted column, with the states
-    of a real solve in the real basis and its ``blocks``; where one part
-    holds every row, whole, they are the kernel's own arrays.  A row of a
-    stack is classified bit for bit as the row alone.
+    zeroed, then the PT check of :func:`_pt_check`, the parts of
+    :func:`_eigensystems` and :func:`_kernel` on each part: the rows solved
+    as complex, together, in the original basis, where no column is fixed,
+    and the blocks of the rows solved in the real basis, stacked by size,
+    where PT is conjugation.  Every threshold stays the whole row's.  A
+    row's verdicts are read off its parts: it is broken where any of its
+    blocks is, and its Petermann factor is their largest.  The record's
+    per-column and per-row arrays are joined by row and sorted column;
+    where one part holds every row, whole, they are the kernel's own
+    arrays.  Each part keeps its states, the kernel's ``phi``, as the
+    stack it ran on.  A row of a stack is classified bit for bit as the
+    row alone.
     """
     scaled = norm < np.inf
     if not scaled.all():  # non-finite entries, or a norm that overflows: error rows, kept out of the PT check
         a = np.where(scaled[:, None, None], a, 0.0)
     symmetric, pt_residual = _pt_check(a, norm, frame, tol)
-    eigen, residual, blocks = _eigensystems(a, norm, symmetric, frame, tol)
-    scale = np.maximum(1.0, norm)[:, None]
-    settled = ~eigen.defective
-    values, vectors, condition = eigen.values, eigen.vectors, eigen.condition
-    if not blocks or _one_block([at for _, at, _ in blocks], a.shape[:2]):  # one part of every row, whole
-        fixed = values.imag == 0 if blocks else np.zeros(values.shape, dtype=bool)  # only a real solve fixes columns
-        joined = _kernel(values, vectors, fixed, scale, symmetric, settled, condition,
-                         np.conj if blocks else frame.apply_pt, tol)
-    else:
-        complex_rows = np.ones(len(a), dtype=bool)
-        for rows, _, _ in blocks:
-            complex_rows[rows] = False
-        joined = _joined_record(eigen)
-        for rows, at, col in ([(np.flatnonzero(complex_rows), None, None)] if complex_rows.any() else []) + blocks:
-            if at is None:
-                part, states = values[rows], vectors[rows]
-                fixed, apply_pt = np.zeros(part.shape, dtype=bool), frame.apply_pt
-            else:
-                part = values[rows[:, None], col]
-                states = vectors[rows[:, None, None], at[:, :, None], col[:, None, :]]
-                fixed, apply_pt = part.imag == 0, np.conj
-            out = _kernel(part, states, fixed, scale[rows], symmetric[rows], settled[rows], condition[rows], apply_pt, tol)
-            joined = _scatter(joined, out, rows, at, col, states)
-    values, vectors, phi, theta, energy, kept, rebased, partner, unpaired, petermann, broken = joined
-    eigen = EigenSystem(values, vectors, eigen.condition, eigen.defective)
+    condition, defective, residual, parts = _eigensystems(a, norm, symmetric, frame, tol)
+    scale, settled, states = np.maximum(1.0, norm)[:, None], ~defective, []
+    # one part of every row, whole: its arrays are the record's own
+    whole = len(parts) == 1 and len(parts[0][0]) == len(a) and (
+        parts[0][1] is None or _one_block(parts[0][1:2], a.shape[:2]))
+    joined = None if whole else _joined_record(a.shape[:2])
+    for rows, at, col, values, vectors in parts:
+        fixed, apply_pt = (np.zeros(values.shape, dtype=bool), frame.apply_pt) if at is None else (values.imag == 0, np.conj)
+        out = _kernel(values, vectors, fixed, scale[rows], symmetric[rows], settled[rows], condition[rows], apply_pt, tol)
+        states.append((rows, at, col, out.phi))
+        joined = out if whole else _scatter(joined, out, rows, at, col)
+    values, _, theta, energy, kept, rebased, partner, unpaired, petermann, broken = joined
     classification = np.where(symmetric, np.where(broken, BROKEN, UNBROKEN), NOT_APPLICABLE)
     warning = settled & ((petermann >= EP_WARNING_K) | (unpaired | rebased).any(-1))
     return _Rows(
-        a, frame, tol, eigen, residual, symmetric, pt_residual, energy, phi, theta, kept, rebased,
-        partner, unpaired, petermann, classification, warning, blocks,
+        a, frame, tol, values, condition, defective, residual, symmetric, pt_residual, energy, theta, kept,
+        rebased, partner, unpaired, petermann, classification, warning, states,
     )
 
 
 class _Kernel(NamedTuple):
-    """The arrays of :func:`_kernel` for a part of a stack, or of
-    :func:`_classify_rows` joined by row."""
+    """The arrays of :func:`_kernel` for a part of a stack, or, with no
+    ``phi``, of :func:`_classify_rows` joined by row."""
 
     values: np.ndarray
-    vectors: np.ndarray
-    phi: np.ndarray
+    phi: np.ndarray | None
     theta: np.ndarray
     energy: np.ndarray
     kept: np.ndarray
@@ -523,39 +513,28 @@ class _Kernel(NamedTuple):
     broken: np.ndarray
 
 
-def _joined_record(eigen: EigenSystem) -> _Kernel:
-    """The joined arrays of :func:`_classify_rows` before any part is
-    written: the eigensystem, and every mask false."""
-    shape = eigen.values.shape
+def _joined_record(shape: tuple[int, int]) -> _Kernel:
+    """The joined arrays of :func:`_classify_rows` for ``(N, n)`` columns
+    before any part is written: every mask false."""
     empty = np.zeros(shape, dtype=bool)
-    return _Kernel(eigen.values.copy(), eigen.vectors, eigen.vectors, np.zeros(shape), np.zeros(shape), empty,
-                   empty.copy(), np.full(shape, -1), empty.copy(), np.zeros(len(empty)), np.zeros(len(empty), dtype=bool))
+    return _Kernel(np.zeros(shape, dtype=complex), None, np.zeros(shape), np.zeros(shape), empty, empty.copy(),
+                   np.full(shape, -1), empty.copy(), np.zeros(shape[0]), np.zeros(shape[0], dtype=bool))
 
 
-def _scatter(joined: _Kernel, out: _Kernel, rows: np.ndarray, at, col, vectors: np.ndarray) -> _Kernel:
-    """The ``joined`` record with the kernel's arrays ``out`` of a part
-    written in: whole ``rows``, or blocks at the real-basis indices ``at``
-    and sorted columns ``col`` of their rows.  The joined states are copied,
-    once, only where the kernel changed a part's eigenvectors ``vectors``."""
+def _scatter(joined: _Kernel, out: _Kernel, rows: np.ndarray, at, col) -> _Kernel:
+    """The ``joined`` record with the per-column and per-row arrays ``out``
+    of a part written in: whole ``rows``, or blocks at the sorted columns
+    ``col`` of their rows, with the real-basis indices ``at``."""
     if at is None:
-        cells = states = rows
-        partner = out.partner
+        cells, partner = rows, out.partner
     else:
-        cells, states = (rows[:, None], col), (rows[:, None, None], at[:, :, None], col[:, None, :])
+        cells = (rows[:, None], col)
         partner = np.where(out.partner < 0, -1, np.take_along_axis(col, np.maximum(out.partner, 0), -1))
     for field in ("values", "theta", "energy", "kept", "rebased", "unpaired"):
         getattr(joined, field)[cells] = getattr(out, field)
     joined.partner[cells] = partner
     np.maximum.at(joined.petermann, rows, out.petermann)
     np.logical_or.at(joined.broken, rows, out.broken)
-    for field in ("vectors", "phi"):
-        part, array = getattr(out, field), getattr(joined, field)
-        if part is vectors:
-            continue
-        if not array.flags.writeable or (field == "phi" and array is joined.vectors):
-            array = array.astype(np.result_type(array, part))
-            joined = joined._replace(**{field: array})
-        array[states] = part
     return joined
 
 
@@ -579,8 +558,8 @@ def _kernel(values, vectors, fixed, scale, symmetric, settled, condition, apply_
     with one stacked :func:`_pt_fixed_basis` per size.  The verdicts are
     read off these arrays; rows not ``settled`` are not rebased.  A matched
     pair that a complex solve lists upper member first has its two columns
-    swapped, in ``values``, ``vectors``, ``phi`` and ``theta``, so every row
-    lists it as the real solve does.
+    swapped, in ``values``, ``phi`` and ``theta``, so every row lists it as
+    the real solve does; both are non-real, so no rebase reads them.
     """
     real = np.abs(values.imag) <= REALITY_FACTOR * scale
     start = _cluster_starts(values.real, real, DEGENERACY_FACTOR * scale)
@@ -602,8 +581,8 @@ def _kernel(values, vectors, fixed, scale, symmetric, settled, condition, apply_
         row, i = np.nonzero(settled[:, None] & (values.imag > 0) & (partner > np.arange(values.shape[1])))
         if len(row):
             j = partner[row, i]  # the partners stay partners when the two columns swap
-            values, vectors, phi, theta = (part.copy() for part in (values, vectors, phi, theta))
-            for part in (values, vectors, phi, theta):
+            values, phi, theta = (part.copy() for part in (values, phi, theta))
+            for part in (values, phi, theta):
                 part[row, ..., i], part[row, ..., j] = part[row, ..., j], part[row, ..., i]
 
     kept = symmetric[:, None] & real & start & phase_ok
@@ -612,7 +591,7 @@ def _kernel(values, vectors, fixed, scale, symmetric, settled, condition, apply_
     irregular = settled & symmetric & (real & ~kept).any(-1)
     if irregular.any():
         energy = energy.copy()
-        if phi is vectors:  # rebased in place, so not in the read-only eigensystem
+        if phi is vectors:  # rebased in place, so not in the eigenvectors, read-only on a complex solve
             phi = vectors.copy()
         label = np.cumsum(start).reshape(start.shape)  # the eigenspace of each real column, numbered across rows
         irregular_space = np.zeros(label[-1, -1] + 1, dtype=bool)
@@ -631,7 +610,7 @@ def _kernel(values, vectors, fixed, scale, symmetric, settled, condition, apply_
             energy[r, c] = (values.real[r, c].sum(-1) / m)[:, None]
         broken |= irregular & (real & ~kept).any(-1)
     unpaired = nonreal & (partner < 0)
-    return _Kernel(values, vectors, phi, theta, energy, kept, rebased, partner, unpaired, petermann, broken)
+    return _Kernel(values, phi, theta, energy, kept, rebased, partner, unpaired, petermann, broken)
 
 
 def _classify_one(h, frame: PTFrame, tol: float) -> _Rows:
@@ -642,24 +621,25 @@ def _classify_one(h, frame: PTFrame, tol: float) -> _Rows:
     norm = frobenius(a[None])
     require_finite_scale(norm[0])
     rows = _classify_rows(a[None], norm, frame, tol)
-    require_regular(rows.eigen, rows.residual, norm, tol)
+    require_regular(rows, rows.residual, norm, tol)
     return rows
 
 
 def _unbroken(h, frame: PTFrame, tol: float | None, caller: str):
-    """The checked H, the aligned states as one ``(n, n)`` array, their
-    energies and their blocks, of an unbroken Hamiltonian over ``frame``,
+    """The checked H, the energies of the aligned states and the states
+    themselves, block by block, of an unbroken Hamiltonian over ``frame``,
     for ``caller``: a matrix is classified here at ``tol``; a report is
     taken only if :func:`classify_symmetry` made it over a frame equal to
     ``frame`` at ``tol``, or at any tolerance where ``tol`` is None, which
-    takes only a report.  The states come with the ``(at, col)`` of each
-    block size, each block's columns ``col`` supported on its indices
-    ``at``.  Over a frame with a real basis they are in that basis: those of
-    the real solve as they are, and those of a row whose real solve fell
-    back to the complex one mapped into it here, as one block of the whole
-    basis.  Over any other frame they are one block of the whole original
-    basis.  Raises InvalidArgument for any other report, and NotUnbroken
-    unless the classification is unbroken."""
+    takes only a report.  The states come as the ``(at, col, states)`` of
+    each block size, the ``(g, m, m)`` states of each block at its indices
+    ``at`` and sorted columns ``col``, the stacks the kernel ran on.  Over a
+    frame with a real basis they are in that basis: those of the real solve
+    as they are, and those of a row whose real solve fell back to the
+    complex one mapped into it here, as one block of the whole basis.  Over
+    any other frame they are one block of the whole original basis.  Raises
+    InvalidArgument for any other report, and NotUnbroken unless the
+    classification is unbroken."""
     if tol is None or isinstance(h, SymmetryReport):
         rows = getattr(h, "_analysis", None)
         if rows is None or tol not in (None, rows.tol) or not (rows.frame is frame or rows.frame == frame):
@@ -670,11 +650,13 @@ def _unbroken(h, frame: PTFrame, tol: float | None, caller: str):
     if rows.classification[0] != UNBROKEN:
         raise NotUnbroken(f"{caller} requires unbroken symmetry, got {rows.classification[0]} "
                           f"(PT residual {rows.pt_residual[0]:.3e})")
-    phi, blocks = rows.phi[0], [(at, col) for _, at, col in rows.blocks]
-    if not blocks:  # solved in the original basis: one block, mapped into the real basis where there is one
-        every = np.arange(len(phi))[None]
-        phi, blocks = (phi if frame.real_basis is None else frame.real_basis.to_basis(phi)), [(every, every)]
-    return rows.stack[0], phi, rows.energy[0], blocks
+    blocks, basis = [], frame.real_basis
+    for _, at, col, states in rows.parts:
+        if at is None:  # solved in the original basis: one block, mapped into the real basis where there is one
+            at = col = np.arange(frame.dim)[None]
+            states = states if basis is None else basis.to_basis(states)
+        blocks.append((at, col, states))
+    return rows.stack[0], rows.energy[0], blocks
 
 
 def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryReport:
@@ -707,15 +689,16 @@ def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryRe
     row as an error this raises.  NonFiniteEntries (also for a Frobenius norm
     that overflows) and DefectiveSpectrum from the eigensolver propagate, and
     a ``tol`` that is not a positive, finite number raises InvalidArgument.
-    The report also keeps that record, privately and without its
-    eigensystem, so a report passed to :func:`~cptkit.cpt.build_c` or
-    :func:`~cptkit.cpt.aligned_signs` is not classified again.
+    The report also keeps that record, privately, with the states of each
+    part as the kernel left them, so a report passed to
+    :func:`~cptkit.cpt.build_c` or :func:`~cptkit.cpt.aligned_signs` is not
+    classified again.
     """
     rows = _classify_one(h, frame, tol)
-    values, phi, kept = rows.eigen.values[0], rows.phi[0], rows.kept[0]
-    if rows.blocks:  # states of the real basis, mapped back once, block by block
-        ats, cols = [at for _, at, _ in rows.blocks], [col for _, _, col in rows.blocks]
-        phi = frame.real_basis.from_blocks(ats, [phi[at[:, :, None], col[:, None, :]] for at, col in zip(ats, cols)], cols)
+    values, kept = rows.values[0], rows.kept[0]
+    _, ats, cols, states = zip(*rows.parts)
+    # the states of the real basis mapped back once, block by block; those of a complex solve as they are
+    phi = states[0][0] if ats[0] is None else frame.real_basis.from_blocks(ats, states, cols)
     energies, thetas = rows.energy[0, kept].tolist(), rows.theta[0, kept].tolist()
     aligned = tuple(AlignedState(e, phi[:, j], t) for j, e, t in zip(np.flatnonzero(kept).tolist(), energies, thetas))
     pairs, warnings = (), []
@@ -741,7 +724,7 @@ def classify_symmetry(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> SymmetryRe
         ]
     return SymmetryReport(
         bool(rows.symmetric[0]), str(rows.classification[0]), values, aligned, pairs, tuple(warnings),
-        float(rows.pt_residual[0]), rows._replace(eigen=None),
+        float(rows.pt_residual[0]), rows,
     )
 
 
@@ -764,7 +747,7 @@ def classify_stack(hs, frame: PTFrame, tol: float = DEFAULT_TOL) -> StackClassif
     if a.ndim != 3 or a.shape[1:] != (frame.dim, frame.dim):
         raise DimensionMismatch(f"expected a stack of {frame.dim}x{frame.dim} matrices, got shape {a.shape}")
     rows = _classify_rows(a, frobenius(a), frame, tol)
-    return StackClassification(rows.eigen.values, rows.classification, rows.warning, rows.eigen.defective)
+    return StackClassification(rows.values, rows.classification, rows.warning, rows.defective)
 
 
 def classify_2x2(h, tol: float = DEFAULT_TOL) -> TwoByTwoClass:

@@ -861,6 +861,25 @@ def test_every_cpt_frame_holds_c_as_blocks_of_its_basis():
         assert joined.tobytes() == cpt.c.matrix.tobytes(), name
 
 
+@pytest.mark.parametrize("model", ["cell", "chain"])
+def test_a_frame_with_its_c_replaced_is_judged_as_a_fresh_frame(model):
+    # dataclasses.replace passes no block of the old C on: the new C is one
+    # block of the whole original basis, as a C given alone, and is judged
+    # as such, by its own metric; -C fails where C passes
+    rng = np.random.default_rng(32)
+    cells = ((1.0, 2.0, 0.5),) if model == "cell" else random_cells(rng, 40)
+    others = ((0.5, 1.0, 0.3),) if model == "cell" else random_cells(rng, 40)
+    h, frame = build_model(ModelSpec("chain", cells))
+    cpt = build_c(h, frame).cpt
+    other = build_c(build_model(ModelSpec("chain", others))[0], frame).cpt
+    for c, passed in ((-cpt.c.matrix, False), (other.c.matrix, True)):
+        replaced, fresh = replace(cpt, c=Operator.linear(c)), CPTFrame(frame, Operator.linear(c))
+        assert replaced.validate() == fresh.validate() and replaced.validate().passed == passed
+        for got, want in zip(replaced.metric_spectrum, fresh.metric_spectrum):
+            assert got.tobytes() == want.tobytes()
+        assert replaced._basis is None and replaced._c_blocks[0].tobytes() == c.tobytes()
+
+
 @pytest.mark.parametrize("family", COVARIANCE_FAMILIES)
 def test_dense_frame_synthesis_is_the_dense_formula_bit_for_bit(family):
     # a frame moved by a unitary has no index array: C, its metric, the Gram
@@ -1266,7 +1285,7 @@ def test_a_direct_sum_of_blocks_of_several_sizes_is_synthesized_as_the_whole_pip
         parts.append((h, build_c(h, frame).cpt))
     h, composed = direct_sum(BlockSpec(tuple(parts)))
     report = classify_symmetry(h, composed.frame)
-    assert sorted(at.shape[1] for _, at, _ in report._analysis.blocks) == [1, 2, 4]
+    assert sorted(at.shape[1] for _, at, _, _ in report._analysis.parts) == [1, 2, 4]
     verdict, got = _pipeline(h, composed.frame)
     want_verdict, want = _whole_pipeline(h, composed.frame)
     assert verdict == want_verdict == (UNBROKEN, ())

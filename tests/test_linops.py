@@ -513,6 +513,17 @@ def _partition_stack(rng, name):
     return np.stack([random_complex(rng, (80, 80)), linked, tridiagonal, chain])
 
 
+def _row_vectors(blocks, i, n):
+    """The unit eigenvectors of row ``i`` of the ``blocks`` of
+    ``linops.split_eigensystem``, joined into one complex ``(n, n)`` array:
+    each block's at its indices and sorted columns, zero off the blocks."""
+    vectors = np.zeros((n, n), dtype=complex)
+    for rows, at, col, _, part in blocks:
+        for b in np.flatnonzero(rows == i):
+            vectors[np.ix_(at[b], col[b])] = part[b]
+    return vectors
+
+
 @pytest.mark.parametrize("gate", [None, EP_WARNING_K], ids=["svd", "certificate"])
 @pytest.mark.parametrize("name", ["n80", "cells"])
 def test_the_blocks_of_every_row_are_a_partition_and_each_row_is_solved_as_alone(name, gate):
@@ -523,25 +534,29 @@ def test_the_blocks_of_every_row_are_a_partition_and_each_row_is_solved_as_alone
     def solve(a, lim):
         return linops.split_eigensystem(a, linops._components(a), lim, gate)
 
-    eigen, residual, blocks = solve(stack, limit)
-    assert not eigen.defective.any()
+    values, condition, defective, residual, blocks = solve(stack, limit)
+    assert not defective.any()
     # every index of a row lies in one block, and every sorted column too
     indices, columns = np.zeros((count, n), dtype=int), np.zeros((count, n), dtype=int)
-    for rows, at, col in blocks:
-        assert at.shape == col.shape == (len(rows), at.shape[1])
+    for rows, at, col, block_values, vectors in blocks:
+        assert at.shape == col.shape == block_values.shape == (len(rows), at.shape[1])
+        assert vectors.shape == (len(rows), at.shape[1], at.shape[1])
+        # each block's own sorted values are its row's at its columns
+        assert block_values.astype(values.dtype).tobytes() == values[rows[:, None], col].tobytes()
         assert (np.diff(at) > 0).all() and (np.diff(col) > 0).all()
         np.add.at(indices, (rows[:, None], at), 1)
         np.add.at(columns, (rows[:, None], col), 1)
     assert (indices == 1).all() and (columns == 1).all()
     if name == "n80":  # the chain alone is split, into 40 blocks of 2
-        assert sorted((at.shape[1], rows.tolist()) for rows, at, _ in blocks) == [(2, [3] * 40), (80, [0, 1, 2])]
+        assert sorted((at.shape[1], rows.tolist()) for rows, at, *_ in blocks) == [(2, [3] * 40), (80, [0, 1, 2])]
     for i in range(count):
-        alone, alone_residual, _ = solve(stack[i : i + 1], limit[i : i + 1])
+        alone_values, alone_condition, _, alone_residual, alone_blocks = solve(stack[i : i + 1], limit[i : i + 1])
         assert alone_residual.tobytes() == residual[i : i + 1].tobytes()
-        for field in ("values", "vectors", "condition"):
+        pairs = {"values": (values[i], alone_values[0]), "condition": (condition[i], alone_condition[0]),
+                 "vectors": (_row_vectors(blocks, i, n), _row_vectors(alone_blocks, 0, n))}
+        for field, (got, want) in pairs.items():
             # a real stack is complex once any row has a non-real eigenvalue
-            got = getattr(eigen, field)[i]
-            assert np.asarray(getattr(alone, field)[0], dtype=got.dtype).tobytes() == got.tobytes(), (i, field)
+            assert np.asarray(want, dtype=got.dtype).tobytes() == got.tobytes(), (i, field)
 
 
 def test_a_row_split_into_blocks_has_the_residual_of_its_worst_block():
@@ -610,15 +625,15 @@ def _conditions(vectors, gate):
     try:
         np.linalg.svd = recording
         try:
-            certified = linops.split_eigensystem(zero, parts, limit, gate)[0]
+            _, certified, _, _, ((*_, unit),) = linops.split_eigensystem(zero, parts, limit, gate)
         finally:
             np.linalg.svd = real_svd
-        exact = linops.split_eigensystem(zero, parts, limit, None)[0].condition
+        exact = linops.split_eigensystem(zero, parts, limit, None)[1]
     finally:
         np.linalg.eig = real_eig
-    cleared = np.array([row.tobytes() not in seen for row in certified.vectors])
+    cleared = np.array([row.tobytes() not in seen for row in unit])
     assert len(seen) == np.count_nonzero(~cleared)  # one SVD, on the other rows alone
-    return certified.condition, exact, cleared
+    return certified, exact, cleared
 
 
 def _assert_decided_as_the_svd(certified, exact, cleared, gate):

@@ -572,7 +572,7 @@ def test_a_row_that_falls_back_to_the_complex_solve_is_phase_aligned(monkeypatch
     for i, m in enumerate([cell, near, cell]):
         classify_symmetry(m, frame)
         for field in ("phi", "theta", "kept"):
-            assert getattr(rows, field)[i].tobytes() == getattr(records[-1], field)[0].tobytes(), (i, field)
+            assert _row(rows, field, i).tobytes() == _row(records[-1], field, 0).tobytes(), (i, field)
 
 
 def test_an_empty_key_has_no_runs():
@@ -630,6 +630,21 @@ def _kernel_calls(monkeypatch):
     return calls
 
 
+def _row(rows, field, i):
+    """Row ``i`` of a field of a classification record; for ``phi``, the
+    states of its parts joined into one ``(n, n)`` array, each block's
+    states at its indices and sorted columns, zero off the blocks, in the
+    basis its row was solved in."""
+    if field != "phi":
+        return getattr(rows, field)[i]
+    n = rows.stack.shape[-1]
+    phi = np.zeros((n, n), dtype=complex)
+    for part_rows, at, col, states in rows.parts:
+        for b in np.flatnonzero(part_rows == i):
+            phi[(slice(None),) * 2 if at is None else np.ix_(at[b], col[b])] = states[b]
+    return phi
+
+
 @pytest.mark.parametrize("sour", [False, True])
 def test_a_stack_rebases_each_row_as_its_own_classification_bit_for_bit(sour, monkeypatch):
     if sour:  # every simple eigenspace is rebased too: size-1 groups across rows
@@ -647,8 +662,8 @@ def test_a_stack_rebases_each_row_as_its_own_classification_bit_for_bit(sour, mo
             classify_symmetry(m, frame)
             one = calls[-1]
             for field in ("phi", "theta", "energy", "kept", "rebased"):
-                assert getattr(rows, field)[i].tobytes() == getattr(one, field)[0].tobytes(), (i, field)
-            assert rows.eigen.condition[i].tobytes() == one.eigen.condition[0].tobytes(), i
+                assert _row(rows, field, i).tobytes() == _row(one, field, 0).tobytes(), (i, field)
+            assert rows.condition[i].tobytes() == one.condition[0].tobytes(), i
 
 
 def test_a_stack_and_a_matrix_each_take_one_pass_of_the_pipeline(monkeypatch):
@@ -657,8 +672,9 @@ def test_a_stack_and_a_matrix_each_take_one_pass_of_the_pipeline(monkeypatch):
         assert classify_stack(np.stack(mats), frame).classification.tolist() == want
         assert len(calls) == 1 and len(calls[0].stack) == len(mats)
         report = classify_symmetry(mats[0], frame)
-        # the report holds that pass's record, without its eigensystem
-        assert len(calls) == 2 and report._analysis.phi is calls[1].phi and report._analysis.eigen is None
+        # the report holds that pass's record, with its states and no eigensystem
+        assert len(calls) == 2 and report._analysis.parts is calls[1].parts
+        assert not any(isinstance(value, linops.EigenSystem) for value in report._analysis)
         calls.clear()
 
 
@@ -700,11 +716,12 @@ def test_stack_rows_equal_their_single_classification_bit_for_bit(thetas, monkey
     for i, m in enumerate(_grid(thetas)):
         classify_symmetry(m, frame)
         one = calls[-1]
-        for field in ("values", "vectors", "condition"):
-            assert getattr(rows.eigen, field)[i].tobytes() == getattr(one.eigen, field)[0].tobytes(), (i, field)
+        # the states of every column, as the eigenvectors were
+        for field in ("values", "phi", "condition"):
+            assert _row(rows, field, i).tobytes() == _row(one, field, 0).tobytes(), (i, field)
         kept = one.kept[0]
         for field in ("phi", "theta", "energy"):
-            assert getattr(rows, field)[i][..., kept].tobytes() == getattr(one, field)[0][..., kept].tobytes(), (i, field)
+            assert _row(rows, field, i)[..., kept].tobytes() == _row(one, field, 0)[..., kept].tobytes(), (i, field)
         for field in ("kept", "partner", "classification", "warning"):
             assert getattr(rows, field)[i].tobytes() == getattr(one, field)[0].tobytes(), (i, field)
 
@@ -746,9 +763,11 @@ def _exact_path(monkeypatch):
 
 
 def _record_without_condition(rows):
-    """The arrays of a kernel record that do not hold cond(V), by name."""
+    """The arrays of a kernel record that do not hold cond(V), by name, with
+    the states of its parts joined by row as ``phi``."""
     arrays = {name: value for name, value in rows._asdict().items() if isinstance(value, np.ndarray)}
-    arrays.update(values=rows.eigen.values, vectors=rows.eigen.vectors, defective=rows.eigen.defective)
+    del arrays["condition"]
+    arrays["phi"] = np.stack([_row(rows, "phi", i) for i in range(len(rows.stack))])
     return arrays
 
 
@@ -773,7 +792,7 @@ def test_a_mixed_stack_classifies_each_row_as_alone_and_as_the_exact_path(monkey
         reports.append(_report_or_error(m, frame))
         for name, value in _record_without_condition(calls[-1]).items():
             assert stacked[name][i].tobytes() == value[0].tobytes(), (i, name)
-        assert rows.eigen.condition[i].tobytes() == calls[-1].eigen.condition[0].tobytes(), i
+        assert rows.condition[i].tobytes() == calls[-1].condition[0].tobytes(), i
     # cond(V) from the SVD on every row: the same verdicts, warnings,
     # messages and arrays, cond(V) aside
     _exact_path(monkeypatch)
@@ -947,7 +966,7 @@ def test_a_stack_of_rows_with_different_patterns_classifies_each_row_as_alone(mo
         alone = _record_without_condition(calls[-1])
         for name, value in alone.items():
             assert stacked[name][i].tobytes() == value[0].tobytes(), (i, name)
-        assert rows.eigen.condition[i].tobytes() == calls[-1].eigen.condition[0].tobytes(), i
+        assert rows.condition[i].tobytes() == calls[-1].condition[0].tobytes(), i
         if not stack.error[i]:
             assert stack.eigenvalues[i].tobytes() == report.eigenvalues.tobytes(), i
             assert (stack.classification[i], stack.warning[i]) == (report.classification, bool(report.warnings))
@@ -1000,4 +1019,33 @@ def test_a_stack_row_keeps_phi_and_theta_of_every_column_as_alone(monkeypatch):
             _report_or_error(m, frame)
             alone = calls[-1]
             for name in ("phi", "theta"):
-                assert getattr(rows, name)[i].tobytes() == getattr(alone, name)[0].tobytes(), (i, name)
+                assert _row(rows, name, i).tobytes() == _row(alone, name, 0).tobytes(), (i, name)
+
+
+def test_a_record_keeps_the_states_of_each_part_as_the_stack_the_kernel_ran_on(monkeypatch):
+    # split dimension-80 chains, one with a cell near its exceptional point,
+    # which falls back to the complex solve: the record holds the kernel's
+    # states of each part, the blocks of the real solve as (g, m, m) stacks
+    # and the fallback row whole, and no (n, n) array but the stack itself
+    rng = np.random.default_rng(33)
+    cells = [random_cells(rng, 40) for _ in range(3)]
+    cells[1] = cells[1][:5] + ((1.0 - 5e-7, 1.0, np.pi / 2),) + cells[1][6:]
+    mats = [build_model(ModelSpec("chain", c))[0] for c in cells]
+    frame = build_model(ModelSpec("chain", cells[0]))[1]
+    n = frame.dim
+    calls = _kernel_calls(monkeypatch)
+    stack = classify_stack(np.stack(mats), frame)
+    report = classify_symmetry(mats[0], frame)
+    assert stack.classification.tolist() == [UNBROKEN] * 3 and stack.warning.tolist() == [False, True, False]
+    for rows, fallback in ((calls[0], [1]), (calls[1], [])):
+        for name, value in rows._asdict().items():
+            if isinstance(value, np.ndarray) and name != "stack":
+                assert value.shape[-2:] != (n, n), name
+        assert [at is None for _, at, _, _ in rows.parts] == [True] * bool(fallback) + [False]
+        for part_rows, at, col, states in rows.parts:
+            if at is None:  # the rows solved as complex, whole, in the original basis
+                assert part_rows.tolist() == fallback and states.shape == (len(fallback), n, n)
+            else:  # the blocks of the real solve, as the kernel ran on them
+                assert at.shape == col.shape == (len(part_rows), 2)
+                assert states.shape == (len(part_rows), 2, 2)
+    assert report._analysis is calls[1]
