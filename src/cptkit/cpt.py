@@ -409,14 +409,18 @@ def hermitize(h, cpt: CPTFrame, tol: float = DEFAULT_TOL) -> np.ndarray:
     similarity preserves the spectrum.  On a frame synthesized in the real
     basis Q it is Q (R+ (Q^+ H Q) R-) Q^+, with the real roots R+- of M, in
     real products.  Requires [C, H] = 0 at tolerance (the
-    frame must be a frame *for* H) and PC positive definite.  The commutator
-    is not formed again for the H, entrywise, that the frame last passed at a
-    ``tol`` no tighter, such as the H that :func:`build_c` synthesized it for.
+    frame must be a frame *for* H) and PC positive definite.  ``h`` is first
+    compared, as given and before it is copied, with the H that the frame
+    last passed: an H equal to it entrywise, at a ``tol`` no tighter, such
+    as the H that :func:`build_c` synthesized the frame for, is neither
+    copied nor checked again, and the frame's own read-only copy is used.
 
     Raises NotPositiveDefinite, NotHermitian or CommutatorViolation, and
     InvalidArgument for a ``tol`` that is not a positive, finite number.
     """
     require_tolerance(tol)
-    a = cpt._require_commuting(_checked(h, cpt), tol)  # the copy it equals, if remembered, is dropped here
+    a = cpt._passed(h, tol)  # before any copy: the H that build_c classified is not copied again
+    if a is None:
+        a = cpt._require_commuting(_checked(h, cpt), tol)
     root, inv_root = cpt._basis_roots(tol)
     return cpt._similarity(root, a, inv_root)

@@ -69,6 +69,7 @@ from .linops import (
     Operator,
     _block_join,
     _components,
+    _entries,
     _one_block,
     _require_threshold,
     apply,
@@ -164,13 +165,20 @@ class RealBasis(NamedTuple):
         within it: the pair closure of the components of each Q^+ A Q."""
         return _components(a, self.perm)
 
+    def pt_conjugate_blocks(self, a: np.ndarray, rows, at) -> np.ndarray:
+        """(PT) A_b (PT) of the blocks A_b of the matrices ``a[rows]`` of a
+        stack at the ``(g, m)`` indices ``at``, blocks closed under P: the
+        entries conj(A[perm[i], perm[j]]) over each block's i, j, in one
+        gather, as :meth:`PTFrame.pt_conjugate` gathers a whole matrix."""
+        gathered = _entries(a, rows, self.perm[at])
+        return np.conjugate(gathered, out=gathered)
+
     def real_form(self, a: np.ndarray, rows, at) -> np.ndarray:
         """Re(Q^+ A Q) of the matrices ``a[rows]`` of a stack, or its blocks
         at the ``(g, m)`` indices ``at``, blocks closed under P: what
         :func:`~cptkit.linops.split_eigensystem` solves over an index frame."""
-        if at is None:
-            return self.form(a[rows]).real
-        return self._block_form(a[rows[:, None, None], at[:, :, None], at[:, None, :]], at).real
+        blocks = _entries(a, rows, at)
+        return (self.form(blocks) if at is None else self._block_form(blocks, at)).real
 
     def from_blocks(self, ats, parts, cols=None) -> np.ndarray:
         """The ``(n, n)`` matrix Q M Q^+ of the real-basis matrix M whose
@@ -379,10 +387,12 @@ def _involutive_permutation(p: np.ndarray, t: np.ndarray) -> np.ndarray | None:
 @dataclass(frozen=True)
 class CPTFrame:
     """A triple {C, P, T} over a PT-frame, checked by :meth:`validate`.  The
-    metric ``pc_matrix`` = P @ C and the one eigendecomposition (w, U), w
-    ascending, of its Hermitian part are formed once here, read-only: no
-    consumer of the metric factors it again, and its powers are formed from
-    that spectrum, the roots once per tolerance.
+    one eigendecomposition (w, U), w ascending, of the metric's Hermitian
+    part is formed once here, read-only: no consumer of the metric factors
+    it again, and its powers are formed from that spectrum, the roots once
+    per tolerance.  The metric ``pc_matrix`` = P @ C is formed on first
+    read, read-only: a frame synthesized in the real basis holds its metric
+    as blocks, and none of its own steps reads the ``(n, n)`` PC.
 
     C is held block by block, in the frame's own basis: ``_blocks`` holds,
     for each block size m, the ``(g, m)`` indices of the g blocks that C
@@ -407,7 +417,6 @@ class CPTFrame:
 
     frame: PTFrame
     c: Operator
-    pc_matrix: np.ndarray = field(init=False, repr=False, compare=False)
     _spectrum: tuple = field(init=False, repr=False, compare=False)
     _roots: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _c_parts: InitVar[tuple[np.ndarray, ...] | None] = field(default=None, kw_only=True)
@@ -429,17 +438,24 @@ class CPTFrame:
             object.__setattr__(self, "_basis", self.frame.real_basis)
         object.__setattr__(self, "_c_blocks", _c_parts)
         object.__setattr__(self, "_blocks", _ats)
+        if self._basis is None:
+            m = (self.pc_matrix[None],)
+        else:
+            m = tuple(self._basis.signature[at] * c for at, c in zip(self._blocks, self._c_blocks))
         with np.errstate(over="ignore", invalid="ignore"):
-            object.__setattr__(self, "pc_matrix", self.frame.apply_p(self.c.matrix))
-            if self._basis is None:
-                m = (self.pc_matrix[None],)
-            else:
-                m = tuple(self._basis.signature[at] * c for at, c in zip(self._blocks, self._c_blocks))
             spectrum = tuple(zip(*map(self._block_spectrum, m)))
-        for part in (self.pc_matrix, *self._c_blocks, *m, *spectrum[0], *spectrum[1]):
+        for part in (*self._c_blocks, *m, *spectrum[0], *spectrum[1]):
             part.setflags(write=False)
         object.__setattr__(self, "_m", m)
         object.__setattr__(self, "_spectrum", spectrum)
+
+    @cached_property
+    def pc_matrix(self) -> np.ndarray:
+        """The metric P @ C, read-only, formed on first read."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            pc = self.frame.apply_p(self.c.matrix)
+        pc.setflags(write=False)
+        return pc
 
     def _block_spectrum(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(w, U_b) of each block of a stack of the metric's blocks, by one
@@ -515,17 +531,28 @@ class CPTFrame:
         last = self._commuting
         return self._unsplit or (last is not None and h is last[0] and last[2])
 
+    def _passed(self, h, tol: float) -> np.ndarray | None:
+        """The read-only H of the last [C, H] pass where ``h`` equals it,
+        entrywise, and ``tol`` is no tighter than that pass's, else None:
+        ``h`` is compared as given, a numeric array before any copy of it,
+        so an H that has passed is neither copied nor checked again."""
+        last = self._commuting
+        if last is None or tol < last[1]:
+            return None
+        if h is last[0] or (isinstance(h, np.ndarray) and h.dtype.kind in "biufc" and np.array_equal(h, last[0])):
+            return last[0]
+        return None
+
     def _require_commuting(self, h: np.ndarray, tol: float, fits: bool = False) -> np.ndarray:
         """Raise CommutatorViolation unless :func:`~cptkit.linops.commutator_check`
         of C and the read-only H passes at ``tol``; return the H that passed.
         In the real basis C is C_r and H is Q^+ H Q, block by block where
         ``fits`` says that Q^+ H Q vanishes off the blocks (the H that
         :func:`~cptkit.cpt.build_c` classified), and joined otherwise.  An H
-        equal, entrywise, to that of the last pass passes at a ``tol`` no
-        tighter with no product."""
-        last = self._commuting
-        if last is not None and tol >= last[1] and (h is last[0] or np.array_equal(h, last[0])):
-            return last[0]
+        that :meth:`_passed` finds passes with no product."""
+        passed = self._passed(h, tol)
+        if passed is not None:
+            return passed
         basis, fits = self._basis, fits or self._unsplit
         if basis is None:  # one block of the whole original basis
             residual, commutes = commutator_check(self._c_blocks, (h[None],), tol)

@@ -94,10 +94,14 @@ def frobenius(a) -> np.ndarray:
     every residual and the scale that relative tolerances are measured
     against; inf where it overflows or an entry is not finite (a nan entry of
     a residual formed from finite matrices is an overflow: inf - inf or
-    inf * 0)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        # fmin ignores a nan operand: nan -> inf, anything else unchanged
-        return np.fmin(np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1))), np.inf)
+    inf * 0).  The operand is read once, a complex one as its real and
+    imaginary parts side by side, by one ``einsum`` of its squares, which
+    forms no array of its size and sets no floating-point flag."""
+    x = np.ascontiguousarray(a)  # ``a`` itself where it is contiguous, as every matrix the package forms
+    if x.dtype.kind == "c":
+        x = x.view(x.real.dtype)
+    # fmin ignores a nan operand: nan -> inf, anything else unchanged
+    return np.fmin(np.sqrt(np.einsum("...ij,...ij->...", x, x)), np.inf)
 
 
 def column_norms(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
@@ -173,12 +177,13 @@ def _block_join(n: int, ats, parts, cols=None) -> np.ndarray:
     """The ``(n, n)`` array with each ``(g, m, m)`` stack of ``parts`` written
     at the rows ``ats`` and the columns ``cols`` (``ats`` if None) of its
     blocks, zero elsewhere: the part itself where it is one block of the
-    whole, its columns in order."""
+    whole, its columns in order.  Parts with leading axes, ``(..., g, m, m)``,
+    are joined into an ``(..., n, n)`` stack, one matrix per leading index."""
     if _one_block(ats, (1, n)) and (cols is None or (cols[0] == np.arange(n)).all()):
-        return parts[0][0]
-    joined = np.zeros((n, n), dtype=np.result_type(*parts))
+        return parts[0][..., 0, :, :]
+    joined = np.zeros(parts[0].shape[:-3] + (n, n), dtype=np.result_type(*parts))
     for at, col, part in zip(ats, ats if cols is None else cols, parts):
-        joined[at[:, :, None], col[:, None, :]] = part
+        joined[..., at[:, :, None], col[:, None, :]] = part
     return joined
 
 
@@ -650,7 +655,7 @@ def _components(a: np.ndarray, perm: np.ndarray | None = None):
     rows, groups = np.arange(count), []  # the rows that are one component
     rest = rows[~((a[:, 0] != 0) | (a[:, :, 0] != 0)).all(-1)] if n >= _SPLIT_DIM else ()
     if len(rest):
-        pattern = a[rest] != 0
+        pattern = (a if len(rest) == count else a[rest]) != 0  # no copy of the stack where every row is labeled
         if perm is not None:
             pattern[:, np.arange(n), perm] = True
         pattern |= pattern.swapaxes(-1, -2)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidArgument, InvalidModel, SelfOrthogonal
 from .frames import PTFrame, frame_from_involution, pair_swap_frame
-from .linops import DEFAULT_TOL, _block_diag, require_tolerance
+from .linops import DEFAULT_TOL, _block_diag, _block_join, require_tolerance
 
 TWO_BY_TWO = "2x2"
 THREE_BY_THREE = "3x3"
@@ -54,7 +54,8 @@ class ModelSpec:
     a: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(tuple(_parameter(x) for x in b) for b in self.blocks))
+        blocks, nonzero, lengths = _parameters(self.blocks)
+        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "a", None if self.a is None else _parameter(self.a))
         if self.family not in FAMILIES:
             raise InvalidModel(f"unknown model family {self.family!r}; choose from {FAMILIES}")
@@ -65,17 +66,17 @@ class ModelSpec:
             )
         if self.family == CHAIN and not self.blocks:
             raise InvalidModel("chain needs at least one (r, s, theta) block")
-        for i, block in enumerate(self.blocks):
-            if not all(map(_nonzero, block)):
-                raise InvalidModel(f"block {i}: r, s, theta must all be nonzero")
+        if not all(nonzero):
+            raise InvalidModel(f"block {nonzero.index(False)}: r, s, theta must all be nonzero")
         if self.family == THREE_BY_THREE:
             if self.a is None or not _nonzero(self.a):
                 raise InvalidModel("the 3x3 family needs a nonzero decoupled level a")
         elif self.a is not None:
             raise InvalidModel(f"family {self.family} does not take an a parameter")
-        lengths = sorted({len(x) for x in (*sum(self.blocks, ()), self.a) if isinstance(x, np.ndarray)})
+        if isinstance(self.a, np.ndarray):
+            lengths.add(len(self.a))
         if len(lengths) > 1:
-            raise InvalidModel(f"swept parameters must share one length, got lengths {lengths}")
+            raise InvalidModel(f"swept parameters must share one length, got lengths {sorted(lengths)}")
 
     @property
     def dim(self) -> int:
@@ -108,12 +109,46 @@ def _nonzero(x: float | np.ndarray) -> bool:
     return bool(x.all()) if isinstance(x, np.ndarray) else x != 0.0
 
 
+def _parameters(blocks) -> tuple[tuple, list[bool], set[int]]:
+    """The ``blocks`` with each parameter as :func:`_parameter` makes it,
+    whether each block's parameters are all nonzero, and the lengths of its
+    sweeps.  Several blocks of three numbers each, as of a chain, are
+    converted and checked as one array; one block, which converts faster
+    alone, any other blocks, and any that convert to a nan, which may stand
+    for an object that ``float`` rejects, such as None, are taken parameter
+    by parameter, with ``float``'s errors."""
+    table = None
+    if len(blocks) > 1:
+        try:
+            table = np.array(blocks, dtype=float)
+        except (TypeError, ValueError):
+            pass
+    if table is not None and table.shape == (len(blocks), 3) and not np.isnan(table).any():
+        return tuple(map(tuple, table.tolist())), table.all(-1).tolist(), set()
+    blocks = tuple(tuple(_parameter(x) for x in b) for b in blocks)
+    lengths = {len(x) for b in blocks for x in b if isinstance(x, np.ndarray)}
+    return blocks, [all(map(_nonzero, b)) for b in blocks], lengths
+
+
 def _cell(r, s, theta) -> np.ndarray:
     out = np.empty(np.broadcast(r, s, theta).shape + (2, 2), dtype=complex)
     out[..., 0, 0] = r * np.exp(1j * theta)
     out[..., 0, 1] = out[..., 1, 0] = s
     out[..., 1, 1] = r * np.exp(-1j * theta)
     return out
+
+
+def _cells(blocks) -> np.ndarray:
+    """The cells of ``blocks`` as one ``(..., k, 2, 2)`` stack, by one
+    :func:`_cell` over their stacked parameters, each broadcast to the
+    sweep where some are swept: one block's own parameters."""
+    if len(blocks) == 1:
+        return _cell(*blocks[0])[..., None, :, :]
+    try:  # (k, 3), or (k, 3, N) where every parameter is swept
+        table = np.array(blocks, dtype=float)
+    except ValueError:  # scalars beside sweeps
+        table = np.array(np.broadcast_arrays(*(x for b in blocks for x in b))).reshape(len(blocks), 3, -1)
+    return _cell(*table.transpose(*range(1, table.ndim), 0))  # r, s and theta, each (..., k)
 
 
 def model_frame(spec: ModelSpec) -> PTFrame:
@@ -129,13 +164,14 @@ def model_frame(spec: ModelSpec) -> PTFrame:
 def model_matrix(spec: ModelSpec) -> np.ndarray:
     """The Hamiltonian of a model, PT-symmetric under :func:`model_frame` and non-Hermitian
     for nonzero theta; for swept parameters an ``(N, n, n)`` stack, one row per entry."""
-    cells = [_cell(*b) for b in spec.blocks]
+    cells = _cells(spec.blocks)
     if spec.family == THREE_BY_THREE:
-        return _block_diag(cells[0], np.asarray(spec.a, dtype=complex)[..., None, None])
+        return _block_diag(cells[..., 0, :, :], np.asarray(spec.a, dtype=complex)[..., None, None])
     if spec.family == TENSOR:  # np.kron, broadcast over leading axes
-        product = cells[0][..., :, None, :, None] * cells[1][..., None, :, None, :]
+        product = cells[..., 0, :, None, :, None] * cells[..., 1, None, :, None, :]
         return product.reshape(product.shape[:-4] + (4, 4))
-    return _block_diag(*cells)  # 2x2, 4x4 and chain
+    n = 2 * cells.shape[-3]  # 2x2, 4x4 and chain: each cell at its pair of indices, in one write
+    return _block_join(n, (np.arange(n).reshape(-1, 2),), (cells,))
 
 
 def build_model(spec: ModelSpec) -> tuple[np.ndarray, PTFrame]:

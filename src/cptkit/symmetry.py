@@ -31,11 +31,11 @@ not PT-symmetric, a row that falls back).
 Over an index frame the pipeline runs block by block, in the real basis,
 on every row it solves there: a row whose pattern, with P's pairs joined,
 has several connected components (at dimension ``_SPLIT_DIM`` or more) is
-split into them, labeled once per classification, each block of
-Re(Q^+ H Q) formed from H's block; any other row is one block of the whole
-basis.  The kernel runs on stacks of equal-size blocks, where PT is
-conjugation.  A chain, a direct sum of 2x2 cells, is classified as one stack
-of its cells.  Degeneracy clusters and the rebase stay within a block, so an
+split into them, labeled once per classification, before the PT check,
+which reads the same blocks, each block of Re(Q^+ H Q) formed from H's
+block; any other row is one block of the whole basis.  The kernel runs on
+stacks of equal-size blocks, where PT is conjugation.  A chain, a direct
+sum of 2x2 cells, is classified as one stack of its cells.  Degeneracy clusters and the rebase stay within a block, so an
 eigenspace across blocks, as of two equal cells, holds one eigenvector per
 block and takes no rebase.  Every threshold stays the whole row's: the
 reality and degeneracy widths against the whole |H|, the eigenpair residuals
@@ -64,6 +64,7 @@ from .frames import PTFrame, pair_swap_frame
 from .linops import (
     COND_LIMIT,
     DEFAULT_TOL,
+    _entries,
     _fields_equal,
     _one_block,
     as_matrix,
@@ -246,12 +247,26 @@ def _checked(h, frame: PTFrame) -> np.ndarray:
     return a
 
 
-def _pt_check(a: np.ndarray, scale: np.ndarray, frame: PTFrame, tol: float):
+def _pt_check(a: np.ndarray, scale: np.ndarray, frame: PTFrame, tol: float, labeled=None):
     """The residual |(PT) H (PT) - H| of each matrix of a stack, and whether
-    it is within ``tol * scale``."""
-    difference = frame.pt_conjugate(a)  # a fresh array on every frame
-    difference -= a
-    residual = frobenius(difference)
+    it is within ``tol * scale``.  Given ``labeled``, the partition of every
+    row by the labeling of an index frame (see
+    :meth:`~cptkit.frames.RealBasis.components`), a row that it splits takes
+    the root-sum-square over its blocks of the same formula,
+    |(PT) H_b (PT) - H_b|, each block gathered alone: H vanishes off its
+    blocks, which are closed under P, and so does (PT) H (PT).  A stack of
+    rows that are each one block, and every stack without ``labeled``,
+    takes the whole-row gather of :meth:`~cptkit.frames.PTFrame.pt_conjugate`."""
+    if labeled is None or _one_block([at for _, at in labeled], a.shape[:2]):
+        difference = frame.pt_conjugate(a)  # a fresh array on every frame
+        difference -= a
+        residual = frobenius(difference)
+    else:
+        residual, basis = np.zeros(len(a)), frame.real_basis
+        for rows, at in labeled:
+            difference = basis.pt_conjugate_blocks(a, rows, at)
+            difference -= _entries(a, rows, at)
+            np.hypot.at(residual, rows, frobenius(difference))  # hypot(0, x) is x: a row of one block is exact
     return residual <= tol * scale, residual
 
 
@@ -390,7 +405,7 @@ def _petermann(vectors: np.ndarray) -> np.ndarray:
     return np.add.reduce((inverse.conj() * inverse).real, axis=-1).max(-1)
 
 
-def _eigensystems(a: np.ndarray, norm: np.ndarray, symmetric: np.ndarray, frame: PTFrame, tol: float):
+def _eigensystems(a: np.ndarray, norm: np.ndarray, symmetric: np.ndarray, frame: PTFrame, tol: float, labeled):
     """The eigensystems of an ``(N, n, n)`` stack with Frobenius norms
     ``norm`` and PT verdicts ``symmetric``, as the parts the kernel runs on:
     each row's cond(V), defective mask and largest eigenpair residual, and
@@ -400,12 +415,16 @@ def _eigensystems(a: np.ndarray, norm: np.ndarray, symmetric: np.ndarray, frame:
     A PT-symmetric row over a frame with a real basis Q is solved as the
     real matrix Re(Q^+ H Q).  That is an exact eigensystem of H's
     PT-symmetric part, which differs from H by half the PT residual, at most
-    ``tol * |H| / 2``.  The components of the pattern of H with P's pairs
-    joined are found once here (:meth:`~cptkit.frames.RealBasis.components`):
-    each is closed under P, so Q acts within it and Q^+ H Q, real and
-    imaginary parts both, vanishes off the blocks.  A row with several is
-    solved by its blocks, each formed from H's block alone; a row with one
-    is solved whole, as one block of all n indices.  Either way its parts
+    ``tol * |H| / 2``.  ``labeled`` is the partition of every row of the
+    stack by the components of the pattern of H with P's pairs joined, as
+    :func:`_classify_rows` labeled it once for the PT check
+    (:meth:`~cptkit.frames.RealBasis.components`); it is solved on as it
+    stands where every row is solved in the real basis, and restricted to
+    those rows otherwise, with no second labeling.  Each component is closed
+    under P, so Q acts within it and Q^+ H Q, real and imaginary parts both,
+    vanishes off the blocks.  A row with several is solved by its blocks,
+    each formed from H's block alone; a row with one is solved whole, as
+    one block of all n indices.  Either way its parts
     are the block stacks of :func:`~cptkit.linops.split_eigensystem`, the
     blocks of each size with their ``(g, m)`` indices ``at`` and sorted
     columns ``col``, and their eigenvectors are real-basis coordinates.
@@ -428,10 +447,12 @@ def _eigensystems(a: np.ndarray, norm: np.ndarray, symmetric: np.ndarray, frame:
     condition, residual, defective = np.empty(len(a)), np.empty(len(a)), np.zeros(len(a), dtype=bool)
     at_row, parts = np.flatnonzero(real), []
     if len(at_row):
-        basis = frame.real_basis
-        rows = a if len(at_row) == len(a) else a[at_row]
+        rows = a
+        if len(at_row) < len(a):  # the partition of the real rows alone, renumbered in their stack
+            rows, position = a[at_row], np.cumsum(real) - 1
+            labeled = [(position[r[keep]], at[keep]) for r, at in labeled for keep in [real[r]] if keep.any()]
         _, condition[at_row], failed, residual[at_row], blocks = split_eigensystem(
-            rows, basis.components(rows), tol * norm[at_row], EP_WARNING_K, basis.real_form
+            rows, labeled, tol * norm[at_row], EP_WARNING_K, frame.real_basis.real_form
         )
         del rows
         regular = ~(failed | _past_ep_gate(condition[at_row]))
@@ -460,8 +481,11 @@ def _past_ep_gate(condition: np.ndarray) -> np.ndarray:
 def _classify_rows(a: np.ndarray, norm: np.ndarray, frame: PTFrame, tol: float) -> _Rows:
     """The classification pipeline of an ``(N, n, n)`` stack with Frobenius
     norms ``norm``: the rows that are not finite or whose norm overflows are
-    zeroed, then the PT check of :func:`_pt_check`, the parts of
-    :func:`_eigensystems` and :func:`_kernel` on each part: the rows solved
+    zeroed; over an index frame each row is labeled once
+    (:meth:`~cptkit.frames.RealBasis.components`); then the PT check of
+    :func:`_pt_check`, on the labeling's blocks, the parts of
+    :func:`_eigensystems`, solved on the same partition, and :func:`_kernel`
+    on each part: the rows solved
     as complex, together, in the original basis, where no column is fixed,
     and the blocks of the rows solved in the real basis, stacked by size,
     where PT is conjugation.  Every threshold stays the whole row's.  A
@@ -476,8 +500,9 @@ def _classify_rows(a: np.ndarray, norm: np.ndarray, frame: PTFrame, tol: float) 
     scaled = norm < np.inf
     if not scaled.all():  # non-finite entries, or a norm that overflows: error rows, kept out of the PT check
         a = np.where(scaled[:, None, None], a, 0.0)
-    symmetric, pt_residual = _pt_check(a, norm, frame, tol)
-    condition, defective, residual, parts = _eigensystems(a, norm, symmetric, frame, tol)
+    labeled = None if frame.real_basis is None else frame.real_basis.components(a)
+    symmetric, pt_residual = _pt_check(a, norm, frame, tol, labeled)
+    condition, defective, residual, parts = _eigensystems(a, norm, symmetric, frame, tol, labeled)
     scale, settled, states = np.maximum(1.0, norm)[:, None], ~defective, []
     # one part of every row, whole: its arrays are the record's own
     whole = len(parts) == 1 and len(parts[0][0]) == len(a) and (

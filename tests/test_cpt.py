@@ -1,5 +1,7 @@
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1122,6 +1124,58 @@ def test_a_chain_is_classified_synthesized_and_hermitized_by_its_blocks(monkeypa
     assert [shape for shape in shapes if shape[-2:] == (n, n)] == []
     assert forms == []
     assert report.classification == UNBROKEN and np.isfinite(hermitized).all()
+
+
+def test_a_chain_pipeline_forms_no_whole_row_temporary(monkeypatch):
+    # the chain-dense input (n = 200): the PT check reads the labeling's
+    # blocks, hermitize takes the H that build_c classified with no copy, and
+    # PC, which no step of the pipeline reads, is formed only when read
+    h, frame = build_model(bench_workloads().problem("chain-dense", 901, 3).spec)
+    calls = Counter()
+    conjugate, as_matrix = frames.PTFrame.pt_conjugate, symmetry.as_matrix
+    monkeypatch.setattr(frames.PTFrame, "pt_conjugate", lambda f, a: calls.update(["pt_conjugate"]) or conjugate(f, a))
+    monkeypatch.setattr(symmetry, "as_matrix", lambda m: calls.update(["copy" if m is h else "other"]) or as_matrix(m))
+    report = classify_symmetry(h, frame)
+    result = build_c(h, frame)
+    hermitized = hermitize(h, result.cpt)
+    assert calls == {"copy": 2}  # classify_symmetry and build_c of the matrix, each classifying it
+    assert "pc_matrix" not in vars(result.cpt)
+    pc = result.cpt.pc_matrix
+    assert pc.tobytes() == frame.apply_p(result.cpt.c.matrix).tobytes() and not pc.flags.writeable
+    assert result.cpt.pc_matrix is pc
+    assert report.pt_residual == 0.0 and report.classification == UNBROKEN and np.isfinite(hermitized).all()
+
+
+#: C functions that the package itself calls in classify_symmetry, build_c of
+#: the matrix and hermitize of the 2x2 cell (1, 2, 0.5), counted by
+#: sys.setprofile: the count before the norms read their operand once and
+#: hermitize compared its H before copying it.  Counted over every frame,
+#: numpy's own Python code included, the same pipeline made 523 such calls
+#: then and 481 since.
+C_CALL_BUDGET = 315
+
+
+def test_the_2x2_pipeline_stays_within_its_c_call_budget():
+    h, frame = build_model(ModelSpec("2x2", ((1.0, 2.0, 0.5),)))
+    package = str(Path(frames.__file__).parent)
+
+    def pipeline():
+        classify_symmetry(h, frame)
+        hermitize(h, build_c(h, frame).cpt)
+
+    pipeline()
+    calls = Counter()
+
+    def profile(frame_, event, _):
+        if event == "c_call" and frame_.f_code.co_filename.startswith(package):
+            calls["c_call"] += 1
+
+    sys.setprofile(profile)
+    try:
+        pipeline()
+    finally:
+        sys.setprofile(None)
+    assert 0 < calls["c_call"] <= C_CALL_BUDGET
 
 
 def _basis_maps(monkeypatch):

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 from pathlib import Path
 
@@ -359,6 +360,40 @@ def test_pt_residual_matches_the_dense_formula():
             m = frame.p.matrix @ frame.t.matrix  # the matrix part of PT, composed densely
             for a in (h, random_complex(rng, h.shape)):
                 assert is_pt_symmetric(a, frame).residual == float(frobenius(m @ a.conj() @ m.conj() - a))
+
+
+def _split_pt_symmetric(rng, n):
+    """A PT-symmetric direct sum of dimension n over the pair swap, of blocks
+    of 2, 4 and 6 indices, with its frame, the pair swap; and the same moved
+    by a random permutation, so that no block's indices are contiguous."""
+    h, at, sizes = np.zeros((n, n), dtype=complex), 0, itertools.cycle((2, 4, 6))
+    while at < n:
+        k = min(next(sizes), n - at)
+        h[at : at + k, at : at + k] = random_pt_symmetric(rng, pair_swap_frame(k))
+        at += k
+    frame, perm = pair_swap_frame(n), rng.permutation(n)
+    moved = np.ix_(perm, perm)
+    return (h, frame), (h[moved], frame_from_involution(frame.p.matrix.real[moved]))
+
+
+@pytest.mark.parametrize("n", [80, 200])
+def test_the_pt_residual_of_a_split_row_is_the_dense_formula_over_its_blocks(n):
+    # at and above the split dimension the classification checks PT on the
+    # labeling's blocks; below it the residual is the dense formula bit for
+    # bit (test_pt_residual_matches_the_dense_formula).  The two sum the same
+    # squares in another order: the blocks' sums are joined by hypot over at
+    # most n / 2 blocks, each within an ulp, so they agree within n eps
+    # relative (3 eps is the largest gap seen over 120 such rows).
+    rng = np.random.default_rng(34 + n)
+    for h, frame in _split_pt_symmetric(rng, n):
+        m = frame.p.matrix @ frame.t.matrix
+        perturbed = h + np.where(h != 0, 1e-3 * random_complex(rng, h.shape), 0.0)  # the same pattern
+        assert [at.shape[1] for _, at in frame.real_basis.components(perturbed[None])] == [2, 4, 6]
+        for a in (h, perturbed):
+            dense = float(frobenius(m @ a.conj() @ m.conj() - a))
+            report = classify_symmetry(a, frame)
+            assert abs(report.pt_residual - dense) <= n * np.finfo(float).eps * dense
+            assert report.pt_symmetric == (a is h) and is_pt_symmetric(a, frame).residual == dense
 
 
 def test_cpt_report_matches_the_dense_formulas():

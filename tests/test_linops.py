@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -703,6 +705,29 @@ def test_eigendecompose_reports_the_exact_condition():
     stack = eigendecompose(np.stack([model_2x2(1.0, 2.0, np.pi / 6), model_2x2(2.0, 1.0, 0.5)]))
     singular = np.linalg.svd(stack.vectors, compute_uv=False)
     assert stack.condition.tobytes() == (singular[:, 0] / singular[:, -1]).tobytes()
+
+
+def test_the_frobenius_norm_reads_its_operand_once_with_no_copy():
+    # |A| of a 200 x 200 complex matrix (640 KB) forms no array of A's size:
+    # no conjugate copy and no product
+    rng = np.random.default_rng(34)
+    a = random_complex(rng, (200, 200))
+    linops.frobenius(a)
+    tracemalloc.start()
+    try:
+        norm = linops.frobenius(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes // 16
+    assert abs(norm - np.linalg.norm(a)) <= 1e-14 * norm
+    # a stack, a transposed operand and a real one; inf, never a warning, where it overflows or meets a nan
+    stack = random_complex(rng, (3, 4, 5))
+    for m in (stack, stack.swapaxes(-1, -2), stack.real):
+        np.testing.assert_allclose(linops.frobenius(m), np.linalg.norm(m, axis=(-2, -1)), rtol=1e-15)
+    with np.errstate(all="raise"):
+        big = linops.frobenius(np.array([[[1e200, 1.0]], [[np.nan, 1.0]], [[1j * np.inf, 0.0]], [[3.0, 4.0j]]]))
+    assert big.tolist() == [np.inf, np.inf, np.inf, 5.0]
 
 
 def test_hermitian_powers_of_an_empty_matrix_are_a_dimension_mismatch():

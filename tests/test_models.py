@@ -153,6 +153,34 @@ def test_chain_frame_is_the_direct_sum_of_its_cell_frames():
     assert frame.t.kind == summed.t.kind
 
 
+def test_a_chain_is_built_as_its_cells_joined_bit_for_bit():
+    # one cell formula over the stacked parameters and one write of the diagonal blocks
+    rng = np.random.default_rng(34)
+    for count in (1, 2, 7, 100):
+        blocks = tuple(random_triple(rng) for _ in range(count))
+        h = model_matrix(ModelSpec("chain", blocks))
+        joined = np.zeros_like(h)
+        for k, block in enumerate(blocks):
+            joined[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = model_matrix(ModelSpec("2x2", (block,)))
+        assert h.tobytes() == joined.tobytes()
+
+
+def test_chain_parameters_are_converted_and_refused_as_one_at_a_time():
+    # the blocks are converted as one array, each parameter as float() converts it
+    spec = ModelSpec("chain", ((1, "2.5", np.float32(0.5)), (np.array(1.5), 2.0, True)))
+    assert spec.blocks == ((1.0, 2.5, float(np.float32(0.5))), (1.5, 2.0, 1.0))
+    assert {type(x) for block in spec.blocks for x in block} == {float}
+    with pytest.raises(InvalidModel, match="^block 2: r, s, theta must all be nonzero$"):
+        ModelSpec("chain", ((1.0, 2.0, 0.5), (1.0, 2.0, 0.5), (1.0, -0.0, 0.5), (0.0, 1.0, 1.0)))
+    for bad in (None, 1j, "x"):  # float()'s own errors, None too, which an array would take as nan
+        with pytest.raises((TypeError, ValueError)) as caught:
+            ModelSpec("chain", ((1.0, 2.0, 0.5), (bad, 2.0, 0.5)))
+        with pytest.raises(caught.type):
+            float(bad)
+    nan = ModelSpec("chain", ((1.0, 2.0, 0.5), (np.nan, 2.0, 0.5)))
+    assert np.isnan(nan.blocks[1][0])
+
+
 # ---------------------------------------------------------------- swept parameters
 
 SWEEP_BASES = {
