@@ -22,14 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CommutatorViolation, InvalidArgument, NotPTSymmetric
-from .frames import (
-    CONSTRUCTION_TOL,
-    CPTFrame,
-    PTFrame,
-    checked_cpt_frame,
-    checked_pt_frame,
-    frame_from_involution,
-)
+from .frames import CPTFrame, PTFrame, _permutation_frame, checked_cpt_frame, checked_pt_frame
 from .linops import DEFAULT_TOL, Operator, _block_diag, _fields_equal, as_matrix
 from .symmetry import is_pt_symmetric
 
@@ -135,13 +128,14 @@ def doubling(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, PTFrame, bool]:
     """Doubling construction: embed H as H (+) H+ with block-swap parity.
 
     Returns ``(doubled, frame, verdict)`` where the frame has
-    P = [[0, I], [I, 0]] and T = entrywise conjugation.  The verdict is the
-    measured PT-symmetry of the doubled operator, which holds exactly when H
-    equals its transpose.
+    P = [[0, I], [I, 0]], built from its index array i -> (i + n) mod 2n,
+    and T = entrywise conjugation.  The verdict is the measured PT-symmetry
+    of the doubled operator, which holds exactly when H equals its
+    transpose.
     """
     a = as_matrix(h)
     doubled = _block_diag(a, a.conj().T)
     n = a.shape[0]
-    frame = frame_from_involution(np.roll(np.eye(2 * n), n, axis=1), CONSTRUCTION_TOL)
+    frame = _permutation_frame((np.arange(2 * n) + n) % (2 * n))
     verdict = bool(is_pt_symmetric(doubled, frame, tol))
     return doubled, frame, verdict

@@ -421,6 +421,6 @@ def hermitize(h, cpt: CPTFrame, tol: float = DEFAULT_TOL) -> np.ndarray:
     require_tolerance(tol)
     a = cpt._passed(h, tol)  # before any copy: the H that build_c classified is not copied again
     if a is None:
-        a = cpt._require_commuting(_checked(h, cpt), tol)
+        a = cpt._require_commuting(_checked(h, cpt)[0], tol)
     root, inv_root = cpt._basis_roots(tol)
     return cpt._similarity(root, a, inv_root)

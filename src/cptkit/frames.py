@@ -9,13 +9,16 @@ with residual inf.  A :class:`CPTFrame` factors its metric PC once, with one
 the CPT adjoint all read that one factorization.
 
 Every built-in frame has a permutation P and T = entrywise conjugation: the
-pair swap (built from its index array), the 3x3 family and doubling (from
-:func:`frame_from_involution`), tensor products and direct sums of these,
-also read back from a document.
+pair swap, the 3x3 family's and the tensor family's frames and doubling,
+each built from its index array alone (:func:`_permutation_frame`), with P
+and T formed on first read, and tensor products and direct sums of these,
+also read back from a document, built from their matrices.
 Such a frame stores P's index array: its PT-axiom check is O(n), and P and
-PT act by index.  Its PT-fixed basis Q is a permutation-sparse unitary, so
-PT is plain complex conjugation in that basis and a PT-symmetric H is the
-real matrix Q^+ H Q (Bender & Mannheim, Phys. Lett. A 374, 1616 (2010)).
+PT act by index, so no step of classification, synthesis or Hermitization
+reads the dense P or T.  Its PT-fixed basis Q is a permutation-sparse
+unitary, so PT is plain complex conjugation in that basis and a
+PT-symmetric H is the real matrix Q^+ H Q (Bender & Mannheim, Phys. Lett.
+A 374, 1616 (2010)).
 The frame's :class:`RealBasis` (``real_basis``) holds Q with its maps, a
 stack into that basis and eigenvectors back, each in O(n^2); every consumer
 works in the real basis exactly when the frame has one.  Any other
@@ -86,8 +89,11 @@ from .linops import (
 )
 
 #: Floor of the tolerance at which :func:`frame_from_involution` validates
-#: its frame; the built-in constructors validate at exactly this tolerance.
+#: its frame.
 CONSTRUCTION_TOL = 1e-12
+
+#: The IsIdentity message of both frame constructors of a given permutation
+_IDENTITY = "the identity matrix is not an admissible parity"
 
 
 @dataclass(frozen=True)
@@ -251,9 +257,12 @@ class PTFrame:
     matrix and T's matrix part is exactly I, else None; ``pt``, the antilinear
     PT, ``real_basis``, the PT-fixed basis of an index frame with its maps
     (None on any other frame), and the residual and norm that decide whether
-    P is Hermitian are formed once, on first use.  Every consumer applies P
-    and PT through the methods below, a gather on an index frame and dense
-    otherwise, and works in the real basis exactly when ``real_basis`` is set.
+    P is Hermitian are formed once, on first use.  A frame built from its
+    index array (:func:`_permutation_frame`) holds ``perm`` alone, and
+    forms ``p`` and ``t`` on first read (:meth:`__getattr__`).  Every
+    consumer applies P and PT through the methods below, a gather on an
+    index frame and dense otherwise, and works in the real basis exactly
+    when ``real_basis`` is set.
     """
 
     p: Operator
@@ -268,6 +277,20 @@ class PTFrame:
         if self.p.dim != self.t.dim:
             raise DimensionMismatch(f"P has dimension {self.p.dim} but T has dimension {self.t.dim}")
         object.__setattr__(self, "perm", _involutive_permutation(self.p.matrix, self.t.matrix))
+
+    def __getattr__(self, name: str) -> Operator:
+        """P or T of a frame built from its index array, formed on first read
+        and kept, read-only: the real permutation matrix I[perm] and the real
+        identity, as :func:`frame_from_involution` makes them.  Any other
+        missing attribute raises AttributeError."""
+        perm = self.__dict__.get("perm")  # never recurses: __dict__ is the type's descriptor
+        if perm is None or name not in ("p", "t"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        eye = np.eye(len(perm), dtype=complex)
+        op = Operator._of(LINEAR, eye[perm]) if name == "p" else Operator._of(ANTILINEAR, eye)
+        op.matrix.setflags(write=False)
+        object.__setattr__(self, name, op)
+        return op
 
     @cached_property
     def pt(self) -> Operator:
@@ -298,7 +321,7 @@ class PTFrame:
 
     @property
     def dim(self) -> int:
-        return self.p.dim
+        return self.p.dim if self.perm is None else len(self.perm)
 
     def validate(self, tol: float = DEFAULT_TOL) -> FrameReport:
         """Check the PT-frame axioms and report every violation with its
@@ -681,25 +704,26 @@ def pair_swap_frame(n: int) -> PTFrame:
 
 def _permutation_frame(perm: np.ndarray) -> PTFrame:
     """The frame of :func:`frame_from_involution` for the permutation matrix
-    of ``perm``, an involution with no fixed point, built from ``perm``:
-    P and T = I are each written once, with no copy, and the frame keeps
-    ``perm`` with no scan of P or T.  The frame axioms hold exactly, and
-    P != I since ``perm`` moves every index."""
-    n = len(perm)
-    p, t = np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex)
-    p[np.arange(n), perm] = 1.0
-    for part in (p, t, perm):
-        part.setflags(write=False)
+    of ``perm``, an involution, built from ``perm`` alone: the frame keeps
+    ``perm``, read-only, and writes no P or T, which it forms on first read
+    (:meth:`PTFrame.__getattr__`); no matrix is scanned.  The frame axioms
+    hold exactly for an involution.  Raises IsIdentity, as
+    :func:`frame_from_involution` does, for the identity, the empty
+    permutation included: the one axiom the indices can still fail."""
+    if not (perm != np.arange(len(perm))).any():
+        raise IsIdentity(_IDENTITY)
+    perm.setflags(write=False)
     frame = object.__new__(PTFrame)
-    for name, value in (("p", Operator._of(LINEAR, p)), ("t", Operator._of(ANTILINEAR, t)), ("perm", perm)):
-        object.__setattr__(frame, name, value)
+    object.__setattr__(frame, "perm", perm)
     return frame
 
 
 def frame_from_involution(p_matrix, tol: float = DEFAULT_TOL) -> PTFrame:
     """The one constructor of a frame with T = entrywise conjugation from a
     given real involution P, validated at ``max(tol, CONSTRUCTION_TOL)``;
-    :func:`pair_swap_frame` builds its frame from the index array.
+    every built-in frame of a known permutation is built from its index
+    array instead (:func:`_permutation_frame`), and equals this frame of its
+    permutation matrix.
 
     Raises InvalidArgument for a ``tol`` that is nan, negative or infinite,
     then NonRealEntries for complex-entried P (it need not commute with
@@ -717,6 +741,6 @@ def frame_from_involution(p_matrix, tol: float = DEFAULT_TOL) -> PTFrame:
     if "P^2 = I" in violated:
         raise NotInvolution(f"P^2 = I fails with residual {violated['P^2 = I']:.3e}")
     if "P != I" in violated:
-        raise IsIdentity("the identity matrix is not an admissible parity")
+        raise IsIdentity(_IDENTITY)
     report.require("PT-frame")
     return frame

@@ -50,6 +50,21 @@ def as_matrix(m) -> np.ndarray:
     return _finite_square(np.array(m, dtype=complex))
 
 
+def scaled_matrix(m, dtype=complex) -> tuple[np.ndarray, np.ndarray]:
+    """A read-only square copy of ``m`` of ``dtype`` with finite entries,
+    and its Frobenius norm, inf where it overflows: the copy is read once,
+    by the norm, and scanned for a non-finite entry only where the norm is
+    not finite, which it is for any such entry.  Raises DimensionMismatch
+    for a matrix that is not square, then NonFiniteEntries for a non-finite
+    entry, as :func:`as_matrix`; a norm that overflows is the caller's to
+    judge (:func:`require_finite_scale`)."""
+    a = _square(np.array(m, dtype=dtype))
+    scale = frobenius(a)
+    if not scale < np.inf:
+        _finite_square(a)
+    return a, scale
+
+
 def _same(a, b) -> bool:
     """``a == b`` as one bool: arrays by content, with ``np.array_equal``,
     and tuples element by element, so arrays nested in them too."""
@@ -70,13 +85,18 @@ def _fields_equal(self, other) -> bool:
     )
 
 
-def _finite_square(a: np.ndarray) -> np.ndarray:
-    """``a`` itself, read-only, after checking that it is square with finite entries."""
+def _square(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, read-only, after checking that it is a square matrix."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NonFiniteEntries("matrix contains NaN or infinite entries")
     a.setflags(write=False)
+    return a
+
+
+def _finite_square(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, read-only, after checking that it is square with finite entries."""
+    if not np.isfinite(_square(a)).all():
+        raise NonFiniteEntries("matrix contains NaN or infinite entries")
     return a
 
 
@@ -410,14 +430,19 @@ def eigendecompose(m, tol: float = DEFAULT_TOL) -> EigenSystem:
     ``_SPLIT_DIM`` (80) or more, where the first row or column has a zero
     entry: a smaller matrix, and every dense one, is one component.
 
+    A single matrix is checked in this order: square, finite entries, not
+    empty, a finite norm.  Its copy is read once, by the norm, and scanned
+    for a non-finite entry only where the norm is not finite (see
+    :func:`scaled_matrix`).
+
     Raises
     ------
     DimensionMismatch
         For a matrix that is not square, or is empty: an empty matrix has no
         eigensystem to report.
     NonFiniteEntries
-        For a single matrix whose Frobenius norm, the scale of the residual
-        check, overflows.
+        For a single matrix with a non-finite entry, or whose Frobenius
+        norm, the scale of the residual check, overflows.
     DefectiveSpectrum
         For a single matrix whose eigenvector matrix condition number exceeds
         ``COND_LIMIT`` or whose residual check fails.  Exceptional points are
@@ -425,14 +450,16 @@ def eigendecompose(m, tol: float = DEFAULT_TOL) -> EigenSystem:
         regularized output.
     """
     require_tolerance(tol)
-    stacked = np.ndim(m) == 3
     a = np.asarray(m)
-    a = a.astype(float if a.dtype.kind in "biuf" else complex, copy=not stacked)
-    a = a if stacked else _finite_square(a)[None]
-    if a.shape[1] != a.shape[2]:
-        raise DimensionMismatch(f"expected a stack of square matrices, got shape {a.shape}")
+    dtype, stacked = float if a.dtype.kind in "biuf" else complex, a.ndim == 3
+    if stacked:
+        a = a.astype(dtype, copy=False)
+        if a.shape[1] != a.shape[2]:
+            raise DimensionMismatch(f"expected a stack of square matrices, got shape {a.shape}")
+        scale = frobenius(a)
+    else:  # a copy, read once for its norm and, only where that is not finite, for a non-finite entry
+        a, scale = (part[None] for part in scaled_matrix(a, dtype))
     _require_nonempty(a.shape[1])
-    scale = frobenius(a)
     if not stacked:
         require_finite_scale(scale[0])
     eigen, residual = stacked_eigensystem(a, scale, tol)
@@ -746,10 +773,15 @@ def hermitian_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``np.linalg.eigh`` per component size of its symmetrized nonzero pattern
     (see :func:`_components`), the blocks' eigenpairs joined by
     :func:`joined_spectrum`.  A matrix that is one component, a dense one
-    always, is one block, solved as a stack of one, with ``eigh``'s bits."""
-    ats = [at for _, at in _components(m[None])]
-    blocks = [m[None]] if _one_block(ats, (1, len(m))) else [m[at[:, :, None], at[:, None, :]] for at in ats]
-    return joined_spectrum(len(m), ats, *zip(*map(np.linalg.eigh, blocks)))
+    always, is one block, solved as a stack of one, with ``eigh``'s bits;
+    below ``_SPLIT_DIM``, where :func:`_components` labels nothing, that is
+    decided before any index array is formed."""
+    n = len(m)
+    ats = None if n < _SPLIT_DIM else [at for _, at in _components(m[None])]
+    if ats is None or _one_block(ats, (1, n)):
+        w, u = np.linalg.eigh(m[None])
+        return w[0], u[0]
+    return joined_spectrum(n, ats, *zip(*(np.linalg.eigh(m[at[:, :, None], at[:, None, :]]) for at in ats)))
 
 
 def joined_spectrum(n: int, ats, ws, us) -> tuple[np.ndarray, np.ndarray]:

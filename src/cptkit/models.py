@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, InvalidModel, SelfOrthogonal
-from .frames import PTFrame, frame_from_involution, pair_swap_frame
+from .frames import PTFrame, _permutation_frame, pair_swap_frame
 from .linops import DEFAULT_TOL, _block_diag, _block_join, require_tolerance
 
 TWO_BY_TWO = "2x2"
@@ -154,10 +154,10 @@ def _cells(blocks) -> np.ndarray:
 def model_frame(spec: ModelSpec) -> PTFrame:
     """The PT-frame of a model.  It depends only on the family and the
     number of blocks, so a scan over one family builds it once."""
-    if spec.family == THREE_BY_THREE:
-        return frame_from_involution(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+    if spec.family == THREE_BY_THREE:  # the cell's swap, with the level a fixed
+        return _permutation_frame(np.array([1, 0, 2]))
     if spec.family == TENSOR:  # the pair swap tensored with itself is the reversal e_k <-> e_(3-k)
-        return frame_from_involution(np.eye(4)[::-1])
+        return _permutation_frame(np.arange(3, -1, -1))
     return pair_swap_frame(spec.dim)  # 2x2, 4x4 and chain: one swap per cell
 
 

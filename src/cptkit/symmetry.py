@@ -75,6 +75,7 @@ from .linops import (
     require_finite_scale,
     require_regular,
     require_tolerance,
+    scaled_matrix,
     split_eigensystem,
     stacked_eigensystem,
 )
@@ -240,11 +241,17 @@ class StackClassification:
     __eq__ = _fields_equal
 
 
-def _checked(h, frame: PTFrame) -> np.ndarray:
-    a = as_matrix(h)
+def _checked(h, frame: PTFrame) -> tuple[np.ndarray, np.ndarray]:
+    """H as a read-only complex copy and its Frobenius norm |H|, inf where
+    it overflows, the copy read once for both (:func:`~cptkit.linops.scaled_matrix`).
+    The checks run in this order: a square matrix (DimensionMismatch),
+    finite entries (NonFiniteEntries), the frame's dimension
+    (DimensionMismatch); a norm that overflows is left to the caller,
+    :func:`~cptkit.linops.require_finite_scale` where it measures against |H|."""
+    a, scale = scaled_matrix(h)
     if a.shape[0] != frame.dim:
         raise DimensionMismatch(f"matrix dimension {a.shape[0]} does not match frame dimension {frame.dim}")
-    return a
+    return a, scale
 
 
 def _pt_check(a: np.ndarray, scale: np.ndarray, frame: PTFrame, tol: float, labeled=None):
@@ -281,8 +288,7 @@ def is_pt_symmetric(h, frame: PTFrame, tol: float = DEFAULT_TOL) -> PTSymmetryCh
     number raises InvalidArgument.
     """
     require_tolerance(tol)
-    a = _checked(h, frame)
-    scale = frobenius(a)
+    a, scale = _checked(h, frame)
     require_finite_scale(scale)
     symmetric, residual = _pt_check(a[None], scale, frame, tol)
     return PTSymmetryCheck(bool(symmetric[0]), float(residual[0]))
@@ -642,9 +648,9 @@ def _classify_one(h, frame: PTFrame, tol: float) -> _Rows:
     """The record of :func:`_classify_rows` for one matrix, with the raises
     of :func:`classify_symmetry`."""
     require_tolerance(tol)
-    a = _checked(h, frame)
-    norm = frobenius(a[None])
-    require_finite_scale(norm[0])
+    a, scale = _checked(h, frame)
+    require_finite_scale(scale)
+    norm = scale[None]
     rows = _classify_rows(a[None], norm, frame, tol)
     require_regular(rows, rows.residual, norm, tol)
     return rows

@@ -1132,9 +1132,10 @@ def test_a_chain_pipeline_forms_no_whole_row_temporary(monkeypatch):
     # PC, which no step of the pipeline reads, is formed only when read
     h, frame = build_model(bench_workloads().problem("chain-dense", 901, 3).spec)
     calls = Counter()
-    conjugate, as_matrix = frames.PTFrame.pt_conjugate, symmetry.as_matrix
+    conjugate, scaled_matrix = frames.PTFrame.pt_conjugate, symmetry.scaled_matrix
     monkeypatch.setattr(frames.PTFrame, "pt_conjugate", lambda f, a: calls.update(["pt_conjugate"]) or conjugate(f, a))
-    monkeypatch.setattr(symmetry, "as_matrix", lambda m: calls.update(["copy" if m is h else "other"]) or as_matrix(m))
+    # the one copy of H, read once for its norm and its finiteness
+    monkeypatch.setattr(symmetry, "scaled_matrix", lambda m: calls.update(["copy" if m is h else "other"]) or scaled_matrix(m))
     report = classify_symmetry(h, frame)
     result = build_c(h, frame)
     hermitized = hermitize(h, result.cpt)

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,7 @@ from cptkit.errors import (
 )
 from cptkit import frames
 from cptkit.frames import CONSTRUCTION_TOL
-from cptkit.io import frame_document, parse_frame_document
+from cptkit.io import frame_document, parse_frame_document, write_frame
 from cptkit.linops import _same, frobenius, spectral_powers
 from helpers import SWAP, any_dim_frame, covariance_problem, random_complex, random_pt_symmetric, unitary_basis_change
 
@@ -556,21 +557,68 @@ def test_only_the_frames_module_reads_the_permutation():
     assert readers == []
 
 
-@pytest.mark.parametrize("n", [2, 4, 200])
-def test_the_pair_swap_frame_is_the_frame_of_its_involution(n):
-    # built from its index array, with no copy or scan of P and T, it is the
-    # frame that frame_from_involution validates from the permutation matrix
-    fast, checked = pair_swap_frame(n), frame_from_involution(np.eye(n)[np.arange(n) ^ 1])
-    assert fast == checked
-    for name in ("p", "t", "pt"):
-        got, want = getattr(fast, name), getattr(checked, name)
-        assert (got.kind, got.matrix.dtype, got.matrix.tobytes()) == (want.kind, want.matrix.dtype, want.matrix.tobytes())
-        assert not got.matrix.flags.writeable
-    assert fast.perm.tobytes() == checked.perm.tobytes() and not fast.perm.flags.writeable
+#: Each frame built from its index array, with the permutation matrix that
+#: frame_from_involution validates for it
+INDEX_FRAMES = {
+    "swap-2": (lambda: pair_swap_frame(2), np.eye(2)[[1, 0]]),
+    "swap-4": (lambda: pair_swap_frame(4), EQ12_P),
+    "swap-200": (lambda: pair_swap_frame(200), np.eye(200)[np.arange(200) ^ 1]),
+    "3x3": (lambda: model_frame(ModelSpec("3x3", ((1.0, 2.0, 0.4),), a=1.0)), np.eye(3)[[1, 0, 2]]),
+    "tensor": (lambda: model_frame(ModelSpec("tensor", ((1.0, 2.0, 0.4), (1.0, 3.0, 0.7)))), np.eye(4)[::-1]),
+    "doubling-3": (lambda: doubling(np.arange(9.0).reshape(3, 3))[1], np.roll(np.eye(6), 3, axis=1)),
+}
+
+
+@pytest.mark.parametrize("name", list(INDEX_FRAMES))
+def test_an_index_frame_is_the_frame_of_its_involution(name, tmp_path):
+    # built from its index array, with no P or T written: both are formed on
+    # first read, and are then those that frame_from_involution validates
+    # from the permutation matrix, bit for bit
+    build, matrix = INDEX_FRAMES[name]
+    fast, checked = build(), frame_from_involution(matrix)
+    assert "p" not in vars(fast) and "t" not in vars(fast)
+    # no step of the frame's own reads P or T
+    assert fast.dim == checked.dim and fast.validate() == checked.validate()
     assert all(np.array_equal(a, b) for a, b in zip(_flat(fast.real_basis), _flat(checked.real_basis)))
     assert fast._parity_hermiticity == checked._parity_hermiticity
+    assert "p" not in vars(fast) and "t" not in vars(fast)
+    write_frame(tmp_path / "fast.json", fast)  # the document reads P and T, so forms them
+    write_frame(tmp_path / "checked.json", checked)
+    assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "checked.json").read_bytes()
+    assert "p" in vars(fast) and "t" in vars(fast)
+    assert fast == checked and checked == fast
+    for part in ("p", "t", "pt"):
+        got, want = getattr(fast, part), getattr(checked, part)
+        assert isinstance(got, Operator) and got.kind == want.kind
+        assert (got.matrix.dtype, got.matrix.tobytes()) == (want.matrix.dtype, want.matrix.tobytes())
+        assert not got.matrix.flags.writeable
+    assert fast.p is fast.p and fast.t is fast.t  # formed once, then kept
+    assert fast.perm.tobytes() == checked.perm.tobytes() and not fast.perm.flags.writeable
     for tol in (0.0, DEFAULT_TOL, 1.0):
         assert fast.validate(tol) == checked.validate(tol)
+    with pytest.raises(AttributeError, match="no attribute 'q'"):
+        fast.q
+
+
+def test_a_pair_swap_frame_writes_no_dense_matrix():
+    # the frame of a chain of 200 cells holds its index array alone
+    n = 400
+    tracemalloc.start()
+    try:
+        frame = pair_swap_frame(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * np.dtype(complex).itemsize // 8
+    assert "p" not in vars(frame) and "t" not in vars(frame)
+
+
+def test_the_identity_permutation_is_no_index_frame():
+    # the one frame axiom an index array can fail, with frame_from_involution's error
+    with pytest.raises(IsIdentity, match="the identity matrix is not an admissible parity"):
+        frames._permutation_frame(np.arange(3))
+    with pytest.raises(IsIdentity, match="the identity matrix is not an admissible parity"):
+        doubling(np.zeros((0, 0)))
 
 
 def _flat(basis):

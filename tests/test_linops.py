@@ -593,6 +593,17 @@ def test_a_hermitian_spectrum_is_split_by_blocks_and_joined_ascending(monkeypatc
     assert all(a.tobytes() == b.tobytes() for a, b in zip(linops.hermitian_spectrum(dense), np.linalg.eigh(dense)))
 
 
+def test_a_hermitian_spectrum_below_the_split_dimension_forms_no_partition(monkeypatch):
+    # one block of all n indices, decided from n alone: no labeling and no index array
+    rng = np.random.default_rng(13)
+    monkeypatch.setattr(linops, "_components", lambda *args: pytest.fail("a partition was formed"))
+    for n in (1, 2, 4, linops._SPLIT_DIM - 1):
+        a = random_complex(rng, (n, n))
+        m = a + a.conj().T
+        got, want = linops.hermitian_spectrum(m), np.linalg.eigh(m[None])
+        assert all(g.tobytes() == w[0].tobytes() for g, w in zip(got, want))
+
+
 # ---------------------------------------------------------------- the Gram certificate of cond(V)
 
 

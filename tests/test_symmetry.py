@@ -457,6 +457,47 @@ def test_overflowing_scale_raises_instead_of_passing_every_check():
         classify_symmetry(model_2x2(1e308, 1.0, 0.3), pair_swap_frame(2))
 
 
+_NON_FINITE = (NonFiniteEntries, "matrix contains NaN or infinite entries")
+_OVERFLOW = (NonFiniteEntries, "the Frobenius norm of the matrix overflows; no tolerance relative to its scale exists")
+_WRONG_DIM = (DimensionMismatch, "matrix dimension 4 does not match frame dimension 2")
+_NON_SQUARE = (DimensionMismatch, "expected a square matrix, got shape (2, 3)")
+
+#: Each bad input over the 2x2 swap frame and the error it raises, in the
+#: order of the checks: square, finite entries, the frame's dimension (not
+#: checked by eigendecompose, which has no frame), a finite norm.
+ERROR_TABLE = {
+    "nan": (np.array([[np.nan, 1.0], [1.0, 0.0]]), _NON_FINITE, _NON_FINITE),
+    "inf": (np.array([[1.0, np.inf], [1.0, 0.0]]), _NON_FINITE, _NON_FINITE),
+    "overflow": (np.full((2, 2), 1e300), _OVERFLOW, _OVERFLOW),
+    "non-square": (np.ones((2, 3)), _NON_SQUARE, _NON_SQUARE),
+    "wrong dimension": (np.eye(4), _WRONG_DIM, None),
+    "nan, wrong dimension": (np.diag([np.nan, 1.0, 1.0, 1.0]), _NON_FINITE, _NON_FINITE),
+    "overflow, wrong dimension": (np.full((4, 4), 1e300), _WRONG_DIM, _OVERFLOW),
+}
+
+
+@pytest.mark.parametrize("entry", ["classify_symmetry", "build_c", "is_pt_symmetric", "eigendecompose"])
+@pytest.mark.parametrize("case", sorted(ERROR_TABLE))
+def test_each_bad_matrix_raises_its_error_in_the_order_of_the_checks(entry, case):
+    # the copy is read once, by its norm, and scanned for a non-finite entry
+    # only where the norm is not finite: the errors and their order stand
+    frame = pair_swap_frame(2)
+    h, framed, unframed = ERROR_TABLE[case]
+    calls = {
+        "classify_symmetry": lambda: classify_symmetry(h, frame),
+        "build_c": lambda: build_c(h, frame),
+        "is_pt_symmetric": lambda: is_pt_symmetric(h, frame),
+        "eigendecompose": lambda: eigendecompose(h),
+    }
+    want = unframed if entry == "eigendecompose" else framed
+    if want is None:  # a finite, square matrix with no frame to mismatch
+        calls[entry]()
+        return
+    with pytest.raises(want[0]) as info:
+        calls[entry]()
+    assert type(info.value) is want[0] and str(info.value) == want[1]
+
+
 # ---------------------------------------------------------------- the real basis
 
 
