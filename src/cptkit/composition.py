@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CommutatorViolation, InvalidArgument, NotPTSymmetric
 from .frames import CPTFrame, PTFrame, _permutation_frame, checked_cpt_frame, checked_pt_frame
-from .linops import DEFAULT_TOL, Operator, _block_diag, _fields_equal, as_matrix
+from .linops import DEFAULT_TOL, Operator, _block_diag, _fields_equal, as_matrix, frobenius
 from .symmetry import is_pt_symmetric
 
 
@@ -86,24 +86,30 @@ def tensor_hamiltonians(
     """Tensor two PT-symmetric Hamiltonians with their CPT-frames.
 
     Returns H = H1 (x) H2 together with the tensored frame.  H is
-    PT-symmetric.  When each factor frame finds its C_i commuting with H_i,
-    the composed frame checks [C, H] once, raising CommutatorViolation if it
-    fails, and keeps the pass for a later :func:`~cptkit.cpt.hermitize`.
+    PT-symmetric; NotPTSymmetric is raised where a factor, or the product,
+    is not at ``tol``: factors that each pass can still fail as a product,
+    since their residuals compose.  When each factor frame finds its C_i
+    commuting with H_i, the composed frame checks [C, H] once, raising
+    CommutatorViolation if it fails, and keeps the pass for a later
+    :func:`~cptkit.cpt.hermitize`.
     Raises InvalidArgument unless both frames are CPT-frames.
     """
     if not _has_c((a, b)):
         raise InvalidArgument("tensor_hamiltonians needs two CPT-frames; tensor PT-frames with tensor_frames")
     m1, m2 = as_matrix(h1), as_matrix(h2)
+    factors = []
     for label, m, fr in (("first", m1, a), ("second", m2, b)):
-        check = is_pt_symmetric(m, fr.frame, tol)
-        if not check:
-            raise NotPTSymmetric(f"{label} factor is not PT-symmetric (residual {check.residual:.3e})")
+        factors.append(is_pt_symmetric(m, fr.frame, tol))
+        if not factors[-1]:
+            raise NotPTSymmetric(f"{label} factor is not PT-symmetric (residual {factors[-1].residual:.3e})")
     product = np.kron(m1, m2)
     frame = tensor_frames(a, b, tol)
     check = is_pt_symmetric(product, frame.frame, tol)
     if not check:
-        raise NotPTSymmetric(f"tensor product lost PT-symmetry (residual {check.residual:.3e}); "
-                             "this indicates inconsistent input frames")
+        raise NotPTSymmetric(f"tensor product is not PT-symmetric: residual {check.residual:.3e} exceeds its bound "
+                             f"{tol * frobenius(product):.3e} (tol * |H|); the factors pass, with residuals "
+                             f"{factors[0].residual:.3e} and {factors[1].residual:.3e}, and residuals within tol "
+                             "compose to up to (2 tol + tol^2) |H|")
     try:
         a._require_commuting(m1, tol)
         b._require_commuting(m2, tol)

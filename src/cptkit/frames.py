@@ -485,14 +485,9 @@ class CPTFrame:
         stacked ``eigh``; a block of the whole basis by
         :func:`~cptkit.linops.hermitian_spectrum`."""
         sym = (m + m.conj().swapaxes(-1, -2)) / 2.0
-        if self._unsplit:
+        if _one_block(self._blocks, (1, self.dim)):
             return tuple(part[None] for part in hermitian_spectrum(sym[0]))
         return tuple(np.linalg.eigh(sym))
-
-    @property
-    def _unsplit(self) -> bool:
-        """Whether C is one block of the whole basis."""
-        return _one_block(self._blocks, (1, self.dim))
 
     @cached_property
     def _w(self) -> np.ndarray:
@@ -549,10 +544,9 @@ class CPTFrame:
 
     def _fits(self, h: np.ndarray) -> bool:
         """Whether H in the frame's basis is known to vanish off the blocks:
-        for any H where C is one block of the whole basis, else for the H of
-        the last [C, H] pass where its caller said so."""
+        for the H of the last [C, H] pass where its caller said so."""
         last = self._commuting
-        return self._unsplit or (last is not None and h is last[0] and last[2])
+        return last is not None and h is last[0] and last[2]
 
     def _passed(self, h, tol: float) -> np.ndarray | None:
         """The read-only H of the last [C, H] pass where ``h`` equals it,
@@ -571,18 +565,19 @@ class CPTFrame:
         of C and the read-only H passes at ``tol``; return the H that passed.
         In the real basis C is C_r and H is Q^+ H Q, block by block where
         ``fits`` says that Q^+ H Q vanishes off the blocks (the H that
-        :func:`~cptkit.cpt.build_c` classified), and joined otherwise.  An H
-        that :meth:`_passed` finds passes with no product."""
+        :func:`~cptkit.cpt.build_c` classified), and otherwise joined, as one
+        block of the whole basis.  An H that :meth:`_passed` finds passes
+        with no product."""
         passed = self._passed(h, tol)
         if passed is not None:
             return passed
-        basis, fits = self._basis, fits or self._unsplit
+        basis = self._basis
         if basis is None:  # one block of the whole original basis
             residual, commutes = commutator_check(self._c_blocks, (h[None],), tol)
         elif fits:  # passed, not bound, so the complex blocks are freed once split into real parts
             residual, commutes = commutator_check(self._c_blocks, basis.form_blocks(h, self._blocks), tol)
         else:
-            residual, commutes = commutator_check(self._joined(self._c_blocks), basis.form(h), tol)
+            residual, commutes = commutator_check((self._joined(self._c_blocks)[None],), (basis.form(h)[None],), tol)
         if not commutes:
             raise CommutatorViolation(f"[C, H] residual {residual:.3e} exceeds tolerance; "
                                       "the frame is not a frame for H")

@@ -210,25 +210,21 @@ def _block_join(n: int, ats, parts, cols=None) -> np.ndarray:
 def commutator_check(c, h, tol: float) -> tuple[float, bool]:
     """The residual |[C, H]| and whether it is within
     ``tol * max(1, |H|) * max(1, |C|)``; an overflowed residual fails.  C and
-    H are two matrices, two stacks of the blocks of a block-diagonal pair,
-    or two tuples of such stacks, one per block size, whose norms are taken
-    together, as of the joined matrices.  A real C and a complex H = A + iB
+    H are two tuples of ``(g, m, m)`` stacks of the blocks of a
+    block-diagonal pair, one stack per block size, whose norms are taken
+    together, as of the joined matrices; a matrix is one block of itself,
+    ``(m[None],)``.  A real C and a complex H = A + iB
     are checked in real products, from the stack of [C, A] and [C, B], whose
     Frobenius norm is |[C, H]|.  Where B is exactly zero, as for every
     built-in model in a frame's real basis, only [C, A] is formed, in two
     products, and [C, B] is left as the zeros it would be, so the residual
     sums the same entries in the same order."""
-    if not isinstance(c, tuple):
-        residual, h_norm, c_norm = _commutator_norms(c, h)
-    elif len(c) == 1:
-        residual, h_norm, c_norm = _commutator_norms(c[0], h[0])
-    else:
-        residual, h_norm, c_norm = map(root_sum_square, zip(*map(_commutator_norms, c, h)))
+    residual, h_norm, c_norm = map(root_sum_square, zip(*map(_commutator_norms, c, h)))
     return residual, bool(residual <= tol * max(1.0, h_norm) * max(1.0, c_norm))
 
 
 def _commutator_norms(c: np.ndarray, h: np.ndarray):
-    """|[C, H]|, |H| and |C| for a matrix or a stack of blocks, as :func:`commutator_check` takes them."""
+    """|[C, H]|, |H| and |C| for a stack of blocks, as :func:`commutator_check` takes them."""
     n = c.shape[-1]
     if np.iscomplexobj(h) and not np.iscomplexobj(c):
         h = np.stack([h.real, h.imag])

@@ -67,7 +67,6 @@ from .linops import (
     _entries,
     _fields_equal,
     _one_block,
-    as_matrix,
     as_vector,
     column_norms,
     frobenius,
@@ -781,17 +780,21 @@ def classify_stack(hs, frame: PTFrame, tol: float = DEFAULT_TOL) -> StackClassif
     return StackClassification(rows.values, rows.classification, rows.warning, rows.defective)
 
 
+_SWAP_2 = pair_swap_frame(2)
+
+
 def classify_2x2(h, tol: float = DEFAULT_TOL) -> TwoByTwoClass:
     """Evaluate the structural predicates of a 2x2 matrix (swap frame implied):
     Hermitian, symmetric, PT-symmetric, and their conjunctions, each residual
     relative to ``tol * |H|``."""
-    a = as_matrix(h)
+    a, scale = scaled_matrix(h)
     if a.shape != (2, 2):
         raise DimensionMismatch(f"expected a 2x2 matrix, got {a.shape}")
-    # the PT check raises NonFiniteEntries first when |H| overflows; below
-    # that scale neither residual can overflow
-    pt_symmetric = bool(is_pt_symmetric(a, pair_swap_frame(2), tol))
-    bound = tol * frobenius(a)
+    require_tolerance(tol)
+    # below a finite |H| neither residual can overflow
+    require_finite_scale(scale)
+    pt_symmetric = bool(_pt_check(a[None], scale, _SWAP_2, tol)[0][0])
+    bound = tol * scale
     hermitian = bool(hermiticity_residual(a) <= bound)
     symmetric = bool(frobenius(a - a.T) <= bound)
     held = (hermitian, symmetric, pt_symmetric, pt_symmetric and hermitian, pt_symmetric and hermitian and symmetric)

@@ -112,6 +112,26 @@ def test_tensor_rejects_non_pt_symmetric_factor():
         tensor_hamiltonians(H3, model_2x2(*PARAMS_B), b, b)
 
 
+def test_factors_that_pass_can_compose_to_a_product_that_does_not():
+    # each cell moved by i eps I to 0.90 of its own PT bound: residuals within
+    # tol compose to up to (2 tol + tol^2) |H|, and the product's reaches 1.33
+    # of its bound; the frames are consistent, and the message says so
+    moved, cpts = [], []
+    for cell in ((0.8, 1.0, 0.9), (0.5, 2.0, 0.3)):
+        h, frame = build_model(ModelSpec("2x2", (cell,)))
+        moved.append(h + 0.9j * DEFAULT_TOL * np.linalg.norm(h) / (2 * np.sqrt(2)) * np.eye(2))
+        assert is_pt_symmetric(moved[-1], frame)
+        cpts.append(build_c(h, frame).cpt)
+    with pytest.raises(NotPTSymmetric) as raised:
+        tensor_hamiltonians(*moved, *cpts)
+    assert raised.value.exit_code == 3
+    assert str(raised.value) == (
+        "tensor product is not PT-symmetric: residual 7.016e-10 exceeds its bound 5.280e-10 (tol * |H|); the "
+        "factors pass, with residuals 1.630e-10 and 2.624e-10, and residuals within tol compose to up to "
+        "(2 tol + tol^2) |H|"
+    )
+
+
 def test_tensor_spectrum_product_property():
     rng = np.random.default_rng(61)
     for _ in range(20):
@@ -362,9 +382,9 @@ def test_direct_sum_checks_each_block_matrix_once(monkeypatch):
 
 
 def _dimension(c) -> int:
-    """The dimension of the C that commutator_check takes: a matrix, or a
-    tuple of ``(g, m, m)`` stacks of its blocks."""
-    return sum(part.shape[0] * part.shape[-1] for part in c) if isinstance(c, tuple) else len(c)
+    """The dimension of the C that commutator_check takes: a tuple of
+    ``(g, m, m)`` stacks of its blocks."""
+    return sum(part.shape[0] * part.shape[-1] for part in c)
 
 
 def _count_commutators(monkeypatch) -> list:

@@ -762,6 +762,23 @@ def test_the_metric_powers_in_the_real_basis_match_the_dense_formulas():
         assert _relative_gap(cpt_adjoint(Operator.linear(a), cpt).matrix, inverse @ a.conj().T @ pc) <= REAL_POWERS_GAP
 
 
+def test_a_split_frame_checks_an_h_it_did_not_classify_whole(monkeypatch):
+    # H^2 commutes with C, but it is not the H that build_c classified: [C, H^2]
+    # is formed once, whole, from C_r's blocks joined, and h is that of the roots
+    rng = np.random.default_rng(36)
+    h, frame = build_model(ModelSpec("chain", random_cells(rng, 40)))
+    cpt = build_c(h, frame).cpt
+    assert not linops._one_block(cpt._blocks, (1, cpt.dim))
+    shapes, real = [], frames.commutator_check
+    monkeypatch.setattr(frames, "commutator_check",
+                        lambda c, a, tol: shapes.append([part.shape for part in c]) or real(c, a, tol))
+    root, inv_root = cpt.metric_roots()
+    assert _relative_gap(hermitize(h @ h, cpt), root @ h @ h @ inv_root) <= REAL_POWERS_GAP
+    assert shapes == [[(1, cpt.dim, cpt.dim)]]
+    with pytest.raises(CommutatorViolation):
+        hermitize(random_complex(rng, h.shape), cpt)
+
+
 def _stacked_similarity(cpt, left, a, right, blocks=False):
     """left A right on a frame synthesized in the real basis, with the real
     and imaginary parts of Q^+ A Q stacked: four real products for any A.
@@ -852,7 +869,8 @@ def test_every_cpt_frame_holds_c_as_blocks_of_its_basis():
         "moved alone": checked_cpt_frame(synthesized["moved"].c, moved),
         "tensor": tensor_hamiltonians(cell, other, synthesized["cell"], build_c(other, cell_frame).cpt)[1],
     }
-    assert not synthesized["chain"]._unsplit  # a chain of dimension 80 is split
+    chain_cpt = synthesized["chain"]
+    assert not linops._one_block(chain_cpt._blocks, (1, chain_cpt.dim))  # a chain of dimension 80 is split
     for name, cpt in {**synthesized, **given}.items():
         basis = cpt._basis
         assert basis is (cpt.frame.real_basis if name in ("cell", "chain") else None), name
